@@ -19,14 +19,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Codebook, hamming_diff
-from .rng import RngStream
+from .rng import RngStream, uniforms_at
 from .typicality import JointContext, pair_counts, typical_from_counts
 
 RESOLVERS = ("cluster", "cluster-random", "svm")
+# final pick rule of each cluster resolver (see :func:`cluster_resolve`)
+CLUSTER_PICKS = {"cluster": "closest", "cluster-random": "random"}
 
 KMEANS_MAX_ITERS = 100
 SVM_LAMBDA = 0.01
 SVM_EPOCHS = 200
+# cap on the elements of one (trials, candidates, n) float64 block that
+# cluster_resolve_batch holds at once; bounds its memory whatever the chunk
+BATCH_BLOCK_ELEMS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -112,12 +117,16 @@ def find_candidates(y: np.ndarray, cb: Codebook, ctx: JointContext, eps: float) 
     return CandidateSet(indices=np.asarray(keep, dtype=np.int64) + 1, z_seqs=z)
 
 
-def jt_decode(y: np.ndarray, cb: Codebook, ctx: JointContext, eps: float) -> DecodeOutcome:
-    """Classical rule: decode only a unique candidate, otherwise declare an error."""
-    cands = find_candidates(y, cb, ctx, eps)
+def classical_outcome(cands: CandidateSet) -> DecodeOutcome:
+    """Classical verdict on a candidate set: only a unique candidate decodes."""
     if cands.count == 1:
         return DecodeOutcome(int(cands.indices[0]), 1, "unique")
     return DecodeOutcome(0, cands.count, "none")
+
+
+def jt_decode(y: np.ndarray, cb: Codebook, ctx: JointContext, eps: float) -> DecodeOutcome:
+    """Classical rule: decode only a unique candidate, otherwise declare an error."""
+    return classical_outcome(find_candidates(y, cb, ctx, eps))
 
 
 def weak_decode(
@@ -130,17 +139,28 @@ def weak_decode(
     k_max: int = 3,
 ) -> DecodeOutcome:
     """Weak rule: keep all candidates and resolve multiplicity instead of failing."""
+    outcome, _ = weak_outcome(find_candidates(y, cb, ctx, eps), resolver, rng, k_max)
+    return outcome
+
+
+def weak_outcome(
+    cands: CandidateSet, resolver: str, rng: RngStream, k_max: int = 3
+) -> tuple[DecodeOutcome, Clustering | None]:
+    """Weak verdict on a candidate set, plus the clustering when k-means ran.
+
+    The per-trial resolver dispatch, shared by :func:`weak_decode`, the
+    single-trial reference path and the exhaustive oracle.
+    """
     if resolver not in RESOLVERS:
         raise ValueError(f"unknown resolver {resolver!r}")
-    cands = find_candidates(y, cb, ctx, eps)
     if cands.count == 0:
-        return DecodeOutcome(0, 0, "none")
+        return DecodeOutcome(0, 0, "none"), None
     if cands.count == 1:
-        return DecodeOutcome(int(cands.indices[0]), 1, "unique")
+        return DecodeOutcome(int(cands.indices[0]), 1, "unique"), None
     if resolver == "svm":
-        return DecodeOutcome(svm_resolve(cands, rng), cands.count, "svm")
-    pick = "random" if resolver == "cluster-random" else "closest"
-    return DecodeOutcome(cluster_resolve(cands, k_max, rng, pick=pick), cands.count, "cluster")
+        return DecodeOutcome(svm_resolve(cands, rng), cands.count, "svm"), None
+    decoded, clus = _resolve_by_clusters(cands, k_max, rng, CLUSTER_PICKS[resolver])
+    return DecodeOutcome(decoded, cands.count, "cluster"), clus
 
 
 def kmeans(points, k: int, rng: RngStream, max_iters: int = KMEANS_MAX_ITERS) -> Clustering:
@@ -268,11 +288,179 @@ def cluster_resolve(cands: CandidateSet, k_max: int, rng: RngStream, pick: str =
     return decoded
 
 
-def resolve_details(
-    cands: CandidateSet, k_max: int, rng: RngStream, pick: str = "closest"
-) -> tuple[int, Clustering | None]:
-    """Like :func:`cluster_resolve` but also returns the clustering, when one ran."""
-    return _resolve_by_clusters(cands, k_max, rng, pick)
+@dataclass(frozen=True)
+class BatchResolution:
+    """Per-trial results of :func:`cluster_resolve_batch`.
+
+    ``iterations`` counts Lloyd assignment passes (``Clustering.iterations_used``)
+    and is 0 where a shortcut decided without k-means; ``fallback_seeds``
+    counts seeding steps that took the lowest unchosen point because every
+    squared distance was zero; ``reseeds`` counts empty-cluster reseeds.
+    """
+
+    decoded: np.ndarray  # (T,) int64, 1-based message index
+    iterations: np.ndarray  # (T,) int64
+    fallback_seeds: np.ndarray  # (T,) int64
+    reseeds: np.ndarray  # (T,) int64
+
+
+def cluster_resolve_batch(
+    cand_mask: np.ndarray,
+    words: np.ndarray,
+    received: np.ndarray,
+    states: np.ndarray,
+    k_max: int,
+    pick: str = "closest",
+) -> BatchResolution:
+    """:func:`cluster_resolve` on many trials at once, bit for bit.
+
+    Trial t has candidates ``flatnonzero(cand_mask[t])`` (at least two),
+    codebook ``words[t]`` (or the shared ``words`` when it is 2-D),
+    received word ``received[t]``, and resolver stream state ``states[t]``.
+    Trials are grouped by candidate count and run through k-means++
+    seeding and Lloyd in lockstep, a block of at most
+    ``BATCH_BLOCK_ELEMS`` coordinates at a time.  Each trial reads its
+    stream at its own cursor, so it draws exactly the values the
+    per-trial path draws; distances reduce over the contiguous last axis
+    and centroids are exact member sums over member counts, so every
+    float64 tie resolves as in :func:`kmeans`.
+    """
+    if pick not in ("closest", "random"):
+        raise ValueError(f"unknown pick rule {pick!r}")
+    if k_max < 1:
+        raise ValueError("k_max must be positive")
+    cand_mask = np.asarray(cand_mask, dtype=bool)
+    counts = cand_mask.sum(axis=1)
+    if np.any(counts < 2):
+        raise ValueError("resolution needs at least two candidates")
+    total = counts.size
+    decoded = np.zeros(total, dtype=np.int64)
+    iterations = np.zeros(total, dtype=np.int64)
+    fallback_seeds = np.zeros(total, dtype=np.int64)
+    reseeds = np.zeros(total, dtype=np.int64)
+    n = received.shape[1]
+    for c in np.flatnonzero(np.bincount(counts)).tolist():
+        group = np.flatnonzero(counts == c)
+        # nonzero walks rows in order, so each row's indices ascend
+        cand_idx = np.nonzero(cand_mask[group])[1].reshape(group.size, c)
+        step = max(1, BATCH_BLOCK_ELEMS // (c * n))
+        for lo in range(0, group.size, step):
+            rows = group[lo : lo + step]
+            idx = cand_idx[lo : lo + step]
+            own = words[rows[:, None], idx] if words.ndim == 3 else words[idx]
+            z = np.bitwise_xor(own, received[rows][:, None, :])
+            pos, its, fb, rs = _resolve_block(z, states[rows], min(k_max, c), pick)
+            decoded[rows] = idx[np.arange(rows.size), pos] + 1
+            iterations[rows] = its
+            fallback_seeds[rows] = fb
+            reseeds[rows] = rs
+    return BatchResolution(decoded, iterations, fallback_seeds, reseeds)
+
+
+def _sq_dist(pts: np.ndarray, centres: np.ndarray) -> np.ndarray:
+    """(T, c) squared distances of each trial's points to its centre.
+
+    The sum runs over the contiguous last axis, in the order ``kmeans`` uses.
+    """
+    return ((pts - centres[:, None, :]) ** 2).sum(axis=2)
+
+
+def _resolve_block(
+    z: np.ndarray, states: np.ndarray, k: int, pick: str
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Winning candidate position of each (c, n) point set in z, plus counters.
+
+    Mirrors :func:`_resolve_by_clusters` step by step on a (T, c, n) block.
+    """
+    size, c, _ = z.shape
+    pos = np.zeros(size, dtype=np.int64)  # shortcuts decode the lowest index
+    iterations = np.zeros(size, dtype=np.int64)
+    fallback_seeds = np.zeros(size, dtype=np.int64)
+    reseeds = np.zeros(size, dtype=np.int64)
+
+    run = ~np.all(z == z[:, :1], axis=(1, 2))
+    if pick == "closest" and (c == 2 or k == c):
+        distinct = np.ones(size, dtype=bool)
+        for a in range(c):
+            for b in range(a + 1, c):
+                distinct &= np.any(z[:, a] != z[:, b], axis=1)
+        run &= ~distinct
+    sel = np.flatnonzero(run)
+    if sel.size == 0:
+        return pos, iterations, fallback_seeds, reseeds
+    pts = z[sel].astype(np.float64)
+    st = states[sel]
+    num = sel.size
+    trial = np.arange(num)
+
+    # k-means++ seeding; the cursor advances only on the draws kmeans makes
+    cursor = np.zeros(num, dtype=np.int64)
+    first = np.minimum((uniforms_at(st, cursor) * c).astype(np.int64), c - 1)
+    cursor += 1
+    centroids = np.empty((num, k, pts.shape[2]))
+    centroids[:, 0] = pts[trial, first]
+    chosen = np.zeros((num, c), dtype=bool)
+    chosen[trial, first] = True
+    d2 = _sq_dist(pts, centroids[:, 0])
+    fallback = np.zeros(num, dtype=np.int64)
+    for j in range(1, k):
+        total = d2.sum(axis=1)
+        spread = total > 0.0
+        r = uniforms_at(st, cursor) * total
+        # searchsorted(cumsum, r, side="right") on every row at once
+        drawn = np.minimum((np.cumsum(d2, axis=1) <= r[:, None]).sum(axis=1), c - 1)
+        pick_j = np.where(spread, drawn, np.argmin(chosen, axis=1))
+        cursor += spread
+        fallback += ~spread
+        chosen[trial, pick_j] = True
+        centroids[:, j] = pts[trial, pick_j]
+        d2 = np.minimum(d2, _sq_dist(pts, centroids[:, j]))
+
+    # Lloyd, each trial frozen once its assignment repeats
+    assign = np.full((num, c), -1, dtype=np.int64)
+    used = np.full(num, KMEANS_MAX_ITERS, dtype=np.int64)
+    empty_count = np.zeros(num, dtype=np.int64)
+    active = np.ones(num, dtype=bool)
+    cluster_ids = np.arange(k)
+    for it in range(1, KMEANS_MAX_ITERS + 1):
+        dist2 = np.stack([_sq_dist(pts, centroids[:, j]) for j in range(k)], axis=2)
+        new_assign = np.argmin(dist2, axis=2)
+        done = active & np.all(new_assign == assign, axis=1)
+        used[done] = it
+        active &= ~done
+        if not active.any():
+            break
+        assign[active] = new_assign[active]
+        member = assign[:, :, None] == cluster_ids
+        sizes = member.sum(axis=1)
+        sums = np.einsum("tck,tcn->tkn", member.astype(np.float64), pts)
+        updated = sums / np.maximum(sizes, 1)[:, :, None]
+        empty = active[:, None] & (sizes == 0)
+        for j in np.flatnonzero(empty.any(axis=0)).tolist():
+            e = np.flatnonzero(empty[:, j])
+            far = np.argmax(_sq_dist(pts[e], centroids[e, j]), axis=1)
+            updated[e, j] = pts[e, far]
+        empty_count += empty.sum(axis=1)
+        centroids[active] = updated[active]
+
+    # largest cluster, ties to the cluster of the lowest point index
+    sizes = (assign[:, :, None] == cluster_ids).sum(axis=1)
+    point_sizes = np.take_along_axis(sizes, assign, axis=1)
+    lead = np.argmax(point_sizes == sizes.max(axis=1)[:, None], axis=1)
+    members = assign == assign[trial, lead][:, None]
+    member_count = members.sum(axis=1)
+    if pick == "random":
+        nth = np.minimum((uniforms_at(st, cursor) * member_count).astype(np.int64), member_count - 1)
+        winner = np.argmax(np.cumsum(members, axis=1) > nth[:, None], axis=1)
+    else:
+        mean = np.einsum("tc,tcn->tn", members.astype(np.float64), pts) / member_count[:, None]
+        winner = np.argmin(_sq_dist(pts, mean), axis=1)
+
+    pos[sel] = winner
+    iterations[sel] = used
+    fallback_seeds[sel] = fallback
+    reseeds[sel] = empty_count
+    return pos, iterations, fallback_seeds, reseeds
 
 
 def svm_resolve(

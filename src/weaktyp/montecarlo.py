@@ -25,18 +25,18 @@ import numpy as np
 from . import kernels
 from .core import Codebook, Dmc, draw_message, generate_codebook, transmit
 from .decoders import (
+    CLUSTER_PICKS,
     CandidateSet,
     Clustering,
     DecodeOutcome,
     RESOLVERS,
-    cluster_resolve,
+    classical_outcome,
+    cluster_resolve_batch,
     find_candidates,
-    jt_decode,
-    resolve_details,
     svm_resolve,
-    weak_decode,
+    weak_outcome,
 )
-from .rng import RngStream, mix64
+from .rng import RngStream, mix64, stream_states
 from .typicality import build_context
 
 PURPOSE_CODEBOOK = 0
@@ -191,8 +191,18 @@ def _resolver_stream(dm: int, trial_id: int) -> RngStream:
     return RngStream(dm, trial_id * STREAMS_PER_TRIAL + PURPOSE_RESOLVER)
 
 
-def run_trial(cfg: TrialConfig, trial_id: int) -> TrialRecord:
-    """One trial through the reference (non-kernel) path; both decoders share everything."""
+@dataclass(frozen=True)
+class TrialDetail:
+    """Everything :func:`run_trial` saw, for inspection and debugging."""
+
+    record: TrialRecord
+    received: np.ndarray
+    candidates: CandidateSet
+    clustering: Clustering | None
+
+
+def trial_detail(cfg: TrialConfig, trial_id: int) -> TrialDetail:
+    """One trial through the reference (non-kernel) path, with its candidate set and clustering."""
     if trial_id < 0:
         raise ValueError("trial_id must be nonnegative")
     dm = derived_master(cfg)
@@ -200,15 +210,21 @@ def run_trial(cfg: TrialConfig, trial_id: int) -> TrialRecord:
     cb = _trial_codebook(cfg, dm, trial_id)
     w = draw_message(cfg.m, RngStream(dm, trial_id * STREAMS_PER_TRIAL + PURPOSE_MESSAGE))
     y = transmit(cb.word(w), cfg.channel, RngStream(dm, trial_id * STREAMS_PER_TRIAL + PURPOSE_NOISE))
-    jt = jt_decode(y, cb, ctx, cfg.eps)
-    weak = weak_decode(y, cb, ctx, cfg.eps, cfg.resolver, _resolver_stream(dm, trial_id), cfg.k_max)
-    return TrialRecord(
+    cands = find_candidates(y, cb, ctx, cfg.eps)
+    weak, clustering = weak_outcome(cands, cfg.resolver, _resolver_stream(dm, trial_id), cfg.k_max)
+    record = TrialRecord(
         trial_id=trial_id,
         true_w=w,
-        jt_outcome=jt,
+        jt_outcome=classical_outcome(cands),
         weak_outcome=weak,
-        candidate_count=jt.candidate_count,
+        candidate_count=cands.count,
     )
+    return TrialDetail(record=record, received=y, candidates=cands, clustering=clustering)
+
+
+def run_trial(cfg: TrialConfig, trial_id: int) -> TrialRecord:
+    """One trial through the reference (non-kernel) path; both decoders share everything."""
+    return trial_detail(cfg, trial_id).record
 
 
 @dataclass(frozen=True)
@@ -244,17 +260,21 @@ def _resolve_multi(
     fixed_words: np.ndarray | None,
     weak_decoded: np.ndarray,
 ) -> None:
-    for t in rows:
-        idx0 = np.flatnonzero(mask[t])
-        words = fixed_words if xwords is None else xwords[t]
-        z = np.bitwise_xor(words[idx0], ybits[t])
-        cands = CandidateSet(indices=idx0.astype(np.int64) + 1, z_seqs=z)
-        rng = _resolver_stream(dm, tid0 + int(t))
-        if cfg.resolver == "svm":
-            weak_decoded[t] = svm_resolve(cands, rng)
-        else:
-            pick = "random" if cfg.resolver == "cluster-random" else "closest"
-            weak_decoded[t] = cluster_resolve(cands, cfg.k_max, rng, pick=pick)
+    if cfg.resolver == "svm":
+        # Pegasos stays per trial: its dot products are not bit-exact when batched
+        for t in rows:
+            idx0 = np.flatnonzero(mask[t])
+            words = fixed_words if xwords is None else xwords[t]
+            z = np.bitwise_xor(words[idx0], ybits[t])
+            cands = CandidateSet(indices=idx0.astype(np.int64) + 1, z_seqs=z)
+            weak_decoded[t] = svm_resolve(cands, _resolver_stream(dm, tid0 + int(t)))
+        return
+    words = fixed_words if xwords is None else xwords[rows]
+    states = stream_states(dm, (tid0 + rows) * STREAMS_PER_TRIAL + PURPOSE_RESOLVER)
+    resolved = cluster_resolve_batch(
+        mask[rows], words, ybits[rows], states, cfg.k_max, CLUSTER_PICKS[cfg.resolver]
+    )
+    weak_decoded[rows] = resolved.decoded
 
 
 def run_trials(
@@ -263,7 +283,11 @@ def run_trials(
     """Trials start..start+num_trials-1 through the batch kernels, resolver included.
 
     Identical to looping :func:`run_trial`, but orders of magnitude
-    faster; equality of the two paths is pinned by tests.
+    faster; equality of the two paths is pinned by tests.  Each chunk of
+    ``chunk_size`` trials is simulated and scanned in one kernel call;
+    its trials with two or more candidates are then resolved together by
+    :func:`~weaktyp.decoders.cluster_resolve_batch` for the cluster
+    resolvers, or one by one by :func:`~weaktyp.decoders.svm_resolve`.
     """
     if num_trials < 1:
         raise ValueError("num_trials must be positive")
@@ -395,10 +419,9 @@ def exhaustive_pe(cfg: TrialConfig) -> tuple[float, float]:
             total_weight += weight
             if weight == 0.0:
                 continue
-            jt = jt_decode(y, cb, ctx, cfg.eps)
-            weak = weak_decode(
-                y, cb, ctx, cfg.eps, cfg.resolver, RngStream(dm, ORACLE_RESOLVER_STREAM), cfg.k_max
-            )
+            cands = find_candidates(y, cb, ctx, cfg.eps)
+            jt = classical_outcome(cands)
+            weak, _ = weak_outcome(cands, cfg.resolver, RngStream(dm, ORACLE_RESOLVER_STREAM), cfg.k_max)
             if jt.decoded != w:
                 jt_pe += weight
             if weak.decoded != w:
@@ -406,45 +429,3 @@ def exhaustive_pe(cfg: TrialConfig) -> tuple[float, float]:
     if abs(total_weight - 1.0) > 1e-10:
         raise RuntimeError(f"outcome weights sum to {total_weight}, expected 1")
     return jt_pe, weak_pe
-
-
-@dataclass(frozen=True)
-class TrialDetail:
-    """Everything :func:`run_trial` saw, for inspection and debugging."""
-
-    record: TrialRecord
-    received: np.ndarray
-    candidates: CandidateSet
-    clustering: Clustering | None
-
-
-def trial_detail(cfg: TrialConfig, trial_id: int) -> TrialDetail:
-    """Re-run one trial capturing the candidate set and any clustering."""
-    dm = derived_master(cfg)
-    ctx = build_context(cfg.q, cfg.channel)
-    cb = _trial_codebook(cfg, dm, trial_id)
-    w = draw_message(cfg.m, RngStream(dm, trial_id * STREAMS_PER_TRIAL + PURPOSE_MESSAGE))
-    y = transmit(cb.word(w), cfg.channel, RngStream(dm, trial_id * STREAMS_PER_TRIAL + PURPOSE_NOISE))
-    cands = find_candidates(y, cb, ctx, cfg.eps)
-
-    jt = jt_decode(y, cb, ctx, cfg.eps)
-    clustering = None
-    if cands.count == 0:
-        weak = DecodeOutcome(0, 0, "none")
-    elif cands.count == 1:
-        weak = DecodeOutcome(int(cands.indices[0]), 1, "unique")
-    elif cfg.resolver == "svm":
-        weak = DecodeOutcome(svm_resolve(cands, _resolver_stream(dm, trial_id)), cands.count, "svm")
-    else:
-        pick = "random" if cfg.resolver == "cluster-random" else "closest"
-        decoded, clustering = resolve_details(cands, cfg.k_max, _resolver_stream(dm, trial_id), pick)
-        weak = DecodeOutcome(decoded, cands.count, "cluster")
-
-    record = TrialRecord(
-        trial_id=trial_id,
-        true_w=w,
-        jt_outcome=jt,
-        weak_outcome=weak,
-        candidate_count=cands.count,
-    )
-    return TrialDetail(record=record, received=y, candidates=cands, clustering=clustering)

@@ -48,15 +48,40 @@ def raw_block(state: int, start: int, count: int) -> np.ndarray:
     array arithmetic wraps mod 2**64, which is exactly what we want.
     """
     offsets = np.arange(start, start + count, dtype=np.uint64)
-    z = np.uint64(state) + (offsets + np.uint64(1)) * np.uint64(GAMMA)
+    return _finalize(np.uint64(state) + (offsets + np.uint64(1)) * np.uint64(GAMMA))
+
+
+def _finalize(z: np.ndarray) -> np.ndarray:
+    """The splitmix64 output function of :func:`mix64`, on a uint64 array."""
     z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
     z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
     return z ^ (z >> np.uint64(31))
 
 
+def _to_unit(raw: np.ndarray) -> np.ndarray:
+    return (raw >> np.uint64(11)).astype(np.float64) * _U01_SCALE
+
+
 def uniform_block(state: int, start: int, count: int) -> np.ndarray:
     """float64 draws in [0, 1) at the given stream positions."""
-    return (raw_block(state, start, count) >> np.uint64(11)).astype(np.float64) * _U01_SCALE
+    return _to_unit(raw_block(state, start, count))
+
+
+def stream_states(master_seed: int, stream_ids: np.ndarray) -> np.ndarray:
+    """:func:`stream_state` of every id in ``stream_ids``, as a uint64 array."""
+    z = np.uint64(mix64(master_seed & MASK64)) ^ np.asarray(stream_ids, dtype=np.uint64)
+    return _finalize(z + np.uint64(GAMMA))
+
+
+def uniforms_at(states: np.ndarray, positions: np.ndarray) -> np.ndarray:
+    """float64 draw of stream ``states[i]`` at position ``positions[i]``, elementwise.
+
+    Lets many streams advance by different amounts in lockstep: the
+    value equals what an :class:`RngStream` with that state returns when
+    its cursor stands at that position.
+    """
+    offsets = np.asarray(positions, dtype=np.uint64) + np.uint64(1)
+    return _to_unit(_finalize(states + offsets * np.uint64(GAMMA)))
 
 
 @dataclass

@@ -11,6 +11,7 @@ from weaktyp.decoders import (
     kmeans,
     svm_resolve,
     weak_decode,
+    weak_outcome,
 )
 from weaktyp.kernels import simulate_trials
 from weaktyp.montecarlo import derived_master
@@ -260,10 +261,8 @@ def test_resolver_reference_example():
 
     cands = cand_set([2, 5, 7], [z2, z5, z7])
     # stream (0, 0) reaches the brute-force optimum; assert the whole chain
-    from weaktyp.decoders import resolve_details
-
-    decoded, clus = resolve_details(cands, 2, RngStream(0, 0))
-    assert decoded == 2
+    outcome, clus = weak_outcome(cands, "cluster", RngStream(0, 0), k_max=2)
+    assert outcome.decoded == 2
     assert clus is not None
     assert clus.assignments[0] == clus.assignments[1] != clus.assignments[2]
 
@@ -292,8 +291,6 @@ def test_fast_paths_match_reference_resolution():
 
 
 def test_random_pick_stays_in_largest_cluster():
-    from weaktyp.decoders import resolve_details
-
     z2 = np.zeros(8, dtype=np.uint8)
     z2[0] = 1
     z5 = np.zeros(8, dtype=np.uint8)
@@ -302,7 +299,8 @@ def test_random_pick_stays_in_largest_cluster():
     cands = cand_set([2, 5, 9], [z2, z5, z9])
     seen = set()
     for t in range(40):
-        decoded, clus = resolve_details(cands, 2, RngStream(1000, t), pick="random")
+        outcome, clus = weak_outcome(cands, "cluster-random", RngStream(1000, t), k_max=2)
+        decoded = outcome.decoded
         seen.add(decoded)
         assert clus is not None
         sizes = np.bincount(clus.assignments, minlength=2)

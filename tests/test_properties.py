@@ -1,0 +1,115 @@
+"""Property tests: the batch paths against the per-trial reference, on random inputs.
+
+Example budgets are fixed and generation is derandomized, so every run
+checks the same cases.
+"""
+
+import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from weaktyp import decoders
+from weaktyp.core import bsc
+from weaktyp.decoders import RESOLVERS, CandidateSet, cluster_resolve_batch, weak_outcome
+from weaktyp.montecarlo import CODEBOOK_MODES, TrialConfig, run_trial, run_trials
+from weaktyp.rng import RngStream, stream_states
+
+
+def fixed_budget(examples):
+    return settings(max_examples=examples, derandomize=True, deadline=None, database=None)
+
+
+@st.composite
+def trial_setups(draw):
+    cfg = TrialConfig(
+        n=draw(st.integers(1, 64)),
+        m=draw(st.integers(2, 8)),
+        q=draw(st.floats(0.05, 0.95)),
+        channel=bsc(draw(st.floats(0.0, 0.49))),
+        eps=draw(st.floats(0.01, 2.0)),
+        resolver=draw(st.sampled_from(RESOLVERS)),
+        k_max=draw(st.integers(1, 4)),
+        codebook_mode=draw(st.sampled_from(CODEBOOK_MODES)),
+        master_seed=draw(st.integers(0, 2**63)),
+    )
+    return cfg, draw(st.integers(1, 10)), draw(st.integers(1, 6)), draw(st.integers(0, 10**6))
+
+
+@fixed_budget(60)
+@given(trial_setups())
+def test_run_trials_equals_run_trial(setup):
+    cfg, num, chunk_size, start = setup
+    batch = run_trials(cfg, num, chunk_size=chunk_size, start=start)
+    for i in range(num):
+        rec = run_trial(cfg, start + i)  # TrialRecord asserts pathwise dominance
+        assert rec.true_w == batch.true_w[i]
+        assert rec.jt_outcome.decoded == batch.jt_decoded[i]
+        assert rec.weak_outcome.decoded == batch.weak_decoded[i]
+        assert rec.candidate_count == batch.candidate_counts[i]
+
+
+@st.composite
+def point_sets(draw):
+    """A few trials of 2..8 candidates on n <= 3 symbols, so duplicate rows abound."""
+    trials = draw(st.integers(1, 6))
+    m = draw(st.integers(2, 8))
+    n = draw(st.integers(1, 3))
+    bits = st.lists(st.integers(0, 1), min_size=n, max_size=n)
+    codebook = st.lists(bits, min_size=m, max_size=m)
+    # a 2-D words array is one codebook shared by every trial
+    shared = draw(st.booleans())
+    words = np.array(draw(codebook) if shared else [draw(codebook) for _ in range(trials)], dtype=np.uint8)
+    received = np.array([draw(bits) for _ in range(trials)], dtype=np.uint8)
+    row_mask = st.lists(st.booleans(), min_size=m, max_size=m).filter(lambda r: sum(r) >= 2)
+    mask = np.array([draw(row_mask) for _ in range(trials)])
+    ids = st.lists(st.integers(0, 2**40), min_size=trials, max_size=trials, unique=True)
+    stream_ids = np.array(draw(ids))
+    master = draw(st.integers(0, 2**64 - 1))
+    k_max = draw(st.integers(1, 4))
+    resolver = draw(st.sampled_from(("cluster", "cluster-random")))
+    return words, received, mask, stream_ids, master, k_max, resolver
+
+
+def test_batch_resolution_equals_cluster_resolve(monkeypatch):
+    # tiny blocks, so a call spans several lockstep blocks per candidate count
+    monkeypatch.setattr(decoders, "BATCH_BLOCK_ELEMS", 8)
+    hits = {"all_rows_equal": 0, "zero_total_seed": 0, "empty_cluster_reseed": 0, "lloyd_repeat": 0}
+
+    # a second centroid update that moves a point is rare on sets this
+    # small (about 3% of random ones at n=3, c=7, k=2): pin one
+    lloyd_repeat = (
+        np.array([[0, 0, 0], [0, 1, 1], [0, 0, 1], [1, 0, 1], [1, 1, 1], [0, 0, 1]], dtype=np.uint8),
+        np.zeros((1, 3), dtype=np.uint8),
+        np.ones((1, 6), dtype=bool),
+        np.array([1]),
+        0,
+        2,
+        "cluster",
+    )
+
+    @fixed_budget(400)
+    @given(point_sets())
+    @example(lloyd_repeat)
+    def check(case):
+        words, received, mask, stream_ids, master, k_max, resolver = case
+        states = stream_states(master, stream_ids)
+        got = cluster_resolve_batch(
+            mask, words, received, states, k_max, decoders.CLUSTER_PICKS[resolver]
+        )
+        for t in range(mask.shape[0]):
+            idx0 = np.flatnonzero(mask[t])
+            z = np.bitwise_xor((words if words.ndim == 2 else words[t])[idx0], received[t])
+            cands = CandidateSet(indices=idx0 + 1, z_seqs=z)
+            rng = RngStream(master, int(stream_ids[t]))
+            assert rng.state == states[t]
+            outcome, clus = weak_outcome(cands, resolver, rng, k_max)
+            assert got.decoded[t] == outcome.decoded
+            assert got.iterations[t] == (clus.iterations_used if clus else 0)
+            hits["all_rows_equal"] += bool(np.all(z == z[0]))
+        hits["zero_total_seed"] += int(np.count_nonzero(got.fallback_seeds))
+        hits["empty_cluster_reseed"] += int(np.count_nonzero(got.reseeds))
+        # the first pass never converges; a third means centroids moved a point
+        hits["lloyd_repeat"] += int(np.count_nonzero(got.iterations > 2))
+
+    check()
+    assert all(hits.values()), hits

@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
 
-from weaktyp.rng import RngStream, mix64, raw_block, stream_state, uniform_block
+from weaktyp.rng import (
+    RngStream,
+    mix64,
+    raw_block,
+    stream_state,
+    stream_states,
+    uniform_block,
+    uniforms_at,
+)
 
 
 def test_matches_reference_splitmix64_sequence():
@@ -72,6 +80,16 @@ def test_uniform_block_derives_from_raw_block():
     raw = raw_block(state, 3, 4)
     u = uniform_block(state, 3, 4)
     assert np.array_equal(u, (raw >> np.uint64(11)).astype(np.float64) * 2.0**-53)
+
+
+def test_lockstep_reads_match_per_stream_cursors():
+    ids = np.array([0, 3, 7, 2**40 + 3, 2**63 + 1], dtype=np.uint64)
+    states = stream_states(2**64 - 5, ids)
+    assert [int(v) for v in states] == [stream_state(2**64 - 5, int(i)) for i in ids]
+    positions = np.array([0, 1, 4, 2, 0])
+    got = uniforms_at(states, positions)
+    for s, pos, value in zip(ids, positions, got):
+        assert RngStream(2**64 - 5, int(s)).uniforms(pos + 1)[pos] == value
 
 
 def test_negative_count_rejected():
