@@ -14,8 +14,8 @@ from __future__ import annotations
 
 from .core import bsc
 from .decoders import RESOLVERS
-from .experiments import M_MODES
-from .montecarlo import CODEBOOK_MODES, TrialConfig
+from .experiments import M_MODES, messages_at_rate
+from .montecarlo import CHUNK_BYTES, CODEBOOK_MODES, TrialConfig, trial_bytes
 
 
 class ConfigError(ValueError):
@@ -172,6 +172,18 @@ def validate(cfg: dict) -> None:
             all(b > a for a, b in zip(values, values[1:])),
             field,
             "blocklengths must be strictly increasing",
+        )
+    if cfg["m_mode"] == "fixed-rate":
+        # the longest blocklength needs the most codewords, and one trial must fit a
+        # kernel call; the exponent is bounded first so no huge integer is ever built
+        n = cfg["fig12_blocklengths"][-1]
+        bits = cfg["rate_bits"] * n
+        _check(
+            bits < CHUNK_BYTES.bit_length()
+            and trial_bytes(messages_at_rate(n, cfg["rate_bits"]), n) <= CHUNK_BYTES,
+            "rate_bits",
+            f"at blocklength {n} (fig12_blocklengths), 2^ceil({cfg['rate_bits']!r} * {n}) codewords "
+            f"of {n} symbols exceed the {CHUNK_BYTES}-byte budget for one trial",
         )
     qs = cfg["fig3_q_values"]
     _check(bool(qs), "fig3_q_values", "must be nonempty")

@@ -31,12 +31,17 @@ class SweepResult:
             raise ValueError("sweep x-values must be strictly increasing")
 
 
+def messages_at_rate(n: int, rate_bits: float) -> int:
+    """Message count of fixed-rate mode at blocklength n: 2**ceil(rate_bits * n), at least 2."""
+    return max(2, 2 ** math.ceil(rate_bits * n))
+
+
 def _messages_for(base: TrialConfig, n: int, m_mode: str, rate_bits: float | None) -> int:
     if m_mode == "fixed-m":
         return base.m
     if rate_bits is None or rate_bits <= 0.0:
         raise ValueError("fixed-rate mode needs a positive rate_bits")
-    return max(2, 2 ** math.ceil(rate_bits * n))
+    return messages_at_rate(n, rate_bits)
 
 
 def sweep_blocklengths(

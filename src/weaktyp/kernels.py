@@ -1,108 +1,57 @@
-"""Hot simulation kernels: numba-compiled loops with a pure-numpy twin.
+"""The batched simulation kernel: one blocked, in-place numpy pass per chunk.
 
 A trial batch is the inner loop of every experiment: draw a codebook,
 draw a message, push the codeword through the channel, and test each
-codeword for joint typicality with the received word.  Both backends
-implement the identical draw layout and the identical fixed-order
-count arithmetic, so they produce bit-identical outputs; the tests pin
-that equivalence and ``benchmarks/bench_kernels.py`` compares their
-speed.
-
-Backend selection: set ``WEAKTYP_BACKEND=numpy`` or ``=numba``
-(default: numba when importable, else numpy).  ``WEAKTYP_THREADS``
-caps the numba thread pool (0 or unset = automatic); results never
-depend on it because every trial owns its streams.
+codeword for joint typicality with the received word.  The kernel gives
+bit for bit what the reference path (``core.generate_codebook``,
+``core.transmit``, ``decoders.find_candidates``) gives; the tests pin
+that equivalence.
 
 Stream layout (matching ``montecarlo``): trial t uses stream ids
 ``t*4 + purpose`` with purposes 0=codebook, 1=message, 2=noise,
 3=resolver.  Codebook draws fill words row-major (word i, symbol j at
 offset i*n+j); the message uses offset 0 of its stream; noise uses
 offsets 0..n-1.
+
+The streams are counter-based, so any block of draws can be made on its
+own.  The kernel therefore draws the message and the sent word first,
+which gives the received word, and then draws the codebook in blocks of
+at most ``BLOCK_ELEMS`` draws: each block is finalized in two reused
+uint64 buffers, turned into bits straight into the returned codebooks,
+and counted against the received word while it is still in cache.
+Nothing but the returned ``uint8`` codebooks grows with trials x m x n.
+A draw is 1 when its uniform falls below p; that test is made on the
+integer draw against :func:`weaktyp.rng.unit_threshold`, which is
+exactly the same comparison.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-from .rng import GAMMA, mix64
+from .rng import (
+    finalize,
+    position_offsets,
+    raw_at,
+    skip,
+    stream_states,
+    uniforms_at,
+    unit_bits,
+    unit_threshold,
+)
 
-_U64_GAMMA = np.uint64(GAMMA)
-_U64_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
-_U64_MIX2 = np.uint64(0x94D049BB133111EB)
-_U01_SCALE = 2.0**-53
-_STREAMS_PER_TRIAL = np.uint64(4)
+# draws per codebook block: two uint64 buffers of this size stay in cache
+BLOCK_ELEMS = 1 << 16
 
-try:
-    import numba as nb
-
-    NUMBA_AVAILABLE = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    nb = None
-    NUMBA_AVAILABLE = False
+_STREAMS_PER_TRIAL = 4
 
 
 def active_backend() -> str:
-    """Backend chosen by WEAKTYP_BACKEND, defaulting to numba when present."""
-    choice = os.environ.get("WEAKTYP_BACKEND", "").strip().lower() or "auto"
-    if choice == "auto":
-        return "numba" if NUMBA_AVAILABLE else "numpy"
-    if choice == "numpy":
-        return "numpy"
-    if choice == "numba":
-        if not NUMBA_AVAILABLE:
-            raise RuntimeError("WEAKTYP_BACKEND=numba but numba is not importable")
-        return "numba"
-    raise ValueError(f"unknown WEAKTYP_BACKEND value {choice!r}")
+    """Name of the simulation backend; numpy is the only one."""
+    return "numpy"
 
 
-def thread_cap() -> int:
-    """Parsed WEAKTYP_THREADS value; 0 means automatic."""
-    raw = os.environ.get("WEAKTYP_THREADS", "").strip()
-    if not raw:
-        return 0
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"WEAKTYP_THREADS must be an integer, got {raw!r}") from exc
-    if value < 0:
-        raise ValueError("WEAKTYP_THREADS must be >= 0")
-    return value
-
-
-def _apply_thread_cap() -> None:
-    cap = thread_cap()
-    if cap > 0 and NUMBA_AVAILABLE:
-        nb.set_num_threads(min(cap, nb.config.NUMBA_NUM_THREADS))
-
-
-# ---------------------------------------------------------------------------
-# pure-numpy twin
-
-
-def _np_mix64(z: np.ndarray) -> np.ndarray:
-    z = z + _U64_GAMMA
-    z = (z ^ (z >> np.uint64(30))) * _U64_MIX1
-    z = (z ^ (z >> np.uint64(27))) * _U64_MIX2
-    return z ^ (z >> np.uint64(31))
-
-
-def _np_u01(raw: np.ndarray) -> np.ndarray:
-    return (raw >> np.uint64(11)).astype(np.float64) * _U01_SCALE
-
-
-def _np_stream_states(pre_mixed: int, stream_ids: np.ndarray) -> np.ndarray:
-    return _np_mix64(np.uint64(pre_mixed) ^ stream_ids)
-
-
-def _np_uniform_grid(states: np.ndarray, width: int) -> np.ndarray:
-    """(len(states), width) uniforms: positions 0..width-1 of each stream."""
-    offsets = np.arange(width, dtype=np.uint64) * _U64_GAMMA
-    return _np_u01(_np_mix64(states[:, None] + offsets[None, :]))
-
-
-def _np_typicality_mask(
+def _typicality_mask(
     n: int,
     n1x: np.ndarray,
     n1y: np.ndarray,
@@ -128,186 +77,49 @@ def _np_typicality_mask(
     return (np.abs(ex - hx) < eps) & (np.abs(ey - hy) < eps)[..., None] & (np.abs(exy - hxy) < eps)
 
 
-def _np_simulate(pre_mixed, tid0, count, m, n, q, t0, t1, consts, eps, fixed_words):
-    tids = np.arange(tid0, tid0 + count, dtype=np.uint64) * _STREAMS_PER_TRIAL
-
-    if fixed_words is None:
-        cb_states = _np_stream_states(pre_mixed, tids + np.uint64(0))
-        u = _np_uniform_grid(cb_states, m * n)
-        words = (u < q).astype(np.uint8).reshape(count, m, n)
-    else:
-        words = np.broadcast_to(fixed_words, (count, m, n))
-
-    msg_states = _np_stream_states(pre_mixed, tids + np.uint64(1))
-    u_msg = _np_u01(_np_mix64(msg_states))
-    true_w = np.minimum((u_msg * m).astype(np.int64), m - 1) + 1
-
-    noise_states = _np_stream_states(pre_mixed, tids + np.uint64(2))
-    u_noise = _np_uniform_grid(noise_states, n)
-    sent = words[np.arange(count), true_w - 1]
-    thresholds = np.where(sent == 1, t1, t0)
-    ybits = (u_noise < thresholds).astype(np.uint8)
-
-    w32 = words.astype(np.int32)
-    y32 = ybits.astype(np.int32)
-    n11 = np.matmul(w32, y32[:, :, None])[:, :, 0].astype(np.int64)
-    n1x = w32.sum(axis=2, dtype=np.int64)
-    n1y = y32.sum(axis=1, dtype=np.int64)
-    n10 = n1x - n11
-    n01 = n1y[:, None] - n11
-    n00 = n - n1x - n1y[:, None] + n11
-    mask = _np_typicality_mask(n, n1x, n1y, n00, n01, n10, n11, consts, eps)
-
-    xwords = None if fixed_words is not None else words
-    return true_w, mask, ybits, xwords
+def _unit_bits_at(states: np.ndarray, positions) -> np.ndarray:
+    """:func:`~weaktyp.rng.unit_bits` of the draws at the given positions, elementwise."""
+    raw = raw_at(states, positions)
+    return unit_bits(raw, out=raw)
 
 
-# ---------------------------------------------------------------------------
-# numba kernels
+def _draw_and_count(cb_states, m, n, tq, ybits, xwords):
+    """Draw every codebook into ``xwords`` and return (n1x, n11) per codeword.
 
-if NUMBA_AVAILABLE:
-
-    @nb.njit(inline="always")
-    def _nb_mix64(z):
-        z = z + _U64_GAMMA
-        z = (z ^ (z >> np.uint64(30))) * _U64_MIX1
-        z = (z ^ (z >> np.uint64(27))) * _U64_MIX2
-        return z ^ (z >> np.uint64(31))
-
-    @nb.njit(inline="always")
-    def _nb_u01(raw):
-        return np.float64(raw >> np.uint64(11)) * _U01_SCALE
-
-    @nb.njit(inline="always")
-    def _nb_typical(n, n1x, n1y, n00, n01, n10, n11, lx0, lx1, ly0, ly1, l00, l01, l10, l11, hx, hy, hxy, eps):
-        t0x = 0.0 if n - n1x == 0 else (n - n1x) * lx0
-        t1x = 0.0 if n1x == 0 else n1x * lx1
-        ex = -(t0x + t1x) / n
-        t0y = 0.0 if n - n1y == 0 else (n - n1y) * ly0
-        t1y = 0.0 if n1y == 0 else n1y * ly1
-        ey = -(t0y + t1y) / n
-        t00 = 0.0 if n00 == 0 else n00 * l00
-        t01 = 0.0 if n01 == 0 else n01 * l01
-        t10 = 0.0 if n10 == 0 else n10 * l10
-        t11 = 0.0 if n11 == 0 else n11 * l11
-        exy = -(((t00 + t01) + t10) + t11) / n
-        return (abs(ex - hx) < eps) and (abs(ey - hy) < eps) and (abs(exy - hxy) < eps)
-
-    @nb.njit(parallel=True, cache=True)
-    def _nb_simulate_redraw(
-        pre_mixed, tid0, count, m, n, q, t0, t1,
-        lx0, lx1, ly0, ly1, l00, l01, l10, l11, hx, hy, hxy, eps,
-        true_w, mask, ybits, xwords,
-    ):
-        pre = np.uint64(pre_mixed)
-        for t in nb.prange(count):
-            base = (np.uint64(tid0) + np.uint64(t)) * np.uint64(4)
-            cb_state = _nb_mix64(pre ^ base)
-            for i in range(m):
-                row = i * n
-                for j in range(n):
-                    raw = _nb_mix64(cb_state + np.uint64(row + j) * _U64_GAMMA)
-                    xwords[t, i, j] = 1 if _nb_u01(raw) < q else 0
-
-            msg_state = _nb_mix64(pre ^ (base + np.uint64(1)))
-            u = _nb_u01(_nb_mix64(msg_state))
-            w = np.int64(u * m)
-            if w > m - 1:
-                w = m - 1
-            true_w[t] = w + 1
-
-            noise_state = _nb_mix64(pre ^ (base + np.uint64(2)))
-            for j in range(n):
-                raw = _nb_mix64(noise_state + np.uint64(j) * _U64_GAMMA)
-                thr = t1 if xwords[t, w, j] == 1 else t0
-                ybits[t, j] = 1 if _nb_u01(raw) < thr else 0
-
-            n1y = 0
-            for j in range(n):
-                n1y += ybits[t, j]
-            for i in range(m):
-                n1x = 0
-                n11 = 0
-                for j in range(n):
-                    xb = xwords[t, i, j]
-                    n1x += xb
-                    if xb == 1 and ybits[t, j] == 1:
-                        n11 += 1
-                n10 = n1x - n11
-                n01 = n1y - n11
-                n00 = n - n1x - n1y + n11
-                mask[t, i] = _nb_typical(
-                    n, n1x, n1y, n00, n01, n10, n11,
-                    lx0, lx1, ly0, ly1, l00, l01, l10, l11, hx, hy, hxy, eps,
-                )
-
-    @nb.njit(parallel=True, cache=True)
-    def _nb_simulate_fixed(
-        pre_mixed, tid0, count, m, n, q, t0, t1,
-        lx0, lx1, ly0, ly1, l00, l01, l10, l11, hx, hy, hxy, eps,
-        words, true_w, mask, ybits,
-    ):
-        pre = np.uint64(pre_mixed)
-        for t in nb.prange(count):
-            base = (np.uint64(tid0) + np.uint64(t)) * np.uint64(4)
-
-            msg_state = _nb_mix64(pre ^ (base + np.uint64(1)))
-            u = _nb_u01(_nb_mix64(msg_state))
-            w = np.int64(u * m)
-            if w > m - 1:
-                w = m - 1
-            true_w[t] = w + 1
-
-            noise_state = _nb_mix64(pre ^ (base + np.uint64(2)))
-            for j in range(n):
-                raw = _nb_mix64(noise_state + np.uint64(j) * _U64_GAMMA)
-                thr = t1 if words[w, j] == 1 else t0
-                ybits[t, j] = 1 if _nb_u01(raw) < thr else 0
-
-            n1y = 0
-            for j in range(n):
-                n1y += ybits[t, j]
-            for i in range(m):
-                n1x = 0
-                n11 = 0
-                for j in range(n):
-                    xb = words[i, j]
-                    n1x += xb
-                    if xb == 1 and ybits[t, j] == 1:
-                        n11 += 1
-                n10 = n1x - n11
-                n01 = n1y - n11
-                n00 = n - n1x - n1y + n11
-                mask[t, i] = _nb_typical(
-                    n, n1x, n1y, n00, n01, n10, n11,
-                    lx0, lx1, ly0, ly1, l00, l01, l10, l11, hx, hy, hxy, eps,
-                )
-
-
-def _nb_simulate(pre_mixed, tid0, count, m, n, q, t0, t1, consts, eps, fixed_words):
-    _apply_thread_cap()
-    # pass 64-bit state as uint64: as a python int it would overflow int64
-    pre = np.uint64(pre_mixed)
-    tid0_u = np.uint64(tid0)
-    true_w = np.empty(count, dtype=np.int64)
-    mask = np.zeros((count, m), dtype=np.bool_)
-    ybits = np.empty((count, n), dtype=np.uint8)
-    if fixed_words is None:
-        xwords = np.empty((count, m, n), dtype=np.uint8)
-        _nb_simulate_redraw(
-            pre, tid0_u, count, m, n, q, t0, t1, *consts, eps,
-            true_w, mask, ybits, xwords,
-        )
-        return true_w, mask, ybits, xwords
-    _nb_simulate_fixed(
-        pre, tid0_u, count, m, n, q, t0, t1, *consts, eps,
-        np.ascontiguousarray(fixed_words), true_w, mask, ybits,
-    )
-    return true_w, mask, ybits, None
-
-
-# ---------------------------------------------------------------------------
-# dispatch
+    Blocks hold whole trials when a trial's m*n draws fit in
+    ``BLOCK_ELEMS``, else ranges of whole codewords of one trial.
+    """
+    count = cb_states.size
+    words_per_block = min(m, max(1, BLOCK_ELEMS // n))
+    trials_per_block = min(count, max(1, BLOCK_ELEMS // (m * n)))
+    size = trials_per_block * words_per_block * n
+    buf = np.empty(size, dtype=np.uint64)
+    scratch = np.empty(size, dtype=np.uint64)
+    # the scratch buffer is free again once a block is finalized
+    both = scratch.view(np.bool_)[:size]
+    ymask = ybits.view(np.bool_)[:, None, :]
+    n1x = np.empty((count, m), dtype=np.int64)
+    n11 = np.empty((count, m), dtype=np.int64)
+    for i0 in range(0, m, words_per_block):
+        i1 = min(m, i0 + words_per_block)
+        offsets = position_offsets(np.arange(i0 * n, i1 * n, dtype=np.uint64))
+        for a in range(0, count, trials_per_block):
+            b = min(count, a + trials_per_block)
+            shape = (b - a, i1 - i0, n)
+            elems = shape[0] * shape[1] * n
+            z = buf[:elems].reshape(shape[0], -1)
+            np.add(cb_states[a:b, None], offsets, out=z)
+            finalize(z, out=z, scratch=scratch[:elems].reshape(z.shape))
+            unit_bits(z, out=z)
+            words = xwords[a:b, i0:i1]
+            bits = words.view(np.bool_)
+            np.less(z.reshape(shape), tq, out=bits)
+            # int32 sums of the 0/1 bytes count faster than count_nonzero
+            n1x[a:b, i0:i1] = words.sum(axis=2, dtype=np.int32)
+            block_both = both[:elems].reshape(shape)
+            np.logical_and(bits, ymask[a:b], out=block_both)
+            n11[a:b, i0:i1] = block_both.view(np.uint8).sum(axis=2, dtype=np.int32)
+    return n1x, n11
 
 
 def simulate_trials(
@@ -323,14 +135,41 @@ def simulate_trials(
     eps: float,
     fixed_words: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
-    """Simulate trials tid0..tid0+count-1 on the active backend.
+    """Simulate trials tid0..tid0+count-1.
 
     Returns (true_w, typicality mask, received bits, drawn codebooks);
     the last entry is None in fixed-codebook mode.  ``t0``/``t1`` are
     the channel's P(y=1 | x=0) and P(y=1 | x=1).
     """
-    pre_mixed = mix64(derived_master)
-    args = (pre_mixed, tid0, count, m, n, q, t0, t1, consts, eps, fixed_words)
-    if active_backend() == "numba":
-        return _nb_simulate(*args)
-    return _np_simulate(*args)
+    ids = np.arange(tid0, tid0 + count, dtype=np.uint64) * np.uint64(_STREAMS_PER_TRIAL)
+    cb_states = stream_states(derived_master, ids)
+    tq = unit_threshold(q)
+
+    u_msg = uniforms_at(stream_states(derived_master, ids + np.uint64(1)), 0)
+    true_w = np.minimum((u_msg * m).astype(np.int64), m - 1) + 1
+
+    symbols = np.arange(n, dtype=np.uint64)
+    if fixed_words is None:
+        # the sent word alone: its n draws start at position (w-1)*n of the codebook stream
+        word_states = skip(cb_states, (true_w - 1) * n)
+        sent = _unit_bits_at(word_states[:, None], symbols) < tq
+    else:
+        sent = fixed_words[true_w - 1] == 1
+    noise = _unit_bits_at(stream_states(derived_master, ids + np.uint64(2))[:, None], symbols)
+    ybits = np.where(sent, noise < unit_threshold(t1), noise < unit_threshold(t0)).view(np.uint8)
+
+    if fixed_words is None:
+        xwords = np.empty((count, m, n), dtype=np.uint8)
+        n1x, n11 = _draw_and_count(cb_states, m, n, tq, ybits, xwords)
+    else:
+        xwords = None
+        # one codebook for every trial: a (count, n) @ (n, m) product
+        words = fixed_words.astype(np.int64)
+        n11 = ybits.astype(np.int64) @ words.T
+        n1x = np.broadcast_to(words.sum(axis=1), (count, m))
+    n1y = ybits.sum(axis=1, dtype=np.int64)
+    n10 = n1x - n11
+    n01 = n1y[:, None] - n11
+    n00 = n - n1x - n1y[:, None] + n11
+    mask = _typicality_mask(n, n1x, n1y, n00, n01, n10, n11, consts, eps)
+    return true_w, mask, ybits, xwords

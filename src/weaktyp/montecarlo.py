@@ -54,6 +54,9 @@ ENUM_MAX_M = 4
 
 DEFAULT_CHUNK = 2048
 
+# bytes of drawn codebooks (trials x m x n, uint8) one kernel call may hold
+CHUNK_BYTES = 1 << 27
+
 CODEBOOK_MODES = ("redraw", "fixed")
 
 
@@ -277,6 +280,11 @@ def _resolve_multi(
     weak_decoded[rows] = resolved.decoded
 
 
+def trial_bytes(m: int, n: int) -> int:
+    """Bytes of one trial's codebook in a kernel call (m words of n uint8 symbols)."""
+    return m * n
+
+
 def run_trials(
     cfg: TrialConfig, num_trials: int, chunk_size: int = DEFAULT_CHUNK, start: int = 0
 ) -> TrialBatch:
@@ -284,7 +292,8 @@ def run_trials(
 
     Identical to looping :func:`run_trial`, but orders of magnitude
     faster; equality of the two paths is pinned by tests.  Each chunk of
-    ``chunk_size`` trials is simulated and scanned in one kernel call;
+    ``chunk_size`` trials (fewer where their codebooks would pass
+    ``CHUNK_BYTES``) is simulated and scanned in one kernel call;
     its trials with two or more candidates are then resolved together by
     :func:`~weaktyp.decoders.cluster_resolve_batch` for the cluster
     resolvers, or one by one by :func:`~weaktyp.decoders.svm_resolve`.
@@ -295,6 +304,7 @@ def run_trials(
         raise ValueError("chunk_size must be positive")
     if start < 0:
         raise ValueError("start must be nonnegative")
+    chunk_size = min(chunk_size, max(1, CHUNK_BYTES // trial_bytes(cfg.m, cfg.n)))
     dm = derived_master(cfg)
     ctx = build_context(cfg.q, cfg.channel)
     consts = ctx.kernel_constants()

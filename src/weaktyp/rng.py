@@ -8,12 +8,14 @@ statistically independent sequences, any position can be regenerated
 without replaying the stream, and parallel execution reproduces serial
 results bit for bit.
 
-The same arithmetic is mirrored by the compiled kernels in
-``weaktyp.kernels``; the equivalence is pinned by tests.
+The array helpers below serve both the per-trial streams and the
+batched simulation kernel in ``weaktyp.kernels``, so there is one
+implementation of the arithmetic.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,7 +26,17 @@ _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 
 # top 53 bits of a draw, scaled to [0, 1)
-_U01_SCALE = 2.0**-53
+_U01_BITS = 53
+_U01_SCALE = 2.0**-_U01_BITS
+
+_U64_GAMMA = np.uint64(GAMMA)
+_U64_MIX1 = np.uint64(_MIX1)
+_U64_MIX2 = np.uint64(_MIX2)
+_U64_ONE = np.uint64(1)
+_SHIFT_U01 = np.uint64(64 - _U01_BITS)
+_SHIFT_30 = np.uint64(30)
+_SHIFT_27 = np.uint64(27)
+_SHIFT_31 = np.uint64(31)
 
 
 def mix64(x: int) -> int:
@@ -40,6 +52,11 @@ def stream_state(master_seed: int, stream_id: int) -> int:
     return mix64(mix64(master_seed & MASK64) ^ (stream_id & MASK64))
 
 
+def position_offsets(positions) -> np.ndarray:
+    """State increments of stream positions: position i is ``finalize(state + (i+1)*GAMMA)``."""
+    return (np.asarray(positions, dtype=np.uint64) + _U64_ONE) * _U64_GAMMA
+
+
 def raw_block(state: int, start: int, count: int) -> np.ndarray:
     """uint64 draws at positions start..start+count-1 of a stream.
 
@@ -47,19 +64,42 @@ def raw_block(state: int, start: int, count: int) -> np.ndarray:
     plain splitmix64 output sequence started at ``state``.  uint64
     array arithmetic wraps mod 2**64, which is exactly what we want.
     """
-    offsets = np.arange(start, start + count, dtype=np.uint64)
-    return _finalize(np.uint64(state) + (offsets + np.uint64(1)) * np.uint64(GAMMA))
+    offsets = position_offsets(np.arange(start, start + count, dtype=np.uint64))
+    return finalize(np.uint64(state) + offsets)
 
 
-def _finalize(z: np.ndarray) -> np.ndarray:
-    """The splitmix64 output function of :func:`mix64`, on a uint64 array."""
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-    return z ^ (z >> np.uint64(31))
+def finalize(z, out: np.ndarray | None = None, scratch: np.ndarray | None = None):
+    """The splitmix64 output function of :func:`mix64`, on a uint64 array.
+
+    Given ``out`` (which may be ``z`` itself) and a ``scratch`` array of
+    the same shape, it works in place and allocates nothing.
+    """
+    t = np.right_shift(z, _SHIFT_30, out=scratch)
+    z = np.multiply(np.bitwise_xor(z, t, out=out), _U64_MIX1, out=out)
+    t = np.right_shift(z, _SHIFT_27, out=scratch)
+    z = np.multiply(np.bitwise_xor(z, t, out=out), _U64_MIX2, out=out)
+    t = np.right_shift(z, _SHIFT_31, out=scratch)
+    return np.bitwise_xor(z, t, out=out)
+
+
+def unit_bits(raw, out: np.ndarray | None = None):
+    """The top 53 bits of draws, as integers: the numerator of :func:`_to_unit`."""
+    return np.right_shift(raw, _SHIFT_U01, out=out)
+
+
+def unit_threshold(p: float) -> np.uint64:
+    """Integer ``t`` with ``unit_bits(raw) < t`` exactly when ``_to_unit(raw) < p``.
+
+    ``_to_unit(raw)`` is ``k * 2**-53`` for the integer ``k = unit_bits(raw)``,
+    and ``k * 2**-53 < p`` holds iff ``k < ceil(p * 2**53)``.  Scaling by a
+    power of two is exact in float64, so the threshold is exact too; it
+    lies in 0..2**53 for p in [0, 1], which a uint64 holds even at p = 1.
+    """
+    return np.uint64(math.ceil(p * 2.0**_U01_BITS))
 
 
 def _to_unit(raw: np.ndarray) -> np.ndarray:
-    return (raw >> np.uint64(11)).astype(np.float64) * _U01_SCALE
+    return unit_bits(raw).astype(np.float64) * _U01_SCALE
 
 
 def uniform_block(state: int, start: int, count: int) -> np.ndarray:
@@ -70,18 +110,32 @@ def uniform_block(state: int, start: int, count: int) -> np.ndarray:
 def stream_states(master_seed: int, stream_ids: np.ndarray) -> np.ndarray:
     """:func:`stream_state` of every id in ``stream_ids``, as a uint64 array."""
     z = np.uint64(mix64(master_seed & MASK64)) ^ np.asarray(stream_ids, dtype=np.uint64)
-    return _finalize(z + np.uint64(GAMMA))
+    return finalize(z + _U64_GAMMA)
 
 
-def uniforms_at(states: np.ndarray, positions: np.ndarray) -> np.ndarray:
+def skip(states: np.ndarray, steps) -> np.ndarray:
+    """States of the same streams started ``steps`` positions later, elementwise.
+
+    Position i of ``skip(s, k)`` is position k + i of ``s``.
+    """
+    return states + np.asarray(steps, dtype=np.uint64) * _U64_GAMMA
+
+
+def raw_at(states: np.ndarray, positions) -> np.ndarray:
+    """uint64 draw of stream ``states[i]`` at position ``positions[i]``, elementwise (broadcasting)."""
+    z = states + position_offsets(positions)
+    # in place: six fewer temporaries of a size that batched callers make large
+    return finalize(z, out=z, scratch=np.empty_like(z))
+
+
+def uniforms_at(states: np.ndarray, positions) -> np.ndarray:
     """float64 draw of stream ``states[i]`` at position ``positions[i]``, elementwise.
 
     Lets many streams advance by different amounts in lockstep: the
     value equals what an :class:`RngStream` with that state returns when
     its cursor stands at that position.
     """
-    offsets = np.asarray(positions, dtype=np.uint64) + np.uint64(1)
-    return _to_unit(_finalize(states + offsets * np.uint64(GAMMA)))
+    return _to_unit(raw_at(states, positions))
 
 
 @dataclass

