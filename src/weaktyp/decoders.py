@@ -10,6 +10,16 @@ decode to the Z closest to its mean.  A max-margin variant refines the
 All ties break toward the lowest message index (and, inside k-means,
 toward the lowest cluster id), which makes every resolution
 deterministic given its random stream.
+
+Each resolver has a per-trial reference (:func:`cluster_resolve`,
+:func:`svm_resolve`) and a batch form that resolves many trials in
+lockstep and gives exactly the same results (:func:`cluster_resolve_batch`,
+:func:`svm_resolve_batch`); both batch forms share one lockstep k-means.
+Exactness needs every float64 sum to run in the reference's order: the
+k-means distances reduce over the same contiguous axis, and the Pegasos
+dot products go through the same BLAS call on the same shape (``ddot``
+for a margin, ``gemv`` for the final scores), never through ``einsum``
+or ``.sum()``, which sum in another order.
 """
 
 from __future__ import annotations
@@ -30,7 +40,8 @@ KMEANS_MAX_ITERS = 100
 SVM_LAMBDA = 0.01
 SVM_EPOCHS = 200
 # cap on the elements of one (trials, candidates, n) float64 block that
-# cluster_resolve_batch holds at once; bounds its memory whatever the chunk
+# cluster_resolve_batch or svm_resolve_batch (whose rows carry n+1
+# features) holds at once; bounds their memory whatever the chunk
 BATCH_BLOCK_ELEMS = 1 << 15
 
 
@@ -158,7 +169,8 @@ def weak_outcome(
     if cands.count == 1:
         return DecodeOutcome(int(cands.indices[0]), 1, "unique"), None
     if resolver == "svm":
-        return DecodeOutcome(svm_resolve(cands, rng), cands.count, "svm"), None
+        decoded, clus = _svm_by_clusters(cands, rng)
+        return DecodeOutcome(decoded, cands.count, "svm"), clus
     decoded, clus = _resolve_by_clusters(cands, k_max, rng, CLUSTER_PICKS[resolver])
     return DecodeOutcome(decoded, cands.count, "cluster"), clus
 
@@ -290,7 +302,7 @@ def cluster_resolve(cands: CandidateSet, k_max: int, rng: RngStream, pick: str =
 
 @dataclass(frozen=True)
 class BatchResolution:
-    """Per-trial results of :func:`cluster_resolve_batch`.
+    """Per-trial results of :func:`cluster_resolve_batch` and :func:`svm_resolve_batch`.
 
     ``iterations`` counts Lloyd assignment passes (``Clustering.iterations_used``)
     and is 0 where a shortcut decided without k-means; ``fallback_seeds``
@@ -365,6 +377,11 @@ def _sq_dist(pts: np.ndarray, centres: np.ndarray) -> np.ndarray:
     return ((pts - centres[:, None, :]) ** 2).sum(axis=2)
 
 
+def _split_rows(z: np.ndarray) -> np.ndarray:
+    """(T,) mask of the (c, n) point sets in z whose rows are not all equal."""
+    return ~np.all(z == z[:, :1], axis=(1, 2))
+
+
 def _resolve_block(
     z: np.ndarray, states: np.ndarray, k: int, pick: str
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -378,7 +395,7 @@ def _resolve_block(
     fallback_seeds = np.zeros(size, dtype=np.int64)
     reseeds = np.zeros(size, dtype=np.int64)
 
-    run = ~np.all(z == z[:, :1], axis=(1, 2))
+    run = _split_rows(z)
     if pick == "closest" and (c == 2 or k == c):
         distinct = np.ones(size, dtype=bool)
         for a in range(c):
@@ -390,12 +407,46 @@ def _resolve_block(
         return pos, iterations, fallback_seeds, reseeds
     pts = z[sel].astype(np.float64)
     st = states[sel]
-    num = sel.size
+    assign, used, cursor, fallback, empty_count = _lockstep_kmeans(pts, st, k)
+    trial = np.arange(sel.size)
+
+    # largest cluster, ties to the cluster of the lowest point index
+    cluster_ids = np.arange(k)
+    sizes = (assign[:, :, None] == cluster_ids).sum(axis=1)
+    point_sizes = np.take_along_axis(sizes, assign, axis=1)
+    lead = np.argmax(point_sizes == sizes.max(axis=1)[:, None], axis=1)
+    members = assign == assign[trial, lead][:, None]
+    member_count = members.sum(axis=1)
+    if pick == "random":
+        nth = np.minimum((uniforms_at(st, cursor) * member_count).astype(np.int64), member_count - 1)
+        winner = np.argmax(np.cumsum(members, axis=1) > nth[:, None], axis=1)
+    else:
+        mean = np.einsum("tc,tcn->tn", members.astype(np.float64), pts) / member_count[:, None]
+        winner = np.argmin(_sq_dist(pts, mean), axis=1)
+
+    pos[sel] = winner
+    iterations[sel] = used
+    fallback_seeds[sel] = fallback
+    reseeds[sel] = empty_count
+    return pos, iterations, fallback_seeds, reseeds
+
+
+def _lockstep_kmeans(
+    pts: np.ndarray, states: np.ndarray, k: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`kmeans` on every (c, n) float64 point set of pts at once, bit for bit.
+
+    Trial t reads stream ``states[t]`` from position 0.  Returns the
+    (T, c) assignments, the Lloyd passes used, each stream's cursor
+    after the last draw, and the fallback-seed and reseed counts of
+    :class:`BatchResolution`.
+    """
+    num, c, _ = pts.shape
     trial = np.arange(num)
 
     # k-means++ seeding; the cursor advances only on the draws kmeans makes
     cursor = np.zeros(num, dtype=np.int64)
-    first = np.minimum((uniforms_at(st, cursor) * c).astype(np.int64), c - 1)
+    first = np.minimum((uniforms_at(states, cursor) * c).astype(np.int64), c - 1)
     cursor += 1
     centroids = np.empty((num, k, pts.shape[2]))
     centroids[:, 0] = pts[trial, first]
@@ -406,7 +457,7 @@ def _resolve_block(
     for j in range(1, k):
         total = d2.sum(axis=1)
         spread = total > 0.0
-        r = uniforms_at(st, cursor) * total
+        r = uniforms_at(states, cursor) * total
         # searchsorted(cumsum, r, side="right") on every row at once
         drawn = np.minimum((np.cumsum(d2, axis=1) <= r[:, None]).sum(axis=1), c - 1)
         pick_j = np.where(spread, drawn, np.argmin(chosen, axis=1))
@@ -442,25 +493,138 @@ def _resolve_block(
             updated[e, j] = pts[e, far]
         empty_count += empty.sum(axis=1)
         centroids[active] = updated[active]
+    return assign, used, cursor, fallback, empty_count
 
-    # largest cluster, ties to the cluster of the lowest point index
-    sizes = (assign[:, :, None] == cluster_ids).sum(axis=1)
-    point_sizes = np.take_along_axis(sizes, assign, axis=1)
-    lead = np.argmax(point_sizes == sizes.max(axis=1)[:, None], axis=1)
-    members = assign == assign[trial, lead][:, None]
-    member_count = members.sum(axis=1)
-    if pick == "random":
-        nth = np.minimum((uniforms_at(st, cursor) * member_count).astype(np.int64), member_count - 1)
-        winner = np.argmax(np.cumsum(members, axis=1) > nth[:, None], axis=1)
-    else:
-        mean = np.einsum("tc,tcn->tn", members.astype(np.float64), pts) / member_count[:, None]
-        winner = np.argmin(_sq_dist(pts, mean), axis=1)
 
-    pos[sel] = winner
-    iterations[sel] = used
-    fallback_seeds[sel] = fallback
-    reseeds[sel] = empty_count
-    return pos, iterations, fallback_seeds, reseeds
+def svm_resolve_batch(
+    cand_mask: np.ndarray,
+    words: np.ndarray,
+    received: np.ndarray,
+    states: np.ndarray,
+) -> BatchResolution:
+    """:func:`svm_resolve` on many trials at once, bit for bit.
+
+    Inputs are laid out as in :func:`cluster_resolve_batch`.  Trials are
+    ordered by candidate count c, descending, and cut into blocks of at
+    most ``BATCH_BLOCK_ELEMS`` padded elements (trials x largest c x
+    (n+1)).  In a block, the 2-means labels come from the lockstep
+    k-means of :func:`cluster_resolve_batch`, one candidate count at a
+    time, and then one Pegasos loop runs every trial together.  The
+    reference bumps ``t`` on every inner step, so at global step s every
+    trial is at ``t = s + 1`` and uses its row ``s % c``; a trial with c
+    candidates stops after ``SVM_EPOCHS * c`` steps, so the trials still
+    running are a prefix of the block.  Rows are stored signed,
+    ``label * [z, 1]``, which is exact for labels of +/-1, so a margin is
+    one dot product and an update adds ``eta * x``.
+
+    Bit-exactness rests on each float64 sum being the same BLAS call on
+    the same shape as in the reference:
+
+    - margins are ``np.matmul(x[:, None, :], w[:, :, None])``, which numpy
+      runs as one vector-vector ``ddot`` per trial, the call ``feats[i] @ w``
+      makes;
+    - final scores are ``(T_c, c, n+1) @ (T_c, n+1, 1)`` for the trials of
+      one candidate count, one ``gemv`` per trial of the shape of
+      ``feats @ w``; rows are never padded, since the ``gemv`` kernel's
+      summation order may depend on the row count.
+
+    ``einsum`` or ``.sum()`` in place of either call would change the
+    summation order, and with it the last bits.  ``iterations``,
+    ``fallback_seeds`` and ``reseeds`` count the 2-means run (0 where all
+    rows are equal and the lowest index is decoded without one).
+    """
+    cand_mask = np.asarray(cand_mask, dtype=bool)
+    counts = cand_mask.sum(axis=1)
+    if np.any(counts < 2):
+        raise ValueError("resolution needs at least two candidates")
+    total = counts.size
+    decoded = np.zeros(total, dtype=np.int64)
+    iterations = np.zeros(total, dtype=np.int64)
+    fallback_seeds = np.zeros(total, dtype=np.int64)
+    reseeds = np.zeros(total, dtype=np.int64)
+    n = received.shape[1]
+    order = np.argsort(-counts, kind="stable")
+    lo = 0
+    while lo < total:
+        step = max(1, BATCH_BLOCK_ELEMS // (int(counts[order[lo]]) * (n + 1)))
+        block = order[lo : lo + step]
+        lo += step
+        # per candidate count: candidate indices, Z, the all-equal shortcut, 2-means
+        live, feats, labels = [], [], []
+        for c in np.flatnonzero(np.bincount(counts[block]))[::-1].tolist():
+            rows = block[counts[block] == c]
+            idx = np.nonzero(cand_mask[rows])[1].reshape(rows.size, c)
+            own = words[rows[:, None], idx] if words.ndim == 3 else words[idx]
+            z = np.bitwise_xor(own, received[rows][:, None, :])
+            decoded[rows] = idx[:, 0] + 1
+            sel = np.flatnonzero(_split_rows(z))
+            if sel.size == 0:
+                continue
+            rows = rows[sel]
+            pts = z[sel].astype(np.float64)
+            assign, used, _, fb, rs = _lockstep_kmeans(pts, states[rows], 2)
+            iterations[rows] = used
+            fallback_seeds[rows] = fb
+            reseeds[rows] = rs
+            live.append((rows, idx[sel]))
+            feats.append(np.concatenate([pts, np.ones((sel.size, c, 1))], axis=2))
+            labels.append(np.where(assign == 0, 1.0, -1.0))
+        if live:
+            scores = _pegasos_scores(feats, labels)
+            for (rows, idx), s in zip(live, scores):
+                decoded[rows] = idx[np.arange(rows.size), _svm_pick(s)] + 1
+    return BatchResolution(decoded, iterations, fallback_seeds, reseeds)
+
+
+def _pegasos_scores(feats: list[np.ndarray], labels: list[np.ndarray]) -> list[np.ndarray]:
+    """Decision scores ``feats @ w`` after the Pegasos loop of :func:`svm_resolve`.
+
+    ``feats[g]`` is a (T_g, c_g, n+1) group of trials with c_g candidates
+    and ``labels[g]`` their (T_g, c_g) +/-1 labels; groups come in
+    descending c_g.  See :func:`svm_resolve_batch` for why this is exact.
+    """
+    sizes = [f.shape[0] for f in feats]
+    _, c_max, dim = feats[0].shape
+    x = np.zeros((sum(sizes), c_max, dim))  # signed rows, label * [z, 1]
+    cs = np.repeat([f.shape[1] for f in feats], sizes)
+    at = 0
+    for f, lab in zip(feats, labels):
+        x[at : at + f.shape[0], : f.shape[1]] = f * lab[:, :, None]
+        at += f.shape[0]
+    w = np.zeros((cs.size, dim))
+    start = 0
+    # the smallest count stops first: the running trials are groups 0..g
+    for g in reversed(range(len(feats))):
+        live = sum(sizes[: g + 1])
+        rows, c_live, w_live = np.arange(live), cs[:live], w[:live]
+        end = SVM_EPOCHS * feats[g].shape[1]
+        for s in range(start, end):
+            t = s + 1
+            eta = 1.0 / (SVM_LAMBDA * t)
+            xs = x[rows, s % c_live]
+            hit = np.matmul(xs[:, None, :], w_live[:, :, None])[:, 0] < 1.0
+            w_live *= 1.0 - eta * SVM_LAMBDA
+            xs *= eta
+            np.add(w_live, xs, out=w_live, where=hit)
+        start = end
+    scores = []
+    at = 0
+    for f in feats:
+        scores.append(np.matmul(f, w[at : at + f.shape[0], :, None])[:, :, 0])
+        at += f.shape[0]
+    return scores
+
+
+def _svm_pick(scores: np.ndarray) -> np.ndarray:
+    """Winning row of each row of (T, c) decision scores, as :func:`svm_resolve` picks."""
+    pos = scores >= 0.0
+    n_pos = pos.sum(axis=1)
+    n_neg = scores.shape[1] - n_pos
+    # the larger side wins; an exact split goes to the side of the lowest index
+    keep_pos = (n_pos > n_neg) | ((n_pos == n_neg) & pos[:, 0])
+    side = np.where(keep_pos[:, None], pos, ~pos)
+    side_scores = np.where(side, np.where(pos, scores, -scores), -np.inf)
+    return np.argmax(side_scores, axis=1)
 
 
 def svm_resolve(
@@ -477,28 +641,24 @@ def svm_resolve(
     are re-labelled by the separator, and the larger side wins; the
     winning-side candidate with the largest decision margin is decoded.
     """
+    decoded, _ = _svm_by_clusters(cands, rng, lam, epochs)
+    return decoded
+
+
+def _svm_by_clusters(
+    cands: CandidateSet, rng: RngStream, lam: float = SVM_LAMBDA, epochs: int = SVM_EPOCHS
+) -> tuple[int, Clustering | None]:
     if cands.count < 2:
         raise ValueError("resolution needs at least two candidates")
     z = cands.z_seqs.astype(np.float64)
     indices = cands.indices
     if _all_rows_equal(cands.z_seqs):
-        return int(indices[0])
+        return int(indices[0]), None
 
     clus = kmeans(z, 2, rng)
     labels = np.where(clus.assignments == 0, 1.0, -1.0)
     feats = np.hstack([z, np.ones((cands.count, 1))])
-    w = np.zeros(feats.shape[1])
-    t = 0
-    for _ in range(epochs):
-        for i in range(cands.count):
-            t += 1
-            eta = 1.0 / (lam * t)
-            margin = labels[i] * float(feats[i] @ w)
-            w *= 1.0 - eta * lam
-            if margin < 1.0:
-                w += (eta * labels[i]) * feats[i]
-
-    scores = feats @ w
+    scores = feats @ _pegasos_separator(feats, labels, lam, epochs)
     pos = scores >= 0.0
     n_pos = int(pos.sum())
     n_neg = cands.count - n_pos
@@ -510,4 +670,21 @@ def svm_resolve(
         # exact split: take the side holding the lowest message index
         side = pos if pos[0] else ~pos
     side_scores = np.where(side, np.where(pos, scores, -scores), -np.inf)
-    return int(indices[int(np.argmax(side_scores))])
+    return int(indices[int(np.argmax(side_scores))]), clus
+
+
+def _pegasos_separator(
+    feats: np.ndarray, labels: np.ndarray, lam: float = SVM_LAMBDA, epochs: int = SVM_EPOCHS
+) -> np.ndarray:
+    """Pegasos weights for the rows of ``feats`` with +/-1 ``labels`` (cyclic subgradient steps)."""
+    w = np.zeros(feats.shape[1])
+    t = 0
+    for _ in range(epochs):
+        for i in range(feats.shape[0]):
+            t += 1
+            eta = 1.0 / (lam * t)
+            margin = labels[i] * float(feats[i] @ w)
+            w *= 1.0 - eta * lam
+            if margin < 1.0:
+                w += (eta * labels[i]) * feats[i]
+    return w

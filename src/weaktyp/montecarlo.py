@@ -33,7 +33,7 @@ from .decoders import (
     classical_outcome,
     cluster_resolve_batch,
     find_candidates,
-    svm_resolve,
+    svm_resolve_batch,
     weak_outcome,
 )
 from .rng import RngStream, mix64, stream_states
@@ -261,23 +261,17 @@ def _resolve_multi(
     ybits: np.ndarray,
     xwords: np.ndarray | None,
     fixed_words: np.ndarray | None,
-    weak_decoded: np.ndarray,
-) -> None:
-    if cfg.resolver == "svm":
-        # Pegasos stays per trial: its dot products are not bit-exact when batched
-        for t in rows:
-            idx0 = np.flatnonzero(mask[t])
-            words = fixed_words if xwords is None else xwords[t]
-            z = np.bitwise_xor(words[idx0], ybits[t])
-            cands = CandidateSet(indices=idx0.astype(np.int64) + 1, z_seqs=z)
-            weak_decoded[t] = svm_resolve(cands, _resolver_stream(dm, tid0 + int(t)))
-        return
+) -> np.ndarray:
+    """Weak decodes of the multi-candidate trials ``rows`` of a chunk, in one batched call."""
     words = fixed_words if xwords is None else xwords[rows]
     states = stream_states(dm, (tid0 + rows) * STREAMS_PER_TRIAL + PURPOSE_RESOLVER)
-    resolved = cluster_resolve_batch(
-        mask[rows], words, ybits[rows], states, cfg.k_max, CLUSTER_PICKS[cfg.resolver]
-    )
-    weak_decoded[rows] = resolved.decoded
+    if cfg.resolver == "svm":
+        resolved = svm_resolve_batch(mask[rows], words, ybits[rows], states)
+    else:
+        resolved = cluster_resolve_batch(
+            mask[rows], words, ybits[rows], states, cfg.k_max, CLUSTER_PICKS[cfg.resolver]
+        )
+    return resolved.decoded
 
 
 def trial_bytes(m: int, n: int) -> int:
@@ -294,9 +288,10 @@ def run_trials(
     faster; equality of the two paths is pinned by tests.  Each chunk of
     ``chunk_size`` trials (fewer where their codebooks would pass
     ``CHUNK_BYTES``) is simulated and scanned in one kernel call;
-    its trials with two or more candidates are then resolved together by
-    :func:`~weaktyp.decoders.cluster_resolve_batch` for the cluster
-    resolvers, or one by one by :func:`~weaktyp.decoders.svm_resolve`.
+    its trials with two or more candidates are then resolved together, in
+    lockstep, by :func:`~weaktyp.decoders.cluster_resolve_batch` for the
+    cluster resolvers or :func:`~weaktyp.decoders.svm_resolve_batch` for
+    ``svm``.  No resolver runs one trial at a time.
     """
     if num_trials < 1:
         raise ValueError("num_trials must be positive")
@@ -328,7 +323,7 @@ def run_trials(
         weak = jt.copy()
         multi = np.flatnonzero(counts >= 2)
         if multi.size:
-            _resolve_multi(cfg, dm, tid0, multi, mask, ybits, xwords, fixed_words, weak)
+            weak[multi] = _resolve_multi(cfg, dm, tid0, multi, mask, ybits, xwords, fixed_words)
 
         jt_err = jt != w
         weak_err = weak != w
@@ -410,12 +405,19 @@ def exhaustive_pe(cfg: TrialConfig) -> tuple[float, float]:
     n = cfg.n
 
     all_y = ((np.arange(2**n)[:, None] >> np.arange(n)[None, :]) & 1).astype(np.uint8)
+    # with the resolver stream pinned, both verdicts depend on y alone
+    decoded = []
+    for y in all_y:
+        cands = find_candidates(y, cb, ctx, cfg.eps)
+        rng = RngStream(dm, ORACLE_RESOLVER_STREAM)
+        weak, _ = weak_outcome(cands, cfg.resolver, rng, cfg.k_max)
+        decoded.append((classical_outcome(cands).decoded, weak.decoded))
     total_weight = 0.0
     jt_pe = 0.0
     weak_pe = 0.0
     for w in range(1, cfg.m + 1):
         x = cb.word(w)
-        for y in all_y:
+        for y, (jt, weak) in zip(all_y, decoded):
             n1x = int(x.sum())
             n1y = int(y.sum())
             n11 = int((x & y).sum())
@@ -427,14 +429,9 @@ def exhaustive_pe(cfg: TrialConfig) -> tuple[float, float]:
             )
             weight = prob / cfg.m
             total_weight += weight
-            if weight == 0.0:
-                continue
-            cands = find_candidates(y, cb, ctx, cfg.eps)
-            jt = classical_outcome(cands)
-            weak, _ = weak_outcome(cands, cfg.resolver, RngStream(dm, ORACLE_RESOLVER_STREAM), cfg.k_max)
-            if jt.decoded != w:
+            if jt != w:
                 jt_pe += weight
-            if weak.decoded != w:
+            if weak != w:
                 weak_pe += weight
     if abs(total_weight - 1.0) > 1e-10:
         raise RuntimeError(f"outcome weights sum to {total_weight}, expected 1")

@@ -123,6 +123,17 @@ def test_trial_shows_multi_candidate_resolution(tmp_path, capsys):
     assert "weak decoded: 0" not in out
 
 
+def test_trial_shows_the_svm_clustering(tmp_path, capsys):
+    # the same trial through svm: its 2-means labels are printed
+    cfg = write_config(tmp_path, TRIAL_CONFIG + "resolver = svm\n")
+    assert main(["trial", "--config", cfg, "--trial-id", "0"]) == 0
+    out = capsys.readouterr().out
+    assert "candidates (2): [2, 3]" in out
+    assert "cluster assignments: [0, 1]" in out
+    assert "clusters: k=2 iters=2" in out
+    assert "weak decoded: 2 (path svm)" in out
+
+
 def test_trial_no_candidates_prints_dummies(tmp_path, capsys):
     cfg = write_config(tmp_path, "eps = 0.000000001\nq = 0.3\nn = 11\n")
     assert main(["trial", "--config", cfg, "--trial-id", "1"]) == 0

@@ -159,6 +159,22 @@ def test_exhaustive_matches_monte_carlo_with_resolution():
         assert abs(mc.pe_hat - exact) <= band
 
 
+@pytest.mark.parametrize(
+    "resolver, expected",
+    [
+        # exact values; resolving each y once for all messages moves no bit
+        ("svm", (0.671009280000001, 0.3872384)),
+        ("cluster-random", (0.671009280000001, 0.38920447999999996)),
+    ],
+)
+def test_exhaustive_values_are_pinned(resolver, expected):
+    cfg = TrialConfig(
+        n=8, m=4, q=0.5, channel=bsc(0.2), eps=0.6, resolver=resolver,
+        codebook_mode="fixed", master_seed=20260809,
+    )
+    assert exhaustive_pe(cfg) == expected
+
+
 def test_exhaustive_rejects_bad_instances():
     with pytest.raises(ValueError):
         exhaustive_pe(TrialConfig(n=20, m=2, q=0.5, channel=bsc(0.1), eps=0.3, codebook_mode="fixed"))

@@ -11,7 +11,13 @@ from hypothesis import strategies as st
 
 from weaktyp import decoders, kernels
 from weaktyp.core import bsc
-from weaktyp.decoders import RESOLVERS, CandidateSet, cluster_resolve_batch, weak_outcome
+from weaktyp.decoders import (
+    RESOLVERS,
+    CandidateSet,
+    cluster_resolve_batch,
+    svm_resolve_batch,
+    weak_outcome,
+)
 from weaktyp.montecarlo import CODEBOOK_MODES, TrialConfig, run_trial, run_trials
 from weaktyp.rng import RngStream, stream_states
 
@@ -116,6 +122,76 @@ def test_batch_resolution_equals_cluster_resolve(monkeypatch):
         hits["empty_cluster_reseed"] += int(np.count_nonzero(got.reseeds))
         # the first pass never converges; a third means centroids moved a point
         hits["lloyd_repeat"] += int(np.count_nonzero(got.iterations > 2))
+
+    check()
+    assert all(hits.values()), hits
+
+
+@st.composite
+def svm_point_sets(draw):
+    """A few trials of 2..8 candidates on up to 70 symbols, words drawn from a small pool.
+
+    n + 1 runs past the unrolled tails of the BLAS dot kernels, and a
+    pool of few distinct words gives duplicate and all-equal candidate rows.
+    """
+    trials = draw(st.integers(1, 6))
+    m = draw(st.integers(2, 8))
+    n = draw(st.integers(1, 70))
+    word = st.integers(0, 2**n - 1).map(lambda v: [(v >> j) & 1 for j in range(n)])
+    pool = draw(st.lists(word, min_size=1, max_size=6))
+    codebook = st.lists(st.sampled_from(pool), min_size=m, max_size=m)
+    shared = draw(st.booleans())
+    words = np.array(draw(codebook) if shared else [draw(codebook) for _ in range(trials)], dtype=np.uint8)
+    received = np.array([draw(word) for _ in range(trials)], dtype=np.uint8)
+    row_mask = st.lists(st.booleans(), min_size=m, max_size=m).filter(lambda r: sum(r) >= 2)
+    mask = np.array([draw(row_mask) for _ in range(trials)])
+    ids = st.lists(st.integers(0, 2**40), min_size=trials, max_size=trials, unique=True)
+    stream_ids = np.array(draw(ids))
+    master = draw(st.integers(0, 2**64 - 1))
+    # blocks of one trial, of a few, or of the whole call
+    block_elems = draw(st.sampled_from((1, 64, 4096)))
+    return words, received, mask, stream_ids, master, block_elems
+
+
+def test_batch_svm_equals_svm_resolve(monkeypatch):
+    hits = {"all_rows_equal": 0, "even_split": 0, "staggered_ends": 0}
+    pegasos_scores, svm_pick = decoders._pegasos_scores, decoders._svm_pick
+
+    def checked_scores(feats, labels):
+        # groups of different candidate counts stop at different steps
+        hits["staggered_ends"] += len(feats) > 1
+        got = pegasos_scores(feats, labels)
+        # bit for bit, not only the decoded index: the scores of the per-trial loop
+        for f, lab, scores in zip(feats, labels, got):
+            for i in range(f.shape[0]):
+                ref = f[i] @ decoders._pegasos_separator(f[i], lab[i])
+                assert scores[i].tobytes() == ref.tobytes()
+        return got
+
+    def counted_pick(scores):
+        n_pos = (scores >= 0.0).sum(axis=1)
+        hits["even_split"] += int(np.count_nonzero(2 * n_pos == scores.shape[1]))
+        return svm_pick(scores)
+
+    monkeypatch.setattr(decoders, "_pegasos_scores", checked_scores)
+    monkeypatch.setattr(decoders, "_svm_pick", counted_pick)
+
+    @fixed_budget(150)
+    @given(svm_point_sets())
+    def check(case):
+        words, received, mask, stream_ids, master, block_elems = case
+        states = stream_states(master, stream_ids)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(decoders, "BATCH_BLOCK_ELEMS", block_elems)
+            got = svm_resolve_batch(mask, words, received, states)
+        for t in range(mask.shape[0]):
+            idx0 = np.flatnonzero(mask[t])
+            z = np.bitwise_xor((words if words.ndim == 2 else words[t])[idx0], received[t])
+            cands = CandidateSet(indices=idx0 + 1, z_seqs=z)
+            outcome, clus = weak_outcome(cands, "svm", RngStream(master, int(stream_ids[t])))
+            assert got.decoded[t] == outcome.decoded
+            assert got.iterations[t] == (clus.iterations_used if clus else 0)
+            hits["all_rows_equal"] += bool(np.all(z == z[0]))
 
     check()
     assert all(hits.values()), hits
