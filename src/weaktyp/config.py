@@ -15,7 +15,7 @@ from __future__ import annotations
 from .core import bsc
 from .decoders import RESOLVERS
 from .experiments import M_MODES, messages_at_rate
-from .montecarlo import CHUNK_BYTES, CODEBOOK_MODES, TrialConfig, trial_bytes
+from .montecarlo import CHUNK_BYTES, CODEBOOK_MODES, ENUM_MAX_M, ENUM_MAX_N, TrialConfig, trial_bytes
 
 
 class ConfigError(ValueError):
@@ -173,6 +173,17 @@ def validate(cfg: dict) -> None:
             field,
             "blocklengths must be strictly increasing",
         )
+    # one trial's codebook must fit a kernel call: fig3 always uses m_messages,
+    # fig1/fig2 only under fixed-m
+    fixed_m = ["fig3_blocklengths"] + (["fig12_blocklengths"] if cfg["m_mode"] == "fixed-m" else [])
+    for field in fixed_m:
+        n = cfg[field][-1]
+        _check(
+            trial_bytes(cfg["m_messages"], n) <= CHUNK_BYTES,
+            "m_messages",
+            f"at blocklength {n} ({field}), {cfg['m_messages']} codewords of {n} symbols "
+            f"exceed the {CHUNK_BYTES}-byte budget for one trial",
+        )
     if cfg["m_mode"] == "fixed-rate":
         # the longest blocklength needs the most codewords, and one trial must fit a
         # kernel call; the exponent is bounded first so no huge integer is ever built
@@ -195,6 +206,9 @@ def validate(cfg: dict) -> None:
     )
     _check(cfg["oracle_n"] >= 1, "oracle_n", "must be positive")
     _check(cfg["oracle_m"] >= 2, "oracle_m", "need at least 2 messages")
+    bounds = f"the exhaustive enumeration bounds (n<={ENUM_MAX_N}, m<={ENUM_MAX_M})"
+    _check(cfg["oracle_n"] <= ENUM_MAX_N, "oracle_n", f"beyond {bounds}")
+    _check(cfg["oracle_m"] <= ENUM_MAX_M, "oracle_m", f"beyond {bounds}")
     _check(cfg["oracle_trials"] >= 1, "oracle_trials", "must be positive")
     _check(cfg["master_seed"] >= 0, "master_seed", "must be nonnegative")
 

@@ -372,9 +372,11 @@ def cluster_resolve_batch(
 def _sq_dist(pts: np.ndarray, centres: np.ndarray) -> np.ndarray:
     """(T, c) squared distances of each trial's points to its centre.
 
-    The sum runs over the contiguous last axis, in the order ``kmeans`` uses.
+    The sum runs over the contiguous last axis, in the order ``kmeans`` uses;
+    squaring in place holds one temporary the size of pts, not two.
     """
-    return ((pts - centres[:, None, :]) ** 2).sum(axis=2)
+    diff = pts - centres[:, None, :]
+    return np.square(diff, out=diff).sum(axis=2)
 
 
 def _split_rows(z: np.ndarray) -> np.ndarray:
@@ -484,15 +486,19 @@ def _lockstep_kmeans(
         assign[active] = new_assign[active]
         member = assign[:, :, None] == cluster_ids
         sizes = member.sum(axis=1)
-        sums = np.einsum("tck,tcn->tkn", member.astype(np.float64), pts)
-        updated = sums / np.maximum(sizes, 1)[:, :, None]
+        # an emptied cluster is reseeded from its old centroid, so find those points first
         empty = active[:, None] & (sizes == 0)
+        reseeded = []
         for j in np.flatnonzero(empty.any(axis=0)).tolist():
             e = np.flatnonzero(empty[:, j])
             far = np.argmax(_sq_dist(pts[e], centroids[e, j]), axis=1)
-            updated[e, j] = pts[e, far]
+            reseeded.append((e, j, pts[e, far]))
         empty_count += empty.sum(axis=1)
-        centroids[active] = updated[active]
+        # centroids are updated in place, frozen trials included: they are never read again
+        np.einsum("tck,tcn->tkn", member.astype(np.float64), pts, out=centroids)
+        np.divide(centroids, np.maximum(sizes, 1)[:, :, None], out=centroids)
+        for e, j, far_pts in reseeded:
+            centroids[e, j] = far_pts
     return assign, used, cursor, fallback, empty_count
 
 
@@ -515,7 +521,9 @@ def svm_resolve_batch(
     candidates stops after ``SVM_EPOCHS * c`` steps, so the trials still
     running are a prefix of the block.  Rows are stored signed,
     ``label * [z, 1]``, which is exact for labels of +/-1, so a margin is
-    one dot product and an update adds ``eta * x``.
+    one dot product and an update adds ``eta * x``.  They live in one
+    zero-padded (trials, c_max, n+1) array per block, the block's only
+    float copy: the 2-means reads its points from it before the signs go in.
 
     Bit-exactness rests on each float64 sum being the same BLAS call on
     the same shape as in the reference:
@@ -525,8 +533,9 @@ def svm_resolve_batch(
       makes;
     - final scores are ``(T_c, c, n+1) @ (T_c, n+1, 1)`` for the trials of
       one candidate count, one ``gemv`` per trial of the shape of
-      ``feats @ w``; rows are never padded, since the ``gemv`` kernel's
-      summation order may depend on the row count.
+      ``feats @ w``, on the rows unsigned again; the view holds exactly c
+      rows, never the padding, since the ``gemv`` kernel's summation order may depend
+      on the row count.
 
     ``einsum`` or ``.sum()`` in place of either call would change the
     summation order, and with it the last bits.  ``iterations``,
@@ -546,11 +555,14 @@ def svm_resolve_batch(
     order = np.argsort(-counts, kind="stable")
     lo = 0
     while lo < total:
-        step = max(1, BATCH_BLOCK_ELEMS // (int(counts[order[lo]]) * (n + 1)))
+        c_max = int(counts[order[lo]])
+        step = max(1, BATCH_BLOCK_ELEMS // (c_max * (n + 1)))
         block = order[lo : lo + step]
         lo += step
+        # signed rows label * [z, 1] of the trials the separator runs on, zero-padded to c_max
+        x = np.zeros((block.size, c_max, n + 1))
+        live, groups, at = [], [], 0
         # per candidate count: candidate indices, Z, the all-equal shortcut, 2-means
-        live, feats, labels = [], [], []
         for c in np.flatnonzero(np.bincount(counts[block]))[::-1].tolist():
             rows = block[counts[block] == c]
             idx = np.nonzero(cand_mask[rows])[1].reshape(rows.size, c)
@@ -561,43 +573,45 @@ def svm_resolve_batch(
             if sel.size == 0:
                 continue
             rows = rows[sel]
-            pts = z[sel].astype(np.float64)
-            assign, used, _, fb, rs = _lockstep_kmeans(pts, states[rows], 2)
+            feats = x[at : at + sel.size, :c]
+            feats[:, :, :n] = z[sel]
+            feats[:, :, n] = 1.0
+            assign, used, _, fb, rs = _lockstep_kmeans(feats[:, :, :n], states[rows], 2)
             iterations[rows] = used
             fallback_seeds[rows] = fb
             reseeds[rows] = rs
+            feats *= np.where(assign == 0, 1.0, -1.0)[:, :, None]
             live.append((rows, idx[sel]))
-            feats.append(np.concatenate([pts, np.ones((sel.size, c, 1))], axis=2))
-            labels.append(np.where(assign == 0, 1.0, -1.0))
+            groups.append((sel.size, c))
+            at += sel.size
         if live:
-            scores = _pegasos_scores(feats, labels)
+            scores = _pegasos_scores(x[:at], groups)
             for (rows, idx), s in zip(live, scores):
                 decoded[rows] = idx[np.arange(rows.size), _svm_pick(s)] + 1
     return BatchResolution(decoded, iterations, fallback_seeds, reseeds)
 
 
-def _pegasos_scores(feats: list[np.ndarray], labels: list[np.ndarray]) -> list[np.ndarray]:
-    """Decision scores ``feats @ w`` after the Pegasos loop of :func:`svm_resolve`.
+def _pegasos_scores(x: np.ndarray, groups: list[tuple[int, int]]) -> list[np.ndarray]:
+    """Decision scores ``[z, 1] @ w`` after the Pegasos loop of :func:`svm_resolve`.
 
-    ``feats[g]`` is a (T_g, c_g, n+1) group of trials with c_g candidates
-    and ``labels[g]`` their (T_g, c_g) +/-1 labels; groups come in
-    descending c_g.  See :func:`svm_resolve_batch` for why this is exact.
+    ``x`` holds every trial's signed rows ``label * [z, 1]``, zero-padded
+    to the largest candidate count; ``groups`` gives (trials, c_g) for the
+    consecutive runs of trials with c_g candidates, in descending c_g.
+    After the loop the rows are unsigned in place, multiplied by their
+    labels read from the bias column, which gives back ``[z, 1]`` exactly,
+    signed zeros included; the scores are then ``[z, 1] @ w`` as the
+    reference computes them.  See :func:`svm_resolve_batch` for why the
+    rest is exact.
     """
-    sizes = [f.shape[0] for f in feats]
-    _, c_max, dim = feats[0].shape
-    x = np.zeros((sum(sizes), c_max, dim))  # signed rows, label * [z, 1]
-    cs = np.repeat([f.shape[1] for f in feats], sizes)
-    at = 0
-    for f, lab in zip(feats, labels):
-        x[at : at + f.shape[0], : f.shape[1]] = f * lab[:, :, None]
-        at += f.shape[0]
-    w = np.zeros((cs.size, dim))
+    sizes = [size for size, _ in groups]
+    cs = np.repeat([c for _, c in groups], sizes)
+    w = np.zeros((cs.size, x.shape[2]))
     start = 0
     # the smallest count stops first: the running trials are groups 0..g
-    for g in reversed(range(len(feats))):
+    for g in reversed(range(len(groups))):
         live = sum(sizes[: g + 1])
         rows, c_live, w_live = np.arange(live), cs[:live], w[:live]
-        end = SVM_EPOCHS * feats[g].shape[1]
+        end = SVM_EPOCHS * groups[g][1]
         for s in range(start, end):
             t = s + 1
             eta = 1.0 / (SVM_LAMBDA * t)
@@ -609,9 +623,11 @@ def _pegasos_scores(feats: list[np.ndarray], labels: list[np.ndarray]) -> list[n
         start = end
     scores = []
     at = 0
-    for f in feats:
-        scores.append(np.matmul(f, w[at : at + f.shape[0], :, None])[:, :, 0])
-        at += f.shape[0]
+    for size, c in groups:
+        feats = x[at : at + size, :c]
+        feats *= feats[:, :, -1:].copy()
+        scores.append(np.matmul(feats, w[at : at + size, :, None])[:, :, 0])
+        at += size
     return scores
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .montecarlo import ExponentPoint, TrialConfig, estimate_pe, exponent
+from .montecarlo import ExponentPoint, TrialConfig, estimate_pe, exponent, run_points
 
 M_MODES = ("fixed-m", "fixed-rate")
 
@@ -101,15 +101,22 @@ def sweep_source_prob(
     if not blocklengths:
         raise ValueError("blocklengths must be nonempty")
 
+    # the points of one blocklength share a shape, so one call per
+    # blocklength resolves their multi-candidate trials together; a call
+    # per blocklength rather than one for the grid keeps only its batches alive
+    estimates = {}
+    for n in blocklengths:
+        cfgs = [replace(base, q=q, n=n) for q in q_values]
+        for q, batch in zip(q_values, run_points(cfgs, trials_per_point)):
+            estimates[q, n] = batch.estimates()
     points = []
     for q in q_values:
         best_jt: ExponentPoint | None = None
         best_weak: ExponentPoint | None = None
         for n in blocklengths:
-            cfg = replace(base, q=q, n=n)
-            pe_jt, pe_weak = estimate_pe(cfg, trials_per_point)
-            ep_jt = exponent(pe_jt, n, cfg.m)
-            ep_weak = exponent(pe_weak, n, cfg.m)
+            pe_jt, pe_weak = estimates[q, n]
+            ep_jt = exponent(pe_jt, n, base.m)
+            ep_weak = exponent(pe_weak, n, base.m)
             if best_jt is None or ep_jt.exponent > best_jt.exponent:
                 best_jt = ep_jt
             if best_weak is None or ep_weak.exponent > best_weak.exponent:

@@ -12,6 +12,14 @@ into a derived master so that different sweep points draw decorrelated
 streams, and trial t then owns four purpose streams (codebook, message,
 noise, resolver).  Batches, single trials, and the exhaustive oracle
 all reproduce each other exactly.
+
+Execution: :func:`run_points` is the one trial executor.  It simulates
+each sweep point in kernel-sized chunks and resolves the
+multi-candidate trials of every point of one shape (n, m, resolver,
+k_max) together, so a lockstep resolver loop runs once per pool of
+points rather than once per point; :func:`run_trials` is that executor
+on a single point.  Because every point owns its derived master, the
+result of a point never depends on which points it was pooled with.
 """
 
 from __future__ import annotations
@@ -19,10 +27,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from hashlib import blake2b
+from itertools import groupby
 
 import numpy as np
 
-from . import kernels
+from . import decoders, kernels
 from .core import Codebook, Dmc, draw_message, generate_codebook, transmit
 from .decoders import (
     CLUSTER_PICKS,
@@ -56,6 +65,11 @@ DEFAULT_CHUNK = 2048
 
 # bytes of drawn codebooks (trials x m x n, uint8) one kernel call may hold
 CHUNK_BYTES = 1 << 27
+
+# a pool of multi-candidate trials is resolved once their codebooks fill
+# this many resolver blocks (decoders.BATCH_BLOCK_ELEMS elements, one
+# byte per codebook symbol)
+POOL_BLOCKS = 4
 
 CODEBOOK_MODES = ("redraw", "fixed")
 
@@ -251,27 +265,12 @@ class TrialBatch:
     def weak_errors(self) -> int:
         return int((self.weak_decoded != self.true_w).sum())
 
-
-def _resolve_multi(
-    cfg: TrialConfig,
-    dm: int,
-    tid0: int,
-    rows: np.ndarray,
-    mask: np.ndarray,
-    ybits: np.ndarray,
-    xwords: np.ndarray | None,
-    fixed_words: np.ndarray | None,
-) -> np.ndarray:
-    """Weak decodes of the multi-candidate trials ``rows`` of a chunk, in one batched call."""
-    words = fixed_words if xwords is None else xwords[rows]
-    states = stream_states(dm, (tid0 + rows) * STREAMS_PER_TRIAL + PURPOSE_RESOLVER)
-    if cfg.resolver == "svm":
-        resolved = svm_resolve_batch(mask[rows], words, ybits[rows], states)
-    else:
-        resolved = cluster_resolve_batch(
-            mask[rows], words, ybits[rows], states, cfg.k_max, CLUSTER_PICKS[cfg.resolver]
+    def estimates(self) -> tuple[PeEstimate, PeEstimate]:
+        """(classical, weak) error estimates over the batch's trials."""
+        return (
+            PeEstimate.from_counts(self.trials, self.jt_errors),
+            PeEstimate.from_counts(self.trials, self.weak_errors),
         )
-    return resolved.decoded
 
 
 def trial_bytes(m: int, n: int) -> int:
@@ -279,38 +278,92 @@ def trial_bytes(m: int, n: int) -> int:
     return m * n
 
 
-def run_trials(
-    cfg: TrialConfig, num_trials: int, chunk_size: int = DEFAULT_CHUNK, start: int = 0
-) -> TrialBatch:
-    """Trials start..start+num_trials-1 through the batch kernels, resolver included.
+def _shape(cfg: TrialConfig) -> tuple[int, int, str, int]:
+    """Sweep points of one shape have their multi-candidate trials resolved together."""
+    return (cfg.n, cfg.m, cfg.resolver, cfg.k_max)
 
-    Identical to looping :func:`run_trial`, but orders of magnitude
-    faster; equality of the two paths is pinned by tests.  Each chunk of
-    ``chunk_size`` trials (fewer where their codebooks would pass
-    ``CHUNK_BYTES``) is simulated and scanned in one kernel call;
-    its trials with two or more candidates are then resolved together, in
-    lockstep, by :func:`~weaktyp.decoders.cluster_resolve_batch` for the
-    cluster resolvers or :func:`~weaktyp.decoders.svm_resolve_batch` for
-    ``svm``.  No resolver runs one trial at a time.
+
+class _Pool:
+    """Multi-candidate trials of the sweep points of one shape, awaiting one resolver call.
+
+    Each part keeps only what resolution needs of one chunk's
+    multi-candidate trials: the candidate masks, the codebooks, the
+    received words and the resolver stream states, plus the array and
+    positions the decoded indices go to.  Every trial carries its own
+    codebook, because each fixed-codebook point draws its shared
+    codebook from its own derived master.
+
+    The pool is bounded in bytes of codebook, ``trial_bytes(m, n)`` per
+    trial, against ``budget`` = ``POOL_BLOCKS`` resolver blocks: a part
+    that would take it past the budget first resolves what is pooled,
+    and a part that fills the budget on its own is resolved alone and
+    uncopied.  So the pool's parts, and the one copy that joins them,
+    each stay within the budget.
     """
-    if num_trials < 1:
-        raise ValueError("num_trials must be positive")
-    if chunk_size < 1:
-        raise ValueError("chunk_size must be positive")
-    if start < 0:
-        raise ValueError("start must be nonnegative")
+
+    def __init__(self, cfg: TrialConfig) -> None:
+        self.cfg = cfg
+        self.budget = POOL_BLOCKS * decoders.BATCH_BLOCK_ELEMS
+        self.parts: list[tuple[np.ndarray, ...]] = []
+        self.bytes = 0
+
+    def add(
+        self,
+        mask: np.ndarray,
+        words: np.ndarray,
+        received: np.ndarray,
+        states: np.ndarray,
+        weak: np.ndarray,
+        positions: np.ndarray,
+    ) -> None:
+        size = positions.size * trial_bytes(self.cfg.m, self.cfg.n)
+        if self.bytes + size > self.budget:
+            self.flush()
+        self.parts.append((mask, words, received, states, weak, positions))
+        self.bytes += size
+        if self.bytes >= self.budget:
+            self.flush()
+
+    def flush(self) -> None:
+        """Resolve every pooled trial in one batched call and scatter the decodes back."""
+        if not self.parts:
+            return
+        parts, self.parts, self.bytes = self.parts, [], 0
+        mask, words, received, states = (_joined([part[i] for part in parts]) for i in range(4))
+        targets = [part[4:] for part in parts]
+        del parts  # the joined copies replace the parts
+        if self.cfg.resolver == "svm":
+            resolved = svm_resolve_batch(mask, words, received, states)
+        else:
+            resolved = cluster_resolve_batch(
+                mask, words, received, states, self.cfg.k_max, CLUSTER_PICKS[self.cfg.resolver]
+            )
+        at = 0
+        for weak, positions in targets:
+            weak[positions] = resolved.decoded[at : at + positions.size]
+            at += positions.size
+
+
+def _joined(arrays: list[np.ndarray]) -> np.ndarray:
+    """The parts as one array, with no copy when there is one part (a point alone in its pool)."""
+    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
+
+
+def _simulate_point(
+    cfg: TrialConfig, num_trials: int, chunk_size: int, start: int, pool: _Pool
+) -> TrialBatch:
+    """Simulate and scan one point chunk by chunk, handing its multi-candidate trials to ``pool``.
+
+    The weak decodes of those trials are written into the returned
+    batch when the pool is flushed.
+    """
     chunk_size = min(chunk_size, max(1, CHUNK_BYTES // trial_bytes(cfg.m, cfg.n)))
     dm = derived_master(cfg)
-    ctx = build_context(cfg.q, cfg.channel)
-    consts = ctx.kernel_constants()
+    consts = build_context(cfg.q, cfg.channel).kernel_constants()
     t0 = float(cfg.channel.transition[0, 1])
     t1 = float(cfg.channel.transition[1, 1])
     fixed_words = fixed_codebook(cfg).words if cfg.codebook_mode == "fixed" else None
-
-    true_w = np.empty(num_trials, dtype=np.int64)
-    jt_decoded = np.empty(num_trials, dtype=np.int64)
-    weak_decoded = np.empty(num_trials, dtype=np.int64)
-    candidate_counts = np.empty(num_trials, dtype=np.int64)
+    batch = TrialBatch(*(np.empty(num_trials, dtype=np.int64) for _ in range(4)))
 
     for off in range(0, num_trials, chunk_size):
         tid0 = start + off
@@ -319,38 +372,72 @@ def run_trials(
             dm, tid0, count, cfg.m, cfg.n, cfg.q, t0, t1, consts, cfg.eps, fixed_words
         )
         counts = mask.sum(axis=1)
-        jt = np.where(counts == 1, mask.argmax(axis=1) + 1, 0)
-        weak = jt.copy()
-        multi = np.flatnonzero(counts >= 2)
-        if multi.size:
-            weak[multi] = _resolve_multi(cfg, dm, tid0, multi, mask, ybits, xwords, fixed_words)
-
-        jt_err = jt != w
-        weak_err = weak != w
-        if np.any(weak_err & ~jt_err):
-            raise RuntimeError("dominance violated: weak decoder erred where the classical one succeeded")
-
         sl = slice(off, off + count)
-        true_w[sl] = w
-        jt_decoded[sl] = jt
-        weak_decoded[sl] = weak
-        candidate_counts[sl] = counts
+        batch.true_w[sl] = w
+        batch.candidate_counts[sl] = counts
+        batch.jt_decoded[sl] = np.where(counts == 1, mask.argmax(axis=1) + 1, 0)
+        batch.weak_decoded[sl] = batch.jt_decoded[sl]
+        multi = np.flatnonzero(counts >= 2)
+        if xwords is None:
+            words = np.broadcast_to(fixed_words, (multi.size, *fixed_words.shape))
+        else:
+            words = xwords[multi]
+        del xwords  # the chunk's codebooks are freed before any resolution
+        if multi.size:
+            states = stream_states(dm, (tid0 + multi) * STREAMS_PER_TRIAL + PURPOSE_RESOLVER)
+            pool.add(mask[multi], words, ybits[multi], states, batch.weak_decoded, off + multi)
+    return batch
 
-    return TrialBatch(
-        true_w=true_w,
-        jt_decoded=jt_decoded,
-        weak_decoded=weak_decoded,
-        candidate_counts=candidate_counts,
-    )
+
+def run_points(
+    cfgs: list[TrialConfig], num_trials: int, chunk_size: int = DEFAULT_CHUNK, start: int = 0
+) -> list[TrialBatch]:
+    """Trials start..start+num_trials-1 of every sweep point in ``cfgs``, resolver included.
+
+    The trial executor.  Identical, point by point, to looping
+    :func:`run_trial`, but orders of magnitude faster; equality of the
+    two paths is pinned by tests.  Each point is simulated and scanned
+    in chunks of ``chunk_size`` trials (fewer where their codebooks would
+    pass ``CHUNK_BYTES``), one kernel call per chunk.  The trials with two
+    or more candidates of every point of one shape (n, m, resolver,
+    k_max) are pooled and resolved together, in lockstep, by
+    :func:`~weaktyp.decoders.cluster_resolve_batch` for the cluster
+    resolvers or :func:`~weaktyp.decoders.svm_resolve_batch` for ``svm``:
+    a lockstep loop costs about the same whether it carries the trials of
+    one point or of many.  Points of one shape run back to back, so one
+    pool is open at a time; every point owns its streams, so the order
+    changes no result.  No resolver runs one trial at a time.
+    """
+    if num_trials < 1:
+        raise ValueError("num_trials must be positive")
+    if chunk_size < 1:
+        raise ValueError("chunk_size must be positive")
+    if start < 0:
+        raise ValueError("start must be nonnegative")
+    batches: list[TrialBatch | None] = [None] * len(cfgs)
+    by_shape = sorted(range(len(cfgs)), key=lambda i: _shape(cfgs[i]))
+    for _, group in groupby(by_shape, key=lambda i: _shape(cfgs[i])):
+        group = list(group)
+        pool = _Pool(cfgs[group[0]])
+        for i in group:
+            batches[i] = _simulate_point(cfgs[i], num_trials, chunk_size, start, pool)
+        pool.flush()
+    for batch in batches:
+        if np.any((batch.weak_decoded != batch.true_w) & (batch.jt_decoded == batch.true_w)):
+            raise RuntimeError("dominance violated: weak decoder erred where the classical one succeeded")
+    return batches
+
+
+def run_trials(
+    cfg: TrialConfig, num_trials: int, chunk_size: int = DEFAULT_CHUNK, start: int = 0
+) -> TrialBatch:
+    """Trials start..start+num_trials-1 of one point: :func:`run_points` on ``[cfg]``."""
+    return run_points([cfg], num_trials, chunk_size, start)[0]
 
 
 def estimate_pe(cfg: TrialConfig, num_trials: int) -> tuple[PeEstimate, PeEstimate]:
     """(classical, weak) error estimates over the same trial stream."""
-    batch = run_trials(cfg, num_trials)
-    return (
-        PeEstimate.from_counts(num_trials, batch.jt_errors),
-        PeEstimate.from_counts(num_trials, batch.weak_errors),
-    )
+    return run_trials(cfg, num_trials).estimates()
 
 
 def estimate_pe_adaptive(
@@ -412,18 +499,18 @@ def exhaustive_pe(cfg: TrialConfig) -> tuple[float, float]:
         rng = RngStream(dm, ORACLE_RESOLVER_STREAM)
         weak, _ = weak_outcome(cands, cfg.resolver, rng, cfg.k_max)
         decoded.append((classical_outcome(cands).decoded, weak.decoded))
+    n1y = all_y.sum(axis=1).tolist()
     total_weight = 0.0
     jt_pe = 0.0
     weak_pe = 0.0
     for w in range(1, cfg.m + 1):
         x = cb.word(w)
-        for y, (jt, weak) in zip(all_y, decoded):
-            n1x = int(x.sum())
-            n1y = int(y.sum())
-            n11 = int((x & y).sum())
+        n1x = int(x.sum())
+        n11s = (all_y & x).sum(axis=1).tolist()
+        for y_ones, n11, (jt, weak) in zip(n1y, n11s, decoded):
             n10 = n1x - n11
-            n01 = n1y - n11
-            n00 = n - n1x - n1y + n11
+            n01 = y_ones - n11
+            n00 = n - n1x - y_ones + n11
             prob = (
                 w_mat[0, 0] ** n00 * w_mat[0, 1] ** n01 * w_mat[1, 0] ** n10 * w_mat[1, 1] ** n11
             )

@@ -104,6 +104,12 @@ def test_oracle_check_rejects_large_instance(tmp_path, capsys):
     assert "enumeration bounds" in capsys.readouterr().err
 
 
+def test_oracle_check_names_the_key_beyond_enumeration_bounds(tmp_path, capsys):
+    cfg = write_config(tmp_path, "oracle_n = 14\n")
+    assert main(["oracle-check", "--config", cfg]) == 2
+    assert "oracle_n:" in capsys.readouterr().err
+
+
 def test_trial_output_is_deterministic(tmp_path, capsys):
     cfg = write_config(tmp_path, TRIAL_CONFIG)
     assert main(["trial", "--config", cfg, "--trial-id", "0"]) == 0

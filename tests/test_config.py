@@ -11,7 +11,7 @@ from weaktyp.config import (
     parse_config,
 )
 from weaktyp.experiments import messages_at_rate
-from weaktyp.montecarlo import CHUNK_BYTES, trial_bytes
+from weaktyp.montecarlo import CHUNK_BYTES, ENUM_MAX_M, ENUM_MAX_N, trial_bytes
 
 
 def test_defaults_validate_and_round_trip():
@@ -87,6 +87,33 @@ def test_fixed_rate_over_the_chunk_budget_names_rate_bits():
     assert trial_bytes(messages_at_rate(200, cfg["rate_bits"]), 200) == 256 * 200
     # fixed-m mode is not affected
     parse_config("profile = full\n")
+
+
+def test_fixed_m_over_the_chunk_budget_names_m_messages():
+    # the footprint is computed, never allocated: 400000 codewords of 600
+    # symbols are 240 MB for a single fig3 trial of the full profile
+    assert trial_bytes(400_000, 600) == 240_000_000 > CHUNK_BYTES
+    with pytest.raises(ConfigError, match="m_messages:.*fig3_blocklengths"):
+        parse_config("profile = full\nm_messages = 400000\n")
+    # the largest message count whose trial fits is accepted
+    largest = CHUNK_BYTES // 600
+    assert trial_bytes(largest, 600) <= CHUNK_BYTES < trial_bytes(largest + 1, 600)
+    parse_config(f"profile = full\nm_messages = {largest}\n")
+    with pytest.raises(ConfigError, match="m_messages:"):
+        parse_config(f"profile = full\nm_messages = {largest + 1}\n")
+    # fig1/fig2 use m_messages only under fixed-m
+    text = "fig3_blocklengths = 20\nfig12_blocklengths = 600\nm_messages = 400000\n"
+    with pytest.raises(ConfigError, match="m_messages:.*fig12_blocklengths"):
+        parse_config(text)
+    parse_config(text + "m_mode = fixed-rate\nrate_bits = 0.01\n")
+
+
+def test_oracle_instance_beyond_enumeration_bounds_names_the_key():
+    assert parse_config(f"oracle_n = {ENUM_MAX_N}\noracle_m = {ENUM_MAX_M}\n")["oracle_n"] == ENUM_MAX_N
+    with pytest.raises(ConfigError, match="oracle_n:.*enumeration bounds"):
+        parse_config(f"oracle_n = {ENUM_MAX_N + 1}\n")
+    with pytest.raises(ConfigError, match="oracle_m:.*enumeration bounds"):
+        parse_config(f"oracle_m = {ENUM_MAX_M + 1}\n")
 
 
 def test_list_parsing():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from weaktyp import decoders
 from weaktyp.core import bsc, generate_codebook, hamming_diff, sequence, transmit
 from weaktyp.decoders import (
     CandidateSet,
@@ -342,6 +343,24 @@ def test_svm_agrees_with_clusters_on_separated_clouds():
 def test_svm_degenerate_identical_points():
     cands = cand_set([4, 7], [sequence("0101")] * 2)
     assert svm_resolve(cands, RngStream(0, 0)) == 4
+
+
+def test_lockstep_pegasos_scores_keep_the_sign_of_an_exact_zero():
+    # two equal rows of opposite labels cancel: the reference scores them +0.0,
+    # which a score taken on the signed row and then negated would turn into -0.0
+    four = np.array([[0, 1, 1], [0, 1, 1], [1, 1, 1], [0, 0, 1]], dtype=np.float64)
+    four_labels = np.array([1.0, -1.0, 1.0, -1.0])
+    two = np.array([[1, 0, 1], [0, 1, 1]], dtype=np.float64)
+    two_labels = np.array([-1.0, 1.0])
+    # signed rows label * [z, 1], the c=2 trial zero-padded to c_max = 4
+    x = np.zeros((2, 4, 3))
+    x[0] = four * four_labels[:, None]
+    x[1, :2] = two * two_labels[:, None]
+    got = decoders._pegasos_scores(x, [(1, 4), (1, 2)])
+    for (feats, labels), scores in zip(((four, four_labels), (two, two_labels)), got):
+        ref = feats @ decoders._pegasos_separator(feats, labels)
+        assert scores[0].tobytes() == ref.tobytes()
+    assert got[0][0, 1] == 0.0 and not np.signbit(got[0][0, 1])
 
 
 def test_svm_two_candidates_tie_break():

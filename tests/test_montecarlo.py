@@ -1,11 +1,15 @@
 import math
+from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from weaktyp import decoders, montecarlo
 from weaktyp.core import bsc
-from weaktyp.decoders import DecodeOutcome
+from weaktyp.decoders import RESOLVERS, DecodeOutcome
 from weaktyp.montecarlo import (
+    CHUNK_BYTES,
     PeEstimate,
     TrialConfig,
     TrialRecord,
@@ -15,8 +19,10 @@ from weaktyp.montecarlo import (
     exhaustive_pe,
     exponent,
     fixed_codebook,
+    run_points,
     run_trial,
     run_trials,
+    trial_bytes,
     trial_detail,
 )
 
@@ -64,6 +70,81 @@ def test_batch_equals_single_trial_loop():
             assert rec.jt_outcome.decoded == batch.jt_decoded[t]
             assert rec.weak_outcome.decoded == batch.weak_decoded[t]
             assert rec.candidate_count == batch.candidate_counts[t]
+
+
+def test_points_pool_only_with_their_own_resolver_and_k_max():
+    # resolver and k_max do not enter the derived master: every point draws the same trials
+    base = TrialConfig(n=20, m=4, q=0.5, channel=bsc(0.4), eps=0.1, master_seed=5)
+    cfgs = [replace(base, resolver=r, k_max=k) for r in RESOLVERS for k in (2, 3)]
+    batches = run_points(cfgs, 200)
+    for cfg, batch in zip(cfgs, batches):
+        assert np.array_equal(batch.weak_decoded, run_trials(cfg, 200).weak_decoded)
+    # each resolution differs here (svm ignores k_max), so a pool shared across them would show
+    assert len({batch.weak_decoded.tobytes() for batch in batches}) == len(cfgs) - 1
+
+
+def pooled_footprints(monkeypatch, cfg, part_sizes):
+    """Codebook bytes the pool holds and joins while ``part_sizes`` chunks of trials pass through it.
+
+    The parts are broadcast views and the join is recorded, not made, so
+    nothing of the footprint is allocated.  Returns the pool's bytes after
+    each part and the bytes of each join of several parts; a part resolved
+    alone is passed on uncopied.
+    """
+    joins = []
+
+    def recorded_join(arrays):
+        if len(arrays) > 1:
+            joins.append(sum(a.shape[0] for a in arrays) * trial_bytes(cfg.m, cfg.n))
+        return np.broadcast_to(arrays[0][:1], (sum(a.shape[0] for a in arrays), *arrays[0].shape[1:]))
+
+    def resolver(mask, *rest):
+        return SimpleNamespace(decoded=np.ones(mask.shape[0], dtype=np.int64))
+
+    monkeypatch.setattr(montecarlo, "_joined", recorded_join)
+    monkeypatch.setattr(montecarlo, "svm_resolve_batch", resolver)
+    monkeypatch.setattr(montecarlo, "cluster_resolve_batch", resolver)
+    pool = montecarlo._Pool(cfg)
+    weak = np.zeros(sum(part_sizes), dtype=np.int64)
+    held, at = [], 0
+    for k in part_sizes:
+        pool.add(
+            np.broadcast_to(np.ones((1, 1), dtype=bool), (k, cfg.m)),
+            np.broadcast_to(np.zeros((1, 1, 1), dtype=np.uint8), (k, cfg.m, cfg.n)),
+            np.broadcast_to(np.zeros((1, 1), dtype=np.uint8), (k, cfg.n)),
+            np.zeros(k, dtype=np.uint64),
+            weak,
+            np.arange(at, at + k),
+        )
+        held.append(pool.bytes)
+        at += k
+    pool.flush()
+    assert np.all(weak == 1)  # every decode is scattered back
+    return held, joins
+
+
+def test_pool_resolves_a_trial_at_the_chunk_budget_alone_and_uncopied(monkeypatch):
+    # the largest fig3 trial the full profile accepts at n = 600: 120 MB of
+    # codebook, so a kernel call holds one trial and every chunk is one part
+    cfg = TrialConfig(n=600, m=CHUNK_BYTES // 600, q=0.5, channel=bsc(0.4), eps=0.1, resolver="svm")
+    assert CHUNK_BYTES // trial_bytes(cfg.m, cfg.n) == 1
+    held, joins = pooled_footprints(monkeypatch, cfg, [1, 1, 1, 1])
+    # nothing is held over to the next chunk and nothing is joined: the worst
+    # pooled footprint is the one part being resolved, as without pooling
+    assert held == [0, 0, 0, 0] and joins == []
+
+
+def test_pool_holds_and_joins_at_most_its_budget(monkeypatch):
+    # the fig3 grid's largest shape, 480 bytes of codebook per trial
+    cfg = TrialConfig(n=120, m=4, q=0.5, channel=bsc(0.4), eps=0.1, resolver="cluster")
+    budget = montecarlo.POOL_BLOCKS * decoders.BATCH_BLOCK_ELEMS
+    per_budget = budget // trial_bytes(cfg.m, cfg.n)
+    parts = [45] * 20 + [per_budget + 1, 1, 1, per_budget - 1, 2, per_budget, 3]
+    held, joins = pooled_footprints(monkeypatch, cfg, parts)
+    assert max(held) < budget
+    assert joins and max(joins) <= budget
+    # the parts of several points are joined: the pool does pool
+    assert max(joins) > 45 * trial_bytes(cfg.m, cfg.n)
 
 
 def test_estimate_noiseless_floors_at_one_over_trials():

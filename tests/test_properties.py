@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from weaktyp import decoders, kernels
+from weaktyp import decoders, kernels, montecarlo
 from weaktyp.core import bsc
 from weaktyp.decoders import (
     RESOLVERS,
@@ -18,7 +18,7 @@ from weaktyp.decoders import (
     svm_resolve_batch,
     weak_outcome,
 )
-from weaktyp.montecarlo import CODEBOOK_MODES, TrialConfig, run_trial, run_trials
+from weaktyp.montecarlo import CODEBOOK_MODES, TrialConfig, run_points, run_trial, run_trials
 from weaktyp.rng import RngStream, stream_states
 
 
@@ -58,6 +58,84 @@ def test_run_trials_equals_run_trial(setup):
         assert rec.jt_outcome.decoded == batch.jt_decoded[i]
         assert rec.weak_outcome.decoded == batch.weak_decoded[i]
         assert rec.candidate_count == batch.candidate_counts[i]
+
+
+@st.composite
+def sweep_point_lists(draw):
+    """1-6 sweep points drawn from one or two shapes, with the executor settings.
+
+    (n, m), resolver and k_max each come from a pool of one or two
+    values, so points often share a shape and sometimes differ in one
+    part of it only; the codebook mode is drawn per point, so
+    fixed-codebook points (each with its own codebook, drawn from its own
+    q and seed) pool with one another and with redraw points.
+    """
+    shapes = draw(st.lists(st.tuples(st.integers(1, 24), st.integers(2, 6)), min_size=1, max_size=2))
+    resolvers = draw(st.lists(st.sampled_from(RESOLVERS), min_size=1, max_size=2))
+    k_maxes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=2))
+    seed = draw(st.integers(0, 2**63))
+    cfgs = []
+    for _ in range(draw(st.integers(1, 6))):
+        n, m = draw(st.sampled_from(shapes))
+        cfgs.append(
+            TrialConfig(
+                n=n,
+                m=m,
+                q=draw(st.floats(0.05, 0.95)),
+                channel=bsc(draw(st.floats(0.0, 0.49))),
+                eps=draw(st.floats(0.05, 2.0)),
+                resolver=draw(st.sampled_from(resolvers)),
+                k_max=draw(st.sampled_from(k_maxes)),
+                # fixed twice as likely, so fixed points of different codebooks often share a pool
+                codebook_mode=draw(st.sampled_from(CODEBOOK_MODES + ("fixed",))),
+                master_seed=draw(st.sampled_from((seed, draw(st.integers(0, 2**63))))),
+            )
+        )
+    num = draw(st.integers(1, 8))
+    chunk_size = draw(st.integers(1, 6))
+    start = draw(st.integers(0, 10**6))
+    # small resolver blocks and pools, so a pool and a block hold trials of several points
+    block_elems = draw(st.sampled_from((1, 64, 4096, decoders.BATCH_BLOCK_ELEMS)))
+    pool_blocks = draw(st.sampled_from((1, 2, montecarlo.POOL_BLOCKS)))
+    return cfgs, num, chunk_size, start, block_elems, pool_blocks
+
+
+def test_run_points_equals_run_trials_and_run_trial(monkeypatch):
+    hits = {"pool_spans_points": 0, "pool_mixes_fixed_codebooks": 0}
+    flush = montecarlo._Pool.flush
+
+    def counted_flush(pool):
+        # a part's weak array belongs to its point; a fixed codebook is a broadcast view
+        points = {id(part[4]) for part in pool.parts}
+        hits["pool_spans_points"] += len(points) > 1
+        fixed = {part[1][0].tobytes() for part in pool.parts if part[1].strides[0] == 0}
+        hits["pool_mixes_fixed_codebooks"] += len(fixed) > 1
+        flush(pool)
+
+    monkeypatch.setattr(montecarlo._Pool, "flush", counted_flush)
+
+    @fixed_budget(150)
+    @given(sweep_point_lists())
+    def check(case):
+        cfgs, num, chunk_size, start, block_elems, pool_blocks = case
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(decoders, "BATCH_BLOCK_ELEMS", block_elems)
+            patch.setattr(montecarlo, "POOL_BLOCKS", pool_blocks)
+            batches = run_points(cfgs, num, chunk_size=chunk_size, start=start)
+        assert len(batches) == len(cfgs)
+        for cfg, batch in zip(cfgs, batches):
+            alone = run_trials(cfg, num, start=start)
+            for field in ("true_w", "jt_decoded", "weak_decoded", "candidate_counts"):
+                assert np.array_equal(getattr(batch, field), getattr(alone, field))
+            for i in range(num):
+                rec = run_trial(cfg, start + i)
+                assert rec.true_w == batch.true_w[i]
+                assert rec.jt_outcome.decoded == batch.jt_decoded[i]
+                assert rec.weak_outcome.decoded == batch.weak_decoded[i]
+                assert rec.candidate_count == batch.candidate_counts[i]
+
+    check()
+    assert all(hits.values()), hits
 
 
 @st.composite
@@ -157,12 +235,19 @@ def test_batch_svm_equals_svm_resolve(monkeypatch):
     hits = {"all_rows_equal": 0, "even_split": 0, "staggered_ends": 0}
     pegasos_scores, svm_pick = decoders._pegasos_scores, decoders._svm_pick
 
-    def checked_scores(feats, labels):
+    def checked_scores(x, groups):
         # groups of different candidate counts stop at different steps
-        hits["staggered_ends"] += len(feats) > 1
-        got = pegasos_scores(feats, labels)
+        hits["staggered_ends"] += len(groups) > 1
+        # the signed rows label * [z, 1] carry their labels in the bias column;
+        # read them first, since the scores are computed on rows unsigned in place
+        refs, at = [], 0
+        for size, c in groups:
+            lab = x[at : at + size, :c, -1].copy()
+            refs.append((x[at : at + size, :c] * lab[:, :, None], lab))
+            at += size
+        got = pegasos_scores(x, groups)
         # bit for bit, not only the decoded index: the scores of the per-trial loop
-        for f, lab, scores in zip(feats, labels, got):
+        for (f, lab), scores in zip(refs, got):
             for i in range(f.shape[0]):
                 ref = f[i] @ decoders._pegasos_separator(f[i], lab[i])
                 assert scores[i].tobytes() == ref.tobytes()
