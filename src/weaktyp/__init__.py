@@ -16,10 +16,8 @@ from .decoders import (
     DecodeOutcome,
     cluster_resolve,
     find_candidates,
-    jt_decode,
     kmeans,
     svm_resolve,
-    weak_decode,
 )
 from .montecarlo import (
     ExponentPoint,
@@ -52,10 +50,8 @@ __all__ = [
     "DecodeOutcome",
     "cluster_resolve",
     "find_candidates",
-    "jt_decode",
     "kmeans",
     "svm_resolve",
-    "weak_decode",
     "ExponentPoint",
     "PeEstimate",
     "TrialConfig",

@@ -135,32 +135,13 @@ def classical_outcome(cands: CandidateSet) -> DecodeOutcome:
     return DecodeOutcome(0, cands.count, "none")
 
 
-def jt_decode(y: np.ndarray, cb: Codebook, ctx: JointContext, eps: float) -> DecodeOutcome:
-    """Classical rule: decode only a unique candidate, otherwise declare an error."""
-    return classical_outcome(find_candidates(y, cb, ctx, eps))
-
-
-def weak_decode(
-    y: np.ndarray,
-    cb: Codebook,
-    ctx: JointContext,
-    eps: float,
-    resolver: str,
-    rng: RngStream,
-    k_max: int = 3,
-) -> DecodeOutcome:
-    """Weak rule: keep all candidates and resolve multiplicity instead of failing."""
-    outcome, _ = weak_outcome(find_candidates(y, cb, ctx, eps), resolver, rng, k_max)
-    return outcome
-
-
 def weak_outcome(
     cands: CandidateSet, resolver: str, rng: RngStream, k_max: int = 3
 ) -> tuple[DecodeOutcome, Clustering | None]:
     """Weak verdict on a candidate set, plus the clustering when k-means ran.
 
-    The per-trial resolver dispatch, shared by :func:`weak_decode`, the
-    single-trial reference path and the exhaustive oracle.
+    The per-trial resolver dispatch, shared by the single-trial
+    reference path and the exhaustive oracle.
     """
     if resolver not in RESOLVERS:
         raise ValueError(f"unknown resolver {resolver!r}")

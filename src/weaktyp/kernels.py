@@ -19,10 +19,14 @@ which gives the received word, and then draws the codebook in blocks of
 at most ``BLOCK_ELEMS`` draws: each block is finalized in two reused
 uint64 buffers, turned into bits straight into the returned codebooks,
 and counted against the received word while it is still in cache.
-Nothing but the returned ``uint8`` codebooks grows with trials x m x n.
+Only the returned ``uint8`` codebooks grow with trials x m x n, but the
+scan's int64 counts, float64 typicality terms and mask grow with
+trials x m, about 73 bytes per codeword (``montecarlo.call_bytes`` is
+the whole per-trial footprint, and the executor sizes calls by it).
 A draw is 1 when its uniform falls below p; that test is made on the
-integer draw against :func:`weaktyp.rng.unit_threshold`, which is
-exactly the same comparison.
+integer draw, against :func:`weaktyp.rng.raw_threshold` for the
+codebook bias and :func:`weaktyp.rng.unit_threshold` for the channel,
+and either is exactly the same comparison.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ from .rng import (
     finalize,
     position_offsets,
     raw_at,
+    raw_threshold,
     skip,
     stream_states,
     uniforms_at,
@@ -83,16 +88,20 @@ def _unit_bits_at(states: np.ndarray, positions) -> np.ndarray:
     return unit_bits(raw, out=raw)
 
 
-def _draw_and_count(cb_states, m, n, tq, ybits, xwords):
+def _draw_and_count(cb_states, m, n, rq, ybits, xwords):
     """Draw every codebook into ``xwords`` and return (n1x, n11) per codeword.
 
     Blocks hold whole trials when a trial's m*n draws fit in
-    ``BLOCK_ELEMS``, else ranges of whole codewords of one trial.
+    ``BLOCK_ELEMS``, else ranges of whole codewords of one trial.  A
+    symbol is 1 when its raw draw falls below ``rq``.
     """
     count = cb_states.size
     words_per_block = min(m, max(1, BLOCK_ELEMS // n))
     trials_per_block = min(count, max(1, BLOCK_ELEMS // (m * n)))
     size = trials_per_block * words_per_block * n
+    # one block row's position offsets serve every range of codewords: a
+    # later range starts from the codebook states skipped ahead to it
+    offsets = position_offsets(np.arange(words_per_block * n, dtype=np.uint64))
     buf = np.empty(size, dtype=np.uint64)
     scratch = np.empty(size, dtype=np.uint64)
     # the scratch buffer is free again once a block is finalized
@@ -102,18 +111,18 @@ def _draw_and_count(cb_states, m, n, tq, ybits, xwords):
     n11 = np.empty((count, m), dtype=np.int64)
     for i0 in range(0, m, words_per_block):
         i1 = min(m, i0 + words_per_block)
-        offsets = position_offsets(np.arange(i0 * n, i1 * n, dtype=np.uint64))
+        states = skip(cb_states, i0 * n)[:, None]
+        row = offsets[: (i1 - i0) * n]
         for a in range(0, count, trials_per_block):
             b = min(count, a + trials_per_block)
             shape = (b - a, i1 - i0, n)
             elems = shape[0] * shape[1] * n
             z = buf[:elems].reshape(shape[0], -1)
-            np.add(cb_states[a:b, None], offsets, out=z)
+            np.add(states[a:b], row, out=z)
             finalize(z, out=z, scratch=scratch[:elems].reshape(z.shape))
-            unit_bits(z, out=z)
             words = xwords[a:b, i0:i1]
             bits = words.view(np.bool_)
-            np.less(z.reshape(shape), tq, out=bits)
+            np.less(z.reshape(shape), rq, out=bits)
             # int32 sums of the 0/1 bytes count faster than count_nonzero
             n1x[a:b, i0:i1] = words.sum(axis=2, dtype=np.int32)
             block_both = both[:elems].reshape(shape)
@@ -143,7 +152,7 @@ def simulate_trials(
     """
     ids = np.arange(tid0, tid0 + count, dtype=np.uint64) * np.uint64(_STREAMS_PER_TRIAL)
     cb_states = stream_states(derived_master, ids)
-    tq = unit_threshold(q)
+    rq = raw_threshold(q)
 
     u_msg = uniforms_at(stream_states(derived_master, ids + np.uint64(1)), 0)
     true_w = np.minimum((u_msg * m).astype(np.int64), m - 1) + 1
@@ -152,15 +161,17 @@ def simulate_trials(
     if fixed_words is None:
         # the sent word alone: its n draws start at position (w-1)*n of the codebook stream
         word_states = skip(cb_states, (true_w - 1) * n)
-        sent = _unit_bits_at(word_states[:, None], symbols) < tq
+        sent = raw_at(word_states[:, None], symbols) < rq
     else:
         sent = fixed_words[true_w - 1] == 1
     noise = _unit_bits_at(stream_states(derived_master, ids + np.uint64(2))[:, None], symbols)
+    # p may be 0 or 1 here, so the noise takes the unit-bits compare
     ybits = np.where(sent, noise < unit_threshold(t1), noise < unit_threshold(t0)).view(np.uint8)
+    del sent, noise  # the codebook draw need not hold their 9 bytes per symbol
 
     if fixed_words is None:
         xwords = np.empty((count, m, n), dtype=np.uint8)
-        n1x, n11 = _draw_and_count(cb_states, m, n, tq, ybits, xwords)
+        n1x, n11 = _draw_and_count(cb_states, m, n, rq, ybits, xwords)
     else:
         xwords = None
         # one codebook for every trial: a (count, n) @ (n, m) product

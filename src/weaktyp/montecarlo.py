@@ -14,7 +14,7 @@ noise, resolver).  Batches, single trials, and the exhaustive oracle
 all reproduce each other exactly.
 
 Execution: :func:`run_points` is the one trial executor.  It simulates
-each sweep point in kernel-sized chunks and resolves the
+each sweep point in chunks sized to ``CALL_BYTES`` and resolves the
 multi-candidate trials of every point of one shape (n, m, resolver,
 k_max) together, so a lockstep resolver loop runs once per pool of
 points rather than once per point; :func:`run_trials` is that executor
@@ -63,8 +63,14 @@ ENUM_MAX_M = 4
 
 DEFAULT_CHUNK = 2048
 
-# bytes of drawn codebooks (trials x m x n, uint8) one kernel call may hold
+# admission bound: the most codebook bytes (m x n, uint8) one trial may
+# need; config.validate rejects a config whose longest blocklength needs more
 CHUNK_BYTES = 1 << 27
+
+# per-call target of a kernel call's footprint (trials x call_bytes): cache
+# scale, and below glibc's 32 MiB mmap-threshold cap, so each call reuses
+# heap pages instead of faulting in fresh ones; a trial above it runs alone
+CALL_BYTES = 1 << 24
 
 # a pool of multi-candidate trials is resolved once their codebooks fill
 # this many resolver blocks (decoders.BATCH_BLOCK_ELEMS elements, one
@@ -278,6 +284,21 @@ def trial_bytes(m: int, n: int) -> int:
     return m * n
 
 
+def call_bytes(m: int, n: int) -> int:
+    """Bytes one trial takes inside a :func:`~weaktyp.kernels.simulate_trials` call.
+
+    Measured with tracemalloc and pinned by a test.  A trial's draw
+    arrays (sent word and noise, 17 bytes per symbol) are freed before
+    its codebook (m*n bytes) and its scan arrays (73 bytes per codeword:
+    the int64 counts, the typicality terms and the mask) are made; their
+    sum, plus 56 bytes of per-trial scalars, bounds both stages.  The
+    kernel's block buffers (at most three arrays of
+    ``kernels.BLOCK_ELEMS`` uint64, freed before the scan) come on top,
+    once per call.
+    """
+    return m * (n + 73) + 17 * n + 56
+
+
 def _shape(cfg: TrialConfig) -> tuple[int, int, str, int]:
     """Sweep points of one shape have their multi-candidate trials resolved together."""
     return (cfg.n, cfg.m, cfg.resolver, cfg.k_max)
@@ -357,7 +378,7 @@ def _simulate_point(
     The weak decodes of those trials are written into the returned
     batch when the pool is flushed.
     """
-    chunk_size = min(chunk_size, max(1, CHUNK_BYTES // trial_bytes(cfg.m, cfg.n)))
+    chunk_size = min(chunk_size, max(1, CALL_BYTES // call_bytes(cfg.m, cfg.n)))
     dm = derived_master(cfg)
     consts = build_context(cfg.q, cfg.channel).kernel_constants()
     t0 = float(cfg.channel.transition[0, 1])
@@ -397,8 +418,11 @@ def run_points(
     The trial executor.  Identical, point by point, to looping
     :func:`run_trial`, but orders of magnitude faster; equality of the
     two paths is pinned by tests.  Each point is simulated and scanned
-    in chunks of ``chunk_size`` trials (fewer where their codebooks would
-    pass ``CHUNK_BYTES``), one kernel call per chunk.  The trials with two
+    in chunks of ``chunk_size`` trials, one kernel call per chunk, and
+    fewer where their footprint, :func:`call_bytes` per trial, would pass
+    ``CALL_BYTES``; a trial above that runs alone.  (``CHUNK_BYTES``
+    only bounds the codebook bytes one trial may need, which
+    ``config.validate`` checks.)  The trials with two
     or more candidates of every point of one shape (n, m, resolver,
     k_max) are pooled and resolved together, in lockstep, by
     :func:`~weaktyp.decoders.cluster_resolve_batch` for the cluster

@@ -54,7 +54,9 @@ def stream_state(master_seed: int, stream_id: int) -> int:
 
 def position_offsets(positions) -> np.ndarray:
     """State increments of stream positions: position i is ``finalize(state + (i+1)*GAMMA)``."""
-    return (np.asarray(positions, dtype=np.uint64) + _U64_ONE) * _U64_GAMMA
+    offsets = np.asarray(positions, dtype=np.uint64) + _U64_ONE
+    offsets *= _U64_GAMMA  # in place: the sum above is a fresh array
+    return offsets
 
 
 def raw_block(state: int, start: int, count: int) -> np.ndarray:
@@ -96,6 +98,19 @@ def unit_threshold(p: float) -> np.uint64:
     lies in 0..2**53 for p in [0, 1], which a uint64 holds even at p = 1.
     """
     return np.uint64(math.ceil(p * 2.0**_U01_BITS))
+
+
+def raw_threshold(p: float) -> np.uint64:
+    """Integer ``r`` with ``raw < r`` exactly when ``_to_unit(raw) < p``, for p < 1.
+
+    ``raw >> 11 < t`` holds iff ``raw < t * 2**11`` for the integer
+    ``t = unit_threshold(p)``, so comparing the raw draw saves the shift.
+    ``t * 2**11`` fits a uint64 only while ``t < 2**53``, i.e. p < 1.
+    """
+    t = int(unit_threshold(p))
+    if t >= 1 << _U01_BITS:
+        raise ValueError(f"a raw threshold needs p < 1, got {p}")
+    return np.uint64(t << (64 - _U01_BITS))
 
 
 def _to_unit(raw: np.ndarray) -> np.ndarray:

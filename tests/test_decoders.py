@@ -6,12 +6,11 @@ from weaktyp.core import bsc, generate_codebook, hamming_diff, sequence, transmi
 from weaktyp.decoders import (
     CandidateSet,
     DecodeOutcome,
+    classical_outcome,
     cluster_resolve,
     find_candidates,
-    jt_decode,
     kmeans,
     svm_resolve,
-    weak_decode,
     weak_outcome,
 )
 from weaktyp.kernels import simulate_trials
@@ -67,15 +66,15 @@ def test_jt_decode_three_cases():
     ctx = build_context(0.5, bsc(0.05))
     y = cb.word(3).copy()
     # a clean copy of word 3 sits 0.2124 below hxy per symbol; eps=0.25 covers it
-    out = jt_decode(y, cb, ctx, eps=0.25)
+    out = classical_outcome(find_candidates(y, cb, ctx, eps=0.25))
     assert out.decoded == 3 and out.path == "unique"
 
     # tiny eps: nothing is typical
-    out = jt_decode(y, cb, ctx, eps=1e-12)
+    out = classical_outcome(find_candidates(y, cb, ctx, eps=1e-12))
     assert out.decoded == 0 and out.candidate_count == 0 and out.path == "none"
 
     # giant eps: everything is typical, ambiguity is an error
-    out = jt_decode(y, cb, ctx, eps=50.0)
+    out = classical_outcome(find_candidates(y, cb, ctx, eps=50.0))
     assert out.decoded == 0 and out.candidate_count == 6 and out.path == "none"
 
 
@@ -84,8 +83,9 @@ def test_weak_agrees_on_unique_and_empty():
     ctx = build_context(0.5, bsc(0.05))
     y = transmit(cb.word(2), bsc(0.05), RngStream(10, 1))
     for eps in (0.2, 1e-12):
-        jt = jt_decode(y, cb, ctx, eps)
-        weak = weak_decode(y, cb, ctx, eps, "cluster", RngStream(10, 2))
+        cands = find_candidates(y, cb, ctx, eps)
+        jt = classical_outcome(cands)
+        weak, _ = weak_outcome(cands, "cluster", RngStream(10, 2))
         if jt.candidate_count <= 1:
             assert weak.decoded == jt.decoded
             assert weak.path == jt.path
@@ -105,7 +105,7 @@ def test_weak_decode_multi_returns_candidate_member():
     for t in range(200):
         y = transmit(cb.word(1 + t % 4), bsc(0.4), RngStream(11, t + 1))
         cands = find_candidates(y, cb, ctx, eps=0.3)
-        weak = weak_decode(y, cb, ctx, eps=0.3, resolver="cluster", rng=RngStream(11, 1000 + t))
+        weak, _ = weak_outcome(cands, resolver="cluster", rng=RngStream(11, 1000 + t))
         if cands.count == 0:
             assert weak.decoded == 0
         else:
@@ -408,8 +408,8 @@ def test_symbol_flip_equivariance():
         assert cands.indices.tolist() == cands_flip.indices.tolist()
         assert np.array_equal(cands.z_seqs, cands_flip.z_seqs)
         if cands.count >= 2:
-            a = weak_decode(y, cb, ctx, cfg.eps, "cluster", RngStream(dm, 4 * t + 3))
-            b = weak_decode(y_flip, cb_flip, ctx_flip, cfg.eps, "cluster", RngStream(dm, 4 * t + 3))
+            a, _ = weak_outcome(cands, "cluster", RngStream(dm, 4 * t + 3))
+            b, _ = weak_outcome(cands_flip, "cluster", RngStream(dm, 4 * t + 3))
             assert a.decoded == b.decoded
             exercised += 1
     assert exercised > 0

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -6,12 +8,13 @@ from weaktyp.core import bsc
 from weaktyp.montecarlo import (
     TrialConfig,
     _trial_codebook,
+    call_bytes,
     derived_master,
     fixed_codebook,
     run_trials,
     trial_detail,
 )
-from weaktyp.rng import _to_unit, unit_bits, unit_threshold
+from weaktyp.rng import _to_unit, raw_threshold, unit_bits, unit_threshold
 from weaktyp.typicality import build_context
 
 
@@ -48,12 +51,20 @@ def test_integer_threshold_matches_float_compare(p):
     bound = int(unit_threshold(p))
     assert 0 <= bound <= 2**53
     # the top 53 bits decide; the 11 bits below must not
-    ks = [k for k in (bound - 1, bound) if 0 <= k < 2**53]
-    ks += [int(k) for k in rs.integers(0, 2**53, size=200)]
-    low = rs.integers(0, 2**11, size=len(ks))
-    raw = (np.array(ks, dtype=np.uint64) << np.uint64(11)) | low.astype(np.uint64)
+    edges = [k for k in (bound - 1, bound) if 0 <= k < 2**53]
+    # each edge with the lowest, the highest and a random value of the low bits
+    ks = edges * 3 + rs.integers(0, 2**53, size=200).tolist()
+    low = [0] * len(edges) + [2**11 - 1] * len(edges) + rs.integers(0, 2**11, size=len(edges) + 200).tolist()
+    raw = (np.array(ks, dtype=np.uint64) << np.uint64(11)) | np.array(low, dtype=np.uint64)
     assert np.array_equal(unit_bits(raw) < unit_threshold(p), _to_unit(raw) < p)
     assert np.array_equal(unit_bits(raw), np.array(ks, dtype=np.uint64))
+    # the raw form compares the draws themselves against bound * 2**11
+    if p < 1.0:
+        assert int(raw_threshold(p)) == bound << 11
+        assert np.array_equal(raw < raw_threshold(p), _to_unit(raw) < p)
+    else:
+        with pytest.raises(ValueError):
+            raw_threshold(p)
 
 
 def _reference_trial(cfg, trial_id):
@@ -102,11 +113,9 @@ def test_simulate_trials_equals_reference_path(monkeypatch, cfg, count, block_el
             assert np.array_equal(xwords[t], words)
 
 
-def test_chunks_are_capped_by_the_byte_budget(monkeypatch):
-    cfg = TrialConfig(n=20, m=4, q=0.4, channel=bsc(0.2), eps=0.4, master_seed=31)
-    whole = run_trials(cfg, 7, chunk_size=64)
-    # 80 bytes per trial: a 200-byte budget allows two trials per kernel call
-    monkeypatch.setattr(montecarlo, "CHUNK_BYTES", 200)
+def _call_counts(monkeypatch, cfg, trials, call_budget):
+    """Trials per kernel call of ``run_trials`` under a patched ``CALL_BYTES``, and its batch."""
+    monkeypatch.setattr(montecarlo, "CALL_BYTES", call_budget)
     counts = []
     simulate = kernels.simulate_trials
 
@@ -115,6 +124,58 @@ def test_chunks_are_capped_by_the_byte_budget(monkeypatch):
         return simulate(*args, **kwargs)
 
     monkeypatch.setattr(kernels, "simulate_trials", spy)
-    capped = run_trials(cfg, 7, chunk_size=64)
+    return counts, run_trials(cfg, trials, chunk_size=64)
+
+
+def test_chunks_are_capped_by_the_byte_budget(monkeypatch):
+    cfg = TrialConfig(n=20, m=4, q=0.4, channel=bsc(0.2), eps=0.4, master_seed=31)
+    whole = run_trials(cfg, 7, chunk_size=64)
+    # 768 bytes per trial: a budget of two and a half trials allows two per kernel call
+    assert call_bytes(cfg.m, cfg.n) == 768
+    counts, capped = _call_counts(monkeypatch, cfg, 7, 1920)
     assert counts == [2, 2, 2, 1]
     assert _batches_equal(capped, whole)
+
+
+def test_a_trial_over_the_call_budget_runs_alone(monkeypatch):
+    cfg = TrialConfig(n=20, m=4, q=0.4, channel=bsc(0.2), eps=0.4, master_seed=31)
+    whole = run_trials(cfg, 7, chunk_size=64)
+    counts, alone = _call_counts(monkeypatch, cfg, 7, call_bytes(cfg.m, cfg.n) - 1)
+    assert counts == [1] * 7
+    assert _batches_equal(alone, whole)
+
+
+FOOTPRINT_CASES = [
+    # small n and large m (scan arrays dominate), the fig1-rate shape, and
+    # large n with small m (the sent-word and noise draws dominate)
+    TrialConfig(n=8, m=2048, q=0.5, channel=bsc(0.05), eps=0.8),
+    TrialConfig(n=20, m=1024, q=0.5, channel=bsc(0.05), eps=0.8),
+    TrialConfig(n=200, m=256, q=0.5, channel=bsc(0.05), eps=0.8),
+    TrialConfig(n=600, m=4, q=0.5, channel=bsc(0.4), eps=0.1),
+    TrialConfig(n=20, m=1024, q=0.5, channel=bsc(0.05), eps=0.8, codebook_mode="fixed"),
+]
+
+
+@pytest.mark.parametrize("cfg", FOOTPRINT_CASES, ids=lambda c: f"{c.codebook_mode}-n{c.n}-m{c.m}")
+def test_a_kernel_call_stays_within_its_measured_footprint(cfg):
+    # as many trials as the executor puts in one call of this shape
+    count = min(montecarlo.DEFAULT_CHUNK, montecarlo.CALL_BYTES // call_bytes(cfg.m, cfg.n))
+    ctx = build_context(cfg.q, cfg.channel)
+    fixed = fixed_codebook(cfg).words if cfg.codebook_mode == "fixed" else None
+    args = (
+        derived_master(cfg), 0, count, cfg.m, cfg.n, cfg.q,
+        float(cfg.channel.transition[0, 1]), float(cfg.channel.transition[1, 1]),
+        ctx.kernel_constants(), cfg.eps, fixed,
+    )
+    tracemalloc.start()
+    try:
+        out = kernels.simulate_trials(*args)
+        del out
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    footprint = count * call_bytes(cfg.m, cfg.n)
+    assert peak <= footprint + 2 * kernels.BLOCK_ELEMS * 8
+    if fixed is None:
+        # and the constants are not padded: a redrawn codebook call fills most of it
+        assert peak >= 0.75 * footprint
