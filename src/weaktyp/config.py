@@ -15,7 +15,7 @@ from __future__ import annotations
 from .core import bsc
 from .decoders import RESOLVERS
 from .experiments import M_MODES, messages_at_rate
-from .montecarlo import CHUNK_BYTES, CODEBOOK_MODES, ENUM_MAX_M, ENUM_MAX_N, TrialConfig, trial_bytes
+from .montecarlo import CHUNK_BYTES, CODEBOOK_MODES, ENUM_MAX_M, ENUM_MAX_N, TrialConfig, call_bytes
 
 
 class ConfigError(ValueError):
@@ -173,16 +173,17 @@ def validate(cfg: dict) -> None:
             field,
             "blocklengths must be strictly increasing",
         )
-    # one trial's codebook must fit a kernel call: fig3 always uses m_messages,
-    # fig1/fig2 only under fixed-m
+    # one trial must fit a kernel call: its whole footprint, codebook and scan
+    # arrays, at the longest blocklength; fig3 always uses m_messages, fig1/fig2
+    # only under fixed-m
     fixed_m = ["fig3_blocklengths"] + (["fig12_blocklengths"] if cfg["m_mode"] == "fixed-m" else [])
     for field in fixed_m:
         n = cfg[field][-1]
         _check(
-            trial_bytes(cfg["m_messages"], n) <= CHUNK_BYTES,
+            call_bytes(cfg["m_messages"], n) <= CHUNK_BYTES,
             "m_messages",
-            f"at blocklength {n} ({field}), {cfg['m_messages']} codewords of {n} symbols "
-            f"exceed the {CHUNK_BYTES}-byte budget for one trial",
+            f"at blocklength {n} ({field}), a trial of {cfg['m_messages']} codewords of {n} symbols "
+            f"needs {call_bytes(cfg['m_messages'], n)} bytes, over the {CHUNK_BYTES}-byte budget for one trial",
         )
     if cfg["m_mode"] == "fixed-rate":
         # the longest blocklength needs the most codewords, and one trial must fit a
@@ -191,10 +192,10 @@ def validate(cfg: dict) -> None:
         bits = cfg["rate_bits"] * n
         _check(
             bits < CHUNK_BYTES.bit_length()
-            and trial_bytes(messages_at_rate(n, cfg["rate_bits"]), n) <= CHUNK_BYTES,
+            and call_bytes(messages_at_rate(n, cfg["rate_bits"]), n) <= CHUNK_BYTES,
             "rate_bits",
-            f"at blocklength {n} (fig12_blocklengths), 2^ceil({cfg['rate_bits']!r} * {n}) codewords "
-            f"of {n} symbols exceed the {CHUNK_BYTES}-byte budget for one trial",
+            f"at blocklength {n} (fig12_blocklengths), a trial of 2^ceil({cfg['rate_bits']!r} * {n}) "
+            f"codewords of {n} symbols exceeds the {CHUNK_BYTES}-byte budget for one trial",
         )
     qs = cfg["fig3_q_values"]
     _check(bool(qs), "fig3_q_values", "must be nonempty")

@@ -15,11 +15,12 @@ Each resolver has a per-trial reference (:func:`cluster_resolve`,
 :func:`svm_resolve`) and a batch form that resolves many trials in
 lockstep and gives exactly the same results (:func:`cluster_resolve_batch`,
 :func:`svm_resolve_batch`); both batch forms share one lockstep k-means.
-Exactness needs every float64 sum to run in the reference's order: the
-k-means distances reduce over the same contiguous axis, and the Pegasos
-dot products go through the same BLAS call on the same shape (``ddot``
-for a margin, ``gemv`` for the final scores), never through ``einsum``
-or ``.sum()``, which sum in another order.
+Exactness needs every float64 sum that decides something to run in the
+reference's order: the k-means distances reduce over the same contiguous
+axis, and the Pegasos final scores go through the same ``gemv`` on the
+same shape.  A Pegasos margin is decided from a sum over column
+patterns, in any order, only where a proven error bound puts it clear of
+1; otherwise the reference's ``ddot`` on the same shape decides it.
 """
 
 from __future__ import annotations
@@ -41,7 +42,10 @@ SVM_LAMBDA = 0.01
 SVM_EPOCHS = 200
 # cap on the elements of one (trials, candidates, n) float64 block that
 # cluster_resolve_batch or svm_resolve_batch (whose rows carry n+1
-# features) holds at once; bounds their memory whatever the chunk
+# features) holds at once; bounds their memory whatever the chunk.  The
+# svm Pegasos loop is not cut into such blocks: it runs once per call, on
+# one weight per column pattern and int8 rows, and only its 2-means and
+# final scores use float blocks
 BATCH_BLOCK_ELEMS = 1 << 15
 
 
@@ -492,34 +496,18 @@ def svm_resolve_batch(
     """:func:`svm_resolve` on many trials at once, bit for bit.
 
     Inputs are laid out as in :func:`cluster_resolve_batch`.  Trials are
-    ordered by candidate count c, descending, and cut into blocks of at
-    most ``BATCH_BLOCK_ELEMS`` padded elements (trials x largest c x
-    (n+1)).  In a block, the 2-means labels come from the lockstep
-    k-means of :func:`cluster_resolve_batch`, one candidate count at a
-    time, and then one Pegasos loop runs every trial together.  The
-    reference bumps ``t`` on every inner step, so at global step s every
-    trial is at ``t = s + 1`` and uses its row ``s % c``; a trial with c
-    candidates stops after ``SVM_EPOCHS * c`` steps, so the trials still
-    running are a prefix of the block.  Rows are stored signed,
-    ``label * [z, 1]``, which is exact for labels of +/-1, so a margin is
-    one dot product and an update adds ``eta * x``.  They live in one
-    zero-padded (trials, c_max, n+1) array per block, the block's only
-    float copy: the 2-means reads its points from it before the signs go in.
-
-    Bit-exactness rests on each float64 sum being the same BLAS call on
-    the same shape as in the reference:
-
-    - margins are ``np.matmul(x[:, None, :], w[:, :, None])``, which numpy
-      runs as one vector-vector ``ddot`` per trial, the call ``feats[i] @ w``
-      makes;
-    - final scores are ``(T_c, c, n+1) @ (T_c, n+1, 1)`` for the trials of
-      one candidate count, one ``gemv`` per trial of the shape of
-      ``feats @ w``, on the rows unsigned again; the view holds exactly c
-      rows, never the padding, since the ``gemv`` kernel's summation order may depend
-      on the row count.
-
-    ``einsum`` or ``.sum()`` in place of either call would change the
-    summation order, and with it the last bits.  ``iterations``,
+    taken by candidate count c, descending, in blocks of at most
+    ``BATCH_BLOCK_ELEMS`` elements (trials x c x (n+1)).  A block's Z,
+    its all-equal shortcut and its 2-means labels (the lockstep k-means
+    of :func:`cluster_resolve_batch`) are made a block at a time, and its
+    signed rows ``label * [z, 1]`` are kept as int8, exact for labels of
+    +/-1 and one byte per symbol, as the codebooks are.  Then one Pegasos
+    loop, :func:`_pegasos_scores`, runs every trial of the call at once
+    (a call is one flush of the executor's pool): its state is one
+    weight per column pattern, which does not grow with n, so the loop
+    is not cut into blocks, and a pool pays one loop of
+    ``SVM_EPOCHS * c_max`` steps; only its final scores are taken on
+    float rows, a block at a time.  ``iterations``,
     ``fallback_seeds`` and ``reseeds`` count the 2-means run (0 where all
     rows are equal and the lowest index is decoded without one).
     """
@@ -533,81 +521,188 @@ def svm_resolve_batch(
     fallback_seeds = np.zeros(total, dtype=np.int64)
     reseeds = np.zeros(total, dtype=np.int64)
     n = received.shape[1]
-    order = np.argsort(-counts, kind="stable")
-    lo = 0
-    while lo < total:
-        c_max = int(counts[order[lo]])
-        step = max(1, BATCH_BLOCK_ELEMS // (c_max * (n + 1)))
-        block = order[lo : lo + step]
-        lo += step
-        # signed rows label * [z, 1] of the trials the separator runs on, zero-padded to c_max
-        x = np.zeros((block.size, c_max, n + 1))
-        live, groups, at = [], [], 0
-        # per candidate count: candidate indices, Z, the all-equal shortcut, 2-means
-        for c in np.flatnonzero(np.bincount(counts[block]))[::-1].tolist():
-            rows = block[counts[block] == c]
-            idx = np.nonzero(cand_mask[rows])[1].reshape(rows.size, c)
+    # signed rows of the trials the separator runs on, by descending count, zero-padded to the largest
+    x = np.zeros((total, int(counts.max(initial=2)), n + 1), dtype=np.int8)
+    live, groups, at = [], [], 0
+    for c in np.flatnonzero(np.bincount(counts))[::-1].tolist():
+        group = np.flatnonzero(counts == c)
+        # nonzero walks rows in order, so each row's indices ascend
+        cand_idx = np.nonzero(cand_mask[group])[1].reshape(group.size, c)
+        decoded[group] = cand_idx[:, 0] + 1
+        blocks = []
+        step = max(1, BATCH_BLOCK_ELEMS // (c * (n + 1)))
+        for lo in range(0, group.size, step):
+            rows = group[lo : lo + step]
+            idx = cand_idx[lo : lo + step]
             own = words[rows[:, None], idx] if words.ndim == 3 else words[idx]
             z = np.bitwise_xor(own, received[rows][:, None, :])
-            decoded[rows] = idx[:, 0] + 1
-            sel = np.flatnonzero(_split_rows(z))
-            if sel.size == 0:
+            split = _split_rows(z)
+            if not split.any():
                 continue
-            rows = rows[sel]
-            feats = x[at : at + sel.size, :c]
-            feats[:, :, :n] = z[sel]
-            feats[:, :, n] = 1.0
-            assign, used, _, fb, rs = _lockstep_kmeans(feats[:, :, :n], states[rows], 2)
+            rows, z = rows[split], z[split]
+            assign, used, _, fb, rs = _lockstep_kmeans(z.astype(np.float64), states[rows], 2)
             iterations[rows] = used
             fallback_seeds[rows] = fb
             reseeds[rows] = rs
-            feats *= np.where(assign == 0, 1.0, -1.0)[:, :, None]
-            live.append((rows, idx[sel]))
-            groups.append((sel.size, c))
-            at += sel.size
-        if live:
-            scores = _pegasos_scores(x[:at], groups)
-            for (rows, idx), s in zip(live, scores):
-                decoded[rows] = idx[np.arange(rows.size), _svm_pick(s)] + 1
+            feats = x[at : at + rows.size, :c]
+            feats[:, :, :n] = z
+            feats[:, :, n] = 1
+            feats *= np.where(assign == 0, 1, -1).astype(np.int8)[:, :, None]
+            blocks.append((rows, idx[split]))
+            at += rows.size
+        if blocks:
+            live.append(tuple(np.concatenate(parts) for parts in zip(*blocks)))
+            groups.append((live[-1][0].size, c))
+    if live:
+        for (rows, idx), scores in zip(live, _pegasos_scores(x[:at], groups)):
+            decoded[rows] = idx[np.arange(rows.size), _svm_pick(scores)] + 1
     return BatchResolution(decoded, iterations, fallback_seeds, reseeds)
+
+
+def _column_slots(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Slot of each column of each trial's signed rows ``x``, with slot sizes and slot rows.
+
+    Columns with the same values on a trial's rows hold equal Pegasos
+    weights at every step, so they share a slot.  When ``2**c_max <=
+    n+1`` a column's slot is its pattern code ``sum_i z_ij * 2**i`` (the
+    bias column has the all-ones pattern of its trial's rows); otherwise
+    every column is its own slot.  Returns the (T, n+1) slot map, the
+    (T, P) float64 column count of each slot and the (T, c_max, P) int8
+    signed slot rows ``label * bit``.
+    """
+    total, c_max, k = x.shape
+    if 2**c_max > k:
+        return (
+            np.broadcast_to(np.arange(k), (total, k)),
+            np.broadcast_to(1.0, (total, k)),
+            np.asarray(x, dtype=np.int8),
+        )
+    p = 2**c_max
+    slot = np.zeros((total, k), dtype=np.min_scalar_type(p - 1))
+    for i in range(c_max):
+        slot |= (x[:, i] != 0).astype(slot.dtype) << i
+    keys = (np.arange(total) * p)[:, None] + slot
+    sizes = np.bincount(keys.ravel(), minlength=total * p).reshape(total, p).astype(np.float64)
+    bits = (np.arange(p) >> np.arange(c_max)[:, None]) & 1
+    labels = np.asarray(x[:, :, -1], dtype=np.int8)
+    return slot, sizes, (labels[:, :, None] * bits).astype(np.int8)
+
+
+def _slot_tolerance(k: int, p: int) -> float:
+    """Bound on |slot sum - reference margin| for rows of k columns in p slots.
+
+    Every weight satisfies |w| <= 1/lambda (the Pegasos update keeps the
+    bound by induction, and rounding moves it by under 1e-12), and
+    products with 0/+1/-1 are exact, so both sums add k/lambda at most
+    in absolute terms.  Summing in any order errs by at most
+    gamma_j = j*u/(1 - j*u) times that, u = 2**-53: gamma_p for the slot
+    sum, its size products included, and gamma_k for the reference
+    ``ddot``.  The factor 2 covers the denominators.
+    """
+    return 2.0 * (k + p) * 2.0**-53 * k / SVM_LAMBDA
+
+
+def _slot_sums(rows: np.ndarray, sizes: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """(T,) sums of ``rows * sizes * w`` over slots: each trial's margin, up to :func:`_slot_tolerance`."""
+    return (rows * sizes * w) @ np.ones(w.shape[1])
+
+
+def _ddot_margins(x: np.ndarray, slot: np.ndarray, w: np.ndarray, trials: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Margins of rows ``r`` of the given trials, each the reference's ``label * ([z, 1] @ w)``.
+
+    The weights are expanded from slots to columns and the dot product is
+    the same 1-D ``@`` (``ddot``) that :func:`_pegasos_separator` makes.
+    """
+    out = np.empty(trials.size)
+    for j, (t, i) in enumerate(zip(trials.tolist(), r.tolist())):
+        row = (x[t, i] != 0).astype(np.float64)
+        out[j] = float(x[t, i, -1]) * float(row @ w[t, slot[t]])
+    return out
 
 
 def _pegasos_scores(x: np.ndarray, groups: list[tuple[int, int]]) -> list[np.ndarray]:
     """Decision scores ``[z, 1] @ w`` after the Pegasos loop of :func:`svm_resolve`.
 
-    ``x`` holds every trial's signed rows ``label * [z, 1]``, zero-padded
-    to the largest candidate count; ``groups`` gives (trials, c_g) for the
-    consecutive runs of trials with c_g candidates, in descending c_g.
-    After the loop the rows are unsigned in place, multiplied by their
-    labels read from the bias column, which gives back ``[z, 1]`` exactly,
-    signed zeros included; the scores are then ``[z, 1] @ w`` as the
-    reference computes them.  See :func:`svm_resolve_batch` for why the
-    rest is exact.
+    ``x`` holds every trial's signed rows ``label * [z, 1]`` (any signed
+    dtype), zero-padded to the largest candidate count c_max; ``groups``
+    gives (trials, c_g) for the consecutive runs of trials with c_g
+    candidates, in descending c_g.  The reference bumps ``t`` on every
+    inner step, so at global step s every trial is at ``t = s + 1`` and
+    uses its row ``s % c``; a trial with c candidates stops after
+    ``SVM_EPOCHS * c`` steps, so the trials still running are a prefix.
+
+    The loop keeps one weight per slot of :func:`_column_slots`, not per
+    column: columns of one slot start at 0 and get the same multiply and
+    the same add at every step, so a slot's weight is, bit for bit, the
+    weight of each of its columns.  A step scales every weight by
+    ``1 - eta * lambda`` and adds ``eta * label * bit`` where the margin
+    is below 1, the reference's float operations per slot.  It adds
+    ``eta * hit * label * bit`` to every weight, so a trial without a
+    hit, or a zero bit, adds a signed zero where the reference adds
+    nothing or ``-0.0``.  That changes no weight, since no weight is
+    ever ``-0.0``: they start at ``+0.0``, the scale is positive from
+    t = 2 on (0.0 at t = 1), and a sum with a nonzero term is never
+    ``-0.0``.
+
+    The margin decision is certified: the slot sum of
+    :func:`_slot_sums` is within :func:`_slot_tolerance` of the
+    reference's ``ddot`` whatever the order of either sum, so when it is
+    farther than that from 1 it decides ``margin < 1`` as the reference
+    does; otherwise the trial's weights are expanded to columns and the
+    reference's ``ddot`` decides (:func:`_ddot_margins`).  At the end
+    the weights are expanded once per trial and the scores are
+    ``(T_c, c, n+1) @ (T_c, n+1, 1)`` on the unsigned rows of one
+    candidate count, one ``gemv`` per trial of the shape of ``feats @ w``,
+    a block of at most ``BATCH_BLOCK_ELEMS`` row elements at a time; the
+    view holds exactly c rows, never the padding, since the ``gemv``
+    kernel's summation order may depend on the row count.  ``einsum`` or
+    ``.sum()`` in place of the ``ddot`` or the ``gemv`` would change the
+    summation order, and with it the last bits.
     """
-    sizes = [size for size, _ in groups]
-    cs = np.repeat([c for _, c in groups], sizes)
-    w = np.zeros((cs.size, x.shape[2]))
+    total, c_max, k = x.shape
+    slot, sizes, signs = _column_slots(x)
+    p = sizes.shape[1]
+    tol = _slot_tolerance(k, p)
+    flat_signs = signs.reshape(total * c_max, p)
+    first_row = np.arange(total) * c_max
+    bounds = np.cumsum([0] + [size for size, _ in groups]).tolist()
+    # flat row of each trial's step, first_row + s % c: one up per step, back at each wrap
+    row_at = first_row - 1
+    w = np.zeros((total, p))
     start = 0
     # the smallest count stops first: the running trials are groups 0..g
     for g in reversed(range(len(groups))):
-        live = sum(sizes[: g + 1])
-        rows, c_live, w_live = np.arange(live), cs[:live], w[:live]
-        end = SVM_EPOCHS * groups[g][1]
-        for s in range(start, end):
-            t = s + 1
-            eta = 1.0 / (SVM_LAMBDA * t)
-            xs = x[rows, s % c_live]
-            hit = np.matmul(xs[:, None, :], w_live[:, :, None])[:, 0] < 1.0
+        live = bounds[g + 1]
+        wraps = [(bounds[h], bounds[h + 1], groups[h][1]) for h in range(g + 1)]
+        row_live, w_live, size_live = row_at[:live], w[:live], sizes[:live]
+        for s in range(start, SVM_EPOCHS * groups[g][1]):
+            eta = 1.0 / (SVM_LAMBDA * (s + 1))
+            row_live += 1
+            for lo, hi, c in wraps:
+                if s % c == 0:
+                    row_live[lo:hi] = first_row[lo:hi]
+            rows = np.take(flat_signs, row_live, axis=0).astype(np.float64)
+            approx = _slot_sums(rows, size_live, w_live)
+            hit = approx < 1.0 - tol
+            maybe = approx <= 1.0 + tol
+            if np.count_nonzero(maybe) != np.count_nonzero(hit):
+                unsure = np.flatnonzero(maybe & ~hit)
+                hit[unsure] = _ddot_margins(x, slot, w, unsure, row_live[unsure] - first_row[unsure]) < 1.0
             w_live *= 1.0 - eta * SVM_LAMBDA
-            xs *= eta
-            np.add(w_live, xs, out=w_live, where=hit)
-        start = end
+            rows *= (eta * hit)[:, None]
+            w_live += rows
+        start = SVM_EPOCHS * groups[g][1]
     scores = []
     at = 0
     for size, c in groups:
-        feats = x[at : at + size, :c]
-        feats *= feats[:, :, -1:].copy()
-        scores.append(np.matmul(feats, w[at : at + size, :, None])[:, :, 0])
+        out = np.empty((size, c))
+        step = max(1, BATCH_BLOCK_ELEMS // (c * k))
+        for lo in range(0, size, step):
+            sl = slice(at + lo, at + min(lo + step, size))
+            feats = (x[sl, :c] != 0).astype(np.float64)
+            w_full = np.take_along_axis(w[sl], slot[sl], axis=1)
+            out[lo : lo + step] = np.matmul(feats, w_full[:, :, None])[:, :, 0]
+        scores.append(out)
         at += size
     return scores
 

@@ -23,6 +23,8 @@ Only the returned ``uint8`` codebooks grow with trials x m x n, but the
 scan's int64 counts, float64 typicality terms and mask grow with
 trials x m, about 73 bytes per codeword (``montecarlo.call_bytes`` is
 the whole per-trial footprint, and the executor sizes calls by it).
+In fixed-codebook mode the shared uint8 codebook is counted against the
+received words in blocks of the same size, with no wider copy of it.
 A draw is 1 when its uniform falls below p; that test is made on the
 integer draw, against :func:`weaktyp.rng.raw_threshold` for the
 codebook bias and :func:`weaktyp.rng.unit_threshold` for the channel,
@@ -131,6 +133,32 @@ def _draw_and_count(cb_states, m, n, rq, ybits, xwords):
     return n1x, n11
 
 
+def _count_fixed(words, ybits):
+    """(n1x, n11) per codeword of one shared codebook against every received word.
+
+    The codebook is counted as it is, uint8, in blocks of at most
+    ``BLOCK_ELEMS`` symbol pairs laid out as in :func:`_draw_and_count`,
+    so no wider copy of it is made.
+    """
+    count, n = ybits.shape
+    m = words.shape[0]
+    words_per_block = min(m, max(1, BLOCK_ELEMS // n))
+    trials_per_block = min(count, max(1, BLOCK_ELEMS // (m * n)))
+    both = np.empty(trials_per_block * words_per_block * n, dtype=np.bool_)
+    bits = words.view(np.bool_)
+    ymask = ybits.view(np.bool_)[:, None, :]
+    n11 = np.empty((count, m), dtype=np.int64)
+    for i0 in range(0, m, words_per_block):
+        i1 = min(m, i0 + words_per_block)
+        for a in range(0, count, trials_per_block):
+            b = min(count, a + trials_per_block)
+            block = both[: (b - a) * (i1 - i0) * n].reshape(b - a, i1 - i0, n)
+            np.logical_and(ymask[a:b], bits[i0:i1], out=block)
+            n11[a:b, i0:i1] = block.view(np.uint8).sum(axis=2, dtype=np.int32)
+    n1x = np.broadcast_to(words.sum(axis=1, dtype=np.int64), (count, m))
+    return n1x, n11
+
+
 def simulate_trials(
     derived_master: int,
     tid0: int,
@@ -174,10 +202,7 @@ def simulate_trials(
         n1x, n11 = _draw_and_count(cb_states, m, n, rq, ybits, xwords)
     else:
         xwords = None
-        # one codebook for every trial: a (count, n) @ (n, m) product
-        words = fixed_words.astype(np.int64)
-        n11 = ybits.astype(np.int64) @ words.T
-        n1x = np.broadcast_to(words.sum(axis=1), (count, m))
+        n1x, n11 = _count_fixed(fixed_words, ybits)
     n1y = ybits.sum(axis=1, dtype=np.int64)
     n10 = n1x - n11
     n01 = n1y[:, None] - n11

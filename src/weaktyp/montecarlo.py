@@ -63,8 +63,9 @@ ENUM_MAX_M = 4
 
 DEFAULT_CHUNK = 2048
 
-# admission bound: the most codebook bytes (m x n, uint8) one trial may
-# need; config.validate rejects a config whose longest blocklength needs more
+# admission bound: the most bytes one trial may take in a kernel call,
+# call_bytes(m, n); config.validate rejects a config whose longest
+# blocklength needs more
 CHUNK_BYTES = 1 << 27
 
 # per-call target of a kernel call's footprint (trials x call_bytes): cache
@@ -421,7 +422,7 @@ def run_points(
     in chunks of ``chunk_size`` trials, one kernel call per chunk, and
     fewer where their footprint, :func:`call_bytes` per trial, would pass
     ``CALL_BYTES``; a trial above that runs alone.  (``CHUNK_BYTES``
-    only bounds the codebook bytes one trial may need, which
+    only bounds one trial's :func:`call_bytes`, which
     ``config.validate`` checks.)  The trials with two
     or more candidates of every point of one shape (n, m, resolver,
     k_max) are pooled and resolved together, in lockstep, by

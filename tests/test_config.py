@@ -11,7 +11,7 @@ from weaktyp.config import (
     parse_config,
 )
 from weaktyp.experiments import messages_at_rate
-from weaktyp.montecarlo import CHUNK_BYTES, ENUM_MAX_M, ENUM_MAX_N, trial_bytes
+from weaktyp.montecarlo import CHUNK_BYTES, ENUM_MAX_M, ENUM_MAX_N, call_bytes, trial_bytes
 
 
 def test_defaults_validate_and_round_trip():
@@ -95,9 +95,10 @@ def test_fixed_m_over_the_chunk_budget_names_m_messages():
     assert trial_bytes(400_000, 600) == 240_000_000 > CHUNK_BYTES
     with pytest.raises(ConfigError, match="m_messages:.*fig3_blocklengths"):
         parse_config("profile = full\nm_messages = 400000\n")
-    # the largest message count whose trial fits is accepted
-    largest = CHUNK_BYTES // 600
-    assert trial_bytes(largest, 600) <= CHUNK_BYTES < trial_bytes(largest + 1, 600)
+    # the largest message count whose trial footprint fits is accepted
+    per_codeword = call_bytes(1, 600) - call_bytes(0, 600)
+    largest = (CHUNK_BYTES - call_bytes(0, 600)) // per_codeword
+    assert call_bytes(largest, 600) <= CHUNK_BYTES < call_bytes(largest + 1, 600)
     parse_config(f"profile = full\nm_messages = {largest}\n")
     with pytest.raises(ConfigError, match="m_messages:"):
         parse_config(f"profile = full\nm_messages = {largest + 1}\n")
@@ -106,6 +107,20 @@ def test_fixed_m_over_the_chunk_budget_names_m_messages():
     with pytest.raises(ConfigError, match="m_messages:.*fig12_blocklengths"):
         parse_config(text)
     parse_config(text + "m_mode = fixed-rate\nrate_bits = 0.01\n")
+
+
+def test_fixed_m_is_admitted_by_the_trial_footprint_not_the_codebook():
+    # at small n the scan arrays, not the codebook, dominate a trial: 2^24
+    # codewords of 8 symbols are 128 MiB of codebook, within the budget, but
+    # one trial takes 1296 MiB in a kernel call (computed, never allocated)
+    assert trial_bytes(2**24, 8) <= CHUNK_BYTES < call_bytes(2**24, 8) == 1296 * 2**20 + 17 * 8 + 56
+    text = "m_messages = 16777216\nfig3_blocklengths = 4,8\nfig12_blocklengths = 8\n"
+    with pytest.raises(ConfigError, match="m_messages:.*fig3_blocklengths"):
+        parse_config(text)
+    # the same holds under fixed-rate: 2^ceil(2.9 * 8) = 2^24 codewords at n = 8
+    text = "m_mode = fixed-rate\nrate_bits = 2.9\nfig12_blocklengths = 4,8\n"
+    with pytest.raises(ConfigError, match="rate_bits:"):
+        parse_config(text)
 
 
 def test_oracle_instance_beyond_enumeration_bounds_names_the_key():

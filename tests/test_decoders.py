@@ -363,6 +363,35 @@ def test_lockstep_pegasos_scores_keep_the_sign_of_an_exact_zero():
     assert got[0][0, 1] == 0.0 and not np.signbit(got[0][0, 1])
 
 
+def test_pegasos_scores_with_every_margin_by_ddot_match_the_reference(monkeypatch):
+    # an infinite tolerance lets no slot sum decide, so every margin of every
+    # step is the reference's ddot on the weights expanded to columns
+    monkeypatch.setattr(decoders, "_slot_tolerance", lambda k, p: np.inf)
+    ddot_margins = decoders._ddot_margins
+    margins = []
+
+    def counted(x, slot, w, trials, r):
+        margins.append(trials.size)
+        return ddot_margins(x, slot, w, trials, r)
+
+    monkeypatch.setattr(decoders, "_ddot_margins", counted)
+    rng = np.random.default_rng(11)
+    # n = 40: 2**5 patterns fit in 41 columns; n = 3: every column is its own slot
+    for n, groups in ((40, [(1, 5), (2, 3), (1, 2)]), (3, [(2, 6), (1, 2)])):
+        counts = np.repeat([c for _, c in groups], [size for size, _ in groups])
+        x = np.zeros((counts.size, counts[0], n + 1), dtype=np.int8)
+        refs = []
+        for t, c in enumerate(counts):
+            feats = np.hstack([rng.integers(0, 2, size=(c, n)), np.ones((c, 1))])
+            labels = rng.choice([-1.0, 1.0], size=c)
+            x[t, :c] = feats * labels[:, None]
+            refs.append(feats @ decoders._pegasos_separator(feats, labels))
+        margins.clear()
+        got = np.concatenate([s.ravel() for s in decoders._pegasos_scores(x, groups)])
+        assert sum(margins) == decoders.SVM_EPOCHS * counts.sum()
+        assert got.tobytes() == np.concatenate(refs).tobytes()
+
+
 def test_svm_two_candidates_tie_break():
     cands = cand_set([2, 6], [sequence("000011"), sequence("111100")])
     assert svm_resolve(cands, RngStream(5, 0)) == 2

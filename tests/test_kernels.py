@@ -179,3 +179,37 @@ def test_a_kernel_call_stays_within_its_measured_footprint(cfg):
     if fixed is None:
         # and the constants are not padded: a redrawn codebook call fills most of it
         assert peak >= 0.75 * footprint
+
+
+@pytest.mark.parametrize("n, m, count", [(50, 4096, 1), (20, 1024, 7)])
+def test_fixed_codebook_counts_without_a_wide_copy_of_the_codebook(n, m, count):
+    # the shared codebook is counted as uint8 in blocks, so a call stays within
+    # the footprint it is sized by, yet scans as the (count, n) @ (n, m) int64
+    # product did; that product's int64 copy of the codebook (8 bytes per symbol,
+    # 1.6 MB at n = 50, m = 4096) took one trial's call to a 1.9 MB peak
+    cfg = TrialConfig(n=n, m=m, q=0.5, channel=bsc(0.05), eps=0.8, codebook_mode="fixed")
+    ctx = build_context(cfg.q, cfg.channel)
+    words = fixed_codebook(cfg).words
+    args = (
+        derived_master(cfg), 0, count, cfg.m, cfg.n, cfg.q,
+        float(cfg.channel.transition[0, 1]), float(cfg.channel.transition[1, 1]),
+        ctx.kernel_constants(), cfg.eps, words,
+    )
+    tracemalloc.start()
+    try:
+        true_w, mask, ybits, xwords = kernels.simulate_trials(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert xwords is None
+    assert peak <= count * call_bytes(m, n)
+    wide = words.astype(np.int64)
+    n11 = ybits.astype(np.int64) @ wide.T
+    n1x = np.broadcast_to(wide.sum(axis=1), (count, m))
+    n1y = ybits.sum(axis=1, dtype=np.int64)
+    n00 = n - n1x - n1y[:, None] + n11
+    expected = kernels._typicality_mask(
+        n, n1x, n1y, n00, n1y[:, None] - n11, n1x - n11, n11, ctx.kernel_constants(), cfg.eps
+    )
+    assert np.array_equal(mask, expected)
+    assert mask.any()

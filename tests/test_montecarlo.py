@@ -13,6 +13,7 @@ from weaktyp.montecarlo import (
     PeEstimate,
     TrialConfig,
     TrialRecord,
+    call_bytes,
     error_exponent,
     estimate_pe,
     estimate_pe_adaptive,
@@ -124,9 +125,11 @@ def pooled_footprints(monkeypatch, cfg, part_sizes):
 
 
 def test_pool_resolves_a_trial_at_the_chunk_budget_alone_and_uncopied(monkeypatch):
-    # the largest fig3 trial the full profile accepts at n = 600: 120 MB of
+    # the largest fig3 trial the full profile accepts at n = 600: 119 MB of
     # codebook, so a kernel call holds one trial and every chunk is one part
-    cfg = TrialConfig(n=600, m=CHUNK_BYTES // 600, q=0.5, channel=bsc(0.4), eps=0.1, resolver="svm")
+    m = (CHUNK_BYTES - call_bytes(0, 600)) // (call_bytes(1, 600) - call_bytes(0, 600))
+    cfg = TrialConfig(n=600, m=m, q=0.5, channel=bsc(0.4), eps=0.1, resolver="svm")
+    assert call_bytes(cfg.m, cfg.n) <= CHUNK_BYTES < call_bytes(cfg.m + 1, cfg.n)
     assert CHUNK_BYTES // trial_bytes(cfg.m, cfg.n) == 1
     held, joins = pooled_footprints(monkeypatch, cfg, [1, 1, 1, 1])
     # nothing is held over to the next chunk and nothing is joined: the worst

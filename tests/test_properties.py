@@ -232,14 +232,24 @@ def svm_point_sets(draw):
 
 
 def test_batch_svm_equals_svm_resolve(monkeypatch):
-    hits = {"all_rows_equal": 0, "even_split": 0, "staggered_ends": 0}
-    pegasos_scores, svm_pick = decoders._pegasos_scores, decoders._svm_pick
+    hits = {
+        "all_rows_equal": 0,
+        "even_split": 0,
+        "staggered_ends": 0,
+        "fallback": 0,
+        "pattern_slots": 0,
+        "column_slots": 0,
+    }
+    pegasos_scores, svm_pick, ddot_margins = decoders._pegasos_scores, decoders._svm_pick, decoders._ddot_margins
 
     def checked_scores(x, groups):
         # groups of different candidate counts stop at different steps
         hits["staggered_ends"] += len(groups) > 1
-        # the signed rows label * [z, 1] carry their labels in the bias column;
-        # read them first, since the scores are computed on rows unsigned in place
+        # columns share a slot per pattern when 2**c_max patterns fit in n + 1 columns
+        pattern = 2 ** x.shape[1] <= x.shape[2]
+        hits["pattern_slots"] += pattern
+        hits["column_slots"] += not pattern
+        # the signed rows label * [z, 1] carry their labels in the bias column
         refs, at = [], 0
         for size, c in groups:
             lab = x[at : at + size, :c, -1].copy()
@@ -258,8 +268,14 @@ def test_batch_svm_equals_svm_resolve(monkeypatch):
         hits["even_split"] += int(np.count_nonzero(2 * n_pos == scores.shape[1]))
         return svm_pick(scores)
 
+    def counted_margins(x, slot, w, trials, r):
+        # slot sums too close to 1 to decide: the reference ddot decides
+        hits["fallback"] += trials.size
+        return ddot_margins(x, slot, w, trials, r)
+
     monkeypatch.setattr(decoders, "_pegasos_scores", checked_scores)
     monkeypatch.setattr(decoders, "_svm_pick", counted_pick)
+    monkeypatch.setattr(decoders, "_ddot_margins", counted_margins)
 
     @fixed_budget(150)
     @given(svm_point_sets())
@@ -280,3 +296,34 @@ def test_batch_svm_equals_svm_resolve(monkeypatch):
 
     check()
     assert all(hits.values()), hits
+
+
+@fixed_budget(80)
+@given(
+    st.integers(2, 8),
+    st.integers(1, 600),
+    st.sampled_from(("uniform", "extreme")),
+    st.integers(0, 2**32 - 1),
+)
+def test_slot_sums_stay_within_the_tolerance_of_the_ddot(c, n, weights, seed):
+    # the certified margin: for any weights with |w| <= 1/lambda, the slot sum of
+    # each row is within the tolerance of the reference's label * ([z, 1] @ w)
+    rng = np.random.default_rng(seed)
+    rows = np.hstack([rng.integers(0, 2, size=(c, n)), np.ones((c, 1), dtype=np.int64)])
+    labels = rng.choice([-1, 1], size=c)
+    x = (rows * labels[:, None]).astype(np.int8)[None]
+    slot, sizes, signs = decoders._column_slots(x)
+    p = sizes.shape[1]
+    assert p == (2**c if 2**c <= n + 1 else n + 1)
+    bound = 1.0 / decoders.SVM_LAMBDA
+    if weights == "uniform":
+        w = rng.uniform(-bound, bound, size=(1, p))
+    else:
+        # every weight at the bound: the largest sums, and the largest cancellations
+        w = rng.choice([-bound, bound], size=(1, p))
+    tol = decoders._slot_tolerance(n + 1, p)
+    w_full = w[0, slot[0]]
+    for i in range(c):
+        approx = decoders._slot_sums(signs[:, i].astype(np.float64), sizes, w)[0]
+        exact = labels[i] * float(rows[i].astype(np.float64) @ w_full)
+        assert abs(approx - exact) <= tol
