@@ -15,9 +15,21 @@ Each resolver has a per-trial reference (:func:`cluster_resolve`,
 :func:`svm_resolve`) and a batch form that resolves many trials in
 lockstep and gives exactly the same results (:func:`cluster_resolve_batch`,
 :func:`svm_resolve_batch`); both batch forms share one lockstep k-means.
-Exactness needs every float64 sum that decides something to run in the
-reference's order: the k-means distances reduce over the same contiguous
-axis, and the Pegasos final scores go through the same ``gemv`` on the
+
+k-means on 0/1 candidates is exact integer arithmetic (the kernel
+k-means identity; Dhillon, Guan & Kulis, KDD 2004).  A cluster with 0/1
+weights v over the c candidates has size s = sum(v) and member sum
+sigma = sum_a v_a z_a, and s**2 times the squared distance from z_i to
+its mean is the integer N_i = ||s z_i - sigma||**2
+= s**2 |z_i|**2 - 2 s (z_i . sigma) + |sigma|**2.  Clusters j and l are
+compared by N_ij s_l**2 against N_il s_j**2, seeding reads Hamming
+distances, and the "closest" pick is the least sum of Hamming distances
+to the winning cluster's members, so every tie is a true tie and the
+tie rules above hold exactly.  The reference computes N from the rows,
+in Python integers; the batch form from each trial's Gram matrix
+G = Z Z^T, since z_i . sigma = (G v)_i.
+
+The Pegasos final scores go through the reference's ``gemv`` on the
 same shape.  A Pegasos margin is decided from a sum over column
 patterns, in any order, only where a proven error bound puts it clear of
 1; otherwise the reference's ``ddot`` on the same shape decides it.
@@ -25,6 +37,8 @@ patterns, in any order, only where a proven error bound puts it clear of
 
 from __future__ import annotations
 
+import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,12 +54,11 @@ CLUSTER_PICKS = {"cluster": "closest", "cluster-random": "random"}
 KMEANS_MAX_ITERS = 100
 SVM_LAMBDA = 0.01
 SVM_EPOCHS = 200
-# cap on the elements of one (trials, candidates, n) float64 block that
-# cluster_resolve_batch or svm_resolve_batch (whose rows carry n+1
-# features) holds at once; bounds their memory whatever the chunk.  The
-# svm Pegasos loop is not cut into such blocks: it runs once per call, on
-# one weight per column pattern and int8 rows, and only its 2-means and
-# final scores use float blocks
+# cap on the elements of one block's int64 k-means operands, the Gram
+# matrices (trials, c, c) or, when c > n, the rows (trials, c, n), and of
+# one block of svm float score rows (trials, c, n+1); bounds their memory
+# whatever the chunk.  The svm Pegasos loop is not cut into blocks: it
+# runs once per call, on one weight per column pattern and int8 rows
 BATCH_BLOCK_ELEMS = 1 << 15
 
 
@@ -163,13 +176,23 @@ def weak_outcome(
 def kmeans(points, k: int, rng: RngStream, max_iters: int = KMEANS_MAX_ITERS) -> Clustering:
     """Lloyd's algorithm with k-means++ style seeding.
 
-    Point-to-centroid ties go to the lowest cluster id; a cluster that
-    empties is reseeded with the point farthest from its centroid.  When
-    the squared distances driving a seeding step are all zero (duplicate
+    Each cluster is a 0/1 weight vector v over the points, with size
+    s = sum(v) and member sum sigma = sum_a v_a z_a; point i's squared
+    distance to the centroid sigma/s is N_i / s**2 with
+    N_i = ||s z_i - sigma||**2.  Two clusters are compared by
+    cross-multiplying these fractions in Python numbers, so integer
+    points (the 0/1 candidates) are clustered in exact integers and float
+    points in float arithmetic.  Point-to-centroid ties go to the lowest
+    cluster id; a cluster that empties is reseeded with the point
+    farthest from its centroid (the lowest such index).  When the
+    squared distances driving a seeding step are all zero (duplicate
     points), the lowest-index unchosen point is taken, keeping the whole
-    procedure deterministic for a given stream.
+    procedure deterministic for a given stream.  For integer points each
+    ``objective_trace`` entry is its pass's exact sum, rounded once, so
+    the trace never increases.
     """
-    pts = np.asarray(points, dtype=np.float64)
+    pts = np.asarray(points)
+    pts = pts.astype(np.int64 if pts.dtype.kind in "biu" else np.float64)
     if pts.ndim != 2 or pts.shape[0] == 0:
         raise ValueError("points must be a nonempty 2-D array")
     num = pts.shape[0]
@@ -178,44 +201,55 @@ def kmeans(points, k: int, rng: RngStream, max_iters: int = KMEANS_MAX_ITERS) ->
     if max_iters < 1:
         raise ValueError("max_iters must be positive")
 
-    centroids = np.empty((k, pts.shape[1]))
     first = min(int(rng.uniform() * num), num - 1)
-    centroids[0] = pts[first]
-    chosen = {first}
-    d2 = ((pts - centroids[0]) ** 2).sum(axis=1)
-    for j in range(1, k):
+    seeds = [first]
+    d2 = ((pts - pts[first]) ** 2).sum(axis=1)
+    for _ in range(1, k):
         total = float(d2.sum())
         if total > 0.0:
             r = rng.uniform() * total
             pick = int(np.searchsorted(np.cumsum(d2), r, side="right"))
             pick = min(pick, num - 1)
         else:
-            pick = min(i for i in range(num) if i not in chosen)
-        centroids[j] = pts[pick]
-        chosen.add(pick)
-        d2 = np.minimum(d2, ((pts - centroids[j]) ** 2).sum(axis=1))
+            pick = min(i for i in range(num) if i not in seeds)
+        seeds.append(pick)
+        d2 = np.minimum(d2, ((pts - pts[pick]) ** 2).sum(axis=1))
 
+    weights = np.zeros((k, num), dtype=np.int64)
+    weights[np.arange(k), seeds] = 1
     assign = np.full(num, -1, dtype=np.int64)
     trace = []
     iterations = max_iters
     for it in range(1, max_iters + 1):
-        dist2 = ((pts[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
-        new_assign = np.argmin(dist2, axis=1)  # argmin takes the lowest id on ties
-        trace.append(float(dist2[np.arange(num), new_assign].sum()))
+        sizes = weights.sum(axis=1)
+        sums = weights @ pts
+        scaled = np.stack([((s * pts - sigma) ** 2).sum(axis=1) for s, sigma in zip(sizes, sums)], axis=1)
+        scaled, squares = scaled.astype(object), (sizes**2).astype(object)
+        new_assign = np.zeros(num, dtype=np.int64)
+        for j in range(1, k):
+            # N_ij / s_j**2 < N_ib / s_b**2 against the best cluster b so far:
+            # strict, so the lowest id keeps a tie
+            closer = scaled[:, j] * squares[new_assign] < scaled[np.arange(num), new_assign] * squares[j]
+            new_assign[closer] = j
+        # the pass's sum of N_i / s**2 over a common denominator, rounded once
+        common = math.lcm(*squares)
+        total = sum(scaled[i, j] * (common // squares[j]) for i, j in enumerate(new_assign.tolist()))
+        trace.append(total / common)
         if np.array_equal(new_assign, assign):
             iterations = it
             break
         assign = new_assign
-        for c in range(k):
-            members = assign == c
+        for j in range(k):
+            members = assign == j
             if members.any():
-                centroids[c] = pts[members].mean(axis=0)
+                weights[j] = members
             else:
-                far = int(np.argmax(((pts - centroids[c]) ** 2).sum(axis=1)))
-                centroids[c] = pts[far]
+                # one size for every point: the farthest has the largest N, argmax takes the lowest index
+                weights[j] = 0
+                weights[j, int(np.argmax(scaled[:, j]))] = 1
     return Clustering(
         assignments=assign,
-        centroids=centroids,
+        centroids=(weights @ pts) / weights.sum(axis=1)[:, None],
         k=k,
         iterations_used=iterations,
         objective_trace=np.asarray(trace),
@@ -247,7 +281,6 @@ def _resolve_by_clusters(
         raise ValueError("resolution needs at least two candidates")
     if k_max < 1:
         raise ValueError("k_max must be positive")
-    z = cands.z_seqs.astype(np.float64)
     indices = cands.indices
     if _all_rows_equal(cands.z_seqs):
         # nothing separates the candidates; lowest index wins
@@ -258,18 +291,19 @@ def _resolve_by_clusters(
         # collapse to singleton clusters, whose tie-break chain provably
         # lands on the lowest index; skip the Lloyd run.
         return int(indices[0]), None
-    clus = kmeans(z, k, rng)
+    clus = kmeans(cands.z_seqs, k, rng)
     winner = _largest_cluster(clus.assignments, k)
     members = clus.assignments == winner
-    m = z[members].mean(axis=0)
     if pick == "random":
         positions = np.flatnonzero(members)
         r = rng.uniform()
         pos = positions[min(int(r * positions.size), positions.size - 1)]
         return int(indices[pos]), clus
-    d2 = ((z - m) ** 2).sum(axis=1)
+    # closest to the mean sigma/s: the least ||s z_i - sigma||**2, in exact integers;
     # ties toward the lowest message index: indices ascend, argmin is first
-    return int(indices[int(np.argmin(d2))]), clus
+    z = cands.z_seqs.astype(np.int64)
+    scaled = ((members.sum() * z - z[members].sum(axis=0)) ** 2).sum(axis=1)
+    return int(indices[int(np.argmin(scaled))]), clus
 
 
 def cluster_resolve(cands: CandidateSet, k_max: int, rng: RngStream, pick: str = "closest") -> int:
@@ -309,18 +343,20 @@ def cluster_resolve_batch(
     k_max: int,
     pick: str = "closest",
 ) -> BatchResolution:
-    """:func:`cluster_resolve` on many trials at once, bit for bit.
+    """:func:`cluster_resolve` on many trials at once, decision for decision.
 
     Trial t has candidates ``flatnonzero(cand_mask[t])`` (at least two),
     codebook ``words[t]`` (or the shared ``words`` when it is 2-D),
     received word ``received[t]``, and resolver stream state ``states[t]``.
     Trials are grouped by candidate count and run through k-means++
-    seeding and Lloyd in lockstep, a block of at most
-    ``BATCH_BLOCK_ELEMS`` coordinates at a time.  Each trial reads its
-    stream at its own cursor, so it draws exactly the values the
-    per-trial path draws; distances reduce over the contiguous last axis
-    and centroids are exact member sums over member counts, so every
-    float64 tie resolves as in :func:`kmeans`.
+    seeding and Lloyd in lockstep (:func:`_lockstep_kmeans`), a block of
+    :func:`_block_trials` trials at a time.  Each trial reads its stream
+    at its own cursor, so it draws exactly the values the per-trial path
+    draws, and every comparison is exact in integers, so each one
+    decides as in :func:`kmeans`.  XOR with the received word flips the
+    same coordinates of every candidate, which preserves all distances
+    and means, so the clustering reads the codeword rows and ``received``
+    drops out.
     """
     if pick not in ("closest", "random"):
         raise ValueError(f"unknown pick rule {pick!r}")
@@ -340,13 +376,12 @@ def cluster_resolve_batch(
         group = np.flatnonzero(counts == c)
         # nonzero walks rows in order, so each row's indices ascend
         cand_idx = np.nonzero(cand_mask[group])[1].reshape(group.size, c)
-        step = max(1, BATCH_BLOCK_ELEMS // (c * n))
+        step = _block_trials(c, n)
         for lo in range(0, group.size, step):
             rows = group[lo : lo + step]
             idx = cand_idx[lo : lo + step]
-            own = words[rows[:, None], idx] if words.ndim == 3 else words[idx]
-            z = np.bitwise_xor(own, received[rows][:, None, :])
-            pos, its, fb, rs = _resolve_block(z, states[rows], min(k_max, c), pick)
+            x = words[rows[:, None], idx] if words.ndim == 3 else words[idx]
+            pos, its, fb, rs = _resolve_block(x, states[rows], min(k_max, c), pick)
             decoded[rows] = idx[np.arange(rows.size), pos] + 1
             iterations[rows] = its
             fallback_seeds[rows] = fb
@@ -354,14 +389,14 @@ def cluster_resolve_batch(
     return BatchResolution(decoded, iterations, fallback_seeds, reseeds)
 
 
-def _sq_dist(pts: np.ndarray, centres: np.ndarray) -> np.ndarray:
-    """(T, c) squared distances of each trial's points to its centre.
+def _block_trials(c: int, n: int) -> int:
+    """Trials per resolver block of c candidates of n symbols.
 
-    The sum runs over the contiguous last axis, in the order ``kmeans`` uses;
-    squaring in place holds one temporary the size of pts, not two.
+    A block holds the trials' c x c Gram matrices when c <= n, else their
+    (c, n) int64 rows (see :func:`_gram_products`), and either takes at
+    most ``BATCH_BLOCK_ELEMS`` elements, or one trial.
     """
-    diff = pts - centres[:, None, :]
-    return np.square(diff, out=diff).sum(axis=2)
+    return max(1, BATCH_BLOCK_ELEMS // (c * min(c, n)))
 
 
 def _split_rows(z: np.ndarray) -> np.ndarray:
@@ -369,32 +404,78 @@ def _split_rows(z: np.ndarray) -> np.ndarray:
     return ~np.all(z == z[:, :1], axis=(1, 2))
 
 
+def _gram_products(x: np.ndarray) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
+    """Diagonal and product map of the Gram matrices G = x x^T of the (T, c, n) 0/1 rows x.
+
+    Returns the (T, c) diagonal (each row's weight) and a map taking
+    (T, c, k) 0/1 weights v to G v, all int64.  When c <= n, G is formed
+    once, (T, c, c), from the bit-packed rows with ``np.bitwise_count``;
+    when c > n, G v is taken as x (x^T v) from the rows, so no array
+    grows as c**2.  The integers are the same either way.
+    """
+    size, c, n = x.shape
+    if c > n:
+        rows = x.astype(np.int64)
+        return rows.sum(axis=2), lambda v: np.matmul(rows, np.matmul(rows.transpose(0, 2, 1), v))
+    packed = np.packbits(x, axis=2)
+    bits = np.zeros((size, c, -(-packed.shape[2] // 8) * 8), dtype=np.uint8)
+    bits[:, :, : packed.shape[2]] = packed
+    bits = bits.view(np.uint64)
+    gram = np.zeros((size, c, c), dtype=np.int64)
+    for w in range(bits.shape[2]):
+        gram += np.bitwise_count(bits[:, :, None, w] & bits[:, None, :, w])
+    return np.diagonal(gram, axis1=1, axis2=2), lambda v: np.matmul(gram, v)
+
+
+def _mul_wide(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Exact products of nonnegative int64 arrays, as (high, low) uint64 halves of 128 bits."""
+    a, b = a.astype(np.uint64), b.astype(np.uint64)
+    half, mask = np.uint64(32), np.uint64(0xFFFFFFFF)
+    a0, a1, b0, b1 = a & mask, a >> half, b & mask, b >> half
+    # a1, b1 < 2**31, so each cross product is below 2**63 and their sum fits
+    mid = a1 * b0 + a0 * b1
+    low = a0 * b0
+    out_low = low + (mid << half)
+    return a1 * b1 + (mid >> half) + (out_low < low), out_low
+
+
+def _ratio_less(a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """a / b < c / d, exactly, for nonnegative int64 a, c and positive b, d.
+
+    Decided as a * d < c * b in 128 bits (:func:`_mul_wide`), so no
+    product overflows.
+    """
+    left_high, left_low = _mul_wide(a, d)
+    right_high, right_low = _mul_wide(c, b)
+    return (left_high < right_high) | ((left_high == right_high) & (left_low < right_low))
+
+
 def _resolve_block(
-    z: np.ndarray, states: np.ndarray, k: int, pick: str
+    x: np.ndarray, states: np.ndarray, k: int, pick: str
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Winning candidate position of each (c, n) point set in z, plus counters.
+    """Winning candidate position of each (c, n) 0/1 point set in x, plus counters.
 
     Mirrors :func:`_resolve_by_clusters` step by step on a (T, c, n) block.
     """
-    size, c, _ = z.shape
+    size, c, _ = x.shape
     pos = np.zeros(size, dtype=np.int64)  # shortcuts decode the lowest index
     iterations = np.zeros(size, dtype=np.int64)
     fallback_seeds = np.zeros(size, dtype=np.int64)
     reseeds = np.zeros(size, dtype=np.int64)
 
-    run = _split_rows(z)
+    run = _split_rows(x)
     if pick == "closest" and (c == 2 or k == c):
         distinct = np.ones(size, dtype=bool)
         for a in range(c):
             for b in range(a + 1, c):
-                distinct &= np.any(z[:, a] != z[:, b], axis=1)
+                distinct &= np.any(x[:, a] != x[:, b], axis=1)
         run &= ~distinct
     sel = np.flatnonzero(run)
     if sel.size == 0:
         return pos, iterations, fallback_seeds, reseeds
-    pts = z[sel].astype(np.float64)
+    weight, gram_times = _gram_products(x[sel])
     st = states[sel]
-    assign, used, cursor, fallback, empty_count = _lockstep_kmeans(pts, st, k)
+    assign, used, cursor, fallback, empty_count = _lockstep_kmeans(weight, gram_times, st, k, x.shape[2])
     trial = np.arange(sel.size)
 
     # largest cluster, ties to the cluster of the lowest point index
@@ -408,8 +489,9 @@ def _resolve_block(
         nth = np.minimum((uniforms_at(st, cursor) * member_count).astype(np.int64), member_count - 1)
         winner = np.argmax(np.cumsum(members, axis=1) > nth[:, None], axis=1)
     else:
-        mean = np.einsum("tc,tcn->tn", members.astype(np.float64), pts) / member_count[:, None]
-        winner = np.argmin(_sq_dist(pts, mean), axis=1)
+        # least sum of Hamming distances to the members, s G_ii - 2 (G v)_i up to a constant
+        inner = gram_times(members[:, :, None].astype(np.int64))[:, :, 0]
+        winner = np.argmin(member_count[:, None] * weight - 2 * inner, axis=1)
 
     pos[sel] = winner
     iterations[sel] = used
@@ -419,27 +501,39 @@ def _resolve_block(
 
 
 def _lockstep_kmeans(
-    pts: np.ndarray, states: np.ndarray, k: int
+    weight: np.ndarray, gram_times: Callable[[np.ndarray], np.ndarray], states: np.ndarray, k: int, n: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`kmeans` on every (c, n) float64 point set of pts at once, bit for bit.
+    """:func:`kmeans` on many sets of c 0/1 points of n symbols at once, decision for decision.
+
+    A point set enters only through its Gram matrix G: ``weight`` is its
+    (T, c) diagonal and ``gram_times`` its product map, as
+    :func:`_gram_products` gives them.  The seeding distances are the
+    integers G_aa + G_bb - 2 G_ab.  A cluster with 0/1 weights v has size
+    s = sum(v) and q = v^T G v, and s**2 times point i's squared distance
+    to its centroid is the integer N_i = s**2 G_ii - 2 s (G v)_i + q, so
+    Lloyd reads only integers, and :func:`_nearest` compares them exactly.
 
     Trial t reads stream ``states[t]`` from position 0.  Returns the
     (T, c) assignments, the Lloyd passes used, each stream's cursor
     after the last draw, and the fallback-seed and reseed counts of
     :class:`BatchResolution`.
     """
-    num, c, _ = pts.shape
+    num, c = weight.shape
     trial = np.arange(num)
+
+    def seed_dist(at: np.ndarray) -> np.ndarray:
+        onehot = np.zeros((num, c, 1), dtype=np.int64)
+        onehot[trial, at] = 1
+        return weight + weight[trial, at][:, None] - 2 * gram_times(onehot)[:, :, 0]
 
     # k-means++ seeding; the cursor advances only on the draws kmeans makes
     cursor = np.zeros(num, dtype=np.int64)
-    first = np.minimum((uniforms_at(states, cursor) * c).astype(np.int64), c - 1)
+    seeds = np.empty((num, k), dtype=np.int64)
+    seeds[:, 0] = np.minimum((uniforms_at(states, cursor) * c).astype(np.int64), c - 1)
     cursor += 1
-    centroids = np.empty((num, k, pts.shape[2]))
-    centroids[:, 0] = pts[trial, first]
     chosen = np.zeros((num, c), dtype=bool)
-    chosen[trial, first] = True
-    d2 = _sq_dist(pts, centroids[:, 0])
+    chosen[trial, seeds[:, 0]] = True
+    d2 = seed_dist(seeds[:, 0])
     fallback = np.zeros(num, dtype=np.int64)
     for j in range(1, k):
         total = d2.sum(axis=1)
@@ -447,44 +541,73 @@ def _lockstep_kmeans(
         r = uniforms_at(states, cursor) * total
         # searchsorted(cumsum, r, side="right") on every row at once
         drawn = np.minimum((np.cumsum(d2, axis=1) <= r[:, None]).sum(axis=1), c - 1)
-        pick_j = np.where(spread, drawn, np.argmin(chosen, axis=1))
+        seeds[:, j] = np.where(spread, drawn, np.argmin(chosen, axis=1))
         cursor += spread
         fallback += ~spread
-        chosen[trial, pick_j] = True
-        centroids[:, j] = pts[trial, pick_j]
-        d2 = np.minimum(d2, _sq_dist(pts, centroids[:, j]))
+        chosen[trial, seeds[:, j]] = True
+        d2 = np.minimum(d2, seed_dist(seeds[:, j]))
 
-    # Lloyd, each trial frozen once its assignment repeats
+    # Lloyd on the (T, c, k) 0/1 cluster weights, each trial frozen once its assignment repeats
+    cluster_ids = np.arange(k)
+    member = np.zeros((num, c, k), dtype=bool)
+    member[trial[:, None], seeds, cluster_ids] = True
     assign = np.full((num, c), -1, dtype=np.int64)
     used = np.full(num, KMEANS_MAX_ITERS, dtype=np.int64)
     empty_count = np.zeros(num, dtype=np.int64)
     active = np.ones(num, dtype=bool)
-    cluster_ids = np.arange(k)
     for it in range(1, KMEANS_MAX_ITERS + 1):
-        dist2 = np.stack([_sq_dist(pts, centroids[:, j]) for j in range(k)], axis=2)
-        new_assign = np.argmin(dist2, axis=2)
+        size = member.sum(axis=1)
+        inner = gram_times(member.astype(np.int64))
+        quad = (inner * member).sum(axis=1)
+        # N_i - s**2 G_ii: G_ii is the same for every cluster, so it does not move the argmin
+        shifted = quad[:, None, :] - 2 * size[:, None, :] * inner
+        new_assign = _nearest(shifted, weight, size**2, n)
         done = active & np.all(new_assign == assign, axis=1)
         used[done] = it
         active &= ~done
         if not active.any():
             break
+        # frozen trials keep their assignment and weights; every cluster keeps a member
         assign[active] = new_assign[active]
-        member = assign[:, :, None] == cluster_ids
-        sizes = member.sum(axis=1)
-        # an emptied cluster is reseeded from its old centroid, so find those points first
-        empty = active[:, None] & (sizes == 0)
-        reseeded = []
-        for j in np.flatnonzero(empty.any(axis=0)).tolist():
-            e = np.flatnonzero(empty[:, j])
-            far = np.argmax(_sq_dist(pts[e], centroids[e, j]), axis=1)
-            reseeded.append((e, j, pts[e, far]))
+        member[active] = assign[active, :, None] == cluster_ids
+        # an emptied cluster is reseeded with the point farthest from its old centroid:
+        # one size for every point, so the largest N, and argmax takes the lowest index
+        empty = active[:, None] & ~member.any(axis=1)
+        t_e, j_e = np.nonzero(empty)
+        far = shifted[t_e, :, j_e] + (size[t_e, j_e] ** 2)[:, None] * weight[t_e]
+        member[t_e, np.argmax(far, axis=1), j_e] = True
         empty_count += empty.sum(axis=1)
-        # centroids are updated in place, frozen trials included: they are never read again
-        np.einsum("tck,tcn->tkn", member.astype(np.float64), pts, out=centroids)
-        np.divide(centroids, np.maximum(sizes, 1)[:, :, None], out=centroids)
-        for e, j, far_pts in reseeded:
-            centroids[e, j] = far_pts
     return assign, used, cursor, fallback, empty_count
+
+
+def _nearest(shifted: np.ndarray, weight: np.ndarray, squares: np.ndarray, n: int) -> np.ndarray:
+    """(T, c) cluster of the least N_ij / s_j**2 for each point i, ties to the lowest id, exactly.
+
+    ``shifted`` is the (T, c, k) N_ij - s_j**2 G_ii, ``weight`` the (T, c)
+    G_ii and ``squares`` the (T, k) s_j**2, for points of n symbols.
+    Each quotient N_ij / s_j**2 is a squared distance, in [0, n], with a
+    denominator at most c**2, so two unequal ones of a point differ by at
+    least c**-4.  The shifted quotients N_ij / s_j**2 - G_ii lie in
+    [-n, n] and differ as the quotients do, and float64 division rounds
+    each by at most n * 2**-53 (equal ones alike).  So when c**4 n < 2**52
+    the rounded shifted quotients keep every order and every tie, and
+    one ``argmin`` decides; otherwise N_ij s_l**2 and N_il s_j**2 are
+    compared in 128 bits (:func:`_ratio_less`).
+    """
+    c = weight.shape[1]
+    if c**4 * n < 2**52:
+        return np.argmin(shifted / squares[:, None, :], axis=2)
+    scaled = shifted + squares[:, None, :] * weight[:, :, None]
+    best = np.zeros(weight.shape, dtype=np.int64)
+    best_num, best_den = scaled[:, :, 0], squares[:, :1]
+    for j in range(1, scaled.shape[2]):
+        num, den = scaled[:, :, j], squares[:, j : j + 1]
+        # strict, so the lower id keeps a tie
+        closer = _ratio_less(num, den, best_num, best_den)
+        best[closer] = j
+        best_num = np.where(closer, num, best_num)
+        best_den = np.where(closer, den, best_den)
+    return best
 
 
 def svm_resolve_batch(
@@ -496,10 +619,10 @@ def svm_resolve_batch(
     """:func:`svm_resolve` on many trials at once, bit for bit.
 
     Inputs are laid out as in :func:`cluster_resolve_batch`.  Trials are
-    taken by candidate count c, descending, in blocks of at most
-    ``BATCH_BLOCK_ELEMS`` elements (trials x c x (n+1)).  A block's Z,
-    its all-equal shortcut and its 2-means labels (the lockstep k-means
-    of :func:`cluster_resolve_batch`) are made a block at a time, and its
+    taken by candidate count c, descending, in blocks of
+    :func:`_block_trials` trials.  A block's Z, its all-equal shortcut
+    and its 2-means labels (the exact lockstep k-means of
+    :func:`cluster_resolve_batch`) are made a block at a time, and its
     signed rows ``label * [z, 1]`` are kept as int8, exact for labels of
     +/-1 and one byte per symbol, as the codebooks are.  Then one Pegasos
     loop, :func:`_pegasos_scores`, runs every trial of the call at once
@@ -530,7 +653,7 @@ def svm_resolve_batch(
         cand_idx = np.nonzero(cand_mask[group])[1].reshape(group.size, c)
         decoded[group] = cand_idx[:, 0] + 1
         blocks = []
-        step = max(1, BATCH_BLOCK_ELEMS // (c * (n + 1)))
+        step = _block_trials(c, n)
         for lo in range(0, group.size, step):
             rows = group[lo : lo + step]
             idx = cand_idx[lo : lo + step]
@@ -540,7 +663,7 @@ def svm_resolve_batch(
             if not split.any():
                 continue
             rows, z = rows[split], z[split]
-            assign, used, _, fb, rs = _lockstep_kmeans(z.astype(np.float64), states[rows], 2)
+            assign, used, _, fb, rs = _lockstep_kmeans(*_gram_products(z), states[rows], 2, n)
             iterations[rows] = used
             fallback_seeds[rows] = fb
             reseeds[rows] = rs
@@ -747,7 +870,7 @@ def _svm_by_clusters(
     if _all_rows_equal(cands.z_seqs):
         return int(indices[0]), None
 
-    clus = kmeans(z, 2, rng)
+    clus = kmeans(cands.z_seqs, 2, rng)
     labels = np.where(clus.assignments == 0, 1.0, -1.0)
     feats = np.hstack([z, np.ones((cands.count, 1))])
     scores = feats @ _pegasos_separator(feats, labels, lam, epochs)

@@ -1,3 +1,6 @@
+import tracemalloc
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -8,6 +11,7 @@ from weaktyp.decoders import (
     DecodeOutcome,
     classical_outcome,
     cluster_resolve,
+    cluster_resolve_batch,
     find_candidates,
     kmeans,
     svm_resolve,
@@ -15,7 +19,7 @@ from weaktyp.decoders import (
 )
 from weaktyp.kernels import simulate_trials
 from weaktyp.montecarlo import derived_master
-from weaktyp.rng import RngStream
+from weaktyp.rng import RngStream, stream_states
 from weaktyp.typicality import build_context, is_jointly_typical
 
 
@@ -223,9 +227,9 @@ def test_kmeans_validation():
 
 
 def reference_cluster_resolve(cands, k_max, rng):
-    """The resolution rule executed literally, with no shortcuts."""
-    z = cands.z_seqs.astype(np.float64)
-    if np.all(cands.z_seqs == cands.z_seqs[0]):
+    """The resolution rule executed literally, with no shortcuts, in exact rationals."""
+    z = cands.z_seqs
+    if np.all(z == z[0]):
         return int(cands.indices[0])
     k = min(k_max, cands.count)
     clus = kmeans(z, k, rng)
@@ -235,9 +239,10 @@ def reference_cluster_resolve(cands, k_max, rng):
         int(clus.assignments[i]) for i in range(cands.count) if sizes[clus.assignments[i]] == best
     )
     members = clus.assignments == winner
-    m = z[members].mean(axis=0)
-    d2 = ((z - m) ** 2).sum(axis=1)
-    return int(cands.indices[int(np.argmin(d2))])
+    mean = [Fraction(int(col.sum()), int(members.sum())) for col in z[members].T]
+    d2 = [sum((int(v) - mu) ** 2 for v, mu in zip(row, mean)) for row in z]
+    # the first of the least: ties to the lowest index
+    return int(cands.indices[d2.index(min(d2))])
 
 
 def test_identical_z_sequences_collapse():
@@ -289,6 +294,73 @@ def test_fast_paths_match_reference_resolution():
         assert mine == ref, (trial, rows.tolist(), indices.tolist(), k_max)
         checked += 1
     assert checked == 400
+
+
+def test_exact_ties_go_to_the_lowest_index():
+    # every candidate is exactly 2/3 from the mean [0, 1/3, 2/3, 1, 2/3]; float
+    # distances to it read 0.66...669, 0.66...667 and 0.66...666
+    rows = [sequence("01111"), sequence("00011"), sequence("00110")]
+    cands = cand_set([1, 2, 3], rows)
+    assert cluster_resolve(cands, 1, RngStream(0, 0)) == 1
+    states = stream_states(0, np.array([0]))
+    mask, received = np.ones((1, 3), dtype=bool), np.zeros((1, 5), dtype=np.uint8)
+    got = cluster_resolve_batch(mask, np.array(rows), received, states, 1)
+    assert got.decoded.tolist() == [1]
+    assert got.iterations.tolist() == [2]
+
+
+def test_ratio_less_is_exact_where_int64_products_overflow():
+    rng = np.random.default_rng(8)
+    size = 3000
+    # N below 2**48 and s**2 below 2**42, as near the admission bound: products near 2**90
+    a = rng.integers(0, 2**48, size=size)
+    b = rng.integers(2**41, 2**42, size=size)
+    d = rng.integers(2**41, 2**42, size=size)
+    # c / d within 1 / d of a / b: the closest misses on either side
+    c = np.array([int(x) * int(z) // int(y) + e for x, y, z, e in zip(a, b, d, rng.integers(-1, 2, size=size))])
+    c = np.maximum(c, 0)
+    # and a quarter are exact ties, (3a) / (3b)
+    c[: size // 4] = a[: size // 4] * 3
+    d[: size // 4] = b[: size // 4] * 3
+    left = [int(x) * int(w) for x, w in zip(a, d)]
+    right = [int(y) * int(z) for y, z in zip(c, b)]
+    assert max(left) >= 2**63
+    assert np.array_equal(decoders._ratio_less(a, b, c, d), [x < y for x, y in zip(left, right)])
+    assert np.array_equal(decoders._ratio_less(c, d, a, b), [y < x for x, y in zip(left, right)])
+
+
+def test_nearest_decides_alike_from_quotients_and_from_wide_products():
+    rng = np.random.default_rng(9)
+    for _ in range(50):
+        trials, c, n, k = 20, int(rng.integers(2, 9)), int(rng.integers(1, 40)), int(rng.integers(1, 5))
+        x = rng.integers(0, 2, size=(trials, c, n), dtype=np.uint8)
+        weight, gram_times = decoders._gram_products(x)
+        member = np.zeros((trials, c, k), dtype=bool)
+        member[np.arange(trials)[:, None], rng.integers(0, c, size=(trials, k)), np.arange(k)] = True
+        member |= rng.random((trials, c, k)) < 0.3
+        size = member.sum(axis=1)
+        inner = gram_times(member.astype(np.int64))
+        shifted = (inner * member).sum(axis=1)[:, None, :] - 2 * size[:, None, :] * inner
+        quotients = decoders._nearest(shifted, weight, size**2, n)
+        # past the bound on n the same call compares cross products in 128 bits
+        assert np.array_equal(quotients, decoders._nearest(shifted, weight, size**2, 2**52))
+
+
+def test_many_candidates_on_few_symbols_resolve_from_the_rows():
+    # c > n: a c x c Gram matrix would take c**2 elements; the products are taken from the rows
+    c, n, k_max = 2000, 8, 3
+    words = np.random.default_rng(10).integers(0, 2, size=(1, c, n), dtype=np.uint8)
+    received = np.zeros((1, n), dtype=np.uint8)
+    states = stream_states(11, np.array([5]))
+    tracemalloc.start()
+    try:
+        got = cluster_resolve_batch(np.ones((1, c), dtype=bool), words, received, states, k_max)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < c * c
+    ref = cluster_resolve(cand_set(np.arange(1, c + 1), words[0]), k_max, RngStream(11, 5))
+    assert got.decoded.tolist() == [ref]
 
 
 def test_random_pick_stays_in_largest_cluster():

@@ -140,16 +140,22 @@ def test_run_points_equals_run_trials_and_run_trial(monkeypatch):
 
 @st.composite
 def point_sets(draw):
-    """A few trials of 2..8 candidates on n <= 3 symbols, so duplicate rows abound."""
+    """A few trials of 2..8 candidates on up to 70 symbols, words drawn from a small pool.
+
+    A pool of few distinct words gives duplicate and all-equal rows at
+    every n, and n falls both below the candidate count (k-means products
+    taken from the rows) and above it (from the Gram matrix).
+    """
     trials = draw(st.integers(1, 6))
     m = draw(st.integers(2, 8))
-    n = draw(st.integers(1, 3))
-    bits = st.lists(st.integers(0, 1), min_size=n, max_size=n)
-    codebook = st.lists(bits, min_size=m, max_size=m)
+    n = draw(st.integers(1, 70))
+    word = st.integers(0, 2**n - 1).map(lambda v: [(v >> j) & 1 for j in range(n)])
+    pool = draw(st.lists(word, min_size=1, max_size=6))
+    codebook = st.lists(st.sampled_from(pool), min_size=m, max_size=m)
     # a 2-D words array is one codebook shared by every trial
     shared = draw(st.booleans())
     words = np.array(draw(codebook) if shared else [draw(codebook) for _ in range(trials)], dtype=np.uint8)
-    received = np.array([draw(bits) for _ in range(trials)], dtype=np.uint8)
+    received = np.array([draw(word) for _ in range(trials)], dtype=np.uint8)
     row_mask = st.lists(st.booleans(), min_size=m, max_size=m).filter(lambda r: sum(r) >= 2)
     mask = np.array([draw(row_mask) for _ in range(trials)])
     ids = st.lists(st.integers(0, 2**40), min_size=trials, max_size=trials, unique=True)
@@ -163,7 +169,22 @@ def point_sets(draw):
 def test_batch_resolution_equals_cluster_resolve(monkeypatch):
     # tiny blocks, so a call spans several lockstep blocks per candidate count
     monkeypatch.setattr(decoders, "BATCH_BLOCK_ELEMS", 8)
-    hits = {"all_rows_equal": 0, "zero_total_seed": 0, "empty_cluster_reseed": 0, "lloyd_repeat": 0}
+    hits = {
+        "all_rows_equal": 0,
+        "zero_total_seed": 0,
+        "empty_cluster_reseed": 0,
+        "lloyd_repeat": 0,
+        "gram_side": 0,
+        "row_side": 0,
+    }
+    gram_products = decoders._gram_products
+
+    def counted_products(x):
+        # c <= n takes products from the Gram matrix, c > n from the rows
+        hits["gram_side" if x.shape[1] <= x.shape[2] else "row_side"] += 1
+        return gram_products(x)
+
+    monkeypatch.setattr(decoders, "_gram_products", counted_products)
 
     # a second centroid update that moves a point is rare on sets this
     # small (about 3% of random ones at n=3, c=7, k=2): pin one
@@ -203,6 +224,38 @@ def test_batch_resolution_equals_cluster_resolve(monkeypatch):
 
     check()
     assert all(hits.values()), hits
+
+
+def test_batch_resolution_with_wide_comparisons_equals_cluster_resolve(monkeypatch):
+    # every Lloyd assignment compared by 128-bit cross products, as past c**4 n = 2**52
+    nearest = decoders._nearest
+    monkeypatch.setattr(decoders, "_nearest", lambda shifted, w, sq, n: nearest(shifted, w, sq, 2**52))
+
+    @fixed_budget(100)
+    @given(point_sets())
+    def check(case):
+        words, received, mask, stream_ids, master, k_max, resolver = case
+        got = cluster_resolve_batch(
+            mask, words, received, stream_states(master, stream_ids), k_max, decoders.CLUSTER_PICKS[resolver]
+        )
+        for t in range(mask.shape[0]):
+            idx0 = np.flatnonzero(mask[t])
+            z = np.bitwise_xor((words if words.ndim == 2 else words[t])[idx0], received[t])
+            cands = CandidateSet(indices=idx0 + 1, z_seqs=z)
+            outcome, clus = weak_outcome(cands, resolver, RngStream(master, int(stream_ids[t])), k_max)
+            assert got.decoded[t] == outcome.decoded
+            assert got.iterations[t] == (clus.iterations_used if clus else 0)
+
+    check()
+
+
+@fixed_budget(200)
+@given(st.integers(2, 12), st.integers(1, 10), st.integers(1, 12), st.integers(0, 2**32 - 1))
+def test_kmeans_objective_never_increases_on_binary_points(num, n, k, seed):
+    # integer points: each pass's objective is exact, rounded once, so no tolerance
+    points = np.random.default_rng(seed).integers(0, 2, size=(num, n), dtype=np.uint8)
+    trace = decoders.kmeans(points, min(k, num), RngStream(seed, 0)).objective_trace
+    assert all(later <= earlier for earlier, later in zip(trace, trace[1:]))
 
 
 @st.composite
