@@ -14,7 +14,8 @@ deterministic given its random stream.
 Each resolver has a per-trial reference (:func:`cluster_resolve`,
 :func:`svm_resolve`) and a batch form that resolves many trials in
 lockstep and gives exactly the same results (:func:`cluster_resolve_batch`,
-:func:`svm_resolve_batch`); both batch forms share one lockstep k-means.
+:func:`svm_resolve_batch`); both batch forms share one lockstep k-means
+and take their codewords bit-packed (:class:`PackedTrials`).
 
 k-means on 0/1 candidates is exact integer arithmetic (the kernel
 k-means identity; Dhillon, Guan & Kulis, KDD 2004).  A cluster with 0/1
@@ -38,6 +39,7 @@ patterns, in any order, only where a proven error bound puts it clear of
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -56,9 +58,9 @@ SVM_LAMBDA = 0.01
 SVM_EPOCHS = 200
 # cap on the elements of one block's int64 k-means operands, the Gram
 # matrices (trials, c, c) or, when c > n, the rows (trials, c, n), and of
-# one block of svm float score rows (trials, c, n+1); bounds their memory
+# one block of unpacked svm rows (trials, c, n+1); bounds their memory
 # whatever the chunk.  The svm Pegasos loop is not cut into blocks: it
-# runs once per call, on one weight per column pattern and int8 rows
+# runs once per slot count per call, on one weight per column pattern
 BATCH_BLOCK_ELEMS = 1 << 15
 
 
@@ -335,53 +337,75 @@ class BatchResolution:
     reseeds: np.ndarray  # (T,) int64
 
 
-def cluster_resolve_batch(
-    cand_mask: np.ndarray,
-    words: np.ndarray,
-    received: np.ndarray,
-    states: np.ndarray,
-    k_max: int,
-    pick: str = "closest",
-) -> BatchResolution:
-    """:func:`cluster_resolve` on many trials at once, decision for decision.
+@dataclass(frozen=True)
+class PackedTrials:
+    """Multi-candidate trials of one blocklength n, as the batch resolvers take them.
 
     Trial t has candidates ``flatnonzero(cand_mask[t])`` (at least two),
-    codebook ``words[t]`` (or the shared ``words`` when it is 2-D),
-    received word ``received[t]``, and resolver stream state ``states[t]``.
+    codebook ``words[t]`` (or the shared 2-D ``words``) and stream state
+    ``states[t]``.  Words are ``np.packbits`` rows, zero-padded, so packed
+    rows are equal exactly when the rows are, and XOR commutes with
+    packing.  Only :func:`svm_resolve_batch` reads ``received``.
+    """
+
+    n: int
+    cand_mask: np.ndarray  # (T, m) bool
+    words: np.ndarray  # (T, m, ceil(n/8)) or (m, ceil(n/8)) uint8
+    states: np.ndarray  # (T,) uint64
+    received: np.ndarray | None = None  # (T, ceil(n/8)) uint8
+
+
+def _counted(cand_mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The candidate mask as bool and each trial's candidate count, which must be at least two."""
+    cand_mask = np.asarray(cand_mask, dtype=bool)
+    counts = cand_mask.sum(axis=1)
+    if np.any(counts < 2):
+        raise ValueError("resolution needs at least two candidates")
+    return cand_mask, counts
+
+
+def _by_count(cand_mask: np.ndarray, counts: np.ndarray, descending: bool = False):
+    """(c, trials, candidate indices) for each candidate count c present; each row's indices ascend."""
+    present = np.flatnonzero(np.bincount(counts)).tolist()
+    for c in present[::-1] if descending else present:
+        group = np.flatnonzero(counts == c)
+        # nonzero walks rows in order, so each row's indices ascend
+        yield c, group, np.nonzero(cand_mask[group])[1].reshape(group.size, c)
+
+
+def _candidate_rows(words: np.ndarray, rows: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """(T, c, width) packed candidate rows ``idx`` of the codebooks of trials ``rows``."""
+    return words[rows[:, None], idx] if words.ndim == 3 else words[idx]
+
+
+def cluster_resolve_batch(trials: PackedTrials, k_max: int, pick: str = "closest") -> BatchResolution:
+    """:func:`cluster_resolve` on many trials of one blocklength at once, decision for decision.
+
     Trials are grouped by candidate count and run through k-means++
     seeding and Lloyd in lockstep (:func:`_lockstep_kmeans`), a block of
-    :func:`_block_trials` trials at a time.  Each trial reads its stream
-    at its own cursor, so it draws exactly the values the per-trial path
-    draws, and every comparison is exact in integers, so each one
-    decides as in :func:`kmeans`.  XOR with the received word flips the
-    same coordinates of every candidate, which preserves all distances
-    and means, so the clustering reads the codeword rows and ``received``
-    drops out.
+    :func:`_block_trials` trials at a time, on their packed rows.  Each
+    trial reads its stream at its own cursor, and every comparison is
+    exact in integers, so each one decides as in :func:`kmeans`.  XOR
+    with the received word preserves all distances and means, so the
+    clustering reads the codeword rows alone.
     """
     if pick not in ("closest", "random"):
         raise ValueError(f"unknown pick rule {pick!r}")
     if k_max < 1:
         raise ValueError("k_max must be positive")
-    cand_mask = np.asarray(cand_mask, dtype=bool)
-    counts = cand_mask.sum(axis=1)
-    if np.any(counts < 2):
-        raise ValueError("resolution needs at least two candidates")
+    cand_mask, counts = _counted(trials.cand_mask)
     total = counts.size
     decoded = np.zeros(total, dtype=np.int64)
     iterations = np.zeros(total, dtype=np.int64)
     fallback_seeds = np.zeros(total, dtype=np.int64)
     reseeds = np.zeros(total, dtype=np.int64)
-    n = received.shape[1]
-    for c in np.flatnonzero(np.bincount(counts)).tolist():
-        group = np.flatnonzero(counts == c)
-        # nonzero walks rows in order, so each row's indices ascend
-        cand_idx = np.nonzero(cand_mask[group])[1].reshape(group.size, c)
-        step = _block_trials(c, n)
+    for c, group, cand_idx in _by_count(cand_mask, counts):
+        step = _block_trials(c, trials.n)
         for lo in range(0, group.size, step):
             rows = group[lo : lo + step]
             idx = cand_idx[lo : lo + step]
-            x = words[rows[:, None], idx] if words.ndim == 3 else words[idx]
-            pos, its, fb, rs = _resolve_block(x, states[rows], min(k_max, c), pick)
+            x = _candidate_rows(trials.words, rows, idx)
+            pos, its, fb, rs = _resolve_block(x, trials.n, trials.states[rows], min(k_max, c), pick)
             decoded[rows] = idx[np.arange(rows.size), pos] + 1
             iterations[rows] = its
             fallback_seeds[rows] = fb
@@ -400,26 +424,25 @@ def _block_trials(c: int, n: int) -> int:
 
 
 def _split_rows(z: np.ndarray) -> np.ndarray:
-    """(T,) mask of the (c, n) point sets in z whose rows are not all equal."""
+    """(T,) mask of the (c, width) packed point sets in z whose rows are not all equal."""
     return ~np.all(z == z[:, :1], axis=(1, 2))
 
 
-def _gram_products(x: np.ndarray) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
-    """Diagonal and product map of the Gram matrices G = x x^T of the (T, c, n) 0/1 rows x.
+def _gram_products(x: np.ndarray, n: int) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
+    """Diagonal and product map of the Gram matrices G = x x^T of (T, c, ceil(n/8)) packed rows x.
 
     Returns the (T, c) diagonal (each row's weight) and a map taking
     (T, c, k) 0/1 weights v to G v, all int64.  When c <= n, G is formed
-    once, (T, c, c), from the bit-packed rows with ``np.bitwise_count``;
-    when c > n, G v is taken as x (x^T v) from the rows, so no array
-    grows as c**2.  The integers are the same either way.
+    once, (T, c, c), from the packed bytes with ``np.bitwise_count``;
+    when c > n, G v is taken as x (x^T v) from the unpacked rows, so no
+    array grows as c**2.  The integers are the same either way.
     """
-    size, c, n = x.shape
+    size, c, width = x.shape
     if c > n:
-        rows = x.astype(np.int64)
+        rows = np.unpackbits(x, axis=2, count=n).astype(np.int64)
         return rows.sum(axis=2), lambda v: np.matmul(rows, np.matmul(rows.transpose(0, 2, 1), v))
-    packed = np.packbits(x, axis=2)
-    bits = np.zeros((size, c, -(-packed.shape[2] // 8) * 8), dtype=np.uint8)
-    bits[:, :, : packed.shape[2]] = packed
+    bits = np.zeros((size, c, -(-width // 8) * 8), dtype=np.uint8)
+    bits[:, :, :width] = x
     bits = bits.view(np.uint64)
     gram = np.zeros((size, c, c), dtype=np.int64)
     for w in range(bits.shape[2]):
@@ -451,11 +474,12 @@ def _ratio_less(a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray) -> n
 
 
 def _resolve_block(
-    x: np.ndarray, states: np.ndarray, k: int, pick: str
+    x: np.ndarray, n: int, states: np.ndarray, k: int, pick: str
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Winning candidate position of each (c, n) 0/1 point set in x, plus counters.
+    """Winning candidate position of each set of c packed rows of n symbols in x, plus counters.
 
-    Mirrors :func:`_resolve_by_clusters` step by step on a (T, c, n) block.
+    Mirrors :func:`_resolve_by_clusters` step by step on a (T, c,
+    ceil(n/8)) block; both shortcuts compare the packed rows.
     """
     size, c, _ = x.shape
     pos = np.zeros(size, dtype=np.int64)  # shortcuts decode the lowest index
@@ -473,9 +497,9 @@ def _resolve_block(
     sel = np.flatnonzero(run)
     if sel.size == 0:
         return pos, iterations, fallback_seeds, reseeds
-    weight, gram_times = _gram_products(x[sel])
+    weight, gram_times = _gram_products(x[sel], n)
     st = states[sel]
-    assign, used, cursor, fallback, empty_count = _lockstep_kmeans(weight, gram_times, st, k, x.shape[2])
+    assign, used, cursor, fallback, empty_count = _lockstep_kmeans(weight, gram_times, st, k, n)
     trial = np.arange(sel.size)
 
     # largest cluster, ties to the cluster of the lowest point index
@@ -610,109 +634,72 @@ def _nearest(shifted: np.ndarray, weight: np.ndarray, squares: np.ndarray, n: in
     return best
 
 
-def svm_resolve_batch(
-    cand_mask: np.ndarray,
-    words: np.ndarray,
-    received: np.ndarray,
-    states: np.ndarray,
-) -> BatchResolution:
-    """:func:`svm_resolve` on many trials at once, bit for bit.
+def svm_resolve_batch(parts: list[PackedTrials]) -> list[BatchResolution]:
+    """:func:`svm_resolve` on many trials at once, bit for bit, one result per part.
 
-    Inputs are laid out as in :func:`cluster_resolve_batch`.  Trials are
-    taken by candidate count c, descending, in blocks of
-    :func:`_block_trials` trials.  A block's Z, its all-equal shortcut
-    and its 2-means labels (the exact lockstep k-means of
-    :func:`cluster_resolve_batch`) are made a block at a time, and its
-    signed rows ``label * [z, 1]`` are kept as int8, exact for labels of
-    +/-1 and one byte per symbol, as the codebooks are.  Then one Pegasos
-    loop, :func:`_pegasos_scores`, runs every trial of the call at once
-    (a call is one flush of the executor's pool): its state is one
-    weight per column pattern, which does not grow with n, so the loop
-    is not cut into blocks, and a pool pays one loop of
-    ``SVM_EPOCHS * c_max`` steps; only its final scores are taken on
-    float rows, a block at a time.  ``iterations``,
-    ``fallback_seeds`` and ``reseeds`` count the 2-means run (0 where all
-    rows are equal and the lowest index is decoded without one).
+    The parts may differ in n.  A part's trials are taken by candidate
+    count c, descending, in blocks of :func:`_block_trials` trials, whose
+    packed rows Z, all-equal shortcut and 2-means labels (the lockstep
+    k-means of :func:`cluster_resolve_batch`) are made on packed rows.
+    Then :func:`_pegasos_scores` trains the separators of every part at
+    once.  ``iterations``, ``fallback_seeds`` and ``reseeds`` count the
+    2-means run (0 where all rows are equal and the lowest index wins).
     """
-    cand_mask = np.asarray(cand_mask, dtype=bool)
-    counts = cand_mask.sum(axis=1)
-    if np.any(counts < 2):
-        raise ValueError("resolution needs at least two candidates")
-    total = counts.size
-    decoded = np.zeros(total, dtype=np.int64)
-    iterations = np.zeros(total, dtype=np.int64)
-    fallback_seeds = np.zeros(total, dtype=np.int64)
-    reseeds = np.zeros(total, dtype=np.int64)
-    n = received.shape[1]
-    # signed rows of the trials the separator runs on, by descending count, zero-padded to the largest
-    x = np.zeros((total, int(counts.max(initial=2)), n + 1), dtype=np.int8)
-    live, groups, at = [], [], 0
-    for c in np.flatnonzero(np.bincount(counts))[::-1].tolist():
-        group = np.flatnonzero(counts == c)
-        # nonzero walks rows in order, so each row's indices ascend
-        cand_idx = np.nonzero(cand_mask[group])[1].reshape(group.size, c)
-        decoded[group] = cand_idx[:, 0] + 1
-        blocks = []
-        step = _block_trials(c, n)
-        for lo in range(0, group.size, step):
-            rows = group[lo : lo + step]
-            idx = cand_idx[lo : lo + step]
-            own = words[rows[:, None], idx] if words.ndim == 3 else words[idx]
-            z = np.bitwise_xor(own, received[rows][:, None, :])
-            split = _split_rows(z)
-            if not split.any():
-                continue
-            rows, z = rows[split], z[split]
-            assign, used, _, fb, rs = _lockstep_kmeans(*_gram_products(z), states[rows], 2, n)
-            iterations[rows] = used
-            fallback_seeds[rows] = fb
-            reseeds[rows] = rs
-            feats = x[at : at + rows.size, :c]
-            feats[:, :, :n] = z
-            feats[:, :, n] = 1
-            feats *= np.where(assign == 0, 1, -1).astype(np.int8)[:, :, None]
-            blocks.append((rows, idx[split]))
-            at += rows.size
-        if blocks:
-            live.append(tuple(np.concatenate(parts) for parts in zip(*blocks)))
-            groups.append((live[-1][0].size, c))
-    if live:
-        for (rows, idx), scores in zip(live, _pegasos_scores(x[:at], groups)):
+    results, groups, places = [], [], []
+    for part in parts:
+        cand_mask, counts = _counted(part.cand_mask)
+        total, n = counts.size, part.n
+        decoded = np.zeros(total, dtype=np.int64)
+        iterations = np.zeros(total, dtype=np.int64)
+        fallback_seeds = np.zeros(total, dtype=np.int64)
+        reseeds = np.zeros(total, dtype=np.int64)
+        for c, group, cand_idx in _by_count(cand_mask, counts, descending=True):
+            decoded[group] = cand_idx[:, 0] + 1
+            blocks = []
+            step = _block_trials(c, n)
+            for lo in range(0, group.size, step):
+                rows = group[lo : lo + step]
+                idx = cand_idx[lo : lo + step]
+                z = np.bitwise_xor(_candidate_rows(part.words, rows, idx), part.received[rows][:, None, :])
+                split = _split_rows(z)
+                if not split.any():
+                    continue
+                rows, z = rows[split], z[split]
+                assign, used, _, fb, rs = _lockstep_kmeans(*_gram_products(z, n), part.states[rows], 2, n)
+                iterations[rows] = used
+                fallback_seeds[rows] = fb
+                reseeds[rows] = rs
+                blocks.append((rows, idx[split], z, np.where(assign == 0, 1, -1).astype(np.int8)))
+            if blocks:
+                rows, idx, z, labels = (np.concatenate(arrays) for arrays in zip(*blocks))
+                groups.append((n, z, labels))
+                places.append((decoded, rows, idx))
+        results.append(BatchResolution(decoded, iterations, fallback_seeds, reseeds))
+    if groups:
+        for (decoded, rows, idx), scores in zip(places, _pegasos_scores(groups)):
             decoded[rows] = idx[np.arange(rows.size), _svm_pick(scores)] + 1
-    return BatchResolution(decoded, iterations, fallback_seeds, reseeds)
+    return results
 
 
-def _column_slots(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Slot of each column of each trial's signed rows ``x``, with slot sizes and slot rows.
+def _slot_map(z: np.ndarray, pattern: bool) -> np.ndarray:
+    """(T, n+1) slot of each column of ``[z, 1]`` for (T, c, n) 0/1 rows z.
 
-    Columns with the same values on a trial's rows hold equal Pegasos
-    weights at every step, so they share a slot.  When ``2**c_max <=
-    n+1`` a column's slot is its pattern code ``sum_i z_ij * 2**i`` (the
-    bias column has the all-ones pattern of its trial's rows); otherwise
-    every column is its own slot.  Returns the (T, n+1) slot map, the
-    (T, P) float64 column count of each slot and the (T, c_max, P) int8
-    signed slot rows ``label * bit``.
+    With ``pattern`` a column's slot is its pattern code
+    ``sum_i z_ij * 2**i`` (the bias column's is 2**c - 1); otherwise
+    each column is its own slot.
     """
-    total, c_max, k = x.shape
-    if 2**c_max > k:
-        return (
-            np.broadcast_to(np.arange(k), (total, k)),
-            np.broadcast_to(1.0, (total, k)),
-            np.asarray(x, dtype=np.int8),
-        )
-    p = 2**c_max
-    slot = np.zeros((total, k), dtype=np.min_scalar_type(p - 1))
-    for i in range(c_max):
-        slot |= (x[:, i] != 0).astype(slot.dtype) << i
-    keys = (np.arange(total) * p)[:, None] + slot
-    sizes = np.bincount(keys.ravel(), minlength=total * p).reshape(total, p).astype(np.float64)
-    bits = (np.arange(p) >> np.arange(c_max)[:, None]) & 1
-    labels = np.asarray(x[:, :, -1], dtype=np.int8)
-    return slot, sizes, (labels[:, :, None] * bits).astype(np.int8)
+    size, c, n = z.shape
+    if not pattern:
+        return np.broadcast_to(np.arange(n + 1), (size, n + 1))
+    slot = np.zeros((size, n + 1), dtype=np.min_scalar_type(2**c - 1))
+    for i in range(c):
+        slot[:, :n] |= z[:, i].astype(slot.dtype) << i
+    slot[:, n] = 2**c - 1
+    return slot
 
 
 def _slot_tolerance(k: int, p: int) -> float:
-    """Bound on |slot sum - reference margin| for rows of k columns in p slots.
+    """Bound on |slot sum - reference margin| for rows of at most k columns in p slots.
 
     Every weight satisfies |w| <= 1/lambda (the Pegasos update keeps the
     bound by induction, and rounding moves it by under 1e-12), and
@@ -726,108 +713,183 @@ def _slot_tolerance(k: int, p: int) -> float:
 
 
 def _slot_sums(rows: np.ndarray, sizes: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """(T,) sums of ``rows * sizes * w`` over slots: each trial's margin, up to :func:`_slot_tolerance`."""
-    return (rows * sizes * w) @ np.ones(w.shape[1])
+    """(T,) sums of ``rows * sizes * w`` over slots, in any order: margins up to :func:`_slot_tolerance`."""
+    return np.einsum("tp,tp,tp->t", rows, sizes, w)
 
 
-def _ddot_margins(x: np.ndarray, slot: np.ndarray, w: np.ndarray, trials: np.ndarray, r: np.ndarray) -> np.ndarray:
+def _signed_table(groups: list, p: int, pattern: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(T, p) slot sizes, a table of signed slot rows and each trial row's (T, c_max) table row.
+
+    A trial's row i has the signed slot row ``label * bit``.  With
+    pattern slots that depends only on i and the label, so the table is
+    the 2 * c_max float rows +-(bits of i); otherwise it holds every
+    trial's own int8 rows ``label * [z, 1]``.
+    """
+    c_max = max(z.shape[1] for _, z, _ in groups)
+    total = sum(z.shape[0] for _, z, _ in groups)
+    codes = np.zeros((total, c_max), dtype=np.min_scalar_type(2 * c_max if pattern else total * c_max))
+    if pattern:
+        bits = (np.arange(p) >> np.arange(c_max)[:, None]) & 1
+        table = np.concatenate([bits, -bits]).astype(np.float64)
+        sizes = np.empty((total, p))
+    else:
+        table = np.zeros((total * c_max, p), dtype=np.int8)
+        sizes = np.broadcast_to(1.0, (total, p))
+    at = 0
+    for n, z, labels in groups:
+        size, c, _ = z.shape
+        if pattern:
+            codes[at : at + size, :c] = np.arange(c) + c_max * (labels < 0)
+        else:
+            codes[at : at + size] = np.arange(at * c_max, (at + size) * c_max).reshape(size, c_max)
+        step = max(1, BATCH_BLOCK_ELEMS // (c * (n + 1)))
+        for lo in range(0, size, step):
+            rows = np.unpackbits(z[lo : lo + step], axis=2, count=n)
+            start, count = at + lo, rows.shape[0]
+            if pattern:
+                keys = (np.arange(count) * p)[:, None] + _slot_map(rows, True)
+                sizes[start : start + count] = np.bincount(keys.ravel(), minlength=count * p).reshape(count, p)
+            else:
+                signed = table[start * c_max : (start + count) * c_max].reshape(count, c_max, p)
+                signed[:, :c, :n] = rows
+                signed[:, :c, n] = 1
+                signed[:, :c] *= labels[lo : lo + step, :, None]
+        at += size
+    return sizes, table, codes
+
+
+def _ddot_margins(
+    groups: list, starts: list[int], pattern: bool, w: np.ndarray, trials: np.ndarray, r: np.ndarray
+) -> np.ndarray:
     """Margins of rows ``r`` of the given trials, each the reference's ``label * ([z, 1] @ w)``.
 
-    The weights are expanded from slots to columns and the dot product is
-    the same 1-D ``@`` (``ddot``) that :func:`_pegasos_separator` makes.
+    Trial t is row t - starts[g] of ``groups[g]``, g the last group
+    starting at or before t.  Its weights are expanded to its own n + 1
+    columns for the same 1-D ``@`` (``ddot``) as :func:`_pegasos_separator`.
     """
     out = np.empty(trials.size)
     for j, (t, i) in enumerate(zip(trials.tolist(), r.tolist())):
-        row = (x[t, i] != 0).astype(np.float64)
-        out[j] = float(x[t, i, -1]) * float(row @ w[t, slot[t]])
+        g = bisect_right(starts, t) - 1
+        n, z, labels = groups[g]
+        rows = np.unpackbits(z[t - starts[g]], axis=1, count=n)
+        row = np.append(rows[i], 1).astype(np.float64)
+        out[j] = float(labels[t - starts[g], i]) * float(row @ w[t, _slot_map(rows[None], pattern)[0]])
     return out
 
 
-def _pegasos_scores(x: np.ndarray, groups: list[tuple[int, int]]) -> list[np.ndarray]:
-    """Decision scores ``[z, 1] @ w`` after the Pegasos loop of :func:`svm_resolve`.
+def _pegasos_scores(groups: list[tuple[int, np.ndarray, np.ndarray]]) -> list[np.ndarray]:
+    """Scores ``[z, 1] @ w`` after the Pegasos loop of :func:`svm_resolve`, for each group.
 
-    ``x`` holds every trial's signed rows ``label * [z, 1]`` (any signed
-    dtype), zero-padded to the largest candidate count c_max; ``groups``
-    gives (trials, c_g) for the consecutive runs of trials with c_g
-    candidates, in descending c_g.  The reference bumps ``t`` on every
-    inner step, so at global step s every trial is at ``t = s + 1`` and
-    uses its row ``s % c``; a trial with c candidates stops after
-    ``SVM_EPOCHS * c`` steps, so the trials still running are a prefix.
+    A group ``(n, z, labels)`` holds trials of one n and one count c:
+    their (T, c, ceil(n/8)) packed rows and (T, c) +/-1 labels.  A trial
+    keeps one weight per slot of :func:`_slot_map`: columns of one slot
+    start at 0 and get the same multiply and add every step, so a slot's
+    weight is, bit for bit, each of its columns'.  With c_max the largest
+    count, trials whose n + 1 columns fit 2**c_max patterns share pattern
+    slots, P = 2**c_max whatever their n; the others have a slot per
+    column, P = n + 1; :func:`_pegasos_loop` runs each P once.
 
-    The loop keeps one weight per slot of :func:`_column_slots`, not per
-    column: columns of one slot start at 0 and get the same multiply and
-    the same add at every step, so a slot's weight is, bit for bit, the
-    weight of each of its columns.  A step scales every weight by
-    ``1 - eta * lambda`` and adds ``eta * label * bit`` where the margin
-    is below 1, the reference's float operations per slot.  It adds
-    ``eta * hit * label * bit`` to every weight, so a trial without a
-    hit, or a zero bit, adds a signed zero where the reference adds
-    nothing or ``-0.0``.  That changes no weight, since no weight is
-    ever ``-0.0``: they start at ``+0.0``, the scale is positive from
-    t = 2 on (0.0 at t = 1), and a sum with a nonzero term is never
-    ``-0.0``.
-
-    The margin decision is certified: the slot sum of
-    :func:`_slot_sums` is within :func:`_slot_tolerance` of the
-    reference's ``ddot`` whatever the order of either sum, so when it is
-    farther than that from 1 it decides ``margin < 1`` as the reference
-    does; otherwise the trial's weights are expanded to columns and the
-    reference's ``ddot`` decides (:func:`_ddot_margins`).  At the end
-    the weights are expanded once per trial and the scores are
-    ``(T_c, c, n+1) @ (T_c, n+1, 1)`` on the unsigned rows of one
-    candidate count, one ``gemv`` per trial of the shape of ``feats @ w``,
-    a block of at most ``BATCH_BLOCK_ELEMS`` row elements at a time; the
-    view holds exactly c rows, never the padding, since the ``gemv``
-    kernel's summation order may depend on the row count.  ``einsum`` or
-    ``.sum()`` in place of the ``ddot`` or the ``gemv`` would change the
-    summation order, and with it the last bits.
+    The final scores expand each trial's weights to its own n + 1
+    columns and take ``(T, c, n+1) @ (T, n+1, 1)`` on one group's
+    unsigned float rows, a ``BATCH_BLOCK_ELEMS`` block at a time: one
+    ``gemv`` per trial of the shape of the reference's ``feats @ w``,
+    whose summation order, like the ``ddot``'s, may depend on the shape.
     """
-    total, c_max, k = x.shape
-    slot, sizes, signs = _column_slots(x)
-    p = sizes.shape[1]
-    tol = _slot_tolerance(k, p)
-    flat_signs = signs.reshape(total * c_max, p)
+    c_max = max(z.shape[1] for _, z, _ in groups)
+    loops: dict[int, list[int]] = {}
+    for g, (n, _, _) in enumerate(groups):
+        loops.setdefault(2**c_max if 2**c_max <= n + 1 else n + 1, []).append(g)
+    scores: list[np.ndarray] = [np.empty(0)] * len(groups)
+    for p, members in loops.items():
+        pattern = p == 2**c_max
+        # descending candidate count, so the trials still running are a prefix
+        members.sort(key=lambda g: -groups[g][1].shape[1])
+        weights = _pegasos_loop([groups[g] for g in members], p, pattern)
+        at = 0
+        for g in members:
+            n, z, _ = groups[g]
+            size, c, _ = z.shape
+            out = np.empty((size, c))
+            step = max(1, BATCH_BLOCK_ELEMS // (c * (n + 1)))
+            for lo in range(0, size, step):
+                rows = np.unpackbits(z[lo : lo + step], axis=2, count=n)
+                feats = np.ones((rows.shape[0], c, n + 1))
+                feats[:, :, :n] = rows
+                slots = _slot_map(rows, pattern)
+                w_full = np.take_along_axis(weights[at + lo : at + lo + rows.shape[0]], slots, axis=1)
+                out[lo : lo + step] = np.matmul(feats, w_full[:, :, None])[:, :, 0]
+            scores[g] = out
+            at += size
+    return scores
+
+
+def _pegasos_loop(groups: list, p: int, pattern: bool) -> np.ndarray:
+    """(T, p) slot weights after the Pegasos loop of the trials of ``groups``, c descending.
+
+    The reference bumps ``t`` on every inner step, so at global step s
+    every trial is at ``t = s + 1`` on its row ``s % c``, and stops after
+    ``SVM_EPOCHS * c`` steps: the trials still running are a prefix.  A
+    step scales every weight by ``1 - eta * lambda`` and adds
+    ``eta * label * bit`` to the trials whose margin is below 1, only to
+    those.  That add makes three (hits, p) temporaries beside the step's
+    rows, so where a sixteenth or more hit (every trial on the first
+    step, whose weights are all 0) it adds ``eta * hit * label * bit`` to
+    all, in place: the peak stays at the rows for the same time (16 is
+    the least factor that measured so).  It is the same add: a signed
+    zero where the reference adds nothing or ``-0.0``, which changes no
+    weight, since none is ever ``-0.0`` (they start at ``+0.0``, the
+    scale is positive from t = 2 on, and a sum with a nonzero term is
+    never ``-0.0``).
+
+    A margin is decided from the slot sum when it is farther from 1 than
+    :func:`_slot_tolerance` (at the largest n + 1), which bounds its
+    distance to the reference's ``ddot`` in any order; otherwise the
+    ``ddot`` itself decides (:func:`_ddot_margins`).
+    """
+    sizes, table, codes = _signed_table(groups, p, pattern)
+    total, c_max = codes.shape
+    tol = _slot_tolerance(max(n for n, _, _ in groups) + 1, p)
+    starts = np.cumsum([0] + [z.shape[0] for _, z, _ in groups]).tolist()
+    # runs of one candidate count: (first trial, end, c), c descending
+    runs: list[tuple[int, int, int]] = []
+    for (_, z, _), lo, hi in zip(groups, starts, starts[1:]):
+        if runs and runs[-1][2] == z.shape[1]:
+            lo = runs.pop()[0]
+        runs.append((lo, hi, z.shape[1]))
+    flat_codes = codes.ravel()
     first_row = np.arange(total) * c_max
-    bounds = np.cumsum([0] + [size for size, _ in groups]).tolist()
     # flat row of each trial's step, first_row + s % c: one up per step, back at each wrap
     row_at = first_row - 1
     w = np.zeros((total, p))
     start = 0
-    # the smallest count stops first: the running trials are groups 0..g
-    for g in reversed(range(len(groups))):
-        live = bounds[g + 1]
-        wraps = [(bounds[h], bounds[h + 1], groups[h][1]) for h in range(g + 1)]
+    # the smallest count stops first: the running trials are runs 0..g
+    for g in reversed(range(len(runs))):
+        live = runs[g][1]
         row_live, w_live, size_live = row_at[:live], w[:live], sizes[:live]
-        for s in range(start, SVM_EPOCHS * groups[g][1]):
+        for s in range(start, SVM_EPOCHS * runs[g][2]):
             eta = 1.0 / (SVM_LAMBDA * (s + 1))
             row_live += 1
-            for lo, hi, c in wraps:
+            for lo, hi, c in runs[: g + 1]:
                 if s % c == 0:
                     row_live[lo:hi] = first_row[lo:hi]
-            rows = np.take(flat_signs, row_live, axis=0).astype(np.float64)
+            rows = np.take(table, np.take(flat_codes, row_live), axis=0).astype(np.float64, copy=False)
             approx = _slot_sums(rows, size_live, w_live)
             hit = approx < 1.0 - tol
             maybe = approx <= 1.0 + tol
             if np.count_nonzero(maybe) != np.count_nonzero(hit):
                 unsure = np.flatnonzero(maybe & ~hit)
-                hit[unsure] = _ddot_margins(x, slot, w, unsure, row_live[unsure] - first_row[unsure]) < 1.0
+                r = row_live[unsure] - first_row[unsure]
+                hit[unsure] = _ddot_margins(groups, starts, pattern, w, unsure, r) < 1.0
             w_live *= 1.0 - eta * SVM_LAMBDA
-            rows *= (eta * hit)[:, None]
-            w_live += rows
-        start = SVM_EPOCHS * groups[g][1]
-    scores = []
-    at = 0
-    for size, c in groups:
-        out = np.empty((size, c))
-        step = max(1, BATCH_BLOCK_ELEMS // (c * k))
-        for lo in range(0, size, step):
-            sl = slice(at + lo, at + min(lo + step, size))
-            feats = (x[sl, :c] != 0).astype(np.float64)
-            w_full = np.take_along_axis(w[sl], slot[sl], axis=1)
-            out[lo : lo + step] = np.matmul(feats, w_full[:, :, None])[:, :, 0]
-        scores.append(out)
-        at += size
-    return scores
+            hits = np.flatnonzero(hit)
+            if 16 * hits.size < live:
+                w_live[hits] += eta * rows[hits]
+            else:
+                rows *= (eta * hit)[:, None]
+                w_live += rows
+            del rows  # freed before the next step gathers its rows
+        start = SVM_EPOCHS * runs[g][2]
+    return w
 
 
 def _svm_pick(scores: np.ndarray) -> np.ndarray:

@@ -12,7 +12,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .montecarlo import ExponentPoint, TrialConfig, estimate_pe, exponent, run_points
+from .montecarlo import (
+    DEFAULT_CHUNK,
+    ExponentPoint,
+    PeEstimate,
+    TrialConfig,
+    estimate_pe,
+    exponent,
+    iter_points,
+)
 
 M_MODES = ("fixed-m", "fixed-rate")
 
@@ -100,15 +108,27 @@ def sweep_source_prob(
         raise ValueError("q_values must be strictly increasing")
     if not blocklengths:
         raise ValueError("blocklengths must be nonempty")
+    if trials_per_point < 1:
+        raise ValueError("trials_per_point must be positive")
 
-    # the points of one blocklength share a shape, so one call per
-    # blocklength resolves their multi-candidate trials together; a call
-    # per blocklength rather than one for the grid keeps only its batches alive
-    estimates = {}
-    for n in blocklengths:
-        cfgs = [replace(base, q=q, n=n) for q in q_values]
-        for q, batch in zip(q_values, run_points(cfgs, trials_per_point)):
-            estimates[q, n] = batch.estimates()
+    # every point of the grid shares a shape, so one call resolves their
+    # multi-candidate trials together; a call per span of DEFAULT_CHUNK
+    # trials bounds each batch, only the batches of the open pool stay
+    # alive, and each trial id draws the same trial in any span, so the
+    # summed counts are exact
+    grid = [(q, n) for n in blocklengths for q in q_values]
+    cfgs = [replace(base, q=q, n=n) for q, n in grid]
+    jt_errors = [0] * len(grid)
+    weak_errors = [0] * len(grid)
+    for start in range(0, trials_per_point, DEFAULT_CHUNK):
+        count = min(DEFAULT_CHUNK, trials_per_point - start)
+        for i, batch in iter_points(cfgs, count, start=start):
+            jt_errors[i] += batch.jt_errors
+            weak_errors[i] += batch.weak_errors
+    estimates = {
+        point: (PeEstimate.from_counts(trials_per_point, jt), PeEstimate.from_counts(trials_per_point, weak))
+        for point, jt, weak in zip(grid, jt_errors, weak_errors)
+    }
     points = []
     for q in q_values:
         best_jt: ExponentPoint | None = None

@@ -13,18 +13,21 @@ streams, and trial t then owns four purpose streams (codebook, message,
 noise, resolver).  Batches, single trials, and the exhaustive oracle
 all reproduce each other exactly.
 
-Execution: :func:`run_points` is the one trial executor.  It simulates
+Execution: :func:`iter_points` is the one trial executor.  It simulates
 each sweep point in chunks sized to ``CALL_BYTES`` and resolves the
-multi-candidate trials of every point of one shape (n, m, resolver,
-k_max) together, so a lockstep resolver loop runs once per pool of
-points rather than once per point; :func:`run_trials` is that executor
-on a single point.  Because every point owns its derived master, the
-result of a point never depends on which points it was pooled with.
+multi-candidate trials of every point of one shape (m, resolver, k_max),
+whatever their blocklengths, together and bit-packed, so a lockstep
+resolver loop runs once per pool of points rather than once per point;
+:func:`run_points` collects its batches in order and :func:`run_trials`
+runs it on a single point.  Because every point owns its derived
+master, the result of a point never depends on which points it was
+pooled with.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from hashlib import blake2b
 from itertools import groupby
@@ -38,6 +41,7 @@ from .decoders import (
     CandidateSet,
     Clustering,
     DecodeOutcome,
+    PackedTrials,
     RESOLVERS,
     classical_outcome,
     cluster_resolve_batch,
@@ -73,9 +77,9 @@ CHUNK_BYTES = 1 << 27
 # heap pages instead of faulting in fresh ones; a trial above it runs alone
 CALL_BYTES = 1 << 24
 
-# a pool of multi-candidate trials is resolved once their codebooks fill
-# this many resolver blocks (decoders.BATCH_BLOCK_ELEMS elements, one
-# byte per codebook symbol)
+# a pool of multi-candidate trials is resolved once their bit-packed
+# codebooks fill this many resolver blocks (decoders.BATCH_BLOCK_ELEMS
+# bytes each, packed_bytes(m, n) per trial)
 POOL_BLOCKS = 4
 
 CODEBOOK_MODES = ("redraw", "fixed")
@@ -280,11 +284,6 @@ class TrialBatch:
         )
 
 
-def trial_bytes(m: int, n: int) -> int:
-    """Bytes of one trial's codebook in a kernel call (m words of n uint8 symbols)."""
-    return m * n
-
-
 def call_bytes(m: int, n: int) -> int:
     """Bytes one trial takes inside a :func:`~weaktyp.kernels.simulate_trials` call.
 
@@ -300,70 +299,84 @@ def call_bytes(m: int, n: int) -> int:
     return m * (n + 73) + 17 * n + 56
 
 
-def _shape(cfg: TrialConfig) -> tuple[int, int, str, int]:
-    """Sweep points of one shape have their multi-candidate trials resolved together."""
-    return (cfg.n, cfg.m, cfg.resolver, cfg.k_max)
+def packed_bytes(m: int, n: int) -> int:
+    """Bytes of one trial's codebook bit-packed along n, as a resolver pool holds it."""
+    return m * -(-n // 8)
+
+
+def _shape(cfg: TrialConfig) -> tuple[int, str, int]:
+    """Sweep points of one shape have their multi-candidate trials resolved together, whatever their n."""
+    return (cfg.m, cfg.resolver, cfg.k_max)
 
 
 class _Pool:
     """Multi-candidate trials of the sweep points of one shape, awaiting one resolver call.
 
-    Each part keeps only what resolution needs of one chunk's
-    multi-candidate trials: the candidate masks, the codebooks, the
-    received words and the resolver stream states, plus the array and
-    positions the decoded indices go to.  Every trial carries its own
-    codebook, because each fixed-codebook point draws its shared
-    codebook from its own derived master.
-
-    The pool is bounded in bytes of codebook, ``trial_bytes(m, n)`` per
-    trial, against ``budget`` = ``POOL_BLOCKS`` resolver blocks: a part
-    that would take it past the budget first resolves what is pooled,
-    and a part that fills the budget on its own is resolved alone and
-    uncopied.  So the pool's parts, and the one copy that joins them,
-    each stay within the budget.
+    A part holds one chunk's multi-candidate trials: n, candidate masks,
+    bit-packed codebooks (each trial its own, since each fixed-codebook
+    point draws its codebook from its own seed), resolver states and,
+    for ``svm`` only, packed received words, plus the array and
+    positions their decodes go to.  The pool is bounded by ``budget`` =
+    ``POOL_BLOCKS`` resolver blocks of packed codebook,
+    ``packed_bytes(m, n)`` per trial: a part that would pass it first
+    flushes the pool, and a part that fills it alone is resolved alone,
+    uncopied, so the parts, and their joined copies, stay within it.
     """
 
-    def __init__(self, cfg: TrialConfig) -> None:
-        self.cfg = cfg
+    def __init__(self, m: int, resolver: str, k_max: int) -> None:
+        self.m, self.resolver, self.k_max = m, resolver, k_max
         self.budget = POOL_BLOCKS * decoders.BATCH_BLOCK_ELEMS
-        self.parts: list[tuple[np.ndarray, ...]] = []
+        self.parts: list[tuple] = []
         self.bytes = 0
 
     def add(
         self,
+        n: int,
         mask: np.ndarray,
         words: np.ndarray,
-        received: np.ndarray,
+        received: np.ndarray | None,
         states: np.ndarray,
         weak: np.ndarray,
         positions: np.ndarray,
     ) -> None:
-        size = positions.size * trial_bytes(self.cfg.m, self.cfg.n)
+        size = positions.size * packed_bytes(self.m, n)
         if self.bytes + size > self.budget:
             self.flush()
-        self.parts.append((mask, words, received, states, weak, positions))
+        self.parts.append((n, mask, words, received, states, weak, positions))
         self.bytes += size
         if self.bytes >= self.budget:
             self.flush()
 
+    def waiting(self) -> set[int]:
+        """Ids of the decode arrays that pooled trials are still to be written into."""
+        return {id(part[5]) for part in self.parts}
+
     def flush(self) -> None:
-        """Resolve every pooled trial in one batched call and scatter the decodes back."""
+        """Resolve every pooled trial, each n's parts joined, and scatter the decodes back."""
         if not self.parts:
             return
         parts, self.parts, self.bytes = self.parts, [], 0
-        mask, words, received, states = (_joined([part[i] for part in parts]) for i in range(4))
-        targets = [part[4:] for part in parts]
-        del parts  # the joined copies replace the parts
-        if self.cfg.resolver == "svm":
-            resolved = svm_resolve_batch(mask, words, received, states)
+        by_n: dict[int, list[tuple]] = {}
+        for part in parts:
+            by_n.setdefault(part[0], []).append(part)
+        del parts
+        batches, targets = [], []
+        for n, same in by_n.items():
+            mask, words, states = (_joined([part[i] for part in same]) for i in (1, 2, 4))
+            received = _joined([part[3] for part in same]) if self.resolver == "svm" else None
+            batches.append(PackedTrials(n, mask, words, states, received))
+            targets.append([part[5:] for part in same])
+        del by_n, same  # the joined copies replace the parts
+        if self.resolver == "svm":
+            results = svm_resolve_batch(batches)
         else:
-            resolved = cluster_resolve_batch(
-                mask, words, received, states, self.cfg.k_max, CLUSTER_PICKS[self.cfg.resolver]
-            )
-        at = 0
-        for weak, positions in targets:
-            weak[positions] = resolved.decoded[at : at + positions.size]
-            at += positions.size
+            pick = CLUSTER_PICKS[self.resolver]
+            results = [cluster_resolve_batch(batch, self.k_max, pick) for batch in batches]
+        for resolved, places in zip(results, targets):
+            at = 0
+            for weak, positions in places:
+                weak[positions] = resolved.decoded[at : at + positions.size]
+                at += positions.size
 
 
 def _joined(arrays: list[np.ndarray]) -> np.ndarray:
@@ -385,6 +398,8 @@ def _simulate_point(
     t0 = float(cfg.channel.transition[0, 1])
     t1 = float(cfg.channel.transition[1, 1])
     fixed_words = fixed_codebook(cfg).words if cfg.codebook_mode == "fixed" else None
+    fixed_packed = None if fixed_words is None else np.packbits(fixed_words, axis=1)
+    svm = cfg.resolver == "svm"
     batch = TrialBatch(*(np.empty(num_trials, dtype=np.int64) for _ in range(4)))
 
     for off in range(0, num_trials, chunk_size):
@@ -401,20 +416,33 @@ def _simulate_point(
         batch.weak_decoded[sl] = batch.jt_decoded[sl]
         multi = np.flatnonzero(counts >= 2)
         if xwords is None:
-            words = np.broadcast_to(fixed_words, (multi.size, *fixed_words.shape))
+            words = np.broadcast_to(fixed_packed, (multi.size, *fixed_packed.shape))
         else:
-            words = xwords[multi]
-        del xwords  # the chunk's codebooks are freed before any resolution
+            # packed whole, then selected: no unpacked copy of the multi-candidate trials
+            words = np.packbits(xwords, axis=2)[multi] if multi.size else None
+        # the chunk's codebooks are freed before any resolution and before the next call
+        del xwords
         if multi.size:
+            received = np.packbits(ybits, axis=1)[multi] if svm else None
             states = stream_states(dm, (tid0 + multi) * STREAMS_PER_TRIAL + PURPOSE_RESOLVER)
-            pool.add(mask[multi], words, ybits[multi], states, batch.weak_decoded, off + multi)
+            pool.add(cfg.n, mask[multi], words, received, states, batch.weak_decoded, off + multi)
     return batch
 
 
 def run_points(
     cfgs: list[TrialConfig], num_trials: int, chunk_size: int = DEFAULT_CHUNK, start: int = 0
 ) -> list[TrialBatch]:
-    """Trials start..start+num_trials-1 of every sweep point in ``cfgs``, resolver included.
+    """Trials start..start+num_trials-1 of every sweep point in ``cfgs``: :func:`iter_points` in order."""
+    batches: list[TrialBatch | None] = [None] * len(cfgs)
+    for i, batch in iter_points(cfgs, num_trials, chunk_size, start):
+        batches[i] = batch
+    return batches
+
+
+def iter_points(
+    cfgs: list[TrialConfig], num_trials: int, chunk_size: int = DEFAULT_CHUNK, start: int = 0
+) -> Iterator[tuple[int, TrialBatch]]:
+    """(index, batch) of every sweep point in ``cfgs``, each as soon as its decodes are final.
 
     The trial executor.  Identical, point by point, to looping
     :func:`run_trial`, but orders of magnitude faster; equality of the
@@ -423,15 +451,17 @@ def run_points(
     fewer where their footprint, :func:`call_bytes` per trial, would pass
     ``CALL_BYTES``; a trial above that runs alone.  (``CHUNK_BYTES``
     only bounds one trial's :func:`call_bytes`, which
-    ``config.validate`` checks.)  The trials with two
-    or more candidates of every point of one shape (n, m, resolver,
-    k_max) are pooled and resolved together, in lockstep, by
-    :func:`~weaktyp.decoders.cluster_resolve_batch` for the cluster
-    resolvers or :func:`~weaktyp.decoders.svm_resolve_batch` for ``svm``:
-    a lockstep loop costs about the same whether it carries the trials of
+    ``config.validate`` checks.)  The trials with two or more candidates
+    of every point of one shape (m, resolver, k_max), whatever their n,
+    are pooled bit-packed and resolved together, in lockstep, by
+    :func:`~weaktyp.decoders.cluster_resolve_batch` (once per n) or
+    :func:`~weaktyp.decoders.svm_resolve_batch` (once for all n): a
+    lockstep loop costs about the same whether it carries the trials of
     one point or of many.  Points of one shape run back to back, so one
     pool is open at a time; every point owns its streams, so the order
-    changes no result.  No resolver runs one trial at a time.
+    changes no result.  A point is yielded once no pooled trial of it
+    awaits resolution, so a caller that keeps only its counts holds the
+    batches of the open pool's points, not of every point.
     """
     if num_trials < 1:
         raise ValueError("num_trials must be positive")
@@ -439,18 +469,36 @@ def run_points(
         raise ValueError("chunk_size must be positive")
     if start < 0:
         raise ValueError("start must be nonnegative")
-    batches: list[TrialBatch | None] = [None] * len(cfgs)
+    return _points(cfgs, num_trials, chunk_size, start)
+
+
+def _points(
+    cfgs: list[TrialConfig], num_trials: int, chunk_size: int, start: int
+) -> Iterator[tuple[int, TrialBatch]]:
+    """The generator behind :func:`iter_points`, on checked arguments."""
     by_shape = sorted(range(len(cfgs)), key=lambda i: _shape(cfgs[i]))
     for _, group in groupby(by_shape, key=lambda i: _shape(cfgs[i])):
         group = list(group)
-        pool = _Pool(cfgs[group[0]])
+        pool = _Pool(*_shape(cfgs[group[0]]))
+        open_points: list[tuple[int, TrialBatch]] = []
         for i in group:
-            batches[i] = _simulate_point(cfgs[i], num_trials, chunk_size, start, pool)
+            open_points.append((i, _simulate_point(cfgs[i], num_trials, chunk_size, start, pool)))
+            waiting = pool.waiting()
+            for point in open_points:
+                if id(point[1].weak_decoded) not in waiting:
+                    yield _checked(point)
+            open_points = [point for point in open_points if id(point[1].weak_decoded) in waiting]
         pool.flush()
-    for batch in batches:
-        if np.any((batch.weak_decoded != batch.true_w) & (batch.jt_decoded == batch.true_w)):
-            raise RuntimeError("dominance violated: weak decoder erred where the classical one succeeded")
-    return batches
+        for point in open_points:
+            yield _checked(point)
+
+
+def _checked(point: tuple[int, TrialBatch]) -> tuple[int, TrialBatch]:
+    """The point, once its batch has passed the pathwise dominance check."""
+    batch = point[1]
+    if np.any((batch.weak_decoded != batch.true_w) & (batch.jt_decoded == batch.true_w)):
+        raise RuntimeError("dominance violated: weak decoder erred where the classical one succeeded")
+    return point
 
 
 def run_trials(

@@ -11,7 +11,7 @@ from weaktyp.config import (
     parse_config,
 )
 from weaktyp.experiments import messages_at_rate
-from weaktyp.montecarlo import CHUNK_BYTES, ENUM_MAX_M, ENUM_MAX_N, call_bytes, trial_bytes
+from weaktyp.montecarlo import CHUNK_BYTES, ENUM_MAX_M, ENUM_MAX_N, call_bytes
 
 
 def test_defaults_validate_and_round_trip():
@@ -75,7 +75,7 @@ def test_full_profile_swaps_blocklength_defaults():
 def test_fixed_rate_over_the_chunk_budget_names_rate_bits():
     # the footprint is computed, never allocated: the full profile's n=600
     # needs 2^24 codewords, about 10 GB for a single trial
-    assert trial_bytes(messages_at_rate(600, 0.04), 600) == 2**24 * 600 > CHUNK_BYTES
+    assert messages_at_rate(600, 0.04) * 600 == 2**24 * 600 > CHUNK_BYTES
     with pytest.raises(ConfigError, match="rate_bits:"):
         parse_config("profile = full\nm_mode = fixed-rate\n")
     # an absurd rate is refused without building 2^(rate * n)
@@ -84,7 +84,7 @@ def test_fixed_rate_over_the_chunk_budget_names_rate_bits():
             parse_config(f"m_mode = fixed-rate\nrate_bits = {rate}\n")
     # the desk grid stops at n=200, m=256: 51200 bytes per trial
     cfg = parse_config("m_mode = fixed-rate\n")
-    assert trial_bytes(messages_at_rate(200, cfg["rate_bits"]), 200) == 256 * 200
+    assert messages_at_rate(200, cfg["rate_bits"]) * 200 == 256 * 200
     # fixed-m mode is not affected
     parse_config("profile = full\n")
 
@@ -92,7 +92,7 @@ def test_fixed_rate_over_the_chunk_budget_names_rate_bits():
 def test_fixed_m_over_the_chunk_budget_names_m_messages():
     # the footprint is computed, never allocated: 400000 codewords of 600
     # symbols are 240 MB for a single fig3 trial of the full profile
-    assert trial_bytes(400_000, 600) == 240_000_000 > CHUNK_BYTES
+    assert 400_000 * 600 == 240_000_000 > CHUNK_BYTES
     with pytest.raises(ConfigError, match="m_messages:.*fig3_blocklengths"):
         parse_config("profile = full\nm_messages = 400000\n")
     # the largest message count whose trial footprint fits is accepted
@@ -113,7 +113,7 @@ def test_fixed_m_is_admitted_by_the_trial_footprint_not_the_codebook():
     # at small n the scan arrays, not the codebook, dominate a trial: 2^24
     # codewords of 8 symbols are 128 MiB of codebook, within the budget, but
     # one trial takes 1296 MiB in a kernel call (computed, never allocated)
-    assert trial_bytes(2**24, 8) <= CHUNK_BYTES < call_bytes(2**24, 8) == 1296 * 2**20 + 17 * 8 + 56
+    assert 2**24 * 8 <= CHUNK_BYTES < call_bytes(2**24, 8) == 1296 * 2**20 + 17 * 8 + 56
     text = "m_messages = 16777216\nfig3_blocklengths = 4,8\nfig12_blocklengths = 8\n"
     with pytest.raises(ConfigError, match="m_messages:.*fig3_blocklengths"):
         parse_config(text)

@@ -9,6 +9,7 @@ from weaktyp.core import bsc, generate_codebook, hamming_diff, sequence, transmi
 from weaktyp.decoders import (
     CandidateSet,
     DecodeOutcome,
+    PackedTrials,
     classical_outcome,
     cluster_resolve,
     cluster_resolve_batch,
@@ -303,8 +304,8 @@ def test_exact_ties_go_to_the_lowest_index():
     cands = cand_set([1, 2, 3], rows)
     assert cluster_resolve(cands, 1, RngStream(0, 0)) == 1
     states = stream_states(0, np.array([0]))
-    mask, received = np.ones((1, 3), dtype=bool), np.zeros((1, 5), dtype=np.uint8)
-    got = cluster_resolve_batch(mask, np.array(rows), received, states, 1)
+    trials = PackedTrials(5, np.ones((1, 3), dtype=bool), np.packbits(np.array(rows), axis=1), states)
+    got = cluster_resolve_batch(trials, 1)
     assert got.decoded.tolist() == [1]
     assert got.iterations.tolist() == [2]
 
@@ -334,7 +335,7 @@ def test_nearest_decides_alike_from_quotients_and_from_wide_products():
     for _ in range(50):
         trials, c, n, k = 20, int(rng.integers(2, 9)), int(rng.integers(1, 40)), int(rng.integers(1, 5))
         x = rng.integers(0, 2, size=(trials, c, n), dtype=np.uint8)
-        weight, gram_times = decoders._gram_products(x)
+        weight, gram_times = decoders._gram_products(np.packbits(x, axis=2), n)
         member = np.zeros((trials, c, k), dtype=bool)
         member[np.arange(trials)[:, None], rng.integers(0, c, size=(trials, k)), np.arange(k)] = True
         member |= rng.random((trials, c, k)) < 0.3
@@ -350,11 +351,10 @@ def test_many_candidates_on_few_symbols_resolve_from_the_rows():
     # c > n: a c x c Gram matrix would take c**2 elements; the products are taken from the rows
     c, n, k_max = 2000, 8, 3
     words = np.random.default_rng(10).integers(0, 2, size=(1, c, n), dtype=np.uint8)
-    received = np.zeros((1, n), dtype=np.uint8)
-    states = stream_states(11, np.array([5]))
+    trials = PackedTrials(n, np.ones((1, c), dtype=bool), np.packbits(words, axis=2), stream_states(11, np.array([5])))
     tracemalloc.start()
     try:
-        got = cluster_resolve_batch(np.ones((1, c), dtype=bool), words, received, states, k_max)
+        got = cluster_resolve_batch(trials, k_max)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -417,21 +417,29 @@ def test_svm_degenerate_identical_points():
     assert svm_resolve(cands, RngStream(0, 0)) == 4
 
 
+def pegasos_group(rows, labels):
+    """A group of :func:`decoders._pegasos_scores`: (n, packed rows, int8 labels) of trials of one count."""
+    rows = np.asarray(rows, dtype=np.uint8)
+    return rows.shape[2], np.packbits(rows, axis=2), np.asarray(labels, dtype=np.int8)
+
+
+def reference_scores(n, z, labels):
+    """The per-trial Pegasos scores ``[z, 1] @ w`` of each trial of a group, in float64."""
+    out = []
+    for packed, lab in zip(z, labels):
+        feats = np.hstack([np.unpackbits(packed, axis=1, count=n), np.ones((packed.shape[0], 1))])
+        out.append(feats @ decoders._pegasos_separator(feats, lab.astype(np.float64)))
+    return np.array(out)
+
+
 def test_lockstep_pegasos_scores_keep_the_sign_of_an_exact_zero():
     # two equal rows of opposite labels cancel: the reference scores them +0.0,
     # which a score taken on the signed row and then negated would turn into -0.0
-    four = np.array([[0, 1, 1], [0, 1, 1], [1, 1, 1], [0, 0, 1]], dtype=np.float64)
-    four_labels = np.array([1.0, -1.0, 1.0, -1.0])
-    two = np.array([[1, 0, 1], [0, 1, 1]], dtype=np.float64)
-    two_labels = np.array([-1.0, 1.0])
-    # signed rows label * [z, 1], the c=2 trial zero-padded to c_max = 4
-    x = np.zeros((2, 4, 3))
-    x[0] = four * four_labels[:, None]
-    x[1, :2] = two * two_labels[:, None]
-    got = decoders._pegasos_scores(x, [(1, 4), (1, 2)])
-    for (feats, labels), scores in zip(((four, four_labels), (two, two_labels)), got):
-        ref = feats @ decoders._pegasos_separator(feats, labels)
-        assert scores[0].tobytes() == ref.tobytes()
+    four = pegasos_group([[[0, 1], [0, 1], [1, 1], [0, 0]]], [[1, -1, 1, -1]])
+    two = pegasos_group([[[1, 0], [0, 1]]], [[-1, 1]])
+    got = decoders._pegasos_scores([four, two])
+    for group, scores in zip((four, two), got):
+        assert scores.tobytes() == reference_scores(*group).tobytes()
     assert got[0][0, 1] == 0.0 and not np.signbit(got[0][0, 1])
 
 
@@ -442,26 +450,36 @@ def test_pegasos_scores_with_every_margin_by_ddot_match_the_reference(monkeypatc
     ddot_margins = decoders._ddot_margins
     margins = []
 
-    def counted(x, slot, w, trials, r):
+    def counted(groups, starts, pattern, w, trials, r):
         margins.append(trials.size)
-        return ddot_margins(x, slot, w, trials, r)
+        return ddot_margins(groups, starts, pattern, w, trials, r)
 
     monkeypatch.setattr(decoders, "_ddot_margins", counted)
     rng = np.random.default_rng(11)
-    # n = 40: 2**5 patterns fit in 41 columns; n = 3: every column is its own slot
-    for n, groups in ((40, [(1, 5), (2, 3), (1, 2)]), (3, [(2, 6), (1, 2)])):
-        counts = np.repeat([c for _, c in groups], [size for size, _ in groups])
-        x = np.zeros((counts.size, counts[0], n + 1), dtype=np.int8)
-        refs = []
-        for t, c in enumerate(counts):
-            feats = np.hstack([rng.integers(0, 2, size=(c, n)), np.ones((c, 1))])
-            labels = rng.choice([-1.0, 1.0], size=c)
-            x[t, :c] = feats * labels[:, None]
-            refs.append(feats @ decoders._pegasos_separator(feats, labels))
-        margins.clear()
-        got = np.concatenate([s.ravel() for s in decoders._pegasos_scores(x, groups)])
-        assert sum(margins) == decoders.SVM_EPOCHS * counts.sum()
-        assert got.tobytes() == np.concatenate(refs).tobytes()
+    # c_max = 5: 2**5 patterns fit in the 41 and 33 columns of n = 40 and n = 32,
+    # which share one loop; at n = 3 every column is its own slot, in a loop of its own
+    shapes = [(40, 1, 5), (32, 2, 3), (40, 1, 2), (3, 2, 5), (3, 1, 2)]
+    groups = [
+        pegasos_group(rng.integers(0, 2, size=(size, c, n)), rng.choice([-1, 1], size=(size, c)))
+        for n, size, c in shapes
+    ]
+    got = decoders._pegasos_scores(groups)
+    assert sum(margins) == decoders.SVM_EPOCHS * sum(size * c for _, size, c in shapes)
+    for group, scores in zip(groups, got):
+        assert scores.tobytes() == reference_scores(*group).tobytes()
+
+
+def test_pegasos_scores_of_many_trials_match_the_reference():
+    # a step adds in place to every weight where a sixteenth or more of the
+    # trials hit (all of them on the first step) and gathers the hits where
+    # fewer do, which takes a loop of well over 16 trials to reach
+    rng = np.random.default_rng(12)
+    groups = [
+        pegasos_group(rng.integers(0, 2, size=(size, c, 30)), rng.choice([-1, 1], size=(size, c)))
+        for size, c in ((120, 4), (80, 3))
+    ]
+    for group, scores in zip(groups, decoders._pegasos_scores(groups)):
+        assert scores.tobytes() == reference_scores(*group).tobytes()
 
 
 def test_svm_two_candidates_tie_break():

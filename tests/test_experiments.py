@@ -1,5 +1,6 @@
 import pytest
 
+from weaktyp import experiments
 from weaktyp.core import bsc
 from weaktyp.experiments import SweepResult, sweep_blocklengths, sweep_source_prob
 from weaktyp.montecarlo import TrialConfig, estimate_pe, exponent
@@ -96,3 +97,27 @@ def test_bias_sweep_tracks_per_decoder_argmax():
         weak_all.append(exponent(pe_weak, n, 4).exponent)
     assert ep_jt.exponent == max(jt_all)
     assert ep_weak.exponent == max(weak_all)
+
+
+def test_bias_sweep_in_spans_equals_one_call(monkeypatch):
+    # the grid runs through iter_points once per span of DEFAULT_CHUNK trials; each
+    # trial id draws the same trial in any span, so the summed counts match bit for bit
+    calls = []
+    iter_points = experiments.iter_points
+
+    def counted(cfgs, num_trials, **kw):
+        calls.append((num_trials, kw.get("start", 0)))
+        return iter_points(cfgs, num_trials, **kw)
+
+    monkeypatch.setattr(experiments, "iter_points", counted)
+    for resolver in ("cluster", "svm"):
+        base = base_cfg(resolver=resolver)
+        whole = sweep_source_prob(base, [0.3, 0.5], [10, 20], 7)
+        assert calls == [(7, 0)]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(experiments, "DEFAULT_CHUNK", 3)
+            spans = sweep_source_prob(base, [0.3, 0.5], [10, 20], 7)
+        assert calls == [(7, 0), (3, 0), (3, 3), (1, 6)]
+        # repr tells a signed zero from an unsigned one
+        assert repr(spans.points) == repr(whole.points)
+        calls.clear()

@@ -1,11 +1,12 @@
 import math
+import weakref
 from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from weaktyp import decoders, montecarlo
+from weaktyp import decoders, kernels, montecarlo
 from weaktyp.core import bsc
 from weaktyp.decoders import RESOLVERS, DecodeOutcome
 from weaktyp.montecarlo import (
@@ -20,10 +21,10 @@ from weaktyp.montecarlo import (
     exhaustive_pe,
     exponent,
     fixed_codebook,
+    packed_bytes,
     run_points,
     run_trial,
     run_trials,
-    trial_bytes,
     trial_detail,
 )
 
@@ -84,35 +85,49 @@ def test_points_pool_only_with_their_own_resolver_and_k_max():
     assert len({batch.weak_decoded.tobytes() for batch in batches}) == len(cfgs) - 1
 
 
-def pooled_footprints(monkeypatch, cfg, part_sizes):
-    """Codebook bytes the pool holds and joins while ``part_sizes`` chunks of trials pass through it.
+def pooled_footprints(monkeypatch, m, resolver, parts):
+    """Packed codebook bytes the pool holds and joins while ``parts`` chunks of trials pass through it.
 
-    The parts are broadcast views and the join is recorded, not made, so
-    nothing of the footprint is allocated.  Returns the pool's bytes after
-    each part and the bytes of each join of several parts; a part resolved
-    alone is passed on uncopied.
+    ``parts`` lists (n, trials) chunks.  The parts are broadcast views and
+    the joins are recorded, not made, so nothing of the footprint is
+    allocated.  Returns the pool's bytes after each part, the bytes of
+    the copies that join several parts, summed per flush, and the
+    blocklengths each flush resolved; a part resolved alone is passed on
+    uncopied.
     """
-    joins = []
+    joined, flushed_ns = [], []
 
     def recorded_join(arrays):
-        if len(arrays) > 1:
-            joins.append(sum(a.shape[0] for a in arrays) * trial_bytes(cfg.m, cfg.n))
+        if len(arrays) > 1 and arrays[0].ndim == 3:  # the codebooks, (trials, m, ceil(n/8))
+            joined[-1] += sum(a.shape[0] for a in arrays) * arrays[0].shape[1] * arrays[0].shape[2]
         return np.broadcast_to(arrays[0][:1], (sum(a.shape[0] for a in arrays), *arrays[0].shape[1:]))
 
-    def resolver(mask, *rest):
-        return SimpleNamespace(decoded=np.ones(mask.shape[0], dtype=np.int64))
+    def decoded(batch):
+        flushed_ns[-1].append(batch.n)
+        return SimpleNamespace(decoded=np.ones(batch.cand_mask.shape[0], dtype=np.int64))
+
+    flush = montecarlo._Pool.flush
+
+    def recorded_flush(pool):
+        if pool.parts:
+            joined.append(0)
+            flushed_ns.append([])
+        flush(pool)
 
     monkeypatch.setattr(montecarlo, "_joined", recorded_join)
-    monkeypatch.setattr(montecarlo, "svm_resolve_batch", resolver)
-    monkeypatch.setattr(montecarlo, "cluster_resolve_batch", resolver)
-    pool = montecarlo._Pool(cfg)
-    weak = np.zeros(sum(part_sizes), dtype=np.int64)
+    monkeypatch.setattr(montecarlo, "svm_resolve_batch", lambda batches: [decoded(b) for b in batches])
+    monkeypatch.setattr(montecarlo, "cluster_resolve_batch", lambda batch, k_max, pick: decoded(batch))
+    monkeypatch.setattr(montecarlo._Pool, "flush", recorded_flush)
+    pool = montecarlo._Pool(m, resolver, 3)
+    weak = np.zeros(sum(k for _, k in parts), dtype=np.int64)
     held, at = [], 0
-    for k in part_sizes:
+    for n, k in parts:
+        width = -(-n // 8)
         pool.add(
-            np.broadcast_to(np.ones((1, 1), dtype=bool), (k, cfg.m)),
-            np.broadcast_to(np.zeros((1, 1, 1), dtype=np.uint8), (k, cfg.m, cfg.n)),
-            np.broadcast_to(np.zeros((1, 1), dtype=np.uint8), (k, cfg.n)),
+            n,
+            np.broadcast_to(np.ones((1, 1), dtype=bool), (k, m)),
+            np.broadcast_to(np.zeros((1, 1, 1), dtype=np.uint8), (k, m, width)),
+            np.broadcast_to(np.zeros((1, 1), dtype=np.uint8), (k, width)) if resolver == "svm" else None,
             np.zeros(k, dtype=np.uint64),
             weak,
             np.arange(at, at + k),
@@ -121,33 +136,60 @@ def pooled_footprints(monkeypatch, cfg, part_sizes):
         at += k
     pool.flush()
     assert np.all(weak == 1)  # every decode is scattered back
-    return held, joins
+    return held, joined, flushed_ns
 
 
 def test_pool_resolves_a_trial_at_the_chunk_budget_alone_and_uncopied(monkeypatch):
     # the largest fig3 trial the full profile accepts at n = 600: 119 MB of
-    # codebook, so a kernel call holds one trial and every chunk is one part
+    # codebook, 15 MB packed, so a kernel call holds one trial and every chunk is one part
     m = (CHUNK_BYTES - call_bytes(0, 600)) // (call_bytes(1, 600) - call_bytes(0, 600))
     cfg = TrialConfig(n=600, m=m, q=0.5, channel=bsc(0.4), eps=0.1, resolver="svm")
     assert call_bytes(cfg.m, cfg.n) <= CHUNK_BYTES < call_bytes(cfg.m + 1, cfg.n)
-    assert CHUNK_BYTES // trial_bytes(cfg.m, cfg.n) == 1
-    held, joins = pooled_footprints(monkeypatch, cfg, [1, 1, 1, 1])
+    assert CHUNK_BYTES // (cfg.m * cfg.n) == 1
+    assert packed_bytes(cfg.m, cfg.n) > montecarlo.POOL_BLOCKS * decoders.BATCH_BLOCK_ELEMS
+    held, joined, _ = pooled_footprints(monkeypatch, cfg.m, cfg.resolver, [(600, 1)] * 4)
     # nothing is held over to the next chunk and nothing is joined: the worst
     # pooled footprint is the one part being resolved, as without pooling
-    assert held == [0, 0, 0, 0] and joins == []
+    assert held == [0, 0, 0, 0] and joined == [0, 0, 0, 0]
 
 
-def test_pool_holds_and_joins_at_most_its_budget(monkeypatch):
-    # the fig3 grid's largest shape, 480 bytes of codebook per trial
-    cfg = TrialConfig(n=120, m=4, q=0.5, channel=bsc(0.4), eps=0.1, resolver="cluster")
+def test_pool_holds_and_joins_at_most_its_budget():
+    # the fig3 grid's longest and shortest blocklengths at m = 4: 60 and 12 packed bytes a trial
     budget = montecarlo.POOL_BLOCKS * decoders.BATCH_BLOCK_ELEMS
-    per_budget = budget // trial_bytes(cfg.m, cfg.n)
-    parts = [45] * 20 + [per_budget + 1, 1, 1, per_budget - 1, 2, per_budget, 3]
-    held, joins = pooled_footprints(monkeypatch, cfg, parts)
-    assert max(held) < budget
-    assert joins and max(joins) <= budget
-    # the parts of several points are joined: the pool does pool
-    assert max(joins) > 45 * trial_bytes(cfg.m, cfg.n)
+    assert (packed_bytes(4, 120), packed_bytes(4, 20)) == (60, 12)
+    per_budget = budget // packed_bytes(4, 120)
+    parts = [(120, 45), (20, 45)] * 20 + [(120, per_budget + 1), (20, 1), (120, 1), (120, per_budget - 1)]
+    parts += [(20, 2), (120, per_budget), (20, 3)]
+    for resolver in ("cluster", "svm"):
+        with pytest.MonkeyPatch.context() as patch:
+            held, joined, flushed_ns = pooled_footprints(patch, 4, resolver, parts)
+        assert max(held) < budget
+        assert max(joined) <= budget
+        # the parts of several points and of both blocklengths are joined: the pool does pool
+        assert max(joined) > 45 * packed_bytes(4, 120)
+        assert any(sorted(ns) == [20, 120] for ns in flushed_ns)
+
+
+def test_a_chunks_codebooks_are_freed_before_the_next_kernel_call(monkeypatch):
+    # a chunk's codebooks (up to CALL_BYTES) must not outlive it, with or without
+    # multi-candidate trials, or each kernel call holds two chunks at once
+    simulate = kernels.simulate_trials
+    codebooks, alive = [], []
+
+    def recorded(*args):
+        alive.append(sum(ref() is not None for ref in codebooks))
+        out = simulate(*args)
+        codebooks.append(weakref.ref(out[3]))
+        return out
+
+    monkeypatch.setattr(kernels, "simulate_trials", recorded)
+    for channel_p in (0.0, 0.4):  # no multi-candidate trials, and many
+        for resolver in ("cluster", "svm"):
+            cfg = TrialConfig(n=20, m=4, q=0.5, channel=bsc(channel_p), eps=0.1, resolver=resolver)
+            alive.clear()
+            batch = run_trials(cfg, 12, chunk_size=3)
+            assert alive == [0, 0, 0, 0]
+            assert (np.count_nonzero(batch.candidate_counts >= 2) > 0) == (channel_p > 0)
 
 
 def test_estimate_noiseless_floors_at_one_over_trials():

@@ -4,6 +4,8 @@ Example budgets are fixed and generation is derandomized, so every run
 checks the same cases.
 """
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -14,11 +16,20 @@ from weaktyp.core import bsc
 from weaktyp.decoders import (
     RESOLVERS,
     CandidateSet,
+    PackedTrials,
     cluster_resolve_batch,
     svm_resolve_batch,
     weak_outcome,
 )
-from weaktyp.montecarlo import CODEBOOK_MODES, TrialConfig, run_points, run_trial, run_trials
+from weaktyp.montecarlo import (
+    CODEBOOK_MODES,
+    TrialBatch,
+    TrialConfig,
+    iter_points,
+    run_points,
+    run_trial,
+    run_trials,
+)
 from weaktyp.rng import RngStream, stream_states
 
 
@@ -64,23 +75,24 @@ def test_run_trials_equals_run_trial(setup):
 def sweep_point_lists(draw):
     """1-6 sweep points drawn from one or two shapes, with the executor settings.
 
-    (n, m), resolver and k_max each come from a pool of one or two
-    values, so points often share a shape and sometimes differ in one
-    part of it only; the codebook mode is drawn per point, so
-    fixed-codebook points (each with its own codebook, drawn from its own
-    q and seed) pool with one another and with redraw points.
+    n, m, resolver and k_max each come from a pool of one to three
+    values, so points often share a shape (m, resolver, k_max), at
+    different blocklengths, and sometimes differ in one part of it only;
+    the codebook mode is drawn per point, so fixed-codebook points (each
+    with its own codebook, drawn from its own q and seed) pool with one
+    another and with redraw points.
     """
-    shapes = draw(st.lists(st.tuples(st.integers(1, 24), st.integers(2, 6)), min_size=1, max_size=2))
+    ns = draw(st.lists(st.integers(1, 24), min_size=1, max_size=3))
+    ms = draw(st.lists(st.integers(2, 6), min_size=1, max_size=2))
     resolvers = draw(st.lists(st.sampled_from(RESOLVERS), min_size=1, max_size=2))
     k_maxes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=2))
     seed = draw(st.integers(0, 2**63))
     cfgs = []
     for _ in range(draw(st.integers(1, 6))):
-        n, m = draw(st.sampled_from(shapes))
         cfgs.append(
             TrialConfig(
-                n=n,
-                m=m,
+                n=draw(st.sampled_from(ns)),
+                m=draw(st.sampled_from(ms)),
                 q=draw(st.floats(0.05, 0.95)),
                 channel=bsc(draw(st.floats(0.0, 0.49))),
                 eps=draw(st.floats(0.05, 2.0)),
@@ -101,18 +113,42 @@ def sweep_point_lists(draw):
 
 
 def test_run_points_equals_run_trials_and_run_trial(monkeypatch):
-    hits = {"pool_spans_points": 0, "pool_mixes_fixed_codebooks": 0}
+    hits = {
+        "pool_spans_points": 0,
+        "pool_mixes_fixed_codebooks": 0,
+        "pool_spans_blocklengths": 0,
+        "svm_pool_with_column_slots": 0,
+        "point_yielded_before_its_pool_closed": 0,
+    }
     flush = montecarlo._Pool.flush
+    pegasos_scores = decoders._pegasos_scores
+    simulate_point = montecarlo._simulate_point
+    simulated = []
+
+    def recorded_simulate(cfg, *args):
+        simulated.append(cfg)
+        return simulate_point(cfg, *args)
 
     def counted_flush(pool):
-        # a part's weak array belongs to its point; a fixed codebook is a broadcast view
-        points = {id(part[4]) for part in pool.parts}
+        # a part is (n, mask, words, received, states, weak, positions); its weak
+        # array belongs to its point, and a fixed codebook is a broadcast view
+        points = {id(part[5]) for part in pool.parts}
         hits["pool_spans_points"] += len(points) > 1
-        fixed = {part[1][0].tobytes() for part in pool.parts if part[1].strides[0] == 0}
+        fixed = {part[2][0].tobytes() for part in pool.parts if part[2].strides[0] == 0}
         hits["pool_mixes_fixed_codebooks"] += len(fixed) > 1
+        hits["pool_spans_blocklengths"] += len({part[0] for part in pool.parts}) > 1
         flush(pool)
 
+    def counted_scores(groups):
+        # one svm flush over several blocklengths, one of them too short for 2**c_max patterns
+        c_max = max(z.shape[1] for _, z, _ in groups)
+        spans = len({n for n, _, _ in groups}) > 1
+        hits["svm_pool_with_column_slots"] += spans and any(2**c_max > n + 1 for n, _, _ in groups)
+        return pegasos_scores(groups)
+
     monkeypatch.setattr(montecarlo._Pool, "flush", counted_flush)
+    monkeypatch.setattr(decoders, "_pegasos_scores", counted_scores)
+    monkeypatch.setattr(montecarlo, "_simulate_point", recorded_simulate)
 
     @fixed_budget(150)
     @given(sweep_point_lists())
@@ -122,7 +158,21 @@ def test_run_points_equals_run_trials_and_run_trial(monkeypatch):
             patch.setattr(decoders, "BATCH_BLOCK_ELEMS", block_elems)
             patch.setattr(montecarlo, "POOL_BLOCKS", pool_blocks)
             batches = run_points(cfgs, num, chunk_size=chunk_size, start=start)
+            # a point is yielded final: a copy taken then is its whole batch
+            simulated.clear()
+            yielded = {}
+            for i, batch in iter_points(cfgs, num, chunk_size=chunk_size, start=start):
+                copies = TrialBatch(*(np.copy(getattr(batch, f.name)) for f in fields(TrialBatch)))
+                yielded[i] = (copies, len(simulated))
         assert len(batches) == len(cfgs)
+        assert sorted(yielded) == list(range(len(cfgs)))
+        for i, (copies, after) in yielded.items():
+            for field in fields(TrialBatch):
+                assert np.array_equal(getattr(copies, field.name), getattr(batches[i], field.name))
+            shape = montecarlo._shape(cfgs[i])
+            hits["point_yielded_before_its_pool_closed"] += any(
+                montecarlo._shape(cfg) == shape for cfg in simulated[after:]
+            )
         for cfg, batch in zip(cfgs, batches):
             alone = run_trials(cfg, num, start=start)
             for field in ("true_w", "jt_decoded", "weak_decoded", "candidate_counts"):
@@ -166,6 +216,50 @@ def point_sets(draw):
     return words, received, mask, stream_ids, master, k_max, resolver
 
 
+@st.composite
+def separated_point_sets(draw):
+    """Trials whose candidates form well-separated groups of equal words, as ``point_sets`` lays them out.
+
+    Groups a and b differ on a block of 10 symbols, and an outlier word
+    differs from a on another block of 6; a bridge word has 2 of b's
+    symbols.  When k-means++ seeds the outlier and b, a joins the
+    outlier's cluster and the bridge joins b's, but the updated means put
+    the bridge nearer the outlier's cluster, so the second assignment
+    pass moves it and Lloyd runs a third pass: 14 to 28% of streams do,
+    for each of the group sizes drawn here.  Rows are shuffled per trial
+    and XORed with a received word, which preserves every distance.
+    """
+    trials = draw(st.integers(1, 4))
+    n = 16 + draw(st.integers(0, 4))
+    a = np.zeros(n, dtype=np.uint8)
+    b, outlier, bridge = a.copy(), a.copy(), a.copy()
+    b[:10] = 1
+    outlier[10:16] = 1
+    bridge[:2] = 1
+    rows = np.array([a] * draw(st.integers(1, 3)) + [b] * draw(st.integers(2, 3)) + [outlier, bridge])
+    m = rows.shape[0]
+    word = st.integers(0, 2**n - 1).map(lambda v: [(v >> j) & 1 for j in range(n)])
+    received = np.array([draw(word) for _ in range(trials)], dtype=np.uint8)
+    words = np.array([rows[draw(st.permutations(range(m)))] for _ in range(trials)]) ^ received[:, None, :]
+    ids = st.lists(st.integers(0, 2**40), min_size=trials, max_size=trials, unique=True)
+    stream_ids = np.array(draw(ids))
+    master = draw(st.integers(0, 2**64 - 1))
+    resolver = draw(st.sampled_from(("cluster", "cluster-random")))
+    return words, received, np.ones((trials, m), dtype=bool), stream_ids, master, 2, resolver
+
+
+def packed_trials(words, mask, states, received=None):
+    """The (unpacked) trials of a point set as the batch resolvers take them."""
+    n = words.shape[-1]
+    return PackedTrials(
+        n,
+        mask,
+        np.packbits(words, axis=-1),
+        states,
+        None if received is None else np.packbits(received, axis=-1),
+    )
+
+
 def test_batch_resolution_equals_cluster_resolve(monkeypatch):
     # tiny blocks, so a call spans several lockstep blocks per candidate count
     monkeypatch.setattr(decoders, "BATCH_BLOCK_ELEMS", 8)
@@ -179,10 +273,10 @@ def test_batch_resolution_equals_cluster_resolve(monkeypatch):
     }
     gram_products = decoders._gram_products
 
-    def counted_products(x):
+    def counted_products(x, n):
         # c <= n takes products from the Gram matrix, c > n from the rows
-        hits["gram_side" if x.shape[1] <= x.shape[2] else "row_side"] += 1
-        return gram_products(x)
+        hits["gram_side" if x.shape[1] <= n else "row_side"] += 1
+        return gram_products(x, n)
 
     monkeypatch.setattr(decoders, "_gram_products", counted_products)
 
@@ -198,15 +292,11 @@ def test_batch_resolution_equals_cluster_resolve(monkeypatch):
         "cluster",
     )
 
-    @fixed_budget(400)
-    @given(point_sets())
-    @example(lloyd_repeat)
-    def check(case):
+    def checked(case):
+        """The batch against the reference on one example; returns how many trials ran a third Lloyd pass."""
         words, received, mask, stream_ids, master, k_max, resolver = case
         states = stream_states(master, stream_ids)
-        got = cluster_resolve_batch(
-            mask, words, received, states, k_max, decoders.CLUSTER_PICKS[resolver]
-        )
+        got = cluster_resolve_batch(packed_trials(words, mask, states), k_max, decoders.CLUSTER_PICKS[resolver])
         for t in range(mask.shape[0]):
             idx0 = np.flatnonzero(mask[t])
             z = np.bitwise_xor((words if words.ndim == 2 else words[t])[idx0], received[t])
@@ -220,10 +310,29 @@ def test_batch_resolution_equals_cluster_resolve(monkeypatch):
         hits["zero_total_seed"] += int(np.count_nonzero(got.fallback_seeds))
         hits["empty_cluster_reseed"] += int(np.count_nonzero(got.reseeds))
         # the first pass never converges; a third means centroids moved a point
-        hits["lloyd_repeat"] += int(np.count_nonzero(got.iterations > 2))
+        repeats = int(np.count_nonzero(got.iterations > 2))
+        hits["lloyd_repeat"] += repeats
+        return repeats
+
+    @fixed_budget(400)
+    @given(point_sets())
+    @example(lloyd_repeat)
+    def check(case):
+        checked(case)
+
+    separated = {"examples": 0, "lloyd_repeat": 0}
+
+    @fixed_budget(100)
+    @given(separated_point_sets())
+    def check_separated(case):
+        separated["examples"] += 1
+        separated["lloyd_repeat"] += checked(case) > 0
 
     check()
+    check_separated()
     assert all(hits.values()), hits
+    # well-separated groups reach a third Lloyd pass often, not on one pinned case
+    assert separated["lloyd_repeat"] >= 0.1 * separated["examples"], separated
 
 
 def test_batch_resolution_with_wide_comparisons_equals_cluster_resolve(monkeypatch):
@@ -235,9 +344,8 @@ def test_batch_resolution_with_wide_comparisons_equals_cluster_resolve(monkeypat
     @given(point_sets())
     def check(case):
         words, received, mask, stream_ids, master, k_max, resolver = case
-        got = cluster_resolve_batch(
-            mask, words, received, stream_states(master, stream_ids), k_max, decoders.CLUSTER_PICKS[resolver]
-        )
+        states = stream_states(master, stream_ids)
+        got = cluster_resolve_batch(packed_trials(words, mask, states), k_max, decoders.CLUSTER_PICKS[resolver])
         for t in range(mask.shape[0]):
             idx0 = np.flatnonzero(mask[t])
             z = np.bitwise_xor((words if words.ndim == 2 else words[t])[idx0], received[t])
@@ -259,29 +367,33 @@ def test_kmeans_objective_never_increases_on_binary_points(num, n, k, seed):
 
 
 @st.composite
-def svm_point_sets(draw):
-    """A few trials of 2..8 candidates on up to 70 symbols, words drawn from a small pool.
+def svm_parts(draw):
+    """One to three parts of a few trials of 2..8 candidates on up to 70 symbols, each part its own n.
 
-    n + 1 runs past the unrolled tails of the BLAS dot kernels, and a
-    pool of few distinct words gives duplicate and all-equal candidate rows.
+    n + 1 runs past the unrolled tails of the BLAS dot kernels, parts of
+    different n share a Pegasos loop (or, with fewer than 2**c_max
+    columns, run their own), and a pool of few distinct words gives
+    duplicate and all-equal candidate rows.
     """
-    trials = draw(st.integers(1, 6))
-    m = draw(st.integers(2, 8))
-    n = draw(st.integers(1, 70))
-    word = st.integers(0, 2**n - 1).map(lambda v: [(v >> j) & 1 for j in range(n)])
-    pool = draw(st.lists(word, min_size=1, max_size=6))
-    codebook = st.lists(st.sampled_from(pool), min_size=m, max_size=m)
-    shared = draw(st.booleans())
-    words = np.array(draw(codebook) if shared else [draw(codebook) for _ in range(trials)], dtype=np.uint8)
-    received = np.array([draw(word) for _ in range(trials)], dtype=np.uint8)
-    row_mask = st.lists(st.booleans(), min_size=m, max_size=m).filter(lambda r: sum(r) >= 2)
-    mask = np.array([draw(row_mask) for _ in range(trials)])
-    ids = st.lists(st.integers(0, 2**40), min_size=trials, max_size=trials, unique=True)
-    stream_ids = np.array(draw(ids))
+    parts = []
+    for _ in range(draw(st.integers(1, 3))):
+        trials = draw(st.integers(1, 6))
+        m = draw(st.integers(2, 8))
+        n = draw(st.integers(1, 70))
+        word = st.integers(0, 2**n - 1).map(lambda v: [(v >> j) & 1 for j in range(n)])
+        pool = draw(st.lists(word, min_size=1, max_size=6))
+        codebook = st.lists(st.sampled_from(pool), min_size=m, max_size=m)
+        shared = draw(st.booleans())
+        words = np.array(draw(codebook) if shared else [draw(codebook) for _ in range(trials)], dtype=np.uint8)
+        received = np.array([draw(word) for _ in range(trials)], dtype=np.uint8)
+        row_mask = st.lists(st.booleans(), min_size=m, max_size=m).filter(lambda r: sum(r) >= 2)
+        mask = np.array([draw(row_mask) for _ in range(trials)])
+        ids = st.lists(st.integers(0, 2**40), min_size=trials, max_size=trials, unique=True)
+        parts.append((words, received, mask, np.array(draw(ids))))
     master = draw(st.integers(0, 2**64 - 1))
     # blocks of one trial, of a few, or of the whole call
     block_elems = draw(st.sampled_from((1, 64, 4096)))
-    return words, received, mask, stream_ids, master, block_elems
+    return parts, master, block_elems
 
 
 def test_batch_svm_equals_svm_resolve(monkeypatch):
@@ -292,28 +404,26 @@ def test_batch_svm_equals_svm_resolve(monkeypatch):
         "fallback": 0,
         "pattern_slots": 0,
         "column_slots": 0,
+        "loop_spans_blocklengths": 0,
     }
     pegasos_scores, svm_pick, ddot_margins = decoders._pegasos_scores, decoders._svm_pick, decoders._ddot_margins
 
-    def checked_scores(x, groups):
+    def checked_scores(groups):
         # groups of different candidate counts stop at different steps
-        hits["staggered_ends"] += len(groups) > 1
+        hits["staggered_ends"] += len({z.shape[1] for _, z, _ in groups}) > 1
         # columns share a slot per pattern when 2**c_max patterns fit in n + 1 columns
-        pattern = 2 ** x.shape[1] <= x.shape[2]
-        hits["pattern_slots"] += pattern
-        hits["column_slots"] += not pattern
-        # the signed rows label * [z, 1] carry their labels in the bias column
-        refs, at = [], 0
-        for size, c in groups:
-            lab = x[at : at + size, :c, -1].copy()
-            refs.append((x[at : at + size, :c] * lab[:, :, None], lab))
-            at += size
-        got = pegasos_scores(x, groups)
+        c_max = max(z.shape[1] for _, z, _ in groups)
+        pattern = [n for n, _, _ in groups if 2**c_max <= n + 1]
+        hits["pattern_slots"] += bool(pattern)
+        hits["column_slots"] += len(pattern) < len(groups)
+        hits["loop_spans_blocklengths"] += len(set(pattern)) > 1
+        got = pegasos_scores(groups)
         # bit for bit, not only the decoded index: the scores of the per-trial loop
-        for (f, lab), scores in zip(refs, got):
-            for i in range(f.shape[0]):
-                ref = f[i] @ decoders._pegasos_separator(f[i], lab[i])
-                assert scores[i].tobytes() == ref.tobytes()
+        for (n, z, labels), scores in zip(groups, got):
+            for packed, lab, score in zip(z, labels, scores):
+                feats = np.hstack([np.unpackbits(packed, axis=1, count=n), np.ones((packed.shape[0], 1))])
+                ref = feats @ decoders._pegasos_separator(feats, lab.astype(np.float64))
+                assert score.tobytes() == ref.tobytes()
         return got
 
     def counted_pick(scores):
@@ -321,31 +431,36 @@ def test_batch_svm_equals_svm_resolve(monkeypatch):
         hits["even_split"] += int(np.count_nonzero(2 * n_pos == scores.shape[1]))
         return svm_pick(scores)
 
-    def counted_margins(x, slot, w, trials, r):
+    def counted_margins(groups, starts, pattern, w, trials, r):
         # slot sums too close to 1 to decide: the reference ddot decides
         hits["fallback"] += trials.size
-        return ddot_margins(x, slot, w, trials, r)
+        return ddot_margins(groups, starts, pattern, w, trials, r)
 
     monkeypatch.setattr(decoders, "_pegasos_scores", checked_scores)
     monkeypatch.setattr(decoders, "_svm_pick", counted_pick)
     monkeypatch.setattr(decoders, "_ddot_margins", counted_margins)
 
     @fixed_budget(150)
-    @given(svm_point_sets())
+    @given(svm_parts())
     def check(case):
-        words, received, mask, stream_ids, master, block_elems = case
-        states = stream_states(master, stream_ids)
+        parts, master, block_elems = case
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(decoders, "BATCH_BLOCK_ELEMS", block_elems)
-            got = svm_resolve_batch(mask, words, received, states)
-        for t in range(mask.shape[0]):
-            idx0 = np.flatnonzero(mask[t])
-            z = np.bitwise_xor((words if words.ndim == 2 else words[t])[idx0], received[t])
-            cands = CandidateSet(indices=idx0 + 1, z_seqs=z)
-            outcome, clus = weak_outcome(cands, "svm", RngStream(master, int(stream_ids[t])))
-            assert got.decoded[t] == outcome.decoded
-            assert got.iterations[t] == (clus.iterations_used if clus else 0)
-            hits["all_rows_equal"] += bool(np.all(z == z[0]))
+            got = svm_resolve_batch(
+                [
+                    packed_trials(words, mask, stream_states(master, stream_ids), received)
+                    for words, received, mask, stream_ids in parts
+                ]
+            )
+        for (words, received, mask, stream_ids), resolved in zip(parts, got):
+            for t in range(mask.shape[0]):
+                idx0 = np.flatnonzero(mask[t])
+                z = np.bitwise_xor((words if words.ndim == 2 else words[t])[idx0], received[t])
+                cands = CandidateSet(indices=idx0 + 1, z_seqs=z)
+                outcome, clus = weak_outcome(cands, "svm", RngStream(master, int(stream_ids[t])))
+                assert resolved.decoded[t] == outcome.decoded
+                assert resolved.iterations[t] == (clus.iterations_used if clus else 0)
+                hits["all_rows_equal"] += bool(np.all(z == z[0]))
 
     check()
     assert all(hits.values()), hits
@@ -362,12 +477,15 @@ def test_slot_sums_stay_within_the_tolerance_of_the_ddot(c, n, weights, seed):
     # the certified margin: for any weights with |w| <= 1/lambda, the slot sum of
     # each row is within the tolerance of the reference's label * ([z, 1] @ w)
     rng = np.random.default_rng(seed)
-    rows = np.hstack([rng.integers(0, 2, size=(c, n)), np.ones((c, 1), dtype=np.int64)])
+    z = rng.integers(0, 2, size=(c, n), dtype=np.uint8)
+    rows = np.hstack([z, np.ones((c, 1), dtype=np.uint8)]).astype(np.float64)
     labels = rng.choice([-1, 1], size=c)
-    x = (rows * labels[:, None]).astype(np.int8)[None]
-    slot, sizes, signs = decoders._column_slots(x)
-    p = sizes.shape[1]
-    assert p == (2**c if 2**c <= n + 1 else n + 1)
+    pattern = 2**c <= n + 1
+    p = 2**c if pattern else n + 1
+    group = (n, np.packbits(z[None], axis=2), labels[None].astype(np.int8))
+    sizes, table, codes = decoders._signed_table([group], p, pattern)
+    slot = decoders._slot_map(z[None], pattern)
+    assert sizes.sum() == n + 1
     bound = 1.0 / decoders.SVM_LAMBDA
     if weights == "uniform":
         w = rng.uniform(-bound, bound, size=(1, p))
@@ -377,6 +495,9 @@ def test_slot_sums_stay_within_the_tolerance_of_the_ddot(c, n, weights, seed):
     tol = decoders._slot_tolerance(n + 1, p)
     w_full = w[0, slot[0]]
     for i in range(c):
-        approx = decoders._slot_sums(signs[:, i].astype(np.float64), sizes, w)[0]
-        exact = labels[i] * float(rows[i].astype(np.float64) @ w_full)
+        signed = table[codes[:, i]].astype(np.float64)
+        # the signed slot row is label * the row's bits, slot by slot
+        assert np.array_equal(signed[0, slot[0]], labels[i] * rows[i])
+        approx = decoders._slot_sums(signed, sizes, w)[0]
+        exact = labels[i] * float(rows[i] @ w_full)
         assert abs(approx - exact) <= tol
