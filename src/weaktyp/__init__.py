@@ -26,7 +26,6 @@ from .montecarlo import (
     TrialRecord,
     error_exponent,
     estimate_pe,
-    estimate_pe_adaptive,
     exhaustive_pe,
     exponent,
     run_trial,
@@ -58,7 +57,6 @@ __all__ = [
     "TrialRecord",
     "error_exponent",
     "estimate_pe",
-    "estimate_pe_adaptive",
     "exhaustive_pe",
     "exponent",
     "run_trial",

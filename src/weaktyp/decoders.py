@@ -15,7 +15,8 @@ Each resolver has a per-trial reference (:func:`cluster_resolve`,
 :func:`svm_resolve`) and a batch form that resolves many trials in
 lockstep and gives exactly the same results (:func:`cluster_resolve_batch`,
 :func:`svm_resolve_batch`); both batch forms share one lockstep k-means
-and take their codewords bit-packed (:class:`PackedTrials`).
+and take the candidates' difference sequences bit-packed
+(:class:`PackedTrials`).
 
 k-means on 0/1 candidates is exact integer arithmetic (the kernel
 k-means identity; Dhillon, Guan & Kulis, KDD 2004).  A cluster with 0/1
@@ -326,15 +327,11 @@ class BatchResolution:
     """Per-trial results of :func:`cluster_resolve_batch` and :func:`svm_resolve_batch`.
 
     ``iterations`` counts Lloyd assignment passes (``Clustering.iterations_used``)
-    and is 0 where a shortcut decided without k-means; ``fallback_seeds``
-    counts seeding steps that took the lowest unchosen point because every
-    squared distance was zero; ``reseeds`` counts empty-cluster reseeds.
+    and is 0 where a shortcut decided without k-means.
     """
 
     decoded: np.ndarray  # (T,) int64, 1-based message index
     iterations: np.ndarray  # (T,) int64
-    fallback_seeds: np.ndarray  # (T,) int64
-    reseeds: np.ndarray  # (T,) int64
 
 
 @dataclass(frozen=True)
@@ -342,17 +339,16 @@ class PackedTrials:
     """Multi-candidate trials of one blocklength n, as the batch resolvers take them.
 
     Trial t has candidates ``flatnonzero(cand_mask[t])`` (at least two),
-    codebook ``words[t]`` (or the shared 2-D ``words``) and stream state
-    ``states[t]``.  Words are ``np.packbits`` rows, zero-padded, so packed
-    rows are equal exactly when the rows are, and XOR commutes with
-    packing.  Only :func:`svm_resolve_batch` reads ``received``.
+    difference sequences ``z_seqs[t]``, its codewords XOR its received
+    word, row i that of message i + 1, and stream state ``states[t]``.
+    Rows are ``np.packbits`` rows, zero-padded, so packed rows are equal
+    exactly when the rows are, and XOR commutes with packing.
     """
 
     n: int
     cand_mask: np.ndarray  # (T, m) bool
-    words: np.ndarray  # (T, m, ceil(n/8)) or (m, ceil(n/8)) uint8
+    z_seqs: np.ndarray  # (T, m, ceil(n/8)) uint8
     states: np.ndarray  # (T,) uint64
-    received: np.ndarray | None = None  # (T, ceil(n/8)) uint8
 
 
 def _counted(cand_mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -373,11 +369,6 @@ def _by_count(cand_mask: np.ndarray, counts: np.ndarray, descending: bool = Fals
         yield c, group, np.nonzero(cand_mask[group])[1].reshape(group.size, c)
 
 
-def _candidate_rows(words: np.ndarray, rows: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """(T, c, width) packed candidate rows ``idx`` of the codebooks of trials ``rows``."""
-    return words[rows[:, None], idx] if words.ndim == 3 else words[idx]
-
-
 def cluster_resolve_batch(trials: PackedTrials, k_max: int, pick: str = "closest") -> BatchResolution:
     """:func:`cluster_resolve` on many trials of one blocklength at once, decision for decision.
 
@@ -385,9 +376,7 @@ def cluster_resolve_batch(trials: PackedTrials, k_max: int, pick: str = "closest
     seeding and Lloyd in lockstep (:func:`_lockstep_kmeans`), a block of
     :func:`_block_trials` trials at a time, on their packed rows.  Each
     trial reads its stream at its own cursor, and every comparison is
-    exact in integers, so each one decides as in :func:`kmeans`.  XOR
-    with the received word preserves all distances and means, so the
-    clustering reads the codeword rows alone.
+    exact in integers, so each one decides as in :func:`kmeans`.
     """
     if pick not in ("closest", "random"):
         raise ValueError(f"unknown pick rule {pick!r}")
@@ -397,20 +386,16 @@ def cluster_resolve_batch(trials: PackedTrials, k_max: int, pick: str = "closest
     total = counts.size
     decoded = np.zeros(total, dtype=np.int64)
     iterations = np.zeros(total, dtype=np.int64)
-    fallback_seeds = np.zeros(total, dtype=np.int64)
-    reseeds = np.zeros(total, dtype=np.int64)
     for c, group, cand_idx in _by_count(cand_mask, counts):
         step = _block_trials(c, trials.n)
         for lo in range(0, group.size, step):
             rows = group[lo : lo + step]
             idx = cand_idx[lo : lo + step]
-            x = _candidate_rows(trials.words, rows, idx)
-            pos, its, fb, rs = _resolve_block(x, trials.n, trials.states[rows], min(k_max, c), pick)
+            z = trials.z_seqs[rows[:, None], idx]
+            pos, its = _resolve_block(z, trials.n, trials.states[rows], min(k_max, c), pick)
             decoded[rows] = idx[np.arange(rows.size), pos] + 1
             iterations[rows] = its
-            fallback_seeds[rows] = fb
-            reseeds[rows] = rs
-    return BatchResolution(decoded, iterations, fallback_seeds, reseeds)
+    return BatchResolution(decoded, iterations)
 
 
 def _block_trials(c: int, n: int) -> int:
@@ -475,8 +460,8 @@ def _ratio_less(a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray) -> n
 
 def _resolve_block(
     x: np.ndarray, n: int, states: np.ndarray, k: int, pick: str
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Winning candidate position of each set of c packed rows of n symbols in x, plus counters.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Winning candidate position and Lloyd passes of each set of c packed rows of n symbols in x.
 
     Mirrors :func:`_resolve_by_clusters` step by step on a (T, c,
     ceil(n/8)) block; both shortcuts compare the packed rows.
@@ -484,8 +469,6 @@ def _resolve_block(
     size, c, _ = x.shape
     pos = np.zeros(size, dtype=np.int64)  # shortcuts decode the lowest index
     iterations = np.zeros(size, dtype=np.int64)
-    fallback_seeds = np.zeros(size, dtype=np.int64)
-    reseeds = np.zeros(size, dtype=np.int64)
 
     run = _split_rows(x)
     if pick == "closest" and (c == 2 or k == c):
@@ -496,10 +479,10 @@ def _resolve_block(
         run &= ~distinct
     sel = np.flatnonzero(run)
     if sel.size == 0:
-        return pos, iterations, fallback_seeds, reseeds
+        return pos, iterations
     weight, gram_times = _gram_products(x[sel], n)
     st = states[sel]
-    assign, used, cursor, fallback, empty_count = _lockstep_kmeans(weight, gram_times, st, k, n)
+    assign, used, cursor = _lockstep_kmeans(weight, gram_times, st, k, n)
     trial = np.arange(sel.size)
 
     # largest cluster, ties to the cluster of the lowest point index
@@ -519,14 +502,12 @@ def _resolve_block(
 
     pos[sel] = winner
     iterations[sel] = used
-    fallback_seeds[sel] = fallback
-    reseeds[sel] = empty_count
-    return pos, iterations, fallback_seeds, reseeds
+    return pos, iterations
 
 
 def _lockstep_kmeans(
     weight: np.ndarray, gram_times: Callable[[np.ndarray], np.ndarray], states: np.ndarray, k: int, n: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """:func:`kmeans` on many sets of c 0/1 points of n symbols at once, decision for decision.
 
     A point set enters only through its Gram matrix G: ``weight`` is its
@@ -538,9 +519,8 @@ def _lockstep_kmeans(
     Lloyd reads only integers, and :func:`_nearest` compares them exactly.
 
     Trial t reads stream ``states[t]`` from position 0.  Returns the
-    (T, c) assignments, the Lloyd passes used, each stream's cursor
-    after the last draw, and the fallback-seed and reseed counts of
-    :class:`BatchResolution`.
+    (T, c) assignments, the Lloyd passes used and each stream's cursor
+    after the last draw.
     """
     num, c = weight.shape
     trial = np.arange(num)
@@ -558,7 +538,6 @@ def _lockstep_kmeans(
     chosen = np.zeros((num, c), dtype=bool)
     chosen[trial, seeds[:, 0]] = True
     d2 = seed_dist(seeds[:, 0])
-    fallback = np.zeros(num, dtype=np.int64)
     for j in range(1, k):
         total = d2.sum(axis=1)
         spread = total > 0.0
@@ -567,7 +546,6 @@ def _lockstep_kmeans(
         drawn = np.minimum((np.cumsum(d2, axis=1) <= r[:, None]).sum(axis=1), c - 1)
         seeds[:, j] = np.where(spread, drawn, np.argmin(chosen, axis=1))
         cursor += spread
-        fallback += ~spread
         chosen[trial, seeds[:, j]] = True
         d2 = np.minimum(d2, seed_dist(seeds[:, j]))
 
@@ -577,7 +555,6 @@ def _lockstep_kmeans(
     member[trial[:, None], seeds, cluster_ids] = True
     assign = np.full((num, c), -1, dtype=np.int64)
     used = np.full(num, KMEANS_MAX_ITERS, dtype=np.int64)
-    empty_count = np.zeros(num, dtype=np.int64)
     active = np.ones(num, dtype=bool)
     for it in range(1, KMEANS_MAX_ITERS + 1):
         size = member.sum(axis=1)
@@ -600,8 +577,7 @@ def _lockstep_kmeans(
         t_e, j_e = np.nonzero(empty)
         far = shifted[t_e, :, j_e] + (size[t_e, j_e] ** 2)[:, None] * weight[t_e]
         member[t_e, np.argmax(far, axis=1), j_e] = True
-        empty_count += empty.sum(axis=1)
-    return assign, used, cursor, fallback, empty_count
+    return assign, used, cursor
 
 
 def _nearest(shifted: np.ndarray, weight: np.ndarray, squares: np.ndarray, n: int) -> np.ndarray:
@@ -639,11 +615,11 @@ def svm_resolve_batch(parts: list[PackedTrials]) -> list[BatchResolution]:
 
     The parts may differ in n.  A part's trials are taken by candidate
     count c, descending, in blocks of :func:`_block_trials` trials, whose
-    packed rows Z, all-equal shortcut and 2-means labels (the lockstep
-    k-means of :func:`cluster_resolve_batch`) are made on packed rows.
+    all-equal shortcut and 2-means labels (the lockstep k-means of
+    :func:`cluster_resolve_batch`) are made on their packed Z rows.
     Then :func:`_pegasos_scores` trains the separators of every part at
-    once.  ``iterations``, ``fallback_seeds`` and ``reseeds`` count the
-    2-means run (0 where all rows are equal and the lowest index wins).
+    once.  ``iterations`` counts the 2-means run (0 where all rows are
+    equal and the lowest index wins).
     """
     results, groups, places = [], [], []
     for part in parts:
@@ -651,8 +627,6 @@ def svm_resolve_batch(parts: list[PackedTrials]) -> list[BatchResolution]:
         total, n = counts.size, part.n
         decoded = np.zeros(total, dtype=np.int64)
         iterations = np.zeros(total, dtype=np.int64)
-        fallback_seeds = np.zeros(total, dtype=np.int64)
-        reseeds = np.zeros(total, dtype=np.int64)
         for c, group, cand_idx in _by_count(cand_mask, counts, descending=True):
             decoded[group] = cand_idx[:, 0] + 1
             blocks = []
@@ -660,21 +634,19 @@ def svm_resolve_batch(parts: list[PackedTrials]) -> list[BatchResolution]:
             for lo in range(0, group.size, step):
                 rows = group[lo : lo + step]
                 idx = cand_idx[lo : lo + step]
-                z = np.bitwise_xor(_candidate_rows(part.words, rows, idx), part.received[rows][:, None, :])
+                z = part.z_seqs[rows[:, None], idx]
                 split = _split_rows(z)
                 if not split.any():
                     continue
                 rows, z = rows[split], z[split]
-                assign, used, _, fb, rs = _lockstep_kmeans(*_gram_products(z, n), part.states[rows], 2, n)
+                assign, used, _ = _lockstep_kmeans(*_gram_products(z, n), part.states[rows], 2, n)
                 iterations[rows] = used
-                fallback_seeds[rows] = fb
-                reseeds[rows] = rs
                 blocks.append((rows, idx[split], z, np.where(assign == 0, 1, -1).astype(np.int8)))
             if blocks:
                 rows, idx, z, labels = (np.concatenate(arrays) for arrays in zip(*blocks))
                 groups.append((n, z, labels))
                 places.append((decoded, rows, idx))
-        results.append(BatchResolution(decoded, iterations, fallback_seeds, reseeds))
+        results.append(BatchResolution(decoded, iterations))
     if groups:
         for (decoded, rows, idx), scores in zip(places, _pegasos_scores(groups)):
             decoded[rows] = idx[np.arange(rows.size), _svm_pick(scores)] + 1

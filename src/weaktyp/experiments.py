@@ -12,15 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .montecarlo import (
-    DEFAULT_CHUNK,
-    ExponentPoint,
-    PeEstimate,
-    TrialConfig,
-    estimate_pe,
-    exponent,
-    iter_points,
-)
+from .montecarlo import ExponentPoint, TrialConfig, estimate_points, exponent
 
 M_MODES = ("fixed-m", "fixed-rate")
 
@@ -73,12 +65,11 @@ def sweep_blocklengths(
     if m_mode not in M_MODES:
         raise ValueError(f"unknown m_mode {m_mode!r}")
 
-    points = []
-    for n in blocklengths:
-        m = _messages_for(base, n, m_mode, rate_bits)
-        cfg = replace(base, n=n, m=m)
-        pe_jt, pe_weak = estimate_pe(cfg, trials_per_point)
-        points.append((float(n), exponent(pe_jt, n, m), exponent(pe_weak, n, m)))
+    cfgs = [replace(base, n=n, m=_messages_for(base, n, m_mode, rate_bits)) for n in blocklengths]
+    points = [
+        (float(cfg.n), exponent(pe_jt, cfg.n, cfg.m), exponent(pe_weak, cfg.n, cfg.m))
+        for cfg, (pe_jt, pe_weak) in zip(cfgs, estimate_points(cfgs, trials_per_point))
+    ]
     snapshot = {
         "base": base,
         "blocklengths": list(blocklengths),
@@ -111,24 +102,10 @@ def sweep_source_prob(
     if trials_per_point < 1:
         raise ValueError("trials_per_point must be positive")
 
-    # every point of the grid shares a shape, so one call resolves their
-    # multi-candidate trials together; a call per span of DEFAULT_CHUNK
-    # trials bounds each batch, only the batches of the open pool stay
-    # alive, and each trial id draws the same trial in any span, so the
-    # summed counts are exact
+    # every point of the grid shares a shape, so their multi-candidate
+    # trials are resolved together
     grid = [(q, n) for n in blocklengths for q in q_values]
-    cfgs = [replace(base, q=q, n=n) for q, n in grid]
-    jt_errors = [0] * len(grid)
-    weak_errors = [0] * len(grid)
-    for start in range(0, trials_per_point, DEFAULT_CHUNK):
-        count = min(DEFAULT_CHUNK, trials_per_point - start)
-        for i, batch in iter_points(cfgs, count, start=start):
-            jt_errors[i] += batch.jt_errors
-            weak_errors[i] += batch.weak_errors
-    estimates = {
-        point: (PeEstimate.from_counts(trials_per_point, jt), PeEstimate.from_counts(trials_per_point, weak))
-        for point, jt, weak in zip(grid, jt_errors, weak_errors)
-    }
+    estimates = dict(zip(grid, estimate_points([replace(base, q=q, n=n) for q, n in grid], trials_per_point)))
     points = []
     for q in q_values:
         best_jt: ExponentPoint | None = None

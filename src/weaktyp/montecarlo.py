@@ -16,12 +16,14 @@ all reproduce each other exactly.
 Execution: :func:`iter_points` is the one trial executor.  It simulates
 each sweep point in chunks sized to ``CALL_BYTES`` and resolves the
 multi-candidate trials of every point of one shape (m, resolver, k_max),
-whatever their blocklengths, together and bit-packed, so a lockstep
-resolver loop runs once per pool of points rather than once per point;
-:func:`run_points` collects its batches in order and :func:`run_trials`
-runs it on a single point.  Because every point owns its derived
-master, the result of a point never depends on which points it was
-pooled with.
+whatever their blocklengths, together, from their bit-packed difference
+sequences, so a lockstep resolver loop runs once per pool of points
+rather than once per point; :func:`run_trials` runs it on a single
+point.  :func:`estimate_points` is the one error-count loop: every
+sweep, :func:`estimate_pe` and the oracle check count errors through it,
+in spans of ``DEFAULT_CHUNK`` trials, so memory does not grow with the
+trial count.  Because every point owns its derived master, the result
+of a point never depends on which points it was pooled with.
 """
 
 from __future__ import annotations
@@ -65,6 +67,7 @@ ORACLE_RESOLVER_STREAM = (1 << 62) + 1
 ENUM_MAX_N = 12
 ENUM_MAX_M = 4
 
+# trials per kernel call at most, and per span of estimate_points
 DEFAULT_CHUNK = 2048
 
 # admission bound: the most bytes one trial may take in a kernel call,
@@ -276,13 +279,6 @@ class TrialBatch:
     def weak_errors(self) -> int:
         return int((self.weak_decoded != self.true_w).sum())
 
-    def estimates(self) -> tuple[PeEstimate, PeEstimate]:
-        """(classical, weak) error estimates over the batch's trials."""
-        return (
-            PeEstimate.from_counts(self.trials, self.jt_errors),
-            PeEstimate.from_counts(self.trials, self.weak_errors),
-        )
-
 
 def call_bytes(m: int, n: int) -> int:
     """Bytes one trial takes inside a :func:`~weaktyp.kernels.simulate_trials` call.
@@ -300,7 +296,7 @@ def call_bytes(m: int, n: int) -> int:
 
 
 def packed_bytes(m: int, n: int) -> int:
-    """Bytes of one trial's codebook bit-packed along n, as a resolver pool holds it."""
+    """Bytes of one trial's m difference sequences bit-packed along n, as a resolver pool holds them."""
     return m * -(-n // 8)
 
 
@@ -313,11 +309,10 @@ class _Pool:
     """Multi-candidate trials of the sweep points of one shape, awaiting one resolver call.
 
     A part holds one chunk's multi-candidate trials: n, candidate masks,
-    bit-packed codebooks (each trial its own, since each fixed-codebook
-    point draws its codebook from its own seed), resolver states and,
-    for ``svm`` only, packed received words, plus the array and
-    positions their decodes go to.  The pool is bounded by ``budget`` =
-    ``POOL_BLOCKS`` resolver blocks of packed codebook,
+    bit-packed difference sequences (each trial's codewords XOR its
+    received word) and resolver states, plus the array and positions
+    their decodes go to.  The pool is bounded by ``budget`` =
+    ``POOL_BLOCKS`` resolver blocks of packed rows,
     ``packed_bytes(m, n)`` per trial: a part that would pass it first
     flushes the pool, and a part that fills it alone is resolved alone,
     uncopied, so the parts, and their joined copies, stay within it.
@@ -333,8 +328,7 @@ class _Pool:
         self,
         n: int,
         mask: np.ndarray,
-        words: np.ndarray,
-        received: np.ndarray | None,
+        z_seqs: np.ndarray,
         states: np.ndarray,
         weak: np.ndarray,
         positions: np.ndarray,
@@ -342,14 +336,14 @@ class _Pool:
         size = positions.size * packed_bytes(self.m, n)
         if self.bytes + size > self.budget:
             self.flush()
-        self.parts.append((n, mask, words, received, states, weak, positions))
+        self.parts.append((n, mask, z_seqs, states, weak, positions))
         self.bytes += size
         if self.bytes >= self.budget:
             self.flush()
 
     def waiting(self) -> set[int]:
         """Ids of the decode arrays that pooled trials are still to be written into."""
-        return {id(part[5]) for part in self.parts}
+        return {id(part[4]) for part in self.parts}
 
     def flush(self) -> None:
         """Resolve every pooled trial, each n's parts joined, and scatter the decodes back."""
@@ -362,10 +356,8 @@ class _Pool:
         del parts
         batches, targets = [], []
         for n, same in by_n.items():
-            mask, words, states = (_joined([part[i] for part in same]) for i in (1, 2, 4))
-            received = _joined([part[3] for part in same]) if self.resolver == "svm" else None
-            batches.append(PackedTrials(n, mask, words, states, received))
-            targets.append([part[5:] for part in same])
+            batches.append(PackedTrials(n, *(_joined([part[i] for part in same]) for i in (1, 2, 3))))
+            targets.append([part[4:] for part in same])
         del by_n, same  # the joined copies replace the parts
         if self.resolver == "svm":
             results = svm_resolve_batch(batches)
@@ -399,7 +391,6 @@ def _simulate_point(
     t1 = float(cfg.channel.transition[1, 1])
     fixed_words = fixed_codebook(cfg).words if cfg.codebook_mode == "fixed" else None
     fixed_packed = None if fixed_words is None else np.packbits(fixed_words, axis=1)
-    svm = cfg.resolver == "svm"
     batch = TrialBatch(*(np.empty(num_trials, dtype=np.int64) for _ in range(4)))
 
     for off in range(0, num_trials, chunk_size):
@@ -415,28 +406,20 @@ def _simulate_point(
         batch.jt_decoded[sl] = np.where(counts == 1, mask.argmax(axis=1) + 1, 0)
         batch.weak_decoded[sl] = batch.jt_decoded[sl]
         multi = np.flatnonzero(counts >= 2)
-        if xwords is None:
-            words = np.broadcast_to(fixed_packed, (multi.size, *fixed_packed.shape))
-        else:
-            # packed whole, then selected: no unpacked copy of the multi-candidate trials
-            words = np.packbits(xwords, axis=2)[multi] if multi.size else None
+        if multi.size:
+            received = np.packbits(ybits[multi], axis=1)[:, None, :]
+            if xwords is None:
+                z_seqs = fixed_packed ^ received
+            else:
+                # packed whole, then selected: no unpacked copy of the multi-candidate trials
+                z_seqs = np.packbits(xwords, axis=2)[multi]
+                z_seqs ^= received
         # the chunk's codebooks are freed before any resolution and before the next call
         del xwords
         if multi.size:
-            received = np.packbits(ybits, axis=1)[multi] if svm else None
             states = stream_states(dm, (tid0 + multi) * STREAMS_PER_TRIAL + PURPOSE_RESOLVER)
-            pool.add(cfg.n, mask[multi], words, received, states, batch.weak_decoded, off + multi)
+            pool.add(cfg.n, mask[multi], z_seqs, states, batch.weak_decoded, off + multi)
     return batch
-
-
-def run_points(
-    cfgs: list[TrialConfig], num_trials: int, chunk_size: int = DEFAULT_CHUNK, start: int = 0
-) -> list[TrialBatch]:
-    """Trials start..start+num_trials-1 of every sweep point in ``cfgs``: :func:`iter_points` in order."""
-    batches: list[TrialBatch | None] = [None] * len(cfgs)
-    for i, batch in iter_points(cfgs, num_trials, chunk_size, start):
-        batches[i] = batch
-    return batches
 
 
 def iter_points(
@@ -453,7 +436,9 @@ def iter_points(
     only bounds one trial's :func:`call_bytes`, which
     ``config.validate`` checks.)  The trials with two or more candidates
     of every point of one shape (m, resolver, k_max), whatever their n,
-    are pooled bit-packed and resolved together, in lockstep, by
+    are pooled as their candidates' difference sequences, bit-packed
+    (:class:`~weaktyp.decoders.PackedTrials`, one copy per trial even
+    for a fixed codebook), and resolved together, in lockstep, by
     :func:`~weaktyp.decoders.cluster_resolve_batch` (once per n) or
     :func:`~weaktyp.decoders.svm_resolve_batch` (once for all n): a
     lockstep loop costs about the same whether it carries the trials of
@@ -504,44 +489,37 @@ def _checked(point: tuple[int, TrialBatch]) -> tuple[int, TrialBatch]:
 def run_trials(
     cfg: TrialConfig, num_trials: int, chunk_size: int = DEFAULT_CHUNK, start: int = 0
 ) -> TrialBatch:
-    """Trials start..start+num_trials-1 of one point: :func:`run_points` on ``[cfg]``."""
-    return run_points([cfg], num_trials, chunk_size, start)[0]
+    """Trials start..start+num_trials-1 of one point: :func:`iter_points` on ``[cfg]``."""
+    ((_, batch),) = iter_points([cfg], num_trials, chunk_size, start)
+    return batch
+
+
+def estimate_points(cfgs: list[TrialConfig], trials_per_point: int) -> list[tuple[PeEstimate, PeEstimate]]:
+    """(classical, weak) error estimates of every point in ``cfgs``, each over trials 0..trials_per_point-1.
+
+    Runs :func:`iter_points` on all the points once per span of
+    ``DEFAULT_CHUNK`` trials and keeps only each point's error counts,
+    so a batch holds one span, not ``trials_per_point``, and only the
+    batches of the open pool's points are alive at once.  Each trial id
+    draws the same trial in any span, so the summed counts are exact.
+    """
+    if trials_per_point < 1:
+        raise ValueError("trials_per_point must be positive")
+    jt_errors = [0] * len(cfgs)
+    weak_errors = [0] * len(cfgs)
+    for start in range(0, trials_per_point, DEFAULT_CHUNK):
+        for i, batch in iter_points(cfgs, min(DEFAULT_CHUNK, trials_per_point - start), start=start):
+            jt_errors[i] += batch.jt_errors
+            weak_errors[i] += batch.weak_errors
+    return [
+        (PeEstimate.from_counts(trials_per_point, jt), PeEstimate.from_counts(trials_per_point, weak))
+        for jt, weak in zip(jt_errors, weak_errors)
+    ]
 
 
 def estimate_pe(cfg: TrialConfig, num_trials: int) -> tuple[PeEstimate, PeEstimate]:
-    """(classical, weak) error estimates over the same trial stream."""
-    return run_trials(cfg, num_trials).estimates()
-
-
-def estimate_pe_adaptive(
-    cfg: TrialConfig,
-    min_errors: int = 50,
-    max_trials: int = 1_000_000,
-    chunk_size: int = DEFAULT_CHUNK * 4,
-) -> tuple[PeEstimate, PeEstimate]:
-    """Run until both decoders have min_errors errors (or the trial cap).
-
-    Error-count targeting keeps the relative error of the estimate under
-    control in deep-tail regimes.  Figure runs use fixed trial counts
-    instead so that points stay comparable.
-    """
-    if min_errors < 1:
-        raise ValueError("min_errors must be positive")
-    if max_trials < 1:
-        raise ValueError("max_trials must be positive")
-    jt_err = 0
-    weak_err = 0
-    done = 0
-    while done < max_trials:
-        count = min(chunk_size, max_trials - done)
-        # extend the trial-id range rather than re-running a prefix
-        batch = run_trials(cfg, count, start=done)
-        jt_err += batch.jt_errors
-        weak_err += batch.weak_errors
-        done += count
-        if jt_err >= min_errors and weak_err >= min_errors:
-            break
-    return PeEstimate.from_counts(done, jt_err), PeEstimate.from_counts(done, weak_err)
+    """(classical, weak) error estimates over the same trial stream: :func:`estimate_points` on ``[cfg]``."""
+    return estimate_points([cfg], num_trials)[0]
 
 
 def exhaustive_pe(cfg: TrialConfig) -> tuple[float, float]:

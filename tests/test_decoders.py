@@ -304,7 +304,7 @@ def test_exact_ties_go_to_the_lowest_index():
     cands = cand_set([1, 2, 3], rows)
     assert cluster_resolve(cands, 1, RngStream(0, 0)) == 1
     states = stream_states(0, np.array([0]))
-    trials = PackedTrials(5, np.ones((1, 3), dtype=bool), np.packbits(np.array(rows), axis=1), states)
+    trials = PackedTrials(5, np.ones((1, 3), dtype=bool), np.packbits(np.array([rows]), axis=2), states)
     got = cluster_resolve_batch(trials, 1)
     assert got.decoded.tolist() == [1]
     assert got.iterations.tolist() == [2]

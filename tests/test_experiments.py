@@ -1,9 +1,11 @@
+import tracemalloc
+
 import pytest
 
-from weaktyp import experiments
+from weaktyp import montecarlo
 from weaktyp.core import bsc
 from weaktyp.experiments import SweepResult, sweep_blocklengths, sweep_source_prob
-from weaktyp.montecarlo import TrialConfig, estimate_pe, exponent
+from weaktyp.montecarlo import DEFAULT_CHUNK, TrialConfig, estimate_pe, exponent
 
 
 def base_cfg(**kw):
@@ -99,25 +101,55 @@ def test_bias_sweep_tracks_per_decoder_argmax():
     assert ep_weak.exponent == max(weak_all)
 
 
-def test_bias_sweep_in_spans_equals_one_call(monkeypatch):
+SWEEPS = {
+    "bias": lambda base, trials: sweep_source_prob(base, [0.3, 0.5], [10, 20], trials),
+    "fixed-m": lambda base, trials: sweep_blocklengths(base, [10, 20], trials),
+    "fixed-rate": lambda base, trials: sweep_blocklengths(base, [10, 20], trials, "fixed-rate", 0.15),
+}
+
+
+@pytest.mark.parametrize("sweep", SWEEPS)
+def test_bias_sweep_in_spans_equals_one_call(monkeypatch, sweep):
     # the grid runs through iter_points once per span of DEFAULT_CHUNK trials; each
     # trial id draws the same trial in any span, so the summed counts match bit for bit
     calls = []
-    iter_points = experiments.iter_points
+    iter_points = montecarlo.iter_points
 
     def counted(cfgs, num_trials, **kw):
         calls.append((num_trials, kw.get("start", 0)))
         return iter_points(cfgs, num_trials, **kw)
 
-    monkeypatch.setattr(experiments, "iter_points", counted)
+    monkeypatch.setattr(montecarlo, "iter_points", counted)
     for resolver in ("cluster", "svm"):
         base = base_cfg(resolver=resolver)
-        whole = sweep_source_prob(base, [0.3, 0.5], [10, 20], 7)
+        whole = SWEEPS[sweep](base, 7)
         assert calls == [(7, 0)]
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(experiments, "DEFAULT_CHUNK", 3)
-            spans = sweep_source_prob(base, [0.3, 0.5], [10, 20], 7)
+            patch.setattr(montecarlo, "DEFAULT_CHUNK", 3)
+            spans = SWEEPS[sweep](base, 7)
         assert calls == [(7, 0), (3, 0), (3, 3), (1, 6)]
         # repr tells a signed zero from an unsigned one
         assert repr(spans.points) == repr(whole.points)
         calls.clear()
+
+
+def traced_peak(run) -> int:
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize(
+    "estimate",
+    (lambda cfg, trials: sweep_blocklengths(cfg, [cfg.n], trials), estimate_pe),
+    ids=("sweep_blocklengths", "estimate_pe"),
+)
+def test_error_counting_memory_does_not_grow_with_the_trial_count(estimate):
+    # errors are counted in spans of DEFAULT_CHUNK trials: ten times the trials may
+    # not hold a batch of every trial, 32 bytes each, 576 KiB more at 10x
+    cfg = base_cfg(n=10)
+    one_span = traced_peak(lambda: estimate(cfg, DEFAULT_CHUNK))
+    assert traced_peak(lambda: estimate(cfg, 10 * DEFAULT_CHUNK)) < one_span + 256 * 1024

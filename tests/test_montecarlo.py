@@ -17,12 +17,11 @@ from weaktyp.montecarlo import (
     call_bytes,
     error_exponent,
     estimate_pe,
-    estimate_pe_adaptive,
     exhaustive_pe,
     exponent,
     fixed_codebook,
+    iter_points,
     packed_bytes,
-    run_points,
     run_trial,
     run_trials,
     trial_detail,
@@ -78,7 +77,7 @@ def test_points_pool_only_with_their_own_resolver_and_k_max():
     # resolver and k_max do not enter the derived master: every point draws the same trials
     base = TrialConfig(n=20, m=4, q=0.5, channel=bsc(0.4), eps=0.1, master_seed=5)
     cfgs = [replace(base, resolver=r, k_max=k) for r in RESOLVERS for k in (2, 3)]
-    batches = run_points(cfgs, 200)
+    batches = [batch for _, batch in sorted(iter_points(cfgs, 200), key=lambda point: point[0])]
     for cfg, batch in zip(cfgs, batches):
         assert np.array_equal(batch.weak_decoded, run_trials(cfg, 200).weak_decoded)
     # each resolution differs here (svm ignores k_max), so a pool shared across them would show
@@ -86,7 +85,7 @@ def test_points_pool_only_with_their_own_resolver_and_k_max():
 
 
 def pooled_footprints(monkeypatch, m, resolver, parts):
-    """Packed codebook bytes the pool holds and joins while ``parts`` chunks of trials pass through it.
+    """Packed difference-sequence bytes the pool holds and joins while ``parts`` chunks of trials pass through it.
 
     ``parts`` lists (n, trials) chunks.  The parts are broadcast views and
     the joins are recorded, not made, so nothing of the footprint is
@@ -98,7 +97,7 @@ def pooled_footprints(monkeypatch, m, resolver, parts):
     joined, flushed_ns = [], []
 
     def recorded_join(arrays):
-        if len(arrays) > 1 and arrays[0].ndim == 3:  # the codebooks, (trials, m, ceil(n/8))
+        if len(arrays) > 1 and arrays[0].ndim == 3:  # the difference sequences, (trials, m, ceil(n/8))
             joined[-1] += sum(a.shape[0] for a in arrays) * arrays[0].shape[1] * arrays[0].shape[2]
         return np.broadcast_to(arrays[0][:1], (sum(a.shape[0] for a in arrays), *arrays[0].shape[1:]))
 
@@ -127,7 +126,6 @@ def pooled_footprints(monkeypatch, m, resolver, parts):
             n,
             np.broadcast_to(np.ones((1, 1), dtype=bool), (k, m)),
             np.broadcast_to(np.zeros((1, 1, 1), dtype=np.uint8), (k, m, width)),
-            np.broadcast_to(np.zeros((1, 1), dtype=np.uint8), (k, width)) if resolver == "svm" else None,
             np.zeros(k, dtype=np.uint64),
             weak,
             np.arange(at, at + k),
@@ -306,19 +304,6 @@ def test_exhaustive_rejects_bad_instances():
         exhaustive_pe(TrialConfig(n=20, m=2, q=0.5, channel=bsc(0.1), eps=0.3, codebook_mode="fixed"))
     with pytest.raises(ValueError):
         exhaustive_pe(TrialConfig(n=6, m=2, q=0.5, channel=bsc(0.1), eps=0.3))  # redraw mode
-
-
-def test_adaptive_estimation_reaches_error_target():
-    cfg = TrialConfig(n=20, m=4, q=0.5, channel=bsc(0.4), eps=0.1, master_seed=9)
-    pe_jt, pe_weak = estimate_pe_adaptive(cfg, min_errors=50, max_trials=100_000)
-    assert pe_jt.errors >= 50 and pe_weak.errors >= 50
-    assert pe_jt.trials == pe_weak.trials <= 100_000
-
-
-def test_adaptive_estimation_respects_cap():
-    pe_jt, pe_weak = estimate_pe_adaptive(cfg_noiseless(), min_errors=5, max_trials=600)
-    assert pe_jt.trials == 600
-    assert pe_jt.zero_error and pe_weak.zero_error
 
 
 def test_trial_detail_consistent_with_run_trial():

@@ -25,8 +25,8 @@ from weaktyp.montecarlo import (
     CODEBOOK_MODES,
     TrialBatch,
     TrialConfig,
+    fixed_codebook,
     iter_points,
-    run_points,
     run_trial,
     run_trials,
 )
@@ -120,21 +120,26 @@ def test_run_points_equals_run_trials_and_run_trial(monkeypatch):
         "svm_pool_with_column_slots": 0,
         "point_yielded_before_its_pool_closed": 0,
     }
-    flush = montecarlo._Pool.flush
+    add, flush = montecarlo._Pool.add, montecarlo._Pool.flush
     pegasos_scores = decoders._pegasos_scores
     simulate_point = montecarlo._simulate_point
     simulated = []
+    owners = {}
 
     def recorded_simulate(cfg, *args):
         simulated.append(cfg)
         return simulate_point(cfg, *args)
 
+    def recorded_add(pool, n, mask, z_seqs, states, weak, positions):
+        # the weak array of a part belongs to the point being simulated
+        owners[id(weak)] = simulated[-1]
+        add(pool, n, mask, z_seqs, states, weak, positions)
+
     def counted_flush(pool):
-        # a part is (n, mask, words, received, states, weak, positions); its weak
-        # array belongs to its point, and a fixed codebook is a broadcast view
-        points = {id(part[5]) for part in pool.parts}
-        hits["pool_spans_points"] += len(points) > 1
-        fixed = {part[2][0].tobytes() for part in pool.parts if part[2].strides[0] == 0}
+        # a part is (n, mask, z_seqs, states, weak, positions)
+        cfgs = [owners[id(part[4])] for part in pool.parts]
+        hits["pool_spans_points"] += len({id(part[4]) for part in pool.parts}) > 1
+        fixed = {fixed_codebook(cfg).words.tobytes() for cfg in cfgs if cfg.codebook_mode == "fixed"}
         hits["pool_mixes_fixed_codebooks"] += len(fixed) > 1
         hits["pool_spans_blocklengths"] += len({part[0] for part in pool.parts}) > 1
         flush(pool)
@@ -146,26 +151,38 @@ def test_run_points_equals_run_trials_and_run_trial(monkeypatch):
         hits["svm_pool_with_column_slots"] += spans and any(2**c_max > n + 1 for n, _, _ in groups)
         return pegasos_scores(groups)
 
+    monkeypatch.setattr(montecarlo._Pool, "add", recorded_add)
     monkeypatch.setattr(montecarlo._Pool, "flush", counted_flush)
     monkeypatch.setattr(decoders, "_pegasos_scores", counted_scores)
     monkeypatch.setattr(montecarlo, "_simulate_point", recorded_simulate)
 
+    # one svm flush over two blocklengths, the shorter too short for 2**c_max patterns
+    column_slots = (
+        [TrialConfig(n=n, m=6, q=0.5, channel=bsc(0.1), eps=2.0, resolver="svm") for n in (3, 20)],
+        4,
+        4,
+        0,
+        decoders.BATCH_BLOCK_ELEMS,
+        montecarlo.POOL_BLOCKS,
+    )
+
     @fixed_budget(150)
     @given(sweep_point_lists())
+    @example(column_slots)
     def check(case):
         cfgs, num, chunk_size, start, block_elems, pool_blocks = case
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(decoders, "BATCH_BLOCK_ELEMS", block_elems)
             patch.setattr(montecarlo, "POOL_BLOCKS", pool_blocks)
-            batches = run_points(cfgs, num, chunk_size=chunk_size, start=start)
-            # a point is yielded final: a copy taken then is its whole batch
             simulated.clear()
-            yielded = {}
+            batches, yielded = {}, {}
             for i, batch in iter_points(cfgs, num, chunk_size=chunk_size, start=start):
+                batches[i] = batch
+                # a point is yielded final: a copy taken then is its whole batch
                 copies = TrialBatch(*(np.copy(getattr(batch, f.name)) for f in fields(TrialBatch)))
                 yielded[i] = (copies, len(simulated))
-        assert len(batches) == len(cfgs)
         assert sorted(yielded) == list(range(len(cfgs)))
+        batches = [batches[i] for i in range(len(cfgs))]
         for i, (copies, after) in yielded.items():
             for field in fields(TrialBatch):
                 assert np.array_equal(getattr(copies, field.name), getattr(batches[i], field.name))
@@ -248,16 +265,10 @@ def separated_point_sets(draw):
     return words, received, np.ones((trials, m), dtype=bool), stream_ids, master, 2, resolver
 
 
-def packed_trials(words, mask, states, received=None):
-    """The (unpacked) trials of a point set as the batch resolvers take them."""
-    n = words.shape[-1]
-    return PackedTrials(
-        n,
-        mask,
-        np.packbits(words, axis=-1),
-        states,
-        None if received is None else np.packbits(received, axis=-1),
-    )
+def packed_trials(words, received, mask, states):
+    """The (unpacked) trials of a point set as the batch resolvers take them: packed words XOR received."""
+    z = np.bitwise_xor(words if words.ndim == 3 else words[None], received[:, None, :])
+    return PackedTrials(words.shape[-1], mask, np.packbits(z, axis=-1), states)
 
 
 def test_batch_resolution_equals_cluster_resolve(monkeypatch):
@@ -265,8 +276,7 @@ def test_batch_resolution_equals_cluster_resolve(monkeypatch):
     monkeypatch.setattr(decoders, "BATCH_BLOCK_ELEMS", 8)
     hits = {
         "all_rows_equal": 0,
-        "zero_total_seed": 0,
-        "empty_cluster_reseed": 0,
+        "kmeans_on_fewer_distinct_rows_than_k": 0,
         "lloyd_repeat": 0,
         "gram_side": 0,
         "row_side": 0,
@@ -296,7 +306,9 @@ def test_batch_resolution_equals_cluster_resolve(monkeypatch):
         """The batch against the reference on one example; returns how many trials ran a third Lloyd pass."""
         words, received, mask, stream_ids, master, k_max, resolver = case
         states = stream_states(master, stream_ids)
-        got = cluster_resolve_batch(packed_trials(words, mask, states), k_max, decoders.CLUSTER_PICKS[resolver])
+        got = cluster_resolve_batch(
+            packed_trials(words, received, mask, states), k_max, decoders.CLUSTER_PICKS[resolver]
+        )
         for t in range(mask.shape[0]):
             idx0 = np.flatnonzero(mask[t])
             z = np.bitwise_xor((words if words.ndim == 2 else words[t])[idx0], received[t])
@@ -307,8 +319,8 @@ def test_batch_resolution_equals_cluster_resolve(monkeypatch):
             assert got.decoded[t] == outcome.decoded
             assert got.iterations[t] == (clus.iterations_used if clus else 0)
             hits["all_rows_equal"] += bool(np.all(z == z[0]))
-        hits["zero_total_seed"] += int(np.count_nonzero(got.fallback_seeds))
-        hits["empty_cluster_reseed"] += int(np.count_nonzero(got.reseeds))
+            # where both paths take the zero-total fallback seed and reseed an emptied cluster
+            hits["kmeans_on_fewer_distinct_rows_than_k"] += bool(clus) and len({r.tobytes() for r in z}) < clus.k
         # the first pass never converges; a third means centroids moved a point
         repeats = int(np.count_nonzero(got.iterations > 2))
         hits["lloyd_repeat"] += repeats
@@ -345,7 +357,9 @@ def test_batch_resolution_with_wide_comparisons_equals_cluster_resolve(monkeypat
     def check(case):
         words, received, mask, stream_ids, master, k_max, resolver = case
         states = stream_states(master, stream_ids)
-        got = cluster_resolve_batch(packed_trials(words, mask, states), k_max, decoders.CLUSTER_PICKS[resolver])
+        got = cluster_resolve_batch(
+            packed_trials(words, received, mask, states), k_max, decoders.CLUSTER_PICKS[resolver]
+        )
         for t in range(mask.shape[0]):
             idx0 = np.flatnonzero(mask[t])
             z = np.bitwise_xor((words if words.ndim == 2 else words[t])[idx0], received[t])
@@ -355,6 +369,36 @@ def test_batch_resolution_with_wide_comparisons_equals_cluster_resolve(monkeypat
             assert got.iterations[t] == (clus.iterations_used if clus else 0)
 
     check()
+
+
+@st.composite
+def sets_with_repeated_rows(draw):
+    """c candidates over d < c distinct rows (d >= 2) in shuffled order, and a k_max above d."""
+    n = draw(st.integers(1, 12))
+    d = draw(st.integers(2, min(5, 2**n)))
+    distinct = draw(st.lists(st.integers(0, 2**n - 1), min_size=d, max_size=d, unique=True))
+    c = draw(st.integers(d + 1, 9))
+    values = distinct + draw(st.lists(st.sampled_from(distinct), min_size=c - d, max_size=c - d))
+    values = draw(st.permutations(values))
+    rows = np.array([[(v >> j) & 1 for j in range(n)] for v in values], dtype=np.uint8)
+    k_max = draw(st.integers(d + 1, c + 1))
+    resolver = draw(st.sampled_from(("cluster", "cluster-random")))
+    return rows, d, k_max, resolver, draw(st.integers(0, 2**64 - 1)), draw(st.integers(0, 2**40))
+
+
+@fixed_budget(300)
+@given(sets_with_repeated_rows())
+def test_cluster_resolution_ignores_k_max_above_the_distinct_rows(case):
+    # clusters past the d distinct rows are seeded by the zero-total fallback, lose every
+    # tie and are reseeded once empty, yet change no decode, pass count or assignment
+    rows, d, k_max, resolver, master, stream_id = case
+    cands = CandidateSet(indices=np.arange(1, rows.shape[0] + 1), z_seqs=rows)
+    above, clus_above = weak_outcome(cands, resolver, RngStream(master, stream_id), k_max)
+    at_d, clus_d = weak_outcome(cands, resolver, RngStream(master, stream_id), d)
+    assert clus_above.k > d == clus_d.k
+    assert above.decoded == at_d.decoded
+    assert clus_above.iterations_used == clus_d.iterations_used
+    assert np.array_equal(clus_above.assignments, clus_d.assignments)
 
 
 @fixed_budget(200)
@@ -448,7 +492,7 @@ def test_batch_svm_equals_svm_resolve(monkeypatch):
             patch.setattr(decoders, "BATCH_BLOCK_ELEMS", block_elems)
             got = svm_resolve_batch(
                 [
-                    packed_trials(words, mask, stream_states(master, stream_ids), received)
+                    packed_trials(words, received, mask, stream_states(master, stream_ids))
                     for words, received, mask, stream_ids in parts
                 ]
             )
