@@ -109,10 +109,6 @@ class DecodeOutcome:
         if self.candidate_count == 0 and self.decoded != 0:
             raise ValueError("no candidates must decode to the dummy index")
 
-    @property
-    def is_dummy(self) -> bool:
-        return self.decoded == 0
-
 
 @dataclass(frozen=True)
 class Clustering:
@@ -876,12 +872,7 @@ def _svm_pick(scores: np.ndarray) -> np.ndarray:
     return np.argmax(side_scores, axis=1)
 
 
-def svm_resolve(
-    cands: CandidateSet,
-    rng: RngStream,
-    lam: float = SVM_LAMBDA,
-    epochs: int = SVM_EPOCHS,
-) -> int:
+def svm_resolve(cands: CandidateSet, rng: RngStream) -> int:
     """Max-margin resolution: 2-means labels refined by a Pegasos separator.
 
     The candidate Z-sequences get provisional +/-1 labels from a k=2
@@ -890,13 +881,11 @@ def svm_resolve(
     are re-labelled by the separator, and the larger side wins; the
     winning-side candidate with the largest decision margin is decoded.
     """
-    decoded, _ = _svm_by_clusters(cands, rng, lam, epochs)
+    decoded, _ = _svm_by_clusters(cands, rng)
     return decoded
 
 
-def _svm_by_clusters(
-    cands: CandidateSet, rng: RngStream, lam: float = SVM_LAMBDA, epochs: int = SVM_EPOCHS
-) -> tuple[int, Clustering | None]:
+def _svm_by_clusters(cands: CandidateSet, rng: RngStream) -> tuple[int, Clustering | None]:
     if cands.count < 2:
         raise ValueError("resolution needs at least two candidates")
     z = cands.z_seqs.astype(np.float64)
@@ -907,7 +896,7 @@ def _svm_by_clusters(
     clus = kmeans(cands.z_seqs, 2, rng)
     labels = np.where(clus.assignments == 0, 1.0, -1.0)
     feats = np.hstack([z, np.ones((cands.count, 1))])
-    scores = feats @ _pegasos_separator(feats, labels, lam, epochs)
+    scores = feats @ _pegasos_separator(feats, labels)
     pos = scores >= 0.0
     n_pos = int(pos.sum())
     n_neg = cands.count - n_pos
@@ -922,18 +911,16 @@ def _svm_by_clusters(
     return int(indices[int(np.argmax(side_scores))]), clus
 
 
-def _pegasos_separator(
-    feats: np.ndarray, labels: np.ndarray, lam: float = SVM_LAMBDA, epochs: int = SVM_EPOCHS
-) -> np.ndarray:
+def _pegasos_separator(feats: np.ndarray, labels: np.ndarray) -> np.ndarray:
     """Pegasos weights for the rows of ``feats`` with +/-1 ``labels`` (cyclic subgradient steps)."""
     w = np.zeros(feats.shape[1])
     t = 0
-    for _ in range(epochs):
+    for _ in range(SVM_EPOCHS):
         for i in range(feats.shape[0]):
             t += 1
-            eta = 1.0 / (lam * t)
+            eta = 1.0 / (SVM_LAMBDA * t)
             margin = labels[i] * float(feats[i] @ w)
-            w *= 1.0 - eta * lam
+            w *= 1.0 - eta * SVM_LAMBDA
             if margin < 1.0:
                 w += (eta * labels[i]) * feats[i]
     return w

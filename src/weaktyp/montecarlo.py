@@ -283,14 +283,14 @@ class TrialBatch:
 def call_bytes(m: int, n: int) -> int:
     """Bytes one trial takes inside a :func:`~weaktyp.kernels.simulate_trials` call.
 
-    Measured with tracemalloc and pinned by a test.  A trial's draw
-    arrays (sent word and noise, 17 bytes per symbol) are freed before
-    its codebook (m*n bytes) and its scan arrays (73 bytes per codeword:
-    the int64 counts, the typicality terms and the mask) are made; their
-    sum, plus 56 bytes of per-trial scalars, bounds both stages.  The
-    kernel's block buffers (at most three arrays of
-    ``kernels.BLOCK_ELEMS`` uint64, freed before the scan) come on top,
-    once per call.
+    Measured with tracemalloc and pinned by a test.  A trial's codebook
+    (m*n bytes) is held throughout.  Its draw arrays (sent word and
+    noise, 17 bytes per symbol) are freed before its scan arrays (the
+    received word and 73 bytes per codeword: the int64 counts, the
+    typicality terms and the mask) are made, so mn + max(17n, n + 73m),
+    plus 56 bytes of per-trial scalars, is at most this sum.  The
+    kernel's block buffers (at most three arrays of ``kernels.BLOCK_ELEMS``
+    uint64, freed before the noise draw) come on top, once per call.
     """
     return m * (n + 73) + 17 * n + 56
 

@@ -113,6 +113,36 @@ def test_simulate_trials_equals_reference_path(monkeypatch, cfg, count, block_el
             assert np.array_equal(xwords[t], words)
 
 
+@pytest.mark.parametrize("mode", ["redraw", "fixed"])
+def test_each_symbol_is_drawn_once(monkeypatch, mode):
+    # blocks of two codewords of one trial: the sent word lies in one of them
+    cfg = TrialConfig(n=10, m=5, q=0.5, channel=bsc(0.1), eps=0.3, codebook_mode=mode, master_seed=17)
+    monkeypatch.setattr(kernels, "BLOCK_ELEMS", 2 * cfg.n)
+    fixed = fixed_codebook(cfg).words if mode == "fixed" else None
+    args = (
+        derived_master(cfg), 0, 6, cfg.m, cfg.n, cfg.q,
+        float(cfg.channel.transition[0, 1]), float(cfg.channel.transition[1, 1]),
+        build_context(cfg.q, cfg.channel).kernel_constants(), cfg.eps, fixed,
+    )
+    draws = []
+
+    def spy(draw):
+        def counted(*a, **kw):
+            out = draw(*a, **kw)
+            draws.append(out.size)
+            return out
+
+        return counted
+
+    # the codebook blocks are finalized in place and the noise comes from
+    # raw_at; the message is drawn through uniforms_at, which is not counted
+    for name in ("finalize", "raw_at"):
+        monkeypatch.setattr(kernels, name, spy(getattr(kernels, name)))
+    kernels.simulate_trials(*args)
+    codebook_words = cfg.m if fixed is None else 0
+    assert sum(draws) == 6 * (codebook_words + 1) * cfg.n
+
+
 def _call_counts(monkeypatch, cfg, trials, call_budget):
     """Trials per kernel call of ``run_trials`` under a patched ``CALL_BYTES``, and its batch."""
     monkeypatch.setattr(montecarlo, "CALL_BYTES", call_budget)
@@ -147,7 +177,8 @@ def test_a_trial_over_the_call_budget_runs_alone(monkeypatch):
 
 FOOTPRINT_CASES = [
     # small n and large m (scan arrays dominate), the fig1-rate shape, and
-    # large n with small m (the sent-word and noise draws dominate)
+    # large n with small m (the noise draws, made while the codebook is
+    # held, dominate)
     TrialConfig(n=8, m=2048, q=0.5, channel=bsc(0.05), eps=0.8),
     TrialConfig(n=20, m=1024, q=0.5, channel=bsc(0.05), eps=0.8),
     TrialConfig(n=200, m=256, q=0.5, channel=bsc(0.05), eps=0.8),

@@ -301,6 +301,19 @@ def test_batch_resolution_equals_cluster_resolve(monkeypatch):
         2,
         "cluster",
     )
+    # more candidates than symbols takes k-means' products from the rows;
+    # the 400 random sets reach that side in 5 to 39 calls, as the modules
+    # run before this one change hypothesis' draws: pin it, with a shared
+    # codebook and two trials, so it is checked in every module order
+    row_side = (
+        np.array([[0, 0], [0, 1], [1, 0], [1, 1], [1, 1]], dtype=np.uint8),
+        np.array([[0, 1], [1, 1]], dtype=np.uint8),
+        np.ones((2, 5), dtype=bool),
+        np.array([1, 2]),
+        3,
+        3,
+        "cluster-random",
+    )
 
     def checked(case):
         """The batch against the reference on one example; returns how many trials ran a third Lloyd pass."""
@@ -329,6 +342,7 @@ def test_batch_resolution_equals_cluster_resolve(monkeypatch):
     @fixed_budget(400)
     @given(point_sets())
     @example(lloyd_repeat)
+    @example(row_side)
     def check(case):
         checked(case)
 
