@@ -172,8 +172,8 @@ def weak_outcome(
     return DecodeOutcome(decoded, cands.count, "cluster"), clus
 
 
-def kmeans(points, k: int, rng: RngStream, max_iters: int = KMEANS_MAX_ITERS) -> Clustering:
-    """Lloyd's algorithm with k-means++ style seeding.
+def kmeans(points, k: int, rng: RngStream) -> Clustering:
+    """Lloyd's algorithm with k-means++ style seeding, at most ``KMEANS_MAX_ITERS`` passes.
 
     Each cluster is a 0/1 weight vector v over the points, with size
     s = sum(v) and member sum sigma = sum_a v_a z_a; point i's squared
@@ -197,8 +197,6 @@ def kmeans(points, k: int, rng: RngStream, max_iters: int = KMEANS_MAX_ITERS) ->
     num = pts.shape[0]
     if not 1 <= k <= num:
         raise ValueError(f"k must be in 1..{num}, got {k}")
-    if max_iters < 1:
-        raise ValueError("max_iters must be positive")
 
     first = min(int(rng.uniform() * num), num - 1)
     seeds = [first]
@@ -218,8 +216,8 @@ def kmeans(points, k: int, rng: RngStream, max_iters: int = KMEANS_MAX_ITERS) ->
     weights[np.arange(k), seeds] = 1
     assign = np.full(num, -1, dtype=np.int64)
     trace = []
-    iterations = max_iters
-    for it in range(1, max_iters + 1):
+    iterations = KMEANS_MAX_ITERS
+    for it in range(1, KMEANS_MAX_ITERS + 1):
         sizes = weights.sum(axis=1)
         sums = weights @ pts
         scaled = np.stack([((s * pts - sigma) ** 2).sum(axis=1) for s, sigma in zip(sizes, sums)], axis=1)
@@ -431,29 +429,6 @@ def _gram_products(x: np.ndarray, n: int) -> tuple[np.ndarray, Callable[[np.ndar
     return np.diagonal(gram, axis1=1, axis2=2), lambda v: np.matmul(gram, v)
 
 
-def _mul_wide(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Exact products of nonnegative int64 arrays, as (high, low) uint64 halves of 128 bits."""
-    a, b = a.astype(np.uint64), b.astype(np.uint64)
-    half, mask = np.uint64(32), np.uint64(0xFFFFFFFF)
-    a0, a1, b0, b1 = a & mask, a >> half, b & mask, b >> half
-    # a1, b1 < 2**31, so each cross product is below 2**63 and their sum fits
-    mid = a1 * b0 + a0 * b1
-    low = a0 * b0
-    out_low = low + (mid << half)
-    return a1 * b1 + (mid >> half) + (out_low < low), out_low
-
-
-def _ratio_less(a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """a / b < c / d, exactly, for nonnegative int64 a, c and positive b, d.
-
-    Decided as a * d < c * b in 128 bits (:func:`_mul_wide`), so no
-    product overflows.
-    """
-    left_high, left_low = _mul_wide(a, d)
-    right_high, right_low = _mul_wide(c, b)
-    return (left_high < right_high) | ((left_high == right_high) & (left_low < right_low))
-
-
 def _resolve_block(
     x: np.ndarray, n: int, states: np.ndarray, k: int, pick: str
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -588,21 +563,21 @@ def _nearest(shifted: np.ndarray, weight: np.ndarray, squares: np.ndarray, n: in
     each by at most n * 2**-53 (equal ones alike).  So when c**4 n < 2**52
     the rounded shifted quotients keep every order and every tie, and
     one ``argmin`` decides; otherwise N_ij s_l**2 and N_il s_j**2 are
-    compared in 128 bits (:func:`_ratio_less`).
+    compared in Python integers, as :func:`kmeans` compares them.
     """
     c = weight.shape[1]
     if c**4 * n < 2**52:
         return np.argmin(shifted / squares[:, None, :], axis=2)
-    scaled = shifted + squares[:, None, :] * weight[:, :, None]
+    scaled = (shifted + squares[:, None, :] * weight[:, :, None]).astype(object)
+    squares = squares.astype(object)
     best = np.zeros(weight.shape, dtype=np.int64)
-    best_num, best_den = scaled[:, :, 0], squares[:, :1]
     for j in range(1, scaled.shape[2]):
-        num, den = scaled[:, :, j], squares[:, j : j + 1]
+        # N_ij s_b**2 < N_ib s_j**2 against the best cluster b so far:
         # strict, so the lower id keeps a tie
-        closer = _ratio_less(num, den, best_num, best_den)
+        best_scaled = np.take_along_axis(scaled, best[:, :, None], axis=2)[:, :, 0]
+        best_square = np.take_along_axis(squares, best, axis=1)
+        closer = scaled[:, :, j] * best_square < best_scaled * squares[:, j : j + 1]
         best[closer] = j
-        best_num = np.where(closer, num, best_num)
-        best_den = np.where(closer, den, best_den)
     return best
 
 

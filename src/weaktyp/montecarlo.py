@@ -376,29 +376,29 @@ def _joined(arrays: list[np.ndarray]) -> np.ndarray:
     return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
 
 
-def _simulate_point(
-    cfg: TrialConfig, num_trials: int, chunk_size: int, start: int, pool: _Pool
-) -> TrialBatch:
+def _simulate_point(cfg: TrialConfig, num_trials: int, start: int, pool: _Pool) -> TrialBatch:
     """Simulate and scan one point chunk by chunk, handing its multi-candidate trials to ``pool``.
 
     The weak decodes of those trials are written into the returned
     batch when the pool is flushed.
     """
-    chunk_size = min(chunk_size, max(1, CALL_BYTES // call_bytes(cfg.m, cfg.n)))
+    per_call = min(DEFAULT_CHUNK, max(1, CALL_BYTES // call_bytes(cfg.m, cfg.n)))
     dm = derived_master(cfg)
     consts = build_context(cfg.q, cfg.channel).kernel_constants()
     t0 = float(cfg.channel.transition[0, 1])
     t1 = float(cfg.channel.transition[1, 1])
     fixed_words = fixed_codebook(cfg).words if cfg.codebook_mode == "fixed" else None
-    fixed_packed = None if fixed_words is None else np.packbits(fixed_words, axis=1)
+    width = -(-cfg.n // 8)
     batch = TrialBatch(*(np.empty(num_trials, dtype=np.int64) for _ in range(4)))
 
-    for off in range(0, num_trials, chunk_size):
+    for off in range(0, num_trials, per_call):
         tid0 = start + off
-        count = min(chunk_size, num_trials - off)
-        w, mask, ybits, xwords = kernels.simulate_trials(
+        count = min(per_call, num_trials - off)
+        w, mask, ybits, words = kernels.simulate_trials(
             dm, tid0, count, cfg.m, cfg.n, cfg.q, t0, t1, consts, cfg.eps, fixed_words
         )
+        # in fixed mode the kernel returns no codebooks: the fixed one is every trial's
+        words = fixed_words[None] if words is None else words
         counts = mask.sum(axis=1)
         sl = slice(off, off + count)
         batch.true_w[sl] = w
@@ -407,30 +407,25 @@ def _simulate_point(
         batch.weak_decoded[sl] = batch.jt_decoded[sl]
         multi = np.flatnonzero(counts >= 2)
         if multi.size:
-            received = np.packbits(ybits[multi], axis=1)[:, None, :]
-            if xwords is None:
-                z_seqs = fixed_packed ^ received
-            else:
-                # packed whole, then selected: no unpacked copy of the multi-candidate trials
-                z_seqs = np.packbits(xwords, axis=2)[multi]
-                z_seqs ^= received
+            # packed whole, then selected, which copies (the broadcast view is read-only):
+            # no unpacked copy of the multi-candidate trials
+            z_seqs = np.broadcast_to(np.packbits(words, axis=2), (count, cfg.m, width))[multi]
+            z_seqs ^= np.packbits(ybits[multi], axis=1)[:, None, :]
         # the chunk's codebooks are freed before any resolution and before the next call
-        del xwords
+        del words
         if multi.size:
             states = stream_states(dm, (tid0 + multi) * STREAMS_PER_TRIAL + PURPOSE_RESOLVER)
             pool.add(cfg.n, mask[multi], z_seqs, states, batch.weak_decoded, off + multi)
     return batch
 
 
-def iter_points(
-    cfgs: list[TrialConfig], num_trials: int, chunk_size: int = DEFAULT_CHUNK, start: int = 0
-) -> Iterator[tuple[int, TrialBatch]]:
+def iter_points(cfgs: list[TrialConfig], num_trials: int, start: int = 0) -> Iterator[tuple[int, TrialBatch]]:
     """(index, batch) of every sweep point in ``cfgs``, each as soon as its decodes are final.
 
     The trial executor.  Identical, point by point, to looping
     :func:`run_trial`, but orders of magnitude faster; equality of the
     two paths is pinned by tests.  Each point is simulated and scanned
-    in chunks of ``chunk_size`` trials, one kernel call per chunk, and
+    in chunks of ``DEFAULT_CHUNK`` trials, one kernel call per chunk, and
     fewer where their footprint, :func:`call_bytes` per trial, would pass
     ``CALL_BYTES``; a trial above that runs alone.  (``CHUNK_BYTES``
     only bounds one trial's :func:`call_bytes`, which
@@ -450,16 +445,12 @@ def iter_points(
     """
     if num_trials < 1:
         raise ValueError("num_trials must be positive")
-    if chunk_size < 1:
-        raise ValueError("chunk_size must be positive")
     if start < 0:
         raise ValueError("start must be nonnegative")
-    return _points(cfgs, num_trials, chunk_size, start)
+    return _points(cfgs, num_trials, start)
 
 
-def _points(
-    cfgs: list[TrialConfig], num_trials: int, chunk_size: int, start: int
-) -> Iterator[tuple[int, TrialBatch]]:
+def _points(cfgs: list[TrialConfig], num_trials: int, start: int) -> Iterator[tuple[int, TrialBatch]]:
     """The generator behind :func:`iter_points`, on checked arguments."""
     by_shape = sorted(range(len(cfgs)), key=lambda i: _shape(cfgs[i]))
     for _, group in groupby(by_shape, key=lambda i: _shape(cfgs[i])):
@@ -467,7 +458,7 @@ def _points(
         pool = _Pool(*_shape(cfgs[group[0]]))
         open_points: list[tuple[int, TrialBatch]] = []
         for i in group:
-            open_points.append((i, _simulate_point(cfgs[i], num_trials, chunk_size, start, pool)))
+            open_points.append((i, _simulate_point(cfgs[i], num_trials, start, pool)))
             waiting = pool.waiting()
             for point in open_points:
                 if id(point[1].weak_decoded) not in waiting:
@@ -486,11 +477,13 @@ def _checked(point: tuple[int, TrialBatch]) -> tuple[int, TrialBatch]:
     return point
 
 
-def run_trials(
-    cfg: TrialConfig, num_trials: int, chunk_size: int = DEFAULT_CHUNK, start: int = 0
-) -> TrialBatch:
-    """Trials start..start+num_trials-1 of one point: :func:`iter_points` on ``[cfg]``."""
-    ((_, batch),) = iter_points([cfg], num_trials, chunk_size, start)
+def run_trials(cfg: TrialConfig, num_trials: int, start: int = 0) -> TrialBatch:
+    """Trials start..start+num_trials-1 of one point: :func:`iter_points` on ``[cfg]``.
+
+    Kernel calls take at most ``DEFAULT_CHUNK`` trials, and fewer where
+    ``CALL_BYTES`` bounds them; no result depends on either.
+    """
+    ((_, batch),) = iter_points([cfg], num_trials, start)
     return batch
 
 

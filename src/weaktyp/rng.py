@@ -8,9 +8,13 @@ statistically independent sequences, any position can be regenerated
 without replaying the stream, and parallel execution reproduces serial
 results bit for bit.
 
-The array helpers below serve both the per-trial streams and the
-batched simulation kernel in ``weaktyp.kernels``, so there is one
-implementation of the arithmetic.
+Position i of a stream with state s is ``mix64(s + i*GAMMA)``, the
+plain splitmix64 output sequence started at s; uint64 array arithmetic
+wraps mod 2**64, as that needs.  :func:`raw_at` and :func:`uniforms_at`
+draw any positions of any streams, elementwise, and serve the per-trial
+:class:`RngStream` (one state, consecutive positions), the lockstep
+resolvers and the batched simulation kernel in ``weaktyp.kernels`` alike,
+so there is one implementation of the arithmetic.
 """
 
 from __future__ import annotations
@@ -59,17 +63,6 @@ def position_offsets(positions) -> np.ndarray:
     return offsets
 
 
-def raw_block(state: int, start: int, count: int) -> np.ndarray:
-    """uint64 draws at positions start..start+count-1 of a stream.
-
-    Position i of a stream is ``mix64(state + i*GAMMA)``, i.e. the
-    plain splitmix64 output sequence started at ``state``.  uint64
-    array arithmetic wraps mod 2**64, which is exactly what we want.
-    """
-    offsets = position_offsets(np.arange(start, start + count, dtype=np.uint64))
-    return finalize(np.uint64(state) + offsets)
-
-
 def finalize(z, out: np.ndarray | None = None, scratch: np.ndarray | None = None):
     """The splitmix64 output function of :func:`mix64`, on a uint64 array.
 
@@ -115,11 +108,6 @@ def raw_threshold(p: float) -> np.uint64:
 
 def _to_unit(raw: np.ndarray) -> np.ndarray:
     return unit_bits(raw).astype(np.float64) * _U01_SCALE
-
-
-def uniform_block(state: int, start: int, count: int) -> np.ndarray:
-    """float64 draws in [0, 1) at the given stream positions."""
-    return _to_unit(raw_block(state, start, count))
 
 
 def stream_states(master_seed: int, stream_ids: np.ndarray) -> np.ndarray:
@@ -178,7 +166,8 @@ class RngStream:
         """Next ``count`` float64 values in [0, 1)."""
         if count < 0:
             raise ValueError("count must be nonnegative")
-        out = uniform_block(self._state, self._cursor, count)
+        positions = np.arange(self._cursor, self._cursor + count, dtype=np.uint64)
+        out = uniforms_at(np.uint64(self._state), positions)
         self._cursor += count
         return out
 

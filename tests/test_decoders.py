@@ -219,8 +219,6 @@ def test_kmeans_validation():
         kmeans(pts, 0, RngStream(0, 0))
     with pytest.raises(ValueError):
         kmeans(pts, 4, RngStream(0, 0))
-    with pytest.raises(ValueError):
-        kmeans(pts, 1, RngStream(0, 0), max_iters=0)
 
 
 # ---------------------------------------------------------------------------
@@ -310,24 +308,37 @@ def test_exact_ties_go_to_the_lowest_index():
     assert got.iterations.tolist() == [2]
 
 
-def test_ratio_less_is_exact_where_int64_products_overflow():
+def test_nearest_is_exact_where_int64_products_overflow():
     rng = np.random.default_rng(8)
-    size = 3000
-    # N below 2**48 and s**2 below 2**42, as near the admission bound: products near 2**90
-    a = rng.integers(0, 2**48, size=size)
-    b = rng.integers(2**41, 2**42, size=size)
-    d = rng.integers(2**41, 2**42, size=size)
-    # c / d within 1 / d of a / b: the closest misses on either side
-    c = np.array([int(x) * int(z) // int(y) + e for x, y, z, e in zip(a, b, d, rng.integers(-1, 2, size=size))])
-    c = np.maximum(c, 0)
-    # and a quarter are exact ties, (3a) / (3b)
-    c[: size // 4] = a[: size // 4] * 3
-    d[: size // 4] = b[: size // 4] * 3
-    left = [int(x) * int(w) for x, w in zip(a, d)]
-    right = [int(y) * int(z) for y, z in zip(c, b)]
-    assert max(left) >= 2**63
-    assert np.array_equal(decoders._ratio_less(a, b, c, d), [x < y for x, y in zip(left, right)])
-    assert np.array_equal(decoders._ratio_less(c, d, a, b), [y < x for x, y in zip(left, right)])
+    trials, c = 1000, 3
+    # s**2 below 2**45 and N below 2**51, as near the admission bound: products near 2**95
+    b = rng.integers(2**41, 2**42, size=trials)
+    d = rng.integers(2**41, 2**42, size=trials)
+    a = rng.integers(0, 2**48, size=(trials, c))
+    # N_i1 / d within 1 / d of N_i0 / b, and N_i2 / 5b within 1 / 5b: the closest misses on either side
+    near = np.array([[x * int(z) // int(y) for x in row] for row, y, z in zip(a.tolist(), b, d)])
+    misses = rng.integers(-1, 2, size=(trials, c, 2))
+    # and a cluster anywhere, so products that agree mod 2**64 are compared too
+    far = rng.integers(0, 2**51, size=(trials, c))
+    scaled = np.stack([a, near + misses[:, :, 0], 5 * a + misses[:, :, 1], far], axis=2)
+    squares = np.stack([b, d, 5 * b, rng.integers(2**41, 2**44, size=trials)], axis=1)
+    # a quarter of the trials are exact three-way ties, a / b = 3a / 3b = 5a / 5b < (7a + 1) / 7b
+    tie = slice(trials // 4)
+    scaled[tie] = a[tie, :, None] * np.array([1, 3, 5, 7]) + np.array([0, 0, 0, 1])
+    squares[tie] = b[tie, None] * np.array([1, 3, 5, 7])
+    scaled = np.maximum(scaled, 0)
+    assert int(scaled.max()) * int(squares.min()) >= 2**63
+    weight = rng.integers(0, 64, size=(trials, c))
+    shifted = scaled - squares[:, None, :] * weight[:, :, None]
+    # the least N_ij / s_j**2 in Python integers, the lowest id among ties
+    expected = [
+        [min(range(4), key=lambda j: (Fraction(int(n_i[j]), int(s[j])), j)) for n_i in n_t]
+        for n_t, s in zip(scaled, squares)
+    ]
+    got = decoders._nearest(shifted, weight, squares, 2**52)
+    assert got.tolist() == expected
+    assert not got[tie].any()
+    assert set(got[trials // 4 :].ravel().tolist()) == {0, 1, 2, 3}
 
 
 def test_nearest_decides_alike_from_quotients_and_from_wide_products():
@@ -343,7 +354,7 @@ def test_nearest_decides_alike_from_quotients_and_from_wide_products():
         inner = gram_times(member.astype(np.int64))
         shifted = (inner * member).sum(axis=1)[:, None, :] - 2 * size[:, None, :] * inner
         quotients = decoders._nearest(shifted, weight, size**2, n)
-        # past the bound on n the same call compares cross products in 128 bits
+        # past the bound on n the same call compares cross products in Python integers
         assert np.array_equal(quotients, decoders._nearest(shifted, weight, size**2, 2**52))
 
 

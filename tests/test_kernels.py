@@ -27,11 +27,13 @@ def _batches_equal(a, b):
     )
 
 
-def test_chunking_invariance():
+def test_chunking_invariance(monkeypatch):
     # results must not depend on how trials are grouped into kernel calls
     cfg = TrialConfig(n=15, m=3, q=0.4, channel=bsc(0.2), eps=0.4, master_seed=29)
-    a = run_trials(cfg, 1000, chunk_size=64)
-    b = run_trials(cfg, 1000, chunk_size=1000)
+    monkeypatch.setattr(montecarlo, "DEFAULT_CHUNK", 64)
+    a = run_trials(cfg, 1000)
+    monkeypatch.setattr(montecarlo, "DEFAULT_CHUNK", 1000)
+    b = run_trials(cfg, 1000)
     assert _batches_equal(a, b)
 
 
@@ -146,6 +148,7 @@ def test_each_symbol_is_drawn_once(monkeypatch, mode):
 def _call_counts(monkeypatch, cfg, trials, call_budget):
     """Trials per kernel call of ``run_trials`` under a patched ``CALL_BYTES``, and its batch."""
     monkeypatch.setattr(montecarlo, "CALL_BYTES", call_budget)
+    monkeypatch.setattr(montecarlo, "DEFAULT_CHUNK", 64)
     counts = []
     simulate = kernels.simulate_trials
 
@@ -154,12 +157,13 @@ def _call_counts(monkeypatch, cfg, trials, call_budget):
         return simulate(*args, **kwargs)
 
     monkeypatch.setattr(kernels, "simulate_trials", spy)
-    return counts, run_trials(cfg, trials, chunk_size=64)
+    return counts, run_trials(cfg, trials)
 
 
 def test_chunks_are_capped_by_the_byte_budget(monkeypatch):
     cfg = TrialConfig(n=20, m=4, q=0.4, channel=bsc(0.2), eps=0.4, master_seed=31)
-    whole = run_trials(cfg, 7, chunk_size=64)
+    monkeypatch.setattr(montecarlo, "DEFAULT_CHUNK", 64)
+    whole = run_trials(cfg, 7)
     # 768 bytes per trial: a budget of two and a half trials allows two per kernel call
     assert call_bytes(cfg.m, cfg.n) == 768
     counts, capped = _call_counts(monkeypatch, cfg, 7, 1920)
@@ -169,7 +173,8 @@ def test_chunks_are_capped_by_the_byte_budget(monkeypatch):
 
 def test_a_trial_over_the_call_budget_runs_alone(monkeypatch):
     cfg = TrialConfig(n=20, m=4, q=0.4, channel=bsc(0.2), eps=0.4, master_seed=31)
-    whole = run_trials(cfg, 7, chunk_size=64)
+    monkeypatch.setattr(montecarlo, "DEFAULT_CHUNK", 64)
+    whole = run_trials(cfg, 7)
     counts, alone = _call_counts(monkeypatch, cfg, 7, call_bytes(cfg.m, cfg.n) - 1)
     assert counts == [1] * 7
     assert _batches_equal(alone, whole)

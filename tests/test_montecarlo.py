@@ -181,11 +181,12 @@ def test_a_chunks_codebooks_are_freed_before_the_next_kernel_call(monkeypatch):
         return out
 
     monkeypatch.setattr(kernels, "simulate_trials", recorded)
+    monkeypatch.setattr(montecarlo, "DEFAULT_CHUNK", 3)
     for channel_p in (0.0, 0.4):  # no multi-candidate trials, and many
         for resolver in ("cluster", "svm"):
             cfg = TrialConfig(n=20, m=4, q=0.5, channel=bsc(channel_p), eps=0.1, resolver=resolver)
             alive.clear()
-            batch = run_trials(cfg, 12, chunk_size=3)
+            batch = run_trials(cfg, 12)
             assert alive == [0, 0, 0, 0]
             assert (np.count_nonzero(batch.candidate_counts >= 2) > 0) == (channel_p > 0)
 

@@ -62,7 +62,8 @@ def test_run_trials_equals_run_trial(setup):
     cfg, num, chunk_size, start, block_elems = setup
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(kernels, "BLOCK_ELEMS", block_elems)
-        batch = run_trials(cfg, num, chunk_size=chunk_size, start=start)
+        patch.setattr(montecarlo, "DEFAULT_CHUNK", chunk_size)
+        batch = run_trials(cfg, num, start=start)
     for i in range(num):
         rec = run_trial(cfg, start + i)  # TrialRecord asserts pathwise dominance
         assert rec.true_w == batch.true_w[i]
@@ -166,17 +167,30 @@ def test_run_points_equals_run_trials_and_run_trial(monkeypatch):
         montecarlo.POOL_BLOCKS,
     )
 
+    # one cluster flush over two blocklengths, resolved once per n; the 150 random
+    # cases have reached it in as few as 9 flushes, as hypothesis' draws vary: pin it
+    cluster_blocklengths = (
+        [TrialConfig(n=n, m=4, q=0.5, channel=bsc(0.2), eps=2.0) for n in (5, 12)],
+        6,
+        3,
+        0,
+        decoders.BATCH_BLOCK_ELEMS,
+        montecarlo.POOL_BLOCKS,
+    )
+
     @fixed_budget(150)
     @given(sweep_point_lists())
     @example(column_slots)
+    @example(cluster_blocklengths)
     def check(case):
         cfgs, num, chunk_size, start, block_elems, pool_blocks = case
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(decoders, "BATCH_BLOCK_ELEMS", block_elems)
             patch.setattr(montecarlo, "POOL_BLOCKS", pool_blocks)
+            patch.setattr(montecarlo, "DEFAULT_CHUNK", chunk_size)
             simulated.clear()
             batches, yielded = {}, {}
-            for i, batch in iter_points(cfgs, num, chunk_size=chunk_size, start=start):
+            for i, batch in iter_points(cfgs, num, start=start):
                 batches[i] = batch
                 # a point is yielded final: a copy taken then is its whole batch
                 copies = TrialBatch(*(np.copy(getattr(batch, f.name)) for f in fields(TrialBatch)))
@@ -362,7 +376,7 @@ def test_batch_resolution_equals_cluster_resolve(monkeypatch):
 
 
 def test_batch_resolution_with_wide_comparisons_equals_cluster_resolve(monkeypatch):
-    # every Lloyd assignment compared by 128-bit cross products, as past c**4 n = 2**52
+    # every Lloyd assignment compared by cross products in Python integers, as past c**4 n = 2**52
     nearest = decoders._nearest
     monkeypatch.setattr(decoders, "_nearest", lambda shifted, w, sq, n: nearest(shifted, w, sq, 2**52))
 

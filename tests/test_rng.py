@@ -4,10 +4,9 @@ import pytest
 from weaktyp.rng import (
     RngStream,
     mix64,
-    raw_block,
+    raw_at,
     stream_state,
     stream_states,
-    uniform_block,
     uniforms_at,
 )
 
@@ -21,7 +20,7 @@ def test_matches_reference_splitmix64_sequence():
         4593380528125082431,
         16408922859458223821,
     ]
-    assert [int(v) for v in raw_block(1234567, 0, 5)] == expected
+    assert [int(v) for v in raw_at(np.uint64(1234567), np.arange(5))] == expected
 
 
 def test_same_ids_replay_identically():
@@ -41,6 +40,7 @@ def test_distinct_streams_differ():
 def test_cursor_continues_the_stream():
     s = RngStream(1, 2)
     first = s.uniforms(5)
+    assert s.uniforms(0).size == 0
     second = s.uniforms(5)
     whole = RngStream(1, 2).uniforms(10)
     assert np.array_equal(np.concatenate([first, second]), whole)
@@ -48,9 +48,9 @@ def test_cursor_continues_the_stream():
 
 def test_positional_access_is_pure():
     state = stream_state(9, 3)
-    block = raw_block(state, 0, 50)
+    block = raw_at(np.uint64(state), np.arange(50))
     for i in (0, 1, 17, 49):
-        assert raw_block(state, i, 1)[0] == block[i]
+        assert raw_at(np.uint64(state), [i])[0] == block[i]
 
 
 def test_uniforms_live_in_unit_interval():
@@ -68,17 +68,17 @@ def test_uniform_mean_matches_binomial_oracle():
 
 def test_mix64_is_pure_python_twin_of_block():
     state = stream_state(77, 5)
-    blk = raw_block(state, 0, 8)
+    blk = raw_at(np.uint64(state), np.arange(8))
     from weaktyp.rng import GAMMA, MASK64
 
     for i in range(8):
         assert mix64((state + i * GAMMA) & MASK64) == int(blk[i])
 
 
-def test_uniform_block_derives_from_raw_block():
-    state = stream_state(5, 5)
-    raw = raw_block(state, 3, 4)
-    u = uniform_block(state, 3, 4)
+def test_uniforms_at_derives_from_raw_at():
+    state = np.uint64(stream_state(5, 5))
+    raw = raw_at(state, np.arange(3, 7))
+    u = uniforms_at(state, np.arange(3, 7))
     assert np.array_equal(u, (raw >> np.uint64(11)).astype(np.float64) * 2.0**-53)
 
 
