@@ -214,57 +214,43 @@ def validate(cfg: dict) -> None:
     _check(cfg["master_seed"] >= 0, "master_seed", "must be nonnegative")
 
 
-def fig12_trial_config(cfg: dict) -> TrialConfig:
+def _trial_config(
+    cfg: dict, n: int, m: int, q: float, channel_p: float, eps: float, codebook_mode: str | None = None
+) -> TrialConfig:
+    """One key family's instance, with the resolver, codebook and seed keys that every family shares."""
     return TrialConfig(
-        n=cfg["fig12_blocklengths"][0],
-        m=cfg["m_messages"],
-        q=cfg["fig12_q"],
-        channel=bsc(cfg["fig12_channel_p"]),
-        eps=cfg["fig12_eps"],
+        n=n,
+        m=m,
+        q=q,
+        channel=bsc(channel_p),
+        eps=eps,
         resolver=cfg["resolver"],
         k_max=cfg["k_max"],
-        codebook_mode=cfg["codebook_mode"],
+        codebook_mode=codebook_mode or cfg["codebook_mode"],
         master_seed=cfg["master_seed"],
+    )
+
+
+def fig12_trial_config(cfg: dict) -> TrialConfig:
+    return _trial_config(
+        cfg, cfg["fig12_blocklengths"][0], cfg["m_messages"], cfg["fig12_q"], cfg["fig12_channel_p"],
+        cfg["fig12_eps"],
     )
 
 
 def fig3_trial_config(cfg: dict) -> TrialConfig:
-    return TrialConfig(
-        n=cfg["fig3_blocklengths"][0],
-        m=cfg["m_messages"],
-        q=cfg["fig3_q_values"][0],
-        channel=bsc(cfg["fig3_channel_p"]),
-        eps=cfg["fig3_eps"],
-        resolver=cfg["resolver"],
-        k_max=cfg["k_max"],
-        codebook_mode=cfg["codebook_mode"],
-        master_seed=cfg["master_seed"],
+    return _trial_config(
+        cfg, cfg["fig3_blocklengths"][0], cfg["m_messages"], cfg["fig3_q_values"][0], cfg["fig3_channel_p"],
+        cfg["fig3_eps"],
     )
 
 
 def oracle_trial_config(cfg: dict) -> TrialConfig:
-    return TrialConfig(
-        n=cfg["oracle_n"],
-        m=cfg["oracle_m"],
-        q=cfg["oracle_q"],
-        channel=bsc(cfg["oracle_channel_p"]),
-        eps=cfg["oracle_eps"],
-        resolver=cfg["resolver"],
-        k_max=cfg["k_max"],
+    return _trial_config(
+        cfg, cfg["oracle_n"], cfg["oracle_m"], cfg["oracle_q"], cfg["oracle_channel_p"], cfg["oracle_eps"],
         codebook_mode="fixed",
-        master_seed=cfg["master_seed"],
     )
 
 
 def generic_trial_config(cfg: dict) -> TrialConfig:
-    return TrialConfig(
-        n=cfg["n"],
-        m=cfg["m_messages"],
-        q=cfg["q"],
-        channel=bsc(cfg["channel_p"]),
-        eps=cfg["eps"],
-        resolver=cfg["resolver"],
-        k_max=cfg["k_max"],
-        codebook_mode=cfg["codebook_mode"],
-        master_seed=cfg["master_seed"],
-    )
+    return _trial_config(cfg, cfg["n"], cfg["m_messages"], cfg["q"], cfg["channel_p"], cfg["eps"])

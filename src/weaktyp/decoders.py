@@ -345,50 +345,48 @@ class PackedTrials:
     states: np.ndarray  # (T,) uint64
 
 
-def _counted(cand_mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The candidate mask as bool and each trial's candidate count, which must be at least two."""
-    cand_mask = np.asarray(cand_mask, dtype=bool)
+def _blocks(trials: PackedTrials, descending: bool = False):
+    """(c, trials, candidate indices, packed rows) of every resolver block of ``trials``.
+
+    Trials are taken by candidate count c, ascending or descending, in
+    blocks of :func:`_block_trials` trials; each row's indices ascend.
+    Every trial must have at least two candidates.
+    """
+    cand_mask = np.asarray(trials.cand_mask, dtype=bool)
     counts = cand_mask.sum(axis=1)
     if np.any(counts < 2):
         raise ValueError("resolution needs at least two candidates")
-    return cand_mask, counts
-
-
-def _by_count(cand_mask: np.ndarray, counts: np.ndarray, descending: bool = False):
-    """(c, trials, candidate indices) for each candidate count c present; each row's indices ascend."""
     present = np.flatnonzero(np.bincount(counts)).tolist()
     for c in present[::-1] if descending else present:
         group = np.flatnonzero(counts == c)
         # nonzero walks rows in order, so each row's indices ascend
-        yield c, group, np.nonzero(cand_mask[group])[1].reshape(group.size, c)
+        cand_idx = np.nonzero(cand_mask[group])[1].reshape(group.size, c)
+        step = _block_trials(c, trials.n)
+        for lo in range(0, group.size, step):
+            rows, idx = group[lo : lo + step], cand_idx[lo : lo + step]
+            yield c, rows, idx, trials.z_seqs[rows[:, None], idx]
 
 
 def cluster_resolve_batch(trials: PackedTrials, k_max: int, pick: str = "closest") -> BatchResolution:
     """:func:`cluster_resolve` on many trials of one blocklength at once, decision for decision.
 
-    Trials are grouped by candidate count and run through k-means++
-    seeding and Lloyd in lockstep (:func:`_lockstep_kmeans`), a block of
-    :func:`_block_trials` trials at a time, on their packed rows.  Each
-    trial reads its stream at its own cursor, and every comparison is
-    exact in integers, so each one decides as in :func:`kmeans`.
+    Each resolver block of :func:`_blocks` (one candidate count c, at
+    most :func:`_block_trials` trials) runs through k-means++ seeding and
+    Lloyd in lockstep (:func:`_lockstep_kmeans`) on its packed rows.
+    Each trial reads its stream at its own cursor, and every comparison
+    is exact in integers, so each one decides as in :func:`kmeans`.
     """
     if pick not in ("closest", "random"):
         raise ValueError(f"unknown pick rule {pick!r}")
     if k_max < 1:
         raise ValueError("k_max must be positive")
-    cand_mask, counts = _counted(trials.cand_mask)
-    total = counts.size
+    total = trials.states.size
     decoded = np.zeros(total, dtype=np.int64)
     iterations = np.zeros(total, dtype=np.int64)
-    for c, group, cand_idx in _by_count(cand_mask, counts):
-        step = _block_trials(c, trials.n)
-        for lo in range(0, group.size, step):
-            rows = group[lo : lo + step]
-            idx = cand_idx[lo : lo + step]
-            z = trials.z_seqs[rows[:, None], idx]
-            pos, its = _resolve_block(z, trials.n, trials.states[rows], min(k_max, c), pick)
-            decoded[rows] = idx[np.arange(rows.size), pos] + 1
-            iterations[rows] = its
+    for c, rows, idx, z in _blocks(trials):
+        pos, its = _resolve_block(z, trials.n, trials.states[rows], min(k_max, c), pick)
+        decoded[rows] = idx[np.arange(rows.size), pos] + 1
+        iterations[rows] = its
     return BatchResolution(decoded, iterations)
 
 
@@ -584,39 +582,29 @@ def _nearest(shifted: np.ndarray, weight: np.ndarray, squares: np.ndarray, n: in
 def svm_resolve_batch(parts: list[PackedTrials]) -> list[BatchResolution]:
     """:func:`svm_resolve` on many trials at once, bit for bit, one result per part.
 
-    The parts may differ in n.  A part's trials are taken by candidate
-    count c, descending, in blocks of :func:`_block_trials` trials, whose
-    all-equal shortcut and 2-means labels (the lockstep k-means of
-    :func:`cluster_resolve_batch`) are made on their packed Z rows.
-    Then :func:`_pegasos_scores` trains the separators of every part at
-    once.  ``iterations`` counts the 2-means run (0 where all rows are
+    The parts may differ in n.  A part's resolver blocks (:func:`_blocks`,
+    candidate count c descending) get the all-equal shortcut and 2-means
+    labels (the lockstep k-means of :func:`cluster_resolve_batch`) on
+    their packed Z rows, and each block's split trials are one group of
+    :func:`_pegasos_scores`, which trains the separators of every part
+    at once.  ``iterations`` counts the 2-means run (0 where all rows are
     equal and the lowest index wins).
     """
     results, groups, places = [], [], []
     for part in parts:
-        cand_mask, counts = _counted(part.cand_mask)
-        total, n = counts.size, part.n
-        decoded = np.zeros(total, dtype=np.int64)
-        iterations = np.zeros(total, dtype=np.int64)
-        for c, group, cand_idx in _by_count(cand_mask, counts, descending=True):
-            decoded[group] = cand_idx[:, 0] + 1
-            blocks = []
-            step = _block_trials(c, n)
-            for lo in range(0, group.size, step):
-                rows = group[lo : lo + step]
-                idx = cand_idx[lo : lo + step]
-                z = part.z_seqs[rows[:, None], idx]
-                split = _split_rows(z)
-                if not split.any():
-                    continue
-                rows, z = rows[split], z[split]
-                assign, used, _ = _lockstep_kmeans(*_gram_products(z, n), part.states[rows], 2, n)
-                iterations[rows] = used
-                blocks.append((rows, idx[split], z, np.where(assign == 0, 1, -1).astype(np.int8)))
-            if blocks:
-                rows, idx, z, labels = (np.concatenate(arrays) for arrays in zip(*blocks))
-                groups.append((n, z, labels))
-                places.append((decoded, rows, idx))
+        n = part.n
+        decoded = np.zeros(part.states.size, dtype=np.int64)
+        iterations = np.zeros(part.states.size, dtype=np.int64)
+        for _, rows, idx, z in _blocks(part, descending=True):
+            decoded[rows] = idx[:, 0] + 1
+            split = _split_rows(z)
+            if not split.any():
+                continue
+            rows, idx, z = rows[split], idx[split], z[split]
+            assign, used, _ = _lockstep_kmeans(*_gram_products(z, n), part.states[rows], 2, n)
+            iterations[rows] = used
+            groups.append((n, z, np.where(assign == 0, 1, -1).astype(np.int8)))
+            places.append((decoded, rows, idx))
         results.append(BatchResolution(decoded, iterations))
     if groups:
         for (decoded, rows, idx), scores in zip(places, _pegasos_scores(groups)):
@@ -723,8 +711,10 @@ def _ddot_margins(
 def _pegasos_scores(groups: list[tuple[int, np.ndarray, np.ndarray]]) -> list[np.ndarray]:
     """Scores ``[z, 1] @ w`` after the Pegasos loop of :func:`svm_resolve`, for each group.
 
-    A group ``(n, z, labels)`` holds trials of one n and one count c:
-    their (T, c, ceil(n/8)) packed rows and (T, c) +/-1 labels.  A trial
+    A group ``(n, z, labels)`` is one resolver block, trials of one n and
+    one count c: their (T, c, ceil(n/8)) packed rows and (T, c) +/-1
+    labels.  Each trial's run is its own, so how the trials are cut into
+    groups changes no score.  A trial
     keeps one weight per slot of :func:`_slot_map`: columns of one slot
     start at 0 and get the same multiply and add every step, so a slot's
     weight is, bit for bit, each of its columns'.  With c_max the largest

@@ -21,9 +21,7 @@ M_MODES = ("fixed-m", "fixed-rate")
 class SweepResult:
     """Paired exponent points over a strictly increasing x-grid."""
 
-    label: str
     points: tuple[tuple[float, ExponentPoint, ExponentPoint], ...]
-    config: dict
 
     def __post_init__(self) -> None:
         xs = [p[0] for p in self.points]
@@ -70,14 +68,7 @@ def sweep_blocklengths(
         (float(cfg.n), exponent(pe_jt, cfg.n, cfg.m), exponent(pe_weak, cfg.n, cfg.m))
         for cfg, (pe_jt, pe_weak) in zip(cfgs, estimate_points(cfgs, trials_per_point))
     ]
-    snapshot = {
-        "base": base,
-        "blocklengths": list(blocklengths),
-        "trials_per_point": trials_per_point,
-        "m_mode": m_mode,
-        "rate_bits": rate_bits,
-    }
-    return SweepResult(label="blocklength-sweep", points=tuple(points), config=snapshot)
+    return SweepResult(points=tuple(points))
 
 
 def sweep_source_prob(
@@ -119,10 +110,4 @@ def sweep_source_prob(
             if best_weak is None or ep_weak.exponent > best_weak.exponent:
                 best_weak = ep_weak
         points.append((float(q), best_jt, best_weak))
-    snapshot = {
-        "base": base,
-        "q_values": list(q_values),
-        "blocklengths": list(blocklengths),
-        "trials_per_point": trials_per_point,
-    }
-    return SweepResult(label="bias-sweep", points=tuple(points), config=snapshot)
+    return SweepResult(points=tuple(points))

@@ -7,11 +7,10 @@ bit for bit what the reference path (``core.generate_codebook``,
 ``core.transmit``, ``decoders.find_candidates``) gives; the tests pin
 that equivalence.
 
-Stream layout (matching ``montecarlo``): trial t uses stream ids
-``t*4 + purpose`` with purposes 0=codebook, 1=message, 2=noise,
-3=resolver.  Codebook draws fill words row-major (word i, symbol j at
-offset i*n+j); the message uses offset 0 of its stream; noise uses
-offsets 0..n-1.
+Stream layout: each trial's codebook, message and noise streams are
+those of :func:`weaktyp.rng.trial_stream`.  Codebook draws fill words
+row-major (word i, symbol j at offset i*n+j); the message uses offset 0
+of its stream; noise uses offsets 0..n-1.
 
 The streams are counter-based, so any block of draws can be made on its
 own, in any order.  The kernel draws each symbol once, in three steps.
@@ -37,12 +36,16 @@ from __future__ import annotations
 import numpy as np
 
 from .rng import (
+    PURPOSE_CODEBOOK,
+    PURPOSE_MESSAGE,
+    PURPOSE_NOISE,
     finalize,
     position_offsets,
     raw_at,
     raw_threshold,
     skip,
     stream_states,
+    trial_stream,
     uniforms_at,
     unit_bits,
     unit_threshold,
@@ -50,8 +53,6 @@ from .rng import (
 
 # draws per codebook block: two uint64 buffers of this size stay in cache
 BLOCK_ELEMS = 1 << 16
-
-_STREAMS_PER_TRIAL = 4
 
 
 def active_backend() -> str:
@@ -70,7 +71,7 @@ def _typicality_mask(
     consts: tuple[float, ...],
     eps: float,
 ) -> np.ndarray:
-    # Term order and parenthesization mirror typicality.typical_from_counts
+    # Term order and parenthesization mirror typicality._costs
     # exactly; the count guard keeps 0 * (-inf) cells out of the sums.
     lx0, lx1, ly0, ly1, l00, l01, l10, l11, hx, hy, hxy = consts
 
@@ -167,19 +168,20 @@ def simulate_trials(
     the last entry is None in fixed-codebook mode.  ``t0``/``t1`` are
     the channel's P(y=1 | x=0) and P(y=1 | x=1).
     """
-    ids = np.arange(tid0, tid0 + count, dtype=np.uint64) * np.uint64(_STREAMS_PER_TRIAL)
-    u_msg = uniforms_at(stream_states(derived_master, ids + np.uint64(1)), 0)
+    tids = np.arange(tid0, tid0 + count, dtype=np.uint64)
+    u_msg = uniforms_at(stream_states(derived_master, trial_stream(tids, PURPOSE_MESSAGE)), 0)
     true_w = np.minimum((u_msg * m).astype(np.int64), m - 1) + 1
 
     if fixed_words is None:
         xwords = np.empty((count, m, n), dtype=np.uint8)
-        _draw_codebooks(stream_states(derived_master, ids), raw_threshold(q), xwords)
+        cb_states = stream_states(derived_master, trial_stream(tids, PURPOSE_CODEBOOK))
+        _draw_codebooks(cb_states, raw_threshold(q), xwords)
         words = xwords
     else:
         xwords, words = None, fixed_words[None]
     # the sent word is row w-1 of its trial's codebook, drawn once
     sent = np.broadcast_to(words, (count, m, n))[np.arange(count), true_w - 1].view(np.bool_)
-    noise_states = stream_states(derived_master, ids + np.uint64(2))
+    noise_states = stream_states(derived_master, trial_stream(tids, PURPOSE_NOISE))
     noise = raw_at(noise_states[:, None], np.arange(n, dtype=np.uint64))
     unit_bits(noise, out=noise)
     # p may be 0 or 1 here, so the noise takes the unit-bits compare

@@ -9,9 +9,10 @@ every trial.
 Stream discipline: all randomness flows from ``master_seed``.  The
 instance parameters (n, m, q, channel, eps, codebook mode) are folded
 into a derived master so that different sweep points draw decorrelated
-streams, and trial t then owns four purpose streams (codebook, message,
-noise, resolver).  Batches, single trials, and the exhaustive oracle
-all reproduce each other exactly.
+streams, and trial t then owns the four purpose streams (codebook,
+message, noise, resolver) that ``rng.trial_stream`` lays out, as do
+the kernel and the reference path.  Batches, single trials, and the
+exhaustive oracle all reproduce each other exactly.
 
 Execution: :func:`iter_points` is the one trial executor.  It simulates
 each sweep point in chunks sized to ``CALL_BYTES`` and resolves the
@@ -51,18 +52,9 @@ from .decoders import (
     svm_resolve_batch,
     weak_outcome,
 )
-from .rng import RngStream, mix64, stream_states
+from .rng import FIXED_CODEBOOK_STREAM, ORACLE_RESOLVER_STREAM, RngStream, mix64, stream_states, trial_stream
+from .rng import PURPOSE_CODEBOOK, PURPOSE_MESSAGE, PURPOSE_NOISE, PURPOSE_RESOLVER
 from .typicality import build_context
-
-PURPOSE_CODEBOOK = 0
-PURPOSE_MESSAGE = 1
-PURPOSE_NOISE = 2
-PURPOSE_RESOLVER = 3
-STREAMS_PER_TRIAL = 4
-
-# reserved stream ids, far above any trial's 4*t+purpose range
-FIXED_CODEBOOK_STREAM = 1 << 62
-ORACLE_RESOLVER_STREAM = (1 << 62) + 1
 
 ENUM_MAX_N = 12
 ENUM_MAX_M = 4
@@ -214,12 +206,12 @@ def fixed_codebook(cfg: TrialConfig) -> Codebook:
 def _trial_codebook(cfg: TrialConfig, dm: int, trial_id: int) -> Codebook:
     if cfg.codebook_mode == "fixed":
         return fixed_codebook(cfg)
-    rng = RngStream(dm, trial_id * STREAMS_PER_TRIAL + PURPOSE_CODEBOOK)
+    rng = RngStream(dm, trial_stream(trial_id, PURPOSE_CODEBOOK))
     return generate_codebook(cfg.m, cfg.n, cfg.q, rng)
 
 
 def _resolver_stream(dm: int, trial_id: int) -> RngStream:
-    return RngStream(dm, trial_id * STREAMS_PER_TRIAL + PURPOSE_RESOLVER)
+    return RngStream(dm, trial_stream(trial_id, PURPOSE_RESOLVER))
 
 
 @dataclass(frozen=True)
@@ -239,8 +231,8 @@ def trial_detail(cfg: TrialConfig, trial_id: int) -> TrialDetail:
     dm = derived_master(cfg)
     ctx = build_context(cfg.q, cfg.channel)
     cb = _trial_codebook(cfg, dm, trial_id)
-    w = draw_message(cfg.m, RngStream(dm, trial_id * STREAMS_PER_TRIAL + PURPOSE_MESSAGE))
-    y = transmit(cb.word(w), cfg.channel, RngStream(dm, trial_id * STREAMS_PER_TRIAL + PURPOSE_NOISE))
+    w = draw_message(cfg.m, RngStream(dm, trial_stream(trial_id, PURPOSE_MESSAGE)))
+    y = transmit(cb.word(w), cfg.channel, RngStream(dm, trial_stream(trial_id, PURPOSE_NOISE)))
     cands = find_candidates(y, cb, ctx, cfg.eps)
     weak, clustering = weak_outcome(cands, cfg.resolver, _resolver_stream(dm, trial_id), cfg.k_max)
     record = TrialRecord(
@@ -414,7 +406,7 @@ def _simulate_point(cfg: TrialConfig, num_trials: int, start: int, pool: _Pool) 
         # the chunk's codebooks are freed before any resolution and before the next call
         del words
         if multi.size:
-            states = stream_states(dm, (tid0 + multi) * STREAMS_PER_TRIAL + PURPOSE_RESOLVER)
+            states = stream_states(dm, trial_stream(tid0 + multi, PURPOSE_RESOLVER))
             pool.add(cfg.n, mask[multi], z_seqs, states, batch.weak_decoded, off + multi)
     return batch
 

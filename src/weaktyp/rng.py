@@ -15,6 +15,14 @@ draw any positions of any streams, elementwise, and serve the per-trial
 :class:`RngStream` (one state, consecutive positions), the lockstep
 resolvers and the batched simulation kernel in ``weaktyp.kernels`` alike,
 so there is one implementation of the arithmetic.
+
+Stream layout: trial t owns the ``STREAMS_PER_TRIAL`` stream ids
+``t*STREAMS_PER_TRIAL + purpose``, one per purpose (codebook, message,
+noise, resolver), formed by :func:`trial_stream` wherever a trial's
+stream is drawn, so the kernel, the executor and the reference path all
+read one layout.  Two reserved ids lie far above every trial's range:
+the shared codebook of fixed-codebook mode and the exhaustive oracle's
+pinned resolver stream.
 """
 
 from __future__ import annotations
@@ -42,6 +50,12 @@ _SHIFT_30 = np.uint64(30)
 _SHIFT_27 = np.uint64(27)
 _SHIFT_31 = np.uint64(31)
 
+# the stream layout of the module docstring
+PURPOSE_CODEBOOK, PURPOSE_MESSAGE, PURPOSE_NOISE, PURPOSE_RESOLVER = range(4)
+STREAMS_PER_TRIAL = 4
+FIXED_CODEBOOK_STREAM = 1 << 62
+ORACLE_RESOLVER_STREAM = (1 << 62) + 1
+
 
 def mix64(x: int) -> int:
     """One splitmix64 step: advance the state by gamma and finalize."""
@@ -54,6 +68,11 @@ def mix64(x: int) -> int:
 def stream_state(master_seed: int, stream_id: int) -> int:
     """Base state of stream ``stream_id`` under ``master_seed``."""
     return mix64(mix64(master_seed & MASK64) ^ (stream_id & MASK64))
+
+
+def trial_stream(trial_ids, purpose: int):
+    """Stream id of each trial's ``purpose`` stream, for an int or a uint64 array of trial ids."""
+    return trial_ids * STREAMS_PER_TRIAL + purpose
 
 
 def position_offsets(positions) -> np.ndarray:

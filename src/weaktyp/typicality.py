@@ -5,10 +5,11 @@ log-probabilities are assembled from symbol-pair counts, so a decision
 depends only on how often each (x, y) pair occurs, never on position
 order, and nothing underflows at large blocklengths.
 
-The count-based decision in :func:`typical_from_counts` is the single
-source of truth; the batched simulation kernel in ``weaktyp.kernels``
-mirrors its arithmetic term for term, so both reach bit-identical
-verdicts.
+The per-symbol costs of :func:`_costs`, which both
+:func:`typical_from_counts` and :func:`empirical_log_probs` read, are
+the single source of truth; the batched simulation kernel in
+``weaktyp.kernels`` mirrors their arithmetic term for term, so both
+reach bit-identical verdicts.
 """
 
 from __future__ import annotations
@@ -34,8 +35,6 @@ class JointContext:
     cells from ever producing NaNs.
     """
 
-    q: float
-    ch: Dmc
     px: np.ndarray
     py: np.ndarray
     pxy: np.ndarray
@@ -82,8 +81,6 @@ def build_context(q: float, ch: Dmc) -> JointContext:
 
     log_table = np.vectorize(_log2_or_neg_inf, otypes=[np.float64])
     return JointContext(
-        q=q,
-        ch=ch,
         px=px,
         py=py,
         pxy=pxy,
@@ -113,6 +110,17 @@ def _term(count: int, log_p: float) -> float:
     return 0.0 if count == 0 else count * log_p
 
 
+def _costs(
+    n: int, n1x: int, n1y: int, n00: int, n01: int, n10: int, n11: int, ctx: JointContext
+) -> tuple[float, float, float]:
+    """Per-symbol -log2 empirical probabilities of (x), (y) and (x, y) from symbol-pair counts."""
+    lx0, lx1, ly0, ly1, l00, l01, l10, l11, _, _, _ = ctx.kernel_constants()
+    ex = -(_term(n - n1x, lx0) + _term(n1x, lx1)) / n
+    ey = -(_term(n - n1y, ly0) + _term(n1y, ly1)) / n
+    exy = -(((_term(n00, l00) + _term(n01, l01)) + _term(n10, l10)) + _term(n11, l11)) / n
+    return ex, ey, exy
+
+
 def typical_from_counts(
     n: int,
     n1x: int,
@@ -129,18 +137,8 @@ def typical_from_counts(
     A pair containing a zero-probability cell drives the corresponding
     empirical cost to +inf and can never be typical.
     """
-    lx0, lx1, ly0, ly1, l00, l01, l10, l11, hx, hy, hxy = ctx.kernel_constants()
-    sx = _term(n - n1x, lx0) + _term(n1x, lx1)
-    ex = -sx / n
-    if not abs(ex - hx) < eps:
-        return False
-    sy = _term(n - n1y, ly0) + _term(n1y, ly1)
-    ey = -sy / n
-    if not abs(ey - hy) < eps:
-        return False
-    sxy = ((_term(n00, l00) + _term(n01, l01)) + _term(n10, l10)) + _term(n11, l11)
-    exy = -sxy / n
-    return abs(exy - hxy) < eps
+    ex, ey, exy = _costs(n, n1x, n1y, n00, n01, n10, n11, ctx)
+    return abs(ex - ctx.hx) < eps and abs(ey - ctx.hy) < eps and abs(exy - ctx.hxy) < eps
 
 
 def empirical_log_probs(x: np.ndarray, y: np.ndarray, ctx: JointContext) -> tuple[float, float, float]:
@@ -150,11 +148,7 @@ def empirical_log_probs(x: np.ndarray, y: np.ndarray, ctx: JointContext) -> tupl
     n, n1x, n1y, n00, n01, n10, n11 = pair_counts(x, y)
     if n == 0:
         raise ValueError("sequences must be nonempty")
-    lx0, lx1, ly0, ly1, l00, l01, l10, l11, _, _, _ = ctx.kernel_constants()
-    ex = -(_term(n - n1x, lx0) + _term(n1x, lx1)) / n
-    ey = -(_term(n - n1y, ly0) + _term(n1y, ly1)) / n
-    exy = -(((_term(n00, l00) + _term(n01, l01)) + _term(n10, l10)) + _term(n11, l11)) / n
-    return ex, ey, exy
+    return _costs(n, n1x, n1y, n00, n01, n10, n11, ctx)
 
 
 def is_jointly_typical(x: np.ndarray, y: np.ndarray, ctx: JointContext, eps: float) -> bool:

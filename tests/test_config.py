@@ -3,6 +3,7 @@ import pytest
 from weaktyp.config import (
     ConfigError,
     defaults,
+    fig12_trial_config,
     fig3_trial_config,
     format_config,
     generic_trial_config,
@@ -136,16 +137,50 @@ def test_list_parsing():
     assert cfg["fig12_blocklengths"] == [5, 10, 15]
 
 
+# every key family set apart from the others and from the defaults, so a
+# builder that reads one family's key for another's field fails
+DISTINCT_KEYS = """
+master_seed = 4242
+m_messages = 5
+resolver = cluster-random
+k_max = 2
+n = 33
+q = 0.31
+channel_p = 0.07
+eps = 0.21
+fig12_blocklengths = 27, 54
+fig12_q = 0.37
+fig12_channel_p = 0.03
+fig12_eps = 0.6
+fig3_blocklengths = 22, 44
+fig3_q_values = 0.15, 0.45
+fig3_channel_p = 0.35
+fig3_eps = 0.12
+oracle_n = 7
+oracle_m = 3
+oracle_q = 0.43
+oracle_channel_p = 0.13
+oracle_eps = 0.27
+"""
+
+
+def _fields(tc):
+    """Every field of a TrialConfig, the channel by its crossover probability."""
+    return (
+        tc.n, tc.m, tc.q, float(tc.channel.transition[0, 1]), tc.eps,
+        tc.resolver, tc.k_max, tc.codebook_mode, tc.master_seed,
+    )
+
+
 def test_trial_config_builders():
-    cfg = defaults()
-    oracle = oracle_trial_config(cfg)
-    assert oracle.codebook_mode == "fixed"
-    assert oracle.n == 6 and oracle.m == 2
-    generic = generic_trial_config(cfg)
-    assert generic.n == cfg["n"]
-    fig3 = fig3_trial_config(cfg)
-    assert float(fig3.channel.transition[0, 1]) == 0.4
-    assert fig3.eps == cfg["fig3_eps"]
+    for mode in ("redraw", "fixed"):
+        cfg = parse_config(DISTINCT_KEYS + f"codebook_mode = {mode}\n")
+        shared = ("cluster-random", 2, mode, 4242)
+        assert _fields(generic_trial_config(cfg)) == (33, 5, 0.31, 0.07, 0.21) + shared
+        assert _fields(fig12_trial_config(cfg)) == (27, 5, 0.37, 0.03, 0.6) + shared
+        assert _fields(fig3_trial_config(cfg)) == (22, 5, 0.15, 0.35, 0.12) + shared
+        # the oracle enumerates a fixed codebook whatever codebook_mode says
+        assert _fields(oracle_trial_config(cfg)) == (7, 3, 0.43, 0.13, 0.27, "cluster-random", 2, "fixed", 4242)
 
 
 def test_load_config_missing_file():

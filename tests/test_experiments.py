@@ -65,7 +65,7 @@ def test_sweep_result_requires_increasing_x():
     pe_jt, pe_weak = estimate_pe(base, 50)
     point = (1.0, exponent(pe_jt, 20, 4), exponent(pe_weak, 20, 4))
     with pytest.raises(ValueError):
-        SweepResult(label="x", points=(point, point), config={})
+        SweepResult(points=(point, point))
 
 
 def test_bias_sweep_single_cell_degenerates_to_one_estimate():
