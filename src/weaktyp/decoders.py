@@ -714,13 +714,13 @@ def _pegasos_scores(groups: list[tuple[int, np.ndarray, np.ndarray]]) -> list[np
     A group ``(n, z, labels)`` is one resolver block, trials of one n and
     one count c: their (T, c, ceil(n/8)) packed rows and (T, c) +/-1
     labels.  Each trial's run is its own, so how the trials are cut into
-    groups changes no score.  A trial
-    keeps one weight per slot of :func:`_slot_map`: columns of one slot
-    start at 0 and get the same multiply and add every step, so a slot's
-    weight is, bit for bit, each of its columns'.  With c_max the largest
-    count, trials whose n + 1 columns fit 2**c_max patterns share pattern
-    slots, P = 2**c_max whatever their n; the others have a slot per
-    column, P = n + 1; :func:`_pegasos_loop` runs each P once.
+    groups changes no score.  A trial keeps one weight per slot of
+    :func:`_slot_map`: columns of one slot start at 0 and get the same
+    multiply and add every step, so a slot's weight is, bit for bit, each
+    of its columns'.  With c_max the largest count, trials whose n + 1
+    columns fit 2**c_max patterns share pattern slots, P = 2**c_max
+    whatever their n; the others have a slot per column, P = n + 1;
+    :func:`_pegasos_loop` runs each P once.
 
     The final scores expand each trial's weights to its own n + 1
     columns and take ``(T, c, n+1) @ (T, n+1, 1)`` on one group's
