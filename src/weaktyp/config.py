@@ -12,6 +12,8 @@ channel_p, ...) feed single-trial inspection.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from .core import bsc
 from .decoders import RESOLVERS
 from .experiments import M_MODES, messages_at_rate
@@ -214,9 +216,7 @@ def validate(cfg: dict) -> None:
     _check(cfg["master_seed"] >= 0, "master_seed", "must be nonnegative")
 
 
-def _trial_config(
-    cfg: dict, n: int, m: int, q: float, channel_p: float, eps: float, codebook_mode: str | None = None
-) -> TrialConfig:
+def _trial_config(cfg: dict, n: int, m: int, q: float, channel_p: float, eps: float) -> TrialConfig:
     """One key family's instance, with the resolver, codebook and seed keys that every family shares."""
     return TrialConfig(
         n=n,
@@ -226,7 +226,7 @@ def _trial_config(
         eps=eps,
         resolver=cfg["resolver"],
         k_max=cfg["k_max"],
-        codebook_mode=codebook_mode or cfg["codebook_mode"],
+        codebook_mode=cfg["codebook_mode"],
         master_seed=cfg["master_seed"],
     )
 
@@ -246,8 +246,11 @@ def fig3_trial_config(cfg: dict) -> TrialConfig:
 
 
 def oracle_trial_config(cfg: dict) -> TrialConfig:
-    return _trial_config(
-        cfg, cfg["oracle_n"], cfg["oracle_m"], cfg["oracle_q"], cfg["oracle_channel_p"], cfg["oracle_eps"],
+    # the oracle enumerates one fixed codebook whatever codebook_mode says
+    return replace(
+        _trial_config(
+            cfg, cfg["oracle_n"], cfg["oracle_m"], cfg["oracle_q"], cfg["oracle_channel_p"], cfg["oracle_eps"]
+        ),
         codebook_mode="fixed",
     )
 

@@ -15,6 +15,7 @@ reach bit-identical verdicts.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,13 +113,15 @@ def _term(count: int, log_p: float) -> float:
 
 def _costs(
     n: int, n1x: int, n1y: int, n00: int, n01: int, n10: int, n11: int, ctx: JointContext
-) -> tuple[float, float, float]:
-    """Per-symbol -log2 empirical probabilities of (x), (y) and (x, y) from symbol-pair counts."""
+) -> Iterator[float]:
+    """Per-symbol -log2 empirical probabilities of (x), (y) and (x, y) from symbol-pair counts, in turn.
+
+    Lazy, so a verdict that fails on an early cost computes no later one.
+    """
     lx0, lx1, ly0, ly1, l00, l01, l10, l11, _, _, _ = ctx.kernel_constants()
-    ex = -(_term(n - n1x, lx0) + _term(n1x, lx1)) / n
-    ey = -(_term(n - n1y, ly0) + _term(n1y, ly1)) / n
-    exy = -(((_term(n00, l00) + _term(n01, l01)) + _term(n10, l10)) + _term(n11, l11)) / n
-    return ex, ey, exy
+    yield -(_term(n - n1x, lx0) + _term(n1x, lx1)) / n
+    yield -(_term(n - n1y, ly0) + _term(n1y, ly1)) / n
+    yield -(((_term(n00, l00) + _term(n01, l01)) + _term(n10, l10)) + _term(n11, l11)) / n
 
 
 def typical_from_counts(
@@ -137,8 +140,12 @@ def typical_from_counts(
     A pair containing a zero-probability cell drives the corresponding
     empirical cost to +inf and can never be typical.
     """
-    ex, ey, exy = _costs(n, n1x, n1y, n00, n01, n10, n11, ctx)
-    return abs(ex - ctx.hx) < eps and abs(ey - ctx.hy) < eps and abs(exy - ctx.hxy) < eps
+    costs = _costs(n, n1x, n1y, n00, n01, n10, n11, ctx)
+    return (
+        abs(next(costs) - ctx.hx) < eps
+        and abs(next(costs) - ctx.hy) < eps
+        and abs(next(costs) - ctx.hxy) < eps
+    )
 
 
 def empirical_log_probs(x: np.ndarray, y: np.ndarray, ctx: JointContext) -> tuple[float, float, float]:
@@ -148,7 +155,8 @@ def empirical_log_probs(x: np.ndarray, y: np.ndarray, ctx: JointContext) -> tupl
     n, n1x, n1y, n00, n01, n10, n11 = pair_counts(x, y)
     if n == 0:
         raise ValueError("sequences must be nonempty")
-    return _costs(n, n1x, n1y, n00, n01, n10, n11, ctx)
+    ex, ey, exy = _costs(n, n1x, n1y, n00, n01, n10, n11, ctx)
+    return ex, ey, exy
 
 
 def is_jointly_typical(x: np.ndarray, y: np.ndarray, ctx: JointContext, eps: float) -> bool:

@@ -183,6 +183,18 @@ def test_trial_config_builders():
         assert _fields(oracle_trial_config(cfg)) == (7, 3, 0.43, 0.13, 0.27, "cluster-random", 2, "fixed", 4242)
 
 
+
+def test_trial_config_builder_defaults():
+    cfg = defaults()
+    oracle = oracle_trial_config(cfg)
+    assert oracle.codebook_mode == "fixed"
+    # at m = 2 resolution is seeding-invariant, so exhaustive_pe is exactly the Monte Carlo expectation
+    assert oracle.n == 6 and oracle.m == 2
+    fig3 = fig3_trial_config(cfg)
+    assert float(fig3.channel.transition[0, 1]) == 0.4
+    assert fig3.eps == cfg["fig3_eps"]
+
+
 def test_load_config_missing_file():
     with pytest.raises(ConfigError, match="cannot read"):
         load_config("/nonexistent/path.cfg")

@@ -20,7 +20,7 @@ from weaktyp.decoders import (
 )
 from weaktyp.kernels import simulate_trials
 from weaktyp.montecarlo import derived_master
-from weaktyp.rng import RngStream, stream_states
+from weaktyp.rng import PURPOSE_RESOLVER, RngStream, stream_states, trial_stream
 from weaktyp.typicality import build_context, is_jointly_typical
 
 
@@ -538,8 +538,8 @@ def test_symbol_flip_equivariance():
         assert cands.indices.tolist() == cands_flip.indices.tolist()
         assert np.array_equal(cands.z_seqs, cands_flip.z_seqs)
         if cands.count >= 2:
-            a, _ = weak_outcome(cands, "cluster", RngStream(dm, 4 * t + 3))
-            b, _ = weak_outcome(cands_flip, "cluster", RngStream(dm, 4 * t + 3))
+            a, _ = weak_outcome(cands, "cluster", RngStream(dm, trial_stream(t, PURPOSE_RESOLVER)))
+            b, _ = weak_outcome(cands_flip, "cluster", RngStream(dm, trial_stream(t, PURPOSE_RESOLVER)))
             assert a.decoded == b.decoded
             exercised += 1
     assert exercised > 0
