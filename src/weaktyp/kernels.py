@@ -15,23 +15,34 @@ of its stream; noise uses offsets 0..n-1.
 The streams are counter-based, so any block of draws can be made on its
 own, in any order.  The kernel draws each symbol once, in three steps.
 It draws every trial's codebook in blocks of at most ``BLOCK_ELEMS``
-draws, each finalized in two reused uint64 buffers and turned into bits
-straight into the returned codebooks.  It reads each sent word as row
-w-1 of its trial's codebook (or of the fixed one), and draws the noise
-to form the received word.  Then one blocked loop counts the drawn
+draws, each mixed in two uint64 buffers kept from call to call and
+compared straight into the returned codebooks.  It reads each sent word
+as row w-1 of its trial's codebook (or of the fixed one), and draws the
+noise to form the received word.  Then one blocked loop counts the drawn
 codebooks, or the shared uint8 codebook with no wider copy of it,
-against the received words.  Only the returned ``uint8`` codebooks grow
-with trials x m x n, but the scan's int64 counts, float64 typicality
-terms and mask grow with trials x m, about 73 bytes per codeword
+against the received words: each block is copied into a float32 buffer
+and multiplied by its trials' received words beside a ones column,
+which gives n11 and n1x in one product.  That product is exact in any
+summation order and under any BLAS thread count, because every partial
+sum is an integer of at most n < 2**24 (``config.validate`` admits no
+longer blocklength).  Only the returned ``uint8`` codebooks grow with
+trials x m x n, but the scan's int64 counts, float64 typicality terms
+and mask grow with trials x m, about 73 bytes per codeword
 (``montecarlo.call_bytes`` is the whole per-trial footprint, and the
 executor sizes calls by it).
 A draw is 1 when its uniform falls below p; that test is made on the
 integer draw, against :func:`weaktyp.rng.raw_threshold` for the
 codebook bias and :func:`weaktyp.rng.unit_threshold` for the channel,
-and either is exactly the same comparison.
+and either is exactly the same comparison.  The codebook compare,
+:func:`weaktyp.rng.raw_below`, skips the finalizer's last xorshift
+``z ^ (z >> 31)`` when the threshold's low 33 bits are zero, as they are
+for every q = k / 2**31: that step leaves bits 33..63 as they are, and
+those bits alone decide a compare against such a threshold.
 """
 
 from __future__ import annotations
+
+import threading
 
 import numpy as np
 
@@ -39,9 +50,9 @@ from .rng import (
     PURPOSE_CODEBOOK,
     PURPOSE_MESSAGE,
     PURPOSE_NOISE,
-    finalize,
     position_offsets,
     raw_at,
+    raw_below,
     raw_threshold,
     skip,
     stream_states,
@@ -51,8 +62,25 @@ from .rng import (
     unit_threshold,
 )
 
-# draws per codebook block: two uint64 buffers of this size stay in cache
+# symbols per block: the draw's two uint64 buffers of this size, and the
+# count's one float32 buffer, stay in cache
 BLOCK_ELEMS = 1 << 16
+
+# the draw's two uint64 block buffers, kept from call to call (one pair per
+# thread): made afresh, their pages can be mapped anew on every call, which
+# cost a desk fig3 sweep 8,000–10,000 page faults
+_kept = threading.local()
+
+
+def _kept_buffer(slot: str, size: int) -> np.ndarray:
+    """``size`` uint64 of the kept buffer ``slot``, grown as needed; a new array past ``BLOCK_ELEMS``."""
+    if size > BLOCK_ELEMS:
+        return np.empty(size, dtype=np.uint64)
+    buf = getattr(_kept, slot, None)
+    if buf is None or buf.size < size:
+        buf = np.empty(size, dtype=np.uint64)
+        setattr(_kept, slot, buf)
+    return buf[:size]
 
 
 def active_backend() -> str:
@@ -106,47 +134,52 @@ def _draw_codebooks(cb_states, rq, xwords):
     # one block row's position offsets serve every range of codewords: a
     # later range starts from the codebook states skipped ahead to it
     offsets = position_offsets(np.arange(words_per_block * n, dtype=np.uint64))
-    buf = np.empty(size, dtype=np.uint64)
-    scratch = np.empty(size, dtype=np.uint64)
+    buf = _kept_buffer("draw", size)
+    scratch = _kept_buffer("scratch", size)
     for i0 in range(0, m, words_per_block):
         i1 = min(m, i0 + words_per_block)
-        states = skip(cb_states, i0 * n)[:, None]
-        row = offsets[: (i1 - i0) * n]
+        states = skip(cb_states, i0 * n)[:, None, None]
+        row = offsets[: (i1 - i0) * n].reshape(i1 - i0, n)
         for a in range(0, count, trials_per_block):
             b = min(count, a + trials_per_block)
             words = xwords[a:b, i0:i1]
-            z = buf[: words.size].reshape(b - a, -1)
+            z = buf[: words.size].reshape(words.shape)
             np.add(states[a:b], row, out=z)
-            finalize(z, out=z, scratch=scratch[: words.size].reshape(z.shape))
-            np.less(z.reshape(words.shape), rq, out=words.view(np.bool_))
+            raw_below(z, rq, words.view(np.bool_), scratch[: words.size].reshape(words.shape))
 
 
 def _count(words, ybits):
     """(n1x, n11) per codeword of ``words`` against every received word.
 
     ``words`` is the drawn (count, m, n) codebooks or one shared
-    (1, m, n) codebook, counted as it is, uint8, in blocks of at most
-    ``BLOCK_ELEMS`` symbol pairs, so no wider copy of it is made.
+    (1, m, n) codebook.  Each block of at most ``BLOCK_ELEMS`` symbols
+    is copied into one float32 buffer and multiplied by its trials'
+    received words beside a ones column, giving n11 and n1x at once.
+    The product is exact in any summation order: every partial sum is an
+    integer of at most n < 2**24.
     """
     count, n = ybits.shape
+    if n >= 1 << 24:
+        raise ValueError(f"float32 counts are exact only below 2**24 symbols, got n = {n}")
     m = words.shape[1]
     trials_per_block, words_per_block = _blocks(count, m, n)
-    both = np.empty(trials_per_block * words_per_block * n, dtype=np.bool_)
-    bits = np.broadcast_to(words.view(np.bool_), (count, m, n))
-    ymask = ybits.view(np.bool_)[:, None, :]
-    n1x = np.empty(words.shape[:2], dtype=np.int64)
+    block_buf = np.empty(trials_per_block * words_per_block * n, dtype=np.float32)
+    ycols = np.ones((trials_per_block, n, 2), dtype=np.float32)
+    bits = np.broadcast_to(words, (count, m, n))
+    n1x = np.empty((count, m), dtype=np.int64)
     n11 = np.empty((count, m), dtype=np.int64)
     for i0 in range(0, m, words_per_block):
         i1 = min(m, i0 + words_per_block)
         for a in range(0, count, trials_per_block):
             b = min(count, a + trials_per_block)
-            block = both[: (b - a) * (i1 - i0) * n].reshape(b - a, i1 - i0, n)
-            np.logical_and(ymask[a:b], bits[a:b, i0:i1], out=block)
-            # int32 sums of the 0/1 bytes count faster than count_nonzero
-            n11[a:b, i0:i1] = block.view(np.uint8).sum(axis=2, dtype=np.int32)
-            # a shared codebook has one row, so its n1x is summed in the first block only
-            n1x[a:b, i0:i1] = words[a:b, i0:i1].sum(axis=2, dtype=np.int32)
-    return np.broadcast_to(n1x, (count, m)), n11
+            block = block_buf[: (b - a) * (i1 - i0) * n].reshape(b - a, i1 - i0, n)
+            np.copyto(block, bits[a:b, i0:i1])
+            y = ycols[: b - a]
+            y[:, :, 0] = ybits[a:b]
+            prod = np.matmul(block, y)
+            n11[a:b, i0:i1] = prod[..., 0]
+            n1x[a:b, i0:i1] = prod[..., 1]
+    return n1x, n11
 
 
 def simulate_trials(

@@ -281,8 +281,11 @@ def call_bytes(m: int, n: int) -> int:
     received word and 73 bytes per codeword: the int64 counts, the
     typicality terms and the mask) are made, so mn + max(17n, n + 73m),
     plus 56 bytes of per-trial scalars, is at most this sum.  The
-    kernel's block buffers (at most three arrays of ``kernels.BLOCK_ELEMS``
-    uint64, freed before the noise draw) come on top, once per call.
+    kernel's block buffers come on top, once per call: two arrays of
+    ``kernels.BLOCK_ELEMS`` uint64 for the codebook draw, kept from call
+    to call, a third (its position offsets) freed before the noise draw,
+    and one of ``kernels.BLOCK_ELEMS`` float32 for the count, freed
+    before the scan.
     """
     return m * (n + 73) + 17 * n + 56
 

@@ -49,6 +49,8 @@ _SHIFT_U01 = np.uint64(64 - _U01_BITS)
 _SHIFT_30 = np.uint64(30)
 _SHIFT_27 = np.uint64(27)
 _SHIFT_31 = np.uint64(31)
+# the bits below those that finalize's last xorshift leaves as they are
+_LOW_33 = (1 << 33) - 1
 
 # the stream layout of the module docstring
 PURPOSE_CODEBOOK, PURPOSE_MESSAGE, PURPOSE_NOISE, PURPOSE_RESOLVER = range(4)
@@ -82,18 +84,39 @@ def position_offsets(positions) -> np.ndarray:
     return offsets
 
 
+def _mix_rounds(z, out, scratch):
+    """The two xorshift-multiply rounds of :func:`finalize`, without its last xorshift."""
+    t = np.right_shift(z, _SHIFT_30, out=scratch)
+    z = np.multiply(np.bitwise_xor(z, t, out=out), _U64_MIX1, out=out)
+    t = np.right_shift(z, _SHIFT_27, out=scratch)
+    return np.multiply(np.bitwise_xor(z, t, out=out), _U64_MIX2, out=out)
+
+
 def finalize(z, out: np.ndarray | None = None, scratch: np.ndarray | None = None):
     """The splitmix64 output function of :func:`mix64`, on a uint64 array.
 
     Given ``out`` (which may be ``z`` itself) and a ``scratch`` array of
     the same shape, it works in place and allocates nothing.
     """
-    t = np.right_shift(z, _SHIFT_30, out=scratch)
-    z = np.multiply(np.bitwise_xor(z, t, out=out), _U64_MIX1, out=out)
-    t = np.right_shift(z, _SHIFT_27, out=scratch)
-    z = np.multiply(np.bitwise_xor(z, t, out=out), _U64_MIX2, out=out)
+    z = _mix_rounds(z, out, scratch)
     t = np.right_shift(z, _SHIFT_31, out=scratch)
     return np.bitwise_xor(z, t, out=out)
+
+
+def raw_below(z: np.ndarray, threshold: np.uint64, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """``finalize(z) < threshold`` into the bool array ``out``; ``z`` is overwritten.
+
+    ``scratch`` is a uint64 array of ``z``'s shape, and ``out`` has it
+    too.  The last xorshift ``z ^ (z >> 31)`` leaves bits 33..63 as they
+    are, and when the threshold's low 33 bits are zero only those bits
+    decide the compare, so it is skipped.  ``raw_threshold(q)`` has that
+    form for every q = k / 2**31, q = 1/2 among them.
+    """
+    if int(threshold) & _LOW_33:
+        finalize(z, out=z, scratch=scratch)
+    else:
+        _mix_rounds(z, z, scratch)
+    return np.less(z, threshold, out=out)
 
 
 def unit_bits(raw, out: np.ndarray | None = None):

@@ -124,6 +124,19 @@ def test_fixed_m_is_admitted_by_the_trial_footprint_not_the_codebook():
         parse_config(text)
 
 
+def test_the_longest_admitted_blocklength_keeps_float32_counts_exact():
+    # the kernel counts in float32, exact while every count stays below 2**24;
+    # a trial has at least two codewords (fixed-rate gives 2^ceil(rate * n) >= 2),
+    # so two codewords admit the longest blocklength (computed, never allocated)
+    per_symbol = call_bytes(2, 1) - call_bytes(2, 0)
+    longest = (CHUNK_BYTES - call_bytes(2, 0)) // per_symbol
+    assert call_bytes(2, longest) <= CHUNK_BYTES < call_bytes(2, longest + 1)
+    assert longest < 2**24
+    parse_config(f"m_messages = 2\nfig3_blocklengths = {longest}\n")
+    with pytest.raises(ConfigError, match="m_messages:"):
+        parse_config(f"m_messages = 2\nfig3_blocklengths = {longest + 1}\n")
+
+
 def test_oracle_instance_beyond_enumeration_bounds_names_the_key():
     assert parse_config(f"oracle_n = {ENUM_MAX_N}\noracle_m = {ENUM_MAX_M}\n")["oracle_n"] == ENUM_MAX_N
     with pytest.raises(ConfigError, match="oracle_n:.*enumeration bounds"):

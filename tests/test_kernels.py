@@ -89,6 +89,8 @@ KERNEL_CASES = [
     (TrialConfig(n=9, m=4, q=0.3, channel=bsc(0.4), eps=0.3, master_seed=11), 5, 1 << 16),
     (TrialConfig(n=6, m=3, q=0.5, channel=bsc(0.1), eps=0.3, codebook_mode="fixed", master_seed=5), 8, 4),
     (TrialConfig(n=6, m=3, q=0.5, channel=bsc(1.0), eps=0.3, codebook_mode="fixed", master_seed=5), 8, 4),
+    # counts past 255 at q = 1/2, the dyadic bias whose draws skip the last xorshift
+    (TrialConfig(n=600, m=3, q=0.5, channel=bsc(0.05), eps=0.8, master_seed=13), 4, 1 << 16),
 ]
 
 
@@ -115,6 +117,26 @@ def test_simulate_trials_equals_reference_path(monkeypatch, cfg, count, block_el
             assert np.array_equal(xwords[t], words)
 
 
+def test_counts_are_exact_past_the_float16_range(monkeypatch):
+    # float32 block products count exactly; at n = 5000 the counts pass 2048,
+    # beyond which float16 would round odd sums, and blocks of two codewords
+    # split every trial
+    monkeypatch.setattr(kernels, "BLOCK_ELEMS", 2 * 5000)
+    rs = np.random.default_rng(5)
+    words = (rs.random((3, 5, 5000)) < 0.5).astype(np.uint8)
+    ybits = (rs.random((3, 5000)) < 0.5).astype(np.uint8)
+    for shared in (words, words[:1]):
+        n1x, n11 = kernels._count(shared, ybits)
+        wide = np.broadcast_to(shared, words.shape).astype(np.int64)
+        assert np.array_equal(n1x, wide.sum(axis=2))
+        assert np.array_equal(n11, (wide & ybits[:, None, :]).sum(axis=2))
+    assert n1x.max() > 2048
+    # past 2**24 symbols a float32 sum could round, so the count refuses
+    # (np.zeros maps these pages lazily; nothing is touched)
+    with pytest.raises(ValueError, match="2\\*\\*24"):
+        kernels._count(np.zeros((1, 2, 1 << 24), np.uint8), np.zeros((1, 1 << 24), np.uint8))
+
+
 @pytest.mark.parametrize("mode", ["redraw", "fixed"])
 def test_each_symbol_is_drawn_once(monkeypatch, mode):
     # blocks of two codewords of one trial: the sent word lies in one of them
@@ -136,9 +158,10 @@ def test_each_symbol_is_drawn_once(monkeypatch, mode):
 
         return counted
 
-    # the codebook blocks are finalized in place and the noise comes from
-    # raw_at; the message is drawn through uniforms_at, which is not counted
-    for name in ("finalize", "raw_at"):
+    # the codebook blocks are drawn in place by raw_below and the noise comes
+    # from raw_at; the message is drawn through uniforms_at and the stream
+    # states through rng.finalize, neither of which is counted
+    for name in ("raw_below", "raw_at"):
         monkeypatch.setattr(kernels, name, spy(getattr(kernels, name)))
     kernels.simulate_trials(*args)
     codebook_words = cfg.m if fixed is None else 0

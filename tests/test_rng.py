@@ -2,9 +2,15 @@ import numpy as np
 import pytest
 
 from weaktyp.rng import (
+    _MIX1,
+    _MIX2,
+    MASK64,
     RngStream,
+    finalize,
     mix64,
     raw_at,
+    raw_below,
+    raw_threshold,
     stream_state,
     stream_states,
     uniforms_at,
@@ -95,3 +101,36 @@ def test_lockstep_reads_match_per_stream_cursors():
 def test_negative_count_rejected():
     with pytest.raises(ValueError):
         RngStream(0, 0).uniforms(-1)
+
+
+def _before_last_xorshift(w: int) -> int:
+    """The z whose two finalize rounds give ``w``: both rounds inverted, in Python integers."""
+
+    def unxorshift(y, shift):
+        x = y
+        for _ in range(64 // shift + 1):
+            x = y ^ (x >> shift)
+        return x
+
+    z = unxorshift((w * pow(_MIX2, -1, 1 << 64)) & MASK64, 27)
+    return unxorshift((z * pow(_MIX1, -1, 1 << 64)) & MASK64, 30)
+
+
+@pytest.mark.parametrize(
+    "p, dyadic",
+    [(p, True) for p in (0.5, 0.25, 0.75, 2.0**-31)] + [(p, False) for p in (0.05, 0.1, 0.3, 1 - 2.0**-40)],
+)
+def test_raw_below_is_the_finalized_compare(p, dyadic):
+    t = raw_threshold(p)
+    assert (int(t) % 2**33 == 0) == dyadic
+    rs = np.random.default_rng(int(p * 1e9) + 3)
+    # the window where skipping the last xorshift could change the compare:
+    # the top 31 bits before it equal the threshold's
+    top = int(t) >> 33 << 33
+    window = np.array([_before_last_xorshift(top | int(low)) for low in rs.integers(0, 2**33, 300)], dtype=np.uint64)
+    assert np.all(finalize(window) >> np.uint64(33) == t >> np.uint64(33))
+    z = np.concatenate([rs.integers(0, 2**64, 3000, dtype=np.uint64), window])
+    expected = finalize(z) < t
+    out = np.empty(z.shape, dtype=np.bool_)
+    assert raw_below(z.copy(), t, out, np.empty_like(z)) is out
+    assert np.array_equal(out, expected)
