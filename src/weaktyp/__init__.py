@@ -14,10 +14,8 @@ from .decoders import (
     CandidateSet,
     Clustering,
     DecodeOutcome,
-    cluster_resolve,
     find_candidates,
     kmeans,
-    svm_resolve,
 )
 from .montecarlo import (
     ExponentPoint,
@@ -47,10 +45,8 @@ __all__ = [
     "CandidateSet",
     "Clustering",
     "DecodeOutcome",
-    "cluster_resolve",
     "find_candidates",
     "kmeans",
-    "svm_resolve",
     "ExponentPoint",
     "PeEstimate",
     "TrialConfig",

@@ -3,20 +3,27 @@
 The classical decoder treats anything but a unique typical codeword as
 an error.  The weak decoder keeps every typical candidate and, when
 there are several, resolves them from the geometry of their difference
-sequences: cluster the Z-sequences, take the largest cluster, and
-decode to the Z closest to its mean.  A max-margin variant refines the
-2-means split with a Pegasos-trained linear separator.
+sequences, by one of ``RESOLVERS``: ``cluster`` clusters the
+Z-sequences, takes the largest cluster and decodes to the Z closest to
+its mean, ``cluster-random`` to a uniform member of that cluster, and
+``svm`` refines the 2-means split with a Pegasos-trained linear
+separator.
+
+Two entries map a resolver name to its code: :func:`weak_outcome`
+resolves one candidate set, and :func:`resolve_batch` many trials at
+once, with exactly the same results; its batch forms share one lockstep
+k-means and take the candidates' difference sequences bit-packed
+(:class:`PackedTrials`).
 
 All ties break toward the lowest message index (and, inside k-means,
 toward the lowest cluster id), which makes every resolution
-deterministic given its random stream.
-
-Each resolver has a per-trial reference (:func:`cluster_resolve`,
-:func:`svm_resolve`) and a batch form that resolves many trials in
-lockstep and gives exactly the same results (:func:`cluster_resolve_batch`,
-:func:`svm_resolve_batch`); both batch forms share one lockstep k-means
-and take the candidates' difference sequences bit-packed
-(:class:`PackedTrials`).
+deterministic given its random stream.  Both cluster resolvers decode
+the lowest index without k-means where the rows are all equal, and where
+c distinct rows have k = min(k_max, c) = c.  There k-means++ would seed
+all c rows (its weighted draw, r < total, never lands on a row at
+distance 0); Lloyd's first pass would make c singletons and the second
+repeat them; and the size tie would go to the cluster at position 0,
+whose single member is both the closest pick and the only random pick.
 
 k-means on 0/1 candidates is exact integer arithmetic (the kernel
 k-means identity; Dhillon, Guan & Kulis, KDD 2004).  A cluster with 0/1
@@ -25,10 +32,10 @@ sigma = sum_a v_a z_a, and s**2 times the squared distance from z_i to
 its mean is the integer N_i = ||s z_i - sigma||**2
 = s**2 |z_i|**2 - 2 s (z_i . sigma) + |sigma|**2.  Clusters j and l are
 compared by N_ij s_l**2 against N_il s_j**2, seeding reads Hamming
-distances, and the "closest" pick is the least sum of Hamming distances
-to the winning cluster's members, so every tie is a true tie and the
-tie rules above hold exactly.  The reference computes N from the rows,
-in Python integers; the batch form from each trial's Gram matrix
+distances, and the ``cluster`` pick is the least sum of Hamming
+distances to the winning cluster's members, so every tie is a true tie
+and the tie rules above hold exactly.  The reference computes N from the
+rows, in Python integers; the batch form from each trial's Gram matrix
 G = Z Z^T, since z_i . sigma = (G v)_i.
 
 The Pegasos final scores go through the reference's ``gemv`` on the
@@ -51,8 +58,6 @@ from .rng import RngStream, uniforms_at
 from .typicality import JointContext, pair_counts, typical_from_counts
 
 RESOLVERS = ("cluster", "cluster-random", "svm")
-# final pick rule of each cluster resolver (see :func:`cluster_resolve`)
-CLUSTER_PICKS = {"cluster": "closest", "cluster-random": "random"}
 
 KMEANS_MAX_ITERS = 100
 SVM_LAMBDA = 0.01
@@ -156,8 +161,9 @@ def weak_outcome(
 ) -> tuple[DecodeOutcome, Clustering | None]:
     """Weak verdict on a candidate set, plus the clustering when k-means ran.
 
-    The per-trial resolver dispatch, shared by the single-trial
-    reference path and the exhaustive oracle.
+    One of the two resolver entries (the other is its batch twin
+    :func:`resolve_batch`), shared by the single-trial reference path
+    and the exhaustive oracle.
     """
     if resolver not in RESOLVERS:
         raise ValueError(f"unknown resolver {resolver!r}")
@@ -168,7 +174,7 @@ def weak_outcome(
     if resolver == "svm":
         decoded, clus = _svm_by_clusters(cands, rng)
         return DecodeOutcome(decoded, cands.count, "svm"), clus
-    decoded, clus = _resolve_by_clusters(cands, k_max, rng, CLUSTER_PICKS[resolver])
+    decoded, clus = _resolve_by_clusters(cands, k_max, rng, resolver)
     return DecodeOutcome(decoded, cands.count, "cluster"), clus
 
 
@@ -272,7 +278,7 @@ def _largest_cluster(assignments: np.ndarray, k: int) -> int:
 
 
 def _resolve_by_clusters(
-    cands: CandidateSet, k_max: int, rng: RngStream, pick: str
+    cands: CandidateSet, k_max: int, rng: RngStream, resolver: str
 ) -> tuple[int, Clustering | None]:
     if cands.count < 2:
         raise ValueError("resolution needs at least two candidates")
@@ -283,15 +289,13 @@ def _resolve_by_clusters(
         # nothing separates the candidates; lowest index wins
         return int(indices[0]), None
     k = min(k_max, cands.count)
-    if pick == "closest" and _rows_distinct(cands.z_seqs) and (cands.count == 2 or k == cands.count):
-        # Distinct points with k saturating the set (or a bare pair) always
-        # collapse to singleton clusters, whose tie-break chain provably
-        # lands on the lowest index; skip the Lloyd run.
+    if k == cands.count and _rows_distinct(cands.z_seqs):
+        # singleton clusters: the lowest index wins (proof in the module docstring)
         return int(indices[0]), None
     clus = kmeans(cands.z_seqs, k, rng)
     winner = _largest_cluster(clus.assignments, k)
     members = clus.assignments == winner
-    if pick == "random":
+    if resolver == "cluster-random":
         positions = np.flatnonzero(members)
         r = rng.uniform()
         pos = positions[min(int(r * positions.size), positions.size - 1)]
@@ -303,25 +307,13 @@ def _resolve_by_clusters(
     return int(indices[int(np.argmin(scaled))]), clus
 
 
-def cluster_resolve(cands: CandidateSet, k_max: int, rng: RngStream, pick: str = "closest") -> int:
-    """Largest-cluster-mean resolution over the candidate Z-sequences.
-
-    ``pick`` selects the final step: "closest" decodes to the Z nearest
-    the largest cluster's mean, "random" to a uniform member of that
-    cluster.
-    """
-    if pick not in ("closest", "random"):
-        raise ValueError(f"unknown pick rule {pick!r}")
-    decoded, _ = _resolve_by_clusters(cands, k_max, rng, pick)
-    return decoded
-
-
 @dataclass(frozen=True)
 class BatchResolution:
-    """Per-trial results of :func:`cluster_resolve_batch` and :func:`svm_resolve_batch`.
+    """Per-trial results of :func:`resolve_batch`.
 
     ``iterations`` counts Lloyd assignment passes (``Clustering.iterations_used``)
-    and is 0 where a shortcut decided without k-means.
+    and is 0 exactly where a shortcut of the module docstring decided
+    without k-means.
     """
 
     decoded: np.ndarray  # (T,) int64, 1-based message index
@@ -367,24 +359,37 @@ def _blocks(trials: PackedTrials, descending: bool = False):
             yield c, rows, idx, trials.z_seqs[rows[:, None], idx]
 
 
-def cluster_resolve_batch(trials: PackedTrials, k_max: int, pick: str = "closest") -> BatchResolution:
-    """:func:`cluster_resolve` on many trials of one blocklength at once, decision for decision.
+def resolve_batch(parts: list[PackedTrials], resolver: str, k_max: int) -> list[BatchResolution]:
+    """The batch twin of :func:`weak_outcome`, decision for decision: one result per part.
+
+    ``svm`` resolves every part in one :func:`svm_resolve_batch` call;
+    the cluster resolvers resolve each part, of one blocklength, by
+    :func:`cluster_resolve_batch`.
+    """
+    if resolver not in RESOLVERS:
+        raise ValueError(f"unknown resolver {resolver!r}")
+    if resolver == "svm":
+        return svm_resolve_batch(parts)
+    return [cluster_resolve_batch(part, resolver, k_max) for part in parts]
+
+
+def cluster_resolve_batch(trials: PackedTrials, resolver: str, k_max: int) -> BatchResolution:
+    """The ``cluster`` or ``cluster-random`` decodes of many trials of one blocklength at once.
 
     Each resolver block of :func:`_blocks` (one candidate count c, at
     most :func:`_block_trials` trials) runs through k-means++ seeding and
     Lloyd in lockstep (:func:`_lockstep_kmeans`) on its packed rows.
     Each trial reads its stream at its own cursor, and every comparison
-    is exact in integers, so each one decides as in :func:`kmeans`.
+    is exact in integers, so each one decides as in :func:`kmeans`, and
+    every trial as in :func:`weak_outcome`.
     """
-    if pick not in ("closest", "random"):
-        raise ValueError(f"unknown pick rule {pick!r}")
     if k_max < 1:
         raise ValueError("k_max must be positive")
     total = trials.states.size
     decoded = np.zeros(total, dtype=np.int64)
     iterations = np.zeros(total, dtype=np.int64)
     for c, rows, idx, z in _blocks(trials):
-        pos, its = _resolve_block(z, trials.n, trials.states[rows], min(k_max, c), pick)
+        pos, its = _resolve_block(z, trials.n, trials.states[rows], min(k_max, c), resolver)
         decoded[rows] = idx[np.arange(rows.size), pos] + 1
         iterations[rows] = its
     return BatchResolution(decoded, iterations)
@@ -428,7 +433,7 @@ def _gram_products(x: np.ndarray, n: int) -> tuple[np.ndarray, Callable[[np.ndar
 
 
 def _resolve_block(
-    x: np.ndarray, n: int, states: np.ndarray, k: int, pick: str
+    x: np.ndarray, n: int, states: np.ndarray, k: int, resolver: str
 ) -> tuple[np.ndarray, np.ndarray]:
     """Winning candidate position and Lloyd passes of each set of c packed rows of n symbols in x.
 
@@ -440,7 +445,7 @@ def _resolve_block(
     iterations = np.zeros(size, dtype=np.int64)
 
     run = _split_rows(x)
-    if pick == "closest" and (c == 2 or k == c):
+    if k == c:
         distinct = np.ones(size, dtype=bool)
         for a in range(c):
             for b in range(a + 1, c):
@@ -461,7 +466,7 @@ def _resolve_block(
     lead = np.argmax(point_sizes == sizes.max(axis=1)[:, None], axis=1)
     members = assign == assign[trial, lead][:, None]
     member_count = members.sum(axis=1)
-    if pick == "random":
+    if resolver == "cluster-random":
         nth = np.minimum((uniforms_at(st, cursor) * member_count).astype(np.int64), member_count - 1)
         winner = np.argmax(np.cumsum(members, axis=1) > nth[:, None], axis=1)
     else:
@@ -580,7 +585,7 @@ def _nearest(shifted: np.ndarray, weight: np.ndarray, squares: np.ndarray, n: in
 
 
 def svm_resolve_batch(parts: list[PackedTrials]) -> list[BatchResolution]:
-    """:func:`svm_resolve` on many trials at once, bit for bit, one result per part.
+    """The ``svm`` decodes of many trials, one result per part, bit for bit as :func:`weak_outcome`.
 
     The parts may differ in n.  A part's resolver blocks (:func:`_blocks`,
     candidate count c descending) get the all-equal shortcut and 2-means
@@ -709,7 +714,7 @@ def _ddot_margins(
 
 
 def _pegasos_scores(groups: list[tuple[int, np.ndarray, np.ndarray]]) -> list[np.ndarray]:
-    """Scores ``[z, 1] @ w`` after the Pegasos loop of :func:`svm_resolve`, for each group.
+    """Scores ``[z, 1] @ w`` after the Pegasos loop of :func:`_svm_by_clusters`, for each group.
 
     A group ``(n, z, labels)`` is one resolver block, trials of one n and
     one count c: their (T, c, ceil(n/8)) packed rows and (T, c) +/-1
@@ -826,7 +831,7 @@ def _pegasos_loop(groups: list, p: int, pattern: bool) -> np.ndarray:
 
 
 def _svm_pick(scores: np.ndarray) -> np.ndarray:
-    """Winning row of each row of (T, c) decision scores, as :func:`svm_resolve` picks."""
+    """Winning row of each row of (T, c) decision scores, as :func:`_svm_by_clusters` picks."""
     pos = scores >= 0.0
     n_pos = pos.sum(axis=1)
     n_neg = scores.shape[1] - n_pos
@@ -837,7 +842,7 @@ def _svm_pick(scores: np.ndarray) -> np.ndarray:
     return np.argmax(side_scores, axis=1)
 
 
-def svm_resolve(cands: CandidateSet, rng: RngStream) -> int:
+def _svm_by_clusters(cands: CandidateSet, rng: RngStream) -> tuple[int, Clustering | None]:
     """Max-margin resolution: 2-means labels refined by a Pegasos separator.
 
     The candidate Z-sequences get provisional +/-1 labels from a k=2
@@ -846,11 +851,6 @@ def svm_resolve(cands: CandidateSet, rng: RngStream) -> int:
     are re-labelled by the separator, and the larger side wins; the
     winning-side candidate with the largest decision margin is decoded.
     """
-    decoded, _ = _svm_by_clusters(cands, rng)
-    return decoded
-
-
-def _svm_by_clusters(cands: CandidateSet, rng: RngStream) -> tuple[int, Clustering | None]:
     if cands.count < 2:
         raise ValueError("resolution needs at least two candidates")
     z = cands.z_seqs.astype(np.float64)

@@ -40,16 +40,14 @@ import numpy as np
 from . import decoders, kernels
 from .core import Codebook, Dmc, draw_message, generate_codebook, transmit
 from .decoders import (
-    CLUSTER_PICKS,
     CandidateSet,
     Clustering,
     DecodeOutcome,
     PackedTrials,
     RESOLVERS,
     classical_outcome,
-    cluster_resolve_batch,
     find_candidates,
-    svm_resolve_batch,
+    resolve_batch,
     weak_outcome,
 )
 from .rng import FIXED_CODEBOOK_STREAM, ORACLE_RESOLVER_STREAM, RngStream, mix64, stream_states, trial_stream
@@ -354,12 +352,7 @@ class _Pool:
             batches.append(PackedTrials(n, *(_joined([part[i] for part in same]) for i in (1, 2, 3))))
             targets.append([part[4:] for part in same])
         del by_n, same  # the joined copies replace the parts
-        if self.resolver == "svm":
-            results = svm_resolve_batch(batches)
-        else:
-            pick = CLUSTER_PICKS[self.resolver]
-            results = [cluster_resolve_batch(batch, self.k_max, pick) for batch in batches]
-        for resolved, places in zip(results, targets):
+        for resolved, places in zip(resolve_batch(batches, self.resolver, self.k_max), targets):
             at = 0
             for weak, positions in places:
                 weak[positions] = resolved.decoded[at : at + positions.size]
@@ -428,13 +421,13 @@ def iter_points(cfgs: list[TrialConfig], num_trials: int, start: int = 0) -> Ite
     of every point of one shape (m, resolver, k_max), whatever their n,
     are pooled as their candidates' difference sequences, bit-packed
     (:class:`~weaktyp.decoders.PackedTrials`, one copy per trial even
-    for a fixed codebook), and resolved together, in lockstep, by
-    :func:`~weaktyp.decoders.cluster_resolve_batch` (once per n) or
-    :func:`~weaktyp.decoders.svm_resolve_batch` (once for all n): a
-    lockstep loop costs about the same whether it carries the trials of
-    one point or of many.  Points of one shape run back to back, so one
-    pool is open at a time; every point owns its streams, so the order
-    changes no result.  A point is yielded once no pooled trial of it
+    for a fixed codebook), and resolved together, in lockstep, by one
+    :func:`~weaktyp.decoders.resolve_batch` call per flush (k-means once
+    per n, the svm's Pegasos loop once for all n): a lockstep loop costs
+    about the same whether it carries the trials of one point or of
+    many.  Points of one shape run back to back, so one pool is open at
+    a time; every point owns its streams, so the order changes no
+    result.  A point is yielded once no pooled trial of it
     awaits resolution, so a caller that keeps only its counts holds the
     batches of the open pool's points, not of every point.
     """

@@ -11,11 +11,9 @@ from weaktyp.decoders import (
     DecodeOutcome,
     PackedTrials,
     classical_outcome,
-    cluster_resolve,
     cluster_resolve_batch,
     find_candidates,
     kmeans,
-    svm_resolve,
     weak_outcome,
 )
 from weaktyp.kernels import simulate_trials
@@ -29,6 +27,11 @@ def cand_set(indices, rows):
         indices=np.asarray(indices, dtype=np.int64),
         z_seqs=np.asarray(rows, dtype=np.uint8),
     )
+
+
+def decode(cands, resolver, rng, k_max=3):
+    """The weak decode of a candidate set through the per-trial resolver entry."""
+    return weak_outcome(cands, resolver, rng, k_max)[0].decoded
 
 
 # ---------------------------------------------------------------------------
@@ -100,7 +103,7 @@ def test_weak_decode_pair_hand_trace():
     # candidates [1, 6] with z-weights 2 and 4: singleton clusters, the
     # largest-cluster tie goes to the cluster holding message 1
     cands = cand_set([1, 6], [sequence("000011"), sequence("111100")])
-    assert cluster_resolve(cands, 2, RngStream(0, 0)) == 1
+    assert decode(cands, "cluster", RngStream(0, 0), 2) == 1
 
 
 def test_weak_decode_multi_returns_candidate_member():
@@ -225,7 +228,7 @@ def test_kmeans_validation():
 # cluster resolution
 
 
-def reference_cluster_resolve(cands, k_max, rng):
+def reference_cluster_resolve(cands, k_max, rng, resolver):
     """The resolution rule executed literally, with no shortcuts, in exact rationals."""
     z = cands.z_seqs
     if np.all(z == z[0]):
@@ -238,6 +241,10 @@ def reference_cluster_resolve(cands, k_max, rng):
         int(clus.assignments[i]) for i in range(cands.count) if sizes[clus.assignments[i]] == best
     )
     members = clus.assignments == winner
+    if resolver == "cluster-random":
+        # a uniform member, drawn from the stream kmeans drew from
+        positions = np.flatnonzero(members)
+        return int(cands.indices[positions[min(int(rng.uniform() * positions.size), positions.size - 1)]])
     mean = [Fraction(int(col.sum()), int(members.sum())) for col in z[members].T]
     d2 = [sum((int(v) - mu) ** 2 for v, mu in zip(row, mean)) for row in z]
     # the first of the least: ties to the lowest index
@@ -248,7 +255,8 @@ def test_identical_z_sequences_collapse():
     rows = [sequence("0110")] * 3
     cands = cand_set([2, 4, 9], rows)
     for k_max in (1, 2, 3):
-        assert cluster_resolve(cands, k_max, RngStream(0, 0)) == 2
+        for resolver in ("cluster", "cluster-random"):
+            assert decode(cands, resolver, RngStream(0, 0), k_max) == 2
 
 
 def test_resolver_reference_example():
@@ -275,12 +283,15 @@ def test_resolver_reference_example():
 def test_resolver_clamps_k():
     cands = cand_set([1, 2], [sequence("0011"), sequence("1100")])
     # k_max above the candidate count clamps without error
-    assert cluster_resolve(cands, 3, RngStream(7, 0)) == 1
+    assert decode(cands, "cluster", RngStream(7, 0), 3) == 1
 
 
 def test_fast_paths_match_reference_resolution():
+    # the index rule (distinct rows, k = c) and the all-equal rule against plain
+    # kmeans and the literal pick, for both cluster resolvers; pairs at k_max = 1
+    # run k-means, whose single cluster's equidistant rows also decode the lowest index
     rng = np.random.default_rng(99)
-    checked = 0
+    hits = {"index_rule": 0, "pair_at_k1": 0}
     for trial in range(400):
         count = int(rng.integers(2, 5))
         n = int(rng.integers(2, 12))
@@ -288,11 +299,13 @@ def test_fast_paths_match_reference_resolution():
         indices = np.sort(rng.choice(np.arange(1, 10), size=count, replace=False))
         cands = cand_set(indices, rows)
         k_max = int(rng.integers(1, 5))
-        mine = cluster_resolve(cands, k_max, RngStream(4242, trial))
-        ref = reference_cluster_resolve(cands, k_max, RngStream(4242, trial))
-        assert mine == ref, (trial, rows.tolist(), indices.tolist(), k_max)
-        checked += 1
-    assert checked == 400
+        hits["pair_at_k1"] += count == 2 and k_max == 1
+        hits["index_rule"] += k_max >= count == len({r.tobytes() for r in rows})
+        for resolver in ("cluster", "cluster-random"):
+            mine = decode(cands, resolver, RngStream(4242, trial), k_max)
+            ref = reference_cluster_resolve(cands, k_max, RngStream(4242, trial), resolver)
+            assert mine == ref, (trial, resolver, rows.tolist(), indices.tolist(), k_max)
+    assert min(hits.values()) >= 20, hits
 
 
 def test_exact_ties_go_to_the_lowest_index():
@@ -300,10 +313,10 @@ def test_exact_ties_go_to_the_lowest_index():
     # distances to it read 0.66...669, 0.66...667 and 0.66...666
     rows = [sequence("01111"), sequence("00011"), sequence("00110")]
     cands = cand_set([1, 2, 3], rows)
-    assert cluster_resolve(cands, 1, RngStream(0, 0)) == 1
+    assert decode(cands, "cluster", RngStream(0, 0), 1) == 1
     states = stream_states(0, np.array([0]))
     trials = PackedTrials(5, np.ones((1, 3), dtype=bool), np.packbits(np.array([rows]), axis=2), states)
-    got = cluster_resolve_batch(trials, 1)
+    got = cluster_resolve_batch(trials, "cluster", 1)
     assert got.decoded.tolist() == [1]
     assert got.iterations.tolist() == [2]
 
@@ -365,13 +378,34 @@ def test_many_candidates_on_few_symbols_resolve_from_the_rows():
     trials = PackedTrials(n, np.ones((1, c), dtype=bool), np.packbits(words, axis=2), stream_states(11, np.array([5])))
     tracemalloc.start()
     try:
-        got = cluster_resolve_batch(trials, k_max)
+        got = cluster_resolve_batch(trials, "cluster", k_max)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < c * c
-    ref = cluster_resolve(cand_set(np.arange(1, c + 1), words[0]), k_max, RngStream(11, 5))
+    ref = decode(cand_set(np.arange(1, c + 1), words[0]), "cluster", RngStream(11, 5), k_max)
     assert got.decoded.tolist() == [ref]
+
+
+def test_an_emptied_cluster_is_reseeded_on_distinct_rows():
+    # twelve distinct rows at k = 5: a cluster empties at the fourth Lloyd pass, in kmeans
+    # and in the lockstep batch alike, and the farthest-point reseed decides the decode
+    # (a reseed with point 0 would decode 6)
+    rows = [
+        sequence(r)
+        for r in (
+            "010100010010 011110010010 001000100001 010111011011 011111011011 011100010010 "
+            "011000100001 010100011000 010101011010 001010100001 111100010010 110111010011"
+        ).split()
+    ]
+    cands = cand_set(np.arange(1, 13), rows)
+    states = stream_states(3872243241, np.array([5249]))
+    trials = PackedTrials(12, np.ones((1, 12), dtype=bool), np.packbits(np.array([rows]), axis=2), states)
+    for resolver, expected in (("cluster", 1), ("cluster-random", 8)):
+        outcome, clus = weak_outcome(cands, resolver, RngStream(3872243241, 5249), 5)
+        assert (outcome.decoded, clus.iterations_used) == (expected, 6)
+        got = cluster_resolve_batch(trials, resolver, 5)
+        assert (got.decoded.tolist(), got.iterations.tolist()) == ([expected], [6])
 
 
 def test_random_pick_stays_in_largest_cluster():
@@ -399,10 +433,11 @@ def test_random_pick_stays_in_largest_cluster():
 
 def test_resolution_needs_two_candidates():
     cands = cand_set([3], [sequence("0011")])
+    for resolver in ("cluster", "cluster-random"):
+        with pytest.raises(ValueError):
+            decoders._resolve_by_clusters(cands, 2, RngStream(0, 0), resolver)
     with pytest.raises(ValueError):
-        cluster_resolve(cands, 2, RngStream(0, 0))
-    with pytest.raises(ValueError):
-        svm_resolve(cands, RngStream(0, 0))
+        decoders._svm_by_clusters(cands, RngStream(0, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -418,14 +453,14 @@ def test_svm_agrees_with_clusters_on_separated_clouds():
     z3 = np.ones(10, dtype=np.uint8)
     z3[9] = 0
     cands = cand_set([3, 6, 8], [z1, z2, z3])
-    got_svm = svm_resolve(cands, RngStream(21, 0))
-    got_cluster = cluster_resolve(cands, 2, RngStream(21, 0))
+    got_svm = decode(cands, "svm", RngStream(21, 0))
+    got_cluster = decode(cands, "cluster", RngStream(21, 0), 2)
     assert got_svm == got_cluster == 3
 
 
 def test_svm_degenerate_identical_points():
     cands = cand_set([4, 7], [sequence("0101")] * 2)
-    assert svm_resolve(cands, RngStream(0, 0)) == 4
+    assert decode(cands, "svm", RngStream(0, 0)) == 4
 
 
 def pegasos_group(rows, labels):
@@ -495,7 +530,7 @@ def test_pegasos_scores_of_many_trials_match_the_reference():
 
 def test_svm_two_candidates_tie_break():
     cands = cand_set([2, 6], [sequence("000011"), sequence("111100")])
-    assert svm_resolve(cands, RngStream(5, 0)) == 2
+    assert decode(cands, "svm", RngStream(5, 0)) == 2
 
 
 def test_svm_returns_candidate_member():
@@ -505,7 +540,7 @@ def test_svm_returns_candidate_member():
         rows = rng.integers(0, 2, (count, 8)).astype(np.uint8)
         indices = np.sort(rng.choice(np.arange(1, 9), size=count, replace=False))
         cands = cand_set(indices, rows)
-        assert svm_resolve(cands, RngStream(7000, trial)) in indices
+        assert decode(cands, "svm", RngStream(7000, trial)) in indices
 
 
 # ---------------------------------------------------------------------------

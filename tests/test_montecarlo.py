@@ -114,8 +114,7 @@ def pooled_footprints(monkeypatch, m, resolver, parts):
         flush(pool)
 
     monkeypatch.setattr(montecarlo, "_joined", recorded_join)
-    monkeypatch.setattr(montecarlo, "svm_resolve_batch", lambda batches: [decoded(b) for b in batches])
-    monkeypatch.setattr(montecarlo, "cluster_resolve_batch", lambda batch, k_max, pick: decoded(batch))
+    monkeypatch.setattr(montecarlo, "resolve_batch", lambda parts, resolver, k_max: [decoded(b) for b in parts])
     monkeypatch.setattr(montecarlo._Pool, "flush", recorded_flush)
     pool = montecarlo._Pool(m, resolver, 3)
     weak = np.zeros(sum(k for _, k in parts), dtype=np.int64)

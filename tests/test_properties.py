@@ -333,9 +333,7 @@ def test_batch_resolution_equals_cluster_resolve(monkeypatch):
         """The batch against the reference on one example; returns how many trials ran a third Lloyd pass."""
         words, received, mask, stream_ids, master, k_max, resolver = case
         states = stream_states(master, stream_ids)
-        got = cluster_resolve_batch(
-            packed_trials(words, received, mask, states), k_max, decoders.CLUSTER_PICKS[resolver]
-        )
+        got = cluster_resolve_batch(packed_trials(words, received, mask, states), resolver, k_max)
         for t in range(mask.shape[0]):
             idx0 = np.flatnonzero(mask[t])
             z = np.bitwise_xor((words if words.ndim == 2 else words[t])[idx0], received[t])
@@ -385,9 +383,7 @@ def test_batch_resolution_with_wide_comparisons_equals_cluster_resolve(monkeypat
     def check(case):
         words, received, mask, stream_ids, master, k_max, resolver = case
         states = stream_states(master, stream_ids)
-        got = cluster_resolve_batch(
-            packed_trials(words, received, mask, states), k_max, decoders.CLUSTER_PICKS[resolver]
-        )
+        got = cluster_resolve_batch(packed_trials(words, received, mask, states), resolver, k_max)
         for t in range(mask.shape[0]):
             idx0 = np.flatnonzero(mask[t])
             z = np.bitwise_xor((words if words.ndim == 2 else words[t])[idx0], received[t])
