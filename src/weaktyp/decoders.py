@@ -39,15 +39,14 @@ rows, in Python integers; the batch form from each trial's Gram matrix
 G = Z Z^T, since z_i . sigma = (G v)_i.
 
 The Pegasos final scores go through the reference's ``gemv`` on the
-same shape.  A Pegasos margin is decided from a sum over column
-patterns, in any order, only where a proven error bound puts it clear of
-1; otherwise the reference's ``ddot`` on the same shape decides it.
+same shape.  A Pegasos margin is evaluated only where a proven bound
+lets it fall below 1, by a sum over column patterns in any order where
+an error bound puts it clear of 1, else by the reference's ``ddot``.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -65,8 +64,7 @@ SVM_EPOCHS = 200
 # cap on the elements of one block's int64 k-means operands, the Gram
 # matrices (trials, c, c) or, when c > n, the rows (trials, c, n), and of
 # one block of unpacked svm rows (trials, c, n+1); bounds their memory
-# whatever the chunk.  The svm Pegasos loop is not cut into blocks: it
-# runs once per slot count per call, on one weight per column pattern
+# whatever the chunk.  The svm Pegasos loop runs once per slot count
 BATCH_BLOCK_ELEMS = 1 << 15
 
 
@@ -263,10 +261,6 @@ def _all_rows_equal(z: np.ndarray) -> bool:
     return bool(np.all(z == z[0]))
 
 
-def _rows_distinct(z: np.ndarray) -> bool:
-    return len({row.tobytes() for row in np.ascontiguousarray(z)}) == z.shape[0]
-
-
 def _largest_cluster(assignments: np.ndarray, k: int) -> int:
     """Largest cluster id; ties go to the cluster holding the lowest point index."""
     sizes = np.bincount(assignments, minlength=k)
@@ -289,7 +283,7 @@ def _resolve_by_clusters(
         # nothing separates the candidates; lowest index wins
         return int(indices[0]), None
     k = min(k_max, cands.count)
-    if k == cands.count and _rows_distinct(cands.z_seqs):
+    if k == cands.count and len({row.tobytes() for row in np.ascontiguousarray(cands.z_seqs)}) == k:
         # singleton clusters: the lowest index wins (proof in the module docstring)
         return int(indices[0]), None
     clus = kmeans(cands.z_seqs, k, rng)
@@ -337,11 +331,11 @@ class PackedTrials:
     states: np.ndarray  # (T,) uint64
 
 
-def _blocks(trials: PackedTrials, descending: bool = False):
+def _blocks(trials: PackedTrials):
     """(c, trials, candidate indices, packed rows) of every resolver block of ``trials``.
 
-    Trials are taken by candidate count c, ascending or descending, in
-    blocks of :func:`_block_trials` trials; each row's indices ascend.
+    Trials are taken by candidate count c, ascending, in blocks of
+    :func:`_block_trials` trials; each row's indices ascend.
     Every trial must have at least two candidates.
     """
     cand_mask = np.asarray(trials.cand_mask, dtype=bool)
@@ -349,7 +343,7 @@ def _blocks(trials: PackedTrials, descending: bool = False):
     if np.any(counts < 2):
         raise ValueError("resolution needs at least two candidates")
     present = np.flatnonzero(np.bincount(counts)).tolist()
-    for c in present[::-1] if descending else present:
+    for c in present:
         group = np.flatnonzero(counts == c)
         # nonzero walks rows in order, so each row's indices ascend
         cand_idx = np.nonzero(cand_mask[group])[1].reshape(group.size, c)
@@ -518,6 +512,7 @@ def _lockstep_kmeans(
         r = uniforms_at(states, cursor) * total
         # searchsorted(cumsum, r, side="right") on every row at once
         drawn = np.minimum((np.cumsum(d2, axis=1) <= r[:, None]).sum(axis=1), c - 1)
+        # all distances 0: every row copies a seed, and no output here depends on which
         seeds[:, j] = np.where(spread, drawn, np.argmin(chosen, axis=1))
         cursor += spread
         chosen[trial, seeds[:, j]] = True
@@ -587,20 +582,19 @@ def _nearest(shifted: np.ndarray, weight: np.ndarray, squares: np.ndarray, n: in
 def svm_resolve_batch(parts: list[PackedTrials]) -> list[BatchResolution]:
     """The ``svm`` decodes of many trials, one result per part, bit for bit as :func:`weak_outcome`.
 
-    The parts may differ in n.  A part's resolver blocks (:func:`_blocks`,
-    candidate count c descending) get the all-equal shortcut and 2-means
-    labels (the lockstep k-means of :func:`cluster_resolve_batch`) on
-    their packed Z rows, and each block's split trials are one group of
-    :func:`_pegasos_scores`, which trains the separators of every part
-    at once.  ``iterations`` counts the 2-means run (0 where all rows are
-    equal and the lowest index wins).
+    The parts may differ in n.  A part's resolver blocks (:func:`_blocks`)
+    get the all-equal shortcut and 2-means labels (the lockstep k-means
+    of :func:`cluster_resolve_batch`) on their packed Z rows, and each
+    block's split trials are one group of :func:`_pegasos_scores`, which
+    trains the separators of every part at once.  ``iterations`` counts
+    the 2-means run (0 where all rows are equal and the lowest index wins).
     """
     results, groups, places = [], [], []
     for part in parts:
         n = part.n
         decoded = np.zeros(part.states.size, dtype=np.int64)
         iterations = np.zeros(part.states.size, dtype=np.int64)
-        for _, rows, idx, z in _blocks(part, descending=True):
+        for _, rows, idx, z in _blocks(part):
             decoded[rows] = idx[:, 0] + 1
             split = _split_rows(z)
             if not split.any():
@@ -649,8 +643,8 @@ def _slot_tolerance(k: int, p: int) -> float:
 
 
 def _slot_sums(rows: np.ndarray, sizes: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """(T,) sums of ``rows * sizes * w`` over slots, in any order: margins up to :func:`_slot_tolerance`."""
-    return np.einsum("tp,tp,tp->t", rows, sizes, w)
+    """(T, ...) sums of ``rows * sizes * w`` over slots, in any order: margins up to :func:`_slot_tolerance`."""
+    return np.einsum("t...p,tp,tp->t...", rows, sizes, w)
 
 
 def _signed_table(groups: list, p: int, pattern: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -658,16 +652,16 @@ def _signed_table(groups: list, p: int, pattern: bool) -> tuple[np.ndarray, np.n
 
     A trial's row i has the signed slot row ``label * bit``.  With
     pattern slots that depends only on i and the label, so the table is
-    the 2 * c_max float rows +-(bits of i); otherwise it holds every
-    trial's own int8 rows ``label * [z, 1]``.
+    the 2 * c_max int8 rows +-(bits of i), with sizes in the least type
+    that holds n + 1; otherwise every trial's own int8 rows.
     """
     c_max = max(z.shape[1] for _, z, _ in groups)
     total = sum(z.shape[0] for _, z, _ in groups)
     codes = np.zeros((total, c_max), dtype=np.min_scalar_type(2 * c_max if pattern else total * c_max))
     if pattern:
         bits = (np.arange(p) >> np.arange(c_max)[:, None]) & 1
-        table = np.concatenate([bits, -bits]).astype(np.float64)
-        sizes = np.empty((total, p))
+        table = np.concatenate([bits, -bits]).astype(np.int8)
+        sizes = np.empty((total, p), dtype=np.min_scalar_type(max(n for n, _, _ in groups) + 1))
     else:
         table = np.zeros((total * c_max, p), dtype=np.int8)
         sizes = np.broadcast_to(1.0, (total, p))
@@ -699,17 +693,20 @@ def _ddot_margins(
 ) -> np.ndarray:
     """Margins of rows ``r`` of the given trials, each the reference's ``label * ([z, 1] @ w)``.
 
-    Trial t is row t - starts[g] of ``groups[g]``, g the last group
-    starting at or before t.  Its weights are expanded to its own n + 1
-    columns for the same 1-D ``@`` (``ddot``) as :func:`_pegasos_separator`.
+    Trial t (ascending) is row t - starts[g] of ``groups[g]``; a group's
+    trials are expanded to n + 1 columns at once, then one ``ddot`` a row.
     """
     out = np.empty(trials.size)
-    for j, (t, i) in enumerate(zip(trials.tolist(), r.tolist())):
-        g = bisect_right(starts, t) - 1
-        n, z, labels = groups[g]
-        rows = np.unpackbits(z[t - starts[g]], axis=1, count=n)
-        row = np.append(rows[i], 1).astype(np.float64)
-        out[j] = float(labels[t - starts[g], i]) * float(row @ w[t, _slot_map(rows[None], pattern)[0]])
+    bounds = np.searchsorted(trials, starts).tolist()
+    for g in np.flatnonzero(np.diff(bounds)).tolist():
+        (n, z, labels), lo, hi = groups[g], bounds[g], bounds[g + 1]
+        local, row = trials[lo:hi] - starts[g], r[lo:hi]
+        rows = np.unpackbits(z[local], axis=2, count=n)
+        w_full = w[trials[lo:hi, None], _slot_map(rows, pattern)]
+        feats = np.ones((hi - lo, n + 1))
+        feats[:, :n] = rows[np.arange(hi - lo), row]
+        for j, x, wj, label in zip(range(lo, hi), feats, w_full, labels[local, row].tolist()):
+            out[j] = float(label) * float(x @ wj)
     return out
 
 
@@ -723,9 +720,8 @@ def _pegasos_scores(groups: list[tuple[int, np.ndarray, np.ndarray]]) -> list[np
     :func:`_slot_map`: columns of one slot start at 0 and get the same
     multiply and add every step, so a slot's weight is, bit for bit, each
     of its columns'.  With c_max the largest count, trials whose n + 1
-    columns fit 2**c_max patterns share pattern slots, P = 2**c_max
-    whatever their n; the others have a slot per column, P = n + 1;
-    :func:`_pegasos_loop` runs each P once.
+    columns fit 2**c_max patterns share P = 2**c_max pattern slots; the
+    others have P = n + 1, a slot per column; each P is one loop.
 
     The final scores expand each trial's weights to its own n + 1
     columns and take ``(T, c, n+1) @ (T, n+1, 1)`` on one group's
@@ -764,70 +760,72 @@ def _pegasos_scores(groups: list[tuple[int, np.ndarray, np.ndarray]]) -> list[np
 def _pegasos_loop(groups: list, p: int, pattern: bool) -> np.ndarray:
     """(T, p) slot weights after the Pegasos loop of the trials of ``groups``, c descending.
 
-    The reference bumps ``t`` on every inner step, so at global step s
-    every trial is at ``t = s + 1`` on its row ``s % c``, and stops after
-    ``SVM_EPOCHS * c`` steps: the trials still running are a prefix.  A
-    step scales every weight by ``1 - eta * lambda`` and adds
-    ``eta * label * bit`` to the trials whose margin is below 1, only to
-    those.  That add makes three (hits, p) temporaries beside the step's
-    rows, so where a sixteenth or more hit (every trial on the first
-    step, whose weights are all 0) it adds ``eta * hit * label * bit`` to
-    all, in place: the peak stays at the rows for the same time (16 is
-    the least factor that measured so).  It is the same add: a signed
-    zero where the reference adds nothing or ``-0.0``, which changes no
-    weight, since none is ever ``-0.0`` (they start at ``+0.0``, the
-    scale is positive from t = 2 on, and a sum with a nonzero term is
-    never ``-0.0``).
-
-    A margin is decided from the slot sum when it is farther from 1 than
-    :func:`_slot_tolerance` (at the largest n + 1), which bounds its
-    distance to the reference's ``ddot`` in any order; otherwise the
-    ``ddot`` itself decides (:func:`_ddot_margins`).
+    At global step s every trial is at ``t = s + 1`` on row ``s % c``, and
+    stops after ``SVM_EPOCHS * c`` steps, so the running trials are a
+    prefix.  A step scales their weights by ``1 - eta * lambda`` and adds
+    ``eta * label * bit`` where a margin is below 1.  It evaluates only the
+    trials due (:func:`_next_due`): by slot sum where :func:`_slot_tolerance`
+    clears 1, else by ``ddot`` (:func:`_ddot_margins`).
     """
     sizes, table, codes = _signed_table(groups, p, pattern)
     total, c_max = codes.shape
-    tol = _slot_tolerance(max(n for n, _, _ in groups) + 1, p)
+    k = max(n for n, _, _ in groups) + 1
+    tol = _slot_tolerance(k, p)
+    slack = tol + 2.0 * (5 * SVM_EPOCHS * c_max + 2) * 2.0**-53 * k / SVM_LAMBDA
     starts = np.cumsum([0] + [z.shape[0] for _, z, _ in groups]).tolist()
-    # runs of one candidate count: (first trial, end, c), c descending
-    runs: list[tuple[int, int, int]] = []
-    for (_, z, _), lo, hi in zip(groups, starts, starts[1:]):
-        if runs and runs[-1][2] == z.shape[1]:
-            lo = runs.pop()[0]
-        runs.append((lo, hi, z.shape[1]))
-    flat_codes = codes.ravel()
-    first_row = np.arange(total) * c_max
-    # flat row of each trial's step, first_row + s % c: one up per step, back at each wrap
-    row_at = first_row - 1
-    w = np.zeros((total, p))
-    start = 0
-    # the smallest count stops first: the running trials are runs 0..g
-    for g in reversed(range(len(runs))):
-        live = runs[g][1]
-        row_live, w_live, size_live = row_at[:live], w[:live], sizes[:live]
-        for s in range(start, SVM_EPOCHS * runs[g][2]):
-            eta = 1.0 / (SVM_LAMBDA * (s + 1))
-            row_live += 1
-            for lo, hi, c in runs[: g + 1]:
-                if s % c == 0:
-                    row_live[lo:hi] = first_row[lo:hi]
-            rows = np.take(table, np.take(flat_codes, row_live), axis=0).astype(np.float64, copy=False)
-            approx = _slot_sums(rows, size_live, w_live)
-            hit = approx < 1.0 - tol
-            maybe = approx <= 1.0 + tol
-            if np.count_nonzero(maybe) != np.count_nonzero(hit):
-                unsure = np.flatnonzero(maybe & ~hit)
-                r = row_live[unsure] - first_row[unsure]
-                hit[unsure] = _ddot_margins(groups, starts, pattern, w, unsure, r) < 1.0
-            w_live *= 1.0 - eta * SVM_LAMBDA
-            hits = np.flatnonzero(hit)
-            if 16 * hits.size < live:
-                w_live[hits] += eta * rows[hits]
-            else:
-                rows *= (eta * hit)[:, None]
-                w_live += rows
-            del rows  # freed before the next step gathers its rows
-        start = SVM_EPOCHS * runs[g][2]
+    count = np.repeat([z.shape[1] for _, z, _ in groups], np.diff(starts))
+    stop = -SVM_EPOCHS * count  # ascending; the trials running at step s have -stop > s
+    w, due = np.zeros((total, p)), np.zeros(total, dtype=np.int64)
+    upcoming = 0  # the least due step of a running trial
+    for s in range(SVM_EPOCHS * c_max):
+        eta = 1.0 / (SVM_LAMBDA * (s + 1))
+        live = int(np.searchsorted(stop, -s))
+        if s < upcoming:
+            w[:live] *= 1.0 - eta * SVM_LAMBDA
+            continue
+        now = np.flatnonzero(due[:live] == s)
+        if 2 * now.size > live:  # all of them, on views, not (T, p) gathers
+            now = np.arange(live)
+        at = slice(0, live) if now.size == live else now
+        r = s % count[at]
+        rows = table[codes[now, r]]
+        approx = _slot_sums(rows, sizes[at], w[at])
+        hit = approx < 1.0 - tol
+        unsure = np.flatnonzero((approx <= 1.0 + tol) & ~hit)
+        if unsure.size:
+            hit[unsure] = _ddot_margins(groups, starts, pattern, w, now[unsure], r[unsure]) < 1.0
+        w[:live] *= 1.0 - eta * SVM_LAMBDA
+        np.add.at(w, now[hit], eta * rows[hit])
+        due[at] = _next_due(s, slack, table, codes[at], sizes[at], w[at], count[at])
+        upcoming = int(due[:live].min())
     return w
+
+
+def _next_due(s: int, slack: float, table, codes, sizes, w, count: np.ndarray) -> np.ndarray:
+    """Next due step of trials with weights w entering step s + 1.
+
+    Until an add, step j only scales, by j/(j + 1) in exact terms, so the
+    margin of row r at a later visit s' = r (mod c) is its slot sum a_r at
+    w times (s + 1)/s', up to rounding: the trial is due at the first visit
+    where that can be below 1 + slack, never (SVM_EPOCHS * c_max) past its
+    last step.  The slack bounds the rounding: slot sum and ddot err by the
+    tolerance together; eta * lambda is 1/t within 3u (u = 2**-53; lambda's
+    rounding cancels), so a scale is j/(j + 1) within 4u for t >= 2 and its
+    product adds u: gamma_{5N} K/lambda over N = SVM_EPOCHS * c_max steps,
+    K columns and |w| <= 1/lambda.  "+ 2" and the factor 2 cover the
+    visit's rounding and the denominators.
+    """
+    c_max = codes.shape[1]
+    margin = np.empty(codes.shape)
+    # rows per block: gathers within BATCH_BLOCK_ELEMS
+    step = max(1, BATCH_BLOCK_ELEMS // w.size)
+    for i in range(0, c_max, step):
+        margin[:, i : i + step] = _slot_sums(table[codes[:, i : i + step]], sizes, w)
+    margin[np.arange(c_max) >= count[:, None]] = np.nan  # rows past c: fmin gives the horizon
+    limit = np.fmin(margin * ((s + 1) / (1.0 + slack)), SVM_EPOCHS * c_max)
+    first = np.maximum(np.floor(limit).astype(np.int64) + 1, s + 1)
+    visit = (first + (np.arange(c_max) - first) % count[:, None]).min(axis=1)
+    return np.where(visit < SVM_EPOCHS * count, visit, SVM_EPOCHS * c_max)
 
 
 def _svm_pick(scores: np.ndarray) -> np.ndarray:
@@ -864,14 +862,8 @@ def _svm_by_clusters(cands: CandidateSet, rng: RngStream) -> tuple[int, Clusteri
     scores = feats @ _pegasos_separator(feats, labels)
     pos = scores >= 0.0
     n_pos = int(pos.sum())
-    n_neg = cands.count - n_pos
-    if n_pos > n_neg:
-        side = pos
-    elif n_neg > n_pos:
-        side = ~pos
-    else:
-        # exact split: take the side holding the lowest message index
-        side = pos if pos[0] else ~pos
+    # the larger side wins; an exact split goes to the side holding the lowest message index
+    side = pos if 2 * n_pos > cands.count or (2 * n_pos == cands.count and pos[0]) else ~pos
     side_scores = np.where(side, np.where(pos, scores, -scores), -np.inf)
     return int(indices[int(np.argmax(side_scores))]), clus
 

@@ -216,6 +216,23 @@ def test_kmeans_duplicate_points_terminate():
     assert (clus.assignments == clus.assignments[0]).all()
 
 
+def test_kmeans_seeds_the_lowest_unchosen_point_where_every_seeding_distance_is_zero():
+    # two rows, each twice, at k = 3: once both rows are seeds every seeding distance is 0,
+    # and the third seed is the lowest unchosen point, always a 0000.  Its cluster empties at
+    # the first pass and is reseeded with the point farthest from it, the first 1111; a
+    # third seed on the highest unchosen point, always a 1111, would leave a 0000 there
+    pts = [sequence("0000"), sequence("0000"), sequence("1111"), sequence("1111")]
+    firsts = set()
+    for stream in range(8):
+        clus = kmeans(pts, 3, RngStream(5, stream))
+        firsts.add(int(clus.assignments[0]))
+        assert clus.assignments.tolist() in ([0, 0, 1, 1], [1, 1, 0, 0])
+        assert clus.centroids[2].tolist() == [1.0, 1.0, 1.0, 1.0]
+        assert clus.iterations_used == 2
+    # the first seed fell on either row
+    assert firsts == {0, 1}
+
+
 def test_kmeans_validation():
     pts = np.zeros((3, 2))
     with pytest.raises(ValueError):
@@ -516,9 +533,9 @@ def test_pegasos_scores_with_every_margin_by_ddot_match_the_reference(monkeypatc
 
 
 def test_pegasos_scores_of_many_trials_match_the_reference():
-    # a step adds in place to every weight where a sixteenth or more of the
-    # trials hit (all of them on the first step) and gathers the hits where
-    # fewer do, which takes a loop of well over 16 trials to reach
+    # a step evaluates every running trial, on views, where more than half of them
+    # are due (all of them on the first step) and gathers the due trials where
+    # fewer are, which takes a loop of many trials to reach
     rng = np.random.default_rng(12)
     groups = [
         pegasos_group(rng.integers(0, 2, size=(size, c, 30)), rng.choice([-1, 1], size=(size, c)))
@@ -526,6 +543,79 @@ def test_pegasos_scores_of_many_trials_match_the_reference():
     ]
     for group, scores in zip(groups, decoders._pegasos_scores(groups)):
         assert scores.tobytes() == reference_scores(*group).tobytes()
+
+
+def fig3_svm_pool(seed, per_group):
+    """Pegasos groups shaped like a fig3-svm flush: c in {2, 3, 4}, n in {20, 60, 120}, 2-means labels."""
+    rng = np.random.default_rng(seed)
+    groups = []
+    for n in (20, 60, 120):
+        for c in (2, 3, 4):
+            rows = rng.integers(0, 2, size=(per_group, c, n), dtype=np.uint8)
+            labels = [np.where(kmeans(z, 2, RngStream(seed, t)).assignments == 0, 1, -1) for t, z in enumerate(rows)]
+            groups.append(pegasos_group(rows, labels))
+    return groups
+
+
+def test_pegasos_loop_sums_few_margins_and_matches_the_reference(monkeypatch):
+    # a trial is evaluated only at the steps where its margin can fall below 1, where
+    # its margin and then its rows' margins for the schedule are slot sums: the trials
+    # summed stay under 5% of the trial-steps, for the per-trial loop's scores, bit for bit
+    groups = fig3_svm_pool(31, 30)
+    slot_sums, summed = decoders._slot_sums, []
+
+    def counted(rows, sizes, w):
+        summed.append(rows.shape[0])
+        return slot_sums(rows, sizes, w)
+
+    monkeypatch.setattr(decoders, "_slot_sums", counted)
+    got = decoders._pegasos_scores(groups)
+    trial_steps = decoders.SVM_EPOCHS * sum(z.shape[0] * z.shape[1] for _, z, _ in groups)
+    assert sum(summed) < 0.05 * trial_steps
+    for group, scores in zip(groups, got):
+        assert scores.tobytes() == reference_scores(*group).tobytes()
+
+
+def test_a_margin_of_exactly_one_at_a_scheduled_visit_is_no_hit(monkeypatch):
+    # the reference margin of row 2 is exactly 1.0 at step 500: not below 1, so no add.
+    # The schedule taken at step 403 lands on that visit, and the ddot decides it
+    packed = np.array([[136, 10, 92, 3, 147], [84, 10, 95, 3, 131], [208, 46, 88, 19, 147]], dtype=np.uint8)
+    group = pegasos_group([np.unpackbits(packed, axis=1, count=40)], [[1, -1, 1]])
+    next_due, ddot_margins = decoders._next_due, decoders._ddot_margins
+    schedule, ddots = [], []
+
+    def scheduled(s, *args):
+        due = next_due(s, *args)
+        schedule.append((s, int(due[0])))
+        return due
+
+    def decided(*args):
+        margins = ddot_margins(*args)
+        ddots.extend(margins.tolist())
+        return margins
+
+    monkeypatch.setattr(decoders, "_next_due", scheduled)
+    monkeypatch.setattr(decoders, "_ddot_margins", decided)
+    (scores,) = decoders._pegasos_scores([group])
+    assert (403, 500) in schedule
+    assert ddots == [1.0]
+    assert scores.tobytes() == reference_scores(*group).tobytes()
+
+
+def test_pegasos_loop_peak_memory_is_a_few_weight_arrays():
+    # the weights are (T, p) float64, the slot sizes and signed rows small integers, and
+    # where most trials are due (the first steps) the loop reads views, not gathers: the
+    # peak stays under 3.5 weight arrays (float64 sizes and rows would read 3.9)
+    groups = sorted(fig3_svm_pool(5, 120), key=lambda g: -g[1].shape[1])
+    total, p = sum(z.shape[0] for _, z, _ in groups), 16
+    tracemalloc.start()
+    try:
+        weights = decoders._pegasos_loop(groups, p, True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert weights.shape == (total, p)
+    assert peak < 3.5 * total * p * 8
 
 
 def test_svm_two_candidates_tie_break():
