@@ -621,9 +621,9 @@ def _slot_map(z: np.ndarray, pattern: bool) -> np.ndarray:
     size, c, n = z.shape
     if not pattern:
         return np.broadcast_to(np.arange(n + 1), (size, n + 1))
-    slot = np.zeros((size, n + 1), dtype=np.min_scalar_type(2**c - 1))
-    for i in range(c):
-        slot[:, :n] |= z[:, i].astype(slot.dtype) << i
+    slot = np.empty((size, n + 1), dtype=np.min_scalar_type(2**c - 1))
+    # one integer product against 2**i, exact in the slot type
+    np.einsum("tcn,c->tn", z, 2 ** np.arange(c, dtype=slot.dtype), out=slot[:, :n])
     slot[:, n] = 2**c - 1
     return slot
 

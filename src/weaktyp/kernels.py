@@ -13,8 +13,8 @@ row-major (word i, symbol j at offset i*n+j); the message uses offset 0
 of its stream; noise uses offsets 0..n-1.
 
 The streams are counter-based, so any block of draws can be made on its
-own, in any order.  The kernel draws each symbol once, in three steps.
-It draws every trial's codebook in blocks of at most ``BLOCK_ELEMS``
+own, in any order.  The kernel draws each symbol at most once.  It
+draws every trial's codebook in blocks of at most ``BLOCK_ELEMS``
 draws, each mixed in two uint64 buffers kept from call to call and
 compared straight into the returned codebooks.  It reads each sent word
 as row w-1 of its trial's codebook (or of the fixed one), and draws the
@@ -30,6 +30,28 @@ trials x m x n, but the scan's int64 counts, float64 typicality terms
 and mask grow with trials x m, about 73 bytes per codeword
 (``montecarlo.call_bytes`` is the whole per-trial footprint, and the
 executor sizes calls by it).
+
+Prefix split: where :func:`prefix_length` gives a k < n, a codeword's
+tail is drawn only while the codeword can still be typical.  The kernel
+draws the first k symbols of every codeword, and the rest of each sent
+word so that the received word is whole, and counts the prefixes.  The
+completions of a prefix reach exactly the counts n11 in
+[n11', n11' + r1] and n10 in [n10', n10' + r0], r1 and r0 the ones and
+zeros of the received word after position k.  On that rectangle n*ex
+and n*exy are affine, so each ranges between two corner values; a
+codeword whose range misses its window, widened by the rounding slack
+of :func:`_prefix_slack`, cannot be typical (:func:`_completable`).
+Only the other codewords' tails are drawn and counted, and the exact
+typicality test then scans every row's counts: full ones for the sent
+rows and the survivors, and for a rejected row those of its prefix and
+a zero tail, a completion the prefix test proved atypical, so its
+verdict is False.  So the sent rows and every typical row are whole,
+and a rejected row holds its prefix and a zero tail, which no resolver
+reads (they read candidate rows only).  The rule picks k from a model
+of the draws and returns n, one pass as above, where the split would
+save little, in fixed-codebook mode and where a zero-probability cell
+makes a log constant -inf.
+
 A draw is 1 when its uniform falls below p; that test is made on the
 integer draw, against :func:`weaktyp.rng.raw_threshold` for the
 codebook bias and :func:`weaktyp.rng.unit_threshold` for the channel,
@@ -42,6 +64,8 @@ those bits alone decide a compare against such a threshold.
 
 from __future__ import annotations
 
+import functools
+import math
 import threading
 
 import numpy as np
@@ -123,29 +147,33 @@ def _blocks(count, m, n):
     return min(count, max(1, BLOCK_ELEMS // (m * n))), min(m, max(1, BLOCK_ELEMS // n))
 
 
-def _draw_codebooks(cb_states, rq, xwords):
-    """Draw every trial's codebook into ``xwords``, (count, m, n), in blocks.
+def _draw_codebooks(states, rq, words, n):
+    """Draw ``words``, (U, r, c) uint8 and perhaps a view of row prefixes, in blocks.
 
-    A symbol is 1 when its raw draw falls below ``rq``.
+    Row i, column j of unit u is position i*n + j of the codebook stream
+    with state ``states[u]``: a unit is a trial's codebook, or a stretch
+    of one codeword when r = 1.  A symbol is 1 when its raw draw falls
+    below ``rq``.
     """
-    count, m, n = xwords.shape
-    trials_per_block, words_per_block = _blocks(count, m, n)
-    size = trials_per_block * words_per_block * n
-    # one block row's position offsets serve every range of codewords: a
-    # later range starts from the codebook states skipped ahead to it
-    offsets = position_offsets(np.arange(words_per_block * n, dtype=np.uint64))
+    count, m, width = words.shape
+    trials_per_block, words_per_block = _blocks(count, m, width)
+    size = trials_per_block * words_per_block * width
+    # one block row's position offsets serve every range of rows: a later
+    # range starts from the states skipped ahead to it
+    positions = np.arange(words_per_block * n, dtype=np.uint64).reshape(words_per_block, n)
+    offsets = position_offsets(positions[:, :width].ravel())
     buf = _kept_buffer("draw", size)
     scratch = _kept_buffer("scratch", size)
     for i0 in range(0, m, words_per_block):
         i1 = min(m, i0 + words_per_block)
-        states = skip(cb_states, i0 * n)[:, None, None]
-        row = offsets[: (i1 - i0) * n].reshape(i1 - i0, n)
+        block_states = skip(states, i0 * n)[:, None, None]
+        row = offsets[: (i1 - i0) * width].reshape(i1 - i0, width)
         for a in range(0, count, trials_per_block):
             b = min(count, a + trials_per_block)
-            words = xwords[a:b, i0:i1]
-            z = buf[: words.size].reshape(words.shape)
-            np.add(states[a:b], row, out=z)
-            raw_below(z, rq, words.view(np.bool_), scratch[: words.size].reshape(words.shape))
+            block = words[a:b, i0:i1]
+            z = buf[: block.size].reshape(block.shape)
+            np.add(block_states[a:b], row, out=z)
+            raw_below(z, rq, block.view(np.bool_), scratch[: block.size].reshape(block.shape))
 
 
 def _count(words, ybits):
@@ -182,6 +210,171 @@ def _count(words, ybits):
     return n1x, n11
 
 
+# the split must cut a trial's expected work, in draws, by at least this share
+SPLIT_MIN_SAVING = 1 / 8
+
+# the split's work beyond its draws, in draws: a tail drawn apart (the sent
+# word's, or a prefix test survivor's) is drawn a row at a time, scattered into
+# its codebook and counted on its own, about two draws more a symbol than a
+# prefix symbol; each codeword's prefix test costs about four
+TAIL_EXTRA = 2
+TEST_COST = 4
+
+# prefix lengths the rule weighs: n * j / PREFIX_STEPS, j = 1 .. PREFIX_STEPS - 1
+PREFIX_STEPS = 32
+
+
+def _at_least(mean: float, var: float, t: float) -> float:
+    """P(V >= t) for V normal with this mean and variance (a step at var = 0)."""
+    if var <= 0.0:
+        return float(mean >= t)
+    return 0.5 * math.erfc((t - mean) / math.sqrt(2.0 * var))
+
+
+@functools.lru_cache(maxsize=None)
+def prefix_length(n: int, m: int, q: float, consts: tuple[float, ...], eps: float, fixed: bool) -> int:
+    """Codeword prefix length k of the split draw; n for one pass.
+
+    ``consts`` are the kernel constants of (q, channel).  A trial draws
+    m*k + (n - k) + (m - 1)*(n - k)*P_k symbols in expectation, P_k the
+    chance that a non-sent codeword's prefix passes :func:`_completable`;
+    k minimises that with each tail symbol weighted 1 + ``TAIL_EXTRA``,
+    plus ``TEST_COST`` a codeword, which is the work the split takes
+    measured in draws, over k = n * j / ``PREFIX_STEPS``.  A non-sent
+    codeword is i.i.d. Bernoulli(q) and independent of the received
+    word, whose symbols are i.i.d. with P(y = 1) = 2**ly1.  n*ex and
+    n*exy's lowest reachable values are then sums of independent
+    per-symbol costs (the prefix's, and the cheapest completion of each
+    later symbol), and their highest ones likewise; P_k takes each sum as
+    normal, a range misses its window high or low (never both), and the
+    x and xy tests are taken as independent.  That is a model of the
+    cost only: k changes no output.  The rule returns n where the split
+    would save under ``SPLIT_MIN_SAVING`` of the one pass's m*n draws,
+    in fixed-codebook mode (no codebook is drawn) and where a log
+    constant is -inf.
+    """
+    if fixed or n < 2 or not all(math.isfinite(c) for c in consts):
+        return n
+    lx0, lx1, _, ly1, l00, l01, l10, l11, hx, _, hxy = consts
+    px, py = (1.0 - q, q), (1.0 - 2.0**ly1, 2.0**ly1)
+    cost = {(0, 0): -l00, (0, 1): -l01, (1, 0): -l10, (1, 1): -l11}
+    cx = (-lx0, -lx1)
+    mean_x = px[0] * cx[0] + px[1] * cx[1]
+    var_x = px[0] * px[1] * (cx[1] - cx[0]) ** 2
+    mean_xy = sum(px[x] * py[y] * c for (x, y), c in cost.items())
+    var_xy = sum(px[x] * py[y] * c * c for (x, y), c in cost.items()) - mean_xy**2
+
+    def ends(pick):
+        # mean and variance of one later symbol's cost at its cheapest (min) or dearest (max) completion
+        c0, c1 = pick(cost[0, 0], cost[1, 0]), pick(cost[0, 1], cost[1, 1])
+        return py[0] * c0 + py[1] * c1, py[0] * py[1] * (c1 - c0) ** 2
+
+    low, high = ends(min), ends(max)
+
+    def survives(k):
+        tail = n - k
+        x_high = _at_least(k * mean_x + tail * min(cx), k * var_x, n * (hx + eps))
+        x_low = _at_least(-(k * mean_x + tail * max(cx)), k * var_x, -n * (hx - eps))
+        xy_high = _at_least(k * mean_xy + tail * low[0], k * var_xy + tail * low[1], n * (hxy + eps))
+        xy_low = _at_least(-(k * mean_xy + tail * high[0]), k * var_xy + tail * high[1], -n * (hxy - eps))
+        return max(0.0, 1.0 - x_high - x_low) * max(0.0, 1.0 - xy_high - xy_low)
+
+    # a split saves (m - 1)(n - k)(1 - P_k) draws and P_k falls as k grows, so
+    # k in [n(1 - 2**-j), n(1 - 2**-(j+1))] saves at most (m - 1) n 2**-j (1 - P at
+    # the right end); past 7n/8 that is under SPLIT_MIN_SAVING * m * n for any m
+    bound = max(2.0**-j * (1.0 - survives(round(n * (1.0 - 2.0 ** -(j + 1))))) for j in range(3))
+    if (m - 1) * bound < SPLIT_MIN_SAVING * m:
+        return n
+
+    def work(k):
+        # in draws: the prefixes, then the tails drawn apart at their extra cost, and the tests
+        tails = (n - k) * (1.0 + (m - 1) * survives(k))
+        return m * k + (1 + TAIL_EXTRA) * tails + TEST_COST * m
+
+    k = min({min(n - 1, max(1, round(n * j / PREFIX_STEPS))) for j in range(1, PREFIX_STEPS)}, key=work)
+    return k if work(k) <= (1.0 - SPLIT_MIN_SAVING) * m * n else n
+
+
+def _prefix_slack(n: int, consts: tuple[float, ...], eps: float) -> float:
+    """Bound on the rounding that :func:`_completable`'s compares must absorb, at blocklength n.
+
+    With L the largest |constant| (the entropies are at most L too),
+    every count at most n < 2**24 (exact in float64) and u = 2**-53:
+    the mask's per-symbol costs err by under 6uL (four rounded products
+    and three sums of at most nL, then / n) and its compare by 2uL, so a
+    typical completion's exact n*cost lies within n(eps + 8uL) + 2nu*eps
+    of n*h.  The filter's affine form rounds its coefficients (|a|, |b|
+    <= 2L), two products and a sum (under 23unL), and its thresholds add
+    five terms of at most n(4L + eps) each (under 25unL + 8un*eps).  The
+    sum is under 64un(L + eps); the factor 2 is room.
+    """
+    size = max(abs(c) for c in consts) + eps
+    return 128.0 * 2.0**-53 * n * size
+
+
+def _completable(n, k, n1x, n11, n1y, r1, consts, eps):
+    """(count, m) mask of the codewords some completion of whose first k symbols may be typical.
+
+    (n1x, n11) are the prefix counts, n1y and r1 each trial's ones in
+    its whole received word and after position k.  With every constant
+    finite, n*ex = -n*lx0 + (lx0 - lx1)*n1x over n1x in [n1x, n1x + n - k],
+    and n*exy = base + a*n11 + b*n10 over the rectangle of the module
+    docstring, base = -((n - n1y)*l00 + n1y*l01), a = l01 - l11,
+    b = l00 - l10; a codeword passes unless a range lies a slack
+    (:func:`_prefix_slack`) beyond its window.  A -inf constant breaks
+    the affine form, and every codeword passes.
+    """
+    if not all(math.isfinite(c) for c in consts):
+        return np.ones(n1x.shape, dtype=bool)
+    lx0, lx1, _, _, l00, l01, l10, l11, hx, _, hxy = consts
+    slack = _prefix_slack(n, consts, eps)
+    tail = n - k
+    cx = lx0 - lx1
+    lin = cx * n1x
+    keep = lin < n * (hx + eps) + n * lx0 - min(0.0, cx * tail) + slack
+    keep &= lin > n * (hx - eps) + n * lx0 - max(0.0, cx * tail) - slack
+    a, b = l01 - l11, l00 - l10
+    r0 = tail - r1
+    base = -((n - n1y) * l00 + n1y * l01)
+    below = (n * (hxy + eps) + slack) - base - min(0.0, a) * r1 - min(0.0, b) * r0
+    above = (n * (hxy - eps) - slack) - base - max(0.0, a) * r1 - max(0.0, b) * r0
+    lin = (a - b) * n11
+    lin += b * n1x
+    keep &= lin < below[:, None]
+    keep &= lin > above[:, None]
+    return keep
+
+
+def _add_counts(n1x, n11, rows, tails, ytails):
+    """Add the counts of ``tails`` against ``ytails``, both (R, w) uint8, to flat rows ``rows``.
+
+    The block is counted in float32, exactly, as in :func:`_count`.
+    """
+    block = tails.astype(np.float32)
+    n1x.reshape(-1)[rows] += (block @ np.ones(block.shape[1], dtype=np.float32)).astype(np.int64)
+    n11.reshape(-1)[rows] += np.einsum("ij,ij->i", block, ytails, dtype=np.float32).astype(np.int64)
+
+
+def _draw_tails(cb_states, rq, rows, k, which, ytails, n1x, n11):
+    """Draw the tails (symbols k..n-1) of the (count * m, n) codebook rows ``which`` into ``rows`` and count them.
+
+    A block of at most ``BLOCK_ELEMS / 4`` symbols at a time: its uint8
+    tails, their float32 copy and its received tails, about 6 bytes a
+    symbol, then fit in heap the call has freed (with whole blocks the
+    fig1-rate benchmark's process peaked 0.5 MB higher).
+    """
+    m = n1x.shape[1]
+    n = rows.shape[1]
+    per_block = max(1, BLOCK_ELEMS // (4 * (n - k)))
+    for a in range(0, which.size, per_block):
+        idx = which[a : a + per_block]
+        t, i = np.divmod(idx, m)
+        tails = np.empty((idx.size, n - k), dtype=np.uint8)
+        _draw_codebooks(skip(cb_states[t], i * n + k), rq, tails[:, None], n)
+        rows[idx, k:] = tails
+        _add_counts(n1x, n11, idx, tails, ytails[t])
+
+
 def simulate_trials(
     derived_master: int,
     tid0: int,
@@ -199,16 +392,29 @@ def simulate_trials(
 
     Returns (true_w, typicality mask, received bits, drawn codebooks);
     the last entry is None in fixed-codebook mode.  ``t0``/``t1`` are
-    the channel's P(y=1 | x=0) and P(y=1 | x=1).
+    the channel's P(y=1 | x=0) and P(y=1 | x=1).  Under a prefix split
+    (:func:`prefix_length`) a codebook row that cannot be typical holds
+    its first k symbols and zeros; the sent rows and every typical row
+    are whole.
     """
     tids = np.arange(tid0, tid0 + count, dtype=np.uint64)
     u_msg = uniforms_at(stream_states(derived_master, trial_stream(tids, PURPOSE_MESSAGE)), 0)
     true_w = np.minimum((u_msg * m).astype(np.int64), m - 1) + 1
 
+    k = prefix_length(n, m, q, consts, eps, fixed_words is not None)
     if fixed_words is None:
-        xwords = np.empty((count, m, n), dtype=np.uint8)
+        # a split leaves the tails it never draws zero
+        xwords = (np.empty if k == n else np.zeros)((count, m, n), dtype=np.uint8)
+        rows = xwords.reshape(count * m, n)
         cb_states = stream_states(derived_master, trial_stream(tids, PURPOSE_CODEBOOK))
-        _draw_codebooks(cb_states, raw_threshold(q), xwords)
+        rq = raw_threshold(q)
+        _draw_codebooks(cb_states, rq, xwords[:, :, :k], n)
+        if k < n:
+            # the rest of each sent word, which its received word needs
+            sent_rows = np.arange(count) * m + true_w - 1
+            sent_tails = np.empty((count, n - k), dtype=np.uint8)
+            _draw_codebooks(skip(cb_states, (true_w - 1) * n + k), rq, sent_tails[:, None], n)
+            rows[sent_rows, k:] = sent_tails
         words = xwords
     else:
         xwords, words = None, fixed_words[None]
@@ -221,8 +427,20 @@ def simulate_trials(
     ybits = np.where(sent, noise < unit_threshold(t1), noise < unit_threshold(t0)).view(np.uint8)
     del sent, noise  # the scan need not hold their 9 bytes per symbol
 
-    n1x, n11 = _count(words, ybits)
+    n1x, n11 = _count(words[:, :, :k], ybits[:, :k])
     n1y = ybits.sum(axis=1, dtype=np.int64)
+    if k < n:
+        ytails = ybits[:, k:]
+        keep = _completable(n, k, n1x, n11, n1y, ytails.sum(axis=1, dtype=np.int64), consts, eps)
+        # the sent rows are whole already; of the others, only those that may be typical get tails
+        keep.reshape(-1)[sent_rows] = False
+        todo = np.flatnonzero(keep)
+        del keep
+        _add_counts(n1x, n11, sent_rows, sent_tails, ytails)
+        _draw_tails(cb_states, rq, rows, k, todo, ytails, n1x, n11)
+        del todo, sent_tails
+    # a rejected row's counts are those of its prefix and zero tail, a completion
+    # that _completable proved atypical, so its verdict is False
     n10 = n1x - n11
     n01 = n1y[:, None] - n11
     n00 = n - n1x - n1y[:, None] + n11

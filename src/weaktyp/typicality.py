@@ -80,7 +80,9 @@ def build_context(q: float, ch: Dmc) -> JointContext:
                 h -= p * math.log2(p)
         return h
 
-    log_table = np.vectorize(_log2_or_neg_inf, otypes=[np.float64])
+    def log_table(probs: np.ndarray) -> np.ndarray:
+        return np.array([_log2_or_neg_inf(p) for p in probs.ravel().tolist()]).reshape(probs.shape)
+
     return JointContext(
         px=px,
         py=py,

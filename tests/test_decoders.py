@@ -633,6 +633,33 @@ def test_svm_returns_candidate_member():
         assert decode(cands, "svm", RngStream(7000, trial)) in indices
 
 
+@pytest.mark.parametrize("m, n", [(4, 43), (6, 43)])
+def test_resolvers_read_candidate_rows_only(m, n):
+    # the executor packs every row of a multi-candidate trial, but a resolver may read
+    # only the candidates': the kernel leaves a rejected codeword's tail zero.  m = 4
+    # gives the svm pattern slots at n = 43, m = 6 its column slots
+    from weaktyp.montecarlo import TrialConfig
+
+    cfg = TrialConfig(n=n, m=m, q=0.5, channel=bsc(0.4), eps=0.1, master_seed=808)
+    dm = derived_master(cfg)
+    consts = build_context(cfg.q, cfg.channel).kernel_constants()
+    _, mask, ybits, xwords = simulate_trials(dm, 0, 400, m, n, cfg.q, 0.4, 0.6, consts, cfg.eps, None)
+    counts = mask.sum(axis=1)
+    trials = np.flatnonzero((counts >= 2) & (counts < m))
+    assert trials.size >= 20
+    mask = mask[trials]
+    z = np.packbits(xwords[trials] ^ ybits[trials, None, :], axis=2)
+    states = stream_states(dm, trial_stream(trials.astype(np.uint64), PURPOSE_RESOLVER))
+    noise = np.random.default_rng(9).integers(0, 2, size=(trials.size, m, n), dtype=np.uint8)
+    scrambled = np.where(mask[:, :, None], z, np.packbits(noise, axis=2))
+    assert not np.array_equal(scrambled, z)
+    for resolver in decoders.RESOLVERS:
+        (a,) = decoders.resolve_batch([PackedTrials(n, mask, z, states)], resolver, 3)
+        (b,) = decoders.resolve_batch([PackedTrials(n, mask, scrambled, states)], resolver, 3)
+        assert np.array_equal(a.decoded, b.decoded)
+        assert np.array_equal(a.iterations, b.iterations)
+
+
 # ---------------------------------------------------------------------------
 # symbol-relabeling equivariance of the whole decode stack
 
@@ -647,15 +674,18 @@ def test_symbol_flip_equivariance():
     ctx_flip = build_context(0.7, bsc(0.4))
     dm = derived_master(cfg)
     consts = ctx.kernel_constants()
-    w, mask, ybits, xwords = simulate_trials(
+    w, mask, ybits, _ = simulate_trials(
         dm, 0, 300, cfg.m, cfg.n, cfg.q, 0.4, 0.6, consts, cfg.eps, None
     )
     from weaktyp.core import Codebook
+    from weaktyp.montecarlo import _trial_codebook
 
     exercised = 0
     for t in range(300):
-        cb = Codebook(words=xwords[t], q=0.3)
-        cb_flip = Codebook(words=1 - xwords[t], q=0.7)
+        # the reference codebook: the kernel's rows of rejected codewords hold only their prefix
+        words = _trial_codebook(cfg, dm, t).words
+        cb = Codebook(words=words, q=0.3)
+        cb_flip = Codebook(words=1 - words, q=0.7)
         y = ybits[t]
         y_flip = (1 - y).astype(np.uint8)
         cands = find_candidates(y, cb, ctx, cfg.eps)

@@ -1,9 +1,10 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from weaktyp import kernels, montecarlo
+from weaktyp import config, kernels, montecarlo, typicality
 from weaktyp.core import bsc
 from weaktyp.montecarlo import (
     TrialConfig,
@@ -91,7 +92,76 @@ KERNEL_CASES = [
     (TrialConfig(n=6, m=3, q=0.5, channel=bsc(1.0), eps=0.3, codebook_mode="fixed", master_seed=5), 8, 4),
     # counts past 255 at q = 1/2, the dyadic bias whose draws skip the last xorshift
     (TrialConfig(n=600, m=3, q=0.5, channel=bsc(0.05), eps=0.8, master_seed=13), 4, 1 << 16),
+    # fig1-rate's n = 200 point, whose codebooks the rule splits after a prefix
+    (TrialConfig(n=200, m=256, q=0.5, channel=bsc(0.05), eps=0.8, master_seed=23), 3, 1 << 16),
 ]
+
+
+def _prefix_length(cfg):
+    """The kernel's prefix length for ``cfg``, by its own rule."""
+    consts = build_context(cfg.q, cfg.channel).kernel_constants()
+    return kernels.prefix_length(cfg.n, cfg.m, cfg.q, consts, cfg.eps, cfg.codebook_mode == "fixed")
+
+
+def test_only_the_fig1_rate_case_takes_the_split():
+    # at m <= 5 the split's own work outweighs the draws it saves, even on fig1's parameters
+    assert [_prefix_length(cfg) < cfg.n for cfg, _, _ in KERNEL_CASES] == [False] * 8 + [True]
+
+
+@pytest.mark.parametrize("profile", ["desk", "full"])
+def test_the_rule_keeps_one_pass_on_every_fig3_point(profile):
+    cfg = config.defaults(profile)
+    points = [(q, n) for q in cfg["fig3_q_values"] for n in cfg["fig3_blocklengths"]]
+    assert len(points) == {"desk": 54, "full": 90}[profile]
+    for q, n in points:
+        consts = build_context(q, bsc(cfg["fig3_channel_p"])).kernel_constants()
+        assert kernels.prefix_length(n, cfg["m_messages"], q, consts, cfg["fig3_eps"], False) == n
+
+
+def test_the_rule_keeps_one_pass_for_a_fixed_codebook_and_a_certain_channel():
+    split = KERNEL_CASES[-1][0]
+    assert _prefix_length(split) < split.n
+    assert _prefix_length(replace(split, codebook_mode="fixed")) == split.n
+    # a zero-probability cell: a log constant is -inf and the affine ranges do not hold
+    for p in (0.0, 1.0):
+        assert _prefix_length(replace(split, channel=bsc(p))) == split.n
+
+
+def test_the_prefix_test_keeps_a_completion_typical_by_a_hair():
+    # eps just above the largest cost deviation of one completion at a corner of the
+    # rectangle, where its range ends: the mask takes that completion by one ulp, and
+    # the prefix test, whose affine sums round otherwise, must keep it by its slack
+    rs = np.random.default_rng(21)
+    for _ in range(3000):
+        n = int(rs.integers(2, 301))
+        k = int(rs.integers(1, n))
+        q, p = rs.uniform(0.02, 0.98), rs.uniform(0.001, 0.49)
+        ctx = build_context(q, bsc(p))
+        lx0, lx1, _, _, l00, l01, l10, l11, hx, hy, hxy = consts = ctx.kernel_constants()
+        k1, r1 = int(rs.integers(0, k + 1)), int(rs.integers(0, n - k + 1))
+        n11p, n10p = int(rs.integers(0, k1 + 1)), int(rs.integers(0, k - k1 + 1))
+        # exy's least corner, or its greatest
+        low = bool(rs.integers(2))
+        n11 = n11p + r1 * ((l01 < l11) == low)
+        n10 = n10p + (n - k - r1) * ((l00 < l10) == low)
+        n1x, n1y = n11 + n10, k1 + r1
+        counts = (n, n1x, n1y, n - n1x - n1y + n11, n1y - n11, n10, n11)
+        eps = np.nextafter(max(abs(c - h) for c, h in zip(typicality._costs(*counts, ctx), (hx, hy, hxy))), np.inf)
+        assert typicality.typical_from_counts(*counts, ctx, eps)
+        keep = kernels._completable(
+            n, k, np.array([[n11p + n10p]]), np.array([[n11p]]), np.array([n1y]), np.array([r1]), consts, eps
+        )
+        assert keep.all(), (n, k, q, p, counts)
+
+
+def _assert_rows_follow_the_contract(got, want, mask, w, k):
+    """Typical and sent rows are whole; any other row is whole or its k-prefix and zeros."""
+    whole = mask.copy()
+    whole[w - 1] = True
+    assert np.array_equal(got[whole], want[whole])
+    rest, ref = got[~whole], want[~whole]
+    assert np.array_equal(rest[:, :k], ref[:, :k])
+    assert np.all(np.all(rest[:, k:] == ref[:, k:], axis=1) | ~rest[:, k:].any(axis=1))
 
 
 @pytest.mark.parametrize("cfg, count, block_elems", KERNEL_CASES)
@@ -107,6 +177,7 @@ def test_simulate_trials_equals_reference_path(monkeypatch, cfg, count, block_el
     )
     assert (true_w.dtype, mask.dtype, ybits.dtype) == (np.int64, np.bool_, np.uint8)
     assert (xwords is None) == (fixed is not None)
+    k = _prefix_length(cfg)
     for t in range(count):
         w, y, ref_mask, words = _reference_trial(cfg, tid0 + t)
         assert true_w[t] == w
@@ -114,7 +185,7 @@ def test_simulate_trials_equals_reference_path(monkeypatch, cfg, count, block_el
         assert np.array_equal(mask[t], ref_mask)
         if xwords is not None:
             assert xwords.dtype == np.uint8
-            assert np.array_equal(xwords[t], words)
+            _assert_rows_follow_the_contract(xwords[t], words, mask[t], w, k)
 
 
 def test_counts_are_exact_past_the_float16_range(monkeypatch):
@@ -137,10 +208,14 @@ def test_counts_are_exact_past_the_float16_range(monkeypatch):
         kernels._count(np.zeros((1, 2, 1 << 24), np.uint8), np.zeros((1, 1 << 24), np.uint8))
 
 
-@pytest.mark.parametrize("mode", ["redraw", "fixed"])
+@pytest.mark.parametrize("mode", ["redraw", "fixed", "split"])
 def test_each_symbol_is_drawn_once(monkeypatch, mode):
-    # blocks of two codewords of one trial: the sent word lies in one of them
-    cfg = TrialConfig(n=10, m=5, q=0.5, channel=bsc(0.1), eps=0.3, codebook_mode=mode, master_seed=17)
+    # blocks of two codewords of one trial: the sent word lies in one of them; the
+    # rule splits the split case's codebooks (fig1's parameters at m = 16) after a prefix
+    if mode == "split":
+        cfg = TrialConfig(n=50, m=16, q=0.5, channel=bsc(0.05), eps=0.8, master_seed=17)
+    else:
+        cfg = TrialConfig(n=10, m=5, q=0.5, channel=bsc(0.1), eps=0.3, codebook_mode=mode, master_seed=17)
     monkeypatch.setattr(kernels, "BLOCK_ELEMS", 2 * cfg.n)
     fixed = fixed_codebook(cfg).words if mode == "fixed" else None
     args = (
@@ -163,7 +238,28 @@ def test_each_symbol_is_drawn_once(monkeypatch, mode):
     # states through rng.finalize, neither of which is counted
     for name in ("raw_below", "raw_at"):
         monkeypatch.setattr(kernels, name, spy(getattr(kernels, name)))
-    kernels.simulate_trials(*args)
+    # the prefix test's verdicts, as it returned them
+    verdicts = []
+    test = kernels._completable
+
+    def completable(*a):
+        keep = test(*a)
+        verdicts.append(keep.copy())
+        return keep
+
+    monkeypatch.setattr(kernels, "_completable", completable)
+    true_w = kernels.simulate_trials(*args)[0]
+    if mode == "split":
+        k, (keep,) = _prefix_length(cfg), verdicts
+        # the sent rows are whole whatever their verdict; the other survivors get tails
+        keep[np.arange(6), true_w - 1] = False
+        survivors = int(keep.sum())
+        assert k < cfg.n and 0 < survivors < 6 * (cfg.m - 1)
+        # each trial's prefixes and sent tail, then the tails of the surviving other rows
+        assert sum(draws) == 6 * (cfg.m * k + cfg.n - k) + survivors * (cfg.n - k) + 6 * cfg.n
+        assert sum(draws) - 6 * cfg.n < 6 * cfg.m * cfg.n
+        return
+    assert verdicts == []
     codebook_words = cfg.m if fixed is None else 0
     assert sum(draws) == 6 * (codebook_words + 1) * cfg.n
 

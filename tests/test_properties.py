@@ -4,6 +4,7 @@ Example budgets are fixed and generation is derandomized, so every run
 checks the same cases.
 """
 
+import math
 from dataclasses import fields
 
 import numpy as np
@@ -25,12 +26,14 @@ from weaktyp.montecarlo import (
     CODEBOOK_MODES,
     TrialBatch,
     TrialConfig,
+    derived_master,
     fixed_codebook,
     iter_points,
     run_trial,
     run_trials,
 )
 from weaktyp.rng import RngStream, stream_states
+from weaktyp.typicality import build_context
 
 
 def fixed_budget(examples):
@@ -70,6 +73,78 @@ def test_run_trials_equals_run_trial(setup):
         assert rec.jt_outcome.decoded == batch.jt_decoded[i]
         assert rec.weak_outcome.decoded == batch.weak_decoded[i]
         assert rec.candidate_count == batch.candidate_counts[i]
+
+
+@st.composite
+def split_setups(draw):
+    """A redraw config, a prefix length k in 1..n-1, a trial count and a kernel block size.
+
+    The channel and the window are log-uniform, so a quiet channel and a
+    narrow window, where prefixes are rejected, come up often; the edges
+    (q within 1e-6 of 0 or 1, the noiseless and the always-flipping
+    channel, whose -inf log constants let no prefix be rejected) are
+    pinned examples of the test.
+    """
+    n = draw(st.integers(2, 300))
+    cfg = TrialConfig(
+        n=n,
+        m=draw(st.integers(2, 64)),
+        q=draw(st.floats(0.01, 0.99)),
+        channel=bsc(draw(st.floats(math.log(0.001), math.log(0.49)).map(math.exp))),
+        eps=draw(st.floats(math.log(0.01), math.log(2.0)).map(math.exp)),
+        master_seed=draw(st.integers(0, 2**63)),
+    )
+    block_elems = draw(st.sampled_from((1, 7, 64, kernels.BLOCK_ELEMS)))
+    # a longer prefix rejects more, so the later half is drawn as often as all of 1..n-1
+    k = draw(st.one_of(st.integers(1, n - 1), st.integers(n // 2, n - 1)))
+    return cfg, k, draw(st.integers(1, 6)), block_elems
+
+
+def _split_edge(n, m, q, p, eps, k):
+    return TrialConfig(n=n, m=m, q=q, channel=bsc(p), eps=eps, master_seed=5), k, 4, 64
+
+
+def test_a_prefix_split_keeps_every_verdict_and_every_typical_row():
+    # the kernel at a random prefix length against its one pass (k = n)
+    hits = {"rejected_a_codeword": 0, "typical_rows": 0}
+
+    @fixed_budget(150)
+    @given(split_setups())
+    @example(_split_edge(120, 16, 1e-6, 0.05, 0.8, 70))
+    @example(_split_edge(120, 16, 1 - 1e-6, 0.05, 0.8, 70))
+    @example(_split_edge(200, 32, 0.5, 0.0, 0.8, 112))
+    @example(_split_edge(200, 32, 0.5, 1.0, 0.8, 112))
+    @example(_split_edge(200, 32, 0.3, 0.0, 0.05, 20))
+    def check(setup):
+        cfg, k, count, block_elems = setup
+        args = (
+            derived_master(cfg), 11, count, cfg.m, cfg.n, cfg.q,
+            float(cfg.channel.transition[0, 1]), float(cfg.channel.transition[1, 1]),
+            build_context(cfg.q, cfg.channel).kernel_constants(), cfg.eps, None,
+        )
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(kernels, "BLOCK_ELEMS", block_elems)
+            patch.setattr(kernels, "prefix_length", lambda n, *rest: n)
+            true_w, mask, ybits, whole = kernels.simulate_trials(*args)
+            patch.setattr(kernels, "prefix_length", lambda *a: k)
+            split = kernels.simulate_trials(*args)
+        assert np.array_equal(split[0], true_w)
+        assert np.array_equal(split[1], mask)
+        assert np.array_equal(split[2], ybits)
+        rows = split[3]
+        # typical and sent rows are whole; every row keeps its prefix; a cut row's tail is zero
+        kept = mask.copy()
+        kept[np.arange(count), true_w - 1] = True
+        assert np.array_equal(rows[kept], whole[kept])
+        assert np.array_equal(rows[:, :, :k], whole[:, :, :k])
+        cut = np.any(rows[:, :, k:] != whole[:, :, k:], axis=2)
+        assert not rows[:, :, k:][cut].any()
+        hits["rejected_a_codeword"] += bool(cut.any())
+        hits["typical_rows"] += bool(mask.any())
+
+    check()
+    assert hits["rejected_a_codeword"] >= 40, hits
+    assert hits["typical_rows"] >= 40, hits
 
 
 @st.composite
@@ -286,6 +361,11 @@ def packed_trials(words, received, mask, states):
 
 
 def test_batch_resolution_equals_cluster_resolve(monkeypatch):
+    """``cluster_resolve_batch`` decides as the per-trial reference, ``weak_outcome``, on random pools.
+
+    The name keeps the per-trial wrapper ``cluster_resolve`` that the
+    reference once was, so the test id stays the same.
+    """
     # tiny blocks, so a call spans several lockstep blocks per candidate count
     monkeypatch.setattr(decoders, "BATCH_BLOCK_ELEMS", 8)
     hits = {
@@ -374,6 +454,11 @@ def test_batch_resolution_equals_cluster_resolve(monkeypatch):
 
 
 def test_batch_resolution_with_wide_comparisons_equals_cluster_resolve(monkeypatch):
+    """As the test above, with every comparison made in Python integers; the reference is ``weak_outcome``.
+
+    The name keeps the per-trial wrapper ``cluster_resolve`` that the
+    reference once was, so the test id stays the same.
+    """
     # every Lloyd assignment compared by cross products in Python integers, as past c**4 n = 2**52
     nearest = decoders._nearest
     monkeypatch.setattr(decoders, "_nearest", lambda shifted, w, sq, n: nearest(shifted, w, sq, 2**52))
@@ -465,6 +550,11 @@ def svm_parts(draw):
 
 
 def test_batch_svm_equals_svm_resolve(monkeypatch):
+    """``svm_resolve_batch`` decides as the per-trial reference, ``weak_outcome`` with ``svm``.
+
+    The name keeps the per-trial wrapper ``svm_resolve`` that the
+    reference once was, so the test id stays the same.
+    """
     hits = {
         "all_rows_equal": 0,
         "even_split": 0,
