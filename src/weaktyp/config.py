@@ -17,6 +17,7 @@ from dataclasses import replace
 from .core import bsc
 from .decoders import RESOLVERS
 from .experiments import M_MODES, messages_at_rate
+from .kernels import MAX_N
 from .montecarlo import CHUNK_BYTES, CODEBOOK_MODES, ENUM_MAX_M, ENUM_MAX_N, TrialConfig, call_bytes
 
 
@@ -175,6 +176,8 @@ def validate(cfg: dict) -> None:
             field,
             "blocklengths must be strictly increasing",
         )
+        # the kernel's float32 counts are exact only below MAX_N symbols
+        _check(values[-1] < MAX_N, field, f"blocklengths must be below 2**24 = {MAX_N}")
     # one trial must fit a kernel call: its whole footprint, codebook and scan
     # arrays, at the longest blocklength; fig3 always uses m_messages, fig1/fig2
     # only under fixed-m

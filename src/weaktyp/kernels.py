@@ -13,53 +13,43 @@ row-major (word i, symbol j at offset i*n+j); the message uses offset 0
 of its stream; noise uses offsets 0..n-1.
 
 The streams are counter-based, so any block of draws can be made on its
-own, in any order.  The kernel draws each symbol at most once.  It
-draws every trial's codebook in blocks of at most ``BLOCK_ELEMS``
-draws, each mixed in two uint64 buffers kept from call to call and
-compared straight into the returned codebooks.  It reads each sent word
-as row w-1 of its trial's codebook (or of the fixed one), and draws the
-noise to form the received word.  Then one blocked loop counts the drawn
-codebooks, or the shared uint8 codebook with no wider copy of it,
-against the received words: each block is copied into a float32 buffer
-and multiplied by its trials' received words beside a ones column,
-which gives n11 and n1x in one product.  That product is exact in any
-summation order and under any BLAS thread count, because every partial
-sum is an integer of at most n < 2**24 (``config.validate`` admits no
-longer blocklength).  Only the returned ``uint8`` codebooks grow with
-trials x m x n, but the scan's int64 counts, float64 typicality terms
-and mask grow with trials x m, about 73 bytes per codeword
-(``montecarlo.call_bytes`` is the whole per-trial footprint, and the
-executor sizes calls by it).
+own, in any order.  The kernel draws each symbol at most once, in blocks
+of at most ``BLOCK_ELEMS`` draws mixed in two uint64 buffers kept from
+call to call and compared straight into uint8 output: the codebooks
+(into the caller's buffer, if given), then the noise, into the received
+words, each sent word read as row w-1 of its codebook.  One blocked loop
+then counts the codebooks against the received words: each block is
+copied into a float32 buffer and multiplied by its trials' received
+words beside a ones column, giving n11 and n1x in one product, exact in
+any summation order because every partial sum is an integer below
+``MAX_N`` = 2**24 (``config.validate`` admits no longer blocklength).
+Beside the codebooks a trial holds 2n bytes of words and at most 73
+bytes per codeword of scan arrays (``montecarlo.call_bytes``).
 
-Prefix split: where :func:`prefix_length` gives a k < n, a codeword's
-tail is drawn only while the codeword can still be typical.  The kernel
-draws the first k symbols of every codeword, and the rest of each sent
-word so that the received word is whole, and counts the prefixes.  The
-completions of a prefix reach exactly the counts n11 in
-[n11', n11' + r1] and n10 in [n10', n10' + r0], r1 and r0 the ones and
-zeros of the received word after position k.  On that rectangle n*ex
-and n*exy are affine, so each ranges between two corner values; a
-codeword whose range misses its window, widened by the rounding slack
-of :func:`_prefix_slack`, cannot be typical (:func:`_completable`).
-Only the other codewords' tails are drawn and counted, and the exact
-typicality test then scans every row's counts: full ones for the sent
-rows and the survivors, and for a rejected row those of its prefix and
-a zero tail, a completion the prefix test proved atypical, so its
-verdict is False.  So the sent rows and every typical row are whole,
-and a rejected row holds its prefix and a zero tail, which no resolver
-reads (they read candidate rows only).  The rule picks k from a model
-of the draws and returns n, one pass as above, where the split would
-save little, in fixed-codebook mode and where a zero-probability cell
-makes a log constant -inf.
+Prefix split: where :func:`prefix_length` gives a k < n, the kernel
+draws the first k symbols of every codeword and the rest of each sent
+word, and counts the prefixes.  The completions of a prefix reach
+exactly the counts n11 in [n11', n11' + r1] and n10 in
+[n10', n10' + r0], r1 and r0 the ones and zeros of the received word
+after position k; on that rectangle n*ex and n*exy are affine, and a
+codeword with a range that misses its window, widened by the rounding
+slack of :func:`_prefix_slack`, cannot be typical (:func:`_completable`).
+Only the other codewords' tails are drawn and counted, and only they and
+the sent rows are scanned; a rejected row's verdict is False.  So the
+sent rows and every typical row are whole, and a rejected row holds its
+prefix and a zero tail, which no resolver reads.  The rule returns n,
+one pass, where the split would save little, in fixed-codebook mode and
+where a log constant is -inf.
 
 A draw is 1 when its uniform falls below p; that test is made on the
-integer draw, against :func:`weaktyp.rng.raw_threshold` for the
-codebook bias and :func:`weaktyp.rng.unit_threshold` for the channel,
-and either is exactly the same comparison.  The codebook compare,
-:func:`weaktyp.rng.raw_below`, skips the finalizer's last xorshift
-``z ^ (z >> 31)`` when the threshold's low 33 bits are zero, as they are
-for every q = k / 2**31: that step leaves bits 33..63 as they are, and
-those bits alone decide a compare against such a threshold.
+integer draw, against :func:`weaktyp.rng.raw_threshold`, or, for a
+channel with a probability 1, against :func:`weaktyp.rng.unit_threshold`
+after the shift to unit bits, and either is exactly the same comparison.
+The codebook compare, :func:`weaktyp.rng.raw_below`, skips the
+finalizer's last xorshift ``z ^ (z >> 31)`` when the threshold's low 33
+bits are zero, as they are for every q = k / 2**31: that step leaves
+bits 33..63 as they are, and those bits alone decide a compare against
+such a threshold.
 """
 
 from __future__ import annotations
@@ -74,8 +64,8 @@ from .rng import (
     PURPOSE_CODEBOOK,
     PURPOSE_MESSAGE,
     PURPOSE_NOISE,
+    finalize,
     position_offsets,
-    raw_at,
     raw_below,
     raw_threshold,
     skip,
@@ -89,6 +79,9 @@ from .rng import (
 # symbols per block: the draw's two uint64 buffers of this size, and the
 # count's one float32 buffer, stay in cache
 BLOCK_ELEMS = 1 << 16
+
+# blocklengths below this keep every float32 count exact
+MAX_N = 1 << 24
 
 # the draw's two uint64 block buffers, kept from call to call (one pair per
 # thread): made afresh, their pages can be mapped anew on every call, which
@@ -128,14 +121,27 @@ def _typicality_mask(
     lx0, lx1, ly0, ly1, l00, l01, l10, l11, hx, hy, hxy = consts
 
     def term(count, log_p):
+        # a finite log_p needs no guard: 0 * log_p is a zero whose sign no
+        # verdict sees (it can only flip a zero sum, and |±0 - h| is |h|)
+        if math.isfinite(log_p):
+            return count * log_p
         # the masked branch may transiently compute 0 * (-inf)
         with np.errstate(invalid="ignore"):
             return np.where(count == 0, 0.0, count * log_p)
 
-    ex = -(term(n - n1x, lx0) + term(n1x, lx1)) / n
-    ey = -(term(n - n1y, ly0) + term(n1y, ly1)) / n
+    # ex depends on n1x alone and ey on n1y alone: each verdict is taken once
+    # per count 0..n, elementwise and so bit for bit, then looked up
+    ones = np.arange(n + 1)
+    ex = -(term(n - ones, lx0) + term(ones, lx1)) / n
+    ey = -(term(n - ones, ly0) + term(ones, ly1)) / n
     exy = -(((term(n00, l00) + term(n01, l01)) + term(n10, l10)) + term(n11, l11)) / n
-    return (np.abs(ex - hx) < eps) & (np.abs(ey - hy) < eps)[..., None] & (np.abs(exy - hxy) < eps)
+    return (np.abs(ex - hx) < eps)[n1x] & (np.abs(ey - hy) < eps)[n1y][..., None] & (np.abs(exy - hxy) < eps)
+
+
+def _scan(n, n1x, n1y, n11, consts, eps):
+    """Typicality mask of codewords with counts (n1x, n11), (T, c), against received words with n1y ones, (T,)."""
+    col = n1y[:, None]
+    return _typicality_mask(n, n1x, n1y, n - n1x - col + n11, col - n11, n1x - n11, n11, consts, eps)
 
 
 def _blocks(count, m, n):
@@ -176,18 +182,41 @@ def _draw_codebooks(states, rq, words, n):
             raw_below(z, rq, block.view(np.bool_), scratch[: block.size].reshape(block.shape))
 
 
+def _draw_received(states, sent, t0, t1, ybits):
+    """Draw the received words of the (T, n) uint8 ``sent`` words into ``ybits``, in blocks.
+
+    Symbol j of trial u, position j of stream ``states[u]``, is 1 when
+    its draw falls below t1 where the sent bit is 1, else below t0.  A
+    probability 1 has no raw threshold, so then the draws are shifted to
+    unit bits first.
+    """
+    count, n = ybits.shape
+    per_block = min(count, max(1, BLOCK_ELEMS // n))
+    offsets = position_offsets(np.arange(n, dtype=np.uint64))
+    raw = max(t0, t1) < 1.0
+    th0, th1 = (raw_threshold(t0), raw_threshold(t1)) if raw else (unit_threshold(t0), unit_threshold(t1))
+    buf = _kept_buffer("draw", per_block * n)
+    scratch = _kept_buffer("scratch", per_block * n)
+    for a in range(0, count, per_block):
+        b = min(count, a + per_block)
+        z = buf[: (b - a) * n].reshape(b - a, n)
+        s = scratch[: z.size].reshape(z.shape)
+        np.add(states[a:b, None], offsets, out=z)
+        finalize(z, out=z, scratch=s)
+        if not raw:
+            unit_bits(z, out=z)
+        np.multiply(sent[a:b], th0 ^ th1, out=s)
+        np.less(z, np.bitwise_xor(s, th0, out=s), out=ybits[a:b].view(np.bool_))
+
+
 def _count(words, ybits):
     """(n1x, n11) per codeword of ``words`` against every received word.
 
     ``words`` is the drawn (count, m, n) codebooks or one shared
-    (1, m, n) codebook.  Each block of at most ``BLOCK_ELEMS`` symbols
-    is copied into one float32 buffer and multiplied by its trials'
-    received words beside a ones column, giving n11 and n1x at once.
-    The product is exact in any summation order: every partial sum is an
-    integer of at most n < 2**24.
+    (1, m, n) codebook, counted in blocks as the module docstring says.
     """
     count, n = ybits.shape
-    if n >= 1 << 24:
+    if n >= MAX_N:
         raise ValueError(f"float32 counts are exact only below 2**24 symbols, got n = {n}")
     m = words.shape[1]
     trials_per_block, words_per_block = _blocks(count, m, n)
@@ -238,20 +267,17 @@ def prefix_length(n: int, m: int, q: float, consts: tuple[float, ...], eps: floa
     ``consts`` are the kernel constants of (q, channel).  A trial draws
     m*k + (n - k) + (m - 1)*(n - k)*P_k symbols in expectation, P_k the
     chance that a non-sent codeword's prefix passes :func:`_completable`;
-    k minimises that with each tail symbol weighted 1 + ``TAIL_EXTRA``,
-    plus ``TEST_COST`` a codeword, which is the work the split takes
-    measured in draws, over k = n * j / ``PREFIX_STEPS``.  A non-sent
-    codeword is i.i.d. Bernoulli(q) and independent of the received
-    word, whose symbols are i.i.d. with P(y = 1) = 2**ly1.  n*ex and
-    n*exy's lowest reachable values are then sums of independent
-    per-symbol costs (the prefix's, and the cheapest completion of each
-    later symbol), and their highest ones likewise; P_k takes each sum as
-    normal, a range misses its window high or low (never both), and the
-    x and xy tests are taken as independent.  That is a model of the
-    cost only: k changes no output.  The rule returns n where the split
-    would save under ``SPLIT_MIN_SAVING`` of the one pass's m*n draws,
-    in fixed-codebook mode (no codebook is drawn) and where a log
-    constant is -inf.
+    k minimises that over k = n * j / ``PREFIX_STEPS``, each tail symbol
+    weighted 1 + ``TAIL_EXTRA``, plus ``TEST_COST`` a codeword.  A
+    non-sent codeword is i.i.d. Bernoulli(q) and independent of the
+    received word, whose symbols are i.i.d. with P(y = 1) = 2**ly1, so
+    the ends of n*ex's and n*exy's reachable ranges are sums of
+    independent per-symbol costs; P_k takes each sum as normal, a range
+    missing its window on one side only, and the x and xy tests as
+    independent.  That models the cost only: k changes no output.  The
+    rule returns n where the split would save under
+    ``SPLIT_MIN_SAVING`` of the m*n draws, in fixed-codebook mode and
+    where a log constant is -inf.
     """
     if fixed or n < 2 or not all(math.isfinite(c) for c in consts):
         return n
@@ -360,8 +386,7 @@ def _draw_tails(cb_states, rq, rows, k, which, ytails, n1x, n11):
 
     A block of at most ``BLOCK_ELEMS / 4`` symbols at a time: its uint8
     tails, their float32 copy and its received tails, about 6 bytes a
-    symbol, then fit in heap the call has freed (with whole blocks the
-    fig1-rate benchmark's process peaked 0.5 MB higher).
+    symbol, then fit in heap the call has freed.
     """
     m = n1x.shape[1]
     n = rows.shape[1]
@@ -387,15 +412,15 @@ def simulate_trials(
     consts: tuple[float, ...],
     eps: float,
     fixed_words: np.ndarray | None = None,
+    codebooks: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
     """Simulate trials tid0..tid0+count-1.
 
     Returns (true_w, typicality mask, received bits, drawn codebooks);
-    the last entry is None in fixed-codebook mode.  ``t0``/``t1`` are
-    the channel's P(y=1 | x=0) and P(y=1 | x=1).  Under a prefix split
-    (:func:`prefix_length`) a codebook row that cannot be typical holds
-    its first k symbols and zeros; the sent rows and every typical row
-    are whole.
+    the last is None in fixed-codebook mode, else drawn into the uint8
+    buffer ``codebooks`` if given.  ``t0``/``t1`` are P(y=1 | x=0) and
+    P(y=1 | x=1).  Under a prefix split (:func:`prefix_length`) a row
+    that cannot be typical holds its first k symbols and zeros.
     """
     tids = np.arange(tid0, tid0 + count, dtype=np.uint64)
     u_msg = uniforms_at(stream_states(derived_master, trial_stream(tids, PURPOSE_MESSAGE)), 0)
@@ -403,8 +428,10 @@ def simulate_trials(
 
     k = prefix_length(n, m, q, consts, eps, fixed_words is not None)
     if fixed_words is None:
+        size = count * m * n
+        xwords = (np.empty(size, dtype=np.uint8) if codebooks is None else codebooks[:size]).reshape(count, m, n)
         # a split leaves the tails it never draws zero
-        xwords = (np.empty if k == n else np.zeros)((count, m, n), dtype=np.uint8)
+        xwords[:, :, k:] = 0
         rows = xwords.reshape(count * m, n)
         cb_states = stream_states(derived_master, trial_stream(tids, PURPOSE_CODEBOOK))
         rq = raw_threshold(q)
@@ -419,30 +446,26 @@ def simulate_trials(
     else:
         xwords, words = None, fixed_words[None]
     # the sent word is row w-1 of its trial's codebook, drawn once
-    sent = np.broadcast_to(words, (count, m, n))[np.arange(count), true_w - 1].view(np.bool_)
-    noise_states = stream_states(derived_master, trial_stream(tids, PURPOSE_NOISE))
-    noise = raw_at(noise_states[:, None], np.arange(n, dtype=np.uint64))
-    unit_bits(noise, out=noise)
-    # p may be 0 or 1 here, so the noise takes the unit-bits compare
-    ybits = np.where(sent, noise < unit_threshold(t1), noise < unit_threshold(t0)).view(np.uint8)
-    del sent, noise  # the scan need not hold their 9 bytes per symbol
+    sent = np.broadcast_to(words, (count, m, n))[np.arange(count), true_w - 1]
+    ybits = np.empty((count, n), dtype=np.uint8)
+    _draw_received(stream_states(derived_master, trial_stream(tids, PURPOSE_NOISE)), sent, t0, t1, ybits)
+    del sent
 
     n1x, n11 = _count(words[:, :, :k], ybits[:, :k])
     n1y = ybits.sum(axis=1, dtype=np.int64)
-    if k < n:
-        ytails = ybits[:, k:]
-        keep = _completable(n, k, n1x, n11, n1y, ytails.sum(axis=1, dtype=np.int64), consts, eps)
-        # the sent rows are whole already; of the others, only those that may be typical get tails
-        keep.reshape(-1)[sent_rows] = False
-        todo = np.flatnonzero(keep)
-        del keep
-        _add_counts(n1x, n11, sent_rows, sent_tails, ytails)
-        _draw_tails(cb_states, rq, rows, k, todo, ytails, n1x, n11)
-        del todo, sent_tails
-    # a rejected row's counts are those of its prefix and zero tail, a completion
-    # that _completable proved atypical, so its verdict is False
-    n10 = n1x - n11
-    n01 = n1y[:, None] - n11
-    n00 = n - n1x - n1y[:, None] + n11
-    mask = _typicality_mask(n, n1x, n1y, n00, n01, n10, n11, consts, eps)
+    if k == n:
+        return true_w, _scan(n, n1x, n1y, n11, consts, eps), ybits, xwords
+    ytails = ybits[:, k:]
+    keep = _completable(n, k, n1x, n11, n1y, ytails.sum(axis=1, dtype=np.int64), consts, eps)
+    # the sent rows are whole already; of the others, only those that may be typical get tails
+    keep.reshape(-1)[sent_rows] = False
+    todo = np.flatnonzero(keep)
+    del keep
+    _add_counts(n1x, n11, sent_rows, sent_tails, ytails)
+    _draw_tails(cb_states, rq, rows, k, todo, ytails, n1x, n11)
+    # a rejected row cannot be typical: only the sent rows and the survivors are scanned
+    at = np.concatenate((sent_rows, todo))
+    mask = np.zeros((count, m), dtype=bool)
+    verdicts = _scan(n, n1x.reshape(-1)[at, None], n1y[at // m], n11.reshape(-1)[at, None], consts, eps)
+    mask.reshape(-1)[at] = verdicts[:, 0]
     return true_w, mask, ybits, xwords

@@ -274,18 +274,15 @@ def call_bytes(m: int, n: int) -> int:
     """Bytes one trial takes inside a :func:`~weaktyp.kernels.simulate_trials` call.
 
     Measured with tracemalloc and pinned by a test.  A trial's codebook
-    (m*n bytes) is held throughout.  Its draw arrays (sent word and
-    noise, 17 bytes per symbol) are freed before its scan arrays (the
-    received word and 73 bytes per codeword: the int64 counts, the
-    typicality terms and the mask) are made, so mn + max(17n, n + 73m),
-    plus 56 bytes of per-trial scalars, is at most this sum.  The
-    kernel's block buffers come on top, once per call: two arrays of
-    ``kernels.BLOCK_ELEMS`` uint64 for the codebook draw, kept from call
-    to call, a third (its position offsets) freed before the noise draw,
-    and one of ``kernels.BLOCK_ELEMS`` float32 for the count, freed
-    before the scan.
+    (mn bytes) and received word (n) are held throughout, its sent word
+    (n) only through the noise draw, and its scan arrays (int64 counts,
+    typicality terms, mask: 65 bytes per codeword measured, 73 allowed)
+    after it; with 56 bytes of per-trial scalars, this sum bounds them.
+    The kernel's block buffers come on top, once per call: its two kept
+    ``kernels.BLOCK_ELEMS`` uint64 draw buffers, the codebook's position
+    offsets and one ``kernels.BLOCK_ELEMS`` float32 count buffer.
     """
-    return m * (n + 73) + 17 * n + 56
+    return m * (n + 73) + 2 * n + 56
 
 
 def packed_bytes(m: int, n: int) -> int:
@@ -364,13 +361,20 @@ def _joined(arrays: list[np.ndarray]) -> np.ndarray:
     return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
 
 
-def _simulate_point(cfg: TrialConfig, num_trials: int, start: int, pool: _Pool) -> TrialBatch:
-    """Simulate and scan one point chunk by chunk, handing its multi-candidate trials to ``pool``.
+def _per_call(cfg: TrialConfig) -> int:
+    """Trials per kernel call: ``DEFAULT_CHUNK``, or fewer where ``CALL_BYTES`` bounds them."""
+    return min(DEFAULT_CHUNK, max(1, CALL_BYTES // call_bytes(cfg.m, cfg.n)))
 
-    The weak decodes of those trials are written into the returned
-    batch when the pool is flushed.
+
+def _simulate_point(
+    cfg: TrialConfig, num_trials: int, start: int, pool: _Pool, codebooks: np.ndarray | None
+) -> TrialBatch:
+    """Simulate and scan one point chunk by chunk, drawing codebooks into ``codebooks``.
+
+    Its multi-candidate trials go to ``pool``, whose flush writes their
+    weak decodes into the returned batch.
     """
-    per_call = min(DEFAULT_CHUNK, max(1, CALL_BYTES // call_bytes(cfg.m, cfg.n)))
+    per_call = _per_call(cfg)
     dm = derived_master(cfg)
     consts = build_context(cfg.q, cfg.channel).kernel_constants()
     t0 = float(cfg.channel.transition[0, 1])
@@ -383,7 +387,7 @@ def _simulate_point(cfg: TrialConfig, num_trials: int, start: int, pool: _Pool) 
         tid0 = start + off
         count = min(per_call, num_trials - off)
         w, mask, ybits, words = kernels.simulate_trials(
-            dm, tid0, count, cfg.m, cfg.n, cfg.q, t0, t1, consts, cfg.eps, fixed_words
+            dm, tid0, count, cfg.m, cfg.n, cfg.q, t0, t1, consts, cfg.eps, fixed_words, codebooks
         )
         # in fixed mode the kernel returns no codebooks: the fixed one is every trial's
         words = fixed_words[None] if words is None else words
@@ -399,7 +403,7 @@ def _simulate_point(cfg: TrialConfig, num_trials: int, start: int, pool: _Pool) 
             # no unpacked copy of the multi-candidate trials
             z_seqs = np.broadcast_to(np.packbits(words, axis=2), (count, cfg.m, width))[multi]
             z_seqs ^= np.packbits(ybits[multi], axis=1)[:, None, :]
-        # the chunk's codebooks are freed before any resolution and before the next call
+        # the next call draws over the chunk's codebooks: no view of them outlives the chunk
         del words
         if multi.size:
             states = stream_states(dm, trial_stream(tid0 + multi, PURPOSE_RESOLVER))
@@ -410,26 +414,27 @@ def _simulate_point(cfg: TrialConfig, num_trials: int, start: int, pool: _Pool) 
 def iter_points(cfgs: list[TrialConfig], num_trials: int, start: int = 0) -> Iterator[tuple[int, TrialBatch]]:
     """(index, batch) of every sweep point in ``cfgs``, each as soon as its decodes are final.
 
-    The trial executor.  Identical, point by point, to looping
-    :func:`run_trial`, but orders of magnitude faster; equality of the
-    two paths is pinned by tests.  Each point is simulated and scanned
-    in chunks of ``DEFAULT_CHUNK`` trials, one kernel call per chunk, and
-    fewer where their footprint, :func:`call_bytes` per trial, would pass
-    ``CALL_BYTES``; a trial above that runs alone.  (``CHUNK_BYTES``
-    only bounds one trial's :func:`call_bytes`, which
-    ``config.validate`` checks.)  The trials with two or more candidates
-    of every point of one shape (m, resolver, k_max), whatever their n,
-    are pooled as their candidates' difference sequences, bit-packed
-    (:class:`~weaktyp.decoders.PackedTrials`, one copy per trial even
-    for a fixed codebook), and resolved together, in lockstep, by one
-    :func:`~weaktyp.decoders.resolve_batch` call per flush (k-means once
-    per n, the svm's Pegasos loop once for all n): a lockstep loop costs
-    about the same whether it carries the trials of one point or of
-    many.  Points of one shape run back to back, so one pool is open at
-    a time; every point owns its streams, so the order changes no
-    result.  A point is yielded once no pooled trial of it
-    awaits resolution, so a caller that keeps only its counts holds the
-    batches of the open pool's points, not of every point.
+    The trial executor, identical point by point to looping
+    :func:`run_trial` (tests pin it), but far faster.  Each point is
+    simulated and scanned in chunks of ``DEFAULT_CHUNK`` trials, one kernel
+    call per chunk, and fewer where their footprint, :func:`call_bytes` per
+    trial, would pass ``CALL_BYTES``; a trial above that runs alone.
+    (``CHUNK_BYTES`` only bounds one trial's :func:`call_bytes`, which
+    ``config.validate`` checks.)  The trials with two or more candidates of
+    every point of one shape (m, resolver, k_max), whatever their n, are
+    pooled as their candidates' difference sequences, bit-packed
+    (:class:`~weaktyp.decoders.PackedTrials`, one copy per trial even for a
+    fixed codebook), and resolved together, in lockstep, by one
+    :func:`~weaktyp.decoders.resolve_batch` call per flush (k-means once per
+    n, the svm's Pegasos loop once for all n): a lockstep loop costs about
+    the same whether it carries the trials of one point or of many.  Points
+    of one shape run back to back, so one pool is open at a time; every
+    point owns its streams, so the order changes no result.  A point is
+    yielded once no pooled trial of it awaits resolution, so a caller that
+    keeps only its counts holds the batches of the open pool's points, not
+    of every point.  All kernel calls draw codebooks into one buffer sized
+    for the largest, so a sweep maps those pages once, however its points
+    grow.
     """
     if num_trials < 1:
         raise ValueError("num_trials must be positive")
@@ -440,13 +445,15 @@ def iter_points(cfgs: list[TrialConfig], num_trials: int, start: int = 0) -> Ite
 
 def _points(cfgs: list[TrialConfig], num_trials: int, start: int) -> Iterator[tuple[int, TrialBatch]]:
     """The generator behind :func:`iter_points`, on checked arguments."""
+    sizes = [min(num_trials, _per_call(cfg)) * cfg.m * cfg.n for cfg in cfgs if cfg.codebook_mode == "redraw"]
+    codebooks = np.empty(max(sizes), dtype=np.uint8) if sizes else None
     by_shape = sorted(range(len(cfgs)), key=lambda i: _shape(cfgs[i]))
     for _, group in groupby(by_shape, key=lambda i: _shape(cfgs[i])):
         group = list(group)
         pool = _Pool(*_shape(cfgs[group[0]]))
         open_points: list[tuple[int, TrialBatch]] = []
         for i in group:
-            open_points.append((i, _simulate_point(cfgs[i], num_trials, start, pool)))
+            open_points.append((i, _simulate_point(cfgs[i], num_trials, start, pool, codebooks)))
             waiting = pool.waiting()
             for point in open_points:
                 if id(point[1].weak_decoded) not in waiting:

@@ -114,7 +114,7 @@ def test_fixed_m_is_admitted_by_the_trial_footprint_not_the_codebook():
     # at small n the scan arrays, not the codebook, dominate a trial: 2^24
     # codewords of 8 symbols are 128 MiB of codebook, within the budget, but
     # one trial takes 1296 MiB in a kernel call (computed, never allocated)
-    assert 2**24 * 8 <= CHUNK_BYTES < call_bytes(2**24, 8) == 1296 * 2**20 + 17 * 8 + 56
+    assert 2**24 * 8 <= CHUNK_BYTES < call_bytes(2**24, 8) == 1296 * 2**20 + 2 * 8 + 56
     text = "m_messages = 16777216\nfig3_blocklengths = 4,8\nfig12_blocklengths = 8\n"
     with pytest.raises(ConfigError, match="m_messages:.*fig3_blocklengths"):
         parse_config(text)
@@ -126,15 +126,17 @@ def test_fixed_m_is_admitted_by_the_trial_footprint_not_the_codebook():
 
 def test_the_longest_admitted_blocklength_keeps_float32_counts_exact():
     # the kernel counts in float32, exact while every count stays below 2**24;
-    # a trial has at least two codewords (fixed-rate gives 2^ceil(rate * n) >= 2),
-    # so two codewords admit the longest blocklength (computed, never allocated)
-    per_symbol = call_bytes(2, 1) - call_bytes(2, 0)
-    longest = (CHUNK_BYTES - call_bytes(2, 0)) // per_symbol
-    assert call_bytes(2, longest) <= CHUNK_BYTES < call_bytes(2, longest + 1)
-    assert longest < 2**24
-    parse_config(f"m_messages = 2\nfig3_blocklengths = {longest}\n")
-    with pytest.raises(ConfigError, match="m_messages:"):
-        parse_config(f"m_messages = 2\nfig3_blocklengths = {longest + 1}\n")
+    # two codewords (the fewest a trial has) of 2**24 symbols fit the trial
+    # budget, so validate bounds the blocklength itself (computed, never allocated)
+    assert call_bytes(2, 2**24) <= CHUNK_BYTES
+    parse_config(f"m_messages = 2\nfig3_blocklengths = {2**24 - 1}\n")
+    with pytest.raises(ConfigError, match="fig3_blocklengths:.*2\\*\\*24"):
+        parse_config(f"m_messages = 2\nfig3_blocklengths = {2**24}\n")
+    # fig1/fig2's grid is bounded alike, in either m mode
+    parse_config(f"m_messages = 2\nfig12_blocklengths = {2**24 - 1}\n")
+    for mode in ("m_mode = fixed-m", "m_mode = fixed-rate\nrate_bits = 1e-9"):
+        with pytest.raises(ConfigError, match="fig12_blocklengths:.*2\\*\\*24"):
+            parse_config(f"m_messages = 2\nfig12_blocklengths = {2**24}\n{mode}\n")
 
 
 def test_oracle_instance_beyond_enumeration_bounds_names_the_key():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from weaktyp import config, kernels, montecarlo, typicality
-from weaktyp.core import bsc
+from weaktyp.core import Dmc, bsc
 from weaktyp.montecarlo import (
     TrialConfig,
     _trial_codebook,
@@ -188,6 +188,70 @@ def test_simulate_trials_equals_reference_path(monkeypatch, cfg, count, block_el
             _assert_rows_follow_the_contract(xwords[t], words, mask[t], w, k)
 
 
+NOISE_CHANNELS = [
+    bsc(0.0),
+    bsc(1.0),
+    bsc(0.4),
+    Dmc(np.array([[0.9, 0.1], [0.35, 0.65]])),
+    # one probability 1 beside one below it, either way round
+    Dmc(np.array([[0.7, 0.3], [0.0, 1.0]])),
+    Dmc(np.array([[0.0, 1.0], [0.6, 0.4]])),
+]
+
+
+@pytest.mark.parametrize("block_trials", [3, 0.5])
+@pytest.mark.parametrize("channel", NOISE_CHANNELS, ids=lambda c: str(c.transition.tolist()))
+def test_blocked_noise_equals_the_reference_channel(monkeypatch, channel, block_trials):
+    # blocks of three trials split the call's eight; half a trial's symbols make
+    # every block one whole received word, past BLOCK_ELEMS
+    cfg = TrialConfig(n=16, m=3, q=0.4, channel=channel, eps=0.3, master_seed=19)
+    monkeypatch.setattr(kernels, "BLOCK_ELEMS", int(block_trials * cfg.n))
+    tid0, count = 70, 8
+    true_w, mask, ybits, xwords = kernels.simulate_trials(
+        derived_master(cfg), tid0, count, cfg.m, cfg.n, cfg.q,
+        float(channel.transition[0, 1]), float(channel.transition[1, 1]),
+        build_context(cfg.q, channel).kernel_constants(), cfg.eps,
+    )
+    for t in range(count):
+        w, y, ref_mask, words = _reference_trial(cfg, tid0 + t)
+        assert true_w[t] == w
+        assert np.array_equal(xwords[t], words)
+        assert np.array_equal(ybits[t], y)  # core.transmit of the sent word
+        assert np.array_equal(mask[t], ref_mask)
+    if np.isin(channel.transition, (0.0, 1.0)).all():
+        # bsc(0) or bsc(1): the received word is the sent word or its complement
+        sent = xwords[np.arange(count), true_w - 1]
+        assert np.array_equal(ybits, sent if channel.transition[0, 1] == 0.0 else 1 - sent)
+
+
+def test_calls_through_one_codebook_buffer_keep_the_row_contract():
+    # one buffer serves calls of different n and k in turn, as in a sweep; it starts
+    # all ones, and the split point's second call lands where its first call wrote
+    # survivors' tails, so every row a call leaves undrawn must be zeroed by it
+    split = TrialConfig(n=50, m=16, q=0.5, channel=bsc(0.05), eps=0.8, master_seed=17)
+    plain = TrialConfig(n=40, m=4, q=0.3, channel=bsc(0.2), eps=0.4, master_seed=5)
+    longer = replace(split, n=60)
+    assert _prefix_length(split) < split.n and _prefix_length(longer) < longer.n
+    assert _prefix_length(plain) == plain.n
+    count = 6
+    buffer = np.ones(count * 16 * 60, dtype=np.uint8)
+    for cfg, tid0 in [(split, 0), (plain, 0), (longer, 3), (split, 6), (split, 0)]:
+        args = (
+            derived_master(cfg), tid0, count, cfg.m, cfg.n, cfg.q,
+            float(cfg.channel.transition[0, 1]), float(cfg.channel.transition[1, 1]),
+            build_context(cfg.q, cfg.channel).kernel_constants(), cfg.eps, None,
+        )
+        true_w, mask, ybits, xwords = kernels.simulate_trials(*args, buffer)
+        assert np.shares_memory(xwords, buffer)
+        alone = kernels.simulate_trials(*args)
+        for got, want in zip((true_w, mask, ybits, xwords), alone):
+            assert np.array_equal(got, want)
+        for t in range(count):
+            w, _, ref_mask, words = _reference_trial(cfg, tid0 + t)
+            assert np.array_equal(mask[t], ref_mask)
+            _assert_rows_follow_the_contract(xwords[t], words, mask[t], w, _prefix_length(cfg))
+
+
 def test_counts_are_exact_past_the_float16_range(monkeypatch):
     # float32 block products count exactly; at n = 5000 the counts pass 2048,
     # beyond which float16 would round odd sums, and blocks of two codewords
@@ -233,10 +297,11 @@ def test_each_symbol_is_drawn_once(monkeypatch, mode):
 
         return counted
 
-    # the codebook blocks are drawn in place by raw_below and the noise comes
-    # from raw_at; the message is drawn through uniforms_at and the stream
-    # states through rng.finalize, neither of which is counted
-    for name in ("raw_below", "raw_at"):
+    # the codebook blocks are drawn in place by raw_below and the noise blocks
+    # by the kernel's own finalize call; the message is drawn through
+    # uniforms_at and the stream states through rng.finalize, neither of
+    # which is counted
+    for name in ("raw_below", "finalize"):
         monkeypatch.setattr(kernels, name, spy(getattr(kernels, name)))
     # the prefix test's verdicts, as it returned them
     verdicts = []
@@ -283,9 +348,9 @@ def test_chunks_are_capped_by_the_byte_budget(monkeypatch):
     cfg = TrialConfig(n=20, m=4, q=0.4, channel=bsc(0.2), eps=0.4, master_seed=31)
     monkeypatch.setattr(montecarlo, "DEFAULT_CHUNK", 64)
     whole = run_trials(cfg, 7)
-    # 768 bytes per trial: a budget of two and a half trials allows two per kernel call
-    assert call_bytes(cfg.m, cfg.n) == 768
-    counts, capped = _call_counts(monkeypatch, cfg, 7, 1920)
+    # 468 bytes per trial: a budget of two and a half trials allows two per kernel call
+    assert call_bytes(cfg.m, cfg.n) == 468
+    counts, capped = _call_counts(monkeypatch, cfg, 7, 1170)
     assert counts == [2, 2, 2, 1]
     assert _batches_equal(capped, whole)
 
