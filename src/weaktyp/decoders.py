@@ -331,62 +331,86 @@ class PackedTrials:
     states: np.ndarray  # (T,) uint64
 
 
-def _blocks(trials: PackedTrials):
-    """(c, trials, candidate indices, packed rows) of every resolver block of ``trials``.
+def _blocks(parts: list[PackedTrials]):
+    """(c, trials, candidate indices, packed rows, blocklengths) of every resolver block of ``parts``.
 
-    Trials are taken by candidate count c, ascending, in blocks of
-    :func:`_block_trials` trials; each row's indices ascend.
-    Every trial must have at least two candidates.
+    Trials are numbered through the parts in turn and taken by candidate
+    count c, ascending; each row's indices ascend.  Trials with c <= n,
+    whose k-means reads only Gram matrices, are taken from every part at
+    once, their rows zero-padded to the widest (no Gram entry or row
+    equality moves); trials with c > n a part at a time.  Either way in
+    blocks of :func:`_block_trials` trials.  Every trial must have at
+    least two candidates.
     """
-    cand_mask = np.asarray(trials.cand_mask, dtype=bool)
-    counts = cand_mask.sum(axis=1)
+    sizes = [part.states.size for part in parts]
+    owner = np.repeat(np.arange(len(parts)), sizes)
+    local = np.arange(owner.size) - np.repeat(np.cumsum([0] + sizes[:-1]), sizes)
+    ns = np.array([part.n for part in parts])[owner]
+    widths = np.array([part.z_seqs.shape[2] for part in parts])
+    counts = np.concatenate([np.asarray(part.cand_mask, dtype=bool).sum(axis=1) for part in parts])
     if np.any(counts < 2):
         raise ValueError("resolution needs at least two candidates")
-    present = np.flatnonzero(np.bincount(counts)).tolist()
-    for c in present:
+    # np.unique would import numpy.ma, tens of ms and MB on a cold process
+    for c in np.flatnonzero(np.bincount(counts)).tolist():
         group = np.flatnonzero(counts == c)
-        # nonzero walks rows in order, so each row's indices ascend
-        cand_idx = np.nonzero(cand_mask[group])[1].reshape(group.size, c)
-        step = _block_trials(c, trials.n)
-        for lo in range(0, group.size, step):
-            rows, idx = group[lo : lo + step], cand_idx[lo : lo + step]
-            yield c, rows, idx, trials.z_seqs[rows[:, None], idx]
+        by_rows = group[ns[group] < c]
+        for side in [group[ns[group] >= c], *np.split(by_rows, np.flatnonzero(np.diff(owner[by_rows])) + 1)]:
+            if side.size == 0:
+                continue
+            step = _block_trials(c, int(ns[side].min()))
+            for lo in range(0, side.size, step):
+                block = side[lo : lo + step]
+                idx = np.empty((block.size, c), dtype=np.int64)
+                x = np.zeros((block.size, c, widths[owner[block]].max()), dtype=np.uint8)
+                cuts = [0, *(np.flatnonzero(np.diff(owner[block])) + 1).tolist(), block.size]
+                for a, b in zip(cuts, cuts[1:]):
+                    part, rows = parts[owner[block[a]]], local[block[a:b]]
+                    # nonzero walks rows in order, so each row's indices ascend
+                    idx[a:b] = np.nonzero(part.cand_mask[rows])[1].reshape(-1, c)
+                    x[a:b, :, : part.z_seqs.shape[2]] = part.z_seqs[rows[:, None], idx[a:b]]
+                yield c, block, idx, x, ns[block]
+
+
+def _per_part(parts: list[PackedTrials], decoded: np.ndarray, iterations: np.ndarray) -> list[BatchResolution]:
+    """The per-trial results of trials numbered through ``parts``, one :class:`BatchResolution` per part."""
+    cuts = np.cumsum([part.states.size for part in parts])[:-1]
+    return [BatchResolution(*pair) for pair in zip(np.split(decoded, cuts), np.split(iterations, cuts))]
 
 
 def resolve_batch(parts: list[PackedTrials], resolver: str, k_max: int) -> list[BatchResolution]:
     """The batch twin of :func:`weak_outcome`, decision for decision: one result per part.
 
-    ``svm`` resolves every part in one :func:`svm_resolve_batch` call;
-    the cluster resolvers resolve each part, of one blocklength, by
-    :func:`cluster_resolve_batch`.
+    The parts may differ in n; :func:`svm_resolve_batch` (``svm``) or
+    :func:`cluster_resolve_batch` resolves every part in one call.
     """
     if resolver not in RESOLVERS:
         raise ValueError(f"unknown resolver {resolver!r}")
     if resolver == "svm":
         return svm_resolve_batch(parts)
-    return [cluster_resolve_batch(part, resolver, k_max) for part in parts]
+    return cluster_resolve_batch(parts, resolver, k_max)
 
 
-def cluster_resolve_batch(trials: PackedTrials, resolver: str, k_max: int) -> BatchResolution:
-    """The ``cluster`` or ``cluster-random`` decodes of many trials of one blocklength at once.
+def cluster_resolve_batch(parts: list[PackedTrials], resolver: str, k_max: int) -> list[BatchResolution]:
+    """The ``cluster`` or ``cluster-random`` decodes of many trials at once, one result per part.
 
     Each resolver block of :func:`_blocks` (one candidate count c, at
-    most :func:`_block_trials` trials) runs through k-means++ seeding and
-    Lloyd in lockstep (:func:`_lockstep_kmeans`) on its packed rows.
-    Each trial reads its stream at its own cursor, and every comparison
-    is exact in integers, so each one decides as in :func:`kmeans`, and
-    every trial as in :func:`weak_outcome`.
+    most :func:`_block_trials` trials, of any n where c <= n) runs
+    through k-means++ seeding and Lloyd in lockstep
+    (:func:`_lockstep_kmeans`) on its packed rows.  Each trial reads its
+    stream at its own cursor, and every comparison is exact in integers,
+    so each one decides as in :func:`kmeans`, and every trial as in
+    :func:`weak_outcome`.
     """
     if k_max < 1:
         raise ValueError("k_max must be positive")
-    total = trials.states.size
-    decoded = np.zeros(total, dtype=np.int64)
-    iterations = np.zeros(total, dtype=np.int64)
-    for c, rows, idx, z in _blocks(trials):
-        pos, its = _resolve_block(z, trials.n, trials.states[rows], min(k_max, c), resolver)
+    states = np.concatenate([part.states for part in parts])
+    decoded = np.zeros(states.size, dtype=np.int64)
+    iterations = np.zeros(states.size, dtype=np.int64)
+    for c, rows, idx, x, ns in _blocks(parts):
+        pos, its = _resolve_block(x, ns, states[rows], min(k_max, c), resolver)
         decoded[rows] = idx[np.arange(rows.size), pos] + 1
         iterations[rows] = its
-    return BatchResolution(decoded, iterations)
+    return _per_part(parts, decoded, iterations)
 
 
 def _block_trials(c: int, n: int) -> int:
@@ -427,12 +451,12 @@ def _gram_products(x: np.ndarray, n: int) -> tuple[np.ndarray, Callable[[np.ndar
 
 
 def _resolve_block(
-    x: np.ndarray, n: int, states: np.ndarray, k: int, resolver: str
+    x: np.ndarray, ns: np.ndarray, states: np.ndarray, k: int, resolver: str
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Winning candidate position and Lloyd passes of each set of c packed rows of n symbols in x.
+    """Winning candidate position and Lloyd passes of each set of c packed rows in x, of ``ns`` symbols.
 
-    Mirrors :func:`_resolve_by_clusters` step by step on a (T, c,
-    ceil(n/8)) block; both shortcuts compare the packed rows.
+    Mirrors :func:`_resolve_by_clusters` step by step on a (T, c, width)
+    block of :func:`_blocks`; both shortcuts compare the packed rows.
     """
     size, c, _ = x.shape
     pos = np.zeros(size, dtype=np.int64)  # shortcuts decode the lowest index
@@ -448,9 +472,9 @@ def _resolve_block(
     sel = np.flatnonzero(run)
     if sel.size == 0:
         return pos, iterations
-    weight, gram_times = _gram_products(x[sel], n)
+    weight, gram_times = _gram_products(x[sel], int(ns.min()))
     st = states[sel]
-    assign, used, cursor = _lockstep_kmeans(weight, gram_times, st, k, n)
+    assign, used, cursor = _lockstep_kmeans(weight, gram_times, st, k, int(ns.max()))
     trial = np.arange(sel.size)
 
     # largest cluster, ties to the cluster of the lowest point index
@@ -480,7 +504,8 @@ def _lockstep_kmeans(
 
     A point set enters only through its Gram matrix G: ``weight`` is its
     (T, c) diagonal and ``gram_times`` its product map, as
-    :func:`_gram_products` gives them.  The seeding distances are the
+    :func:`_gram_products` gives them, so the sets may differ in length,
+    and n bounds the longest.  The seeding distances are the
     integers G_aa + G_bb - 2 G_ab.  A cluster with 0/1 weights v has size
     s = sum(v) and q = v^T G v, and s**2 times point i's squared distance
     to its centroid is the integer N_i = s**2 G_ii - 2 s (G v)_i + q, so
@@ -582,33 +607,34 @@ def _nearest(shifted: np.ndarray, weight: np.ndarray, squares: np.ndarray, n: in
 def svm_resolve_batch(parts: list[PackedTrials]) -> list[BatchResolution]:
     """The ``svm`` decodes of many trials, one result per part, bit for bit as :func:`weak_outcome`.
 
-    The parts may differ in n.  A part's resolver blocks (:func:`_blocks`)
-    get the all-equal shortcut and 2-means labels (the lockstep k-means
-    of :func:`cluster_resolve_batch`) on their packed Z rows, and each
-    block's split trials are one group of :func:`_pegasos_scores`, which
-    trains the separators of every part at once.  ``iterations`` counts
+    The parts may differ in n.  A resolver block of :func:`_blocks` gets
+    the all-equal shortcut and 2-means labels (the lockstep k-means of
+    :func:`cluster_resolve_batch`) on its packed Z rows, and its split
+    trials of each n are one group of :func:`_pegasos_scores`, which
+    trains the separators of every group at once.  ``iterations`` counts
     the 2-means run (0 where all rows are equal and the lowest index wins).
     """
-    results, groups, places = [], [], []
-    for part in parts:
-        n = part.n
-        decoded = np.zeros(part.states.size, dtype=np.int64)
-        iterations = np.zeros(part.states.size, dtype=np.int64)
-        for _, rows, idx, z in _blocks(part):
-            decoded[rows] = idx[:, 0] + 1
-            split = _split_rows(z)
-            if not split.any():
-                continue
-            rows, idx, z = rows[split], idx[split], z[split]
-            assign, used, _ = _lockstep_kmeans(*_gram_products(z, n), part.states[rows], 2, n)
-            iterations[rows] = used
-            groups.append((n, z, np.where(assign == 0, 1, -1).astype(np.int8)))
-            places.append((decoded, rows, idx))
-        results.append(BatchResolution(decoded, iterations))
+    states = np.concatenate([part.states for part in parts])
+    decoded = np.zeros(states.size, dtype=np.int64)
+    iterations = np.zeros(states.size, dtype=np.int64)
+    groups, places = [], []
+    for _, rows, idx, x, ns in _blocks(parts):
+        decoded[rows] = idx[:, 0] + 1
+        split = _split_rows(x)
+        if not split.any():
+            continue
+        rows, idx, x, ns = rows[split], idx[split], x[split], ns[split]
+        assign, used, _ = _lockstep_kmeans(*_gram_products(x, int(ns.min())), states[rows], 2, int(ns.max()))
+        iterations[rows] = used
+        labels = np.where(assign == 0, 1, -1).astype(np.int8)
+        for n in np.flatnonzero(np.bincount(ns)).tolist():
+            at = ns == n
+            groups.append((n, x[at, :, : -(-n // 8)], labels[at]))
+            places.append((rows[at], idx[at]))
     if groups:
-        for (decoded, rows, idx), scores in zip(places, _pegasos_scores(groups)):
+        for (rows, idx), scores in zip(places, _pegasos_scores(groups)):
             decoded[rows] = idx[np.arange(rows.size), _svm_pick(scores)] + 1
-    return results
+    return _per_part(parts, decoded, iterations)
 
 
 def _slot_map(z: np.ndarray, pattern: bool) -> np.ndarray:

@@ -7,6 +7,13 @@ bit for bit what the reference path (``core.generate_codebook``,
 ``core.transmit``, ``decoders.find_candidates``) gives; the tests pin
 that equivalence.
 
+A call simulates the trials of one or more segments (:class:`Segment`),
+each a run of one sweep point's trials with its own derived master, bias
+q and kernel constants; the segments share m, n, the channel and eps.
+Every step works on all of a call's trials at once, with each trial's own
+streams, threshold and constants, elementwise, so a trial's message,
+received word and verdicts do not depend on the call it is in.
+
 Stream layout: each trial's codebook, message and noise streams are
 those of :func:`weaktyp.rng.trial_stream`.  Codebook draws fill words
 row-major (word i, symbol j at offset i*n+j); the message uses offset 0
@@ -46,10 +53,10 @@ integer draw, against :func:`weaktyp.rng.raw_threshold`, or, for a
 channel with a probability 1, against :func:`weaktyp.rng.unit_threshold`
 after the shift to unit bits, and either is exactly the same comparison.
 The codebook compare, :func:`weaktyp.rng.raw_below`, skips the
-finalizer's last xorshift ``z ^ (z >> 31)`` when the threshold's low 33
-bits are zero, as they are for every q = k / 2**31: that step leaves
-bits 33..63 as they are, and those bits alone decide a compare against
-such a threshold.
+finalizer's last xorshift ``z ^ (z >> 31)`` in a block whose thresholds'
+low 33 bits are all zero, as they are for every q = k / 2**31: that step
+leaves bits 33..63 as they are, and those bits alone decide a compare
+against such a threshold.
 """
 
 from __future__ import annotations
@@ -57,6 +64,8 @@ from __future__ import annotations
 import functools
 import math
 import threading
+from bisect import bisect_left
+from typing import NamedTuple
 
 import numpy as np
 
@@ -113,35 +122,45 @@ def _typicality_mask(
     n01: np.ndarray,
     n10: np.ndarray,
     n11: np.ndarray,
-    consts: tuple[float, ...],
+    consts: tuple[float, ...] | np.ndarray,
     eps: float,
+    seg: np.ndarray | int = 0,
 ) -> np.ndarray:
+    """Typicality of codewords with counts (n1x, n00, n01, n10, n11), (T, c), against words with n1y ones, (T,).
+
+    ``consts`` is one tuple of kernel constants or an (S, 11) array of
+    them; word t takes row ``seg[t, 0]`` of a (T, 1) ``seg``, or row 0.
+    """
     # Term order and parenthesization mirror typicality._costs
     # exactly; the count guard keeps 0 * (-inf) cells out of the sums.
-    lx0, lx1, ly0, ly1, l00, l01, l10, l11, hx, hy, hxy = consts
+    table = np.reshape(consts, (-1, 11))
+    lx0, lx1, ly0, ly1, l00, l01, l10, l11, hx, hy, hxy = table.T
+    finite = np.isfinite(table).all()
 
     def term(count, log_p):
-        # a finite log_p needs no guard: 0 * log_p is a zero whose sign no
+        # finite constants need no guard: 0 * log_p is a zero whose sign no
         # verdict sees (it can only flip a zero sum, and |±0 - h| is |h|)
-        if math.isfinite(log_p):
+        if finite:
             return count * log_p
         # the masked branch may transiently compute 0 * (-inf)
         with np.errstate(invalid="ignore"):
             return np.where(count == 0, 0.0, count * log_p)
 
     # ex depends on n1x alone and ey on n1y alone: each verdict is taken once
-    # per count 0..n, elementwise and so bit for bit, then looked up
+    # per segment and count 0..n, elementwise and so bit for bit, then looked up
     ones = np.arange(n + 1)
-    ex = -(term(n - ones, lx0) + term(ones, lx1)) / n
-    ey = -(term(n - ones, ly0) + term(ones, ly1)) / n
-    exy = -(((term(n00, l00) + term(n01, l01)) + term(n10, l10)) + term(n11, l11)) / n
-    return (np.abs(ex - hx) < eps)[n1x] & (np.abs(ey - hy) < eps)[n1y][..., None] & (np.abs(exy - hxy) < eps)
+    ex = -(term(n - ones, lx0[:, None]) + term(ones, lx1[:, None])) / n
+    ey = -(term(n - ones, ly0[:, None]) + term(ones, ly1[:, None])) / n
+    exy = -(((term(n00, l00[seg]) + term(n01, l01[seg])) + term(n10, l10[seg])) + term(n11, l11[seg])) / n
+    x_ok = np.abs(ex - hx[:, None]) < eps
+    y_ok = np.abs(ey - hy[:, None]) < eps
+    return x_ok[seg, n1x] & y_ok[seg, n1y[..., None]] & (np.abs(exy - hxy[seg]) < eps)
 
 
-def _scan(n, n1x, n1y, n11, consts, eps):
+def _scan(n, n1x, n1y, n11, consts, eps, seg=0):
     """Typicality mask of codewords with counts (n1x, n11), (T, c), against received words with n1y ones, (T,)."""
     col = n1y[:, None]
-    return _typicality_mask(n, n1x, n1y, n - n1x - col + n11, col - n11, n1x - n11, n11, consts, eps)
+    return _typicality_mask(n, n1x, n1y, n - n1x - col + n11, col - n11, n1x - n11, n11, consts, eps, seg)
 
 
 def _blocks(count, m, n):
@@ -159,9 +178,12 @@ def _draw_codebooks(states, rq, words, n):
     Row i, column j of unit u is position i*n + j of the codebook stream
     with state ``states[u]``: a unit is a trial's codebook, or a stretch
     of one codeword when r = 1.  A symbol is 1 when its raw draw falls
-    below ``rq``.
+    below ``rq[u]``: a block is mixed once and compared against one
+    threshold where its units share it.
     """
     count, m, width = words.shape
+    # units whose threshold differs from the next one's
+    edges = np.flatnonzero(rq[1:] != rq[:-1]).tolist()
     trials_per_block, words_per_block = _blocks(count, m, width)
     size = trials_per_block * words_per_block * width
     # one block row's position offsets serve every range of rows: a later
@@ -179,7 +201,9 @@ def _draw_codebooks(states, rq, words, n):
             block = words[a:b, i0:i1]
             z = buf[: block.size].reshape(block.shape)
             np.add(block_states[a:b], row, out=z)
-            raw_below(z, rq, block.view(np.bool_), scratch[: block.size].reshape(block.shape))
+            cut = bisect_left(edges, a)
+            th = rq[a] if cut == len(edges) or edges[cut] >= b - 1 else rq[a:b, None, None]
+            raw_below(z, th, block.view(np.bool_), scratch[: block.size].reshape(block.shape))
 
 
 def _draw_received(states, sent, t0, t1, ybits):
@@ -395,46 +419,62 @@ def _draw_tails(cb_states, rq, rows, k, which, ytails, n1x, n11):
         idx = which[a : a + per_block]
         t, i = np.divmod(idx, m)
         tails = np.empty((idx.size, n - k), dtype=np.uint8)
-        _draw_codebooks(skip(cb_states[t], i * n + k), rq, tails[:, None], n)
+        _draw_codebooks(skip(cb_states[t], i * n + k), rq[t], tails[:, None], n)
         rows[idx, k:] = tails
         _add_counts(n1x, n11, idx, tails, ytails[t])
 
 
+class Segment(NamedTuple):
+    """A sweep point's trials tid0..tid0+count-1 in a kernel call, with its derived master, bias and constants."""
+
+    derived_master: int
+    tid0: int
+    count: int
+    q: float
+    consts: tuple[float, ...]
+
+
 def simulate_trials(
-    derived_master: int,
-    tid0: int,
+    segments: list[Segment],
     count: int,
     m: int,
     n: int,
-    q: float,
     t0: float,
     t1: float,
-    consts: tuple[float, ...],
     eps: float,
     fixed_words: np.ndarray | None = None,
     codebooks: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
-    """Simulate trials tid0..tid0+count-1.
+    """Simulate the ``count`` trials of ``segments``, one segment after another.
 
     Returns (true_w, typicality mask, received bits, drawn codebooks);
     the last is None in fixed-codebook mode, else drawn into the uint8
     buffer ``codebooks`` if given.  ``t0``/``t1`` are P(y=1 | x=0) and
-    P(y=1 | x=1).  Under a prefix split (:func:`prefix_length`) a row
-    that cannot be typical holds its first k symbols and zeros.
+    P(y=1 | x=1).  A call of one segment may split at a prefix
+    (:func:`prefix_length`), where a row that cannot be typical holds its
+    first k symbols and zeros; a call of several is one pass.
     """
-    tids = np.arange(tid0, tid0 + count, dtype=np.uint64)
-    u_msg = uniforms_at(stream_states(derived_master, trial_stream(tids, PURPOSE_MESSAGE)), 0)
+    sizes = [s.count for s in segments]
+    if sum(sizes) != count:
+        raise ValueError(f"the segments hold {sum(sizes)} trials, not count = {count}")
+    # each trial's derived master, trial id and codebook threshold
+    masters = np.repeat(np.array([s.derived_master for s in segments], dtype=np.uint64), sizes)
+    tids = np.concatenate([np.arange(s.tid0, s.tid0 + s.count, dtype=np.uint64) for s in segments])
+    rq = np.repeat(np.array([raw_threshold(s.q) for s in segments]), sizes)
+    purposes = np.array([[PURPOSE_MESSAGE], [PURPOSE_NOISE], [PURPOSE_CODEBOOK]], dtype=np.uint64)
+    states = stream_states(masters, trial_stream(tids, purposes))
+    u_msg = uniforms_at(states[0], 0)
     true_w = np.minimum((u_msg * m).astype(np.int64), m - 1) + 1
 
-    k = prefix_length(n, m, q, consts, eps, fixed_words is not None)
+    (head, *rest) = segments
+    k = n if rest else prefix_length(n, m, head.q, head.consts, eps, fixed_words is not None)
     if fixed_words is None:
         size = count * m * n
         xwords = (np.empty(size, dtype=np.uint8) if codebooks is None else codebooks[:size]).reshape(count, m, n)
         # a split leaves the tails it never draws zero
         xwords[:, :, k:] = 0
         rows = xwords.reshape(count * m, n)
-        cb_states = stream_states(derived_master, trial_stream(tids, PURPOSE_CODEBOOK))
-        rq = raw_threshold(q)
+        cb_states = states[2].copy()
         _draw_codebooks(cb_states, rq, xwords[:, :, :k], n)
         if k < n:
             # the rest of each sent word, which its received word needs
@@ -448,15 +488,18 @@ def simulate_trials(
     # the sent word is row w-1 of its trial's codebook, drawn once
     sent = np.broadcast_to(words, (count, m, n))[np.arange(count), true_w - 1]
     ybits = np.empty((count, n), dtype=np.uint8)
-    _draw_received(stream_states(derived_master, trial_stream(tids, PURPOSE_NOISE)), sent, t0, t1, ybits)
-    del sent
+    _draw_received(states[1], sent, t0, t1, ybits)
+    del sent, states
 
     n1x, n11 = _count(words[:, :, :k], ybits[:, :k])
     n1y = ybits.sum(axis=1, dtype=np.int64)
     if k == n:
-        return true_w, _scan(n, n1x, n1y, n11, consts, eps), ybits, xwords
+        # each trial scans against its own segment's row of constants
+        consts = np.array([s.consts for s in segments])
+        seg = np.repeat(np.arange(len(segments)), sizes)[:, None] if rest else 0
+        return true_w, _scan(n, n1x, n1y, n11, consts, eps, seg), ybits, xwords
     ytails = ybits[:, k:]
-    keep = _completable(n, k, n1x, n11, n1y, ytails.sum(axis=1, dtype=np.int64), consts, eps)
+    keep = _completable(n, k, n1x, n11, n1y, ytails.sum(axis=1, dtype=np.int64), head.consts, eps)
     # the sent rows are whole already; of the others, only those that may be typical get tails
     keep.reshape(-1)[sent_rows] = False
     todo = np.flatnonzero(keep)
@@ -466,6 +509,6 @@ def simulate_trials(
     # a rejected row cannot be typical: only the sent rows and the survivors are scanned
     at = np.concatenate((sent_rows, todo))
     mask = np.zeros((count, m), dtype=bool)
-    verdicts = _scan(n, n1x.reshape(-1)[at, None], n1y[at // m], n11.reshape(-1)[at, None], consts, eps)
+    verdicts = _scan(n, n1x.reshape(-1)[at, None], n1y[at // m], n11.reshape(-1)[at, None], head.consts, eps)
     mask.reshape(-1)[at] = verdicts[:, 0]
     return true_w, mask, ybits, xwords

@@ -15,11 +15,12 @@ the kernel and the reference path.  Batches, single trials, and the
 exhaustive oracle all reproduce each other exactly.
 
 Execution: :func:`iter_points` is the one trial executor.  It simulates
-each sweep point in chunks sized to ``CALL_BYTES`` and resolves the
-multi-candidate trials of every point of one shape (m, resolver, k_max),
-whatever their blocklengths, together, from their bit-packed difference
-sequences, so a lockstep resolver loop runs once per pool of points
-rather than once per point; :func:`run_trials` runs it on a single
+the points that share (m, n, channel, eps) in kernel calls sized to
+``CALL_BYTES`` that span points, and resolves the multi-candidate trials
+of every point of one shape (m, resolver, k_max), whatever their
+blocklengths, together, from their bit-packed difference sequences, so a
+kernel call and a lockstep resolver loop each run once per batch of
+points rather than once per point; :func:`run_trials` runs it on a single
 point.  :func:`estimate_points` is the one error-count loop: every
 sweep, :func:`estimate_pe` and the oracle check count errors through it,
 in spans of ``DEFAULT_CHUNK`` trials, so memory does not grow with the
@@ -31,7 +32,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from hashlib import blake2b
 from itertools import groupby
 
@@ -271,13 +272,14 @@ class TrialBatch:
 
 
 def call_bytes(m: int, n: int) -> int:
-    """Bytes one trial takes inside a :func:`~weaktyp.kernels.simulate_trials` call.
+    """Bytes one trial takes inside a :func:`~weaktyp.kernels.simulate_trials` call, of one point or several.
 
-    Measured with tracemalloc and pinned by a test.  A trial's codebook
+    Measured with tracemalloc and pinned by tests.  A trial's codebook
     (mn bytes) and received word (n) are held throughout, its sent word
     (n) only through the noise draw, and its scan arrays (int64 counts,
     typicality terms, mask: 65 bytes per codeword measured, 73 allowed)
-    after it; with 56 bytes of per-trial scalars, this sum bounds them.
+    after it; with 56 bytes of per-trial scalars (its stream states and
+    its point's threshold and constants among them), this sum bounds them.
     The kernel's block buffers come on top, once per call: its two kept
     ``kernels.BLOCK_ELEMS`` uint64 draw buffers, the codebook's position
     offsets and one ``kernels.BLOCK_ELEMS`` float32 count buffer.
@@ -298,14 +300,16 @@ def _shape(cfg: TrialConfig) -> tuple[int, str, int]:
 class _Pool:
     """Multi-candidate trials of the sweep points of one shape, awaiting one resolver call.
 
-    A part holds one chunk's multi-candidate trials: n, candidate masks,
-    bit-packed difference sequences (each trial's codewords XOR its
+    A part holds multi-candidate trials of one kernel call: n, candidate
+    masks, bit-packed difference sequences (each trial's codewords XOR its
     received word) and resolver states, plus the array and positions
     their decodes go to.  The pool is bounded by ``budget`` =
     ``POOL_BLOCKS`` resolver blocks of packed rows,
-    ``packed_bytes(m, n)`` per trial: a part that would pass it first
-    flushes the pool, and a part that fills it alone is resolved alone,
-    uncopied, so the parts, and their joined copies, stay within it.
+    ``packed_bytes(m, n)`` per trial: a call's trials fill it up to the
+    budget, and it is flushed as soon as no further trial of that n fits,
+    so every flush but a shape's last is nearly full; a trial that passes
+    the budget alone is resolved alone.  No part is joined to another or
+    copied but a split-off tail, so the pooled trials stay within it.
     """
 
     def __init__(self, m: int, resolver: str, k_max: int) -> None:
@@ -323,12 +327,23 @@ class _Pool:
         weak: np.ndarray,
         positions: np.ndarray,
     ) -> None:
-        size = positions.size * packed_bytes(self.m, n)
+        size = packed_bytes(self.m, n)
+        at = 0
+        while at < positions.size:
+            # as many trials as the pool has room for, and one into an empty pool
+            room = (self.budget - self.bytes) // size
+            if room <= 0 and self.parts:
+                self.flush()
+                continue
+            part = slice(at, min(positions.size, at + max(1, room)))
+            arrays = [mask[part], z_seqs[part], states[part]]
+            if at:
+                # a tail outlives its head's flush: copied, so it holds none of the head's bytes
+                arrays = [array.copy() for array in arrays]
+            self.parts.append((n, *arrays, weak, positions[part]))
+            self.bytes += (part.stop - at) * size
+            at = part.stop
         if self.bytes + size > self.budget:
-            self.flush()
-        self.parts.append((n, mask, z_seqs, states, weak, positions))
-        self.bytes += size
-        if self.bytes >= self.budget:
             self.flush()
 
     def waiting(self) -> set[int]:
@@ -336,29 +351,13 @@ class _Pool:
         return {id(part[4]) for part in self.parts}
 
     def flush(self) -> None:
-        """Resolve every pooled trial, each n's parts joined, and scatter the decodes back."""
+        """Resolve every pooled trial in one resolver call, its parts as they are, and scatter the decodes back."""
         if not self.parts:
             return
         parts, self.parts, self.bytes = self.parts, [], 0
-        by_n: dict[int, list[tuple]] = {}
-        for part in parts:
-            by_n.setdefault(part[0], []).append(part)
-        del parts
-        batches, targets = [], []
-        for n, same in by_n.items():
-            batches.append(PackedTrials(n, *(_joined([part[i] for part in same]) for i in (1, 2, 3))))
-            targets.append([part[4:] for part in same])
-        del by_n, same  # the joined copies replace the parts
-        for resolved, places in zip(resolve_batch(batches, self.resolver, self.k_max), targets):
-            at = 0
-            for weak, positions in places:
-                weak[positions] = resolved.decoded[at : at + positions.size]
-                at += positions.size
-
-
-def _joined(arrays: list[np.ndarray]) -> np.ndarray:
-    """The parts as one array, with no copy when there is one part (a point alone in its pool)."""
-    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
+        batches = [PackedTrials(*part[:4]) for part in parts]
+        for resolved, (*_, weak, positions) in zip(resolve_batch(batches, self.resolver, self.k_max), parts):
+            weak[positions] = resolved.decoded
 
 
 def _per_call(cfg: TrialConfig) -> int:
@@ -366,33 +365,65 @@ def _per_call(cfg: TrialConfig) -> int:
     return min(DEFAULT_CHUNK, max(1, CALL_BYTES // call_bytes(cfg.m, cfg.n)))
 
 
-def _simulate_point(
-    cfg: TrialConfig, num_trials: int, start: int, pool: _Pool, codebooks: np.ndarray | None
-) -> TrialBatch:
-    """Simulate and scan one point chunk by chunk, drawing codebooks into ``codebooks``.
+def _call_key(cfg: TrialConfig, consts: tuple[float, ...]) -> tuple | None:
+    """Points with one key share kernel calls: redrawn points of one (m, n, channel, eps) drawn in one pass.
 
-    Its multi-candidate trials go to ``pool``, whose flush writes their
-    weak decodes into the returned batch.
+    ``consts`` are the point's kernel constants.  None for a point that
+    takes calls of its own: a fixed codebook is the point's alone, and a
+    prefix split (``kernels.prefix_length``) draws less in a call of one
+    point.
     """
+    if cfg.codebook_mode == "fixed":
+        return None
+    if kernels.prefix_length(cfg.n, cfg.m, cfg.q, consts, cfg.eps, False) < cfg.n:
+        return None
+    return (cfg.m, cfg.n, cfg.channel.transition.tobytes(), cfg.eps)
+
+
+def _simulate(
+    cfgs: list[TrialConfig],
+    consts: list[tuple[float, ...]],
+    num_trials: int,
+    start: int,
+    pool: _Pool,
+    codebooks: np.ndarray | None,
+) -> TrialBatch:
+    """Simulate and scan a run of points, trials start..start+num_trials-1 of each, with codebooks in ``codebooks``.
+
+    The points, with kernel constants ``consts``, share kernel calls
+    (:func:`_call_key`), or the run is one point.  Its trials are taken
+    point after point, in kernel calls of :func:`_per_call` trials that
+    may span points; the returned batch holds point p's trials at
+    p*num_trials onwards.  Its multi-candidate trials go to ``pool``,
+    whose flush writes their weak decodes into it.
+    """
+    cfg = cfgs[0]
     per_call = _per_call(cfg)
-    dm = derived_master(cfg)
-    consts = build_context(cfg.q, cfg.channel).kernel_constants()
     t0 = float(cfg.channel.transition[0, 1])
     t1 = float(cfg.channel.transition[1, 1])
     fixed_words = fixed_codebook(cfg).words if cfg.codebook_mode == "fixed" else None
     width = -(-cfg.n // 8)
-    batch = TrialBatch(*(np.empty(num_trials, dtype=np.int64) for _ in range(4)))
+    dms = [derived_master(c) for c in cfgs]
+    total = num_trials * len(cfgs)
+    batch = TrialBatch(*(np.empty(total, dtype=np.int64) for _ in range(4)))
+    # each trial's derived master and trial id, for its resolver stream
+    masters = np.repeat(np.array(dms, dtype=np.uint64), num_trials)
+    tids = np.tile(np.arange(start, start + num_trials, dtype=np.uint64), len(cfgs))
 
-    for off in range(0, num_trials, per_call):
-        tid0 = start + off
-        count = min(per_call, num_trials - off)
+    for off in range(0, total, per_call):
+        end = min(total, off + per_call)
+        count = end - off
+        segments = []
+        for p in range(off // num_trials, (end - 1) // num_trials + 1):
+            lo, hi = max(off, p * num_trials), min(end, (p + 1) * num_trials)
+            segments.append(kernels.Segment(dms[p], start + lo - p * num_trials, hi - lo, cfgs[p].q, consts[p]))
         w, mask, ybits, words = kernels.simulate_trials(
-            dm, tid0, count, cfg.m, cfg.n, cfg.q, t0, t1, consts, cfg.eps, fixed_words, codebooks
+            segments, count, cfg.m, cfg.n, t0, t1, cfg.eps, fixed_words, codebooks
         )
         # in fixed mode the kernel returns no codebooks: the fixed one is every trial's
         words = fixed_words[None] if words is None else words
         counts = mask.sum(axis=1)
-        sl = slice(off, off + count)
+        sl = slice(off, end)
         batch.true_w[sl] = w
         batch.candidate_counts[sl] = counts
         batch.jt_decoded[sl] = np.where(counts == 1, mask.argmax(axis=1) + 1, 0)
@@ -406,8 +437,9 @@ def _simulate_point(
         # the next call draws over the chunk's codebooks: no view of them outlives the chunk
         del words
         if multi.size:
-            states = stream_states(dm, trial_stream(tid0 + multi, PURPOSE_RESOLVER))
-            pool.add(cfg.n, mask[multi], z_seqs, states, batch.weak_decoded, off + multi)
+            at = off + multi
+            states = stream_states(masters[at], trial_stream(tids[at], PURPOSE_RESOLVER))
+            pool.add(cfg.n, mask[multi], z_seqs, states, batch.weak_decoded, at)
     return batch
 
 
@@ -415,26 +447,26 @@ def iter_points(cfgs: list[TrialConfig], num_trials: int, start: int = 0) -> Ite
     """(index, batch) of every sweep point in ``cfgs``, each as soon as its decodes are final.
 
     The trial executor, identical point by point to looping
-    :func:`run_trial` (tests pin it), but far faster.  Each point is
-    simulated and scanned in chunks of ``DEFAULT_CHUNK`` trials, one kernel
-    call per chunk, and fewer where their footprint, :func:`call_bytes` per
-    trial, would pass ``CALL_BYTES``; a trial above that runs alone.
-    (``CHUNK_BYTES`` only bounds one trial's :func:`call_bytes`, which
-    ``config.validate`` checks.)  The trials with two or more candidates of
-    every point of one shape (m, resolver, k_max), whatever their n, are
-    pooled as their candidates' difference sequences, bit-packed
-    (:class:`~weaktyp.decoders.PackedTrials`, one copy per trial even for a
-    fixed codebook), and resolved together, in lockstep, by one
-    :func:`~weaktyp.decoders.resolve_batch` call per flush (k-means once per
-    n, the svm's Pegasos loop once for all n): a lockstep loop costs about
-    the same whether it carries the trials of one point or of many.  Points
-    of one shape run back to back, so one pool is open at a time; every
-    point owns its streams, so the order changes no result.  A point is
-    yielded once no pooled trial of it awaits resolution, so a caller that
-    keeps only its counts holds the batches of the open pool's points, not
-    of every point.  All kernel calls draw codebooks into one buffer sized
-    for the largest, so a sweep maps those pages once, however its points
-    grow.
+    :func:`run_trial` (tests pin it), but far faster.  Consecutive points
+    of one shape that share a kernel-call key (:func:`_call_key`) run as
+    one sequence of trials, point after point, in kernel calls of
+    ``DEFAULT_CHUNK`` trials that may span points, and fewer where their
+    footprint, :func:`call_bytes` per trial, would pass ``CALL_BYTES``; a
+    trial above that runs alone.  (``CHUNK_BYTES`` only bounds one trial's
+    :func:`call_bytes`, which ``config.validate`` checks.)  The trials with
+    two or more candidates of every point of one shape (m, resolver,
+    k_max), whatever their n, are pooled as their candidates' difference
+    sequences, bit-packed (:class:`~weaktyp.decoders.PackedTrials`), and
+    resolved in lockstep by one :func:`~weaktyp.decoders.resolve_batch`
+    call per flush: one k-means per candidate count and one Pegasos loop
+    across every n.  A kernel call or a lockstep loop costs about the same
+    whether it carries one point or many.  Points of one shape run back to
+    back, so one pool is open at a time; every point owns its streams, so
+    the order changes no result.  A point is yielded once no pooled trial
+    of it awaits resolution, so a caller that keeps only its counts holds
+    the batches of the open pool's points.  All kernel calls draw
+    codebooks into one buffer sized for the largest, so a sweep maps those
+    pages once.
     """
     if num_trials < 1:
         raise ValueError("num_trials must be positive")
@@ -445,31 +477,44 @@ def iter_points(cfgs: list[TrialConfig], num_trials: int, start: int = 0) -> Ite
 
 def _points(cfgs: list[TrialConfig], num_trials: int, start: int) -> Iterator[tuple[int, TrialBatch]]:
     """The generator behind :func:`iter_points`, on checked arguments."""
-    sizes = [min(num_trials, _per_call(cfg)) * cfg.m * cfg.n for cfg in cfgs if cfg.codebook_mode == "redraw"]
-    codebooks = np.empty(max(sizes), dtype=np.uint8) if sizes else None
+    consts = [build_context(cfg.q, cfg.channel).kernel_constants() for cfg in cfgs]
     by_shape = sorted(range(len(cfgs)), key=lambda i: _shape(cfgs[i]))
-    for _, group in groupby(by_shape, key=lambda i: _shape(cfgs[i])):
+    # runs of consecutive points of one shape that share kernel calls; a point with no key runs alone
+    runs = [
+        list(run) for _, run in groupby(by_shape, key=lambda i: (_shape(cfgs[i]), _call_key(cfgs[i], consts[i]) or i))
+    ]
+    heads = [cfgs[run[0]] for run in runs]
+    sizes = [
+        min(num_trials * len(run), _per_call(cfg)) * cfg.m * cfg.n
+        for run, cfg in zip(runs, heads)
+        if cfg.codebook_mode == "redraw"
+    ]
+    codebooks = np.empty(max(sizes), dtype=np.uint8) if sizes else None
+    for _, group in groupby(runs, key=lambda run: _shape(cfgs[run[0]])):
         group = list(group)
-        pool = _Pool(*_shape(cfgs[group[0]]))
-        open_points: list[tuple[int, TrialBatch]] = []
-        for i in group:
-            open_points.append((i, _simulate_point(cfgs[i], num_trials, start, pool, codebooks)))
+        pool = _Pool(*_shape(cfgs[group[0][0]]))
+        open_runs: list[tuple[list[int], TrialBatch]] = []
+        for run in group:
+            batch = _simulate([cfgs[i] for i in run], [consts[i] for i in run], num_trials, start, pool, codebooks)
+            open_runs.append((run, batch))
             waiting = pool.waiting()
-            for point in open_points:
-                if id(point[1].weak_decoded) not in waiting:
-                    yield _checked(point)
-            open_points = [point for point in open_points if id(point[1].weak_decoded) in waiting]
+            for done in open_runs:
+                if id(done[1].weak_decoded) not in waiting:
+                    yield from _checked(done, num_trials)
+            open_runs = [done for done in open_runs if id(done[1].weak_decoded) in waiting]
         pool.flush()
-        for point in open_points:
-            yield _checked(point)
+        for done in open_runs:
+            yield from _checked(done, num_trials)
 
 
-def _checked(point: tuple[int, TrialBatch]) -> tuple[int, TrialBatch]:
-    """The point, once its batch has passed the pathwise dominance check."""
-    batch = point[1]
+def _checked(done: tuple[list[int], TrialBatch], num_trials: int) -> Iterator[tuple[int, TrialBatch]]:
+    """(index, batch) of each point of a run, once its batch has passed the pathwise dominance check."""
+    run, batch = done
     if np.any((batch.weak_decoded != batch.true_w) & (batch.jt_decoded == batch.true_w)):
         raise RuntimeError("dominance violated: weak decoder erred where the classical one succeeded")
-    return point
+    for p, i in enumerate(run):
+        part = slice(p * num_trials, (p + 1) * num_trials)
+        yield i, TrialBatch(*(getattr(batch, f.name)[part] for f in fields(TrialBatch)))
 
 
 def run_trials(cfg: TrialConfig, num_trials: int, start: int = 0) -> TrialBatch:
@@ -516,9 +561,11 @@ def exhaustive_pe(cfg: TrialConfig) -> tuple[float, float]:
     Requires fixed-codebook mode and a small instance.  The resolver
     stream is pinned to a reserved id so the enumeration is a pure
     function of the configuration; for instances whose resolution is
-    seeding-invariant (for example m=2, where any multi-candidate set
-    provably decodes to its lowest index) the result is exactly the
-    expectation of the Monte Carlo path.
+    seeding-invariant the result is exactly the expectation of the Monte
+    Carlo path.  m=2 is one: a pair decodes its lowest index, provably
+    under the cluster resolvers, and under svm at n <= ``ENUM_MAX_N``,
+    where a test checks every pair up to column order (a longer svm pair
+    may not).
     """
     if cfg.codebook_mode != "fixed":
         raise ValueError("exhaustive enumeration requires codebook_mode='fixed'")

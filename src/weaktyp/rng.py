@@ -107,12 +107,14 @@ def raw_below(z: np.ndarray, threshold: np.uint64, out: np.ndarray, scratch: np.
     """``finalize(z) < threshold`` into the bool array ``out``; ``z`` is overwritten.
 
     ``scratch`` is a uint64 array of ``z``'s shape, and ``out`` has it
-    too.  The last xorshift ``z ^ (z >> 31)`` leaves bits 33..63 as they
-    are, and when the threshold's low 33 bits are zero only those bits
-    decide the compare, so it is skipped.  ``raw_threshold(q)`` has that
-    form for every q = k / 2**31, q = 1/2 among them.
+    too; ``threshold`` is one uint64 or an array of them broadcasting
+    against ``z``.  The last xorshift ``z ^ (z >> 31)`` leaves bits 33..63
+    as they are, and when every threshold's low 33 bits are zero only
+    those bits decide the compare, so it is skipped.  ``raw_threshold(q)``
+    has that form for every q = k / 2**31, q = 1/2 among them.
     """
-    if int(threshold) & _LOW_33:
+    low_bits = np.any(threshold & np.uint64(_LOW_33)) if isinstance(threshold, np.ndarray) else int(threshold) & _LOW_33
+    if low_bits:
         finalize(z, out=z, scratch=scratch)
     else:
         _mix_rounds(z, z, scratch)
@@ -152,9 +154,17 @@ def _to_unit(raw: np.ndarray) -> np.ndarray:
     return unit_bits(raw).astype(np.float64) * _U01_SCALE
 
 
-def stream_states(master_seed: int, stream_ids: np.ndarray) -> np.ndarray:
-    """:func:`stream_state` of every id in ``stream_ids``, as a uint64 array."""
-    z = np.uint64(mix64(master_seed & MASK64)) ^ np.asarray(stream_ids, dtype=np.uint64)
+def stream_states(master_seed: int | np.ndarray, stream_ids: np.ndarray) -> np.ndarray:
+    """:func:`stream_state` of every id in ``stream_ids``, as a uint64 array.
+
+    ``master_seed`` is one seed, or a uint64 array of seeds broadcasting
+    against the ids.
+    """
+    if isinstance(master_seed, np.ndarray):
+        key = finalize(master_seed + _U64_GAMMA)  # mix64, elementwise
+    else:
+        key = np.uint64(mix64(master_seed & MASK64))
+    z = key ^ np.asarray(stream_ids, dtype=np.uint64)
     return finalize(z + _U64_GAMMA)
 
 

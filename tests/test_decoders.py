@@ -16,7 +16,7 @@ from weaktyp.decoders import (
     kmeans,
     weak_outcome,
 )
-from weaktyp.kernels import simulate_trials
+from weaktyp.kernels import Segment, simulate_trials
 from weaktyp.montecarlo import derived_master
 from weaktyp.rng import PURPOSE_RESOLVER, RngStream, stream_states, trial_stream
 from weaktyp.typicality import build_context, is_jointly_typical
@@ -333,7 +333,7 @@ def test_exact_ties_go_to_the_lowest_index():
     assert decode(cands, "cluster", RngStream(0, 0), 1) == 1
     states = stream_states(0, np.array([0]))
     trials = PackedTrials(5, np.ones((1, 3), dtype=bool), np.packbits(np.array([rows]), axis=2), states)
-    got = cluster_resolve_batch(trials, "cluster", 1)
+    (got,) = cluster_resolve_batch([trials], "cluster", 1)
     assert got.decoded.tolist() == [1]
     assert got.iterations.tolist() == [2]
 
@@ -388,6 +388,25 @@ def test_nearest_decides_alike_from_quotients_and_from_wide_products():
         assert np.array_equal(quotients, decoders._nearest(shifted, weight, size**2, 2**52))
 
 
+def test_lockstep_kmeans_on_grams_joined_across_blocklengths_equals_per_blocklength_calls():
+    # the lockstep reads a point set only through its Gram matrix, so sets of several
+    # blocklengths, their packed rows zero-padded to the widest, run as one call with
+    # the largest n
+    rng = np.random.default_rng(12)
+    c, k, trials = 8, 3, 40
+    sets = {n: np.packbits(rng.integers(0, 2, size=(trials, c, n), dtype=np.uint8), axis=2) for n in (8, 17, 40)}
+    states = {n: stream_states(n, np.arange(trials)) for n in sets}
+    alone = [decoders._lockstep_kmeans(*decoders._gram_products(x, n), states[n], k, n) for n, x in sets.items()]
+    padded = np.zeros((3 * trials, c, sets[40].shape[2]), dtype=np.uint8)
+    for i, x in enumerate(sets.values()):
+        padded[i * trials : (i + 1) * trials, :, : x.shape[2]] = x
+    joined_states = np.concatenate(list(states.values()))
+    joined = decoders._lockstep_kmeans(*decoders._gram_products(padded, 8), joined_states, k, 40)
+    for got, want in zip(joined, zip(*alone)):
+        assert np.array_equal(got, np.concatenate(want))
+    assert len(set(joined[1].tolist())) > 1  # passes differ between sets
+
+
 def test_many_candidates_on_few_symbols_resolve_from_the_rows():
     # c > n: a c x c Gram matrix would take c**2 elements; the products are taken from the rows
     c, n, k_max = 2000, 8, 3
@@ -395,7 +414,7 @@ def test_many_candidates_on_few_symbols_resolve_from_the_rows():
     trials = PackedTrials(n, np.ones((1, c), dtype=bool), np.packbits(words, axis=2), stream_states(11, np.array([5])))
     tracemalloc.start()
     try:
-        got = cluster_resolve_batch(trials, "cluster", k_max)
+        (got,) = cluster_resolve_batch([trials], "cluster", k_max)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -421,7 +440,7 @@ def test_an_emptied_cluster_is_reseeded_on_distinct_rows():
     for resolver, expected in (("cluster", 1), ("cluster-random", 8)):
         outcome, clus = weak_outcome(cands, resolver, RngStream(3872243241, 5249), 5)
         assert (outcome.decoded, clus.iterations_used) == (expected, 6)
-        got = cluster_resolve_batch(trials, resolver, 5)
+        (got,) = cluster_resolve_batch([trials], resolver, 5)
         assert (got.decoded.tolist(), got.iterations.tolist()) == ([expected], [6])
 
 
@@ -623,6 +642,45 @@ def test_svm_two_candidates_tie_break():
     assert decode(cands, "svm", RngStream(5, 0)) == 2
 
 
+def test_svm_can_decode_the_higher_index_of_two_nested_candidates():
+    # z1 is z0 plus one more 1: with 200 ones shared (n = 205) the separator leaves
+    # message 2 ahead whichever row comes first, with 150 message 1; so svm pairs do
+    # not always decode their lowest index, as the cluster resolvers' pairs do
+    for shared, expected in ((200, 2), (150, 1)):
+        z0 = np.zeros(205, dtype=np.uint8)
+        z0[:shared] = 1
+        z1 = z0.copy()
+        z1[shared] = 1
+        for rows in ((z0, z1), (z1, z0)):
+            for seed in range(8):
+                assert decode(cand_set([1, 2], rows), "svm", RngStream(seed, 3)) == expected
+
+
+def test_svm_decodes_the_lowest_index_of_every_pair_up_to_the_oracle_blocklength():
+    # two distinct rows are, up to the order of their columns, a ones of the first
+    # alone, b of the second alone and s shared, and all-zero columns take no weight.
+    # Every pair with a + b + s <= ENUM_MAX_N, in either order and with either row
+    # seeding 2-means (its label +1), decodes message 1: exhaustive_pe's m = 2 claim
+    # for svm
+    from weaktyp.montecarlo import ENUM_MAX_N
+
+    # the first k-means seed is row 0 under a first draw below 1/2, else row 1
+    streams = [next(RngStream(0, i) for i in range(100) if (RngStream(0, i).uniform() < 0.5) == low) for low in (1, 0)]
+    cases = 0
+    for a in range(ENUM_MAX_N + 1):
+        for b in range(ENUM_MAX_N + 1 - a):
+            for s in range(ENUM_MAX_N + 1 - a - b):
+                if a + b == 0:
+                    continue
+                first = np.array([1] * a + [0] * b + [1] * s, dtype=np.uint8)
+                second = np.array([0] * a + [1] * b + [1] * s, dtype=np.uint8)
+                for rows in ((first, second), (second, first)):
+                    for stream in streams:
+                        assert decode(cand_set([1, 2], rows), "svm", RngStream(0, stream.stream_id)) == 1
+                        cases += 1
+    assert cases == 1768
+
+
 def test_svm_returns_candidate_member():
     rng = np.random.default_rng(17)
     for trial in range(100):
@@ -643,7 +701,7 @@ def test_resolvers_read_candidate_rows_only(m, n):
     cfg = TrialConfig(n=n, m=m, q=0.5, channel=bsc(0.4), eps=0.1, master_seed=808)
     dm = derived_master(cfg)
     consts = build_context(cfg.q, cfg.channel).kernel_constants()
-    _, mask, ybits, xwords = simulate_trials(dm, 0, 400, m, n, cfg.q, 0.4, 0.6, consts, cfg.eps, None)
+    _, mask, ybits, xwords = simulate_trials([Segment(dm, 0, 400, cfg.q, consts)], 400, m, n, 0.4, 0.6, cfg.eps)
     counts = mask.sum(axis=1)
     trials = np.flatnonzero((counts >= 2) & (counts < m))
     assert trials.size >= 20
@@ -674,9 +732,7 @@ def test_symbol_flip_equivariance():
     ctx_flip = build_context(0.7, bsc(0.4))
     dm = derived_master(cfg)
     consts = ctx.kernel_constants()
-    w, mask, ybits, _ = simulate_trials(
-        dm, 0, 300, cfg.m, cfg.n, cfg.q, 0.4, 0.6, consts, cfg.eps, None
-    )
+    w, mask, ybits, _ = simulate_trials([Segment(dm, 0, 300, cfg.q, consts)], 300, cfg.m, cfg.n, 0.4, 0.6, cfg.eps)
     from weaktyp.core import Codebook
     from weaktyp.montecarlo import _trial_codebook
 

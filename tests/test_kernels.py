@@ -154,6 +154,12 @@ def test_the_prefix_test_keeps_a_completion_typical_by_a_hair():
         assert keep.all(), (n, k, q, p, counts)
 
 
+def _segment(cfg, tid0, count):
+    """Trials tid0..tid0+count-1 of ``cfg`` as one kernel segment."""
+    consts = build_context(cfg.q, cfg.channel).kernel_constants()
+    return kernels.Segment(derived_master(cfg), tid0, count, cfg.q, consts)
+
+
 def _assert_rows_follow_the_contract(got, want, mask, w, k):
     """Typical and sent rows are whole; any other row is whole or its k-prefix and zeros."""
     whole = mask.copy()
@@ -167,13 +173,11 @@ def _assert_rows_follow_the_contract(got, want, mask, w, k):
 @pytest.mark.parametrize("cfg, count, block_elems", KERNEL_CASES)
 def test_simulate_trials_equals_reference_path(monkeypatch, cfg, count, block_elems):
     monkeypatch.setattr(kernels, "BLOCK_ELEMS", block_elems)
-    ctx = build_context(cfg.q, cfg.channel)
     tid0 = 40
     fixed = fixed_codebook(cfg).words if cfg.codebook_mode == "fixed" else None
     true_w, mask, ybits, xwords = kernels.simulate_trials(
-        derived_master(cfg), tid0, count, cfg.m, cfg.n, cfg.q,
-        float(cfg.channel.transition[0, 1]), float(cfg.channel.transition[1, 1]),
-        ctx.kernel_constants(), cfg.eps, fixed,
+        [_segment(cfg, tid0, count)], count, cfg.m, cfg.n,
+        float(cfg.channel.transition[0, 1]), float(cfg.channel.transition[1, 1]), cfg.eps, fixed,
     )
     assert (true_w.dtype, mask.dtype, ybits.dtype) == (np.int64, np.bool_, np.uint8)
     assert (xwords is None) == (fixed is not None)
@@ -208,9 +212,8 @@ def test_blocked_noise_equals_the_reference_channel(monkeypatch, channel, block_
     monkeypatch.setattr(kernels, "BLOCK_ELEMS", int(block_trials * cfg.n))
     tid0, count = 70, 8
     true_w, mask, ybits, xwords = kernels.simulate_trials(
-        derived_master(cfg), tid0, count, cfg.m, cfg.n, cfg.q,
-        float(channel.transition[0, 1]), float(channel.transition[1, 1]),
-        build_context(cfg.q, channel).kernel_constants(), cfg.eps,
+        [_segment(cfg, tid0, count)], count, cfg.m, cfg.n,
+        float(channel.transition[0, 1]), float(channel.transition[1, 1]), cfg.eps,
     )
     for t in range(count):
         w, y, ref_mask, words = _reference_trial(cfg, tid0 + t)
@@ -237,9 +240,8 @@ def test_calls_through_one_codebook_buffer_keep_the_row_contract():
     buffer = np.ones(count * 16 * 60, dtype=np.uint8)
     for cfg, tid0 in [(split, 0), (plain, 0), (longer, 3), (split, 6), (split, 0)]:
         args = (
-            derived_master(cfg), tid0, count, cfg.m, cfg.n, cfg.q,
-            float(cfg.channel.transition[0, 1]), float(cfg.channel.transition[1, 1]),
-            build_context(cfg.q, cfg.channel).kernel_constants(), cfg.eps, None,
+            [_segment(cfg, tid0, count)], count, cfg.m, cfg.n,
+            float(cfg.channel.transition[0, 1]), float(cfg.channel.transition[1, 1]), cfg.eps, None,
         )
         true_w, mask, ybits, xwords = kernels.simulate_trials(*args, buffer)
         assert np.shares_memory(xwords, buffer)
@@ -250,6 +252,33 @@ def test_calls_through_one_codebook_buffer_keep_the_row_contract():
             w, _, ref_mask, words = _reference_trial(cfg, tid0 + t)
             assert np.array_equal(mask[t], ref_mask)
             _assert_rows_follow_the_contract(xwords[t], words, mask[t], w, _prefix_length(cfg))
+
+
+@pytest.mark.parametrize("channel", [bsc(0.4), bsc(0.0)], ids=["bsc0.4", "bsc0"])
+def test_a_call_of_several_points_equals_their_one_point_calls(monkeypatch, channel):
+    # three points of one (m, n, channel, eps), five trials each, in two calls of 8 and 7
+    # trials: the middle point is split across them, and blocks of three trials mix a
+    # non-dyadic q with the dyadic 0.5, whose last xorshift is skipped only alone;
+    # bsc(0) has a probability 1, so its noise takes the unit-bit path
+    cfgs = [
+        TrialConfig(n=12, m=3, q=q, channel=channel, eps=0.25, master_seed=s) for q, s in ((0.3, 1), (0.5, 2), (0.7, 3))
+    ]
+    assert all(_prefix_length(cfg) == cfg.n for cfg in cfgs)
+    monkeypatch.setattr(kernels, "BLOCK_ELEMS", 3 * 3 * 12)
+    t0, t1 = float(channel.transition[0, 1]), float(channel.transition[1, 1])
+
+    def call(segments):
+        count = sum(segment.count for segment in segments)
+        return kernels.simulate_trials(segments, count, 3, 12, t0, t1, 0.25)
+
+    first = call([_segment(cfgs[0], 40, 5), _segment(cfgs[1], 40, 3)])
+    second = call([_segment(cfgs[1], 43, 2), _segment(cfgs[2], 40, 5)])
+    joined = [np.concatenate(arrays) for arrays in zip(first, second)]
+    alone = [np.concatenate(arrays) for arrays in zip(*(call([_segment(cfg, 40, 5)]) for cfg in cfgs))]
+    for got, want in zip(joined, alone):
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+    assert joined[1].any() and not joined[1].all()
 
 
 def test_counts_are_exact_past_the_float16_range(monkeypatch):
@@ -283,9 +312,8 @@ def test_each_symbol_is_drawn_once(monkeypatch, mode):
     monkeypatch.setattr(kernels, "BLOCK_ELEMS", 2 * cfg.n)
     fixed = fixed_codebook(cfg).words if mode == "fixed" else None
     args = (
-        derived_master(cfg), 0, 6, cfg.m, cfg.n, cfg.q,
-        float(cfg.channel.transition[0, 1]), float(cfg.channel.transition[1, 1]),
-        build_context(cfg.q, cfg.channel).kernel_constants(), cfg.eps, fixed,
+        [_segment(cfg, 0, 6)], 6, cfg.m, cfg.n,
+        float(cfg.channel.transition[0, 1]), float(cfg.channel.transition[1, 1]), cfg.eps, fixed,
     )
     draws = []
 
@@ -337,7 +365,7 @@ def _call_counts(monkeypatch, cfg, trials, call_budget):
     simulate = kernels.simulate_trials
 
     def spy(*args, **kwargs):
-        counts.append(args[2])
+        counts.append(args[1])
         return simulate(*args, **kwargs)
 
     monkeypatch.setattr(kernels, "simulate_trials", spy)
@@ -380,12 +408,10 @@ FOOTPRINT_CASES = [
 def test_a_kernel_call_stays_within_its_measured_footprint(cfg):
     # as many trials as the executor puts in one call of this shape
     count = min(montecarlo.DEFAULT_CHUNK, montecarlo.CALL_BYTES // call_bytes(cfg.m, cfg.n))
-    ctx = build_context(cfg.q, cfg.channel)
     fixed = fixed_codebook(cfg).words if cfg.codebook_mode == "fixed" else None
     args = (
-        derived_master(cfg), 0, count, cfg.m, cfg.n, cfg.q,
-        float(cfg.channel.transition[0, 1]), float(cfg.channel.transition[1, 1]),
-        ctx.kernel_constants(), cfg.eps, fixed,
+        [_segment(cfg, 0, count)], count, cfg.m, cfg.n,
+        float(cfg.channel.transition[0, 1]), float(cfg.channel.transition[1, 1]), cfg.eps, fixed,
     )
     tracemalloc.start()
     try:
@@ -401,6 +427,25 @@ def test_a_kernel_call_stays_within_its_measured_footprint(cfg):
         assert peak >= 0.75 * footprint
 
 
+@pytest.mark.parametrize("n", [20, 120])
+def test_a_call_of_several_points_stays_within_the_footprint_of_its_trials(n):
+    # fig3's nine points of one blocklength share a call, each trial scanned against
+    # its own point's constants: the call still takes call_bytes a trial
+    cfgs = [TrialConfig(n=n, m=4, q=q / 10, channel=bsc(0.4), eps=0.1) for q in range(1, 10)]
+    count = min(montecarlo.DEFAULT_CHUNK, montecarlo.CALL_BYTES // call_bytes(4, n))
+    sizes = [count // 9 + (i < count % 9) for i in range(9)]
+    segments = [_segment(cfg, 0, size) for cfg, size in zip(cfgs, sizes)]
+    kernels.simulate_trials(segments, count, 4, n, 0.4, 0.6, 0.1)  # the kept draw buffers
+    tracemalloc.start()
+    try:
+        out = kernels.simulate_trials(segments, count, 4, n, 0.4, 0.6, 0.1)
+        del out
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0.75 * count * call_bytes(4, n) <= peak <= count * call_bytes(4, n)
+
+
 @pytest.mark.parametrize("n, m, count", [(50, 4096, 1), (20, 1024, 7)])
 def test_fixed_codebook_counts_without_a_wide_copy_of_the_codebook(n, m, count):
     # the shared codebook is counted as uint8 in blocks, so a call stays within
@@ -411,9 +456,8 @@ def test_fixed_codebook_counts_without_a_wide_copy_of_the_codebook(n, m, count):
     ctx = build_context(cfg.q, cfg.channel)
     words = fixed_codebook(cfg).words
     args = (
-        derived_master(cfg), 0, count, cfg.m, cfg.n, cfg.q,
-        float(cfg.channel.transition[0, 1]), float(cfg.channel.transition[1, 1]),
-        ctx.kernel_constants(), cfg.eps, words,
+        [_segment(cfg, 0, count)], count, cfg.m, cfg.n,
+        float(cfg.channel.transition[0, 1]), float(cfg.channel.transition[1, 1]), cfg.eps, words,
     )
     tracemalloc.start()
     try:

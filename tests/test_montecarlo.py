@@ -8,6 +8,7 @@ import pytest
 
 from weaktyp import decoders, kernels, montecarlo
 from weaktyp.core import bsc
+from weaktyp.typicality import build_context
 from weaktyp.decoders import RESOLVERS, DecodeOutcome
 from weaktyp.montecarlo import (
     CHUNK_BYTES,
@@ -17,6 +18,7 @@ from weaktyp.montecarlo import (
     call_bytes,
     error_exponent,
     estimate_pe,
+    estimate_points,
     exhaustive_pe,
     exponent,
     fixed_codebook,
@@ -85,35 +87,27 @@ def test_points_pool_only_with_their_own_resolver_and_k_max():
 
 
 def pooled_footprints(monkeypatch, m, resolver, parts):
-    """Packed difference-sequence bytes the pool holds and joins while ``parts`` chunks of trials pass through it.
+    """Packed difference-sequence bytes the pool holds, and hands the resolver, while ``parts`` chunks pass through it.
 
-    ``parts`` lists (n, trials) chunks.  The parts are broadcast views and
-    the joins are recorded, not made, so nothing of the footprint is
-    allocated.  Returns the pool's bytes after each part, the bytes of
-    the copies that join several parts, summed per flush, and the
-    blocklengths each flush resolved; a part resolved alone is passed on
-    uncopied.
+    ``parts`` lists (n, trials) chunks.  The parts are broadcast views, so
+    nothing of the footprint is allocated but the tails the pool splits
+    off.  Returns the pool's bytes after each part and, per flush, the
+    (n, trials) of each part the resolver call took, as the pool holds
+    them: no part is joined to another.
     """
-    joined, flushed_ns = [], []
-
-    def recorded_join(arrays):
-        if len(arrays) > 1 and arrays[0].ndim == 3:  # the difference sequences, (trials, m, ceil(n/8))
-            joined[-1] += sum(a.shape[0] for a in arrays) * arrays[0].shape[1] * arrays[0].shape[2]
-        return np.broadcast_to(arrays[0][:1], (sum(a.shape[0] for a in arrays), *arrays[0].shape[1:]))
+    flushed = []
 
     def decoded(batch):
-        flushed_ns[-1].append(batch.n)
+        flushed[-1].append((batch.n, batch.cand_mask.shape[0]))
         return SimpleNamespace(decoded=np.ones(batch.cand_mask.shape[0], dtype=np.int64))
 
     flush = montecarlo._Pool.flush
 
     def recorded_flush(pool):
         if pool.parts:
-            joined.append(0)
-            flushed_ns.append([])
+            flushed.append([])
         flush(pool)
 
-    monkeypatch.setattr(montecarlo, "_joined", recorded_join)
     monkeypatch.setattr(montecarlo, "resolve_batch", lambda parts, resolver, k_max: [decoded(b) for b in parts])
     monkeypatch.setattr(montecarlo._Pool, "flush", recorded_flush)
     pool = montecarlo._Pool(m, resolver, 3)
@@ -133,7 +127,7 @@ def pooled_footprints(monkeypatch, m, resolver, parts):
         at += k
     pool.flush()
     assert np.all(weak == 1)  # every decode is scattered back
-    return held, joined, flushed_ns
+    return held, flushed
 
 
 def test_pool_resolves_a_trial_at_the_chunk_budget_alone_and_uncopied(monkeypatch):
@@ -144,10 +138,10 @@ def test_pool_resolves_a_trial_at_the_chunk_budget_alone_and_uncopied(monkeypatc
     assert call_bytes(cfg.m, cfg.n) <= CHUNK_BYTES < call_bytes(cfg.m + 1, cfg.n)
     assert CHUNK_BYTES // (cfg.m * cfg.n) == 1
     assert packed_bytes(cfg.m, cfg.n) > montecarlo.POOL_BLOCKS * decoders.BATCH_BLOCK_ELEMS
-    held, joined, _ = pooled_footprints(monkeypatch, cfg.m, cfg.resolver, [(600, 1)] * 4)
-    # nothing is held over to the next chunk and nothing is joined: the worst
-    # pooled footprint is the one part being resolved, as without pooling
-    assert held == [0, 0, 0, 0] and joined == [0, 0, 0, 0]
+    held, flushed = pooled_footprints(monkeypatch, cfg.m, cfg.resolver, [(600, 1)] * 4)
+    # nothing is held over to the next chunk, and each trial is resolved alone: the
+    # worst pooled footprint is the one part being resolved, as without pooling
+    assert held == [0, 0, 0, 0] and flushed == [[(600, 1)]] * 4
 
 
 def test_pool_holds_and_joins_at_most_its_budget():
@@ -159,12 +153,15 @@ def test_pool_holds_and_joins_at_most_its_budget():
     parts += [(20, 2), (120, per_budget), (20, 3)]
     for resolver in ("cluster", "svm"):
         with pytest.MonkeyPatch.context() as patch:
-            held, joined, flushed_ns = pooled_footprints(patch, 4, resolver, parts)
+            held, flushed = pooled_footprints(patch, 4, resolver, parts)
+        resolved = [sum(k * packed_bytes(4, n) for n, k in flush) for flush in flushed]
         assert max(held) < budget
-        assert max(joined) <= budget
-        # the parts of several points and of both blocklengths are joined: the pool does pool
-        assert max(joined) > 45 * packed_bytes(4, 120)
-        assert any(sorted(ns) == [20, 120] for ns in flushed_ns)
+        assert max(resolved) <= budget
+        # a resolver call takes the parts of several points and of both blocklengths: the pool does pool
+        assert max(resolved) > 45 * packed_bytes(4, 120)
+        assert any(sorted({n for n, _ in flush}) == [20, 120] for flush in flushed)
+        # a flush holds all but the last few trials of its budget
+        assert all(size > budget - 2 * packed_bytes(4, 120) for size in resolved[:-1])
 
 
 def test_a_chunks_codebooks_are_freed_before_the_next_kernel_call(monkeypatch):
@@ -188,6 +185,49 @@ def test_a_chunks_codebooks_are_freed_before_the_next_kernel_call(monkeypatch):
             batch = run_trials(cfg, 12)
             assert alive == [0, 0, 0, 0]
             assert (np.count_nonzero(batch.candidate_counts >= 2) > 0) == (channel_p > 0)
+
+
+@pytest.mark.parametrize("resolver", ["cluster", "svm"])
+def test_a_bias_sweep_makes_one_kernel_call_per_blocklength_and_one_lockstep_per_candidate_count(
+    monkeypatch, resolver
+):
+    # the fig3 grid at 50 trials a point: the 9 points of each n share one kernel call,
+    # and each flush runs one lockstep k-means per candidate count across every n
+    base = TrialConfig(n=20, m=4, q=0.5, channel=bsc(0.4), eps=0.1, resolver=resolver, master_seed=1)
+    qs = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]
+    cfgs = [replace(base, q=q, n=n) for n in (20, 40, 60, 80, 100, 120) for q in qs]
+    calls, flushes = [], []
+    simulate, lockstep, flush = kernels.simulate_trials, decoders._lockstep_kmeans, montecarlo._Pool.flush
+
+    def spy_simulate(segments, *args):
+        calls.append(len(segments))
+        return simulate(segments, *args)
+
+    def spy_lockstep(weight, *args):
+        flushes[-1].append(weight.shape[1])
+        return lockstep(weight, *args)
+
+    def spy_flush(pool):
+        flushes.append([])
+        flush(pool)
+
+    monkeypatch.setattr(kernels, "simulate_trials", spy_simulate)
+    monkeypatch.setattr(decoders, "_lockstep_kmeans", spy_lockstep)
+    monkeypatch.setattr(montecarlo._Pool, "flush", spy_flush)
+    estimate_points(cfgs, 50)
+    assert calls == [9] * 6
+    ran = [counts for counts in flushes if counts]
+    assert ran and all(len(counts) == len(set(counts)) for counts in ran)
+    if resolver == "svm":
+        assert sorted(ran[0]) == [2, 3, 4] and len(ran) == 1
+    # prefix-split and fixed-codebook points take one-point calls, two of each shape
+    split = [TrialConfig(n=100, m=16, q=q, channel=bsc(0.05), eps=0.8, master_seed=2) for q in (0.5, 0.45)]
+    for cfg in split:
+        consts = build_context(cfg.q, cfg.channel).kernel_constants()
+        assert kernels.prefix_length(cfg.n, cfg.m, cfg.q, consts, cfg.eps, False) < cfg.n
+    calls.clear()
+    estimate_points(split + [replace(base, q=q, codebook_mode="fixed") for q in (0.5, 0.3)], 50)
+    assert calls == [1] * 4
 
 
 def test_estimate_noiseless_floors_at_one_over_trials():

@@ -117,10 +117,11 @@ def test_a_prefix_split_keeps_every_verdict_and_every_typical_row():
     @example(_split_edge(200, 32, 0.3, 0.0, 0.05, 20))
     def check(setup):
         cfg, k, count, block_elems = setup
+        consts = build_context(cfg.q, cfg.channel).kernel_constants()
         args = (
-            derived_master(cfg), 11, count, cfg.m, cfg.n, cfg.q,
-            float(cfg.channel.transition[0, 1]), float(cfg.channel.transition[1, 1]),
-            build_context(cfg.q, cfg.channel).kernel_constants(), cfg.eps, None,
+            [kernels.Segment(derived_master(cfg), 11, count, cfg.q, consts)],
+            count, cfg.m, cfg.n,
+            float(cfg.channel.transition[0, 1]), float(cfg.channel.transition[1, 1]), cfg.eps, None,
         )
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(kernels, "BLOCK_ELEMS", block_elems)
@@ -154,6 +155,8 @@ def sweep_point_lists(draw):
     n, m, resolver and k_max each come from a pool of one to three
     values, so points often share a shape (m, resolver, k_max), at
     different blocklengths, and sometimes differ in one part of it only;
+    the channel and eps come from pools of one or two, so redrawn points
+    of one shape and n often share kernel calls;
     the codebook mode is drawn per point, so fixed-codebook points (each
     with its own codebook, drawn from its own q and seed) pool with one
     another and with redraw points.
@@ -162,6 +165,8 @@ def sweep_point_lists(draw):
     ms = draw(st.lists(st.integers(2, 6), min_size=1, max_size=2))
     resolvers = draw(st.lists(st.sampled_from(RESOLVERS), min_size=1, max_size=2))
     k_maxes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=2))
+    channel_ps = draw(st.lists(st.floats(0.0, 0.49), min_size=1, max_size=2))
+    epss = draw(st.lists(st.floats(0.05, 2.0), min_size=1, max_size=2))
     seed = draw(st.integers(0, 2**63))
     cfgs = []
     for _ in range(draw(st.integers(1, 6))):
@@ -170,8 +175,8 @@ def sweep_point_lists(draw):
                 n=draw(st.sampled_from(ns)),
                 m=draw(st.sampled_from(ms)),
                 q=draw(st.floats(0.05, 0.95)),
-                channel=bsc(draw(st.floats(0.0, 0.49))),
-                eps=draw(st.floats(0.05, 2.0)),
+                channel=bsc(draw(st.sampled_from(channel_ps))),
+                eps=draw(st.sampled_from(epss)),
                 resolver=draw(st.sampled_from(resolvers)),
                 k_max=draw(st.sampled_from(k_maxes)),
                 # fixed twice as likely, so fixed points of different codebooks often share a pool
@@ -195,26 +200,41 @@ def test_run_points_equals_run_trials_and_run_trial(monkeypatch):
         "pool_spans_blocklengths": 0,
         "svm_pool_with_column_slots": 0,
         "point_yielded_before_its_pool_closed": 0,
+        "kernel_call_spans_points": 0,
+        "resolver_block_spans_blocklengths": 0,
     }
     add, flush = montecarlo._Pool.add, montecarlo._Pool.flush
     pegasos_scores = decoders._pegasos_scores
-    simulate_point = montecarlo._simulate_point
+    simulate, simulate_trials = montecarlo._simulate, kernels.simulate_trials
     simulated = []
     owners = {}
 
-    def recorded_simulate(cfg, *args):
-        simulated.append(cfg)
-        return simulate_point(cfg, *args)
+    def recorded_simulate(cfgs, *args):
+        simulated.extend(cfgs)
+        owners["run"] = cfgs
+        return simulate(cfgs, *args)
+
+    resolver_blocks = decoders._blocks
+
+    def counted_blocks(parts):
+        for block in resolver_blocks(parts):
+            # a block is (c, trials, candidate indices, packed rows, blocklengths)
+            hits["resolver_block_spans_blocklengths"] += len(set(block[4].tolist())) > 1
+            yield block
+
+    def counted_simulate_trials(segments, *args):
+        hits["kernel_call_spans_points"] += len(segments) > 1
+        return simulate_trials(segments, *args)
 
     def recorded_add(pool, n, mask, z_seqs, states, weak, positions):
-        # the weak array of a part belongs to the point being simulated
-        owners[id(weak)] = simulated[-1]
+        # the weak array of a part belongs to the run of points being simulated
+        owners[id(weak)] = owners["run"]
         add(pool, n, mask, z_seqs, states, weak, positions)
 
     def counted_flush(pool):
         # a part is (n, mask, z_seqs, states, weak, positions)
-        cfgs = [owners[id(part[4])] for part in pool.parts]
-        hits["pool_spans_points"] += len({id(part[4]) for part in pool.parts}) > 1
+        cfgs = [cfg for part in pool.parts for cfg in owners[id(part[4])]]
+        hits["pool_spans_points"] += len(set(map(id, cfgs))) > 1
         fixed = {fixed_codebook(cfg).words.tobytes() for cfg in cfgs if cfg.codebook_mode == "fixed"}
         hits["pool_mixes_fixed_codebooks"] += len(fixed) > 1
         hits["pool_spans_blocklengths"] += len({part[0] for part in pool.parts}) > 1
@@ -230,7 +250,9 @@ def test_run_points_equals_run_trials_and_run_trial(monkeypatch):
     monkeypatch.setattr(montecarlo._Pool, "add", recorded_add)
     monkeypatch.setattr(montecarlo._Pool, "flush", counted_flush)
     monkeypatch.setattr(decoders, "_pegasos_scores", counted_scores)
-    monkeypatch.setattr(montecarlo, "_simulate_point", recorded_simulate)
+    monkeypatch.setattr(montecarlo, "_simulate", recorded_simulate)
+    monkeypatch.setattr(kernels, "simulate_trials", counted_simulate_trials)
+    monkeypatch.setattr(decoders, "_blocks", counted_blocks)
 
     # one svm flush over two blocklengths, the shorter too short for 2**c_max patterns
     column_slots = (
@@ -242,8 +264,9 @@ def test_run_points_equals_run_trials_and_run_trial(monkeypatch):
         montecarlo.POOL_BLOCKS,
     )
 
-    # one cluster flush over two blocklengths, resolved once per n; the 150 random
-    # cases have reached it in as few as 9 flushes, as hypothesis' draws vary: pin it
+    # one cluster flush over two blocklengths, its resolver blocks spanning both; the 150
+    # random cases have reached such a flush in as few as 9 flushes, as hypothesis' draws
+    # vary: pin it
     cluster_blocklengths = (
         [TrialConfig(n=n, m=4, q=0.5, channel=bsc(0.2), eps=2.0) for n in (5, 12)],
         6,
@@ -253,10 +276,22 @@ def test_run_points_equals_run_trials_and_run_trial(monkeypatch):
         montecarlo.POOL_BLOCKS,
     )
 
+    # three points of one call shape, 4 trials each in calls of 5: every call spans two
+    # points, and the middle point is split across two calls
+    spanning_calls = (
+        [TrialConfig(n=9, m=3, q=q, channel=bsc(0.3), eps=0.6, master_seed=4) for q in (0.3, 0.5, 0.7)],
+        4,
+        5,
+        7,
+        decoders.BATCH_BLOCK_ELEMS,
+        montecarlo.POOL_BLOCKS,
+    )
+
     @fixed_budget(150)
     @given(sweep_point_lists())
     @example(column_slots)
     @example(cluster_blocklengths)
+    @example(spanning_calls)
     def check(case):
         cfgs, num, chunk_size, start, block_elems, pool_blocks = case
         with pytest.MonkeyPatch.context() as patch:
@@ -413,7 +448,7 @@ def test_batch_resolution_equals_cluster_resolve(monkeypatch):
         """The batch against the reference on one example; returns how many trials ran a third Lloyd pass."""
         words, received, mask, stream_ids, master, k_max, resolver = case
         states = stream_states(master, stream_ids)
-        got = cluster_resolve_batch(packed_trials(words, received, mask, states), resolver, k_max)
+        (got,) = cluster_resolve_batch([packed_trials(words, received, mask, states)], resolver, k_max)
         for t in range(mask.shape[0]):
             idx0 = np.flatnonzero(mask[t])
             z = np.bitwise_xor((words if words.ndim == 2 else words[t])[idx0], received[t])
@@ -468,7 +503,7 @@ def test_batch_resolution_with_wide_comparisons_equals_cluster_resolve(monkeypat
     def check(case):
         words, received, mask, stream_ids, master, k_max, resolver = case
         states = stream_states(master, stream_ids)
-        got = cluster_resolve_batch(packed_trials(words, received, mask, states), resolver, k_max)
+        (got,) = cluster_resolve_batch([packed_trials(words, received, mask, states)], resolver, k_max)
         for t in range(mask.shape[0]):
             idx0 = np.flatnonzero(mask[t])
             z = np.bitwise_xor((words if words.ndim == 2 else words[t])[idx0], received[t])

@@ -96,6 +96,9 @@ def test_lockstep_reads_match_per_stream_cursors():
     got = uniforms_at(states, positions)
     for s, pos, value in zip(ids, positions, got):
         assert RngStream(2**64 - 5, int(s)).uniforms(pos + 1)[pos] == value
+    # one master seed per stream id, as a kernel call of several sweep points forms them
+    seeds = np.array([2**64 - 5, 0, 17, 2**63, 2**64 - 5], dtype=np.uint64)
+    assert [int(v) for v in stream_states(seeds, ids)] == [stream_state(int(m), int(i)) for m, i in zip(seeds, ids)]
 
 
 def test_negative_count_rejected():
@@ -134,3 +137,6 @@ def test_raw_below_is_the_finalized_compare(p, dyadic):
     out = np.empty(z.shape, dtype=np.bool_)
     assert raw_below(z.copy(), t, out, np.empty_like(z)) is out
     assert np.array_equal(out, expected)
+    # a threshold per draw, half of them 1/2's: the skip holds only where every one allows it
+    each = np.where(rs.random(z.size) < 0.5, t, raw_threshold(0.5))
+    assert np.array_equal(raw_below(z.copy(), each, out, np.empty_like(z)), finalize(z) < each)
