@@ -64,7 +64,6 @@ from __future__ import annotations
 import functools
 import math
 import threading
-from bisect import bisect_left
 from typing import NamedTuple
 
 import numpy as np
@@ -178,12 +177,10 @@ def _draw_codebooks(states, rq, words, n):
     Row i, column j of unit u is position i*n + j of the codebook stream
     with state ``states[u]``: a unit is a trial's codebook, or a stretch
     of one codeword when r = 1.  A symbol is 1 when its raw draw falls
-    below ``rq[u]``: a block is mixed once and compared against one
-    threshold where its units share it.
+    below ``rq[u]``: a block is mixed once and compared against its
+    units' column of thresholds.
     """
     count, m, width = words.shape
-    # units whose threshold differs from the next one's
-    edges = np.flatnonzero(rq[1:] != rq[:-1]).tolist()
     trials_per_block, words_per_block = _blocks(count, m, width)
     size = trials_per_block * words_per_block * width
     # one block row's position offsets serve every range of rows: a later
@@ -201,9 +198,7 @@ def _draw_codebooks(states, rq, words, n):
             block = words[a:b, i0:i1]
             z = buf[: block.size].reshape(block.shape)
             np.add(block_states[a:b], row, out=z)
-            cut = bisect_left(edges, a)
-            th = rq[a] if cut == len(edges) or edges[cut] >= b - 1 else rq[a:b, None, None]
-            raw_below(z, th, block.view(np.bool_), scratch[: block.size].reshape(block.shape))
+            raw_below(z, rq[a:b, None, None], block.view(np.bool_), scratch[: block.size].reshape(block.shape))
 
 
 def _draw_received(states, sent, t0, t1, ybits):

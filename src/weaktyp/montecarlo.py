@@ -305,11 +305,10 @@ class _Pool:
     received word) and resolver states, plus the array and positions
     their decodes go to.  The pool is bounded by ``budget`` =
     ``POOL_BLOCKS`` resolver blocks of packed rows,
-    ``packed_bytes(m, n)`` per trial: a call's trials fill it up to the
-    budget, and it is flushed as soon as no further trial of that n fits,
-    so every flush but a shape's last is nearly full; a trial that passes
-    the budget alone is resolved alone.  No part is joined to another or
-    copied but a split-off tail, so the pooled trials stay within it.
+    ``packed_bytes(m, n)`` per trial: a part that would pass it first
+    flushes the pool, and a part that fills it alone is resolved alone.
+    No part is joined to another or copied, so the pooled trials stay
+    within it.
     """
 
     def __init__(self, m: int, resolver: str, k_max: int) -> None:
@@ -327,23 +326,12 @@ class _Pool:
         weak: np.ndarray,
         positions: np.ndarray,
     ) -> None:
-        size = packed_bytes(self.m, n)
-        at = 0
-        while at < positions.size:
-            # as many trials as the pool has room for, and one into an empty pool
-            room = (self.budget - self.bytes) // size
-            if room <= 0 and self.parts:
-                self.flush()
-                continue
-            part = slice(at, min(positions.size, at + max(1, room)))
-            arrays = [mask[part], z_seqs[part], states[part]]
-            if at:
-                # a tail outlives its head's flush: copied, so it holds none of the head's bytes
-                arrays = [array.copy() for array in arrays]
-            self.parts.append((n, *arrays, weak, positions[part]))
-            self.bytes += (part.stop - at) * size
-            at = part.stop
+        size = positions.size * packed_bytes(self.m, n)
         if self.bytes + size > self.budget:
+            self.flush()
+        self.parts.append((n, mask, z_seqs, states, weak, positions))
+        self.bytes += size
+        if self.bytes >= self.budget:
             self.flush()
 
     def waiting(self) -> set[int]:

@@ -113,8 +113,7 @@ def raw_below(z: np.ndarray, threshold: np.uint64, out: np.ndarray, scratch: np.
     those bits decide the compare, so it is skipped.  ``raw_threshold(q)``
     has that form for every q = k / 2**31, q = 1/2 among them.
     """
-    low_bits = np.any(threshold & np.uint64(_LOW_33)) if isinstance(threshold, np.ndarray) else int(threshold) & _LOW_33
-    if low_bits:
+    if np.any(np.bitwise_and(threshold, np.uint64(_LOW_33))):
         finalize(z, out=z, scratch=scratch)
     else:
         _mix_rounds(z, z, scratch)
@@ -160,10 +159,7 @@ def stream_states(master_seed: int | np.ndarray, stream_ids: np.ndarray) -> np.n
     ``master_seed`` is one seed, or a uint64 array of seeds broadcasting
     against the ids.
     """
-    if isinstance(master_seed, np.ndarray):
-        key = finalize(master_seed + _U64_GAMMA)  # mix64, elementwise
-    else:
-        key = np.uint64(mix64(master_seed & MASK64))
+    key = finalize(np.asarray(master_seed & MASK64, dtype=np.uint64) + _U64_GAMMA)  # mix64, elementwise
     z = key ^ np.asarray(stream_ids, dtype=np.uint64)
     return finalize(z + _U64_GAMMA)
 

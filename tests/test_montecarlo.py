@@ -90,10 +90,10 @@ def pooled_footprints(monkeypatch, m, resolver, parts):
     """Packed difference-sequence bytes the pool holds, and hands the resolver, while ``parts`` chunks pass through it.
 
     ``parts`` lists (n, trials) chunks.  The parts are broadcast views, so
-    nothing of the footprint is allocated but the tails the pool splits
-    off.  Returns the pool's bytes after each part and, per flush, the
-    (n, trials) of each part the resolver call took, as the pool holds
-    them: no part is joined to another.
+    nothing of the footprint is allocated.  Returns the pool's bytes
+    after each part and, per flush, the (n, trials) of each part the
+    resolver call took, as the pool holds them: no part is joined to
+    another.
     """
     flushed = []
 
@@ -156,12 +156,14 @@ def test_pool_holds_and_joins_at_most_its_budget():
             held, flushed = pooled_footprints(patch, 4, resolver, parts)
         resolved = [sum(k * packed_bytes(4, n) for n, k in flush) for flush in flushed]
         assert max(held) < budget
-        assert max(resolved) <= budget
+        # a resolver call takes at most the budget, or one part that passes it alone
+        assert all(size <= budget or len(flush) == 1 for size, flush in zip(resolved, flushed))
+        assert [(120, per_budget + 1)] in flushed
         # a resolver call takes the parts of several points and of both blocklengths: the pool does pool
-        assert max(resolved) > 45 * packed_bytes(4, 120)
+        assert max(size for size in resolved if size <= budget) > 45 * packed_bytes(4, 120)
         assert any(sorted({n for n, _ in flush}) == [20, 120] for flush in flushed)
-        # a flush holds all but the last few trials of its budget
-        assert all(size > budget - 2 * packed_bytes(4, 120) for size in resolved[:-1])
+        # no part is split: each flush takes whole parts
+        assert sorted(part for flush in flushed for part in flush) == sorted(parts)
 
 
 def test_a_chunks_codebooks_are_freed_before_the_next_kernel_call(monkeypatch):
