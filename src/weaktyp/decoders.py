@@ -38,10 +38,15 @@ and the tie rules above hold exactly.  The reference computes N from the
 rows, in Python integers; the batch form from each trial's Gram matrix
 G = Z Z^T, since z_i . sigma = (G v)_i.
 
-The Pegasos final scores go through the reference's ``gemv`` on the
-same shape.  A Pegasos margin is evaluated only where a proven bound
-lets it fall below 1, by a sum over column patterns in any order where
-an error bound puts it clear of 1, else by the reference's ``ddot``.
+``svm`` runs Pegasos in exact integers (Shalev-Shwartz et al., *Pegasos*,
+Math. Programming 2011, section 4): the weights after step t are
+S_t/(lambda t), S_t summing y_s x_s over the hits, so with x = [z, 1],
+K = G + 1 and the integers M = sum of y_s K[:, s], step t >= 2 hits its row
+i where 100 y_i M_i < t - 1 and the scores are 100 M/T.  The float
+reference stays within :func:`_margin_slack` of these along the same
+hits, so where that is below 1/T only a trial with an exact tie, a visit
+with 100 y_i M_i = t - 1 or tied scores, replays the float loop, whose
+``ddot`` and ``gemv`` make its bytes the BLAS kernel's.
 """
 
 from __future__ import annotations
@@ -63,8 +68,8 @@ SVM_LAMBDA = 0.01
 SVM_EPOCHS = 200
 # cap on the elements of one block's int64 k-means operands, the Gram
 # matrices (trials, c, c) or, when c > n, the rows (trials, c, n), and of
-# one block of unpacked svm rows (trials, c, n+1); bounds their memory
-# whatever the chunk.  The svm Pegasos loop runs once per slot count
+# the svm replay's float rows (trials, c, n+1) for its scores and of the
+# rows it adds at once; bounds their memory whatever the chunk
 BATCH_BLOCK_ELEMS = 1 << 15
 
 
@@ -608,15 +613,17 @@ def svm_resolve_batch(parts: list[PackedTrials]) -> list[BatchResolution]:
     """The ``svm`` decodes of many trials, one result per part, bit for bit as :func:`weak_outcome`.
 
     The parts may differ in n.  A resolver block of :func:`_blocks` gets
-    the all-equal shortcut and 2-means labels (the lockstep k-means of
-    :func:`cluster_resolve_batch`) on its packed Z rows, and its split
-    trials of each n are one group of :func:`_pegasos_scores`, which
-    trains the separators of every group at once.  ``iterations`` counts
-    the 2-means run (0 where all rows are equal and the lowest index wins).
+    the all-equal shortcut and the 2-means labels of
+    :func:`_lockstep_kmeans`, then :func:`_exact_pegasos` on the same Gram
+    products; its tie trials, or all where :func:`_margin_slack` does not
+    certify the flush, replay in one :func:`_pegasos_scores` call.
+    ``iterations`` counts the 2-means run (0 where all rows are equal).
     """
     states = np.concatenate([part.states for part in parts])
     decoded = np.zeros(states.size, dtype=np.int64)
     iterations = np.zeros(states.size, dtype=np.int64)
+    steps = SVM_EPOCHS * max(int(np.max(part.cand_mask.sum(axis=1), initial=2)) for part in parts)
+    certified = _margin_slack(steps, max(part.n for part in parts) + 1) < 1.0 / steps
     groups, places = [], []
     for _, rows, idx, x, ns in _blocks(parts):
         decoded[rows] = idx[:, 0] + 1
@@ -624,234 +631,147 @@ def svm_resolve_batch(parts: list[PackedTrials]) -> list[BatchResolution]:
         if not split.any():
             continue
         rows, idx, x, ns = rows[split], idx[split], x[split], ns[split]
-        assign, used, _ = _lockstep_kmeans(*_gram_products(x, int(ns.min())), states[rows], 2, int(ns.max()))
+        weight, gram_times = _gram_products(x, int(ns.min()))
+        assign, used, _ = _lockstep_kmeans(weight, gram_times, states[rows], 2, int(ns.max()))
         iterations[rows] = used
         labels = np.where(assign == 0, 1, -1).astype(np.int8)
-        for n in np.flatnonzero(np.bincount(ns)).tolist():
-            at = ns == n
+        _, pick, tie = _exact_pegasos(gram_times, labels)
+        tie |= not certified
+        decoded[rows] = idx[np.arange(rows.size), pick] + 1
+        for n in np.flatnonzero(np.bincount(ns[tie])).tolist():
+            at = tie & (ns == n)
             groups.append((n, x[at, :, : -(-n // 8)], labels[at]))
             places.append((rows[at], idx[at]))
     if groups:
-        for (rows, idx), scores in zip(places, _pegasos_scores(groups)):
+        for (rows, idx), scores in zip(places, _pegasos_scores(groups, certified)):
             decoded[rows] = idx[np.arange(rows.size), _svm_pick(scores)] + 1
     return _per_part(parts, decoded, iterations)
 
 
-def _slot_map(z: np.ndarray, pattern: bool) -> np.ndarray:
-    """(T, n+1) slot of each column of ``[z, 1]`` for (T, c, n) 0/1 rows z.
+def _margin_slack(steps: int, k: int) -> float:
+    """Bound on |float - exact| of Pegasos margins and scores on k columns, over ``steps`` steps of the same hits.
 
-    With ``pattern`` a column's slot is its pattern code
-    ``sum_i z_ij * 2**i`` (the bias column's is 2**c - 1); otherwise
-    each column is its own slot.
+    |w| <= 1/lambda; a step's scale errs by at most 4u |w| (u = 2**-53) and
+    its add by u |w|, and a scale only shrinks an earlier error, so a weight
+    errs by 5 u N / lambda after N steps; a sum of K of them adds
+    K u K / lambda in any order.  "+ 2" and the factor 2 cover the rest.
     """
-    size, c, n = z.shape
-    if not pattern:
-        return np.broadcast_to(np.arange(n + 1), (size, n + 1))
-    slot = np.empty((size, n + 1), dtype=np.min_scalar_type(2**c - 1))
-    # one integer product against 2**i, exact in the slot type
-    np.einsum("tcn,c->tn", z, 2 ** np.arange(c, dtype=slot.dtype), out=slot[:, :n])
-    slot[:, n] = 2**c - 1
-    return slot
+    return 2.0 * (5 * steps + k + 2) * 2.0**-53 * k / SVM_LAMBDA
 
 
-def _slot_tolerance(k: int, p: int) -> float:
-    """Bound on |slot sum - reference margin| for rows of at most k columns in p slots.
+def _visits(margin: np.ndarray, row: np.ndarray, c, after) -> tuple[np.ndarray, np.ndarray]:
+    """Next hit and tie visit after step ``after`` of rows i of c with margins 100 y_i M_i, while M stays.
 
-    Every weight satisfies |w| <= 1/lambda (the Pegasos update keeps the
-    bound by induction, and rounding moves it by under 1e-12), and
-    products with 0/+1/-1 are exact, so both sums add k/lambda at most
-    in absolute terms.  Summing in any order errs by at most
-    gamma_j = j*u/(1 - j*u) times that, u = 2**-53: gamma_p for the slot
-    sum, its size products included, and gamma_k for the reference
-    ``ddot``.  The factor 2 covers the denominators.
+    Row i is visited at the steps t = i + 1 (mod c); it hits at the first
+    with t - 1 > 100 y_i M_i, and ties at t - 1 = 100 y_i M_i, or never
+    (the largest int64).
     """
-    return 2.0 * (k + p) * 2.0**-53 * k / SVM_LAMBDA
+    hit = np.maximum(after + 1, margin + 2)
+    hit += (row + 1 - hit) % c
+    tie = margin + 1
+    return hit, np.where((tie > after) & ((tie - row - 1) % c == 0), tie, np.iinfo(np.int64).max)
 
 
-def _slot_sums(rows: np.ndarray, sizes: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """(T, ...) sums of ``rows * sizes * w`` over slots, in any order: margins up to :func:`_slot_tolerance`."""
-    return np.einsum("t...p,tp,tp->t...", rows, sizes, w)
+def _exact_pegasos(
+    gram_times: Callable[[np.ndarray], np.ndarray], labels: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Exact Pegasos on T sets of c rows with (T, c) +/-1 labels: their (T, c) M, picks and tie flags.
 
-
-def _signed_table(groups: list, p: int, pattern: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(T, p) slot sizes, a table of signed slot rows and each trial row's (T, c_max) table row.
-
-    A trial's row i has the signed slot row ``label * bit``.  With
-    pattern slots that depends only on i and the label, so the table is
-    the 2 * c_max int8 rows +-(bits of i), with sizes in the least type
-    that holds n + 1; otherwise every trial's own int8 rows.
+    K = G + 1 comes from the Gram product map of :func:`_gram_products`.
+    Each pass moves every running trial to its next hit (:func:`_visits`);
+    one whose next tie comes first is flagged and stops.  The pick is
+    :func:`_svm_pick` on M, flagged too where some M_i = 0 or another row
+    has the picked M.  A flagged trial's pick is void.
     """
-    c_max = max(z.shape[1] for _, z, _ in groups)
-    total = sum(z.shape[0] for _, z, _ in groups)
-    codes = np.zeros((total, c_max), dtype=np.min_scalar_type(2 * c_max if pattern else total * c_max))
-    if pattern:
-        bits = (np.arange(p) >> np.arange(c_max)[:, None]) & 1
-        table = np.concatenate([bits, -bits]).astype(np.int8)
-        sizes = np.empty((total, p), dtype=np.min_scalar_type(max(n for n, _, _ in groups) + 1))
-    else:
-        table = np.zeros((total * c_max, p), dtype=np.int8)
-        sizes = np.broadcast_to(1.0, (total, p))
-    at = 0
-    for n, z, labels in groups:
-        size, c, _ = z.shape
-        if pattern:
-            codes[at : at + size, :c] = np.arange(c) + c_max * (labels < 0)
-        else:
-            codes[at : at + size] = np.arange(at * c_max, (at + size) * c_max).reshape(size, c_max)
-        step = max(1, BATCH_BLOCK_ELEMS // (c * (n + 1)))
-        for lo in range(0, size, step):
-            rows = np.unpackbits(z[lo : lo + step], axis=2, count=n)
-            start, count = at + lo, rows.shape[0]
-            if pattern:
-                keys = (np.arange(count) * p)[:, None] + _slot_map(rows, True)
-                sizes[start : start + count] = np.bincount(keys.ravel(), minlength=count * p).reshape(count, p)
-            else:
-                signed = table[start * c_max : (start + count) * c_max].reshape(count, c_max, p)
-                signed[:, :c, :n] = rows
-                signed[:, :c, n] = 1
-                signed[:, :c] *= labels[lo : lo + step, :, None]
-        at += size
-    return sizes, table, codes
+    (num, c), live = labels.shape, np.arange(labels.shape[0])
+    y, sums, tie = labels.astype(np.int64), np.zeros((num, c), dtype=np.int64), np.zeros(num, dtype=bool)
+    last, at = np.ones(num, dtype=np.int64), np.zeros(num, dtype=np.int64)  # step 1 hits row 0: w_0 = 0
+    while live.size:
+        onehot = np.zeros((num, c, 1), dtype=np.int64)
+        onehot[live, at[live]] = 1
+        sums[live] += y[live, at[live], None] * (gram_times(onehot)[live, :, 0] + 1)
+        hit, tied = _visits(100 * y[live] * sums[live], np.arange(c), c, last[live, None])
+        at[live] = np.argmin(hit, axis=1)
+        last[live] = hit[np.arange(live.size), at[live]]
+        tie[live] = tied.min(axis=1) < np.minimum(last[live], SVM_EPOCHS * c + 1)
+        live = live[~tie[live] & (last[live] <= SVM_EPOCHS * c)]
+    pick = _svm_pick(sums.astype(np.float64))
+    return sums, pick, tie | np.any(sums == 0, axis=1) | ((sums == sums[np.arange(num), pick, None]).sum(axis=1) > 1)
 
 
-def _ddot_margins(
-    groups: list, starts: list[int], pattern: bool, w: np.ndarray, trials: np.ndarray, r: np.ndarray
-) -> np.ndarray:
-    """Margins of rows ``r`` of the given trials, each the reference's ``label * ([z, 1] @ w)``.
+def _pegasos_scores(groups: list[tuple[int, np.ndarray, np.ndarray]], certified: bool) -> list[np.ndarray]:
+    """Scores ``[z, 1] @ w`` after the float Pegasos loop of :func:`_svm_by_clusters`, for each group.
 
-    Trial t (ascending) is row t - starts[g] of ``groups[g]``; a group's
-    trials are expanded to n + 1 columns at once, then one ``ddot`` a row.
+    A group ``(n, z, labels)`` holds the (T, c, ceil(n/8)) packed rows and
+    (T, c) +/-1 labels of trials of one n and c.  All run in one lockstep
+    loop, c descending so the running trials are a prefix, with float64
+    weights on each trial's own n+1 columns and the reference's float
+    operations one for one.  Each row keeps its exact M, so where
+    ``certified`` a trial is visited only at its next hit, which M decides,
+    or tie, which :func:`_ddot_margin` decides; otherwise that decides every
+    visit.  The scores take one ``gemv`` per trial of the reference's shape.
     """
-    out = np.empty(trials.size)
-    bounds = np.searchsorted(trials, starts).tolist()
-    for g in np.flatnonzero(np.diff(bounds)).tolist():
-        (n, z, labels), lo, hi = groups[g], bounds[g], bounds[g + 1]
-        local, row = trials[lo:hi] - starts[g], r[lo:hi]
-        rows = np.unpackbits(z[local], axis=2, count=n)
-        w_full = w[trials[lo:hi, None], _slot_map(rows, pattern)]
-        feats = np.ones((hi - lo, n + 1))
-        feats[:, :n] = rows[np.arange(hi - lo), row]
-        for j, x, wj, label in zip(range(lo, hi), feats, w_full, labels[local, row].tolist()):
-            out[j] = float(label) * float(x @ wj)
-    return out
-
-
-def _pegasos_scores(groups: list[tuple[int, np.ndarray, np.ndarray]]) -> list[np.ndarray]:
-    """Scores ``[z, 1] @ w`` after the Pegasos loop of :func:`_svm_by_clusters`, for each group.
-
-    A group ``(n, z, labels)`` is one resolver block, trials of one n and
-    one count c: their (T, c, ceil(n/8)) packed rows and (T, c) +/-1
-    labels.  Each trial's run is its own, so how the trials are cut into
-    groups changes no score.  A trial keeps one weight per slot of
-    :func:`_slot_map`: columns of one slot start at 0 and get the same
-    multiply and add every step, so a slot's weight is, bit for bit, each
-    of its columns'.  With c_max the largest count, trials whose n + 1
-    columns fit 2**c_max patterns share P = 2**c_max pattern slots; the
-    others have P = n + 1, a slot per column; each P is one loop.
-
-    The final scores expand each trial's weights to its own n + 1
-    columns and take ``(T, c, n+1) @ (T, n+1, 1)`` on one group's
-    unsigned float rows, a ``BATCH_BLOCK_ELEMS`` block at a time: one
-    ``gemv`` per trial of the shape of the reference's ``feats @ w``,
-    whose summation order, like the ``ddot``'s, may depend on the shape.
-    """
-    c_max = max(z.shape[1] for _, z, _ in groups)
-    loops: dict[int, list[int]] = {}
-    for g, (n, _, _) in enumerate(groups):
-        loops.setdefault(2**c_max if 2**c_max <= n + 1 else n + 1, []).append(g)
+    order = sorted(range(len(groups)), key=lambda g: -groups[g][1].shape[1])
+    ordered = [groups[g] for g in order]
+    width, sizes = max(n for n, _, _ in groups) + 1, [z.shape[0] for _, z, _ in ordered]
+    count = np.repeat([z.shape[1] for _, z, _ in ordered], sizes)
+    cols = np.repeat([n + 1 for n, _, _ in ordered], sizes)
+    y = np.concatenate([labels.ravel() for _, _, labels in ordered]).astype(np.int64)
+    start, woff = np.cumsum(count) - count, np.cumsum(cols) - cols
+    rows, w = np.zeros((int(count.sum()), width), dtype=np.uint8), np.zeros(int(cols.sum()))
+    row_blocks = np.split(rows, start[np.cumsum(sizes)[:-1]])
+    for (n, z, _), block in zip(ordered, row_blocks):
+        block[:, :n], block[:, n] = np.unpackbits(z, axis=2, count=n).reshape(-1, n), 1
+    # the trials running at step t, SVM_EPOCHS * c >= t, are the first lives[t]; their weights end at ends[t]
+    lives = np.searchsorted(-SVM_EPOCHS * count, -np.arange(SVM_EPOCHS * int(count[0]) + 1), side="right")
+    ends, lives = np.append(woff, w.size)[lives].tolist(), lives.tolist()
+    packed, chunk = np.packbits(rows, axis=1), max(1, BATCH_BLOCK_ELEMS // width)
+    sums, due, upcoming = np.zeros(rows.shape[0], dtype=np.int64), np.ones(count.size, dtype=np.int64), 1  # step 1 hits
+    for t in range(1, len(ends)):
+        eta = 1.0 / (SVM_LAMBDA * t)
+        if t < upcoming:
+            w[: ends[t]] *= 1.0 - eta * SVM_LAMBDA
+            continue
+        now = np.flatnonzero(due[: lives[t]] == t)
+        r = start[now] + (t - 1) % count[now]
+        margin = 100 * y[r] * sums[r]
+        hit = (margin < t - 1) | (t == 1)
+        for j in np.flatnonzero(((margin == t - 1) & (t > 1)) | (not certified)).tolist():
+            f = now[j]
+            hit[j] = _ddot_margin(rows[r[j], : cols[f]], int(y[r[j]]), w[woff[f] : woff[f] + cols[f]]) < 1.0
+        w[: ends[t]] *= 1.0 - eta * SVM_LAMBDA
+        h, rh = now[hit], r[hit]
+        # adding +-0 where a row is 0 moves no weight but -0, and none is -0 (they start +0, scales
+        # are >= 0, a sum is -0 only of two -0): the ones add, BATCH_BLOCK_ELEMS row elements at a time
+        for lo in range(0, h.size, chunk):
+            hit_at, col = np.nonzero(rows[rh[lo : lo + chunk]])
+            w[woff[h[lo : lo + chunk]][hit_at] + col] += (eta * y[rh[lo : lo + chunk]])[hit_at]
+        # M += y_s K[:, s] on the rows of each trial that hits, s its hit row; then each trial's next visit
+        firsts = np.cumsum(count[now]) - count[now]
+        owner = np.repeat(np.arange(now.size), count[now])
+        pos = np.arange(owner.size) - firsts[owner]
+        at = start[now][owner] + pos
+        sums[at] += (hit * y[r])[owner] * np.bitwise_count(packed[at] & packed[r][owner]).sum(axis=1, dtype=np.int64)
+        nxt, tied = _visits(100 * y[at] * sums[at], pos, count[now][owner], t)
+        due[now] = np.minimum.reduceat(np.minimum(nxt, tied), firsts) if certified else t + 1
+        upcoming = int(due[: lives[t]].min())
     scores: list[np.ndarray] = [np.empty(0)] * len(groups)
-    for p, members in loops.items():
-        pattern = p == 2**c_max
-        # descending candidate count, so the trials still running are a prefix
-        members.sort(key=lambda g: -groups[g][1].shape[1])
-        weights = _pegasos_loop([groups[g] for g in members], p, pattern)
-        at = 0
-        for g in members:
-            n, z, _ = groups[g]
-            size, c, _ = z.shape
-            out = np.empty((size, c))
-            step = max(1, BATCH_BLOCK_ELEMS // (c * (n + 1)))
-            for lo in range(0, size, step):
-                rows = np.unpackbits(z[lo : lo + step], axis=2, count=n)
-                feats = np.ones((rows.shape[0], c, n + 1))
-                feats[:, :, :n] = rows
-                slots = _slot_map(rows, pattern)
-                w_full = np.take_along_axis(weights[at + lo : at + lo + rows.shape[0]], slots, axis=1)
-                out[lo : lo + step] = np.matmul(feats, w_full[:, :, None])[:, :, 0]
-            scores[g] = out
-            at += size
+    for g, (n, z, _), feats, w_g in zip(order, ordered, row_blocks, np.split(w, woff[np.cumsum(sizes)[:-1]])):
+        size, c, _ = z.shape
+        feats, w_g = feats[:, : n + 1].reshape(size, c, n + 1), w_g.reshape(size, n + 1, 1)
+        step = max(1, BATCH_BLOCK_ELEMS // (c * (n + 1)))
+        blocks = [feats[lo : lo + step].astype(np.float64) @ w_g[lo : lo + step] for lo in range(0, size, step)]
+        scores[g] = np.concatenate(blocks)[:, :, 0]
     return scores
 
 
-def _pegasos_loop(groups: list, p: int, pattern: bool) -> np.ndarray:
-    """(T, p) slot weights after the Pegasos loop of the trials of ``groups``, c descending.
+def _ddot_margin(row: np.ndarray, label: int, w: np.ndarray) -> float:
+    """The reference's margin ``label * float(feats[i] @ w)`` of one uint8 row [z, 1].
 
-    At global step s every trial is at ``t = s + 1`` on row ``s % c``, and
-    stops after ``SVM_EPOCHS * c`` steps, so the running trials are a
-    prefix.  A step scales their weights by ``1 - eta * lambda`` and adds
-    ``eta * label * bit`` where a margin is below 1.  It evaluates only the
-    trials due (:func:`_next_due`): by slot sum where :func:`_slot_tolerance`
-    clears 1, else by ``ddot`` (:func:`_ddot_margins`).
+    On a fresh copy of the weights, aligned as the reference's: OpenBLAS's
+    Prescott ``ddot`` sums in an order set by its second operand's alignment.
     """
-    sizes, table, codes = _signed_table(groups, p, pattern)
-    total, c_max = codes.shape
-    k = max(n for n, _, _ in groups) + 1
-    tol = _slot_tolerance(k, p)
-    slack = tol + 2.0 * (5 * SVM_EPOCHS * c_max + 2) * 2.0**-53 * k / SVM_LAMBDA
-    starts = np.cumsum([0] + [z.shape[0] for _, z, _ in groups]).tolist()
-    count = np.repeat([z.shape[1] for _, z, _ in groups], np.diff(starts))
-    stop = -SVM_EPOCHS * count  # ascending; the trials running at step s have -stop > s
-    w, due = np.zeros((total, p)), np.zeros(total, dtype=np.int64)
-    upcoming = 0  # the least due step of a running trial
-    for s in range(SVM_EPOCHS * c_max):
-        eta = 1.0 / (SVM_LAMBDA * (s + 1))
-        live = int(np.searchsorted(stop, -s))
-        if s < upcoming:
-            w[:live] *= 1.0 - eta * SVM_LAMBDA
-            continue
-        now = np.flatnonzero(due[:live] == s)
-        if 2 * now.size > live:  # all of them, on views, not (T, p) gathers
-            now = np.arange(live)
-        at = slice(0, live) if now.size == live else now
-        r = s % count[at]
-        rows = table[codes[now, r]]
-        approx = _slot_sums(rows, sizes[at], w[at])
-        hit = approx < 1.0 - tol
-        unsure = np.flatnonzero((approx <= 1.0 + tol) & ~hit)
-        if unsure.size:
-            hit[unsure] = _ddot_margins(groups, starts, pattern, w, now[unsure], r[unsure]) < 1.0
-        w[:live] *= 1.0 - eta * SVM_LAMBDA
-        np.add.at(w, now[hit], eta * rows[hit])
-        due[at] = _next_due(s, slack, table, codes[at], sizes[at], w[at], count[at])
-        upcoming = int(due[:live].min())
-    return w
-
-
-def _next_due(s: int, slack: float, table, codes, sizes, w, count: np.ndarray) -> np.ndarray:
-    """Next due step of trials with weights w entering step s + 1.
-
-    Until an add, step j only scales, by j/(j + 1) in exact terms, so the
-    margin of row r at a later visit s' = r (mod c) is its slot sum a_r at
-    w times (s + 1)/s', up to rounding: the trial is due at the first visit
-    where that can be below 1 + slack, never (SVM_EPOCHS * c_max) past its
-    last step.  The slack bounds the rounding: slot sum and ddot err by the
-    tolerance together; eta * lambda is 1/t within 3u (u = 2**-53; lambda's
-    rounding cancels), so a scale is j/(j + 1) within 4u for t >= 2 and its
-    product adds u: gamma_{5N} K/lambda over N = SVM_EPOCHS * c_max steps,
-    K columns and |w| <= 1/lambda.  "+ 2" and the factor 2 cover the
-    visit's rounding and the denominators.
-    """
-    c_max = codes.shape[1]
-    margin = np.empty(codes.shape)
-    # rows per block: gathers within BATCH_BLOCK_ELEMS
-    step = max(1, BATCH_BLOCK_ELEMS // w.size)
-    for i in range(0, c_max, step):
-        margin[:, i : i + step] = _slot_sums(table[codes[:, i : i + step]], sizes, w)
-    margin[np.arange(c_max) >= count[:, None]] = np.nan  # rows past c: fmin gives the horizon
-    limit = np.fmin(margin * ((s + 1) / (1.0 + slack)), SVM_EPOCHS * c_max)
-    first = np.maximum(np.floor(limit).astype(np.int64) + 1, s + 1)
-    visit = (first + (np.arange(c_max) - first) % count[:, None]).min(axis=1)
-    return np.where(visit < SVM_EPOCHS * count, visit, SVM_EPOCHS * c_max)
+    return float(label) * float(row.astype(np.float64) @ w.copy())
 
 
 def _svm_pick(scores: np.ndarray) -> np.ndarray:

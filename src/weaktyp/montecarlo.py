@@ -446,15 +446,15 @@ def iter_points(cfgs: list[TrialConfig], num_trials: int, start: int = 0) -> Ite
     k_max), whatever their n, are pooled as their candidates' difference
     sequences, bit-packed (:class:`~weaktyp.decoders.PackedTrials`), and
     resolved in lockstep by one :func:`~weaktyp.decoders.resolve_batch`
-    call per flush: one k-means per candidate count and one Pegasos loop
-    across every n.  A kernel call or a lockstep loop costs about the same
-    whether it carries one point or many.  Points of one shape run back to
-    back, so one pool is open at a time; every point owns its streams, so
-    the order changes no result.  A point is yielded once no pooled trial
-    of it awaits resolution, so a caller that keeps only its counts holds
-    the batches of the open pool's points.  All kernel calls draw
-    codebooks into one buffer sized for the largest, so a sweep maps those
-    pages once.
+    call per flush: one k-means and integer Pegasos per candidate count,
+    one float replay of svm ties, across every n.  A kernel call or a
+    lockstep loop costs about the same whether it carries one point or
+    many.  Points of one shape run back to back, so one pool is open at
+    a time; every point owns its streams, so the order changes no
+    result.  A point is yielded once no pooled trial of it awaits
+    resolution, so a caller that keeps only its counts holds the batches
+    of the open pool's points.  All kernel calls draw codebooks into one
+    buffer sized for the largest, so a sweep maps those pages once.
     """
     if num_trials < 1:
         raise ValueError("num_trials must be positive")

@@ -514,127 +514,222 @@ def reference_scores(n, z, labels):
     return np.array(out)
 
 
+def stepwise_pegasos(rows, labels):
+    """Exact Pegasos one step at a time on (c, n) rows: M after the last step, and whether a margin was exactly 1.
+
+    Step 1 hits row 0; step t >= 2 visits row i = (t - 1) mod c and hits
+    where its margin 100 y_i M_i / (t - 1) is below 1.
+    """
+    feats = np.hstack([rows, np.ones((rows.shape[0], 1), dtype=rows.dtype)]).astype(np.int64)
+    k, y = feats @ feats.T, np.asarray(labels, dtype=np.int64)
+    m, tied = np.zeros(y.size, dtype=np.int64), False
+    for t in range(1, decoders.SVM_EPOCHS * y.size + 1):
+        i = (t - 1) % y.size
+        tied |= t > 1 and 100 * y[i] * m[i] == t - 1
+        if t == 1 or 100 * y[i] * m[i] < t - 1:
+            m += y[i] * k[:, i]
+    return m, tied
+
+
+def exact_pegasos(n, z, labels):
+    """:func:`decoders._exact_pegasos` on a group, read through the Gram products of its packed rows."""
+    return decoders._exact_pegasos(decoders._gram_products(z, n)[1], labels)
+
+
+def test_exact_pegasos_jumps_to_the_hits_of_the_per_step_recurrence():
+    # every trial's M, and whether a visit ties, as the step-by-step recurrence has them,
+    # on c <= n and c > n sets; a trial is flagged exactly where a margin ties or the
+    # scores the pick reads tie: some M_i = 0, or a second row with the picked M
+    rng = np.random.default_rng(21)
+    flags = {"margin": 0, "score": 0, "none": 0}
+    for c, n in ((2, 5), (3, 20), (4, 60), (4, 120), (6, 3), (7, 2)):
+        rows = rng.integers(0, 2, size=(40, c, n), dtype=np.uint8)
+        labels = rng.choice(np.array([-1, 1], dtype=np.int8), size=(40, c))
+        sums, pick, tie = exact_pegasos(*pegasos_group(rows, labels))
+        for t in range(rows.shape[0]):
+            m, tied = stepwise_pegasos(rows[t], labels[t])
+            if tied:
+                assert tie[t]
+                flags["margin"] += 1
+                continue
+            assert np.array_equal(sums[t], m)
+            assert pick[t] == decoders._svm_pick(m[None].astype(np.float64))[0]
+            score_tie = np.any(m == 0) or np.count_nonzero(m == m[pick[t]]) > 1
+            assert tie[t] == score_tie
+            flags["score" if score_tie else "none"] += 1
+    assert all(flags.values()), flags
+
+
+def fig3_svm_pool(seed, per_group):
+    """Pegasos groups shaped like a fig3-svm flush, c in {2, 3, 4}, n in {20, 60, 120}, 2-means labels.
+
+    Also returns each group's rows and the stream of each of its trials,
+    which seeds the 2-means labels.
+    """
+    rng = np.random.default_rng(seed)
+    groups, sources = [], []
+    for n in (20, 60, 120):
+        for c in (2, 3, 4):
+            rows = rng.integers(0, 2, size=(per_group, c, n), dtype=np.uint8)
+            streams = [RngStream(seed, 1000 * n + 10 * c + t) for t in range(per_group)]
+            labels = [np.where(kmeans(z, 2, s).assignments == 0, 1, -1) for z, s in zip(rows, streams)]
+            groups.append(pegasos_group(rows, labels))
+            sources.append((rows, [RngStream(seed, s.stream_id) for s in streams]))
+    return groups, sources
+
+
+def test_integer_picks_without_a_tie_decode_as_svm_by_clusters():
+    # a trial with no exact tie decodes from its integers, whatever the float loop does
+    groups, sources = fig3_svm_pool(41, 40)
+    flagged = unflagged = 0
+    for group, (rows, streams) in zip(groups, sources):
+        _, pick, tie = exact_pegasos(*group)
+        for t in np.flatnonzero(~tie):
+            indices = np.arange(1, rows.shape[1] + 1)
+            decoded, _ = decoders._svm_by_clusters(cand_set(indices, rows[t]), streams[t])
+            assert decoded == indices[pick[t]]
+        flagged, unflagged = flagged + int(tie.sum()), unflagged + int((~tie).sum())
+    assert unflagged > 3 * flagged > 0
+
+
+def test_replayed_scores_of_flagged_trials_match_the_reference_bytes():
+    # only the flagged trials reach the float replay, which gives the per-trial loop's
+    # scores bit for bit, in groups of different c and n
+    groups, _ = fig3_svm_pool(43, 40)
+    flagged = []
+    for n, z, labels in groups:
+        tie = exact_pegasos(n, z, labels)[2]
+        if tie.any():
+            flagged.append((n, z[tie], labels[tie]))
+    assert len({z.shape[1] for _, z, _ in flagged}) == 3 and len({n for n, _, _ in flagged}) == 3
+    for group, scores in zip(flagged, decoders._pegasos_scores(flagged, True)):
+        assert scores.tobytes() == reference_scores(*group).tobytes()
+
+
 def test_lockstep_pegasos_scores_keep_the_sign_of_an_exact_zero():
-    # two equal rows of opposite labels cancel: the reference scores them +0.0,
-    # which a score taken on the signed row and then negated would turn into -0.0
+    # two equal rows of opposite labels cancel: M = 0, a score tie, and the replay scores
+    # them +0.0 as the reference does, which a score taken on the signed row and then
+    # negated would turn into -0.0
     four = pegasos_group([[[0, 1], [0, 1], [1, 1], [0, 0]]], [[1, -1, 1, -1]])
     two = pegasos_group([[[1, 0], [0, 1]]], [[-1, 1]])
-    got = decoders._pegasos_scores([four, two])
+    sums, _, tie = exact_pegasos(*four)
+    assert sums[0, 1] == 0 and tie[0]
+    got = decoders._pegasos_scores([four, two], True)
     for group, scores in zip((four, two), got):
         assert scores.tobytes() == reference_scores(*group).tobytes()
     assert got[0][0, 1] == 0.0 and not np.signbit(got[0][0, 1])
 
 
+def counted_ddots(monkeypatch):
+    """Record every margin the replay takes by ``ddot``."""
+    margins, ddot_margin = [], decoders._ddot_margin
+
+    def counted(row, label, w):
+        margins.append(ddot_margin(row, label, w))
+        return margins[-1]
+
+    monkeypatch.setattr(decoders, "_ddot_margin", counted)
+    return margins
+
+
 def test_pegasos_scores_with_every_margin_by_ddot_match_the_reference(monkeypatch):
-    # an infinite tolerance lets no slot sum decide, so every margin of every
-    # step is the reference's ddot on the weights expanded to columns
-    monkeypatch.setattr(decoders, "_slot_tolerance", lambda k, p: np.inf)
-    ddot_margins = decoders._ddot_margins
-    margins = []
+    # a bound that certifies nothing flags every split trial, and the replay takes every
+    # margin of every step by the reference's ddot; the decodes stay the reference's
+    monkeypatch.setattr(decoders, "_margin_slack", lambda steps, k: np.inf)
+    margins = counted_ddots(monkeypatch)
+    replayed, pegasos_scores = [], decoders._pegasos_scores
 
-    def counted(groups, starts, pattern, w, trials, r):
-        margins.append(trials.size)
-        return ddot_margins(groups, starts, pattern, w, trials, r)
+    def checked(groups, certified):
+        assert not certified
+        got = pegasos_scores(groups, certified)
+        for group, scores in zip(groups, got):
+            assert scores.tobytes() == reference_scores(*group).tobytes()
+        replayed.extend(z.shape[:2] for _, z, _ in groups)
+        return got
 
-    monkeypatch.setattr(decoders, "_ddot_margins", counted)
+    monkeypatch.setattr(decoders, "_pegasos_scores", checked)
     rng = np.random.default_rng(11)
-    # c_max = 5: 2**5 patterns fit in the 41 and 33 columns of n = 40 and n = 32,
-    # which share one loop; at n = 3 every column is its own slot, in a loop of its own
-    shapes = [(40, 1, 5), (32, 2, 3), (40, 1, 2), (3, 2, 5), (3, 1, 2)]
-    groups = [
-        pegasos_group(rng.integers(0, 2, size=(size, c, n)), rng.choice([-1, 1], size=(size, c)))
-        for n, size, c in shapes
-    ]
-    got = decoders._pegasos_scores(groups)
-    assert sum(margins) == decoders.SVM_EPOCHS * sum(size * c for _, size, c in shapes)
-    for group, scores in zip(groups, got):
-        assert scores.tobytes() == reference_scores(*group).tobytes()
+    parts, references, split = [], [], 0
+    for n, size, m in ((40, 6, 5), (2, 6, 5), (17, 5, 3)):
+        rows = rng.integers(0, 2, size=(size, m, n), dtype=np.uint8)
+        split += sum(not np.all(z == z[0]) for z in rows)
+        states = stream_states(7, np.arange(size, dtype=np.uint64) + 100 * n)
+        parts.append(PackedTrials(n, np.ones((size, m), dtype=bool), np.packbits(rows, axis=2), states))
+        references.append([decode(cand_set(np.arange(1, m + 1), z), "svm", RngStream(7, 100 * n + t)) for t, z in enumerate(rows)])
+    for got, expected in zip(decoders.svm_resolve_batch(parts), references):
+        assert got.decoded.tolist() == expected
+    assert sum(size for size, _ in replayed) == split  # every trial whose rows split
+    assert len(margins) == decoders.SVM_EPOCHS * sum(size * c for size, c in replayed)
 
 
 def test_pegasos_scores_of_many_trials_match_the_reference():
-    # a step evaluates every running trial, on views, where more than half of them
-    # are due (all of them on the first step) and gathers the due trials where
-    # fewer are, which takes a loop of many trials to reach
+    # the replay is the reference's loop for any trial, flagged or not
     rng = np.random.default_rng(12)
     groups = [
-        pegasos_group(rng.integers(0, 2, size=(size, c, 30)), rng.choice([-1, 1], size=(size, c)))
-        for size, c in ((120, 4), (80, 3))
+        pegasos_group(rng.integers(0, 2, size=(size, c, n)), rng.choice([-1, 1], size=(size, c)))
+        for size, c, n in ((120, 4, 30), (80, 3, 30), (30, 2, 7), (10, 9, 4))
     ]
-    for group, scores in zip(groups, decoders._pegasos_scores(groups)):
+    for group, scores in zip(groups, decoders._pegasos_scores(groups, True)):
         assert scores.tobytes() == reference_scores(*group).tobytes()
 
 
-def fig3_svm_pool(seed, per_group):
-    """Pegasos groups shaped like a fig3-svm flush: c in {2, 3, 4}, n in {20, 60, 120}, 2-means labels."""
-    rng = np.random.default_rng(seed)
-    groups = []
-    for n in (20, 60, 120):
-        for c in (2, 3, 4):
-            rows = rng.integers(0, 2, size=(per_group, c, n), dtype=np.uint8)
-            labels = [np.where(kmeans(z, 2, RngStream(seed, t)).assignments == 0, 1, -1) for t, z in enumerate(rows)]
-            groups.append(pegasos_group(rows, labels))
-    return groups
+def reference_ties(n, packed, labels):
+    """Visits of the reference loop on one trial where the exact margin along its own hits is 1."""
+    feats = np.hstack([np.unpackbits(packed, axis=1, count=n), np.ones((labels.size, 1))])
+    k, y = feats.astype(np.int64) @ feats.T.astype(np.int64), labels.astype(np.int64)
+    w, m, ties = np.zeros(n + 1), np.zeros(y.size, dtype=np.int64), 0
+    for t in range(1, decoders.SVM_EPOCHS * y.size + 1):
+        i = (t - 1) % y.size
+        eta = 1.0 / (decoders.SVM_LAMBDA * t)
+        margin = y[i] * float(feats[i] @ w)
+        ties += t > 1 and 100 * y[i] * m[i] == t - 1
+        w *= 1.0 - eta * decoders.SVM_LAMBDA
+        if margin < 1.0:
+            w += (eta * y[i]) * feats[i]
+            m += y[i] * k[:, i]
+    return ties
 
 
 def test_pegasos_loop_sums_few_margins_and_matches_the_reference(monkeypatch):
-    # a trial is evaluated only at the steps where its margin can fall below 1, where
-    # its margin and then its rows' margins for the schedule are slot sums: the trials
-    # summed stay under 5% of the trial-steps, for the per-trial loop's scores, bit for bit
-    groups = fig3_svm_pool(31, 30)
-    slot_sums, summed = decoders._slot_sums, []
-
-    def counted(rows, sizes, w):
-        summed.append(rows.shape[0])
-        return slot_sums(rows, sizes, w)
-
-    monkeypatch.setattr(decoders, "_slot_sums", counted)
-    got = decoders._pegasos_scores(groups)
+    # with the certificate the replay takes a ddot exactly at the visits where the exact
+    # margin along the reference's own hits is 1: a few per trial, against 200 c visits
+    margins = counted_ddots(monkeypatch)
+    groups, _ = fig3_svm_pool(31, 30)
+    got = decoders._pegasos_scores(groups, True)
+    ties = sum(reference_ties(n, packed, lab) for n, z, labels in groups for packed, lab in zip(z, labels))
     trial_steps = decoders.SVM_EPOCHS * sum(z.shape[0] * z.shape[1] for _, z, _ in groups)
-    assert sum(summed) < 0.05 * trial_steps
+    assert 0 < len(margins) == ties < 0.005 * trial_steps
     for group, scores in zip(groups, got):
         assert scores.tobytes() == reference_scores(*group).tobytes()
 
 
-def test_a_margin_of_exactly_one_at_a_scheduled_visit_is_no_hit(monkeypatch):
+def test_a_margin_of_exactly_one_is_a_replayed_tie_and_no_hit(monkeypatch):
     # the reference margin of row 2 is exactly 1.0 at step 500: not below 1, so no add.
-    # The schedule taken at step 403 lands on that visit, and the ddot decides it
+    # Exactly, 100 y_2 M_2 = 499 there: the trial is flagged, and the ddot decides the visit
     packed = np.array([[136, 10, 92, 3, 147], [84, 10, 95, 3, 131], [208, 46, 88, 19, 147]], dtype=np.uint8)
     group = pegasos_group([np.unpackbits(packed, axis=1, count=40)], [[1, -1, 1]])
-    next_due, ddot_margins = decoders._next_due, decoders._ddot_margins
-    schedule, ddots = [], []
-
-    def scheduled(s, *args):
-        due = next_due(s, *args)
-        schedule.append((s, int(due[0])))
-        return due
-
-    def decided(*args):
-        margins = ddot_margins(*args)
-        ddots.extend(margins.tolist())
-        return margins
-
-    monkeypatch.setattr(decoders, "_next_due", scheduled)
-    monkeypatch.setattr(decoders, "_ddot_margins", decided)
-    (scores,) = decoders._pegasos_scores([group])
-    assert (403, 500) in schedule
-    assert ddots == [1.0]
+    assert exact_pegasos(*group)[2][0]
+    margins = counted_ddots(monkeypatch)
+    (scores,) = decoders._pegasos_scores([group], True)
+    assert margins == [1.0]
     assert scores.tobytes() == reference_scores(*group).tobytes()
 
 
 def test_pegasos_loop_peak_memory_is_a_few_weight_arrays():
-    # the weights are (T, p) float64, the slot sizes and signed rows small integers, and
-    # where most trials are due (the first steps) the loop reads views, not gathers: the
-    # peak stays under 3.5 weight arrays (float64 sizes and rows would read 3.9)
-    groups = sorted(fig3_svm_pool(5, 120), key=lambda g: -g[1].shape[1])
-    total, p = sum(z.shape[0] for _, z, _ in groups), 16
+    # the replay holds flat float64 weights of each trial's own columns, its uint8 rows,
+    # a bit-packed copy and one int64 M a row; it adds the rows that hit and takes the
+    # final gemv BATCH_BLOCK_ELEMS elements at a time: under 3.5 weight arrays (2.9
+    # measured; the adds of step 1, where every trial hits, and whole-group gemvs read 4.7)
+    groups, _ = fig3_svm_pool(5, 120)
+    weight_bytes = 8 * sum(z.shape[0] * (n + 1) for n, z, _ in groups)
     tracemalloc.start()
     try:
-        weights = decoders._pegasos_loop(groups, p, True)
+        scores = decoders._pegasos_scores(groups, True)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert weights.shape == (total, p)
-    assert peak < 3.5 * total * p * 8
+    assert [s.shape for s in scores] == [z.shape[:2] for _, z, _ in groups]
+    assert peak < 3.5 * weight_bytes
 
 
 def test_svm_two_candidates_tie_break():
@@ -694,8 +789,8 @@ def test_svm_returns_candidate_member():
 @pytest.mark.parametrize("m, n", [(4, 43), (6, 43)])
 def test_resolvers_read_candidate_rows_only(m, n):
     # the executor packs every row of a multi-candidate trial, but a resolver may read
-    # only the candidates': the kernel leaves a rejected codeword's tail zero.  m = 4
-    # gives the svm pattern slots at n = 43, m = 6 its column slots
+    # only the candidates': the kernel leaves a rejected codeword's tail zero, at
+    # m = 4 and at m = 6
     from weaktyp.montecarlo import TrialConfig
 
     cfg = TrialConfig(n=n, m=m, q=0.5, channel=bsc(0.4), eps=0.1, master_seed=808)

@@ -198,7 +198,7 @@ def test_run_points_equals_run_trials_and_run_trial(monkeypatch):
         "pool_spans_points": 0,
         "pool_mixes_fixed_codebooks": 0,
         "pool_spans_blocklengths": 0,
-        "svm_pool_with_column_slots": 0,
+        "svm_replay_spans_blocklengths": 0,
         "point_yielded_before_its_pool_closed": 0,
         "kernel_call_spans_points": 0,
         "resolver_block_spans_blocklengths": 0,
@@ -240,12 +240,10 @@ def test_run_points_equals_run_trials_and_run_trial(monkeypatch):
         hits["pool_spans_blocklengths"] += len({part[0] for part in pool.parts}) > 1
         flush(pool)
 
-    def counted_scores(groups):
-        # one svm flush over several blocklengths, one of them too short for 2**c_max patterns
-        c_max = max(z.shape[1] for _, z, _ in groups)
-        spans = len({n for n, _, _ in groups}) > 1
-        hits["svm_pool_with_column_slots"] += spans and any(2**c_max > n + 1 for n, _, _ in groups)
-        return pegasos_scores(groups)
+    def counted_scores(groups, certified):
+        # one svm flush whose tie trials of several blocklengths replay in one float loop
+        hits["svm_replay_spans_blocklengths"] += len({n for n, _, _ in groups}) > 1
+        return pegasos_scores(groups, certified)
 
     monkeypatch.setattr(montecarlo._Pool, "add", recorded_add)
     monkeypatch.setattr(montecarlo._Pool, "flush", counted_flush)
@@ -254,8 +252,8 @@ def test_run_points_equals_run_trials_and_run_trial(monkeypatch):
     monkeypatch.setattr(kernels, "simulate_trials", counted_simulate_trials)
     monkeypatch.setattr(decoders, "_blocks", counted_blocks)
 
-    # one svm flush over two blocklengths, the shorter too short for 2**c_max patterns
-    column_slots = (
+    # one svm flush over two blocklengths, c > n at the shorter, with tie trials at both
+    svm_blocklengths = (
         [TrialConfig(n=n, m=6, q=0.5, channel=bsc(0.1), eps=2.0, resolver="svm") for n in (3, 20)],
         4,
         4,
@@ -289,7 +287,7 @@ def test_run_points_equals_run_trials_and_run_trial(monkeypatch):
 
     @fixed_budget(150)
     @given(sweep_point_lists())
-    @example(column_slots)
+    @example(svm_blocklengths)
     @example(cluster_blocklengths)
     @example(spanning_calls)
     def check(case):
@@ -558,10 +556,10 @@ def test_kmeans_objective_never_increases_on_binary_points(num, n, k, seed):
 def svm_parts(draw):
     """One to three parts of a few trials of 2..8 candidates on up to 70 symbols, each part its own n.
 
-    n + 1 runs past the unrolled tails of the BLAS dot kernels, parts of
-    different n share a Pegasos loop (or, with fewer than 2**c_max
-    columns, run their own), and a pool of few distinct words gives
-    duplicate and all-equal candidate rows.
+    n + 1 runs past the unrolled tails of the BLAS dot kernels, tie
+    trials of different n and c share one float replay, n < c happens,
+    and a pool of few distinct words gives duplicate and all-equal
+    candidate rows, and with them exact score ties.
     """
     parts = []
     for _ in range(draw(st.integers(1, 3))):
@@ -593,24 +591,30 @@ def test_batch_svm_equals_svm_resolve(monkeypatch):
     hits = {
         "all_rows_equal": 0,
         "even_split": 0,
-        "staggered_ends": 0,
-        "fallback": 0,
-        "pattern_slots": 0,
-        "column_slots": 0,
-        "loop_spans_blocklengths": 0,
+        "margin_tie": 0,
+        "score_tie": 0,
+        "unflagged": 0,
+        "c_above_n": 0,
+        "replay_staggered_ends": 0,
+        "replay_spans_blocklengths": 0,
     }
-    pegasos_scores, svm_pick, ddot_margins = decoders._pegasos_scores, decoders._svm_pick, decoders._ddot_margins
+    exact_pegasos, pegasos_scores, svm_pick = decoders._exact_pegasos, decoders._pegasos_scores, decoders._svm_pick
 
-    def checked_scores(groups):
-        # groups of different candidate counts stop at different steps
-        hits["staggered_ends"] += len({z.shape[1] for _, z, _ in groups}) > 1
-        # columns share a slot per pattern when 2**c_max patterns fit in n + 1 columns
-        c_max = max(z.shape[1] for _, z, _ in groups)
-        pattern = [n for n, _, _ in groups if 2**c_max <= n + 1]
-        hits["pattern_slots"] += bool(pattern)
-        hits["column_slots"] += len(pattern) < len(groups)
-        hits["loop_spans_blocklengths"] += len(set(pattern)) > 1
-        got = pegasos_scores(groups)
+    def counted_exact(gram_times, labels):
+        sums, pick, tie = exact_pegasos(gram_times, labels)
+        # a margin tie stops its trial early; a score tie reads its full M
+        score = np.any(sums == 0, axis=1) | ((sums == sums[np.arange(pick.size), pick][:, None]).sum(axis=1) > 1)
+        hits["score_tie"] += int(np.count_nonzero(score))
+        hits["margin_tie"] += int(np.count_nonzero(tie & ~score))
+        hits["unflagged"] += int(np.count_nonzero(~tie))
+        return sums, pick, tie
+
+    def checked_scores(groups, certified):
+        # trials of different candidate counts stop at different steps
+        hits["replay_staggered_ends"] += len({z.shape[1] for _, z, _ in groups}) > 1
+        hits["replay_spans_blocklengths"] += len({n for n, _, _ in groups}) > 1
+        hits["c_above_n"] += any(z.shape[1] > n for n, z, _ in groups)
+        got = pegasos_scores(groups, certified)
         # bit for bit, not only the decoded index: the scores of the per-trial loop
         for (n, z, labels), scores in zip(groups, got):
             for packed, lab, score in zip(z, labels, scores):
@@ -624,14 +628,9 @@ def test_batch_svm_equals_svm_resolve(monkeypatch):
         hits["even_split"] += int(np.count_nonzero(2 * n_pos == scores.shape[1]))
         return svm_pick(scores)
 
-    def counted_margins(groups, starts, pattern, w, trials, r):
-        # slot sums too close to 1 to decide: the reference ddot decides
-        hits["fallback"] += trials.size
-        return ddot_margins(groups, starts, pattern, w, trials, r)
-
+    monkeypatch.setattr(decoders, "_exact_pegasos", counted_exact)
     monkeypatch.setattr(decoders, "_pegasos_scores", checked_scores)
     monkeypatch.setattr(decoders, "_svm_pick", counted_pick)
-    monkeypatch.setattr(decoders, "_ddot_margins", counted_margins)
 
     @fixed_budget(150)
     @given(svm_parts())
@@ -660,37 +659,27 @@ def test_batch_svm_equals_svm_resolve(monkeypatch):
 
 
 @fixed_budget(80)
-@given(
-    st.integers(2, 8),
-    st.integers(1, 600),
-    st.sampled_from(("uniform", "extreme")),
-    st.integers(0, 2**32 - 1),
-)
-def test_slot_sums_stay_within_the_tolerance_of_the_ddot(c, n, weights, seed):
-    # the certified margin: for any weights with |w| <= 1/lambda, the slot sum of
-    # each row is within the tolerance of the reference's label * ([z, 1] @ w)
+@given(st.integers(2, 8), st.integers(1, 600), st.integers(0, 2**32 - 1))
+def test_float_pegasos_stays_within_the_slack_of_the_exact_margins_and_scores(c, n, seed):
+    # the certificate: along the reference's own hits, every float margin and final score
+    # is within _margin_slack of the exact 100 y_i M_i / (t - 1) and 100 M_i / T
     rng = np.random.default_rng(seed)
     z = rng.integers(0, 2, size=(c, n), dtype=np.uint8)
-    rows = np.hstack([z, np.ones((c, 1), dtype=np.uint8)]).astype(np.float64)
-    labels = rng.choice([-1, 1], size=c)
-    pattern = 2**c <= n + 1
-    p = 2**c if pattern else n + 1
-    group = (n, np.packbits(z[None], axis=2), labels[None].astype(np.int8))
-    sizes, table, codes = decoders._signed_table([group], p, pattern)
-    slot = decoders._slot_map(z[None], pattern)
-    assert sizes.sum() == n + 1
-    bound = 1.0 / decoders.SVM_LAMBDA
-    if weights == "uniform":
-        w = rng.uniform(-bound, bound, size=(1, p))
-    else:
-        # every weight at the bound: the largest sums, and the largest cancellations
-        w = rng.choice([-bound, bound], size=(1, p))
-    tol = decoders._slot_tolerance(n + 1, p)
-    w_full = w[0, slot[0]]
-    for i in range(c):
-        signed = table[codes[:, i]].astype(np.float64)
-        # the signed slot row is label * the row's bits, slot by slot
-        assert np.array_equal(signed[0, slot[0]], labels[i] * rows[i])
-        approx = decoders._slot_sums(signed, sizes, w)[0]
-        exact = labels[i] * float(rows[i] @ w_full)
-        assert abs(approx - exact) <= tol
+    feats = np.hstack([z, np.ones((c, 1), dtype=np.uint8)]).astype(np.float64)
+    k, labels = feats.astype(np.int64) @ feats.T.astype(np.int64), rng.choice([-1, 1], size=c)
+    steps = decoders.SVM_EPOCHS * c
+    slack = decoders._margin_slack(steps, n + 1)
+    assert slack < 1.0 / steps  # certified at every c and n drawn here
+    w, m = np.zeros(n + 1), np.zeros(c, dtype=np.int64)
+    for t in range(1, steps + 1):
+        # the reference's step, as in decoders._pegasos_separator
+        i = (t - 1) % c
+        eta = 1.0 / (decoders.SVM_LAMBDA * t)
+        margin = labels[i] * float(feats[i] @ w)
+        if t > 1:
+            assert abs(margin - 100 * labels[i] * m[i] / (t - 1)) <= slack
+        w *= 1.0 - eta * decoders.SVM_LAMBDA
+        if margin < 1.0:
+            w += (eta * labels[i]) * feats[i]
+            m += labels[i] * k[:, i]
+    assert np.all(np.abs(feats @ w - 100 * m / steps) <= slack)
