@@ -44,9 +44,12 @@ S_t/(lambda t), S_t summing y_s x_s over the hits, so with x = [z, 1],
 K = G + 1 and the integers M = sum of y_s K[:, s], step t >= 2 hits its row
 i where 100 y_i M_i < t - 1 and the scores are 100 M/T.  The float
 reference stays within :func:`_margin_slack` of these along the same
-hits, so where that is below 1/T only a trial with an exact tie, a visit
-with 100 y_i M_i = t - 1 or tied scores, replays the float loop, whose
-``ddot`` and ``gemv`` make its bytes the BLAS kernel's.
+hits, so where that is below 1/T it takes every hit the integers take
+except at a margin tie, a visit with 100 y_i M_i = t - 1, where it may
+go either way.  The integers follow both ways, so the reference's hits
+are those of one branch, and a trial whose branches all end with untied
+scores and one pick decodes to it.  Only the rest replay the float
+loop, whose ``ddot`` and ``gemv`` make their bytes the BLAS kernel's.
 """
 
 from __future__ import annotations
@@ -66,10 +69,14 @@ RESOLVERS = ("cluster", "cluster-random", "svm")
 KMEANS_MAX_ITERS = 100
 SVM_LAMBDA = 0.01
 SVM_EPOCHS = 200
+# most integer branches one svm trial forks into at its margin ties; a trial over it replays in floats
+SVM_BRANCHES = 32
+# a step no visit reaches
+_NEVER = np.iinfo(np.int64).max
 # cap on the elements of one block's int64 k-means operands, the Gram
 # matrices (trials, c, c) or, when c > n, the rows (trials, c, n), and of
 # the svm replay's float rows (trials, c, n+1) for its scores and of the
-# rows it adds at once; bounds their memory whatever the chunk
+# class rows it adds at once; bounds their memory whatever the chunk
 BATCH_BLOCK_ELEMS = 1 << 15
 
 
@@ -433,26 +440,33 @@ def _split_rows(z: np.ndarray) -> np.ndarray:
     return ~np.all(z == z[:, :1], axis=(1, 2))
 
 
-def _gram_products(x: np.ndarray, n: int) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
+def _gram_products(x: np.ndarray, n: int) -> tuple[np.ndarray, Callable[..., np.ndarray]]:
     """Diagonal and product map of the Gram matrices G = x x^T of (T, c, ceil(n/8)) packed rows x.
 
     Returns the (T, c) diagonal (each row's weight) and a map taking
-    (T, c, k) 0/1 weights v to G v, all int64.  When c <= n, G is formed
-    once, (T, c, c), from the packed bytes with ``np.bitwise_count``;
-    when c > n, G v is taken as x (x^T v) from the unpacked rows, so no
-    array grows as c**2.  The integers are the same either way.
+    (T, c, k) 0/1 weights v to G v, all int64; given trial indices
+    ``at`` it takes (len(at), c, k) weights to G[at] v.  When c <= n, G
+    is formed once, (T, c, c), from the packed bytes with
+    ``np.bitwise_count``; when c > n, G v is taken as x (x^T v) from the
+    unpacked rows, so no array grows as c**2.  The integers are the same
+    either way.
     """
     size, c, width = x.shape
     if c > n:
         rows = np.unpackbits(x, axis=2, count=n).astype(np.int64)
-        return rows.sum(axis=2), lambda v: np.matmul(rows, np.matmul(rows.transpose(0, 2, 1), v))
+
+        def rows_times(v: np.ndarray, at=slice(None)) -> np.ndarray:
+            x_at = rows[at]
+            return np.matmul(x_at, np.matmul(x_at.transpose(0, 2, 1), v))
+
+        return rows.sum(axis=2), rows_times
     bits = np.zeros((size, c, -(-width // 8) * 8), dtype=np.uint8)
     bits[:, :, :width] = x
     bits = bits.view(np.uint64)
     gram = np.zeros((size, c, c), dtype=np.int64)
     for w in range(bits.shape[2]):
         gram += np.bitwise_count(bits[:, :, None, w] & bits[:, None, :, w])
-    return np.diagonal(gram, axis1=1, axis2=2), lambda v: np.matmul(gram, v)
+    return np.diagonal(gram, axis1=1, axis2=2), lambda v, at=slice(None): np.matmul(gram[at], v)
 
 
 def _resolve_block(
@@ -615,8 +629,9 @@ def svm_resolve_batch(parts: list[PackedTrials]) -> list[BatchResolution]:
     The parts may differ in n.  A resolver block of :func:`_blocks` gets
     the all-equal shortcut and the 2-means labels of
     :func:`_lockstep_kmeans`, then :func:`_exact_pegasos` on the same Gram
-    products; its tie trials, or all where :func:`_margin_slack` does not
-    certify the flush, replay in one :func:`_pegasos_scores` call.
+    products; the trials it leaves undecided, or all where
+    :func:`_margin_slack` does not certify the flush, replay in one
+    :func:`_pegasos_scores` call.
     ``iterations`` counts the 2-means run (0 where all rows are equal).
     """
     states = np.concatenate([part.states for part in parts])
@@ -635,11 +650,11 @@ def svm_resolve_batch(parts: list[PackedTrials]) -> list[BatchResolution]:
         assign, used, _ = _lockstep_kmeans(weight, gram_times, states[rows], 2, int(ns.max()))
         iterations[rows] = used
         labels = np.where(assign == 0, 1, -1).astype(np.int8)
-        _, pick, tie = _exact_pegasos(gram_times, labels)
-        tie |= not certified
+        _, _, pick, replay = _exact_pegasos(gram_times, labels)
+        replay |= not certified
         decoded[rows] = idx[np.arange(rows.size), pick] + 1
-        for n in np.flatnonzero(np.bincount(ns[tie])).tolist():
-            at = tie & (ns == n)
+        for n in np.flatnonzero(np.bincount(ns[replay])).tolist():
+            at = replay & (ns == n)
             groups.append((n, x[at, :, : -(-n // 8)], labels[at]))
             places.append((rows[at], idx[at]))
     if groups:
@@ -669,34 +684,60 @@ def _visits(margin: np.ndarray, row: np.ndarray, c, after) -> tuple[np.ndarray, 
     hit = np.maximum(after + 1, margin + 2)
     hit += (row + 1 - hit) % c
     tie = margin + 1
-    return hit, np.where((tie > after) & ((tie - row - 1) % c == 0), tie, np.iinfo(np.int64).max)
+    return hit, np.where((tie > after) & ((tie - row - 1) % c == 0), tie, _NEVER)
 
 
 def _exact_pegasos(
-    gram_times: Callable[[np.ndarray], np.ndarray], labels: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Exact Pegasos on T sets of c rows with (T, c) +/-1 labels: their (T, c) M, picks and tie flags.
+    gram_times: Callable[..., np.ndarray], labels: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Exact Pegasos on T sets of c rows with (T, c) +/-1 labels, each margin tie followed both ways.
 
     K = G + 1 comes from the Gram product map of :func:`_gram_products`.
-    Each pass moves every running trial to its next hit (:func:`_visits`);
-    one whose next tie comes first is flagged and stops.  The pick is
-    :func:`_svm_pick` on M, flagged too where some M_i = 0 or another row
-    has the picked M.  A flagged trial's pick is void.
+    A branch is a trial's M and the step it has run to; branch t < T is
+    trial t's first.  Each pass moves every live branch to its next hit
+    (:func:`_visits`), adding the K column of that hit; a branch whose
+    next tie comes first forks there, into a new branch that hits at the
+    tie and itself, which runs on from the tie without the hit.  A trial
+    with more than ``SVM_BRANCHES`` branches stops.  Returns each
+    branch's trial and (c,) M, and per trial the :func:`_svm_pick` of
+    its first branch and a replay flag: the trial went over the cap, or
+    one of its branches has a score tie (some M_i = 0, or another row
+    with the picked M) or picks another row.
     """
-    (num, c), live = labels.shape, np.arange(labels.shape[0])
-    y, sums, tie = labels.astype(np.int64), np.zeros((num, c), dtype=np.int64), np.zeros(num, dtype=bool)
+    (num, c), steps = labels.shape, SVM_EPOCHS * labels.shape[1]
+    y, live, over = labels.astype(np.int64), np.arange(num), np.zeros(num, dtype=bool)
+    # per branch: its trial, M, the step it has run to and the row that hits there (-1: none)
+    trial, sums = np.arange(num), np.zeros((num, c), dtype=np.int64)
     last, at = np.ones(num, dtype=np.int64), np.zeros(num, dtype=np.int64)  # step 1 hits row 0: w_0 = 0
     while live.size:
-        onehot = np.zeros((num, c, 1), dtype=np.int64)
-        onehot[live, at[live]] = 1
-        sums[live] += y[live, at[live], None] * (gram_times(onehot)[live, :, 0] + 1)
-        hit, tied = _visits(100 * y[live] * sums[live], np.arange(c), c, last[live, None])
-        at[live] = np.argmin(hit, axis=1)
-        last[live] = hit[np.arange(live.size), at[live]]
-        tie[live] = tied.min(axis=1) < np.minimum(last[live], SVM_EPOCHS * c + 1)
-        live = live[~tie[live] & (last[live] <= SVM_EPOCHS * c)]
+        hits = live[at[live] >= 0]
+        onehot = np.zeros((hits.size, c, 1), dtype=np.int64)
+        onehot[np.arange(hits.size), at[hits]] = 1
+        sums[hits] += y[trial[hits], at[hits], None] * (gram_times(onehot, trial[hits])[:, :, 0] + 1)
+        hit, tied = _visits(100 * y[trial[live]] * sums[live], np.arange(c), c, last[live, None])
+        nxt, tie = hit.min(axis=1), tied.min(axis=1)
+        fork = tie < np.minimum(nxt, steps + 1)
+        last[live], at[live] = np.where(fork, tie, nxt), np.where(fork, -1, np.argmin(hit, axis=1))
+        forked, live = live[fork], live[fork | (nxt <= steps)]
+        if forked.size:
+            live = np.append(live, np.arange(trial.size, trial.size + forked.size))
+            trial, sums = np.append(trial, trial[forked]), np.concatenate([sums, sums[forked]])
+            last, at = np.append(last, tie[fork]), np.append(at, np.argmin(tied[fork], axis=1))
+            over[np.bincount(trial, minlength=num) > SVM_BRANCHES] = True
+            live = live[~over[trial[live]]]
     pick = _svm_pick(sums.astype(np.float64))
-    return sums, pick, tie | np.any(sums == 0, axis=1) | ((sums == sums[np.arange(num), pick, None]).sum(axis=1) > 1)
+    tied_score = np.any(sums == 0, axis=1) | ((sums == sums[np.arange(trial.size), pick, None]).sum(axis=1) > 1)
+    replay = over.copy()
+    replay[trial[tied_score | (pick != pick[trial])]] = True
+    return trial, sums, pick[:num], replay
+
+
+def _column_classes(feats: np.ndarray) -> np.ndarray:
+    """Class of each column of (..., c, k) 0/1 rows: its pattern, sum of x_a 2**a, or the column itself where 2**c > k."""
+    c, k = feats.shape[-2:]
+    if 2**c > k:
+        return np.broadcast_to(np.arange(k), feats.shape[:-2] + (k,))
+    return (1 << np.arange(c)) @ feats
 
 
 def _pegasos_scores(groups: list[tuple[int, np.ndarray, np.ndarray]], certified: bool) -> list[np.ndarray]:
@@ -704,28 +745,46 @@ def _pegasos_scores(groups: list[tuple[int, np.ndarray, np.ndarray]], certified:
 
     A group ``(n, z, labels)`` holds the (T, c, ceil(n/8)) packed rows and
     (T, c) +/-1 labels of trials of one n and c.  All run in one lockstep
-    loop, c descending so the running trials are a prefix, with float64
-    weights on each trial's own n+1 columns and the reference's float
-    operations one for one.  Each row keeps its exact M, so where
-    ``certified`` a trial is visited only at its next hit, which M decides,
-    or tie, which :func:`_ddot_margin` decides; otherwise that decides every
-    visit.  The scores take one ``gemv`` per trial of the reference's shape.
+    loop, c descending so the running trials are a prefix, with the
+    reference's float operations one for one on one float64 weight per
+    column class of each trial (:func:`_column_classes`): the columns of
+    a class take the same scales and adds, so each of their reference
+    weights is bitwise the class weight.  Each row keeps its exact M,
+    updated from the trial's K = G + 1, so where ``certified`` a trial
+    is visited only at its next hit, which M decides, or tie, which
+    :func:`_ddot_margin` decides; otherwise that decides every visit.
+    The weights expand to the reference's n+1 columns only for that
+    ``ddot`` and for the scores, one ``gemv`` per trial of the
+    reference's shape.
     """
     order = sorted(range(len(groups)), key=lambda g: -groups[g][1].shape[1])
     ordered = [groups[g] for g in order]
     width, sizes = max(n for n, _, _ in groups) + 1, [z.shape[0] for _, z, _ in ordered]
     count = np.repeat([z.shape[1] for _, z, _ in ordered], sizes)
     cols = np.repeat([n + 1 for n, _, _ in ordered], sizes)
+    classes = np.repeat([min(2 ** z.shape[1], n + 1) for n, z, _ in ordered], sizes)
     y = np.concatenate([labels.ravel() for _, _, labels in ordered]).astype(np.int64)
-    start, woff = np.cumsum(count) - count, np.cumsum(cols) - cols
-    rows, w = np.zeros((int(count.sum()), width), dtype=np.uint8), np.zeros(int(cols.sum()))
+    start, woff, koff = np.cumsum(count) - count, np.cumsum(classes) - classes, np.cumsum(count**2) - count**2
+    row_classes = np.repeat(classes, count)
+    row_class_off = np.cumsum(row_classes) - row_classes
+    rows, w = np.zeros((int(count.sum()), width), dtype=np.uint8), np.zeros(int(classes.sum()))
     row_blocks = np.split(rows, start[np.cumsum(sizes)[:-1]])
+    grams, class_rows = [], []
     for (n, z, _), block in zip(ordered, row_blocks):
+        (size, c, _), k = z.shape, n + 1
         block[:, :n], block[:, n] = np.unpackbits(z, axis=2, count=n).reshape(-1, n), 1
+        gram_times = _gram_products(z, n)[1]
+        grams.append(gram_times(np.broadcast_to(np.eye(c, dtype=np.int64), (size, c, c))).ravel())
+        if 2**c > k:
+            class_rows.append(block[:, :k].ravel())
+        else:
+            # class p holds row a where bit a of p is set
+            class_rows.append(np.tile(((np.arange(2**c) >> np.arange(c)[:, None]) & 1).astype(np.uint8).ravel(), size))
+    kernel, class_rows = np.concatenate(grams) + 1, np.concatenate(class_rows)
     # the trials running at step t, SVM_EPOCHS * c >= t, are the first lives[t]; their weights end at ends[t]
     lives = np.searchsorted(-SVM_EPOCHS * count, -np.arange(SVM_EPOCHS * int(count[0]) + 1), side="right")
     ends, lives = np.append(woff, w.size)[lives].tolist(), lives.tolist()
-    packed, chunk = np.packbits(rows, axis=1), max(1, BATCH_BLOCK_ELEMS // width)
+    chunk = max(1, BATCH_BLOCK_ELEMS // width)
     sums, due, upcoming = np.zeros(rows.shape[0], dtype=np.int64), np.ones(count.size, dtype=np.int64), 1  # step 1 hits
     for t in range(1, len(ends)):
         eta = 1.0 / (SVM_LAMBDA * t)
@@ -738,29 +797,36 @@ def _pegasos_scores(groups: list[tuple[int, np.ndarray, np.ndarray]], certified:
         hit = (margin < t - 1) | (t == 1)
         for j in np.flatnonzero(((margin == t - 1) & (t > 1)) | (not certified)).tolist():
             f = now[j]
-            hit[j] = _ddot_margin(rows[r[j], : cols[f]], int(y[r[j]]), w[woff[f] : woff[f] + cols[f]]) < 1.0
+            own = rows[start[f] : start[f] + count[f], : cols[f]]
+            hit[j] = _ddot_margin(rows[r[j], : cols[f]], int(y[r[j]]), w[woff[f] + _column_classes(own)]) < 1.0
         w[: ends[t]] *= 1.0 - eta * SVM_LAMBDA
         h, rh = now[hit], r[hit]
-        # adding +-0 where a row is 0 moves no weight but -0, and none is -0 (they start +0, scales
-        # are >= 0, a sum is -0 only of two -0): the ones add, BATCH_BLOCK_ELEMS row elements at a time
+        # adding +-0 where a class row is 0 moves no weight but -0, and none is -0 (they start +0, scales
+        # are >= 0, a sum is -0 only of two -0): each hit adds its whole class row, chunk trials at a time
         for lo in range(0, h.size, chunk):
-            hit_at, col = np.nonzero(rows[rh[lo : lo + chunk]])
-            w[woff[h[lo : lo + chunk]][hit_at] + col] += (eta * y[rh[lo : lo + chunk]])[hit_at]
+            hc, rc = h[lo : lo + chunk], rh[lo : lo + chunk]
+            owner = np.repeat(np.arange(hc.size), classes[hc])
+            col = np.arange(owner.size) - (np.cumsum(classes[hc]) - classes[hc])[owner]
+            w[woff[hc][owner] + col] += (eta * y[rc])[owner] * class_rows[row_class_off[rc][owner] + col]
         # M += y_s K[:, s] on the rows of each trial that hits, s its hit row; then each trial's next visit
         firsts = np.cumsum(count[now]) - count[now]
         owner = np.repeat(np.arange(now.size), count[now])
         pos = np.arange(owner.size) - firsts[owner]
         at = start[now][owner] + pos
-        sums[at] += (hit * y[r])[owner] * np.bitwise_count(packed[at] & packed[r][owner]).sum(axis=1, dtype=np.int64)
+        sums[at] += (hit * y[r])[owner] * kernel[(koff[now] + r - start[now])[owner] + pos * count[now][owner]]
         nxt, tied = _visits(100 * y[at] * sums[at], pos, count[now][owner], t)
         due[now] = np.minimum.reduceat(np.minimum(nxt, tied), firsts) if certified else t + 1
         upcoming = int(due[: lives[t]].min())
     scores: list[np.ndarray] = [np.empty(0)] * len(groups)
     for g, (n, z, _), feats, w_g in zip(order, ordered, row_blocks, np.split(w, woff[np.cumsum(sizes)[:-1]])):
         size, c, _ = z.shape
-        feats, w_g = feats[:, : n + 1].reshape(size, c, n + 1), w_g.reshape(size, n + 1, 1)
+        feats, w_g = feats[:, : n + 1].reshape(size, c, n + 1), w_g.reshape(size, -1)
         step = max(1, BATCH_BLOCK_ELEMS // (c * (n + 1)))
-        blocks = [feats[lo : lo + step].astype(np.float64) @ w_g[lo : lo + step] for lo in range(0, size, step)]
+        blocks = []
+        for lo in range(0, size, step):
+            f = feats[lo : lo + step]
+            full = np.take_along_axis(w_g[lo : lo + step], _column_classes(f), axis=1)
+            blocks.append(f.astype(np.float64) @ full.reshape(f.shape[0], n + 1, 1))
         scores[g] = np.concatenate(blocks)[:, :, 0]
     return scores
 

@@ -7,10 +7,13 @@ off.  Both variables are set only in the child processes started here.
 
 Outside ``svm`` every output reads only integers, or floats in exact
 ranges, so the figure CSVs and ``oracle-check``'s report must not move
-with either.  ``svm`` bytes are pinned per BLAS kernel: its replayed
-tie trials take the reference's ``ddot`` and ``gemv``, whose summation
-order is the kernel's, so they must equal the per-trial reference
-under every kernel, wherever the trial sits in the replay.
+with either.  ``svm`` decides most trials in integers too, so a fixed
+svm pool must send the same trials to the float replay under every
+kernel and decode every other trial alike.  The replayed trials' bytes
+are pinned per BLAS kernel: they take the reference's ``ddot`` and
+``gemv``, whose summation order is the kernel's, so they must equal the
+per-trial reference under every kernel, wherever the trial sits in the
+replay.
 """
 
 import json
@@ -52,12 +55,18 @@ SVM_TIES = [
     (80, "d913b19894b113501391d80b115814b197501793bd03319a1631b74213935907b19c16b197700380", [1, 1, -1, 1]),
 ]
 
+# the fixed svm pool: (n, candidates, trials) of each part, c > n in the last; its rows and
+# streams are drawn from SVM_POOL_SEED
+SVM_POOL = [(20, 3, 300), (40, 4, 300), (3, 6, 100)]
+SVM_POOL_SEED = 22
+
 CHILD = r"""
 import contextlib, hashlib, io, json, sys
 from pathlib import Path
 import numpy as np
 from weaktyp import decoders
 from weaktyp.cli import main
+from weaktyp.rng import stream_states
 
 spec = json.loads(sys.stdin.read())
 work = Path(spec["work"])
@@ -83,6 +92,25 @@ for n, packed, labels in spec["svm_ties"]:
     (scores,) = decoders._pegasos_scores([group], True)
     ties.append([score.tobytes() == reference.tobytes() for score in scores])
 out["svm_ties"] = ties
+rng = np.random.default_rng(spec["svm_pool_seed"])
+parts = []
+for n, c, size in spec["svm_pool"]:
+    rows = rng.integers(0, 2, size=(size, c, n), dtype=np.uint8)
+    states = stream_states(spec["svm_pool_seed"], rng.integers(0, 2**40, size=size))
+    parts.append(decoders.PackedTrials(n, np.ones((size, c), dtype=bool), np.packbits(rows, axis=2), states))
+replayed, pegasos_scores = set(), decoders._pegasos_scores
+
+def recorded(groups, certified):
+    replayed.update((n, z_t.tobytes()) for n, z, _ in groups for z_t in z)
+    return pegasos_scores(groups, certified)
+
+decoders._pegasos_scores = recorded
+got = decoders.svm_resolve_batch(parts)
+# each trial's decode and whether it was replayed; all its candidates reach the resolver
+out["svm_pool"] = [
+    [[int(d), (part.n, part.z_seqs[t].tobytes()) in replayed] for t, d in enumerate(res.decoded.tolist())]
+    for part, res in zip(parts, got)
+]
 print(json.dumps(out))
 """
 
@@ -94,7 +122,13 @@ def run_child(tmp_path: Path, name: str, **env_vars) -> dict:
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
     work = tmp_path / name
     work.mkdir()
-    spec = {"work": str(work), "commands": COMMANDS, "svm_ties": SVM_TIES}
+    spec = {
+        "work": str(work),
+        "commands": COMMANDS,
+        "svm_ties": SVM_TIES,
+        "svm_pool": SVM_POOL,
+        "svm_pool_seed": SVM_POOL_SEED,
+    }
     done = subprocess.run(
         [sys.executable, "-c", CHILD], input=json.dumps(spec), capture_output=True, text=True, env=env, timeout=300
     )
@@ -116,6 +150,17 @@ def check_alike(results: dict) -> None:
         assert all(all(copies) for copies in result["svm_ties"]), (name, result["svm_ties"])
 
 
+def check_svm_pool(results: dict) -> None:
+    """The svm pool replayed the same trials in every environment, and decoded every other trial alike."""
+    (base_name, base), *others = results.items()
+    trials = [trial for part in base["svm_pool"] for trial in part]
+    assert 0 < sum(replayed for _, replayed in trials) < len(trials) // 4, base_name
+    for other_name, other in others:
+        for part, other_part in zip(base["svm_pool"], other["svm_pool"]):
+            assert [r for _, r in part] == [r for _, r in other_part], (base_name, other_name)
+            assert [d for d, r in part if not r] == [d for d, r in other_part if not r], (base_name, other_name)
+
+
 def openblas_dynamic_arch() -> str:
     """Why OPENBLAS_CORETYPE has no kernel to vary here, or '' when it has."""
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
@@ -135,26 +180,35 @@ def default_run(tmp_path_factory):
     return run_child(tmp_path_factory.mktemp("blas"), "default")
 
 
-def test_every_openblas_core_type_gives_the_same_bytes(tmp_path, default_run):
+@pytest.fixture(scope="module")
+def core_type_runs(tmp_path_factory, default_run):
+    """The commands in child processes under the default core, Sandybridge and Prescott."""
     reason = openblas_dynamic_arch()
     if reason:
         pytest.skip(f"OPENBLAS_CORETYPE has no kernel to vary: {reason}")
-    check_alike(
-        {
-            "default": default_run,
-            "Sandybridge": run_child(tmp_path, "sandybridge", OPENBLAS_CORETYPE="Sandybridge"),
-            "Prescott": run_child(tmp_path, "prescott", OPENBLAS_CORETYPE="Prescott"),
-        }
-    )
+    work = tmp_path_factory.mktemp("cores")
+    return {
+        "default": default_run,
+        "Sandybridge": run_child(work, "sandybridge", OPENBLAS_CORETYPE="Sandybridge"),
+        "Prescott": run_child(work, "prescott", OPENBLAS_CORETYPE="Prescott"),
+    }
+
+
+def test_every_openblas_core_type_gives_the_same_bytes(core_type_runs):
+    check_alike(core_type_runs)
+
+
+def test_svm_decodes_outside_the_replay_are_the_same_under_every_core_type(core_type_runs):
+    check_svm_pool(core_type_runs)
 
 
 def test_numpy_simd_dispatch_targets_give_the_same_bytes(tmp_path, default_run):
     targets = list(_multiarray_umath.__cpu_dispatch__)
     if not targets:
         pytest.skip("numpy was built without SIMD dispatch targets: NPY_DISABLE_CPU_FEATURES has nothing to turn off")
-    check_alike(
-        {
-            "default": default_run,
-            "baseline SIMD": run_child(tmp_path, "baseline", NPY_DISABLE_CPU_FEATURES=" ".join(targets)),
-        }
-    )
+    results = {
+        "default": default_run,
+        "baseline SIMD": run_child(tmp_path, "baseline", NPY_DISABLE_CPU_FEATURES=" ".join(targets)),
+    }
+    check_alike(results)
+    check_svm_pool(results)

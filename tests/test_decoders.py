@@ -514,21 +514,33 @@ def reference_scores(n, z, labels):
     return np.array(out)
 
 
-def stepwise_pegasos(rows, labels):
-    """Exact Pegasos one step at a time on (c, n) rows: M after the last step, and whether a margin was exactly 1.
+def stepwise_ways(rows, labels):
+    """Exact Pegasos one step at a time on (c, n) rows, every margin tie taken both ways: M of each way.
 
     Step 1 hits row 0; step t >= 2 visits row i = (t - 1) mod c and hits
-    where its margin 100 y_i M_i / (t - 1) is below 1.
+    where its margin 100 y_i M_i / (t - 1) is below 1.  Where it is exactly
+    1 the way splits, into one without the hit and one with it, so the
+    first way takes no tie as a hit.  Stops once there are more ways than
+    ``SVM_BRANCHES``.
     """
     feats = np.hstack([rows, np.ones((rows.shape[0], 1), dtype=rows.dtype)]).astype(np.int64)
     k, y = feats @ feats.T, np.asarray(labels, dtype=np.int64)
-    m, tied = np.zeros(y.size, dtype=np.int64), False
+    ways = [np.zeros(y.size, dtype=np.int64)]
     for t in range(1, decoders.SVM_EPOCHS * y.size + 1):
+        if len(ways) > decoders.SVM_BRANCHES:
+            return ways
         i = (t - 1) % y.size
-        tied |= t > 1 and 100 * y[i] * m[i] == t - 1
-        if t == 1 or 100 * y[i] * m[i] < t - 1:
-            m += y[i] * k[:, i]
-    return m, tied
+        split = []
+        for m in ways:
+            margin = 100 * y[i] * m[i]
+            if t > 1 and margin == t - 1:
+                split.append(m)
+            if t == 1 or margin <= t - 1:
+                split.append(m + y[i] * k[:, i])
+            else:
+                split.append(m)
+        ways = split
+    return ways
 
 
 def exact_pegasos(n, z, labels):
@@ -536,27 +548,37 @@ def exact_pegasos(n, z, labels):
     return decoders._exact_pegasos(decoders._gram_products(z, n)[1], labels)
 
 
+def score_tie(m):
+    """Whether the scores the pick reads tie on exact M: some M_i = 0, or a second row with the picked M."""
+    pick = decoders._svm_pick(m[None].astype(np.float64))[0]
+    return bool(np.any(m == 0) or np.count_nonzero(m == m[pick]) > 1)
+
+
 def test_exact_pegasos_jumps_to_the_hits_of_the_per_step_recurrence():
-    # every trial's M, and whether a visit ties, as the step-by-step recurrence has them,
-    # on c <= n and c > n sets; a trial is flagged exactly where a margin ties or the
-    # scores the pick reads tie: some M_i = 0, or a second row with the picked M
+    # every branch's M is the M of one way of the step-by-step recurrence that takes each
+    # margin tie both ways, on c <= n and c > n sets, one branch a way; a trial's first
+    # branch takes no tie as a hit; a trial replays exactly where it has more ways than
+    # the cap, or some way has a score tie, or two ways pick different rows
     rng = np.random.default_rng(21)
-    flags = {"margin": 0, "score": 0, "none": 0}
+    flags = {"forked": 0, "forked_decided": 0, "over_cap": 0, "score": 0, "none": 0}
     for c, n in ((2, 5), (3, 20), (4, 60), (4, 120), (6, 3), (7, 2)):
         rows = rng.integers(0, 2, size=(40, c, n), dtype=np.uint8)
         labels = rng.choice(np.array([-1, 1], dtype=np.int8), size=(40, c))
-        sums, pick, tie = exact_pegasos(*pegasos_group(rows, labels))
+        trial, sums, pick, replay = exact_pegasos(*pegasos_group(rows, labels))
         for t in range(rows.shape[0]):
-            m, tied = stepwise_pegasos(rows[t], labels[t])
-            if tied:
-                assert tie[t]
-                flags["margin"] += 1
+            ways = stepwise_ways(rows[t], labels[t])
+            if len(ways) > decoders.SVM_BRANCHES:
+                assert replay[t]
+                flags["over_cap"] += 1
                 continue
-            assert np.array_equal(sums[t], m)
-            assert pick[t] == decoders._svm_pick(m[None].astype(np.float64))[0]
-            score_tie = np.any(m == 0) or np.count_nonzero(m == m[pick[t]]) > 1
-            assert tie[t] == score_tie
-            flags["score" if score_tie else "none"] += 1
+            assert sorted(map(tuple, sums[trial == t].tolist())) == sorted(map(tuple, ways))
+            assert np.array_equal(sums[t], ways[0])
+            picks = {int(decoders._svm_pick(m[None].astype(np.float64))[0]) for m in ways}
+            assert pick[t] in picks
+            assert replay[t] == (any(score_tie(m) for m in ways) or len(picks) > 1)
+            flags["forked"] += len(ways) > 1
+            flags["forked_decided"] += len(ways) > 1 and not replay[t]
+            flags["score" if any(score_tie(m) for m in ways) else "none"] += 1
     assert all(flags.values()), flags
 
 
@@ -579,29 +601,32 @@ def fig3_svm_pool(seed, per_group):
 
 
 def test_integer_picks_without_a_tie_decode_as_svm_by_clusters():
-    # a trial with no exact tie decodes from its integers, whatever the float loop does
+    # a trial not flagged for the replay decodes from its integers, whatever the float
+    # loop does: with no margin tie, and with margin ties whose branches all pick one row
     groups, sources = fig3_svm_pool(41, 40)
-    flagged = unflagged = 0
+    flagged = unflagged = forked = 0
     for group, (rows, streams) in zip(groups, sources):
-        _, pick, tie = exact_pegasos(*group)
-        for t in np.flatnonzero(~tie):
+        trial, _, pick, replay = exact_pegasos(*group)
+        for t in np.flatnonzero(~replay):
             indices = np.arange(1, rows.shape[1] + 1)
             decoded, _ = decoders._svm_by_clusters(cand_set(indices, rows[t]), streams[t])
             assert decoded == indices[pick[t]]
-        flagged, unflagged = flagged + int(tie.sum()), unflagged + int((~tie).sum())
-    assert unflagged > 3 * flagged > 0
+        forked += int(np.count_nonzero((np.bincount(trial) > 1) & ~replay))
+        flagged, unflagged = flagged + int(replay.sum()), unflagged + int((~replay).sum())
+    assert unflagged > 3 * flagged > 0 and forked > 0
 
 
 def test_replayed_scores_of_flagged_trials_match_the_reference_bytes():
     # only the flagged trials reach the float replay, which gives the per-trial loop's
-    # scores bit for bit, in groups of different c and n
+    # scores bit for bit, in groups of different c and n (c = 3 and 4: no 2-candidate
+    # trial of this pool has a score tie, or branches that disagree)
     groups, _ = fig3_svm_pool(43, 40)
     flagged = []
     for n, z, labels in groups:
-        tie = exact_pegasos(n, z, labels)[2]
+        tie = exact_pegasos(n, z, labels)[3]
         if tie.any():
             flagged.append((n, z[tie], labels[tie]))
-    assert len({z.shape[1] for _, z, _ in flagged}) == 3 and len({n for n, _, _ in flagged}) == 3
+    assert len({z.shape[1] for _, z, _ in flagged}) == 2 and len({n for n, _, _ in flagged}) == 3
     for group, scores in zip(flagged, decoders._pegasos_scores(flagged, True)):
         assert scores.tobytes() == reference_scores(*group).tobytes()
 
@@ -612,8 +637,8 @@ def test_lockstep_pegasos_scores_keep_the_sign_of_an_exact_zero():
     # negated would turn into -0.0
     four = pegasos_group([[[0, 1], [0, 1], [1, 1], [0, 0]]], [[1, -1, 1, -1]])
     two = pegasos_group([[[1, 0], [0, 1]]], [[-1, 1]])
-    sums, _, tie = exact_pegasos(*four)
-    assert sums[0, 1] == 0 and tie[0]
+    _, sums, _, replay = exact_pegasos(*four)
+    assert sums[0, 1] == 0 and replay[0]
     got = decoders._pegasos_scores([four, two], True)
     for group, scores in zip((four, two), got):
         assert scores.tobytes() == reference_scores(*group).tobytes()
@@ -703,23 +728,90 @@ def test_pegasos_loop_sums_few_margins_and_matches_the_reference(monkeypatch):
         assert scores.tobytes() == reference_scores(*group).tobytes()
 
 
-def test_a_margin_of_exactly_one_is_a_replayed_tie_and_no_hit(monkeypatch):
+def test_a_margin_of_exactly_one_forks_and_the_replay_takes_no_hit(monkeypatch):
     # the reference margin of row 2 is exactly 1.0 at step 500: not below 1, so no add.
-    # Exactly, 100 y_2 M_2 = 499 there: the trial is flagged, and the ddot decides the visit
+    # Exactly, 100 y_2 M_2 = 499 there: the trial forks, and both branches end with one M,
+    # so it decodes from integers; replayed, the ddot decides the visit
     packed = np.array([[136, 10, 92, 3, 147], [84, 10, 95, 3, 131], [208, 46, 88, 19, 147]], dtype=np.uint8)
     group = pegasos_group([np.unpackbits(packed, axis=1, count=40)], [[1, -1, 1]])
-    assert exact_pegasos(*group)[2][0]
+    trial, sums, _, replay = exact_pegasos(*group)
+    assert trial.tolist() == [0, 0] and np.array_equal(sums[0], sums[1]) and not replay[0]
     margins = counted_ddots(monkeypatch)
     (scores,) = decoders._pegasos_scores([group], True)
     assert margins == [1.0]
     assert scores.tobytes() == reference_scores(*group).tobytes()
 
 
+# 3-candidate svm trials of n = 8 whose 2-means labels, on stream (5, id), meet margin ties:
+# the 4 branches of the first end with one M; those of the second, with no score tie, pick
+# different rows
+AGREEING_TIE = (np.array([[1, 0, 0, 1, 0, 1, 1, 1], [0, 1, 1, 1, 1, 1, 0, 0], [0, 0, 0, 1, 0, 0, 1, 0]], np.uint8), 58)
+DISAGREEING_TIE = (np.array([[0, 1, 1, 1, 0, 1, 0, 1], [1, 0, 0, 0, 0, 1, 1, 1], [0, 0, 0, 1, 1, 1, 0, 0]], np.uint8), 756)
+
+
+def svm_labels(rows, stream_id):
+    """The 2-means +/-1 labels svm gives the rows, on stream (5, stream_id)."""
+    return np.where(kmeans(rows, 2, RngStream(5, stream_id)).assignments == 0, 1, -1).astype(np.int8)
+
+
+def svm_decodes(rows, stream_id):
+    """The batch and the per-trial svm decode of candidates 1..c with ``rows``, on stream (5, stream_id)."""
+    states = stream_states(5, np.array([stream_id]))
+    trials = PackedTrials(rows.shape[1], np.ones((1, rows.shape[0]), dtype=bool), np.packbits(rows[None], axis=2), states)
+    (got,) = decoders.svm_resolve_batch([trials])
+    return int(got.decoded[0]), decode(cand_set(np.arange(1, rows.shape[0] + 1), rows), "svm", RngStream(5, stream_id))
+
+
+def spied_replays(monkeypatch):
+    """Record how many trials each ``_pegasos_scores`` call replays, checking their scores against the reference's bytes."""
+    replayed, pegasos_scores = [], decoders._pegasos_scores
+
+    def checked(groups, certified):
+        got = pegasos_scores(groups, certified)
+        for group, scores in zip(groups, got):
+            assert scores.tobytes() == reference_scores(*group).tobytes()
+        replayed.append(sum(z.shape[0] for _, z, _ in groups))
+        return got
+
+    monkeypatch.setattr(decoders, "_pegasos_scores", checked)
+    return replayed
+
+
+def test_a_margin_tie_whose_branches_agree_decodes_without_the_replay(monkeypatch):
+    rows, stream_id = AGREEING_TIE
+    trial, sums, _, replay = exact_pegasos(*pegasos_group([rows], [svm_labels(rows, stream_id)]))
+    assert trial.size == 4 and np.all(sums == sums[0]) and not replay[0]
+    replayed = spied_replays(monkeypatch)
+    batch, reference = svm_decodes(rows, stream_id)
+    assert batch == reference and replayed == []
+
+
+def test_a_margin_tie_whose_branches_disagree_replays_as_the_reference(monkeypatch):
+    rows, stream_id = DISAGREEING_TIE
+    trial, sums, _, replay = exact_pegasos(*pegasos_group([rows], [svm_labels(rows, stream_id)]))
+    assert trial.size > 1 and not any(map(score_tie, sums)) and replay[0]
+    assert len(set(decoders._svm_pick(sums.astype(np.float64)).tolist())) > 1
+    replayed = spied_replays(monkeypatch)
+    batch, reference = svm_decodes(rows, stream_id)
+    assert batch == reference and replayed == [1]
+
+
+def test_a_trial_over_the_branch_cap_replays(monkeypatch):
+    # the agreeing trial's 4 branches decide it; under a cap of 3 it stops and replays
+    rows, stream_id = AGREEING_TIE
+    monkeypatch.setattr(decoders, "SVM_BRANCHES", 3)
+    trial, _, _, replay = exact_pegasos(*pegasos_group([rows], [svm_labels(rows, stream_id)]))
+    assert trial.size == 4 and replay[0]
+    replayed = spied_replays(monkeypatch)
+    batch, reference = svm_decodes(rows, stream_id)
+    assert batch == reference and replayed == [1]
+
+
 def test_pegasos_loop_peak_memory_is_a_few_weight_arrays():
-    # the replay holds flat float64 weights of each trial's own columns, its uint8 rows,
-    # a bit-packed copy and one int64 M a row; it adds the rows that hit and takes the
-    # final gemv BATCH_BLOCK_ELEMS elements at a time: under 3.5 weight arrays (2.9
-    # measured; the adds of step 1, where every trial hits, and whole-group gemvs read 4.7)
+    # the replay holds one float64 weight per column class, its uint8 rows and class rows,
+    # each trial's int64 K and one int64 M a row; it adds the class rows that hit and takes
+    # the final gemv BATCH_BLOCK_ELEMS elements at a time: under 3.5 arrays of float64
+    # weights on every trial's own columns (2.3 measured)
     groups, _ = fig3_svm_pool(5, 120)
     weight_bytes = 8 * sum(z.shape[0] * (n + 1) for n, z, _ in groups)
     tracemalloc.start()

@@ -579,7 +579,9 @@ def svm_parts(draw):
     master = draw(st.integers(0, 2**64 - 1))
     # blocks of one trial, of a few, or of the whole call
     block_elems = draw(st.sampled_from((1, 64, 4096)))
-    return parts, master, block_elems
+    # now and then a margin bound that certifies nothing, so every split trial replays
+    uncertified = draw(st.sampled_from((False,) * 5 + (True,)))
+    return parts, master, block_elems, uncertified
 
 
 def test_batch_svm_equals_svm_resolve(monkeypatch):
@@ -592,28 +594,44 @@ def test_batch_svm_equals_svm_resolve(monkeypatch):
         "all_rows_equal": 0,
         "even_split": 0,
         "margin_tie": 0,
+        "branch_decided": 0,
+        "branch_decided_c_above_n": 0,
         "score_tie": 0,
         "unflagged": 0,
         "c_above_n": 0,
         "replay_staggered_ends": 0,
         "replay_spans_blocklengths": 0,
+        "uncertified_replays_every_split_trial": 0,
     }
-    exact_pegasos, pegasos_scores, svm_pick = decoders._exact_pegasos, decoders._pegasos_scores, decoders._svm_pick
+    gram_products, exact_pegasos = decoders._gram_products, decoders._exact_pegasos
+    pegasos_scores, svm_pick = decoders._pegasos_scores, decoders._svm_pick
+    above_n, replayed = [], []
+
+    def counted_products(x, n):
+        # _exact_pegasos reads the product map made last
+        above_n.append(x.shape[1] > n)
+        return gram_products(x, n)
 
     def counted_exact(gram_times, labels):
-        sums, pick, tie = exact_pegasos(gram_times, labels)
-        # a margin tie stops its trial early; a score tie reads its full M
-        score = np.any(sums == 0, axis=1) | ((sums == sums[np.arange(pick.size), pick][:, None]).sum(axis=1) > 1)
-        hits["score_tie"] += int(np.count_nonzero(score))
-        hits["margin_tie"] += int(np.count_nonzero(tie & ~score))
-        hits["unflagged"] += int(np.count_nonzero(~tie))
-        return sums, pick, tie
+        trial, sums, pick, replay = exact_pegasos(gram_times, labels)
+        # a margin tie forks its trial; a score tie on the first branch alone is a score tie only
+        first = sums[: labels.shape[0]]
+        forked = np.bincount(trial, minlength=labels.shape[0]) > 1
+        score = np.any(first == 0, axis=1) | ((first == first[np.arange(pick.size), pick][:, None]).sum(axis=1) > 1)
+        decided = int(np.count_nonzero(forked & ~replay))
+        hits["margin_tie"] += int(np.count_nonzero(forked))
+        hits["branch_decided"] += decided
+        hits["branch_decided_c_above_n"] += decided * above_n[-1]
+        hits["score_tie"] += int(np.count_nonzero(score & ~forked))
+        hits["unflagged"] += int(np.count_nonzero(~replay))
+        return trial, sums, pick, replay
 
     def checked_scores(groups, certified):
         # trials of different candidate counts stop at different steps
         hits["replay_staggered_ends"] += len({z.shape[1] for _, z, _ in groups}) > 1
         hits["replay_spans_blocklengths"] += len({n for n, _, _ in groups}) > 1
         hits["c_above_n"] += any(z.shape[1] > n for n, z, _ in groups)
+        replayed.extend(z.shape[0] for _, z, _ in groups)
         got = pegasos_scores(groups, certified)
         # bit for bit, not only the decoded index: the scores of the per-trial loop
         for (n, z, labels), scores in zip(groups, got):
@@ -628,6 +646,7 @@ def test_batch_svm_equals_svm_resolve(monkeypatch):
         hits["even_split"] += int(np.count_nonzero(2 * n_pos == scores.shape[1]))
         return svm_pick(scores)
 
+    monkeypatch.setattr(decoders, "_gram_products", counted_products)
     monkeypatch.setattr(decoders, "_exact_pegasos", counted_exact)
     monkeypatch.setattr(decoders, "_pegasos_scores", checked_scores)
     monkeypatch.setattr(decoders, "_svm_pick", counted_pick)
@@ -635,9 +654,13 @@ def test_batch_svm_equals_svm_resolve(monkeypatch):
     @fixed_budget(150)
     @given(svm_parts())
     def check(case):
-        parts, master, block_elems = case
+        parts, master, block_elems, uncertified = case
+        replayed.clear()
+        split = 0
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(decoders, "BATCH_BLOCK_ELEMS", block_elems)
+            if uncertified:
+                patch.setattr(decoders, "_margin_slack", lambda steps, k: np.inf)
             got = svm_resolve_batch(
                 [
                     packed_trials(words, received, mask, stream_states(master, stream_ids))
@@ -653,6 +676,10 @@ def test_batch_svm_equals_svm_resolve(monkeypatch):
                 assert resolved.decoded[t] == outcome.decoded
                 assert resolved.iterations[t] == (clus.iterations_used if clus else 0)
                 hits["all_rows_equal"] += bool(np.all(z == z[0]))
+                split += not np.all(z == z[0])
+        if uncertified:
+            assert sum(replayed) == split
+            hits["uncertified_replays_every_split_trial"] += split > 0
 
     check()
     assert all(hits.values()), hits
