@@ -17,9 +17,10 @@ k-means and take the candidates' difference sequences bit-packed
 
 All ties break toward the lowest message index (and, inside k-means,
 toward the lowest cluster id), which makes every resolution
-deterministic given its random stream.  Both cluster resolvers decode
-the lowest index without k-means where the rows are all equal, and where
-c distinct rows have k = min(k_max, c) = c.  There k-means++ would seed
+deterministic given its random stream.  One index rule,
+:func:`index_decided`, decodes the lowest index without a resolver where
+the rows are all equal, and, under both cluster resolvers, where c
+distinct rows have k = min(k_max, c) = c.  There k-means++ would seed
 all c rows (its weighted draw, r < total, never lands on a row at
 distance 0); Lloyd's first pass would make c singletons and the second
 repeat them; and the size tie would go to the cluster at position 0,
@@ -74,7 +75,8 @@ SVM_BRANCHES = 32
 # a step no visit reaches
 _NEVER = np.iinfo(np.int64).max
 # cap on the elements of one block's int64 k-means operands, the Gram
-# matrices (trials, c, c) or, when c > n, the rows (trials, c, n), and of
+# matrices (trials, c, c) or, when c > n, the rows (trials, c, n), with
+# Lloyd's (trials, c, k <= c) cluster weights beside them, and of
 # the svm replay's float rows (trials, c, n+1) for its scores and of the
 # class rows it adds at once; bounds their memory whatever the chunk
 BATCH_BLOCK_ELEMS = 1 << 15
@@ -351,8 +353,8 @@ def _blocks(parts: list[PackedTrials]):
     whose k-means reads only Gram matrices, are taken from every part at
     once, their rows zero-padded to the widest (no Gram entry or row
     equality moves); trials with c > n a part at a time.  Either way in
-    blocks of :func:`_block_trials` trials.  Every trial must have at
-    least two candidates.
+    even blocks of at most :func:`_block_trials` trials.  Every trial
+    must have at least two candidates.
     """
     sizes = [part.states.size for part in parts]
     owner = np.repeat(np.arange(len(parts)), sizes)
@@ -369,9 +371,7 @@ def _blocks(parts: list[PackedTrials]):
         for side in [group[ns[group] >= c], *np.split(by_rows, np.flatnonzero(np.diff(owner[by_rows])) + 1)]:
             if side.size == 0:
                 continue
-            step = _block_trials(c, int(ns[side].min()))
-            for lo in range(0, side.size, step):
-                block = side[lo : lo + step]
+            for block in np.array_split(side, -(-side.size // _block_trials(c, int(ns[side].min())))):
                 idx = np.empty((block.size, c), dtype=np.int64)
                 x = np.zeros((block.size, c, widths[owner[block]].max()), dtype=np.uint8)
                 cuts = [0, *(np.flatnonzero(np.diff(owner[block])) + 1).tolist(), block.size]
@@ -429,15 +429,49 @@ def _block_trials(c: int, n: int) -> int:
     """Trials per resolver block of c candidates of n symbols.
 
     A block holds the trials' c x c Gram matrices when c <= n, else their
-    (c, n) int64 rows (see :func:`_gram_products`), and either takes at
-    most ``BATCH_BLOCK_ELEMS`` elements, or one trial.
+    (c, n) int64 rows (see :func:`_gram_products`), and Lloyd's (c, k)
+    products with k <= c beside them, and these take at most
+    ``BATCH_BLOCK_ELEMS`` elements, or one trial.
     """
-    return max(1, BATCH_BLOCK_ELEMS // (c * min(c, n)))
+    return max(1, BATCH_BLOCK_ELEMS // (c * (min(c, n) + c)))
 
 
-def _split_rows(z: np.ndarray) -> np.ndarray:
-    """(T,) mask of the (c, width) packed point sets in z whose rows are not all equal."""
-    return ~np.all(z == z[:, :1], axis=(1, 2))
+def index_decided(
+    same: Callable[[int, int, np.ndarray], np.ndarray], counts: np.ndarray, resolver: str, k_max: int
+) -> np.ndarray:
+    """(T,) mask of the trials, of ``counts`` >= 2 candidates each, that decode their lowest index without a resolver.
+
+    ``same(a, b, at)``, a < b, is the mask of the trials ``at``, each of
+    more than b candidates, whose candidate rows a and b are equal:
+    codewords or difference words, packed or not, as XOR with one received
+    word and zero-padded packing keep equality.  The index rule (proof in
+    the module docstring): all rows equal, under every resolver; or, under
+    ``cluster`` and ``cluster-random``, c <= k_max pairwise-distinct rows,
+    which takes every pair when k_max >= 2.  No set it decides makes a
+    draw.  A trial leaves each test at its first row that fails it.
+    """
+    # svm decides equal rows only; a pair within k_max is decided equal or not, so its rows go unread
+    k_max = 1 if resolver == "svm" else k_max
+    first = np.zeros(counts.size, dtype=bool)
+    at = np.flatnonzero((counts > 2) | (counts > k_max))
+    first[at] = same(0, 1, at)
+    equal = first.copy()
+    for b in range(2, int(counts.max(initial=2))):
+        at = np.flatnonzero(equal & (counts > b))
+        if at.size == 0:
+            break
+        equal[at] = same(0, b, at)
+    distinct = (counts <= k_max) & ~first
+    for b in range(2, min(k_max, int(counts.max(initial=2)))):
+        for a in range(b):
+            at = np.flatnonzero(distinct & (counts > b))
+            distinct[at] = ~same(a, b, at)
+    return equal | distinct
+
+
+def _same_rows(x: np.ndarray) -> Callable[[int, int, np.ndarray], np.ndarray]:
+    """:func:`index_decided`'s ``same`` of the (T, c, width) rows x."""
+    return lambda a, b, at: np.all(x[at, a] == x[at, b], axis=1)
 
 
 def _gram_products(x: np.ndarray, n: int) -> tuple[np.ndarray, Callable[..., np.ndarray]]:
@@ -475,20 +509,12 @@ def _resolve_block(
     """Winning candidate position and Lloyd passes of each set of c packed rows in x, of ``ns`` symbols.
 
     Mirrors :func:`_resolve_by_clusters` step by step on a (T, c, width)
-    block of :func:`_blocks`; both shortcuts compare the packed rows.
+    block of :func:`_blocks`; :func:`index_decided` compares the packed rows.
     """
     size, c, _ = x.shape
-    pos = np.zeros(size, dtype=np.int64)  # shortcuts decode the lowest index
+    pos = np.zeros(size, dtype=np.int64)  # the index rule decodes the lowest index
     iterations = np.zeros(size, dtype=np.int64)
-
-    run = _split_rows(x)
-    if k == c:
-        distinct = np.ones(size, dtype=bool)
-        for a in range(c):
-            for b in range(a + 1, c):
-                distinct &= np.any(x[:, a] != x[:, b], axis=1)
-        run &= ~distinct
-    sel = np.flatnonzero(run)
+    sel = np.flatnonzero(~index_decided(_same_rows(x), np.full(size, c), resolver, k))
     if sel.size == 0:
         return pos, iterations
     weight, gram_times = _gram_products(x[sel], int(ns.min()))
@@ -640,9 +666,9 @@ def svm_resolve_batch(parts: list[PackedTrials]) -> list[BatchResolution]:
     steps = SVM_EPOCHS * max(int(np.max(part.cand_mask.sum(axis=1), initial=2)) for part in parts)
     certified = _margin_slack(steps, max(part.n for part in parts) + 1) < 1.0 / steps
     groups, places = [], []
-    for _, rows, idx, x, ns in _blocks(parts):
+    for c, rows, idx, x, ns in _blocks(parts):
         decoded[rows] = idx[:, 0] + 1
-        split = _split_rows(x)
+        split = ~index_decided(_same_rows(x), np.full(rows.size, c), "svm", 2)
         if not split.any():
             continue
         rows, idx, x, ns = rows[split], idx[split], x[split], ns[split]
@@ -654,8 +680,9 @@ def svm_resolve_batch(parts: list[PackedTrials]) -> list[BatchResolution]:
         replay |= not certified
         decoded[rows] = idx[np.arange(rows.size), pick] + 1
         for n in np.flatnonzero(np.bincount(ns[replay])).tolist():
-            at = replay & (ns == n)
-            groups.append((n, x[at, :, : -(-n // 8)], labels[at]))
+            at = np.flatnonzero(replay & (ns == n))
+            kernel = gram_times(np.broadcast_to(np.eye(c, dtype=np.int64), (at.size, c, c)), at) + 1
+            groups.append((n, x[at, :, : -(-n // 8)], labels[at], kernel))
             places.append((rows[at], idx[at]))
     if groups:
         for (rows, idx), scores in zip(places, _pegasos_scores(groups, certified)):
@@ -740,11 +767,12 @@ def _column_classes(feats: np.ndarray) -> np.ndarray:
     return (1 << np.arange(c)) @ feats
 
 
-def _pegasos_scores(groups: list[tuple[int, np.ndarray, np.ndarray]], certified: bool) -> list[np.ndarray]:
+def _pegasos_scores(groups: list[tuple[int, np.ndarray, np.ndarray, np.ndarray]], certified: bool) -> list[np.ndarray]:
     """Scores ``[z, 1] @ w`` after the float Pegasos loop of :func:`_svm_by_clusters`, for each group.
 
-    A group ``(n, z, labels)`` holds the (T, c, ceil(n/8)) packed rows and
-    (T, c) +/-1 labels of trials of one n and c.  All run in one lockstep
+    A group ``(n, z, labels, kernel)`` holds the (T, c, ceil(n/8)) packed
+    rows, (T, c) +/-1 labels and (T, c, c) K = G + 1 of trials of one n
+    and c.  All run in one lockstep
     loop, c descending so the running trials are a prefix, with the
     reference's float operations one for one on one float64 weight per
     column class of each trial (:func:`_column_classes`): the columns of
@@ -759,28 +787,27 @@ def _pegasos_scores(groups: list[tuple[int, np.ndarray, np.ndarray]], certified:
     """
     order = sorted(range(len(groups)), key=lambda g: -groups[g][1].shape[1])
     ordered = [groups[g] for g in order]
-    width, sizes = max(n for n, _, _ in groups) + 1, [z.shape[0] for _, z, _ in ordered]
-    count = np.repeat([z.shape[1] for _, z, _ in ordered], sizes)
-    cols = np.repeat([n + 1 for n, _, _ in ordered], sizes)
-    classes = np.repeat([min(2 ** z.shape[1], n + 1) for n, z, _ in ordered], sizes)
-    y = np.concatenate([labels.ravel() for _, _, labels in ordered]).astype(np.int64)
+    width, sizes = max(group[0] for group in groups) + 1, [z.shape[0] for _, z, _, _ in ordered]
+    count = np.repeat([z.shape[1] for _, z, _, _ in ordered], sizes)
+    cols = np.repeat([n + 1 for n, _, _, _ in ordered], sizes)
+    classes = np.repeat([min(2 ** z.shape[1], n + 1) for n, z, _, _ in ordered], sizes)
+    y = np.concatenate([labels.ravel() for _, _, labels, _ in ordered]).astype(np.int64)
+    kernel = np.concatenate([group[3].ravel() for group in ordered])
     start, woff, koff = np.cumsum(count) - count, np.cumsum(classes) - classes, np.cumsum(count**2) - count**2
     row_classes = np.repeat(classes, count)
     row_class_off = np.cumsum(row_classes) - row_classes
     rows, w = np.zeros((int(count.sum()), width), dtype=np.uint8), np.zeros(int(classes.sum()))
     row_blocks = np.split(rows, start[np.cumsum(sizes)[:-1]])
-    grams, class_rows = [], []
-    for (n, z, _), block in zip(ordered, row_blocks):
+    class_rows = []
+    for (n, z, _, _), block in zip(ordered, row_blocks):
         (size, c, _), k = z.shape, n + 1
         block[:, :n], block[:, n] = np.unpackbits(z, axis=2, count=n).reshape(-1, n), 1
-        gram_times = _gram_products(z, n)[1]
-        grams.append(gram_times(np.broadcast_to(np.eye(c, dtype=np.int64), (size, c, c))).ravel())
         if 2**c > k:
             class_rows.append(block[:, :k].ravel())
         else:
             # class p holds row a where bit a of p is set
             class_rows.append(np.tile(((np.arange(2**c) >> np.arange(c)[:, None]) & 1).astype(np.uint8).ravel(), size))
-    kernel, class_rows = np.concatenate(grams) + 1, np.concatenate(class_rows)
+    class_rows = np.concatenate(class_rows)
     # the trials running at step t, SVM_EPOCHS * c >= t, are the first lives[t]; their weights end at ends[t]
     lives = np.searchsorted(-SVM_EPOCHS * count, -np.arange(SVM_EPOCHS * int(count[0]) + 1), side="right")
     ends, lives = np.append(woff, w.size)[lives].tolist(), lives.tolist()
@@ -818,7 +845,7 @@ def _pegasos_scores(groups: list[tuple[int, np.ndarray, np.ndarray]], certified:
         due[now] = np.minimum.reduceat(np.minimum(nxt, tied), firsts) if certified else t + 1
         upcoming = int(due[: lives[t]].min())
     scores: list[np.ndarray] = [np.empty(0)] * len(groups)
-    for g, (n, z, _), feats, w_g in zip(order, ordered, row_blocks, np.split(w, woff[np.cumsum(sizes)[:-1]])):
+    for g, (n, z, _, _), feats, w_g in zip(order, ordered, row_blocks, np.split(w, woff[np.cumsum(sizes)[:-1]])):
         size, c, _ = z.shape
         feats, w_g = feats[:, : n + 1].reshape(size, c, n + 1), w_g.reshape(size, -1)
         step = max(1, BATCH_BLOCK_ELEMS // (c * (n + 1)))

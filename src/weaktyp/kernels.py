@@ -51,7 +51,9 @@ where a log constant is -inf.
 A draw is 1 when its uniform falls below p; that test is made on the
 integer draw, against :func:`weaktyp.rng.raw_threshold`, or, for a
 channel with a probability 1, against :func:`weaktyp.rng.unit_threshold`
-after the shift to unit bits, and either is exactly the same comparison.
+after the shift to unit bits, and either is exactly the same comparison,
+each against a scalar threshold: a block's slice of one segment against
+its q's, a noise block against t0 and t1 both, the sent bit picking one.
 The codebook compare, :func:`weaktyp.rng.raw_below`, skips the
 finalizer's last xorshift ``z ^ (z >> 31)`` in a block whose thresholds'
 low 33 bits are all zero, as they are for every q = k / 2**31: that step
@@ -140,7 +142,11 @@ def _typicality_mask(
         # finite constants need no guard: 0 * log_p is a zero whose sign no
         # verdict sees (it can only flip a zero sum, and |±0 - h| is |h|)
         if finite:
-            return count * log_p
+            # count * log_p, cast in place: numpy's own cast would take a temporary
+            out = np.empty(np.broadcast_shapes(np.shape(count), np.shape(log_p)))
+            np.copyto(out, count)
+            out *= log_p
+            return out
         # the masked branch may transiently compute 0 * (-inf)
         with np.errstate(invalid="ignore"):
             return np.where(count == 0, 0.0, count * log_p)
@@ -150,10 +156,22 @@ def _typicality_mask(
     ones = np.arange(n + 1)
     ex = -(term(n - ones, lx0[:, None]) + term(ones, lx1[:, None])) / n
     ey = -(term(n - ones, ly0[:, None]) + term(ones, ly1[:, None])) / n
-    exy = -(((term(n00, l00[seg]) + term(n01, l01[seg])) + term(n10, l10[seg])) + term(n11, l11[seg])) / n
-    x_ok = np.abs(ex - hx[:, None]) < eps
-    y_ok = np.abs(ey - hy[:, None]) < eps
-    return x_ok[seg, n1x] & y_ok[seg, n1y[..., None]] & (np.abs(exy - hxy[seg]) < eps)
+    x_ok = (np.abs(ex - hx[:, None]) < eps).ravel()
+    y_ok = (np.abs(ey - hy[:, None]) < eps).ravel()
+    # one flat S*(n+1) table each, read at count + segment offset
+    at = seg * (n + 1)
+    ok = x_ok[n1x + at]
+    ok &= y_ok[n1y[..., None] + at]
+    # -(((t00 + t01) + t10) + t11) / n, summed in place: one (T, c) term at a time
+    exy = term(n00, l00[seg])
+    exy += term(n01, l01[seg])
+    exy += term(n10, l10[seg])
+    exy += term(n11, l11[seg])
+    exy = np.negative(exy, out=exy)
+    exy /= n
+    exy -= hxy[seg]
+    ok &= np.abs(exy, out=exy) < eps
+    return ok
 
 
 def _scan(n, n1x, n1y, n11, consts, eps, seg=0):
@@ -177,8 +195,8 @@ def _draw_codebooks(states, rq, words, n):
     Row i, column j of unit u is position i*n + j of the codebook stream
     with state ``states[u]``: a unit is a trial's codebook, or a stretch
     of one codeword when r = 1.  A symbol is 1 when its raw draw falls
-    below ``rq[u]``: a block is mixed once and compared against its
-    units' column of thresholds.
+    below ``rq[u]``: each run of units with one threshold (a segment's
+    trials) is compared against that scalar, a block's slice at a time.
     """
     count, m, width = words.shape
     trials_per_block, words_per_block = _blocks(count, m, width)
@@ -189,6 +207,7 @@ def _draw_codebooks(states, rq, words, n):
     offsets = position_offsets(positions[:, :width].ravel())
     buf = _kept_buffer("draw", size)
     scratch = _kept_buffer("scratch", size)
+    edges = (np.flatnonzero(rq[1:] != rq[:-1]) + 1).tolist()
     for i0 in range(0, m, words_per_block):
         i1 = min(m, i0 + words_per_block)
         block_states = skip(states, i0 * n)[:, None, None]
@@ -198,16 +217,20 @@ def _draw_codebooks(states, rq, words, n):
             block = words[a:b, i0:i1]
             z = buf[: block.size].reshape(block.shape)
             np.add(block_states[a:b], row, out=z)
-            raw_below(z, rq[a:b, None, None], block.view(np.bool_), scratch[: block.size].reshape(block.shape))
+            # the block mixed once, each segment's slice compared against its scalar
+            cuts = [0, *(e - a for e in edges if a < e < b), b - a]
+            out, s = block.view(np.bool_), scratch[: block.size].reshape(block.shape)
+            raw_below(z, [rq[a + lo] for lo in cuts[:-1]], out, s, cuts)
 
 
 def _draw_received(states, sent, t0, t1, ybits):
     """Draw the received words of the (T, n) uint8 ``sent`` words into ``ybits``, in blocks.
 
     Symbol j of trial u, position j of stream ``states[u]``, is 1 when
-    its draw falls below t1 where the sent bit is 1, else below t0.  A
-    probability 1 has no raw threshold, so then the draws are shifted to
-    unit bits first.
+    its draw falls below t1 where the sent bit is 1, else below t0: with
+    b0, b1 the two scalar compares, y = b0 ^ ((b0 ^ b1) & sent), in
+    bytes.  A probability 1 has no raw threshold, so then the draws are
+    shifted to unit bits first.
     """
     count, n = ybits.shape
     per_block = min(count, max(1, BLOCK_ELEMS // n))
@@ -224,8 +247,12 @@ def _draw_received(states, sent, t0, t1, ybits):
         finalize(z, out=z, scratch=s)
         if not raw:
             unit_bits(z, out=z)
-        np.multiply(sent[a:b], th0 ^ th1, out=s)
-        np.less(z, np.bitwise_xor(s, th0, out=s), out=ybits[a:b].view(np.bool_))
+        y, other = ybits[a:b], scratch.view(np.uint8)[: z.size].reshape(z.shape)
+        np.less(z, th0, out=y.view(np.bool_))
+        np.less(z, th1, out=other.view(np.bool_))
+        np.bitwise_xor(other, y, out=other)
+        np.bitwise_and(other, sent[a:b], out=other)
+        np.bitwise_xor(y, other, out=y)
 
 
 def _count(words, ybits):

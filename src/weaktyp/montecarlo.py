@@ -16,12 +16,13 @@ exhaustive oracle all reproduce each other exactly.
 
 Execution: :func:`iter_points` is the one trial executor.  It simulates
 the points that share (m, n, channel, eps) in kernel calls sized to
-``CALL_BYTES`` that span points, and resolves the multi-candidate trials
-of every point of one shape (m, resolver, k_max), whatever their
-blocklengths, together, from their bit-packed difference sequences, so a
-kernel call and a lockstep resolver loop each run once per batch of
-points rather than once per point; :func:`run_trials` runs it on a single
-point.  :func:`estimate_points` is the one error-count loop: every
+``CALL_BYTES`` that span points, decodes each multi-candidate trial the
+index rule decides (``decoders.index_decided``) to its lowest candidate
+straight from the kernel's codewords, and resolves the rest of every
+point of one shape (m, resolver, k_max), whatever their blocklengths,
+together, from their bit-packed difference sequences, so a kernel call
+and a lockstep resolver loop each run once per batch of points rather
+than once per point; :func:`run_trials` runs it on a single point.  :func:`estimate_points` is the one error-count loop: every
 sweep, :func:`estimate_pe` and the oracle check count errors through it,
 in spans of ``DEFAULT_CHUNK`` trials, so memory does not grow with the
 trial count.  Because every point owns its derived master, the result
@@ -73,7 +74,8 @@ CALL_BYTES = 1 << 24
 
 # a pool of multi-candidate trials is resolved once their bit-packed
 # codebooks fill this many resolver blocks (decoders.BATCH_BLOCK_ELEMS
-# bytes each, packed_bytes(m, n) per trial)
+# bytes each, packed_bytes(m, n) per trial), or once the batches it keeps
+# waiting would pass as many bytes
 POOL_BLOCKS = 4
 
 CODEBOOK_MODES = ("redraw", "fixed")
@@ -308,7 +310,9 @@ class _Pool:
     ``packed_bytes(m, n)`` per trial: a part that would pass it first
     flushes the pool, and a part that fills it alone is resolved alone.
     No part is joined to another or copied, so the pooled trials stay
-    within it.
+    within it.  A part of a batch the pool does not await yet also first
+    flushes it where that batch would take the awaited batches past the
+    budget, so a sweep holds few batches open, however few trials it pools.
     """
 
     def __init__(self, m: int, resolver: str, k_max: int) -> None:
@@ -327,16 +331,19 @@ class _Pool:
         positions: np.ndarray,
     ) -> None:
         size = positions.size * packed_bytes(self.m, n)
-        if self.bytes + size > self.budget:
+        waiting = self.waiting()
+        if self.bytes + size > self.budget or (
+            id(weak) not in waiting and sum(waiting.values()) + _batch_bytes(weak) > self.budget
+        ):
             self.flush()
         self.parts.append((n, mask, z_seqs, states, weak, positions))
         self.bytes += size
         if self.bytes >= self.budget:
             self.flush()
 
-    def waiting(self) -> set[int]:
-        """Ids of the decode arrays that pooled trials are still to be written into."""
-        return {id(part[4]) for part in self.parts}
+    def waiting(self) -> dict[int, int]:
+        """Bytes of each batch that pooled trials are still to be written into, by the id of its decode array."""
+        return {id(part[4]): _batch_bytes(part[4]) for part in self.parts}
 
     def flush(self) -> None:
         """Resolve every pooled trial in one resolver call, its parts as they are, and scatter the decodes back."""
@@ -346,6 +353,11 @@ class _Pool:
         batches = [PackedTrials(*part[:4]) for part in parts]
         for resolved, (*_, weak, positions) in zip(resolve_batch(batches, self.resolver, self.k_max), parts):
             weak[positions] = resolved.decoded
+
+
+def _batch_bytes(weak: np.ndarray) -> int:
+    """Bytes of the :class:`TrialBatch` whose decode array is ``weak``: its arrays are alike."""
+    return len(fields(TrialBatch)) * weak.nbytes
 
 
 def _per_call(cfg: TrialConfig) -> int:
@@ -390,7 +402,6 @@ def _simulate(
     t0 = float(cfg.channel.transition[0, 1])
     t1 = float(cfg.channel.transition[1, 1])
     fixed_words = fixed_codebook(cfg).words if cfg.codebook_mode == "fixed" else None
-    width = -(-cfg.n // 8)
     dms = [derived_master(c) for c in cfgs]
     total = num_trials * len(cfgs)
     batch = TrialBatch(*(np.empty(total, dtype=np.int64) for _ in range(4)))
@@ -417,18 +428,63 @@ def _simulate(
         batch.jt_decoded[sl] = np.where(counts == 1, mask.argmax(axis=1) + 1, 0)
         batch.weak_decoded[sl] = batch.jt_decoded[sl]
         multi = np.flatnonzero(counts >= 2)
-        if multi.size:
-            # packed whole, then selected, which copies (the broadcast view is read-only):
-            # no unpacked copy of the multi-candidate trials
-            z_seqs = np.broadcast_to(np.packbits(words, axis=2), (count, cfg.m, width))[multi]
-            z_seqs ^= np.packbits(ybits[multi], axis=1)[:, None, :]
+        decided = _index_decided(words, mask, counts, multi, cfg.resolver, cfg.k_max)
+        batch.weak_decoded[off + multi[decided]] = mask[multi[decided]].argmax(axis=1) + 1
+        pooled = multi[~decided]
+        if pooled.size:
+            z_seqs = _packed(np.broadcast_to(words, (count, cfg.m, cfg.n)), ybits, pooled)
         # the next call draws over the chunk's codebooks: no view of them outlives the chunk
         del words
-        if multi.size:
-            at = off + multi
+        if pooled.size:
+            at = off + pooled
             states = stream_states(masters[at], trial_stream(tids[at], PURPOSE_RESOLVER))
-            pool.add(cfg.n, mask[multi], z_seqs, states, batch.weak_decoded, at)
+            pool.add(cfg.n, mask[pooled], z_seqs, states, batch.weak_decoded, at)
     return batch
+
+
+def _index_decided(
+    words: np.ndarray, mask: np.ndarray, counts: np.ndarray, multi: np.ndarray, resolver: str, k_max: int
+) -> np.ndarray:
+    """Which trials ``multi`` of a kernel call :func:`~weaktyp.decoders.index_decided` decides.
+
+    Read from the call's codebooks ``words``, (count, m, n), or a fixed
+    one, (1, m, n), as codewords are equal exactly when their difference
+    words are; each codeword is one n-byte void scalar, so two compare in
+    one memcmp.
+    """
+    flat = words.view(np.dtype((np.void, words.shape[2]))).reshape(-1)
+    # every candidate's codeword, trial after trial, ascending; a fixed codebook is every trial's
+    cands = np.flatnonzero(mask)
+    if words.shape[0] == 1:
+        cands %= flat.size
+    starts = (np.cumsum(counts) - counts)[multi]
+
+    def same(a: int, b: int, at: np.ndarray) -> np.ndarray:
+        first = starts[at]
+        return flat[cands[first + a]] == flat[cands[first + b]]
+
+    return decoders.index_decided(same, counts[multi], resolver, k_max)
+
+
+def _packed(rows: np.ndarray, ybits: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """Bit-packed difference words (codeword ``rows`` XOR received word) of trials ``at``, (len(at), m, ceil(n/8)).
+
+    ``kernels.BLOCK_ELEMS`` symbols at a time, so no unpacked copy of the
+    trials is made, each row zero-padded to whole bytes: one flat
+    ``np.packbits`` then packs a block, several times faster than one
+    along its rows.
+    """
+    _, m, n = rows.shape
+    width = -(-n // 8)
+    z_seqs = np.empty((at.size, m, width), dtype=np.uint8)
+    step = max(1, kernels.BLOCK_ELEMS // (m * n))
+    padded = np.zeros((min(step, at.size), m, 8 * width), dtype=np.uint8)
+    for lo in range(0, at.size, step):
+        sel = at[lo : lo + step]
+        block = padded[: sel.size]
+        np.bitwise_xor(rows[sel], ybits[sel, None, :], out=block[:, :, :n])
+        z_seqs[lo : lo + sel.size] = np.packbits(block).reshape(sel.size, m, width)
+    return z_seqs
 
 
 def iter_points(cfgs: list[TrialConfig], num_trials: int, start: int = 0) -> Iterator[tuple[int, TrialBatch]]:
@@ -441,12 +497,16 @@ def iter_points(cfgs: list[TrialConfig], num_trials: int, start: int = 0) -> Ite
     ``DEFAULT_CHUNK`` trials that may span points, and fewer where their
     footprint, :func:`call_bytes` per trial, would pass ``CALL_BYTES``; a
     trial above that runs alone.  (``CHUNK_BYTES`` only bounds one trial's
-    :func:`call_bytes`, which ``config.validate`` checks.)  The trials with
-    two or more candidates of every point of one shape (m, resolver,
-    k_max), whatever their n, are pooled as their candidates' difference
-    sequences, bit-packed (:class:`~weaktyp.decoders.PackedTrials`), and
-    resolved in lockstep by one :func:`~weaktyp.decoders.resolve_batch`
-    call per flush: one k-means and integer Pegasos per candidate count,
+    :func:`call_bytes`, which ``config.validate`` checks.)  A trial with
+    two or more candidates that the index rule decides
+    (:func:`~weaktyp.decoders.index_decided`: rows all equal, or under the
+    cluster resolvers c <= k_max distinct rows) decodes its lowest
+    candidate there, before anything is packed.  The others of every
+    point of one shape (m, resolver, k_max), whatever their n, are pooled
+    as their candidates' difference sequences, bit-packed
+    (:class:`~weaktyp.decoders.PackedTrials`), and resolved in lockstep by
+    one :func:`~weaktyp.decoders.resolve_batch` call per flush: one
+    k-means and integer Pegasos per candidate count and resolver block,
     one float replay of svm ties, across every n.  A kernel call or a
     lockstep loop costs about the same whether it carries one point or
     many.  Points of one shape run back to back, so one pool is open at

@@ -103,21 +103,24 @@ def finalize(z, out: np.ndarray | None = None, scratch: np.ndarray | None = None
     return np.bitwise_xor(z, t, out=out)
 
 
-def raw_below(z: np.ndarray, threshold: np.uint64, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-    """``finalize(z) < threshold`` into the bool array ``out``; ``z`` is overwritten.
+def raw_below(z: np.ndarray, thresholds, out: np.ndarray, scratch: np.ndarray, cuts) -> np.ndarray:
+    """``finalize(z) < thresholds[i]`` on ``z[cuts[i]:cuts[i + 1]]``, into the bool array ``out``; ``z`` is overwritten.
 
-    ``scratch`` is a uint64 array of ``z``'s shape, and ``out`` has it
-    too; ``threshold`` is one uint64 or an array of them broadcasting
-    against ``z``.  The last xorshift ``z ^ (z >> 31)`` leaves bits 33..63
-    as they are, and when every threshold's low 33 bits are zero only
-    those bits decide the compare, so it is skipped.  ``raw_threshold(q)``
-    has that form for every q = k / 2**31, q = 1/2 among them.
+    The slices run along the first axis and each compares against one
+    uint64 scalar; ``scratch`` is a uint64 array of ``z``'s shape, and
+    ``out`` has it too.  The last xorshift ``z ^ (z >> 31)`` leaves bits
+    33..63 as they are, and when every threshold's low 33 bits are zero
+    only those bits decide the compares, so it is skipped.
+    ``raw_threshold(q)`` has that form for every q = k / 2**31, q = 1/2
+    among them.
     """
-    if np.any(np.bitwise_and(threshold, np.uint64(_LOW_33))):
+    if any(int(t) & _LOW_33 for t in thresholds):
         finalize(z, out=z, scratch=scratch)
     else:
         _mix_rounds(z, z, scratch)
-    return np.less(z, threshold, out=out)
+    for t, lo, hi in zip(thresholds, cuts, cuts[1:]):
+        np.less(z[lo:hi], t, out=out[lo:hi])
+    return out
 
 
 def unit_bits(raw, out: np.ndarray | None = None):

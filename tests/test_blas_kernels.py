@@ -88,7 +88,9 @@ for n, packed, labels in spec["svm_ties"]:
     rows = np.unpackbits(np.frombuffer(bytes.fromhex(packed), dtype=np.uint8).reshape(len(labels), -1), axis=1, count=n)
     feats = np.hstack([rows, np.ones((len(labels), 1))])
     reference = feats @ decoders._pegasos_separator(feats, np.array(labels, dtype=np.float64))
-    group = (n, np.packbits(np.repeat(rows[None], 4, axis=0), axis=2), np.repeat(np.array([labels], dtype=np.int8), 4, axis=0))
+    wide = rows.astype(np.int64)
+    kernel = np.repeat((wide @ wide.T + 1)[None], 4, axis=0)
+    group = (n, np.packbits(np.repeat(rows[None], 4, axis=0), axis=2), np.repeat(np.array([labels], dtype=np.int8), 4, axis=0), kernel)
     (scores,) = decoders._pegasos_scores([group], True)
     ties.append([score.tobytes() == reference.tobytes() for score in scores])
 out["svm_ties"] = ties
@@ -101,7 +103,7 @@ for n, c, size in spec["svm_pool"]:
 replayed, pegasos_scores = set(), decoders._pegasos_scores
 
 def recorded(groups, certified):
-    replayed.update((n, z_t.tobytes()) for n, z, _ in groups for z_t in z)
+    replayed.update((n, z_t.tobytes()) for n, z, _, _ in groups for z_t in z)
     return pegasos_scores(groups, certified)
 
 decoders._pegasos_scores = recorded

@@ -500,12 +500,14 @@ def test_svm_degenerate_identical_points():
 
 
 def pegasos_group(rows, labels):
-    """A group of :func:`decoders._pegasos_scores`: (n, packed rows, int8 labels) of trials of one count."""
+    """A group of :func:`decoders._pegasos_scores`: (n, packed rows, int8 labels, K = G + 1) of trials of one count."""
     rows = np.asarray(rows, dtype=np.uint8)
-    return rows.shape[2], np.packbits(rows, axis=2), np.asarray(labels, dtype=np.int8)
+    wide = rows.astype(np.int64)
+    kernel = np.matmul(wide, wide.transpose(0, 2, 1)) + 1
+    return rows.shape[2], np.packbits(rows, axis=2), np.asarray(labels, dtype=np.int8), kernel
 
 
-def reference_scores(n, z, labels):
+def reference_scores(n, z, labels, _kernel=None):
     """The per-trial Pegasos scores ``[z, 1] @ w`` of each trial of a group, in float64."""
     out = []
     for packed, lab in zip(z, labels):
@@ -543,7 +545,7 @@ def stepwise_ways(rows, labels):
     return ways
 
 
-def exact_pegasos(n, z, labels):
+def exact_pegasos(n, z, labels, _kernel=None):
     """:func:`decoders._exact_pegasos` on a group, read through the Gram products of its packed rows."""
     return decoders._exact_pegasos(decoders._gram_products(z, n)[1], labels)
 
@@ -622,11 +624,11 @@ def test_replayed_scores_of_flagged_trials_match_the_reference_bytes():
     # trial of this pool has a score tie, or branches that disagree)
     groups, _ = fig3_svm_pool(43, 40)
     flagged = []
-    for n, z, labels in groups:
+    for n, z, labels, kernel in groups:
         tie = exact_pegasos(n, z, labels)[3]
         if tie.any():
-            flagged.append((n, z[tie], labels[tie]))
-    assert len({z.shape[1] for _, z, _ in flagged}) == 2 and len({n for n, _, _ in flagged}) == 3
+            flagged.append((n, z[tie], labels[tie], kernel[tie]))
+    assert len({group[1].shape[1] for group in flagged}) == 2 and len({group[0] for group in flagged}) == 3
     for group, scores in zip(flagged, decoders._pegasos_scores(flagged, True)):
         assert scores.tobytes() == reference_scores(*group).tobytes()
 
@@ -669,7 +671,7 @@ def test_pegasos_scores_with_every_margin_by_ddot_match_the_reference(monkeypatc
         got = pegasos_scores(groups, certified)
         for group, scores in zip(groups, got):
             assert scores.tobytes() == reference_scores(*group).tobytes()
-        replayed.extend(z.shape[:2] for _, z, _ in groups)
+        replayed.extend(z.shape[:2] for _, z, _, _ in groups)
         return got
 
     monkeypatch.setattr(decoders, "_pegasos_scores", checked)
@@ -721,8 +723,8 @@ def test_pegasos_loop_sums_few_margins_and_matches_the_reference(monkeypatch):
     margins = counted_ddots(monkeypatch)
     groups, _ = fig3_svm_pool(31, 30)
     got = decoders._pegasos_scores(groups, True)
-    ties = sum(reference_ties(n, packed, lab) for n, z, labels in groups for packed, lab in zip(z, labels))
-    trial_steps = decoders.SVM_EPOCHS * sum(z.shape[0] * z.shape[1] for _, z, _ in groups)
+    ties = sum(reference_ties(n, packed, lab) for n, z, labels, _ in groups for packed, lab in zip(z, labels))
+    trial_steps = decoders.SVM_EPOCHS * sum(z.shape[0] * z.shape[1] for _, z, _, _ in groups)
     assert 0 < len(margins) == ties < 0.005 * trial_steps
     for group, scores in zip(groups, got):
         assert scores.tobytes() == reference_scores(*group).tobytes()
@@ -770,7 +772,7 @@ def spied_replays(monkeypatch):
         got = pegasos_scores(groups, certified)
         for group, scores in zip(groups, got):
             assert scores.tobytes() == reference_scores(*group).tobytes()
-        replayed.append(sum(z.shape[0] for _, z, _ in groups))
+        replayed.append(sum(z.shape[0] for _, z, _, _ in groups))
         return got
 
     monkeypatch.setattr(decoders, "_pegasos_scores", checked)
@@ -813,14 +815,14 @@ def test_pegasos_loop_peak_memory_is_a_few_weight_arrays():
     # the final gemv BATCH_BLOCK_ELEMS elements at a time: under 3.5 arrays of float64
     # weights on every trial's own columns (2.3 measured)
     groups, _ = fig3_svm_pool(5, 120)
-    weight_bytes = 8 * sum(z.shape[0] * (n + 1) for n, z, _ in groups)
+    weight_bytes = 8 * sum(z.shape[0] * (n + 1) for n, z, _, _ in groups)
     tracemalloc.start()
     try:
         scores = decoders._pegasos_scores(groups, True)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert [s.shape for s in scores] == [z.shape[:2] for _, z, _ in groups]
+    assert [s.shape for s in scores] == [z.shape[:2] for _, z, _, _ in groups]
     assert peak < 3.5 * weight_bytes
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import weakref
 from dataclasses import replace
 from types import SimpleNamespace
@@ -230,6 +231,81 @@ def test_a_bias_sweep_makes_one_kernel_call_per_blocklength_and_one_lockstep_per
     calls.clear()
     estimate_points(split + [replace(base, q=q, codebook_mode="fixed") for q in (0.5, 0.3)], 50)
     assert calls == [1] * 4
+
+
+def desk_fig3_grid(resolver):
+    """The desk fig3 grid (perfbench's fig3-desk at seed 1): nine biases at each of six blocklengths."""
+    base = TrialConfig(n=20, m=4, q=0.5, channel=bsc(0.4), eps=0.1, resolver=resolver, master_seed=1)
+    return [replace(base, q=q / 10, n=n) for n in (20, 40, 60, 80, 100, 120) for q in range(1, 10)]
+
+
+def test_the_pool_takes_only_the_trials_the_index_rule_leaves(monkeypatch):
+    # the executor decodes by index, before packing, every set the rule decides: with
+    # k_max = 3 every pair and every 3 distinct or equal rows; the pool gets the c = 4
+    # trials whose rows are not all equal and the c = 3 trials with exactly two distinct rows
+    simulate, add = kernels.simulate_trials, montecarlo._Pool.add
+    expected, pooled = [], []
+
+    def spy_simulate(*args):
+        out = simulate(*args)
+        _, mask, ybits, words = out
+        counts = mask.sum(axis=1)
+        for t in np.flatnonzero(counts >= 3):
+            distinct = len({words[t, i].tobytes() for i in np.flatnonzero(mask[t])})
+            expected.append(distinct > 1 and (counts[t] > 3 or distinct == 2))
+        return out
+
+    def spy_add(pool, n, mask, z_seqs, states, weak, positions):
+        for t in range(positions.size):
+            rows = z_seqs[t, np.flatnonzero(mask[t])]
+            assert not decoders.index_decided(decoders._same_rows(rows[None]), np.array([rows.shape[0]]), "cluster", 3)[0]
+        pooled.append(positions.size)
+        add(pool, n, mask, z_seqs, states, weak, positions)
+
+    monkeypatch.setattr(kernels, "simulate_trials", spy_simulate)
+    monkeypatch.setattr(montecarlo._Pool, "add", spy_add)
+    estimate_points(desk_fig3_grid("cluster"), 500)
+    assert sum(pooled) == sum(expected) == 7430
+
+
+def test_a_sweep_holds_no_unpacked_copy_of_a_calls_trials_and_few_open_batches(monkeypatch):
+    # from a kernel call's return to its pool add, the executor decides by index and packs
+    # the rest from the codeword rows without an unpacked copy of the call's multi-candidate
+    # trials (m n bytes each): at most 0.60x those bytes measured in the calls that hold 8
+    # kernel blocks of them, 0.76x to 0.97x with the pooled trials copied and then packed;
+    # and when a run starts at most two earlier runs' batches are
+    # alive, as many as before the index rule left the pool so few trials
+    simulate, add, run = kernels.simulate_trials, montecarlo._Pool.add, montecarlo._simulate
+    at_return, extras, batches, open_at_start = {}, [], [], []
+
+    def spy_simulate(*args):
+        out = simulate(*args)
+        tracemalloc.reset_peak()
+        count, m, n = out[3].shape
+        at_return.update(now=tracemalloc.get_traced_memory()[0], unpacked=int((out[1].sum(axis=1) >= 2).sum()) * m * n)
+        return out
+
+    def spy_add(pool, *args):
+        if at_return["unpacked"] >= 8 * kernels.BLOCK_ELEMS:
+            extras.append((tracemalloc.get_traced_memory()[1] - at_return["now"]) / at_return["unpacked"])
+        add(pool, *args)
+
+    def spy_run(*args):
+        open_at_start.append(sum(ref() is not None for ref in batches))
+        batch = run(*args)
+        batches.append(weakref.ref(batch.weak_decoded))
+        return batch
+
+    monkeypatch.setattr(kernels, "simulate_trials", spy_simulate)
+    monkeypatch.setattr(montecarlo._Pool, "add", spy_add)
+    monkeypatch.setattr(montecarlo, "_simulate", spy_run)
+    tracemalloc.start()
+    try:
+        estimate_points(desk_fig3_grid("cluster"), 500)
+    finally:
+        tracemalloc.stop()
+    assert len(extras) >= 6 and max(extras) < 0.75
+    assert len(open_at_start) == 6 and max(open_at_start) <= 2
 
 
 def test_estimate_noiseless_floors_at_one_over_trials():

@@ -242,7 +242,7 @@ def test_run_points_equals_run_trials_and_run_trial(monkeypatch):
 
     def counted_scores(groups, certified):
         # one svm flush whose tie trials of several blocklengths replay in one float loop
-        hits["svm_replay_spans_blocklengths"] += len({n for n, _, _ in groups}) > 1
+        hits["svm_replay_spans_blocklengths"] += len({group[0] for group in groups}) > 1
         return pegasos_scores(groups, certified)
 
     monkeypatch.setattr(montecarlo._Pool, "add", recorded_add)
@@ -543,6 +543,62 @@ def test_cluster_resolution_ignores_k_max_above_the_distinct_rows(case):
     assert np.array_equal(clus_above.assignments, clus_d.assignments)
 
 
+@st.composite
+def index_rule_sets(draw):
+    """c = 2..6 candidate codewords among m, over at most d <= c distinct rows, a received word, resolver and k_max 1..4."""
+    n = draw(st.integers(1, 24))
+    c = draw(st.integers(2, 6))
+    # d < c forces a repeated row; d = 1 makes every row equal
+    d = draw(st.integers(1, c))
+    distinct = draw(st.lists(st.integers(0, 2**n - 1), min_size=d, max_size=d))
+    values = draw(st.permutations(distinct + draw(st.lists(st.sampled_from(distinct), min_size=c - d, max_size=c - d))))
+    m = c + draw(st.integers(0, 3))
+    positions = sorted(draw(st.lists(st.integers(0, m - 1), min_size=c, max_size=c, unique=True)))
+    words = np.array([[draw(st.integers(0, 1)) for _ in range(n)] for _ in range(m)], dtype=np.uint8)
+    words[positions] = [[(v >> j) & 1 for j in range(n)] for v in values]
+    received = np.array([draw(st.integers(0, 1)) for _ in range(n)], dtype=np.uint8)
+    resolver, k_max = draw(st.sampled_from(RESOLVERS)), draw(st.integers(1, 4))
+    return words, np.array(positions), received, resolver, k_max, draw(st.integers(0, 2**64 - 1)), draw(st.integers(0, 2**40))
+
+
+def test_the_index_rule_decodes_as_weak_outcome_and_never_on_a_set_that_draws():
+    # decoders.index_decided, on a trial's codewords as the executor reads them
+    # (montecarlo._index_decided) and on its packed difference words as the batch
+    # resolvers do, takes a set exactly where the reference makes no draw at all (so never
+    # one where cluster-random makes its uniform draw), and such a set decodes its lowest index
+    hits = {f"{resolver} {verdict}": 0 for resolver in RESOLVERS for verdict in ("decided", "resolved")}
+    hits["repeated rows decided"] = hits["repeated rows resolved"] = 0
+
+    @fixed_budget(400)
+    @given(index_rule_sets())
+    def check(case):
+        words, positions, received, resolver, k_max, master, stream_id = case
+        m, c = words.shape[0], positions.size
+        z = words[positions] ^ received
+        rng = RngStream(master, stream_id)
+        outcome, _ = weak_outcome(CandidateSet(indices=positions + 1, z_seqs=z), resolver, rng, k_max)
+        # the set as trial 1 of a two-trial kernel call whose trial 0 has every candidate
+        mask = np.zeros((2, m), dtype=bool)
+        mask[0], mask[1, positions] = True, True
+        call = np.stack([np.ones_like(words), words])
+        on_words = montecarlo._index_decided(call, mask, mask.sum(axis=1), np.array([1]), resolver, k_max)
+        packed = np.packbits(z, axis=1)[None]
+        on_packed = decoders.index_decided(decoders._same_rows(packed), np.array([c]), resolver, k_max)
+        assert on_words.tolist() == on_packed.tolist()
+        decided = bool(on_packed[0])
+        assert decided == (rng._cursor == 0)
+        if decided:
+            assert outcome.decoded == positions[0] + 1
+        hits[f"{resolver} {'decided' if decided else 'resolved'}"] += 1
+        if len({row.tobytes() for row in z}) not in (1, c):
+            hits[f"repeated rows {'decided' if decided else 'resolved'}"] += 1
+
+    check()
+    # a set with some rows repeated but not all is never decided
+    assert hits.pop("repeated rows decided") == 0
+    assert all(hits.values()), hits
+
+
 @fixed_budget(200)
 @given(st.integers(2, 12), st.integers(1, 10), st.integers(1, 12), st.integers(0, 2**32 - 1))
 def test_kmeans_objective_never_increases_on_binary_points(num, n, k, seed):
@@ -628,13 +684,13 @@ def test_batch_svm_equals_svm_resolve(monkeypatch):
 
     def checked_scores(groups, certified):
         # trials of different candidate counts stop at different steps
-        hits["replay_staggered_ends"] += len({z.shape[1] for _, z, _ in groups}) > 1
-        hits["replay_spans_blocklengths"] += len({n for n, _, _ in groups}) > 1
-        hits["c_above_n"] += any(z.shape[1] > n for n, z, _ in groups)
-        replayed.extend(z.shape[0] for _, z, _ in groups)
+        hits["replay_staggered_ends"] += len({z.shape[1] for _, z, _, _ in groups}) > 1
+        hits["replay_spans_blocklengths"] += len({group[0] for group in groups}) > 1
+        hits["c_above_n"] += any(z.shape[1] > n for n, z, _, _ in groups)
+        replayed.extend(z.shape[0] for _, z, _, _ in groups)
         got = pegasos_scores(groups, certified)
         # bit for bit, not only the decoded index: the scores of the per-trial loop
-        for (n, z, labels), scores in zip(groups, got):
+        for (n, z, labels, _), scores in zip(groups, got):
             for packed, lab, score in zip(z, labels, scores):
                 feats = np.hstack([np.unpackbits(packed, axis=1, count=n), np.ones((packed.shape[0], 1))])
                 ref = feats @ decoders._pegasos_separator(feats, lab.astype(np.float64))

@@ -135,8 +135,10 @@ def test_raw_below_is_the_finalized_compare(p, dyadic):
     z = np.concatenate([rs.integers(0, 2**64, 3000, dtype=np.uint64), window])
     expected = finalize(z) < t
     out = np.empty(z.shape, dtype=np.bool_)
-    assert raw_below(z.copy(), t, out, np.empty_like(z)) is out
+    assert raw_below(z.copy(), [t], out, np.empty_like(z), [0, z.size]) is out
     assert np.array_equal(out, expected)
-    # a threshold per draw, half of them 1/2's: the skip holds only where every one allows it
-    each = np.where(rs.random(z.size) < 0.5, t, raw_threshold(0.5))
-    assert np.array_equal(raw_below(z.copy(), each, out, np.empty_like(z)), finalize(z) < each)
+    # runs of draws, every other one against 1/2's threshold: the skip holds only where every one allows it
+    cuts = [0, *np.sort(rs.choice(np.arange(1, z.size), 40, replace=False)).tolist(), z.size]
+    thresholds = [(t, raw_threshold(0.5))[i % 2] for i in range(len(cuts) - 1)]
+    each = np.repeat(thresholds, np.diff(cuts))
+    assert np.array_equal(raw_below(z.copy(), thresholds, out, np.empty_like(z), cuts), finalize(z) < each)
