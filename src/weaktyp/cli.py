@@ -170,11 +170,13 @@ def cmd_oracle_check(config_path: str | None) -> int:
     for name, exact, mc in (("jt", exact_jt, mc_jt), ("weak", exact_weak, mc_weak)):
         sigma = (exact * (1.0 - exact) / trials) ** 0.5
         band = 3.0 * sigma
-        delta = abs(mc.pe_hat - exact)
+        # the raw frequency: pe_hat floors zero errors at 1/trials, outside a zero-width band
+        rate = mc.errors / trials
+        delta = abs(rate - exact)
         inside = delta <= band
         ok = ok and inside
         print(
-            f"{name}: exact={_fmt(exact)} mc={_fmt(mc.pe_hat)} |delta|={_fmt(delta)} "
+            f"{name}: exact={_fmt(exact)} mc={_fmt(rate)} |delta|={_fmt(delta)} "
             f"3sigma={_fmt(band)} -> {'ok' if inside else 'OUTSIDE BAND'}"
         )
     return 0 if ok else 1

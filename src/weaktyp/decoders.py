@@ -11,9 +11,9 @@ separator.
 
 Two entries map a resolver name to its code: :func:`weak_outcome`
 resolves one candidate set, and :func:`resolve_batch` many trials at
-once, with exactly the same results; its batch forms share one lockstep
-k-means and take the candidates' difference sequences bit-packed
-(:class:`PackedTrials`).
+once, with exactly the same results; it takes the candidates'
+difference sequences bit-packed (:class:`PackedTrials`) and walks them
+in one loop of blocks, through one lockstep k-means, for every resolver.
 
 All ties break toward the lowest message index (and, inside k-means,
 toward the lowest cluster id), which makes every resolution
@@ -330,7 +330,7 @@ class BatchResolution:
 
 @dataclass(frozen=True)
 class PackedTrials:
-    """Multi-candidate trials of one blocklength n, as the batch resolvers take them.
+    """Multi-candidate trials of one blocklength n, as :func:`resolve_batch` takes them.
 
     Trial t has candidates ``flatnonzero(cand_mask[t])`` (at least two),
     difference sequences ``z_seqs[t]``, its codewords XOR its received
@@ -349,12 +349,14 @@ def _blocks(parts: list[PackedTrials]):
     """(c, trials, candidate indices, packed rows, blocklengths) of every resolver block of ``parts``.
 
     Trials are numbered through the parts in turn and taken by candidate
-    count c, ascending; each row's indices ascend.  Trials with c <= n,
-    whose k-means reads only Gram matrices, are taken from every part at
-    once, their rows zero-padded to the widest (no Gram entry or row
-    equality moves); trials with c > n a part at a time.  Either way in
-    even blocks of at most :func:`_block_trials` trials.  Every trial
-    must have at least two candidates.
+    count c, ascending; each row's indices ascend.  The trials of one c
+    are taken from every part at once, those with c <= n, whose k-means
+    reads Gram matrices, apart from those with c > n, whose k-means reads
+    rows (see :func:`_gram_products`), in even blocks of at most
+    :func:`_block_trials` trials for the side's longest n.  Rows are
+    zero-padded to the widest part, which moves no Gram entry, row
+    product or row equality.  Every trial must have at least two
+    candidates.
     """
     sizes = [part.states.size for part in parts]
     owner = np.repeat(np.arange(len(parts)), sizes)
@@ -367,11 +369,10 @@ def _blocks(parts: list[PackedTrials]):
     # np.unique would import numpy.ma, tens of ms and MB on a cold process
     for c in np.flatnonzero(np.bincount(counts)).tolist():
         group = np.flatnonzero(counts == c)
-        by_rows = group[ns[group] < c]
-        for side in [group[ns[group] >= c], *np.split(by_rows, np.flatnonzero(np.diff(owner[by_rows])) + 1)]:
+        for side in (group[ns[group] >= c], group[ns[group] < c]):
             if side.size == 0:
                 continue
-            for block in np.array_split(side, -(-side.size // _block_trials(c, int(ns[side].min())))):
+            for block in np.array_split(side, -(-side.size // _block_trials(c, int(ns[side].max())))):
                 idx = np.empty((block.size, c), dtype=np.int64)
                 x = np.zeros((block.size, c, widths[owner[block]].max()), dtype=np.uint8)
                 cuts = [0, *(np.flatnonzero(np.diff(owner[block])) + 1).tolist(), block.size]
@@ -383,46 +384,62 @@ def _blocks(parts: list[PackedTrials]):
                 yield c, block, idx, x, ns[block]
 
 
-def _per_part(parts: list[PackedTrials], decoded: np.ndarray, iterations: np.ndarray) -> list[BatchResolution]:
-    """The per-trial results of trials numbered through ``parts``, one :class:`BatchResolution` per part."""
-    cuts = np.cumsum([part.states.size for part in parts])[:-1]
-    return [BatchResolution(*pair) for pair in zip(np.split(decoded, cuts), np.split(iterations, cuts))]
-
-
 def resolve_batch(parts: list[PackedTrials], resolver: str, k_max: int) -> list[BatchResolution]:
     """The batch twin of :func:`weak_outcome`, decision for decision: one result per part.
 
-    The parts may differ in n; :func:`svm_resolve_batch` (``svm``) or
-    :func:`cluster_resolve_batch` resolves every part in one call.
+    The parts may differ in n.  Every resolver block of :func:`_blocks`
+    (one candidate count c) decodes its lowest index where
+    :func:`index_decided` compares its packed rows equal or, under the
+    cluster resolvers, distinct; the rest run k-means++ seeding and Lloyd
+    in lockstep (:func:`_lockstep_kmeans`) on the block's Gram products,
+    with k = min(k_max, c), or 2 under ``svm``.  Each trial reads its
+    stream at its own cursor, and every comparison is exact in integers,
+    so each decides as in :func:`kmeans`.  The cluster resolvers then pick
+    with :func:`_cluster_pick`; ``svm`` runs :func:`_exact_pegasos` on the
+    2-means labels, and the trials it leaves undecided, or all where
+    :func:`_margin_slack` does not certify the flush, replay in one
+    :func:`_pegasos_scores` call.  ``iterations`` counts the k-means run.
     """
     if resolver not in RESOLVERS:
         raise ValueError(f"unknown resolver {resolver!r}")
-    if resolver == "svm":
-        return svm_resolve_batch(parts)
-    return cluster_resolve_batch(parts, resolver, k_max)
-
-
-def cluster_resolve_batch(parts: list[PackedTrials], resolver: str, k_max: int) -> list[BatchResolution]:
-    """The ``cluster`` or ``cluster-random`` decodes of many trials at once, one result per part.
-
-    Each resolver block of :func:`_blocks` (one candidate count c, at
-    most :func:`_block_trials` trials, of any n where c <= n) runs
-    through k-means++ seeding and Lloyd in lockstep
-    (:func:`_lockstep_kmeans`) on its packed rows.  Each trial reads its
-    stream at its own cursor, and every comparison is exact in integers,
-    so each one decides as in :func:`kmeans`, and every trial as in
-    :func:`weak_outcome`.
-    """
-    if k_max < 1:
+    k_cap = 2 if resolver == "svm" else k_max
+    if k_cap < 1:
         raise ValueError("k_max must be positive")
+    certified = True
+    if resolver == "svm":
+        steps = SVM_EPOCHS * max(int(np.max(part.cand_mask.sum(axis=1), initial=2)) for part in parts)
+        certified = _margin_slack(steps, max(part.n for part in parts) + 1) < 1.0 / steps
     states = np.concatenate([part.states for part in parts])
     decoded = np.zeros(states.size, dtype=np.int64)
     iterations = np.zeros(states.size, dtype=np.int64)
+    groups, places = [], []
     for c, rows, idx, x, ns in _blocks(parts):
-        pos, its = _resolve_block(x, ns, states[rows], min(k_max, c), resolver)
-        decoded[rows] = idx[np.arange(rows.size), pos] + 1
-        iterations[rows] = its
-    return _per_part(parts, decoded, iterations)
+        k = min(k_cap, c)
+        decoded[rows] = idx[:, 0] + 1  # the index rule decodes the lowest index
+        split = ~index_decided(_same_rows(x), np.full(rows.size, c), resolver, k)
+        if not split.any():
+            continue
+        rows, idx, x, ns = rows[split], idx[split], x[split], ns[split]
+        longest = int(ns.max())
+        weight, gram_times = _gram_products(x, longest)
+        assign, iterations[rows], cursor = _lockstep_kmeans(weight, gram_times, states[rows], k, longest)
+        if resolver != "svm":
+            pick = _cluster_pick(assign, k, weight, gram_times, states[rows], cursor, resolver)
+        else:
+            labels = np.where(assign == 0, 1, -1).astype(np.int8)
+            _, _, pick, replay = _exact_pegasos(gram_times, labels)
+            replay |= not certified
+            for n in np.flatnonzero(np.bincount(ns[replay])).tolist():
+                at = np.flatnonzero(replay & (ns == n))
+                kernel = gram_times(np.broadcast_to(np.eye(c, dtype=np.int64), (at.size, c, c)), at) + 1
+                groups.append((n, x[at, :, : -(-n // 8)], labels[at], kernel))
+                places.append((rows[at], idx[at]))
+        decoded[rows] = idx[np.arange(rows.size), pick] + 1
+    if groups:
+        for (rows, idx), scores in zip(places, _pegasos_scores(groups, certified)):
+            decoded[rows] = idx[np.arange(rows.size), _svm_pick(scores)] + 1
+    cuts = np.cumsum([part.states.size for part in parts])[:-1]
+    return [BatchResolution(*pair) for pair in zip(np.split(decoded, cuts), np.split(iterations, cuts))]
 
 
 def _block_trials(c: int, n: int) -> int:
@@ -475,15 +492,15 @@ def _same_rows(x: np.ndarray) -> Callable[[int, int, np.ndarray], np.ndarray]:
 
 
 def _gram_products(x: np.ndarray, n: int) -> tuple[np.ndarray, Callable[..., np.ndarray]]:
-    """Diagonal and product map of the Gram matrices G = x x^T of (T, c, ceil(n/8)) packed rows x.
+    """Diagonal and product map of the Gram matrices G = x x^T of (T, c, width) packed rows x of at most n symbols.
 
     Returns the (T, c) diagonal (each row's weight) and a map taking
     (T, c, k) 0/1 weights v to G v, all int64; given trial indices
     ``at`` it takes (len(at), c, k) weights to G[at] v.  When c <= n, G
     is formed once, (T, c, c), from the packed bytes with
     ``np.bitwise_count``; when c > n, G v is taken as x (x^T v) from the
-    unpacked rows, so no array grows as c**2.  The integers are the same
-    either way.
+    rows unpacked to n symbols, a shorter row's past its end being 0, so
+    no array grows as c**2.  The integers are the same either way.
     """
     size, c, width = x.shape
     if c > n:
@@ -503,43 +520,34 @@ def _gram_products(x: np.ndarray, n: int) -> tuple[np.ndarray, Callable[..., np.
     return np.diagonal(gram, axis1=1, axis2=2), lambda v, at=slice(None): np.matmul(gram[at], v)
 
 
-def _resolve_block(
-    x: np.ndarray, ns: np.ndarray, states: np.ndarray, k: int, resolver: str
-) -> tuple[np.ndarray, np.ndarray]:
-    """Winning candidate position and Lloyd passes of each set of c packed rows in x, of ``ns`` symbols.
+def _cluster_pick(
+    assign: np.ndarray,
+    k: int,
+    weight: np.ndarray,
+    gram_times: Callable[..., np.ndarray],
+    states: np.ndarray,
+    cursor: np.ndarray,
+    resolver: str,
+) -> np.ndarray:
+    """Winning candidate position of each of T k-means runs, as :func:`_resolve_by_clusters` picks.
 
-    Mirrors :func:`_resolve_by_clusters` step by step on a (T, c, width)
-    block of :func:`_blocks`; :func:`index_decided` compares the packed rows.
+    ``assign`` is the (T, c) k-means assignment, ``weight`` and
+    ``gram_times`` the Gram products of :func:`_gram_products`, and
+    ``cluster-random`` draws from each stream ``states[t]`` at ``cursor[t]``.
     """
-    size, c, _ = x.shape
-    pos = np.zeros(size, dtype=np.int64)  # the index rule decodes the lowest index
-    iterations = np.zeros(size, dtype=np.int64)
-    sel = np.flatnonzero(~index_decided(_same_rows(x), np.full(size, c), resolver, k))
-    if sel.size == 0:
-        return pos, iterations
-    weight, gram_times = _gram_products(x[sel], int(ns.min()))
-    st = states[sel]
-    assign, used, cursor = _lockstep_kmeans(weight, gram_times, st, k, int(ns.max()))
-    trial = np.arange(sel.size)
-
+    trial = np.arange(assign.shape[0])
     # largest cluster, ties to the cluster of the lowest point index
-    cluster_ids = np.arange(k)
-    sizes = (assign[:, :, None] == cluster_ids).sum(axis=1)
+    sizes = (assign[:, :, None] == np.arange(k)).sum(axis=1)
     point_sizes = np.take_along_axis(sizes, assign, axis=1)
     lead = np.argmax(point_sizes == sizes.max(axis=1)[:, None], axis=1)
     members = assign == assign[trial, lead][:, None]
     member_count = members.sum(axis=1)
     if resolver == "cluster-random":
-        nth = np.minimum((uniforms_at(st, cursor) * member_count).astype(np.int64), member_count - 1)
-        winner = np.argmax(np.cumsum(members, axis=1) > nth[:, None], axis=1)
-    else:
-        # least sum of Hamming distances to the members, s G_ii - 2 (G v)_i up to a constant
-        inner = gram_times(members[:, :, None].astype(np.int64))[:, :, 0]
-        winner = np.argmin(member_count[:, None] * weight - 2 * inner, axis=1)
-
-    pos[sel] = winner
-    iterations[sel] = used
-    return pos, iterations
+        nth = np.minimum((uniforms_at(states, cursor) * member_count).astype(np.int64), member_count - 1)
+        return np.argmax(np.cumsum(members, axis=1) > nth[:, None], axis=1)
+    # least sum of Hamming distances to the members, s G_ii - 2 (G v)_i up to a constant
+    inner = gram_times(members[:, :, None].astype(np.int64))[:, :, 0]
+    return np.argmin(member_count[:, None] * weight - 2 * inner, axis=1)
 
 
 def _lockstep_kmeans(
@@ -600,7 +608,8 @@ def _lockstep_kmeans(
         inner = gram_times(member.astype(np.int64))
         quad = (inner * member).sum(axis=1)
         # N_i - s**2 G_ii: G_ii is the same for every cluster, so it does not move the argmin
-        shifted = quad[:, None, :] - 2 * size[:, None, :] * inner
+        shifted = (-2 * size)[:, None, :] * inner
+        shifted += quad[:, None, :]
         new_assign = _nearest(shifted, weight, size**2, n)
         done = active & np.all(new_assign == assign, axis=1)
         used[done] = it
@@ -647,47 +656,6 @@ def _nearest(shifted: np.ndarray, weight: np.ndarray, squares: np.ndarray, n: in
         closer = scaled[:, :, j] * best_square < best_scaled * squares[:, j : j + 1]
         best[closer] = j
     return best
-
-
-def svm_resolve_batch(parts: list[PackedTrials]) -> list[BatchResolution]:
-    """The ``svm`` decodes of many trials, one result per part, bit for bit as :func:`weak_outcome`.
-
-    The parts may differ in n.  A resolver block of :func:`_blocks` gets
-    the all-equal shortcut and the 2-means labels of
-    :func:`_lockstep_kmeans`, then :func:`_exact_pegasos` on the same Gram
-    products; the trials it leaves undecided, or all where
-    :func:`_margin_slack` does not certify the flush, replay in one
-    :func:`_pegasos_scores` call.
-    ``iterations`` counts the 2-means run (0 where all rows are equal).
-    """
-    states = np.concatenate([part.states for part in parts])
-    decoded = np.zeros(states.size, dtype=np.int64)
-    iterations = np.zeros(states.size, dtype=np.int64)
-    steps = SVM_EPOCHS * max(int(np.max(part.cand_mask.sum(axis=1), initial=2)) for part in parts)
-    certified = _margin_slack(steps, max(part.n for part in parts) + 1) < 1.0 / steps
-    groups, places = [], []
-    for c, rows, idx, x, ns in _blocks(parts):
-        decoded[rows] = idx[:, 0] + 1
-        split = ~index_decided(_same_rows(x), np.full(rows.size, c), "svm", 2)
-        if not split.any():
-            continue
-        rows, idx, x, ns = rows[split], idx[split], x[split], ns[split]
-        weight, gram_times = _gram_products(x, int(ns.min()))
-        assign, used, _ = _lockstep_kmeans(weight, gram_times, states[rows], 2, int(ns.max()))
-        iterations[rows] = used
-        labels = np.where(assign == 0, 1, -1).astype(np.int8)
-        _, _, pick, replay = _exact_pegasos(gram_times, labels)
-        replay |= not certified
-        decoded[rows] = idx[np.arange(rows.size), pick] + 1
-        for n in np.flatnonzero(np.bincount(ns[replay])).tolist():
-            at = np.flatnonzero(replay & (ns == n))
-            kernel = gram_times(np.broadcast_to(np.eye(c, dtype=np.int64), (at.size, c, c)), at) + 1
-            groups.append((n, x[at, :, : -(-n // 8)], labels[at], kernel))
-            places.append((rows[at], idx[at]))
-    if groups:
-        for (rows, idx), scores in zip(places, _pegasos_scores(groups, certified)):
-            decoded[rows] = idx[np.arange(rows.size), _svm_pick(scores)] + 1
-    return _per_part(parts, decoded, iterations)
 
 
 def _margin_slack(steps: int, k: int) -> float:

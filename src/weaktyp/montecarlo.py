@@ -22,9 +22,11 @@ straight from the kernel's codewords, and resolves the rest of every
 point of one shape (m, resolver, k_max), whatever their blocklengths,
 together, from their bit-packed difference sequences, so a kernel call
 and a lockstep resolver loop each run once per batch of points rather
-than once per point; :func:`run_trials` runs it on a single point.  :func:`estimate_points` is the one error-count loop: every
-sweep, :func:`estimate_pe` and the oracle check count errors through it,
-in spans of ``DEFAULT_CHUNK`` trials, so memory does not grow with the
+than once per point; :func:`run_trials` runs it on a single point.
+
+:func:`estimate_points` is the one error-count loop: every sweep,
+:func:`estimate_pe` and the oracle check count errors through it, in
+spans of ``DEFAULT_CHUNK`` trials, so memory does not grow with the
 trial count.  Because every point owns its derived master, the result
 of a point never depends on which points it was pooled with.
 """

@@ -107,7 +107,7 @@ def recorded(groups, certified):
     return pegasos_scores(groups, certified)
 
 decoders._pegasos_scores = recorded
-got = decoders.svm_resolve_batch(parts)
+got = decoders.resolve_batch(parts, "svm", 2)
 # each trial's decode and whether it was replayed; all its candidates reach the resolver
 out["svm_pool"] = [
     [[int(d), (part.n, part.z_seqs[t].tobytes()) in replayed] for t, d in enumerate(res.decoded.tolist())]

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from weaktyp.cli import CSV_HEADER, main, parse_csv, svg_from_csv
 from weaktyp.config import defaults, parse_config
@@ -96,6 +97,15 @@ def test_oracle_check_passes_reference_instance(tmp_path, capsys):
     assert main(["oracle-check", "--config", cfg]) == 0
     out = capsys.readouterr().out
     assert "jt:" in out and "weak:" in out and "ok" in out
+
+
+@pytest.mark.parametrize("channel_p", ["0.0", "1.0"])
+def test_oracle_check_passes_a_zero_error_instance(tmp_path, capsys, channel_p):
+    # exact Pe is 0 at both ends of the channel, so the band has zero width
+    cfg = write_config(tmp_path, f"oracle_channel_p = {channel_p}\noracle_trials = 2000\n")
+    assert main(["oracle-check", "--config", cfg]) == 0
+    out = capsys.readouterr().out
+    assert out.count("exact=0 mc=0 ") == 2 and "OUTSIDE" not in out
 
 
 def test_oracle_check_rejects_large_instance(tmp_path, capsys):

@@ -11,9 +11,9 @@ from weaktyp.decoders import (
     DecodeOutcome,
     PackedTrials,
     classical_outcome,
-    cluster_resolve_batch,
     find_candidates,
     kmeans,
+    resolve_batch,
     weak_outcome,
 )
 from weaktyp.kernels import Segment, simulate_trials
@@ -333,7 +333,7 @@ def test_exact_ties_go_to_the_lowest_index():
     assert decode(cands, "cluster", RngStream(0, 0), 1) == 1
     states = stream_states(0, np.array([0]))
     trials = PackedTrials(5, np.ones((1, 3), dtype=bool), np.packbits(np.array([rows]), axis=2), states)
-    (got,) = cluster_resolve_batch([trials], "cluster", 1)
+    (got,) = resolve_batch([trials], "cluster", 1)
     assert got.decoded.tolist() == [1]
     assert got.iterations.tolist() == [2]
 
@@ -414,7 +414,7 @@ def test_many_candidates_on_few_symbols_resolve_from_the_rows():
     trials = PackedTrials(n, np.ones((1, c), dtype=bool), np.packbits(words, axis=2), stream_states(11, np.array([5])))
     tracemalloc.start()
     try:
-        (got,) = cluster_resolve_batch([trials], "cluster", k_max)
+        (got,) = resolve_batch([trials], "cluster", k_max)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -440,7 +440,7 @@ def test_an_emptied_cluster_is_reseeded_on_distinct_rows():
     for resolver, expected in (("cluster", 1), ("cluster-random", 8)):
         outcome, clus = weak_outcome(cands, resolver, RngStream(3872243241, 5249), 5)
         assert (outcome.decoded, clus.iterations_used) == (expected, 6)
-        (got,) = cluster_resolve_batch([trials], resolver, 5)
+        (got,) = resolve_batch([trials], resolver, 5)
         assert (got.decoded.tolist(), got.iterations.tolist()) == ([expected], [6])
 
 
@@ -683,7 +683,7 @@ def test_pegasos_scores_with_every_margin_by_ddot_match_the_reference(monkeypatc
         states = stream_states(7, np.arange(size, dtype=np.uint64) + 100 * n)
         parts.append(PackedTrials(n, np.ones((size, m), dtype=bool), np.packbits(rows, axis=2), states))
         references.append([decode(cand_set(np.arange(1, m + 1), z), "svm", RngStream(7, 100 * n + t)) for t, z in enumerate(rows)])
-    for got, expected in zip(decoders.svm_resolve_batch(parts), references):
+    for got, expected in zip(decoders.resolve_batch(parts, "svm", 2), references):
         assert got.decoded.tolist() == expected
     assert sum(size for size, _ in replayed) == split  # every trial whose rows split
     assert len(margins) == decoders.SVM_EPOCHS * sum(size * c for size, c in replayed)
@@ -760,7 +760,7 @@ def svm_decodes(rows, stream_id):
     """The batch and the per-trial svm decode of candidates 1..c with ``rows``, on stream (5, stream_id)."""
     states = stream_states(5, np.array([stream_id]))
     trials = PackedTrials(rows.shape[1], np.ones((1, rows.shape[0]), dtype=bool), np.packbits(rows[None], axis=2), states)
-    (got,) = decoders.svm_resolve_batch([trials])
+    (got,) = decoders.resolve_batch([trials], "svm", 2)
     return int(got.decoded[0]), decode(cand_set(np.arange(1, rows.shape[0] + 1), rows), "svm", RngStream(5, stream_id))
 
 

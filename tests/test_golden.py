@@ -6,7 +6,9 @@ recorded while sweep points were still resolved one point at a time.
 Any change to them is a behaviour change and must be explained.
 """
 
+import ast
 import hashlib
+from pathlib import Path
 
 import pytest
 
@@ -53,6 +55,27 @@ fig3_blocklengths = 20,30,40,60
         "87a2bd0823f27f7c18a9f99512a50567ca2cf56d4e93bde43dac087e302bc3ba",
     ),
 }
+
+
+PERFBENCH_RUN = Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
+
+
+def perfbench_literals(*names):
+    """The literal values perfbench/run.py assigns to ``names``, read from its source without running it."""
+    tree = ast.parse(PERFBENCH_RUN.read_text(encoding="utf-8"))
+    found = {
+        node.targets[0].id: ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name) and node.targets[0].id in names
+    }
+    return [found[name] for name in names]
+
+
+def test_golden_config_and_digests_match_perfbench():
+    # perfbench checks the same figures before it times anything; the two copies must not drift
+    config, digests = perfbench_literals("GOLDEN_CONFIG", "GOLDEN_DIGESTS")
+    assert "".join(f"{key} = {value}\n" for key, value in config.items()) == GOLDEN_CONFIG
+    assert digests == GOLDEN_DIGESTS
 
 
 def figure_digest(tmp_path, figure, config_text):

@@ -18,8 +18,7 @@ from weaktyp.decoders import (
     RESOLVERS,
     CandidateSet,
     PackedTrials,
-    cluster_resolve_batch,
-    svm_resolve_batch,
+    resolve_batch,
     weak_outcome,
 )
 from weaktyp.montecarlo import (
@@ -394,7 +393,7 @@ def packed_trials(words, received, mask, states):
 
 
 def test_batch_resolution_equals_cluster_resolve(monkeypatch):
-    """``cluster_resolve_batch`` decides as the per-trial reference, ``weak_outcome``, on random pools.
+    """``resolve_batch`` with the cluster resolvers decides as the per-trial reference, ``weak_outcome``, on random pools.
 
     The name keeps the per-trial wrapper ``cluster_resolve`` that the
     reference once was, so the test id stays the same.
@@ -446,7 +445,7 @@ def test_batch_resolution_equals_cluster_resolve(monkeypatch):
         """The batch against the reference on one example; returns how many trials ran a third Lloyd pass."""
         words, received, mask, stream_ids, master, k_max, resolver = case
         states = stream_states(master, stream_ids)
-        (got,) = cluster_resolve_batch([packed_trials(words, received, mask, states)], resolver, k_max)
+        (got,) = resolve_batch([packed_trials(words, received, mask, states)], resolver, k_max)
         for t in range(mask.shape[0]):
             idx0 = np.flatnonzero(mask[t])
             z = np.bitwise_xor((words if words.ndim == 2 else words[t])[idx0], received[t])
@@ -501,7 +500,7 @@ def test_batch_resolution_with_wide_comparisons_equals_cluster_resolve(monkeypat
     def check(case):
         words, received, mask, stream_ids, master, k_max, resolver = case
         states = stream_states(master, stream_ids)
-        (got,) = cluster_resolve_batch([packed_trials(words, received, mask, states)], resolver, k_max)
+        (got,) = resolve_batch([packed_trials(words, received, mask, states)], resolver, k_max)
         for t in range(mask.shape[0]):
             idx0 = np.flatnonzero(mask[t])
             z = np.bitwise_xor((words if words.ndim == 2 else words[t])[idx0], received[t])
@@ -511,6 +510,39 @@ def test_batch_resolution_with_wide_comparisons_equals_cluster_resolve(monkeypat
             assert got.iterations[t] == (clus.iterations_used if clus else 0)
 
     check()
+
+
+def test_batch_resolution_pools_row_side_trials_across_blocklengths(monkeypatch):
+    """Trials with more candidates than symbols, of two blocklengths, share a block and decide as ``weak_outcome``."""
+    mixed = {"cluster": 0, "cluster-random": 0}
+    blocks = decoders._blocks
+
+    def counted_blocks(parts):
+        for block in blocks(parts):
+            c, _, _, _, ns = block
+            # a row-side block holding both blocklengths
+            mixed[resolver] += bool(c > ns.max() and ns.min() < ns.max())
+            yield block
+
+    monkeypatch.setattr(decoders, "_blocks", counted_blocks)
+    rng = np.random.default_rng(2024)
+    cases = []
+    for n, first_id in ((2, 0), (3, 100)):
+        words = rng.integers(0, 2, size=(6, 5, n), dtype=np.uint8)
+        received = rng.integers(0, 2, size=(6, n), dtype=np.uint8)
+        cases.append((words, received, np.ones((6, 5), dtype=bool), np.arange(first_id, first_id + 6)))
+    master, k_max, kmeans_runs = 91, 3, 0
+    for resolver in mixed:
+        parts = [packed_trials(words, received, mask, stream_states(master, ids)) for words, received, mask, ids in cases]
+        for (words, received, mask, ids), got in zip(cases, resolve_batch(parts, resolver, k_max)):
+            for t in range(mask.shape[0]):
+                cands = CandidateSet(indices=np.arange(1, 6), z_seqs=np.bitwise_xor(words[t], received[t]))
+                outcome, clus = weak_outcome(cands, resolver, RngStream(master, int(ids[t])), k_max)
+                assert got.decoded[t] == outcome.decoded
+                assert got.iterations[t] == (clus.iterations_used if clus else 0)
+                kmeans_runs += clus is not None
+    assert all(mixed.values()), mixed
+    assert kmeans_runs > 0
 
 
 @st.composite
@@ -641,7 +673,7 @@ def svm_parts(draw):
 
 
 def test_batch_svm_equals_svm_resolve(monkeypatch):
-    """``svm_resolve_batch`` decides as the per-trial reference, ``weak_outcome`` with ``svm``.
+    """``resolve_batch`` with ``svm`` decides as the per-trial reference, ``weak_outcome`` with ``svm``.
 
     The name keeps the per-trial wrapper ``svm_resolve`` that the
     reference once was, so the test id stays the same.
@@ -717,11 +749,13 @@ def test_batch_svm_equals_svm_resolve(monkeypatch):
             patch.setattr(decoders, "BATCH_BLOCK_ELEMS", block_elems)
             if uncertified:
                 patch.setattr(decoders, "_margin_slack", lambda steps, k: np.inf)
-            got = svm_resolve_batch(
+            got = resolve_batch(
                 [
                     packed_trials(words, received, mask, stream_states(master, stream_ids))
                     for words, received, mask, stream_ids in parts
-                ]
+                ],
+                "svm",
+                2,
             )
         for (words, received, mask, stream_ids), resolved in zip(parts, got):
             for t in range(mask.shape[0]):
