@@ -78,7 +78,7 @@ _NEVER = np.iinfo(np.int64).max
 # matrices (trials, c, c) or, when c > n, the rows (trials, c, n), with
 # Lloyd's (trials, c, k <= c) cluster weights beside them, and of
 # the svm replay's float rows (trials, c, n+1) for its scores and of the
-# class rows it adds at once; bounds their memory whatever the chunk
+# (trials, classes) weights its hits add to at once; bounds their memory whatever the chunk
 BATCH_BLOCK_ELEMS = 1 << 15
 
 
@@ -581,8 +581,6 @@ def _lockstep_kmeans(
     seeds = np.empty((num, k), dtype=np.int64)
     seeds[:, 0] = np.minimum((uniforms_at(states, cursor) * c).astype(np.int64), c - 1)
     cursor += 1
-    chosen = np.zeros((num, c), dtype=bool)
-    chosen[trial, seeds[:, 0]] = True
     d2 = seed_dist(seeds[:, 0])
     for j in range(1, k):
         total = d2.sum(axis=1)
@@ -590,10 +588,11 @@ def _lockstep_kmeans(
         r = uniforms_at(states, cursor) * total
         # searchsorted(cumsum, r, side="right") on every row at once
         drawn = np.minimum((np.cumsum(d2, axis=1) <= r[:, None]).sum(axis=1), c - 1)
-        # all distances 0: every row copies a seed, and no output here depends on which
-        seeds[:, j] = np.where(spread, drawn, np.argmin(chosen, axis=1))
+        # all distances 0: every row copies one of the drawn seeds, all of lower id, so a cluster seeded
+        # here ties with a lower-id twin on every row, empties in pass 1 and again in pass 2 after its
+        # reseed; kmeans seeds the lowest unchosen row, which only its centroids show, so take seed 0
+        seeds[:, j] = np.where(spread, drawn, seeds[:, 0])
         cursor += spread
-        chosen[trial, seeds[:, j]] = True
         d2 = np.minimum(d2, seed_dist(seeds[:, j]))
 
     # Lloyd on the (T, c, k) 0/1 cluster weights, each trial frozen once its assignment repeats
@@ -745,7 +744,10 @@ def _pegasos_scores(groups: list[tuple[int, np.ndarray, np.ndarray, np.ndarray]]
     reference's float operations one for one on one float64 weight per
     column class of each trial (:func:`_column_classes`): the columns of
     a class take the same scales and adds, so each of their reference
-    weights is bitwise the class weight.  Each row keeps its exact M,
+    weights is bitwise the class weight.  The weights are one (T, P)
+    matrix, a row per trial, and the class rows one (rows, P) matrix, P
+    the most classes of any trial; a trial with fewer leaves the rest
+    +0 and never reads them.  Each row keeps its exact M,
     updated from the trial's K = G + 1, so where ``certified`` a trial
     is visited only at its next hit, which M decides, or tie, which
     :func:`_ddot_margin` decides; otherwise that decides every visit.
@@ -758,33 +760,30 @@ def _pegasos_scores(groups: list[tuple[int, np.ndarray, np.ndarray, np.ndarray]]
     width, sizes = max(group[0] for group in groups) + 1, [z.shape[0] for _, z, _, _ in ordered]
     count = np.repeat([z.shape[1] for _, z, _, _ in ordered], sizes)
     cols = np.repeat([n + 1 for n, _, _, _ in ordered], sizes)
-    classes = np.repeat([min(2 ** z.shape[1], n + 1) for n, z, _, _ in ordered], sizes)
+    classes = max(min(2 ** z.shape[1], n + 1) for n, z, _, _ in ordered)
     y = np.concatenate([labels.ravel() for _, _, labels, _ in ordered]).astype(np.int64)
     kernel = np.concatenate([group[3].ravel() for group in ordered])
-    start, woff, koff = np.cumsum(count) - count, np.cumsum(classes) - classes, np.cumsum(count**2) - count**2
-    row_classes = np.repeat(classes, count)
-    row_class_off = np.cumsum(row_classes) - row_classes
-    rows, w = np.zeros((int(count.sum()), width), dtype=np.uint8), np.zeros(int(classes.sum()))
-    row_blocks = np.split(rows, start[np.cumsum(sizes)[:-1]])
-    class_rows = []
-    for (n, z, _, _), block in zip(ordered, row_blocks):
+    start, koff = np.cumsum(count) - count, np.cumsum(count**2) - count**2
+    rows, w = np.zeros((int(count.sum()), width), dtype=np.uint8), np.zeros((count.size, classes))
+    class_rows = np.zeros((rows.shape[0], classes), dtype=np.uint8)
+    cuts = start[np.cumsum(sizes)[:-1]]
+    row_blocks = np.split(rows, cuts)
+    for (n, z, _, _), block, class_block in zip(ordered, row_blocks, np.split(class_rows, cuts)):
         (size, c, _), k = z.shape, n + 1
         block[:, :n], block[:, n] = np.unpackbits(z, axis=2, count=n).reshape(-1, n), 1
         if 2**c > k:
-            class_rows.append(block[:, :k].ravel())
+            class_block[:, :k] = block[:, :k]
         else:
             # class p holds row a where bit a of p is set
-            class_rows.append(np.tile(((np.arange(2**c) >> np.arange(c)[:, None]) & 1).astype(np.uint8).ravel(), size))
-    class_rows = np.concatenate(class_rows)
-    # the trials running at step t, SVM_EPOCHS * c >= t, are the first lives[t]; their weights end at ends[t]
-    lives = np.searchsorted(-SVM_EPOCHS * count, -np.arange(SVM_EPOCHS * int(count[0]) + 1), side="right")
-    ends, lives = np.append(woff, w.size)[lives].tolist(), lives.tolist()
-    chunk = max(1, BATCH_BLOCK_ELEMS // width)
+            class_block[:, : 2**c] = np.tile((np.arange(2**c) >> np.arange(c)[:, None]) & 1, (size, 1))
+    # the trials running at step t, SVM_EPOCHS * c >= t, are the first lives[t]
+    lives = np.searchsorted(-SVM_EPOCHS * count, -np.arange(SVM_EPOCHS * int(count[0]) + 1), side="right").tolist()
+    chunk = max(1, BATCH_BLOCK_ELEMS // classes)
     sums, due, upcoming = np.zeros(rows.shape[0], dtype=np.int64), np.ones(count.size, dtype=np.int64), 1  # step 1 hits
-    for t in range(1, len(ends)):
+    for t in range(1, len(lives)):
         eta = 1.0 / (SVM_LAMBDA * t)
         if t < upcoming:
-            w[: ends[t]] *= 1.0 - eta * SVM_LAMBDA
+            w[: lives[t]] *= 1.0 - eta * SVM_LAMBDA
             continue
         now = np.flatnonzero(due[: lives[t]] == t)
         r = start[now] + (t - 1) % count[now]
@@ -793,16 +792,14 @@ def _pegasos_scores(groups: list[tuple[int, np.ndarray, np.ndarray, np.ndarray]]
         for j in np.flatnonzero(((margin == t - 1) & (t > 1)) | (not certified)).tolist():
             f = now[j]
             own = rows[start[f] : start[f] + count[f], : cols[f]]
-            hit[j] = _ddot_margin(rows[r[j], : cols[f]], int(y[r[j]]), w[woff[f] + _column_classes(own)]) < 1.0
-        w[: ends[t]] *= 1.0 - eta * SVM_LAMBDA
+            hit[j] = _ddot_margin(rows[r[j], : cols[f]], int(y[r[j]]), w[f, _column_classes(own)]) < 1.0
+        w[: lives[t]] *= 1.0 - eta * SVM_LAMBDA
         h, rh = now[hit], r[hit]
         # adding +-0 where a class row is 0 moves no weight but -0, and none is -0 (they start +0, scales
         # are >= 0, a sum is -0 only of two -0): each hit adds its whole class row, chunk trials at a time
         for lo in range(0, h.size, chunk):
             hc, rc = h[lo : lo + chunk], rh[lo : lo + chunk]
-            owner = np.repeat(np.arange(hc.size), classes[hc])
-            col = np.arange(owner.size) - (np.cumsum(classes[hc]) - classes[hc])[owner]
-            w[woff[hc][owner] + col] += (eta * y[rc])[owner] * class_rows[row_class_off[rc][owner] + col]
+            w[hc] += (eta * y[rc])[:, None] * class_rows[rc]
         # M += y_s K[:, s] on the rows of each trial that hits, s its hit row; then each trial's next visit
         firsts = np.cumsum(count[now]) - count[now]
         owner = np.repeat(np.arange(now.size), count[now])
@@ -813,9 +810,9 @@ def _pegasos_scores(groups: list[tuple[int, np.ndarray, np.ndarray, np.ndarray]]
         due[now] = np.minimum.reduceat(np.minimum(nxt, tied), firsts) if certified else t + 1
         upcoming = int(due[: lives[t]].min())
     scores: list[np.ndarray] = [np.empty(0)] * len(groups)
-    for g, (n, z, _, _), feats, w_g in zip(order, ordered, row_blocks, np.split(w, woff[np.cumsum(sizes)[:-1]])):
+    for g, (n, z, _, _), feats, w_g in zip(order, ordered, row_blocks, np.split(w, np.cumsum(sizes)[:-1])):
         size, c, _ = z.shape
-        feats, w_g = feats[:, : n + 1].reshape(size, c, n + 1), w_g.reshape(size, -1)
+        feats = feats[:, : n + 1].reshape(size, c, n + 1)
         step = max(1, BATCH_BLOCK_ELEMS // (c * (n + 1)))
         blocks = []
         for lo in range(0, size, step):

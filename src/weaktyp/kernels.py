@@ -119,19 +119,18 @@ def _typicality_mask(
     n: int,
     n1x: np.ndarray,
     n1y: np.ndarray,
-    n00: np.ndarray,
-    n01: np.ndarray,
-    n10: np.ndarray,
     n11: np.ndarray,
     consts: tuple[float, ...] | np.ndarray,
     eps: float,
     seg: np.ndarray | int = 0,
 ) -> np.ndarray:
-    """Typicality of codewords with counts (n1x, n00, n01, n10, n11), (T, c), against words with n1y ones, (T,).
+    """Typicality of codewords with counts (n1x, n11), (T, c), against received words with n1y ones, (T,).
 
     ``consts`` is one tuple of kernel constants or an (S, 11) array of
     them; word t takes row ``seg[t, 0]`` of a (T, 1) ``seg``, or row 0.
     """
+    col = n1y[:, None]
+    n00, n01, n10 = n - n1x - col + n11, col - n11, n1x - n11
     # Term order and parenthesization mirror typicality._costs
     # exactly; the count guard keeps 0 * (-inf) cells out of the sums.
     table = np.reshape(consts, (-1, 11))
@@ -172,12 +171,6 @@ def _typicality_mask(
     exy -= hxy[seg]
     ok &= np.abs(exy, out=exy) < eps
     return ok
-
-
-def _scan(n, n1x, n1y, n11, consts, eps, seg=0):
-    """Typicality mask of codewords with counts (n1x, n11), (T, c), against received words with n1y ones, (T,)."""
-    col = n1y[:, None]
-    return _typicality_mask(n, n1x, n1y, n - n1x - col + n11, col - n11, n1x - n11, n11, consts, eps, seg)
 
 
 def _blocks(count, m, n):
@@ -519,7 +512,7 @@ def simulate_trials(
         # each trial scans against its own segment's row of constants
         consts = np.array([s.consts for s in segments])
         seg = np.repeat(np.arange(len(segments)), sizes)[:, None] if rest else 0
-        return true_w, _scan(n, n1x, n1y, n11, consts, eps, seg), ybits, xwords
+        return true_w, _typicality_mask(n, n1x, n1y, n11, consts, eps, seg), ybits, xwords
     ytails = ybits[:, k:]
     keep = _completable(n, k, n1x, n11, n1y, ytails.sum(axis=1, dtype=np.int64), head.consts, eps)
     # the sent rows are whole already; of the others, only those that may be typical get tails
@@ -531,6 +524,6 @@ def simulate_trials(
     # a rejected row cannot be typical: only the sent rows and the survivors are scanned
     at = np.concatenate((sent_rows, todo))
     mask = np.zeros((count, m), dtype=bool)
-    verdicts = _scan(n, n1x.reshape(-1)[at, None], n1y[at // m], n11.reshape(-1)[at, None], head.consts, eps)
+    verdicts = _typicality_mask(n, n1x.reshape(-1)[at, None], n1y[at // m], n11.reshape(-1)[at, None], head.consts, eps)
     mask.reshape(-1)[at] = verdicts[:, 0]
     return true_w, mask, ybits, xwords

@@ -407,9 +407,6 @@ def _simulate(
     dms = [derived_master(c) for c in cfgs]
     total = num_trials * len(cfgs)
     batch = TrialBatch(*(np.empty(total, dtype=np.int64) for _ in range(4)))
-    # each trial's derived master and trial id, for its resolver stream
-    masters = np.repeat(np.array(dms, dtype=np.uint64), num_trials)
-    tids = np.tile(np.arange(start, start + num_trials, dtype=np.uint64), len(cfgs))
 
     for off in range(0, total, per_call):
         end = min(total, off + per_call)
@@ -439,7 +436,10 @@ def _simulate(
         del words
         if pooled.size:
             at = off + pooled
-            states = stream_states(masters[at], trial_stream(tids[at], PURPOSE_RESOLVER))
+            # trial at of the run is trial start + at % num_trials of point at // num_trials
+            point, tid = np.divmod(at, num_trials)
+            masters = np.array(dms, dtype=np.uint64)[point]
+            states = stream_states(masters, trial_stream((start + tid).astype(np.uint64), PURPOSE_RESOLVER))
             pool.add(cfg.n, mask[pooled], z_seqs, states, batch.weak_decoded, at)
     return batch
 

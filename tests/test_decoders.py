@@ -810,10 +810,10 @@ def test_a_trial_over_the_branch_cap_replays(monkeypatch):
 
 
 def test_pegasos_loop_peak_memory_is_a_few_weight_arrays():
-    # the replay holds one float64 weight per column class, its uint8 rows and class rows,
-    # each trial's int64 K and one int64 M a row; it adds the class rows that hit and takes
-    # the final gemv BATCH_BLOCK_ELEMS elements at a time: under 3.5 arrays of float64
-    # weights on every trial's own columns (2.3 measured)
+    # the replay holds one float64 weight per column class, padded to the most classes of any
+    # trial, its uint8 rows and class rows, each trial's int64 K and one int64 M a row; it adds
+    # the class rows that hit and takes the final gemv BATCH_BLOCK_ELEMS elements at a time:
+    # under 3.5 arrays of float64 weights on every trial's own columns (2.3 measured)
     groups, _ = fig3_svm_pool(5, 120)
     weight_bytes = 8 * sum(z.shape[0] * (n + 1) for n, z, _, _ in groups)
     tracemalloc.start()

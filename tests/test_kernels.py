@@ -471,9 +471,6 @@ def test_fixed_codebook_counts_without_a_wide_copy_of_the_codebook(n, m, count):
     n11 = ybits.astype(np.int64) @ wide.T
     n1x = np.broadcast_to(wide.sum(axis=1), (count, m))
     n1y = ybits.sum(axis=1, dtype=np.int64)
-    n00 = n - n1x - n1y[:, None] + n11
-    expected = kernels._typicality_mask(
-        n, n1x, n1y, n00, n1y[:, None] - n11, n1x - n11, n11, ctx.kernel_constants(), cfg.eps
-    )
+    expected = kernels._typicality_mask(n, n1x, n1y, n11, ctx.kernel_constants(), cfg.eps)
     assert np.array_equal(mask, expected)
     assert mask.any()

@@ -440,6 +440,19 @@ def test_batch_resolution_equals_cluster_resolve(monkeypatch):
         3,
         "cluster-random",
     )
+    # two distinct rows and k = 3: the third seed finds every distance 0. The reference takes the
+    # lowest unchosen row, the batch its first seed; on streams 2, 6 and 8 that seed is a 1111 and
+    # the reference's a 0000. The assignments, passes and cursor must not differ, and the final
+    # cluster-random draw reads that cursor
+    zero_total = (
+        np.array([[0, 0, 0, 0], [0, 0, 0, 0], [1, 1, 1, 1], [1, 1, 1, 1]], dtype=np.uint8),
+        np.zeros((8, 4), dtype=np.uint8),
+        np.ones((8, 4), dtype=bool),
+        np.arange(1, 9),
+        0,
+        3,
+        "cluster-random",
+    )
 
     def checked(case):
         """The batch against the reference on one example; returns how many trials ran a third Lloyd pass."""
@@ -467,6 +480,7 @@ def test_batch_resolution_equals_cluster_resolve(monkeypatch):
     @given(point_sets())
     @example(lloyd_repeat)
     @example(row_side)
+    @example(zero_total)
     def check(case):
         checked(case)
 
