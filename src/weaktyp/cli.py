@@ -190,15 +190,19 @@ def cmd_trial(config_path: str | None, trial_id: int) -> int:
     print(f"true message: {rec.true_w}")
     print(f"received word: {''.join(str(b) for b in detail.received)}")
     print(f"candidates ({detail.candidates.count}): {detail.candidates.indices.tolist()}")
+    sent_typical = rec.true_w in detail.candidates.indices
+    print(f"sent word typical: {'yes' if sent_typical else 'no'}")
     weights = detail.candidates.z_seqs.sum(axis=1).tolist()
     print(f"z weights: {weights}")
+    lost = detail.candidates.count >= 2 and not sent_typical
     if detail.clustering is not None:
         print(f"cluster assignments: {detail.clustering.assignments.tolist()}")
         print(f"clusters: k={detail.clustering.k} iters={detail.clustering.iterations_used}")
-    else:
+    elif not lost:
         print("cluster assignments: (resolution needed no clustering run)")
     print(f"jt decoded: {rec.jt_outcome.decoded} (path {rec.jt_outcome.path})")
-    print(f"weak decoded: {rec.weak_outcome.decoded} (path {rec.weak_outcome.path})")
+    why = ": sent word atypical, not resolved" if lost else ""
+    print(f"weak decoded: {rec.weak_outcome.decoded} (path {rec.weak_outcome.path}{why})")
     return 0
 
 

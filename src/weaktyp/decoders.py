@@ -25,6 +25,12 @@ all c rows (its weighted draw, r < total, never lands on a row at
 distance 0); Lloyd's first pass would make c singletons and the second
 repeat them; and the size tie would go to the cluster at position 0,
 whose single member is both the closest pick and the only random pick.
+A pair the rule leaves under ``svm``, two distinct rows, needs no Lloyd
+loop either: its 2-means is fixed by the first draw u_0.  Row
+floor(2 u_0) seeds cluster 0; the other row is then the only one at a
+nonzero distance, so the weighted draw seeds it for cluster 1; Lloyd's
+first pass keeps each row with its own seed and the second repeats it.
+So :func:`resolve_batch` labels the pair from u_0 alone, with 2 passes.
 
 k-means on 0/1 candidates is exact integer arithmetic (the kernel
 k-means identity; Dhillon, Guan & Kulis, KDD 2004).  A cluster with 0/1
@@ -320,8 +326,8 @@ class BatchResolution:
     """Per-trial results of :func:`resolve_batch`.
 
     ``iterations`` counts Lloyd assignment passes (``Clustering.iterations_used``)
-    and is 0 exactly where a shortcut of the module docstring decided
-    without k-means.
+    and is 0 exactly where the index rule decided without k-means; an svm
+    pair's closed-form 2-means counts the 2 passes :func:`kmeans` makes.
     """
 
     decoded: np.ndarray  # (T,) int64, 1-based message index
@@ -392,13 +398,15 @@ def resolve_batch(parts: list[PackedTrials], resolver: str, k_max: int) -> list[
     :func:`index_decided` compares its packed rows equal or, under the
     cluster resolvers, distinct; the rest run k-means++ seeding and Lloyd
     in lockstep (:func:`_lockstep_kmeans`) on the block's Gram products,
-    with k = min(k_max, c), or 2 under ``svm``.  Each trial reads its
-    stream at its own cursor, and every comparison is exact in integers,
-    so each decides as in :func:`kmeans`.  The cluster resolvers then pick
-    with :func:`_cluster_pick`; ``svm`` runs :func:`_exact_pegasos` on the
-    2-means labels, and the trials it leaves undecided, or all where
-    :func:`_margin_slack` does not certify the flush, replay in one
-    :func:`_pegasos_scores` call.  ``iterations`` counts the k-means run.
+    with k = min(k_max, c), or 2 under ``svm``, whose pairs take their
+    2-means from their first draw instead (proof in the module docstring).
+    Each trial reads its stream at its own cursor, and every comparison is
+    exact in integers, so each decides as in :func:`kmeans`.  The cluster
+    resolvers then pick with :func:`_cluster_pick`; ``svm`` runs
+    :func:`_exact_pegasos` on the 2-means labels, and the trials it leaves
+    undecided, or all where :func:`_margin_slack` does not certify the
+    flush, replay in one :func:`_pegasos_scores` call.  ``iterations``
+    counts the k-means passes, closed form or run.
     """
     if resolver not in RESOLVERS:
         raise ValueError(f"unknown resolver {resolver!r}")
@@ -422,7 +430,13 @@ def resolve_batch(parts: list[PackedTrials], resolver: str, k_max: int) -> list[
         rows, idx, x, ns = rows[split], idx[split], x[split], ns[split]
         longest = int(ns.max())
         weight, gram_times = _gram_products(x, longest)
-        assign, iterations[rows], cursor = _lockstep_kmeans(weight, gram_times, states[rows], k, longest)
+        if resolver == "svm" and c == 2:
+            # 2-means of two distinct rows (module docstring): cluster 0 is row floor(2 u_0), 1 where
+            # u_0 >= 1/2, cluster 1 the other row, in 2 passes
+            first = uniforms_at(states[rows], 0) >= 0.5
+            assign, iterations[rows] = (np.arange(2) != first[:, None]).astype(np.int64), 2
+        else:
+            assign, iterations[rows], cursor = _lockstep_kmeans(weight, gram_times, states[rows], k, longest)
         if resolver != "svm":
             pick = _cluster_pick(assign, k, weight, gram_times, states[rows], cursor, resolver)
         else:

@@ -4,7 +4,10 @@ Both decoders always see the same codebook, message, and noise, so the
 weak decoder can only ever remove errors: zero or one candidates give
 identical verdicts, and with two or more candidates the classical
 decoder has already failed.  That pathwise dominance is asserted on
-every trial.
+every trial.  Where the sent word is not typical, the weak decoder errs
+too, whatever candidate it would pick, so a multi-candidate trial whose
+sent word is atypical is lost: it decodes 0 under both decoders,
+unresolved, in the executor and in the reference path alike.
 
 Stream discipline: all randomness flows from ``master_seed``.  The
 instance parameters (n, m, q, channel, eps, codebook mode) are folded
@@ -16,9 +19,10 @@ exhaustive oracle all reproduce each other exactly.
 
 Execution: :func:`iter_points` is the one trial executor.  It simulates
 the points that share (m, n, channel, eps) in kernel calls sized to
-``CALL_BYTES`` that span points, decodes each multi-candidate trial the
-index rule decides (``decoders.index_decided``) to its lowest candidate
-straight from the kernel's codewords, and resolves the rest of every
+``CALL_BYTES`` that span points, leaves each lost trial at 0, decodes
+each other multi-candidate trial the index rule decides
+(``decoders.index_decided``) to its lowest candidate straight from the
+kernel's codewords, and resolves the rest of every
 point of one shape (m, resolver, k_max), whatever their blocklengths,
 together, from their bit-packed difference sequences, so a kernel call
 and a lockstep resolver loop each run once per batch of points rather
@@ -228,7 +232,14 @@ class TrialDetail:
 
 
 def trial_detail(cfg: TrialConfig, trial_id: int) -> TrialDetail:
-    """One trial through the reference (non-kernel) path, with its candidate set and clustering."""
+    """One trial through the reference (non-kernel) path, with its candidate set and clustering.
+
+    The candidate set is the full scan.  A trial of two or more
+    candidates without the sent word among them is lost: its weak
+    outcome is ``DecodeOutcome(0, c, "none")``, and no resolver stream is
+    built for it; every other trial's is :func:`~weaktyp.decoders.weak_outcome`
+    on its candidate set.
+    """
     if trial_id < 0:
         raise ValueError("trial_id must be nonnegative")
     dm = derived_master(cfg)
@@ -237,7 +248,11 @@ def trial_detail(cfg: TrialConfig, trial_id: int) -> TrialDetail:
     w = draw_message(cfg.m, RngStream(dm, trial_stream(trial_id, PURPOSE_MESSAGE)))
     y = transmit(cb.word(w), cfg.channel, RngStream(dm, trial_stream(trial_id, PURPOSE_NOISE)))
     cands = find_candidates(y, cb, ctx, cfg.eps)
-    weak, clustering = weak_outcome(cands, cfg.resolver, _resolver_stream(dm, trial_id), cfg.k_max)
+    if cands.count >= 2 and w not in cands.indices:
+        # the sent word is atypical: both decoders err whatever the resolver would pick
+        weak, clustering = DecodeOutcome(0, cands.count, "none"), None
+    else:
+        weak, clustering = weak_outcome(cands, cfg.resolver, _resolver_stream(dm, trial_id), cfg.k_max)
     record = TrialRecord(
         trial_id=trial_id,
         true_w=w,
@@ -249,7 +264,10 @@ def trial_detail(cfg: TrialConfig, trial_id: int) -> TrialDetail:
 
 
 def run_trial(cfg: TrialConfig, trial_id: int) -> TrialRecord:
-    """One trial through the reference (non-kernel) path; both decoders share everything."""
+    """One trial through the reference (non-kernel) path; both decoders share everything.
+
+    The record of :func:`trial_detail`: a lost trial decodes 0 under both decoders.
+    """
     return trial_detail(cfg, trial_id).record
 
 
@@ -396,8 +414,9 @@ def _simulate(
     (:func:`_call_key`), or the run is one point.  Its trials are taken
     point after point, in kernel calls of :func:`_per_call` trials that
     may span points; the returned batch holds point p's trials at
-    p*num_trials onwards.  Its multi-candidate trials go to ``pool``,
-    whose flush writes their weak decodes into it.
+    p*num_trials onwards.  Its multi-candidate trials that are neither
+    lost nor decided by the index rule go to ``pool``, whose flush writes
+    their weak decodes into it.
     """
     cfg = cfgs[0]
     per_call = _per_call(cfg)
@@ -426,7 +445,8 @@ def _simulate(
         batch.candidate_counts[sl] = counts
         batch.jt_decoded[sl] = np.where(counts == 1, mask.argmax(axis=1) + 1, 0)
         batch.weak_decoded[sl] = batch.jt_decoded[sl]
-        multi = np.flatnonzero(counts >= 2)
+        # a multi-candidate trial whose sent row is atypical is lost to both decoders: its weak decode stays 0
+        multi = np.flatnonzero((counts >= 2) & mask[np.arange(count), w - 1])
         decided = _index_decided(words, mask, counts, multi, cfg.resolver, cfg.k_max)
         batch.weak_decoded[off + multi[decided]] = mask[multi[decided]].argmax(axis=1) + 1
         pooled = multi[~decided]
@@ -500,7 +520,10 @@ def iter_points(cfgs: list[TrialConfig], num_trials: int, start: int = 0) -> Ite
     footprint, :func:`call_bytes` per trial, would pass ``CALL_BYTES``; a
     trial above that runs alone.  (``CHUNK_BYTES`` only bounds one trial's
     :func:`call_bytes`, which ``config.validate`` checks.)  A trial with
-    two or more candidates that the index rule decides
+    two or more candidates whose sent row is not typical is lost to both
+    decoders: it keeps weak decode 0, as :func:`run_trial` gives it, and
+    is neither decided nor packed.  One of the others that the index rule
+    decides
     (:func:`~weaktyp.decoders.index_decided`: rows all equal, or under the
     cluster resolvers c <= k_max distinct rows) decodes its lowest
     candidate there, before anything is packed.  The others of every

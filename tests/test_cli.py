@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from weaktyp.cli import CSV_HEADER, main, parse_csv, svg_from_csv
-from weaktyp.config import defaults, parse_config
+from weaktyp.config import defaults, generic_trial_config, load_config, parse_config
+from weaktyp.montecarlo import trial_detail
 
 SMALL_FIG_CONFIG = """\
 master_seed = 424242
@@ -148,6 +149,30 @@ def test_trial_shows_the_svm_clustering(tmp_path, capsys):
     assert "cluster assignments: [0, 1]" in out
     assert "clusters: k=2 iters=2" in out
     assert "weak decoded: 2 (path svm)" in out
+
+
+def test_trial_says_whether_the_sent_word_is_typical(tmp_path, capsys):
+    # scan the trial config for a lost trial (several candidates, the sent word not among them)
+    # and a resolved one (several candidates, the sent word among them)
+    cfg = write_config(tmp_path, TRIAL_CONFIG)
+    trial_cfg = generic_trial_config(load_config(cfg))
+    found = {}
+    for trial_id in range(200):
+        detail = trial_detail(trial_cfg, trial_id)
+        if detail.candidates.count >= 2:
+            found.setdefault(detail.record.true_w in detail.candidates.indices, trial_id)
+        if len(found) == 2:
+            break
+    assert main(["trial", "--config", cfg, "--trial-id", str(found[False])]) == 0
+    out = capsys.readouterr().out
+    assert "sent word typical: no" in out
+    assert "weak decoded: 0 (path none: sent word atypical, not resolved)" in out
+    assert "cluster" not in out
+    assert main(["trial", "--config", cfg, "--trial-id", str(found[True])]) == 0
+    out = capsys.readouterr().out
+    assert "sent word typical: yes" in out
+    assert "cluster assignments:" in out
+    assert "not resolved" not in out and "weak decoded: 0" not in out
 
 
 def test_trial_no_candidates_prints_dummies(tmp_path, capsys):

@@ -17,6 +17,7 @@ from weaktyp.core import bsc
 from weaktyp.decoders import (
     RESOLVERS,
     CandidateSet,
+    DecodeOutcome,
     PackedTrials,
     resolve_batch,
     weak_outcome,
@@ -30,6 +31,7 @@ from weaktyp.montecarlo import (
     iter_points,
     run_trial,
     run_trials,
+    trial_detail,
 )
 from weaktyp.rng import RngStream, stream_states
 from weaktyp.typicality import build_context
@@ -58,20 +60,55 @@ def trial_setups(draw):
     return cfg, draw(st.integers(1, 10)), draw(st.integers(1, 6)), draw(st.integers(0, 10**6)), block_elems
 
 
-@fixed_budget(60)
-@given(trial_setups())
-def test_run_trials_equals_run_trial(setup):
-    cfg, num, chunk_size, start, block_elems = setup
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(kernels, "BLOCK_ELEMS", block_elems)
-        patch.setattr(montecarlo, "DEFAULT_CHUNK", chunk_size)
-        batch = run_trials(cfg, num, start=start)
-    for i in range(num):
-        rec = run_trial(cfg, start + i)  # TrialRecord asserts pathwise dominance
-        assert rec.true_w == batch.true_w[i]
-        assert rec.jt_outcome.decoded == batch.jt_decoded[i]
-        assert rec.weak_outcome.decoded == batch.weak_decoded[i]
-        assert rec.candidate_count == batch.candidate_counts[i]
+def test_run_trials_equals_run_trial():
+    # a multi-candidate trial whose sent word is not a candidate is lost to both decoders:
+    # weak decode 0 in the batch, path none and no resolver stream in the reference; every
+    # other trial's weak decode is weak_outcome on its candidate set
+    lost = {2: 0, 3: 0}
+    resolver_stream = montecarlo._resolver_stream
+
+    # trial 5 is a lost triple and trial 9 a lost pair; the other multi-candidate trials resolve
+    lost_pair_and_triple = (
+        TrialConfig(n=12, m=4, q=0.5, channel=bsc(0.4), eps=0.1, resolver="svm", master_seed=3),
+        10,
+        4,
+        0,
+        kernels.BLOCK_ELEMS,
+    )
+
+    @fixed_budget(60)
+    @given(trial_setups())
+    @example(lost_pair_and_triple)
+    def check(setup):
+        cfg, num, chunk_size, start, block_elems = setup
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(kernels, "BLOCK_ELEMS", block_elems)
+            patch.setattr(montecarlo, "DEFAULT_CHUNK", chunk_size)
+            batch = run_trials(cfg, num, start=start)
+        for i in range(num):
+            built = []
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(
+                    montecarlo, "_resolver_stream", lambda *key: built.append(key) or resolver_stream(*key)
+                )
+                detail = trial_detail(cfg, start + i)
+            rec = detail.record  # TrialRecord asserts pathwise dominance
+            assert rec.true_w == batch.true_w[i]
+            assert rec.jt_outcome.decoded == batch.jt_decoded[i]
+            assert rec.weak_outcome.decoded == batch.weak_decoded[i]
+            assert rec.candidate_count == batch.candidate_counts[i]
+            cands = detail.candidates
+            if cands.count >= 2 and rec.true_w not in cands.indices:
+                assert batch.weak_decoded[i] == 0
+                assert rec.weak_outcome == DecodeOutcome(0, cands.count, "none")
+                assert not built
+                lost[cands.count] = lost.get(cands.count, 0) + 1
+            else:
+                rng = resolver_stream(derived_master(cfg), start + i)
+                assert rec.weak_outcome == weak_outcome(cands, cfg.resolver, rng, cfg.k_max)[0]
+
+    check()
+    assert lost[2] and lost[3], lost
 
 
 @st.composite
@@ -787,6 +824,49 @@ def test_batch_svm_equals_svm_resolve(monkeypatch):
 
     check()
     assert all(hits.values()), hits
+
+
+def test_svm_pairs_take_their_2_means_from_the_first_draw(monkeypatch):
+    # two distinct rows: k-means++ seeds row floor(2 u_0) and then the other, Lloyd's second pass
+    # repeats its first, so resolve_batch labels svm pairs without the lockstep loop
+    def no_lockstep(*args):
+        raise AssertionError("an svm pair ran lockstep k-means")
+
+    exact_pegasos, labelled = decoders._exact_pegasos, []
+
+    def recorded_exact(gram_times, labels):
+        labelled.append(labels)
+        return exact_pegasos(gram_times, labels)
+
+    monkeypatch.setattr(decoders, "_lockstep_kmeans", no_lockstep)
+    monkeypatch.setattr(decoders, "_exact_pegasos", recorded_exact)
+
+    @fixed_budget(100)
+    @given(st.integers(1, 600), st.integers(1, 6), st.integers(0, 2**32 - 1), st.integers(0, 2**64 - 1))
+    def check(n, trials, seed, master):
+        rng = np.random.default_rng(seed)
+        z = rng.integers(0, 2, size=(trials, 2, n), dtype=np.uint8)
+        # make the rows of every trial distinct: equal pairs are the index rule's
+        same = np.all(z[:, 0] == z[:, 1], axis=1)
+        z[same, 1, rng.integers(0, n, size=int(same.sum()))] ^= 1
+        stream_ids = rng.choice(2**40, size=trials, replace=False)
+        states = stream_states(master, stream_ids)
+        pairs = PackedTrials(n, np.ones((trials, 2), dtype=bool), np.packbits(z, axis=2), states)
+        labelled.clear()
+        (got,) = resolve_batch([pairs], "svm", 2)
+        # one block, its trials in order, labelled +1 where k-means puts a row in cluster 0
+        (labels,) = labelled
+        for t in range(trials):
+            key = (master, int(stream_ids[t]))
+            outcome, clus = weak_outcome(CandidateSet(np.array([1, 2]), z[t]), "svm", RngStream(*key))
+            ref = decoders.kmeans(z[t], 2, RngStream(*key))
+            first = int(2 * RngStream(*key).uniform())
+            assert got.decoded[t] == outcome.decoded
+            assert got.iterations[t] == 2 == ref.iterations_used == clus.iterations_used
+            assert ref.assignments[first] == 0 and ref.assignments[1 - first] == 1
+            assert np.array_equal(labels[t] == 1, ref.assignments == 0)
+
+    check()
 
 
 @fixed_budget(80)
