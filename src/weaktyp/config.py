@@ -190,6 +190,14 @@ def validate(cfg: dict) -> None:
             f"at blocklength {n} ({field}), a trial of {cfg['m_messages']} codewords of {n} symbols "
             f"needs {call_bytes(cfg['m_messages'], n)} bytes, over the {CHUNK_BYTES}-byte budget for one trial",
         )
+    # the generic instance (`weaktyp trial`) is bounded as the blocklength keys are
+    _check(cfg["n"] < MAX_N, "n", f"blocklength must be below 2**24 = {MAX_N}")
+    _check(
+        call_bytes(cfg["m_messages"], cfg["n"]) <= CHUNK_BYTES,
+        "n",
+        f"a trial of {cfg['m_messages']} codewords of {cfg['n']} symbols needs "
+        f"{call_bytes(cfg['m_messages'], cfg['n'])} bytes, over the {CHUNK_BYTES}-byte budget for one trial",
+    )
     if cfg["m_mode"] == "fixed-rate":
         # the longest blocklength needs the most codewords, and one trial must fit a
         # kernel call; the exponent is bounded first so no huge integer is ever built

@@ -14,6 +14,9 @@ resolves one candidate set, and :func:`resolve_batch` many trials at
 once, with exactly the same results; it takes the candidates'
 difference sequences bit-packed (:class:`PackedTrials`) and walks them
 in one loop of blocks, through one lockstep k-means, for every resolver.
+It takes open trials only: two or more candidates, a typical sent word,
+and a set :func:`index_decided` leaves.  The trial executor decides the
+rest before it packs anything.
 
 All ties break toward the lowest message index (and, inside k-means,
 toward the lowest cluster id), which makes every resolution
@@ -325,9 +328,10 @@ def _resolve_by_clusters(
 class BatchResolution:
     """Per-trial results of :func:`resolve_batch`.
 
-    ``iterations`` counts Lloyd assignment passes (``Clustering.iterations_used``)
-    and is 0 exactly where the index rule decided without k-means; an svm
-    pair's closed-form 2-means counts the 2 passes :func:`kmeans` makes.
+    ``iterations`` counts Lloyd assignment passes (``Clustering.iterations_used``),
+    at least 2, as every trial it resolves is open (see
+    :func:`resolve_batch`); an svm pair's closed-form 2-means counts the 2
+    passes :func:`kmeans` makes.
     """
 
     decoded: np.ndarray  # (T,) int64, 1-based message index
@@ -336,13 +340,12 @@ class BatchResolution:
 
 @dataclass(frozen=True)
 class PackedTrials:
-    """Multi-candidate trials of one blocklength n, as :func:`resolve_batch` takes them.
+    """Open trials of one blocklength n, as :func:`resolve_batch` takes them.
 
     Trial t has candidates ``flatnonzero(cand_mask[t])`` (at least two),
     difference sequences ``z_seqs[t]``, its codewords XOR its received
     word, row i that of message i + 1, and stream state ``states[t]``.
-    Rows are ``np.packbits`` rows, zero-padded, so packed rows are equal
-    exactly when the rows are, and XOR commutes with packing.
+    Rows are ``np.packbits`` rows, zero-padded.
     """
 
     n: int
@@ -360,9 +363,8 @@ def _blocks(parts: list[PackedTrials]):
     reads Gram matrices, apart from those with c > n, whose k-means reads
     rows (see :func:`_gram_products`), in even blocks of at most
     :func:`_block_trials` trials for the side's longest n.  Rows are
-    zero-padded to the widest part, which moves no Gram entry, row
-    product or row equality.  Every trial must have at least two
-    candidates.
+    zero-padded to the widest part, which moves no Gram entry or row
+    product.  Every trial must have at least two candidates.
     """
     sizes = [part.states.size for part in parts]
     owner = np.repeat(np.arange(len(parts)), sizes)
@@ -393,13 +395,14 @@ def _blocks(parts: list[PackedTrials]):
 def resolve_batch(parts: list[PackedTrials], resolver: str, k_max: int) -> list[BatchResolution]:
     """The batch twin of :func:`weak_outcome`, decision for decision: one result per part.
 
-    The parts may differ in n.  Every resolver block of :func:`_blocks`
-    (one candidate count c) decodes its lowest index where
-    :func:`index_decided` compares its packed rows equal or, under the
-    cluster resolvers, distinct; the rest run k-means++ seeding and Lloyd
-    in lockstep (:func:`_lockstep_kmeans`) on the block's Gram products,
-    with k = min(k_max, c), or 2 under ``svm``, whose pairs take their
-    2-means from their first draw instead (proof in the module docstring).
+    Every trial must be open: two or more candidates, a typical sent
+    word, and a set :func:`index_decided` leaves, which the executor has
+    checked on the codewords; no trial here is decided by index.  The parts
+    may differ in n.  Every resolver block of :func:`_blocks` (one
+    candidate count c) runs k-means++ seeding and Lloyd in lockstep
+    (:func:`_lockstep_kmeans`) on the block's Gram products, with
+    k = min(k_max, c), or 2 under ``svm``, whose pairs take their 2-means
+    from their first draw instead (proof in the module docstring).
     Each trial reads its stream at its own cursor, and every comparison is
     exact in integers, so each decides as in :func:`kmeans`.  The cluster
     resolvers then pick with :func:`_cluster_pick`; ``svm`` runs
@@ -423,11 +426,6 @@ def resolve_batch(parts: list[PackedTrials], resolver: str, k_max: int) -> list[
     groups, places = [], []
     for c, rows, idx, x, ns in _blocks(parts):
         k = min(k_cap, c)
-        decoded[rows] = idx[:, 0] + 1  # the index rule decodes the lowest index
-        split = ~index_decided(_same_rows(x), np.full(rows.size, c), resolver, k)
-        if not split.any():
-            continue
-        rows, idx, x, ns = rows[split], idx[split], x[split], ns[split]
         longest = int(ns.max())
         weight, gram_times = _gram_products(x, longest)
         if resolver == "svm" and c == 2:
@@ -468,19 +466,33 @@ def _block_trials(c: int, n: int) -> int:
 
 
 def index_decided(
-    same: Callable[[int, int, np.ndarray], np.ndarray], counts: np.ndarray, resolver: str, k_max: int
+    words: np.ndarray, mask: np.ndarray, counts: np.ndarray, trials: np.ndarray, resolver: str, k_max: int
 ) -> np.ndarray:
-    """(T,) mask of the trials, of ``counts`` >= 2 candidates each, that decode their lowest index without a resolver.
+    """Mask of the ``trials``, of ``counts`` >= 2 candidates each, that decode their lowest index without a resolver.
 
-    ``same(a, b, at)``, a < b, is the mask of the trials ``at``, each of
-    more than b candidates, whose candidate rows a and b are equal:
-    codewords or difference words, packed or not, as XOR with one received
-    word and zero-padded packing keep equality.  The index rule (proof in
-    the module docstring): all rows equal, under every resolver; or, under
-    ``cluster`` and ``cluster-random``, c <= k_max pairwise-distinct rows,
-    which takes every pair when k_max >= 2.  No set it decides makes a
-    draw.  A trial leaves each test at its first row that fails it.
+    Trial t's candidates are the rows ``flatnonzero(mask[t])`` of its
+    (T, m, L) uint8 rows ``words[t]``, or of one fixed codebook where
+    ``words`` is (1, m, L); ``counts`` are the mask's row sums.  The rows
+    are the kernel call's codewords, or difference words, packed or not,
+    as XOR with one received word and zero-padded packing keep equality;
+    each is one L-byte void scalar, so two compare in one memcmp.  The
+    index rule (proof in the module docstring): all rows equal, under
+    every resolver; or, under ``cluster`` and ``cluster-random``,
+    c <= k_max pairwise-distinct rows, which takes every pair when
+    k_max >= 2.  No set it decides makes a draw.  A trial leaves each test
+    at its first row that fails it.
     """
+    flat = words.view(np.dtype((np.void, words.shape[2]))).reshape(-1)
+    # every candidate's row, trial after trial, ascending; a fixed codebook is every trial's
+    cands = np.flatnonzero(mask)
+    if words.shape[0] == 1:
+        cands %= flat.size
+    starts, counts = (np.cumsum(counts) - counts)[trials], counts[trials]
+
+    def same(a: int, b: int, at: np.ndarray) -> np.ndarray:
+        first = starts[at]
+        return flat[cands[first + a]] == flat[cands[first + b]]
+
     # svm decides equal rows only; a pair within k_max is decided equal or not, so its rows go unread
     k_max = 1 if resolver == "svm" else k_max
     first = np.zeros(counts.size, dtype=bool)
@@ -498,11 +510,6 @@ def index_decided(
             at = np.flatnonzero(distinct & (counts > b))
             distinct[at] = ~same(a, b, at)
     return equal | distinct
-
-
-def _same_rows(x: np.ndarray) -> Callable[[int, int, np.ndarray], np.ndarray]:
-    """:func:`index_decided`'s ``same`` of the (T, c, width) rows x."""
-    return lambda a, b, at: np.all(x[at, a] == x[at, b], axis=1)
 
 
 def _gram_products(x: np.ndarray, n: int) -> tuple[np.ndarray, Callable[..., np.ndarray]]:

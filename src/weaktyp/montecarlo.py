@@ -22,7 +22,7 @@ the points that share (m, n, channel, eps) in kernel calls sized to
 ``CALL_BYTES`` that span points, leaves each lost trial at 0, decodes
 each other multi-candidate trial the index rule decides
 (``decoders.index_decided``) to its lowest candidate straight from the
-kernel's codewords, and resolves the rest of every
+kernel's codewords, and resolves the rest, the open trials, of every
 point of one shape (m, resolver, k_max), whatever their blocklengths,
 together, from their bit-packed difference sequences, so a kernel call
 and a lockstep resolver loop each run once per batch of points rather
@@ -78,10 +78,9 @@ CHUNK_BYTES = 1 << 27
 # heap pages instead of faulting in fresh ones; a trial above it runs alone
 CALL_BYTES = 1 << 24
 
-# a pool of multi-candidate trials is resolved once their bit-packed
-# codebooks fill this many resolver blocks (decoders.BATCH_BLOCK_ELEMS
-# bytes each, packed_bytes(m, n) per trial), or once the batches it keeps
-# waiting would pass as many bytes
+# a pool of open trials is resolved once their bit-packed difference
+# sequences fill this many resolver blocks (decoders.BATCH_BLOCK_ELEMS
+# bytes each), or once the batches it keeps waiting would pass as many bytes
 POOL_BLOCKS = 4
 
 CODEBOOK_MODES = ("redraw", "fixed")
@@ -309,25 +308,20 @@ def call_bytes(m: int, n: int) -> int:
     return m * (n + 73) + 2 * n + 56
 
 
-def packed_bytes(m: int, n: int) -> int:
-    """Bytes of one trial's m difference sequences bit-packed along n, as a resolver pool holds them."""
-    return m * -(-n // 8)
-
-
 def _shape(cfg: TrialConfig) -> tuple[int, str, int]:
     """Sweep points of one shape have their multi-candidate trials resolved together, whatever their n."""
     return (cfg.m, cfg.resolver, cfg.k_max)
 
 
 class _Pool:
-    """Multi-candidate trials of the sweep points of one shape, awaiting one resolver call.
+    """Open trials of the sweep points of one shape, awaiting one resolver call.
 
-    A part holds multi-candidate trials of one kernel call: n, candidate
-    masks, bit-packed difference sequences (each trial's codewords XOR its
+    A part holds open trials of one kernel call: n, candidate masks,
+    bit-packed difference sequences (each trial's codewords XOR its
     received word) and resolver states, plus the array and positions
     their decodes go to.  The pool is bounded by ``budget`` =
-    ``POOL_BLOCKS`` resolver blocks of packed rows,
-    ``packed_bytes(m, n)`` per trial: a part that would pass it first
+    ``POOL_BLOCKS`` resolver blocks of packed rows, a part counting its
+    ``z_seqs.nbytes``: a part that would pass it first
     flushes the pool, and a part that fills it alone is resolved alone.
     No part is joined to another or copied, so the pooled trials stay
     within it.  A part of a batch the pool does not await yet also first
@@ -335,8 +329,8 @@ class _Pool:
     budget, so a sweep holds few batches open, however few trials it pools.
     """
 
-    def __init__(self, m: int, resolver: str, k_max: int) -> None:
-        self.m, self.resolver, self.k_max = m, resolver, k_max
+    def __init__(self, resolver: str, k_max: int) -> None:
+        self.resolver, self.k_max = resolver, k_max
         self.budget = POOL_BLOCKS * decoders.BATCH_BLOCK_ELEMS
         self.parts: list[tuple] = []
         self.bytes = 0
@@ -350,7 +344,7 @@ class _Pool:
         weak: np.ndarray,
         positions: np.ndarray,
     ) -> None:
-        size = positions.size * packed_bytes(self.m, n)
+        size = z_seqs.nbytes
         waiting = self.waiting()
         if self.bytes + size > self.budget or (
             id(weak) not in waiting and sum(waiting.values()) + _batch_bytes(weak) > self.budget
@@ -447,7 +441,7 @@ def _simulate(
         batch.weak_decoded[sl] = batch.jt_decoded[sl]
         # a multi-candidate trial whose sent row is atypical is lost to both decoders: its weak decode stays 0
         multi = np.flatnonzero((counts >= 2) & mask[np.arange(count), w - 1])
-        decided = _index_decided(words, mask, counts, multi, cfg.resolver, cfg.k_max)
+        decided = decoders.index_decided(words, mask, counts, multi, cfg.resolver, cfg.k_max)
         batch.weak_decoded[off + multi[decided]] = mask[multi[decided]].argmax(axis=1) + 1
         pooled = multi[~decided]
         if pooled.size:
@@ -462,30 +456,6 @@ def _simulate(
             states = stream_states(masters, trial_stream((start + tid).astype(np.uint64), PURPOSE_RESOLVER))
             pool.add(cfg.n, mask[pooled], z_seqs, states, batch.weak_decoded, at)
     return batch
-
-
-def _index_decided(
-    words: np.ndarray, mask: np.ndarray, counts: np.ndarray, multi: np.ndarray, resolver: str, k_max: int
-) -> np.ndarray:
-    """Which trials ``multi`` of a kernel call :func:`~weaktyp.decoders.index_decided` decides.
-
-    Read from the call's codebooks ``words``, (count, m, n), or a fixed
-    one, (1, m, n), as codewords are equal exactly when their difference
-    words are; each codeword is one n-byte void scalar, so two compare in
-    one memcmp.
-    """
-    flat = words.view(np.dtype((np.void, words.shape[2]))).reshape(-1)
-    # every candidate's codeword, trial after trial, ascending; a fixed codebook is every trial's
-    cands = np.flatnonzero(mask)
-    if words.shape[0] == 1:
-        cands %= flat.size
-    starts = (np.cumsum(counts) - counts)[multi]
-
-    def same(a: int, b: int, at: np.ndarray) -> np.ndarray:
-        first = starts[at]
-        return flat[cands[first + a]] == flat[cands[first + b]]
-
-    return decoders.index_decided(same, counts[multi], resolver, k_max)
 
 
 def _packed(rows: np.ndarray, ybits: np.ndarray, at: np.ndarray) -> np.ndarray:
@@ -526,8 +496,9 @@ def iter_points(cfgs: list[TrialConfig], num_trials: int, start: int = 0) -> Ite
     decides
     (:func:`~weaktyp.decoders.index_decided`: rows all equal, or under the
     cluster resolvers c <= k_max distinct rows) decodes its lowest
-    candidate there, before anything is packed.  The others of every
-    point of one shape (m, resolver, k_max), whatever their n, are pooled
+    candidate there, from the codewords, before anything is packed; the
+    batch path applies the rule nowhere else.  The rest, the open trials, of
+    every point of one shape (m, resolver, k_max), whatever their n, are pooled
     as their candidates' difference sequences, bit-packed
     (:class:`~weaktyp.decoders.PackedTrials`), and resolved in lockstep by
     one :func:`~weaktyp.decoders.resolve_batch` call per flush: one
@@ -563,9 +534,9 @@ def _points(cfgs: list[TrialConfig], num_trials: int, start: int) -> Iterator[tu
         if cfg.codebook_mode == "redraw"
     ]
     codebooks = np.empty(max(sizes), dtype=np.uint8) if sizes else None
-    for _, group in groupby(runs, key=lambda run: _shape(cfgs[run[0]])):
+    for shape, group in groupby(runs, key=lambda run: _shape(cfgs[run[0]])):
         group = list(group)
-        pool = _Pool(*_shape(cfgs[group[0][0]]))
+        pool = _Pool(*shape[1:])
         open_runs: list[tuple[list[int], TrialBatch]] = []
         for run in group:
             batch = _simulate([cfgs[i] for i in run], [consts[i] for i in run], num_trials, start, pool, codebooks)

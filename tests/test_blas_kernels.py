@@ -56,7 +56,7 @@ SVM_TIES = [
 ]
 
 # the fixed svm pool: (n, candidates, trials) of each part, c > n in the last; its rows and
-# streams are drawn from SVM_POOL_SEED
+# streams are drawn from SVM_POOL_SEED, and only its open trials are resolved
 SVM_POOL = [(20, 3, 300), (40, 4, 300), (3, 6, 100)]
 SVM_POOL_SEED = 22
 
@@ -99,7 +99,10 @@ parts = []
 for n, c, size in spec["svm_pool"]:
     rows = rng.integers(0, 2, size=(size, c, n), dtype=np.uint8)
     states = stream_states(spec["svm_pool_seed"], rng.integers(0, 2**40, size=size))
-    parts.append(decoders.PackedTrials(n, np.ones((size, c), dtype=bool), np.packbits(rows, axis=2), states))
+    mask = np.ones((size, c), dtype=bool)
+    # resolve_batch takes open trials only: the index rule decides a set of equal rows
+    keep = ~decoders.index_decided(rows, mask, mask.sum(axis=1), np.arange(size), "svm", 2)
+    parts.append(decoders.PackedTrials(n, mask[keep], np.packbits(rows[keep], axis=2), states[keep]))
 replayed, pegasos_scores = set(), decoders._pegasos_scores
 
 def recorded(groups, certified):

@@ -139,6 +139,32 @@ def test_the_longest_admitted_blocklength_keeps_float32_counts_exact():
             parse_config(f"m_messages = 2\nfig12_blocklengths = {2**24}\n{mode}\n")
 
 
+def test_the_generic_blocklength_is_bounded_as_the_grids_are():
+    # `weaktyp trial` builds its instance from n and m_messages: n = 10**9 would ask
+    # generate_codebook for about 32 GB, so it is refused (computed, never allocated)
+    with pytest.raises(ConfigError, match="^n: .*2\\*\\*24"):
+        parse_config("n = 1000000000\n")
+    parse_config(f"m_messages = 2\nn = {2**24 - 1}\n")
+    with pytest.raises(ConfigError, match="^n: .*2\\*\\*24"):
+        parse_config(f"m_messages = 2\nn = {2**24}\n")
+    # below 2**24 symbols, one trial's footprint bounds n at the given message count
+    per_symbol = call_bytes(64, 1) - call_bytes(64, 0)
+    largest = (CHUNK_BYTES - call_bytes(64, 0)) // per_symbol
+    assert call_bytes(64, largest) <= CHUNK_BYTES < call_bytes(64, largest + 1) and largest < 2**24
+    assert generic_trial_config(parse_config(f"m_messages = 64\nn = {largest}\n")).n == largest
+    with pytest.raises(ConfigError, match="^n: .*bytes"):
+        parse_config(f"m_messages = 64\nn = {largest + 1}\n")
+
+
+def test_every_preset_validates():
+    # both profiles, each resolver and codebook mode, and the desk fixed-rate grid
+    for profile in ("desk", "full"):
+        for resolver in ("cluster", "cluster-random", "svm"):
+            for mode in ("redraw", "fixed"):
+                parse_config(f"profile = {profile}\nresolver = {resolver}\ncodebook_mode = {mode}\n")
+    parse_config("m_mode = fixed-rate\n")
+
+
 def test_oracle_instance_beyond_enumeration_bounds_names_the_key():
     assert parse_config(f"oracle_n = {ENUM_MAX_N}\noracle_m = {ENUM_MAX_M}\n")["oracle_n"] == ENUM_MAX_N
     with pytest.raises(ConfigError, match="oracle_n:.*enumeration bounds"):

@@ -29,11 +29,17 @@ def test_readme_module_references_resolve():
 
 
 def test_docstring_cross_references_resolve():
-    # :func:`name` resolves in its own module, :func:`~weaktyp.module.name` from the package
+    # :func:`name` resolves in its own module, :func:`~weaktyp.module.name` from the package,
+    # and ``module.name``, where module is one of the package's modules, as the README's `module.name`
     checked, missing = 0, []
     for path in sorted(PACKAGE.glob("*.py")):
         here = "weaktyp" if path.stem == "__init__" else f"weaktyp.{path.stem}"
-        for role, target in re.findall(r":(func|class|data|attr):`~?([\w.]+)`", path.read_text(encoding="utf-8")):
+        text = path.read_text(encoding="utf-8")
+        for module, name in re.findall(rf"``({'|'.join(MODULES)})\.([A-Za-z_]\w*)", text):
+            checked += 1
+            if not resolves(f"weaktyp.{module}", name):
+                missing.append(f"{path.name}: ``{module}.{name}``")
+        for role, target in re.findall(r":(func|class|data|attr):`~?([\w.]+)`", text):
             checked += 1
             if target.startswith("weaktyp."):
                 # the package is flat: weaktyp.<module>.<name, or class.member>

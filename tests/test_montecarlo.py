@@ -24,7 +24,6 @@ from weaktyp.montecarlo import (
     exponent,
     fixed_codebook,
     iter_points,
-    packed_bytes,
     run_trial,
     run_trials,
     trial_detail,
@@ -87,6 +86,11 @@ def test_points_pool_only_with_their_own_resolver_and_k_max():
     assert len({batch.weak_decoded.tobytes() for batch in batches}) == len(cfgs) - 1
 
 
+def packed_bytes(m, n):
+    """Bytes of one trial's m difference words bit-packed along n: its share of a part's ``z_seqs.nbytes``."""
+    return m * -(-n // 8)
+
+
 def pooled_footprints(monkeypatch, m, resolver, parts):
     """Packed difference-sequence bytes the pool holds, and hands the resolver, while ``parts`` chunks pass through it.
 
@@ -111,7 +115,7 @@ def pooled_footprints(monkeypatch, m, resolver, parts):
 
     monkeypatch.setattr(montecarlo, "resolve_batch", lambda parts, resolver, k_max: [decoded(b) for b in parts])
     monkeypatch.setattr(montecarlo._Pool, "flush", recorded_flush)
-    pool = montecarlo._Pool(m, resolver, 3)
+    pool = montecarlo._Pool(resolver, 3)
     weak = np.zeros(sum(k for _, k in parts), dtype=np.int64)
     held, at = [], 0
     for n, k in parts:
@@ -257,9 +261,8 @@ def test_the_pool_takes_only_the_trials_the_index_rule_leaves(monkeypatch):
         return out
 
     def spy_add(pool, n, mask, z_seqs, states, weak, positions):
-        for t in range(positions.size):
-            rows = z_seqs[t, np.flatnonzero(mask[t])]
-            assert not decoders.index_decided(decoders._same_rows(rows[None]), np.array([rows.shape[0]]), "cluster", 3)[0]
+        # packed difference words are equal exactly when the codewords are, so the rule, read on them, decides none
+        assert not decoders.index_decided(z_seqs, mask, mask.sum(axis=1), np.arange(positions.size), "cluster", 3).any()
         pooled.append(positions.size)
         add(pool, n, mask, z_seqs, states, weak, positions)
 

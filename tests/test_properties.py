@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from weaktyp import decoders, kernels, montecarlo
-from weaktyp.core import bsc
+from weaktyp.core import bsc, draw_message
 from weaktyp.decoders import (
     RESOLVERS,
     CandidateSet,
@@ -33,7 +33,7 @@ from weaktyp.montecarlo import (
     run_trials,
     trial_detail,
 )
-from weaktyp.rng import RngStream, stream_states
+from weaktyp.rng import PURPOSE_MESSAGE, RngStream, stream_states, trial_stream
 from weaktyp.typicality import build_context
 
 
@@ -245,10 +245,10 @@ def test_run_points_equals_run_trials_and_run_trial(monkeypatch):
     simulated = []
     owners = {}
 
-    def recorded_simulate(cfgs, *args):
+    def recorded_simulate(cfgs, consts, num_trials, start, *args):
         simulated.extend(cfgs)
-        owners["run"] = cfgs
-        return simulate(cfgs, *args)
+        owners["run"] = cfgs, num_trials, start
+        return simulate(cfgs, consts, num_trials, start, *args)
 
     resolver_blocks = decoders._blocks
 
@@ -264,12 +264,24 @@ def test_run_points_equals_run_trials_and_run_trial(monkeypatch):
 
     def recorded_add(pool, n, mask, z_seqs, states, weak, positions):
         # the weak array of a part belongs to the run of points being simulated
-        owners[id(weak)] = owners["run"]
+        cfgs, num_trials, start = owners[id(weak)] = owners["run"]
+        # every pooled trial is open: two or more candidates, its sent word typical, a set the index rule leaves;
+        # position p of the run is trial start + p % num_trials of point p // num_trials
+        points = [(cfgs[pos // num_trials], start + pos % num_trials) for pos in positions.tolist()]
+        sent = [
+            draw_message(cfg.m, RngStream(derived_master(cfg), trial_stream(t, PURPOSE_MESSAGE))) for cfg, t in points
+        ]
+        counts, trials = mask.sum(axis=1), np.arange(positions.size)
+        assert (
+            np.all(counts >= 2)
+            and np.all(mask[trials, np.array(sent, dtype=np.int64) - 1])
+            and not np.any(decoders.index_decided(z_seqs, mask, counts, trials, pool.resolver, pool.k_max))
+        )
         add(pool, n, mask, z_seqs, states, weak, positions)
 
     def counted_flush(pool):
         # a part is (n, mask, z_seqs, states, weak, positions)
-        cfgs = [cfg for part in pool.parts for cfg in owners[id(part[4])]]
+        cfgs = [cfg for part in pool.parts for cfg in owners[id(part[4])][0]]
         hits["pool_spans_points"] += len(set(map(id, cfgs))) > 1
         fixed = {fixed_codebook(cfg).words.tobytes() for cfg in cfgs if cfg.codebook_mode == "fixed"}
         hits["pool_mixes_fixed_codebooks"] += len(fixed) > 1
@@ -423,10 +435,30 @@ def separated_point_sets(draw):
     return words, received, np.ones((trials, m), dtype=bool), stream_ids, master, 2, resolver
 
 
-def packed_trials(words, received, mask, states):
-    """The (unpacked) trials of a point set as the batch resolvers take them: packed words XOR received."""
-    z = np.bitwise_xor(words if words.ndim == 3 else words[None], received[:, None, :])
-    return PackedTrials(words.shape[-1], mask, np.packbits(z, axis=-1), states)
+def packed_trials(words, received, mask, states, keep=slice(None)):
+    """The (unpacked) trials ``keep`` of a point set as the batch resolvers take them: packed words XOR received."""
+    words = words if words.ndim == 2 else words[keep]
+    z = np.bitwise_xor(words if words.ndim == 3 else words[None], received[keep, None, :])
+    return PackedTrials(words.shape[-1], mask[keep], np.packbits(z, axis=-1), states[keep])
+
+
+def open_trials(words, received, mask, stream_ids, master, resolver, k_max):
+    """Mask of a point set's trials that the index rule leaves, read on their codewords as the executor reads them.
+
+    Every set the rule decides is checked against ``weak_outcome``: it
+    decodes its lowest index and draws nothing.
+    """
+    codewords = words if words.ndim == 3 else words[None]
+    trials = np.arange(mask.shape[0])
+    decided = decoders.index_decided(codewords, mask, mask.sum(axis=1), trials, resolver, k_max)
+    for t in np.flatnonzero(decided):
+        idx0 = np.flatnonzero(mask[t])
+        z = np.bitwise_xor(codewords[t % codewords.shape[0]][idx0], received[t])
+        cands = CandidateSet(indices=idx0 + 1, z_seqs=z)
+        rng = RngStream(master, int(stream_ids[t]))
+        outcome, clus = weak_outcome(cands, resolver, rng, k_max)
+        assert outcome.decoded == idx0[0] + 1 and clus is None and rng._cursor == 0
+    return ~decided
 
 
 def test_batch_resolution_equals_cluster_resolve(monkeypatch):
@@ -495,19 +527,24 @@ def test_batch_resolution_equals_cluster_resolve(monkeypatch):
         """The batch against the reference on one example; returns how many trials ran a third Lloyd pass."""
         words, received, mask, stream_ids, master, k_max, resolver = case
         states = stream_states(master, stream_ids)
-        (got,) = resolve_batch([packed_trials(words, received, mask, states)], resolver, k_max)
+        # the index rule's sets are checked on their codewords; the open rest go to the batch
+        keep = open_trials(words, received, mask, stream_ids, master, resolver, k_max)
+        (got,) = resolve_batch([packed_trials(words, received, mask, states, keep)], resolver, k_max)
+        at = np.cumsum(keep) - 1  # trial t's place among the open trials
         for t in range(mask.shape[0]):
             idx0 = np.flatnonzero(mask[t])
             z = np.bitwise_xor((words if words.ndim == 2 else words[t])[idx0], received[t])
+            hits["all_rows_equal"] += bool(np.all(z == z[0]))
+            if not keep[t]:
+                continue
             cands = CandidateSet(indices=idx0 + 1, z_seqs=z)
             rng = RngStream(master, int(stream_ids[t]))
             assert rng.state == states[t]
             outcome, clus = weak_outcome(cands, resolver, rng, k_max)
-            assert got.decoded[t] == outcome.decoded
-            assert got.iterations[t] == (clus.iterations_used if clus else 0)
-            hits["all_rows_equal"] += bool(np.all(z == z[0]))
+            assert got.decoded[at[t]] == outcome.decoded
+            assert got.iterations[at[t]] == clus.iterations_used
             # where both paths take the zero-total fallback seed and reseed an emptied cluster
-            hits["kmeans_on_fewer_distinct_rows_than_k"] += bool(clus) and len({r.tobytes() for r in z}) < clus.k
+            hits["kmeans_on_fewer_distinct_rows_than_k"] += len({r.tobytes() for r in z}) < clus.k
         # the first pass never converges; a third means centroids moved a point
         repeats = int(np.count_nonzero(got.iterations > 2))
         hits["lloyd_repeat"] += repeats
@@ -551,14 +588,15 @@ def test_batch_resolution_with_wide_comparisons_equals_cluster_resolve(monkeypat
     def check(case):
         words, received, mask, stream_ids, master, k_max, resolver = case
         states = stream_states(master, stream_ids)
-        (got,) = resolve_batch([packed_trials(words, received, mask, states)], resolver, k_max)
-        for t in range(mask.shape[0]):
+        keep = open_trials(words, received, mask, stream_ids, master, resolver, k_max)
+        (got,) = resolve_batch([packed_trials(words, received, mask, states, keep)], resolver, k_max)
+        for g, t in enumerate(np.flatnonzero(keep)):
             idx0 = np.flatnonzero(mask[t])
             z = np.bitwise_xor((words if words.ndim == 2 else words[t])[idx0], received[t])
             cands = CandidateSet(indices=idx0 + 1, z_seqs=z)
             outcome, clus = weak_outcome(cands, resolver, RngStream(master, int(stream_ids[t])), k_max)
-            assert got.decoded[t] == outcome.decoded
-            assert got.iterations[t] == (clus.iterations_used if clus else 0)
+            assert got.decoded[g] == outcome.decoded
+            assert got.iterations[g] == clus.iterations_used
 
     check()
 
@@ -645,10 +683,10 @@ def index_rule_sets(draw):
 
 
 def test_the_index_rule_decodes_as_weak_outcome_and_never_on_a_set_that_draws():
-    # decoders.index_decided, on a trial's codewords as the executor reads them
-    # (montecarlo._index_decided) and on its packed difference words as the batch
-    # resolvers do, takes a set exactly where the reference makes no draw at all (so never
-    # one where cluster-random makes its uniform draw), and such a set decodes its lowest index
+    # decoders.index_decided, on a trial's codewords as the executor reads them from a kernel
+    # call, redrawn or fixed, and on its packed difference words, takes a set exactly where
+    # the reference makes no draw at all (so never one where cluster-random makes its
+    # uniform draw), and such a set decodes its lowest index
     hits = {f"{resolver} {verdict}": 0 for resolver in RESOLVERS for verdict in ("decided", "resolved")}
     hits["repeated rows decided"] = hits["repeated rows resolved"] = 0
 
@@ -663,11 +701,13 @@ def test_the_index_rule_decodes_as_weak_outcome_and_never_on_a_set_that_draws():
         # the set as trial 1 of a two-trial kernel call whose trial 0 has every candidate
         mask = np.zeros((2, m), dtype=bool)
         mask[0], mask[1, positions] = True, True
-        call = np.stack([np.ones_like(words), words])
-        on_words = montecarlo._index_decided(call, mask, mask.sum(axis=1), np.array([1]), resolver, k_max)
+        call, counts, at = np.stack([np.ones_like(words), words]), mask.sum(axis=1), np.array([1])
+        on_words = decoders.index_decided(call, mask, counts, at, resolver, k_max)
+        # the same codewords as a fixed codebook, every trial's
+        on_fixed = decoders.index_decided(words[None], mask, counts, at, resolver, k_max)
         packed = np.packbits(z, axis=1)[None]
-        on_packed = decoders.index_decided(decoders._same_rows(packed), np.array([c]), resolver, k_max)
-        assert on_words.tolist() == on_packed.tolist()
+        on_packed = decoders.index_decided(packed, mask[1:, positions], np.array([c]), np.array([0]), resolver, k_max)
+        assert on_words.tolist() == on_fixed.tolist() == on_packed.tolist()
         decided = bool(on_packed[0])
         assert decided == (rng._cursor == 0)
         if decided:
@@ -790,34 +830,57 @@ def test_batch_svm_equals_svm_resolve(monkeypatch):
     monkeypatch.setattr(decoders, "_pegasos_scores", checked_scores)
     monkeypatch.setattr(decoders, "_svm_pick", counted_pick)
 
+    # a trial of more candidates than symbols whose margin tie the branches decide; the 150
+    # random cases reach one or not as the test's source moves hypothesis' draws: pin it
+    branch_decided_c_above_n = (
+        [
+            (
+                np.array([[[0, 0, 1], [0, 0, 1], [0, 0, 0], [1, 1, 0], [0, 0, 0]]], dtype=np.uint8),
+                np.array([[1, 0, 1]], dtype=np.uint8),
+                np.ones((1, 5), dtype=bool),
+                np.array([2]),
+            )
+        ],
+        2,
+        4096,
+        False,
+    )
+
     @fixed_budget(150)
     @given(svm_parts())
+    @example(branch_decided_c_above_n)
     def check(case):
         parts, master, block_elems, uncertified = case
         replayed.clear()
         split = 0
+        # the index rule's sets are checked on their codewords; the open rest go to the batch
+        keeps = [open_trials(*part[:3], part[3], master, "svm", 2) for part in parts]
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(decoders, "BATCH_BLOCK_ELEMS", block_elems)
             if uncertified:
                 patch.setattr(decoders, "_margin_slack", lambda steps, k: np.inf)
             got = resolve_batch(
                 [
-                    packed_trials(words, received, mask, stream_states(master, stream_ids))
-                    for words, received, mask, stream_ids in parts
+                    packed_trials(words, received, mask, stream_states(master, stream_ids), keep)
+                    for (words, received, mask, stream_ids), keep in zip(parts, keeps)
                 ],
                 "svm",
                 2,
             )
-        for (words, received, mask, stream_ids), resolved in zip(parts, got):
-            for t in range(mask.shape[0]):
+        for (words, received, mask, stream_ids), keep, resolved in zip(parts, keeps, got):
+            for g, t in enumerate(np.flatnonzero(keep)):
                 idx0 = np.flatnonzero(mask[t])
                 z = np.bitwise_xor((words if words.ndim == 2 else words[t])[idx0], received[t])
                 cands = CandidateSet(indices=idx0 + 1, z_seqs=z)
                 outcome, clus = weak_outcome(cands, "svm", RngStream(master, int(stream_ids[t])))
-                assert resolved.decoded[t] == outcome.decoded
-                assert resolved.iterations[t] == (clus.iterations_used if clus else 0)
-                hits["all_rows_equal"] += bool(np.all(z == z[0]))
-                split += not np.all(z == z[0])
+                assert resolved.decoded[g] == outcome.decoded
+                assert resolved.iterations[g] == clus.iterations_used
+                split += 1
+            rows = np.broadcast_to(words, mask.shape + words.shape[-1:])
+            equal = np.array([np.all(r[on] == r[on][0]) for r, on in zip(rows, mask)])
+            # under svm the index rule decides exactly the sets of equal rows
+            assert np.array_equal(equal, ~keep)
+            hits["all_rows_equal"] += int(equal.sum())
         if uncertified:
             assert sum(replayed) == split
             hits["uncertified_replays_every_split_trial"] += split > 0
