@@ -150,6 +150,23 @@ def _check(condition: bool, field: str, message: str) -> None:
         raise ConfigError(f"{field}: {message}")
 
 
+def _check_trial(n_field: str, n: int, m_field: str, m: int, m_text: str) -> None:
+    """One trial of m codewords (``m_text``) of n symbols, n the longest of ``n_field``, must fit a kernel call.
+
+    n must lie below ``MAX_N``, where the kernel's float32 counts are
+    exact, else the error names ``n_field``; the trial's footprint,
+    :func:`~weaktyp.montecarlo.call_bytes`, must fit ``CHUNK_BYTES``,
+    else it names ``m_field``.
+    """
+    _check(n < MAX_N, n_field, f"blocklength {n} is not below 2**24 = {MAX_N}")
+    _check(
+        call_bytes(m, n) <= CHUNK_BYTES,
+        m_field,
+        f"at blocklength {n} ({n_field}), a trial of {m_text} codewords of {n} symbols "
+        f"needs more than the {CHUNK_BYTES} bytes budgeted for one trial",
+    )
+
+
 def validate(cfg: dict) -> None:
     """Domain checks; error messages name the offending field."""
     _check(cfg["profile"] in PROFILES, "profile", f"must be one of {PROFILES}")
@@ -176,40 +193,20 @@ def validate(cfg: dict) -> None:
             field,
             "blocklengths must be strictly increasing",
         )
-        # the kernel's float32 counts are exact only below MAX_N symbols
-        _check(values[-1] < MAX_N, field, f"blocklengths must be below 2**24 = {MAX_N}")
-    # one trial must fit a kernel call: its whole footprint, codebook and scan
-    # arrays, at the longest blocklength; fig3 always uses m_messages, fig1/fig2
-    # only under fixed-m
-    fixed_m = ["fig3_blocklengths"] + (["fig12_blocklengths"] if cfg["m_mode"] == "fixed-m" else [])
-    for field in fixed_m:
-        n = cfg[field][-1]
-        _check(
-            call_bytes(cfg["m_messages"], n) <= CHUNK_BYTES,
-            "m_messages",
-            f"at blocklength {n} ({field}), a trial of {cfg['m_messages']} codewords of {n} symbols "
-            f"needs {call_bytes(cfg['m_messages'], n)} bytes, over the {CHUNK_BYTES}-byte budget for one trial",
-        )
-    # the generic instance (`weaktyp trial`) is bounded as the blocklength keys are
-    _check(cfg["n"] < MAX_N, "n", f"blocklength must be below 2**24 = {MAX_N}")
-    _check(
-        call_bytes(cfg["m_messages"], cfg["n"]) <= CHUNK_BYTES,
-        "n",
-        f"a trial of {cfg['m_messages']} codewords of {cfg['n']} symbols needs "
-        f"{call_bytes(cfg['m_messages'], cfg['n'])} bytes, over the {CHUNK_BYTES}-byte budget for one trial",
-    )
-    if cfg["m_mode"] == "fixed-rate":
-        # the longest blocklength needs the most codewords, and one trial must fit a
-        # kernel call; the exponent is bounded first so no huge integer is ever built
-        n = cfg["fig12_blocklengths"][-1]
-        bits = cfg["rate_bits"] * n
-        _check(
-            bits < CHUNK_BYTES.bit_length()
-            and call_bytes(messages_at_rate(n, cfg["rate_bits"]), n) <= CHUNK_BYTES,
-            "rate_bits",
-            f"at blocklength {n} (fig12_blocklengths), a trial of 2^ceil({cfg['rate_bits']!r} * {n}) "
-            f"codewords of {n} symbols exceeds the {CHUNK_BYTES}-byte budget for one trial",
-        )
+    # one trial must fit a kernel call at each instance's longest blocklength: fig3 and
+    # the generic instance (`weaktyp trial`, at n) take m_messages, fig1/fig2 take it
+    # under fixed-m and 2^ceil(rate_bits * n) codewords under fixed-rate
+    m = cfg["m_messages"]
+    _check_trial("fig3_blocklengths", cfg["fig3_blocklengths"][-1], "m_messages", m, str(m))
+    n, rate = cfg["fig12_blocklengths"][-1], cfg["rate_bits"]
+    if cfg["m_mode"] == "fixed-m":
+        _check_trial("fig12_blocklengths", n, "m_messages", m, str(m))
+    else:
+        # the exponent is bounded first, so no huge integer is ever built: past the
+        # budget's bits, CHUNK_BYTES codewords stand in, and no such trial fits
+        at_rate = messages_at_rate(n, rate) if rate * n < CHUNK_BYTES.bit_length() else CHUNK_BYTES
+        _check_trial("fig12_blocklengths", n, "rate_bits", at_rate, f"2^ceil({rate!r} * {n})")
+    _check_trial("n", cfg["n"], "n", m, str(m))
     qs = cfg["fig3_q_values"]
     _check(bool(qs), "fig3_q_values", "must be nonempty")
     _check(all(0.0 < v < 1.0 for v in qs), "fig3_q_values", "entries must lie strictly between 0 and 1")

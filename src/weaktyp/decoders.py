@@ -84,8 +84,8 @@ SVM_BRANCHES = 32
 # a step no visit reaches
 _NEVER = np.iinfo(np.int64).max
 # cap on the elements of one block's int64 k-means operands, the Gram
-# matrices (trials, c, c) or, when c > n, the rows (trials, c, n), with
-# Lloyd's (trials, c, k <= c) cluster weights beside them, and of
+# matrices (trials, c, c) or, when c passes the block's longest n, the
+# rows (trials, c, n), with Lloyd's (trials, c, k <= c) cluster weights beside them, and of
 # the svm replay's float rows (trials, c, n+1) for its scores and of the
 # (trials, classes) weights its hits add to at once; bounds their memory whatever the chunk
 BATCH_BLOCK_ELEMS = 1 << 15
@@ -359,12 +359,12 @@ def _blocks(parts: list[PackedTrials]):
 
     Trials are numbered through the parts in turn and taken by candidate
     count c, ascending; each row's indices ascend.  The trials of one c
-    are taken from every part at once, those with c <= n, whose k-means
-    reads Gram matrices, apart from those with c > n, whose k-means reads
-    rows (see :func:`_gram_products`), in even blocks of at most
-    :func:`_block_trials` trials for the side's longest n.  Rows are
-    zero-padded to the widest part, which moves no Gram entry or row
-    product.  Every trial must have at least two candidates.
+    are taken from every part at once, whatever their n, in even blocks
+    of at most :func:`_block_trials` trials for the longest n; a block's
+    k-means reads Gram matrices or rows as its longest n decides (see
+    :func:`_gram_products`).  Rows are zero-padded to the widest part,
+    which moves no Gram entry or row product.  Every trial must have at
+    least two candidates.
     """
     sizes = [part.states.size for part in parts]
     owner = np.repeat(np.arange(len(parts)), sizes)
@@ -377,19 +377,16 @@ def _blocks(parts: list[PackedTrials]):
     # np.unique would import numpy.ma, tens of ms and MB on a cold process
     for c in np.flatnonzero(np.bincount(counts)).tolist():
         group = np.flatnonzero(counts == c)
-        for side in (group[ns[group] >= c], group[ns[group] < c]):
-            if side.size == 0:
-                continue
-            for block in np.array_split(side, -(-side.size // _block_trials(c, int(ns[side].max())))):
-                idx = np.empty((block.size, c), dtype=np.int64)
-                x = np.zeros((block.size, c, widths[owner[block]].max()), dtype=np.uint8)
-                cuts = [0, *(np.flatnonzero(np.diff(owner[block])) + 1).tolist(), block.size]
-                for a, b in zip(cuts, cuts[1:]):
-                    part, rows = parts[owner[block[a]]], local[block[a:b]]
-                    # nonzero walks rows in order, so each row's indices ascend
-                    idx[a:b] = np.nonzero(part.cand_mask[rows])[1].reshape(-1, c)
-                    x[a:b, :, : part.z_seqs.shape[2]] = part.z_seqs[rows[:, None], idx[a:b]]
-                yield c, block, idx, x, ns[block]
+        for block in np.array_split(group, -(-group.size // _block_trials(c, int(ns[group].max())))):
+            idx = np.empty((block.size, c), dtype=np.int64)
+            x = np.zeros((block.size, c, widths[owner[block]].max()), dtype=np.uint8)
+            cuts = [0, *(np.flatnonzero(np.diff(owner[block])) + 1).tolist(), block.size]
+            for a, b in zip(cuts, cuts[1:]):
+                part, rows = parts[owner[block[a]]], local[block[a:b]]
+                # nonzero walks rows in order, so each row's indices ascend
+                idx[a:b] = np.nonzero(part.cand_mask[rows])[1].reshape(-1, c)
+                x[a:b, :, : part.z_seqs.shape[2]] = part.z_seqs[rows[:, None], idx[a:b]]
+            yield c, block, idx, x, ns[block]
 
 
 def resolve_batch(parts: list[PackedTrials], resolver: str, k_max: int) -> list[BatchResolution]:
@@ -471,27 +468,26 @@ def index_decided(
     """Mask of the ``trials``, of ``counts`` >= 2 candidates each, that decode their lowest index without a resolver.
 
     Trial t's candidates are the rows ``flatnonzero(mask[t])`` of its
-    (T, m, L) uint8 rows ``words[t]``, or of one fixed codebook where
-    ``words`` is (1, m, L); ``counts`` are the mask's row sums.  The rows
-    are the kernel call's codewords, or difference words, packed or not,
-    as XOR with one received word and zero-padded packing keep equality;
-    each is one L-byte void scalar, so two compare in one memcmp.  The
-    index rule (proof in the module docstring): all rows equal, under
-    every resolver; or, under ``cluster`` and ``cluster-random``,
-    c <= k_max pairwise-distinct rows, which takes every pair when
-    k_max >= 2.  No set it decides makes a draw.  A trial leaves each test
-    at its first row that fails it.
+    (T, m, L) uint8 rows ``words[t]``; ``counts`` are the mask's row sums.
+    The rows are the kernel call's codewords, or difference words, packed
+    or not, as XOR with one received word and zero-padded packing keep
+    equality; each is one L-byte void scalar, so two compare in one
+    memcmp, read by (trial, codeword), so a broadcast view (a fixed
+    codebook's) is never copied.  The index rule (proof in the module
+    docstring): all rows equal, under every resolver; or, under
+    ``cluster`` and ``cluster-random``, c <= k_max pairwise-distinct rows,
+    which takes every pair when k_max >= 2.  No set it decides makes a
+    draw.  A trial leaves each test at its first row that fails it.
     """
-    flat = words.view(np.dtype((np.void, words.shape[2]))).reshape(-1)
-    # every candidate's row, trial after trial, ascending; a fixed codebook is every trial's
+    rows = words.view(np.dtype((np.void, words.shape[2])))[:, :, 0]
+    # every candidate's codeword, trial after trial, ascending
     cands = np.flatnonzero(mask)
-    if words.shape[0] == 1:
-        cands %= flat.size
+    cands %= mask.shape[1]
     starts, counts = (np.cumsum(counts) - counts)[trials], counts[trials]
 
     def same(a: int, b: int, at: np.ndarray) -> np.ndarray:
-        first = starts[at]
-        return flat[cands[first + a]] == flat[cands[first + b]]
+        t, first = trials[at], starts[at]
+        return rows[t, cands[first + a]] == rows[t, cands[first + b]]
 
     # svm decides equal rows only; a pair within k_max is decided equal or not, so its rows go unread
     k_max = 1 if resolver == "svm" else k_max

@@ -24,7 +24,10 @@ own, in any order.  The kernel draws each symbol at most once, in blocks
 of at most ``BLOCK_ELEMS`` draws mixed in two uint64 buffers kept from
 call to call and compared straight into uint8 output: the codebooks
 (into the caller's buffer, if given), then the noise, into the received
-words, each sent word read as row w-1 of its codebook.  One blocked loop
+words, each sent word read as row w-1 of its codebook.  A fixed
+codebook is drawn outside the kernel: a call returns it as its
+(count, m, n) codewords, a read-only view in which every trial's rows
+are the same memory, read as drawn ones are.  One blocked loop
 then counts the codebooks against the received words: each block is
 copied into a float32 buffer and multiplied by its trials' received
 words beside a ones column, giving n11 and n1x in one product, exact in
@@ -249,10 +252,9 @@ def _draw_received(states, sent, t0, t1, ybits):
 
 
 def _count(words, ybits):
-    """(n1x, n11) per codeword of ``words`` against every received word.
+    """(n1x, n11) per codeword of the (count, m, n) ``words`` against every received word.
 
-    ``words`` is the drawn (count, m, n) codebooks or one shared
-    (1, m, n) codebook, counted in blocks as the module docstring says.
+    Counted in blocks, as the module docstring says.
     """
     count, n = ybits.shape
     if n >= MAX_N:
@@ -261,7 +263,6 @@ def _count(words, ybits):
     trials_per_block, words_per_block = _blocks(count, m, n)
     block_buf = np.empty(trials_per_block * words_per_block * n, dtype=np.float32)
     ycols = np.ones((trials_per_block, n, 2), dtype=np.float32)
-    bits = np.broadcast_to(words, (count, m, n))
     n1x = np.empty((count, m), dtype=np.int64)
     n11 = np.empty((count, m), dtype=np.int64)
     for i0 in range(0, m, words_per_block):
@@ -269,7 +270,7 @@ def _count(words, ybits):
         for a in range(0, count, trials_per_block):
             b = min(count, a + trials_per_block)
             block = block_buf[: (b - a) * (i1 - i0) * n].reshape(b - a, i1 - i0, n)
-            np.copyto(block, bits[a:b, i0:i1])
+            np.copyto(block, words[a:b, i0:i1])
             y = ycols[: b - a]
             y[:, :, 0] = ybits[a:b]
             prod = np.matmul(block, y)
@@ -459,12 +460,14 @@ def simulate_trials(
     eps: float,
     fixed_words: np.ndarray | None = None,
     codebooks: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Simulate the ``count`` trials of ``segments``, one segment after another.
 
-    Returns (true_w, typicality mask, received bits, drawn codebooks);
-    the last is None in fixed-codebook mode, else drawn into the uint8
-    buffer ``codebooks`` if given.  ``t0``/``t1`` are P(y=1 | x=0) and
+    Returns (true_w, typicality mask, received bits, codewords), the
+    last (count, m, n) uint8 in both modes: drawn into the buffer
+    ``codebooks`` if given, or, in fixed-codebook mode, a read-only
+    ``np.broadcast_to`` view of ``fixed_words``, which no code past the
+    kernel tells apart.  ``t0``/``t1`` are P(y=1 | x=0) and
     P(y=1 | x=1).  A call of one segment may split at a prefix
     (:func:`prefix_length`), where a row that cannot be typical holds its
     first k symbols and zeros; a call of several is one pass.
@@ -497,16 +500,16 @@ def simulate_trials(
             sent_tails = np.empty((count, n - k), dtype=np.uint8)
             _draw_codebooks(skip(cb_states, (true_w - 1) * n + k), rq, sent_tails[:, None], n)
             rows[sent_rows, k:] = sent_tails
-        words = xwords
     else:
-        xwords, words = None, fixed_words[None]
+        # every trial's codebook is the one fixed codebook, shared, not copied
+        xwords = np.broadcast_to(fixed_words, (count, m, n))
     # the sent word is row w-1 of its trial's codebook, drawn once
-    sent = np.broadcast_to(words, (count, m, n))[np.arange(count), true_w - 1]
+    sent = xwords[np.arange(count), true_w - 1]
     ybits = np.empty((count, n), dtype=np.uint8)
     _draw_received(states[1], sent, t0, t1, ybits)
     del sent, states
 
-    n1x, n11 = _count(words[:, :, :k], ybits[:, :k])
+    n1x, n11 = _count(xwords[:, :, :k], ybits[:, :k])
     n1y = ybits.sum(axis=1, dtype=np.int64)
     if k == n:
         # each trial scans against its own segment's row of constants

@@ -408,9 +408,11 @@ def _simulate(
     (:func:`_call_key`), or the run is one point.  Its trials are taken
     point after point, in kernel calls of :func:`_per_call` trials that
     may span points; the returned batch holds point p's trials at
-    p*num_trials onwards.  Its multi-candidate trials that are neither
-    lost nor decided by the index rule go to ``pool``, whose flush writes
-    their weak decodes into it.
+    p*num_trials onwards.  A call's codewords come back (count, m, n) in
+    both codebook modes, a fixed codebook as a read-only view, and are
+    read alike.  Its multi-candidate trials that are neither lost nor
+    decided by the index rule go to ``pool``, whose flush writes their
+    weak decodes into it.
     """
     cfg = cfgs[0]
     per_call = _per_call(cfg)
@@ -431,8 +433,6 @@ def _simulate(
         w, mask, ybits, words = kernels.simulate_trials(
             segments, count, cfg.m, cfg.n, t0, t1, cfg.eps, fixed_words, codebooks
         )
-        # in fixed mode the kernel returns no codebooks: the fixed one is every trial's
-        words = fixed_words[None] if words is None else words
         counts = mask.sum(axis=1)
         sl = slice(off, end)
         batch.true_w[sl] = w
@@ -445,7 +445,7 @@ def _simulate(
         batch.weak_decoded[off + multi[decided]] = mask[multi[decided]].argmax(axis=1) + 1
         pooled = multi[~decided]
         if pooled.size:
-            z_seqs = _packed(np.broadcast_to(words, (count, cfg.m, cfg.n)), ybits, pooled)
+            z_seqs = _packed(words, ybits, pooled)
         # the next call draws over the chunk's codebooks: no view of them outlives the chunk
         del words
         if pooled.size:

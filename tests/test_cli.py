@@ -1,3 +1,9 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -192,3 +198,46 @@ def test_csv_numbers_have_12_significant_digits(tmp_path):
     row = text.splitlines()[1].split(",")
     rate = float(row[2])
     assert abs(rate - np.log2(4) / float(row[1])) < 1e-11
+
+
+# desk fig3 under the cluster resolver and svm, desk fig1 and fig1 at fixed rate, each over
+# its whole desk grid at a tenth of the desk trial count
+NO_MA_RUNS = {
+    "fig3-cluster": ("fig3", ""),
+    "fig3-svm": ("fig3", "resolver = svm\n"),
+    "fig1": ("fig1", ""),
+    "fig1-rate": ("fig1", "m_mode = fixed-rate\n"),
+}
+
+# runs [figure, config path, output dir] commands in one fresh process, then prints their exit
+# codes and every module it imported
+NO_MA_CHILD = """\
+import json, sys
+from weaktyp.cli import main
+
+codes = [main([figure, "--config", cfg, "--out", out]) for figure, cfg, out in json.loads(sys.argv[1])]
+print(json.dumps({"codes": codes, "modules": sorted(sys.modules)}))
+"""
+
+
+def test_desk_figures_never_import_numpy_ma(tmp_path):
+    # numpy.ma costs a cold process tens of ms and MB, which perfbench's setup_s and
+    # peak_rss_mb would read; numpy functions such as np.unique import it on first use
+    commands = []
+    for name, (figure, keys) in NO_MA_RUNS.items():
+        cfg = tmp_path / f"{name}.cfg"
+        cfg.write_text("trials_per_point = 2000\n" + keys)
+        commands.append([figure, str(cfg), str(tmp_path / name)])
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    done = subprocess.run(
+        [sys.executable, "-c", NO_MA_CHILD, json.dumps(commands)], capture_output=True, text=True, env=env, timeout=300
+    )
+    assert done.returncode == 0, done.stderr
+    report = json.loads(done.stdout.splitlines()[-1])
+    assert report["codes"] == [0] * len(NO_MA_RUNS)
+    for name, (figure, _) in NO_MA_RUNS.items():
+        assert (tmp_path / name / f"{figure}.csv").is_file()
+    assert "weaktyp.decoders" in report["modules"]
+    assert [name for name in report["modules"] if name.split(".")[:2] == ["numpy", "ma"]] == []

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from weaktyp import config, kernels, montecarlo, typicality
+from weaktyp import config, decoders, kernels, montecarlo, typicality
 from weaktyp.core import Dmc, bsc
 from weaktyp.montecarlo import (
     TrialConfig,
@@ -179,17 +179,20 @@ def test_simulate_trials_equals_reference_path(monkeypatch, cfg, count, block_el
         [_segment(cfg, tid0, count)], count, cfg.m, cfg.n,
         float(cfg.channel.transition[0, 1]), float(cfg.channel.transition[1, 1]), cfg.eps, fixed,
     )
-    assert (true_w.dtype, mask.dtype, ybits.dtype) == (np.int64, np.bool_, np.uint8)
-    assert (xwords is None) == (fixed is not None)
+    assert (true_w.dtype, mask.dtype, ybits.dtype, xwords.dtype) == (np.int64, np.bool_, np.uint8, np.uint8)
+    # one layout in both modes; a fixed codebook's is a read-only view of it
+    assert xwords.shape == (count, cfg.m, cfg.n)
+    if fixed is None:
+        assert xwords.flags.writeable
+    else:
+        assert not xwords.flags.writeable and np.shares_memory(xwords, fixed)
     k = _prefix_length(cfg)
     for t in range(count):
         w, y, ref_mask, words = _reference_trial(cfg, tid0 + t)
         assert true_w[t] == w
         assert np.array_equal(ybits[t], y)
         assert np.array_equal(mask[t], ref_mask)
-        if xwords is not None:
-            assert xwords.dtype == np.uint8
-            _assert_rows_follow_the_contract(xwords[t], words, mask[t], w, k)
+        _assert_rows_follow_the_contract(xwords[t], words, mask[t], w, k)
 
 
 NOISE_CHANNELS = [
@@ -289,9 +292,10 @@ def test_counts_are_exact_past_the_float16_range(monkeypatch):
     rs = np.random.default_rng(5)
     words = (rs.random((3, 5, 5000)) < 0.5).astype(np.uint8)
     ybits = (rs.random((3, 5000)) < 0.5).astype(np.uint8)
-    for shared in (words, words[:1]):
+    # each trial's own codebook, and one codebook shared as a fixed one is
+    for shared in (words, np.broadcast_to(words[0], words.shape)):
         n1x, n11 = kernels._count(shared, ybits)
-        wide = np.broadcast_to(shared, words.shape).astype(np.int64)
+        wide = shared.astype(np.int64)
         assert np.array_equal(n1x, wide.sum(axis=2))
         assert np.array_equal(n11, (wide & ybits[:, None, :]).sum(axis=2))
     assert n1x.max() > 2048
@@ -465,7 +469,7 @@ def test_fixed_codebook_counts_without_a_wide_copy_of_the_codebook(n, m, count):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert xwords is None
+    assert xwords.shape == (count, m, n) and np.shares_memory(xwords, words)
     assert peak <= count * call_bytes(m, n)
     wide = words.astype(np.int64)
     n11 = ybits.astype(np.int64) @ wide.T
@@ -474,3 +478,35 @@ def test_fixed_codebook_counts_without_a_wide_copy_of_the_codebook(n, m, count):
     expected = kernels._typicality_mask(n, n1x, n1y, n11, ctx.kernel_constants(), cfg.eps)
     assert np.array_equal(mask, expected)
     assert mask.any()
+
+
+def test_a_fixed_codebook_call_returns_a_shared_view_that_the_index_rule_reads_in_place():
+    # the kernel hands every trial the one codebook as a read-only (count, m, n) view, and
+    # decoders.index_decided reads its rows by (trial, codeword) without copying the view
+    cfg = TrialConfig(n=200, m=256, q=0.5, channel=bsc(0.05), eps=0.8, codebook_mode="fixed", master_seed=23)
+    words = fixed_codebook(cfg).words
+    count = 16
+    *_, xwords = kernels.simulate_trials(
+        [_segment(cfg, 0, count)], count, cfg.m, cfg.n,
+        float(cfg.channel.transition[0, 1]), float(cfg.channel.transition[1, 1]), cfg.eps, words,
+    )
+    assert xwords.shape == (count, cfg.m, cfg.n) and np.shares_memory(xwords, words)
+    # every codeword a candidate of every trial, as many rows as the rule can be given, and
+    # three a trial, which the cluster resolvers' pairwise compares read
+    every = np.ones((count, cfg.m), dtype=bool)
+    three = np.zeros_like(every)
+    three[:, [5, 80, 200]] = True
+    trials, copied = np.arange(count), np.ascontiguousarray(xwords)
+    for cands in (every, three):
+        for resolver in decoders.RESOLVERS:
+            tracemalloc.start()
+            try:
+                decided = decoders.index_decided(xwords, cands, cands.sum(axis=1), trials, resolver, 3)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < xwords.size / 4
+            on_copy = decoders.index_decided(copied, cands, cands.sum(axis=1), trials, resolver, 3)
+            assert np.array_equal(decided, on_copy)
+            # random rows: only three distinct rows under a cluster resolver are decided
+            assert decided.tolist() == [cands is three and resolver != "svm"] * count

@@ -333,11 +333,38 @@ def test_run_points_equals_run_trials_and_run_trial(monkeypatch):
         montecarlo.POOL_BLOCKS,
     )
 
+    # two fixed-codebook points of one shape, each its own codebook, every set open under svm
+    # (eps = 2 makes every codeword typical): one flush pools both codebooks
+    fixed_codebooks = (
+        [
+            TrialConfig(n=6, m=4, q=0.5, channel=bsc(0.2), eps=2.0, resolver="svm", codebook_mode="fixed", master_seed=s)
+            for s in (1, 2)
+        ],
+        4,
+        4,
+        0,
+        decoders.BATCH_BLOCK_ELEMS,
+        montecarlo.POOL_BLOCKS,
+    )
+
+    # two points of one shape in runs of their own (n differs) and a pool of one byte, which
+    # every part flushes: the first point is final, and yielded, before the second is simulated
+    early_yield = (
+        [TrialConfig(n=n, m=4, q=0.5, channel=bsc(0.2), eps=2.0, resolver="svm") for n in (6, 8)],
+        4,
+        4,
+        0,
+        1,
+        1,
+    )
+
     @fixed_budget(150)
     @given(sweep_point_lists())
     @example(svm_blocklengths)
     @example(cluster_blocklengths)
     @example(spanning_calls)
+    @example(fixed_codebooks)
+    @example(early_yield)
     def check(case):
         cfgs, num, chunk_size, start, block_elems, pool_blocks = case
         with pytest.MonkeyPatch.context() as patch:
@@ -389,9 +416,10 @@ def point_sets(draw):
     word = st.integers(0, 2**n - 1).map(lambda v: [(v >> j) & 1 for j in range(n)])
     pool = draw(st.lists(word, min_size=1, max_size=6))
     codebook = st.lists(st.sampled_from(pool), min_size=m, max_size=m)
-    # a 2-D words array is one codebook shared by every trial
+    # a shared codebook is every trial's, a read-only view as the kernel gives a fixed one
     shared = draw(st.booleans())
     words = np.array(draw(codebook) if shared else [draw(codebook) for _ in range(trials)], dtype=np.uint8)
+    words = np.broadcast_to(words, (trials, m, n))
     received = np.array([draw(word) for _ in range(trials)], dtype=np.uint8)
     row_mask = st.lists(st.booleans(), min_size=m, max_size=m).filter(lambda r: sum(r) >= 2)
     mask = np.array([draw(row_mask) for _ in range(trials)])
@@ -437,9 +465,8 @@ def separated_point_sets(draw):
 
 def packed_trials(words, received, mask, states, keep=slice(None)):
     """The (unpacked) trials ``keep`` of a point set as the batch resolvers take them: packed words XOR received."""
-    words = words if words.ndim == 2 else words[keep]
-    z = np.bitwise_xor(words if words.ndim == 3 else words[None], received[keep, None, :])
-    return PackedTrials(words.shape[-1], mask[keep], np.packbits(z, axis=-1), states[keep])
+    z = np.bitwise_xor(words[keep], received[keep, None, :])
+    return PackedTrials(words.shape[2], mask[keep], np.packbits(z, axis=2), states[keep])
 
 
 def open_trials(words, received, mask, stream_ids, master, resolver, k_max):
@@ -448,12 +475,11 @@ def open_trials(words, received, mask, stream_ids, master, resolver, k_max):
     Every set the rule decides is checked against ``weak_outcome``: it
     decodes its lowest index and draws nothing.
     """
-    codewords = words if words.ndim == 3 else words[None]
     trials = np.arange(mask.shape[0])
-    decided = decoders.index_decided(codewords, mask, mask.sum(axis=1), trials, resolver, k_max)
+    decided = decoders.index_decided(words, mask, mask.sum(axis=1), trials, resolver, k_max)
     for t in np.flatnonzero(decided):
         idx0 = np.flatnonzero(mask[t])
-        z = np.bitwise_xor(codewords[t % codewords.shape[0]][idx0], received[t])
+        z = np.bitwise_xor(words[t, idx0], received[t])
         cands = CandidateSet(indices=idx0 + 1, z_seqs=z)
         rng = RngStream(master, int(stream_ids[t]))
         outcome, clus = weak_outcome(cands, resolver, rng, k_max)
@@ -488,7 +514,7 @@ def test_batch_resolution_equals_cluster_resolve(monkeypatch):
     # a second centroid update that moves a point is rare on sets this
     # small (about 3% of random ones at n=3, c=7, k=2): pin one
     lloyd_repeat = (
-        np.array([[0, 0, 0], [0, 1, 1], [0, 0, 1], [1, 0, 1], [1, 1, 1], [0, 0, 1]], dtype=np.uint8),
+        np.array([[[0, 0, 0], [0, 1, 1], [0, 0, 1], [1, 0, 1], [1, 1, 1], [0, 0, 1]]], dtype=np.uint8),
         np.zeros((1, 3), dtype=np.uint8),
         np.ones((1, 6), dtype=bool),
         np.array([1]),
@@ -501,7 +527,7 @@ def test_batch_resolution_equals_cluster_resolve(monkeypatch):
     # run before this one change hypothesis' draws: pin it, with a shared
     # codebook and two trials, so it is checked in every module order
     row_side = (
-        np.array([[0, 0], [0, 1], [1, 0], [1, 1], [1, 1]], dtype=np.uint8),
+        np.broadcast_to(np.array([[0, 0], [0, 1], [1, 0], [1, 1], [1, 1]], dtype=np.uint8), (2, 5, 2)),
         np.array([[0, 1], [1, 1]], dtype=np.uint8),
         np.ones((2, 5), dtype=bool),
         np.array([1, 2]),
@@ -514,13 +540,24 @@ def test_batch_resolution_equals_cluster_resolve(monkeypatch):
     # the reference's a 0000. The assignments, passes and cursor must not differ, and the final
     # cluster-random draw reads that cursor
     zero_total = (
-        np.array([[0, 0, 0, 0], [0, 0, 0, 0], [1, 1, 1, 1], [1, 1, 1, 1]], dtype=np.uint8),
+        np.broadcast_to(np.array([[0, 0, 0, 0], [0, 0, 0, 0], [1, 1, 1, 1], [1, 1, 1, 1]], dtype=np.uint8), (8, 4, 4)),
         np.zeros((8, 4), dtype=np.uint8),
         np.ones((8, 4), dtype=bool),
         np.arange(1, 9),
         0,
         3,
         "cluster-random",
+    )
+
+    # a shared codebook whose rows are all equal: the index rule decides both trials
+    all_rows_equal = (
+        np.broadcast_to(np.array([[1, 0, 1], [1, 0, 1], [1, 0, 1]], dtype=np.uint8), (2, 3, 3)),
+        np.array([[0, 0, 0], [0, 1, 1]], dtype=np.uint8),
+        np.ones((2, 3), dtype=bool),
+        np.array([1, 2]),
+        0,
+        2,
+        "cluster",
     )
 
     def checked(case):
@@ -533,7 +570,7 @@ def test_batch_resolution_equals_cluster_resolve(monkeypatch):
         at = np.cumsum(keep) - 1  # trial t's place among the open trials
         for t in range(mask.shape[0]):
             idx0 = np.flatnonzero(mask[t])
-            z = np.bitwise_xor((words if words.ndim == 2 else words[t])[idx0], received[t])
+            z = np.bitwise_xor(words[t, idx0], received[t])
             hits["all_rows_equal"] += bool(np.all(z == z[0]))
             if not keep[t]:
                 continue
@@ -555,6 +592,7 @@ def test_batch_resolution_equals_cluster_resolve(monkeypatch):
     @example(lloyd_repeat)
     @example(row_side)
     @example(zero_total)
+    @example(all_rows_equal)
     def check(case):
         checked(case)
 
@@ -592,7 +630,7 @@ def test_batch_resolution_with_wide_comparisons_equals_cluster_resolve(monkeypat
         (got,) = resolve_batch([packed_trials(words, received, mask, states, keep)], resolver, k_max)
         for g, t in enumerate(np.flatnonzero(keep)):
             idx0 = np.flatnonzero(mask[t])
-            z = np.bitwise_xor((words if words.ndim == 2 else words[t])[idx0], received[t])
+            z = np.bitwise_xor(words[t, idx0], received[t])
             cands = CandidateSet(indices=idx0 + 1, z_seqs=z)
             outcome, clus = weak_outcome(cands, resolver, RngStream(master, int(stream_ids[t])), k_max)
             assert got.decoded[g] == outcome.decoded
@@ -690,8 +728,23 @@ def test_the_index_rule_decodes_as_weak_outcome_and_never_on_a_set_that_draws():
     hits = {f"{resolver} {verdict}": 0 for resolver in RESOLVERS for verdict in ("decided", "resolved")}
     hits["repeated rows decided"] = hits["repeated rows resolved"] = 0
 
+    def rule_set(rows, resolver, k_max):
+        # the rows as every codeword of the call's trial 1, candidates all, against a zero received word
+        rows = np.array(rows, dtype=np.uint8)
+        return rows, np.arange(rows.shape[0]), np.zeros(rows.shape[1], dtype=np.uint8), resolver, k_max, 7, 3
+
     @fixed_budget(400)
     @given(index_rule_sets())
+    # equal rows, decided under every resolver
+    @example(rule_set([[0, 1, 1], [0, 1, 1]], "svm", 1))
+    # c <= k_max distinct rows, decided under the cluster resolvers only
+    @example(rule_set([[0, 1], [1, 0], [1, 1]], "cluster", 3))
+    @example(rule_set([[0, 0], [1, 1]], "cluster-random", 2))
+    # distinct rows past k_max, and a distinct pair under svm
+    @example(rule_set([[0, 0], [0, 1], [1, 1]], "cluster", 2))
+    @example(rule_set([[0, 1], [1, 1]], "svm", 2))
+    # some rows repeated, but not all: never decided
+    @example(rule_set([[0, 1], [0, 1], [1, 0]], "cluster-random", 4))
     def check(case):
         words, positions, received, resolver, k_max, master, stream_id = case
         m, c = words.shape[0], positions.size
@@ -703,8 +756,8 @@ def test_the_index_rule_decodes_as_weak_outcome_and_never_on_a_set_that_draws():
         mask[0], mask[1, positions] = True, True
         call, counts, at = np.stack([np.ones_like(words), words]), mask.sum(axis=1), np.array([1])
         on_words = decoders.index_decided(call, mask, counts, at, resolver, k_max)
-        # the same codewords as a fixed codebook, every trial's
-        on_fixed = decoders.index_decided(words[None], mask, counts, at, resolver, k_max)
+        # the same codewords as a fixed codebook, every trial's, as the kernel's read-only view
+        on_fixed = decoders.index_decided(np.broadcast_to(words, call.shape), mask, counts, at, resolver, k_max)
         packed = np.packbits(z, axis=1)[None]
         on_packed = decoders.index_decided(packed, mask[1:, positions], np.array([c]), np.array([0]), resolver, k_max)
         assert on_words.tolist() == on_fixed.tolist() == on_packed.tolist()
@@ -750,6 +803,7 @@ def svm_parts(draw):
         codebook = st.lists(st.sampled_from(pool), min_size=m, max_size=m)
         shared = draw(st.booleans())
         words = np.array(draw(codebook) if shared else [draw(codebook) for _ in range(trials)], dtype=np.uint8)
+        words = np.broadcast_to(words, (trials, m, n))
         received = np.array([draw(word) for _ in range(trials)], dtype=np.uint8)
         row_mask = st.lists(st.booleans(), min_size=m, max_size=m).filter(lambda r: sum(r) >= 2)
         mask = np.array([draw(row_mask) for _ in range(trials)])
@@ -846,9 +900,41 @@ def test_batch_svm_equals_svm_resolve(monkeypatch):
         False,
     )
 
+    # an uncertified flush of two parts, n = 2 with c = 3 > n and n = 4 with c = 4, beside a set
+    # of equal rows at n = 2: every open trial replays in one float loop that spans both
+    # blocklengths and both ends, and the exact run meets margin and score ties on the way.
+    # Found by a random search, it reaches every counter of this test, so no counter rests
+    # on the draws that hypothesis derives from the source of ``check``
+    uncertified_two_blocklengths = (
+        [
+            (
+                np.array([[[1, 1], [0, 0], [0, 1]], [[0, 1], [0, 1], [0, 1]]], dtype=np.uint8),
+                np.array([[1, 1], [1, 0]], dtype=np.uint8),
+                np.ones((2, 3), dtype=bool),
+                np.array([557154, 979414]),
+            ),
+            (
+                np.array(
+                    [
+                        [[1, 1, 0, 1], [0, 1, 0, 1], [1, 1, 0, 0], [0, 0, 0, 0]],
+                        [[1, 1, 0, 1], [1, 0, 0, 1], [0, 1, 0, 1], [1, 0, 1, 0]],
+                    ],
+                    dtype=np.uint8,
+                ),
+                np.array([[1, 1, 1, 1], [1, 0, 0, 0]], dtype=np.uint8),
+                np.ones((2, 4), dtype=bool),
+                np.array([933520, 344116]),
+            ),
+        ],
+        975634435,
+        4096,
+        True,
+    )
+
     @fixed_budget(150)
     @given(svm_parts())
     @example(branch_decided_c_above_n)
+    @example(uncertified_two_blocklengths)
     def check(case):
         parts, master, block_elems, uncertified = case
         replayed.clear()
@@ -870,14 +956,13 @@ def test_batch_svm_equals_svm_resolve(monkeypatch):
         for (words, received, mask, stream_ids), keep, resolved in zip(parts, keeps, got):
             for g, t in enumerate(np.flatnonzero(keep)):
                 idx0 = np.flatnonzero(mask[t])
-                z = np.bitwise_xor((words if words.ndim == 2 else words[t])[idx0], received[t])
+                z = np.bitwise_xor(words[t, idx0], received[t])
                 cands = CandidateSet(indices=idx0 + 1, z_seqs=z)
                 outcome, clus = weak_outcome(cands, "svm", RngStream(master, int(stream_ids[t])))
                 assert resolved.decoded[g] == outcome.decoded
                 assert resolved.iterations[g] == clus.iterations_used
                 split += 1
-            rows = np.broadcast_to(words, mask.shape + words.shape[-1:])
-            equal = np.array([np.all(r[on] == r[on][0]) for r, on in zip(rows, mask)])
+            equal = np.array([np.all(r[on] == r[on][0]) for r, on in zip(words, mask)])
             # under svm the index rule decides exactly the sets of equal rows
             assert np.array_equal(equal, ~keep)
             hits["all_rows_equal"] += int(equal.sum())
