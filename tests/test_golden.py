@@ -59,6 +59,25 @@ fig3_blocklengths = 20,30,40,60
     ),
 }
 
+# m = 16 on blocklengths down to 3: a resolver flush joins trials of several n, and
+# of c > n and c <= n, in one block of one candidate count (5 such blocks, 9 to 10
+# blocks of several n); the svm digest replays 232 trials in floats, so it holds
+# under the default BLAS kernel, as the svm digest above does
+MIXED_BLOCK_CONFIG = """\
+master_seed = 77004
+trials_per_point = 200
+m_messages = 16
+fig3_q_values = 0.2,0.5,0.8
+fig3_channel_p = 0.3
+fig3_blocklengths = 3,5,8,12,20
+"""
+
+MIXED_BLOCK_DIGESTS = {
+    "cluster": "503722552319bcf6b23b8d1fa6d643cd8fa4378b795c2f0dd8e7913a1f407708",
+    "cluster-random": "f5c48d16e43e466b15c46603764f703b97aa975c97abbbf6076b8241fbcc30e4",
+    "svm": "686cbd77e440a7bac5bce4848072de8eb5292b1fa8797e783f337fb4beea8ea7",
+}
+
 
 PERFBENCH_RUN = Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
 
@@ -98,6 +117,12 @@ def test_figure_csv_matches_golden_digest(tmp_path, figure):
 def test_resolver_fig3_csv_matches_golden_digest(tmp_path, resolver):
     config_text, digest = RESOLVER_GOLDEN[resolver]
     assert figure_digest(tmp_path, "fig3", config_text) == digest
+
+
+@pytest.mark.parametrize("resolver", sorted(MIXED_BLOCK_DIGESTS))
+def test_fig3_csv_with_blocks_of_mixed_blocklengths_matches_golden_digest(tmp_path, resolver):
+    config_text = MIXED_BLOCK_CONFIG + f"resolver = {resolver}\n"
+    assert figure_digest(tmp_path, "fig3", config_text) == MIXED_BLOCK_DIGESTS[resolver]
 
 
 def perfbench_run_module():
