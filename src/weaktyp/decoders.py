@@ -12,8 +12,10 @@ separator.
 Two entries map a resolver name to its code: :func:`weak_outcome`
 resolves one candidate set, and :func:`resolve_batch` many trials at
 once, with exactly the same results; it takes the candidates'
-difference sequences bit-packed (:class:`PackedTrials`) and walks them
-in one loop of blocks, through one lockstep k-means, for every resolver.
+difference sequences bit-packed, with their indices, in parts of one
+blocklength and one candidate count (:class:`PackedTrials`), and walks
+them in one loop of blocks, through one lockstep k-means, for every
+resolver.
 It takes open trials only: two or more candidates, a typical sent word,
 and a set :func:`index_decided` leaves.  The trial executor decides the
 rest before it packs anything.
@@ -340,53 +342,46 @@ class BatchResolution:
 
 @dataclass(frozen=True)
 class PackedTrials:
-    """Open trials of one blocklength n, as :func:`resolve_batch` takes them.
+    """Open trials of one blocklength n and one candidate count c, as :func:`resolve_batch` takes them.
 
-    Trial t has candidates ``flatnonzero(cand_mask[t])`` (at least two),
-    difference sequences ``z_seqs[t]``, its codewords XOR its received
-    word, row i that of message i + 1, and stream state ``states[t]``.
-    Rows are ``np.packbits`` rows, zero-padded.
+    Trial t's c >= 2 candidates are messages ``idx[t] + 1`` (``idx`` is
+    0-based, each row ascending); its difference sequence ``z_seqs[t, i]``
+    is message ``idx[t, i] + 1``'s codeword XOR its received word, an
+    ``np.packbits`` row, zero-padded; ``states[t]`` is its stream state.
     """
 
     n: int
-    cand_mask: np.ndarray  # (T, m) bool
-    z_seqs: np.ndarray  # (T, m, ceil(n/8)) uint8
+    idx: np.ndarray  # (T, c) integers
+    z_seqs: np.ndarray  # (T, c, ceil(n/8)) uint8
     states: np.ndarray  # (T,) uint64
 
 
 def _blocks(parts: list[PackedTrials]):
-    """(c, trials, candidate indices, packed rows, blocklengths) of every resolver block of ``parts``.
+    """(c, trials, packed rows, blocklengths) of every resolver block of ``parts``.
 
-    Trials are numbered through the parts in turn and taken by candidate
-    count c, ascending; each row's indices ascend.  The trials of one c
-    are taken from every part at once, whatever their n, in even blocks
-    of at most :func:`_block_trials` trials for the longest n; a block's
-    k-means reads Gram matrices or rows as its longest n decides (see
-    :func:`_gram_products`).  Rows are zero-padded to the widest part,
-    which moves no Gram entry or row product.  Every trial must have at
-    least two candidates.
+    Trials are numbered through the parts in turn.  The parts of one
+    candidate count c, ascending, are joined whatever their n, rows
+    zero-padded to the widest, which moves no Gram entry or row product,
+    and cut into even blocks of at most :func:`_block_trials` trials for
+    the longest n; a block's k-means reads Gram matrices or rows as its
+    longest n decides (see :func:`_gram_products`).
     """
-    sizes = [part.states.size for part in parts]
-    owner = np.repeat(np.arange(len(parts)), sizes)
-    local = np.arange(owner.size) - np.repeat(np.cumsum([0] + sizes[:-1]), sizes)
-    ns = np.array([part.n for part in parts])[owner]
-    widths = np.array([part.z_seqs.shape[2] for part in parts])
-    counts = np.concatenate([np.asarray(part.cand_mask, dtype=bool).sum(axis=1) for part in parts])
-    if np.any(counts < 2):
+    counts = [part.idx.shape[1] for part in parts]
+    if min(counts) < 2:
         raise ValueError("resolution needs at least two candidates")
-    # np.unique would import numpy.ma, tens of ms and MB on a cold process
-    for c in np.flatnonzero(np.bincount(counts)).tolist():
-        group = np.flatnonzero(counts == c)
-        for block in np.array_split(group, -(-group.size // _block_trials(c, int(ns[group].max())))):
-            idx = np.empty((block.size, c), dtype=np.int64)
-            x = np.zeros((block.size, c, widths[owner[block]].max()), dtype=np.uint8)
-            cuts = [0, *(np.flatnonzero(np.diff(owner[block])) + 1).tolist(), block.size]
-            for a, b in zip(cuts, cuts[1:]):
-                part, rows = parts[owner[block[a]]], local[block[a:b]]
-                # nonzero walks rows in order, so each row's indices ascend
-                idx[a:b] = np.nonzero(part.cand_mask[rows])[1].reshape(-1, c)
-                x[a:b, :, : part.z_seqs.shape[2]] = part.z_seqs[rows[:, None], idx[a:b]]
-            yield c, block, idx, x, ns[block]
+    starts = np.cumsum([0] + [part.states.size for part in parts])
+    for c in sorted(set(counts)):
+        group = [p for p, count in enumerate(counts) if count == c]
+        rows = np.concatenate([np.arange(starts[p], starts[p + 1]) for p in group])
+        ns = np.concatenate([np.full(parts[p].states.size, parts[p].n) for p in group])
+        x = np.zeros((rows.size, c, max(parts[p].z_seqs.shape[2] for p in group)), dtype=np.uint8)
+        lo = 0
+        for z in (parts[p].z_seqs for p in group):
+            x[lo : lo + len(z), :, : z.shape[2]] = z
+            lo += len(z)
+        blocks = -(-rows.size // _block_trials(c, int(ns.max())))
+        for block in zip(*(np.array_split(a, blocks) for a in (rows, x, ns))):
+            yield c, *block
 
 
 def resolve_batch(parts: list[PackedTrials], resolver: str, k_max: int) -> list[BatchResolution]:
@@ -415,13 +410,13 @@ def resolve_batch(parts: list[PackedTrials], resolver: str, k_max: int) -> list[
         raise ValueError("k_max must be positive")
     certified = True
     if resolver == "svm":
-        steps = SVM_EPOCHS * max(int(np.max(part.cand_mask.sum(axis=1), initial=2)) for part in parts)
+        steps = SVM_EPOCHS * max(part.idx.shape[1] for part in parts)
         certified = _margin_slack(steps, max(part.n for part in parts) + 1) < 1.0 / steps
     states = np.concatenate([part.states for part in parts])
-    decoded = np.zeros(states.size, dtype=np.int64)
+    picks = np.zeros(states.size, dtype=np.int64)  # each trial's decode, as a row of its part's idx
     iterations = np.zeros(states.size, dtype=np.int64)
     groups, places = [], []
-    for c, rows, idx, x, ns in _blocks(parts):
+    for c, rows, x, ns in _blocks(parts):
         k = min(k_cap, c)
         longest = int(ns.max())
         weight, gram_times = _gram_products(x, longest)
@@ -442,13 +437,16 @@ def resolve_batch(parts: list[PackedTrials], resolver: str, k_max: int) -> list[
                 at = np.flatnonzero(replay & (ns == n))
                 kernel = gram_times(np.broadcast_to(np.eye(c, dtype=np.int64), (at.size, c, c)), at) + 1
                 groups.append((n, x[at, :, : -(-n // 8)], labels[at], kernel))
-                places.append((rows[at], idx[at]))
-        decoded[rows] = idx[np.arange(rows.size), pick] + 1
+                places.append(rows[at])
+        picks[rows] = pick
     if groups:
-        for (rows, idx), scores in zip(places, _pegasos_scores(groups, certified)):
-            decoded[rows] = idx[np.arange(rows.size), _svm_pick(scores)] + 1
+        for rows, scores in zip(places, _pegasos_scores(groups, certified)):
+            picks[rows] = _svm_pick(scores)
     cuts = np.cumsum([part.states.size for part in parts])[:-1]
-    return [BatchResolution(*pair) for pair in zip(np.split(decoded, cuts), np.split(iterations, cuts))]
+    return [
+        BatchResolution(part.idx[np.arange(pick.size), pick].astype(np.int64) + 1, its)
+        for part, pick, its in zip(parts, np.split(picks, cuts), np.split(iterations, cuts))
+    ]
 
 
 def _block_trials(c: int, n: int) -> int:

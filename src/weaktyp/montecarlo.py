@@ -24,7 +24,8 @@ each other multi-candidate trial the index rule decides
 (``decoders.index_decided``) to its lowest candidate straight from the
 kernel's codewords, and resolves the rest, the open trials, of every
 point of one shape (m, resolver, k_max), whatever their blocklengths,
-together, from their bit-packed difference sequences, so a kernel call
+together, from their candidates' bit-packed difference sequences,
+gathered once a kernel call by candidate count, so a kernel call
 and a lockstep resolver loop each run once per batch of points rather
 than once per point; :func:`run_trials` runs it on a single point.
 
@@ -316,15 +317,14 @@ def _shape(cfg: TrialConfig) -> tuple[int, str, int]:
 class _Pool:
     """Open trials of the sweep points of one shape, awaiting one resolver call.
 
-    A part holds open trials of one kernel call: n, candidate masks,
-    bit-packed difference sequences (each trial's codewords XOR its
-    received word) and resolver states, plus the array and positions
-    their decodes go to.  The pool is bounded by ``budget`` =
+    A part is one kernel call's open trials of one candidate count c (a
+    :class:`~weaktyp.decoders.PackedTrials`), plus the array and
+    positions their decodes go to.  The pool is bounded by ``budget`` =
     ``POOL_BLOCKS`` resolver blocks of packed rows, a part counting its
-    ``z_seqs.nbytes``: a part that would pass it first
-    flushes the pool, and a part that fills it alone is resolved alone.
-    No part is joined to another or copied, so the pooled trials stay
-    within it.  A part of a batch the pool does not await yet also first
+    ``z_seqs.nbytes``, c ceil(n/8) a trial: a part that would pass it
+    first flushes the pool, and a part that fills it alone is resolved
+    alone.  A part is never split, so the pooled trials stay within the
+    budget.  A part of a batch the pool does not await yet also first
     flushes it where that batch would take the awaited batches past the
     budget, so a sweep holds few batches open, however few trials it pools.
     """
@@ -332,41 +332,33 @@ class _Pool:
     def __init__(self, resolver: str, k_max: int) -> None:
         self.resolver, self.k_max = resolver, k_max
         self.budget = POOL_BLOCKS * decoders.BATCH_BLOCK_ELEMS
-        self.parts: list[tuple] = []
+        self.parts: list[tuple[PackedTrials, np.ndarray, np.ndarray]] = []
         self.bytes = 0
 
-    def add(
-        self,
-        n: int,
-        mask: np.ndarray,
-        z_seqs: np.ndarray,
-        states: np.ndarray,
-        weak: np.ndarray,
-        positions: np.ndarray,
-    ) -> None:
-        size = z_seqs.nbytes
+    def add(self, trials: PackedTrials, weak: np.ndarray, positions: np.ndarray) -> None:
+        size = trials.z_seqs.nbytes
         waiting = self.waiting()
         if self.bytes + size > self.budget or (
             id(weak) not in waiting and sum(waiting.values()) + _batch_bytes(weak) > self.budget
         ):
             self.flush()
-        self.parts.append((n, mask, z_seqs, states, weak, positions))
+        self.parts.append((trials, weak, positions))
         self.bytes += size
         if self.bytes >= self.budget:
             self.flush()
 
     def waiting(self) -> dict[int, int]:
         """Bytes of each batch that pooled trials are still to be written into, by the id of its decode array."""
-        return {id(part[4]): _batch_bytes(part[4]) for part in self.parts}
+        return {id(weak): _batch_bytes(weak) for _, weak, _ in self.parts}
 
     def flush(self) -> None:
-        """Resolve every pooled trial in one resolver call, its parts as they are, and scatter the decodes back."""
+        """Resolve every pooled trial in one resolver call and scatter the decodes back."""
         if not self.parts:
             return
         parts, self.parts, self.bytes = self.parts, [], 0
-        batches = [PackedTrials(*part[:4]) for part in parts]
-        for resolved, (*_, weak, positions) in zip(resolve_batch(batches, self.resolver, self.k_max), parts):
-            weak[positions] = resolved.decoded
+        resolved = resolve_batch([trials for trials, _, _ in parts], self.resolver, self.k_max)
+        for result, (_, weak, positions) in zip(resolved, parts):
+            weak[positions] = result.decoded
 
 
 def _batch_bytes(weak: np.ndarray) -> int:
@@ -445,37 +437,40 @@ def _simulate(
         batch.weak_decoded[off + multi[decided]] = mask[multi[decided]].argmax(axis=1) + 1
         pooled = multi[~decided]
         if pooled.size:
-            z_seqs = _packed(words, ybits, pooled)
-        # the next call draws over the chunk's codebooks: no view of them outlives the chunk
-        del words
-        if pooled.size:
-            at = off + pooled
             # trial at of the run is trial start + at % num_trials of point at // num_trials
-            point, tid = np.divmod(at, num_trials)
+            point, tid = np.divmod(off + pooled, num_trials)
             masters = np.array(dms, dtype=np.uint64)[point]
             states = stream_states(masters, trial_stream((start + tid).astype(np.uint64), PURPOSE_RESOLVER))
-            pool.add(cfg.n, mask[pooled], z_seqs, states, batch.weak_decoded, at)
+            for c in np.flatnonzero(np.bincount(counts[pooled])).tolist():
+                of_c = counts[pooled] == c
+                at = pooled[of_c]
+                # each row's candidates, ascending, in the narrowest type that holds m: the pool keeps them
+                idx = (np.flatnonzero(mask[at]) % cfg.m).astype(np.min_scalar_type(cfg.m)).reshape(-1, c)
+                trials = PackedTrials(cfg.n, idx, _packed(words, ybits, at, idx), states[of_c])
+                pool.add(trials, batch.weak_decoded, off + at)
+        # the next call draws over the chunk's codebooks: no view of them outlives the chunk
+        del words
     return batch
 
 
-def _packed(rows: np.ndarray, ybits: np.ndarray, at: np.ndarray) -> np.ndarray:
-    """Bit-packed difference words (codeword ``rows`` XOR received word) of trials ``at``, (len(at), m, ceil(n/8)).
+def _packed(rows: np.ndarray, ybits: np.ndarray, at: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Bit-packed difference words (codeword XOR received word) of candidates ``idx`` (len(at), c) of trials ``at``.
 
     ``kernels.BLOCK_ELEMS`` symbols at a time, so no unpacked copy of the
     trials is made, each row zero-padded to whole bytes: one flat
     ``np.packbits`` then packs a block, several times faster than one
     along its rows.
     """
-    _, m, n = rows.shape
+    n, c = rows.shape[2], idx.shape[1]
     width = -(-n // 8)
-    z_seqs = np.empty((at.size, m, width), dtype=np.uint8)
-    step = max(1, kernels.BLOCK_ELEMS // (m * n))
-    padded = np.zeros((min(step, at.size), m, 8 * width), dtype=np.uint8)
+    z_seqs = np.empty((at.size, c, width), dtype=np.uint8)
+    step = max(1, kernels.BLOCK_ELEMS // (c * n))
+    padded = np.zeros((min(step, at.size), c, 8 * width), dtype=np.uint8)
     for lo in range(0, at.size, step):
         sel = at[lo : lo + step]
         block = padded[: sel.size]
-        np.bitwise_xor(rows[sel], ybits[sel, None, :], out=block[:, :, :n])
-        z_seqs[lo : lo + sel.size] = np.packbits(block).reshape(sel.size, m, width)
+        np.bitwise_xor(rows[sel[:, None], idx[lo : lo + step]], ybits[sel, None, :], out=block[:, :, :n])
+        z_seqs[lo : lo + sel.size] = np.packbits(block).reshape(sel.size, c, width)
     return z_seqs
 
 
@@ -499,8 +494,9 @@ def iter_points(cfgs: list[TrialConfig], num_trials: int, start: int = 0) -> Ite
     candidate there, from the codewords, before anything is packed; the
     batch path applies the rule nowhere else.  The rest, the open trials, of
     every point of one shape (m, resolver, k_max), whatever their n, are pooled
-    as their candidates' difference sequences, bit-packed
-    (:class:`~weaktyp.decoders.PackedTrials`), and resolved in lockstep by
+    as their candidates' difference sequences, bit-packed, one part a
+    kernel call and candidate count (:class:`~weaktyp.decoders.PackedTrials`),
+    and resolved in lockstep by
     one :func:`~weaktyp.decoders.resolve_batch` call per flush: one
     k-means and integer Pegasos per candidate count and resolver block,
     one float replay of svm ties, across every n.  A kernel call or a

@@ -102,7 +102,8 @@ for n, c, size in spec["svm_pool"]:
     mask = np.ones((size, c), dtype=bool)
     # resolve_batch takes open trials only: the index rule decides a set of equal rows
     keep = ~decoders.index_decided(rows, mask, mask.sum(axis=1), np.arange(size), "svm", 2)
-    parts.append(decoders.PackedTrials(n, mask[keep], np.packbits(rows[keep], axis=2), states[keep]))
+    idx = np.tile(np.arange(c), (int(keep.sum()), 1))
+    parts.append(decoders.PackedTrials(n, idx, np.packbits(rows[keep], axis=2), states[keep]))
 replayed, pegasos_scores = set(), decoders._pegasos_scores
 
 def recorded(groups, certified):

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from weaktyp import decoders
+from weaktyp import decoders, kernels, montecarlo
 from weaktyp.core import bsc, generate_codebook, hamming_diff, sequence, transmit
 from weaktyp.decoders import (
     CandidateSet,
@@ -17,7 +17,7 @@ from weaktyp.decoders import (
     weak_outcome,
 )
 from weaktyp.kernels import Segment, simulate_trials
-from weaktyp.montecarlo import derived_master
+from weaktyp.montecarlo import TrialConfig, derived_master, run_trials
 from weaktyp.rng import PURPOSE_RESOLVER, RngStream, stream_states, trial_stream
 from weaktyp.typicality import build_context, is_jointly_typical
 
@@ -332,7 +332,7 @@ def test_exact_ties_go_to_the_lowest_index():
     cands = cand_set([1, 2, 3], rows)
     assert decode(cands, "cluster", RngStream(0, 0), 1) == 1
     states = stream_states(0, np.array([0]))
-    trials = PackedTrials(5, np.ones((1, 3), dtype=bool), np.packbits(np.array([rows]), axis=2), states)
+    trials = PackedTrials(5, np.arange(3)[None], np.packbits(np.array([rows]), axis=2), states)
     (got,) = resolve_batch([trials], "cluster", 1)
     assert got.decoded.tolist() == [1]
     assert got.iterations.tolist() == [2]
@@ -411,7 +411,7 @@ def test_many_candidates_on_few_symbols_resolve_from_the_rows():
     # c > n: a c x c Gram matrix would take c**2 elements; the products are taken from the rows
     c, n, k_max = 2000, 8, 3
     words = np.random.default_rng(10).integers(0, 2, size=(1, c, n), dtype=np.uint8)
-    trials = PackedTrials(n, np.ones((1, c), dtype=bool), np.packbits(words, axis=2), stream_states(11, np.array([5])))
+    trials = PackedTrials(n, np.arange(c)[None], np.packbits(words, axis=2), stream_states(11, np.array([5])))
     tracemalloc.start()
     try:
         (got,) = resolve_batch([trials], "cluster", k_max)
@@ -436,7 +436,7 @@ def test_an_emptied_cluster_is_reseeded_on_distinct_rows():
     ]
     cands = cand_set(np.arange(1, 13), rows)
     states = stream_states(3872243241, np.array([5249]))
-    trials = PackedTrials(12, np.ones((1, 12), dtype=bool), np.packbits(np.array([rows]), axis=2), states)
+    trials = PackedTrials(12, np.arange(12)[None], np.packbits(np.array([rows]), axis=2), states)
     for resolver, expected in (("cluster", 1), ("cluster-random", 8)):
         outcome, clus = weak_outcome(cands, resolver, RngStream(3872243241, 5249), 5)
         assert (outcome.decoded, clus.iterations_used) == (expected, 6)
@@ -681,7 +681,7 @@ def test_pegasos_scores_with_every_margin_by_ddot_match_the_reference(monkeypatc
         rows = rng.integers(0, 2, size=(size, m, n), dtype=np.uint8)
         split += sum(not np.all(z == z[0]) for z in rows)
         states = stream_states(7, np.arange(size, dtype=np.uint64) + 100 * n)
-        parts.append(PackedTrials(n, np.ones((size, m), dtype=bool), np.packbits(rows, axis=2), states))
+        parts.append(PackedTrials(n, np.tile(np.arange(m), (size, 1)), np.packbits(rows, axis=2), states))
         references.append([decode(cand_set(np.arange(1, m + 1), z), "svm", RngStream(7, 100 * n + t)) for t, z in enumerate(rows)])
     for got, expected in zip(decoders.resolve_batch(parts, "svm", 2), references):
         assert got.decoded.tolist() == expected
@@ -759,7 +759,7 @@ def svm_labels(rows, stream_id):
 def svm_decodes(rows, stream_id):
     """The batch and the per-trial svm decode of candidates 1..c with ``rows``, on stream (5, stream_id)."""
     states = stream_states(5, np.array([stream_id]))
-    trials = PackedTrials(rows.shape[1], np.ones((1, rows.shape[0]), dtype=bool), np.packbits(rows[None], axis=2), states)
+    trials = PackedTrials(rows.shape[1], np.arange(rows.shape[0])[None], np.packbits(rows[None], axis=2), states)
     (got,) = decoders.resolve_batch([trials], "svm", 2)
     return int(got.decoded[0]), decode(cand_set(np.arange(1, rows.shape[0] + 1), rows), "svm", RngStream(5, stream_id))
 
@@ -881,30 +881,44 @@ def test_svm_returns_candidate_member():
 
 
 @pytest.mark.parametrize("m, n", [(4, 43), (6, 43)])
-def test_resolvers_read_candidate_rows_only(m, n):
-    # the executor packs every row of a multi-candidate trial, but a resolver may read
-    # only the candidates': the kernel leaves a rejected codeword's tail zero, at
-    # m = 4 and at m = 6
-    from weaktyp.montecarlo import TrialConfig
+def test_resolvers_read_candidate_rows_only(monkeypatch, m, n):
+    # no non-candidate row of a kernel call reaches the pool: each pooled part holds its
+    # trials' candidate rows only, and scrambling every other codeword after the scan
+    # moves no decode, at m = 4 and at m = 6
+    simulate, add = kernels.simulate_trials, montecarlo._Pool.add
+    calls, pooled = [], []
 
-    cfg = TrialConfig(n=n, m=m, q=0.5, channel=bsc(0.4), eps=0.1, master_seed=808)
-    dm = derived_master(cfg)
-    consts = build_context(cfg.q, cfg.channel).kernel_constants()
-    _, mask, ybits, xwords = simulate_trials([Segment(dm, 0, 400, cfg.q, consts)], 400, m, n, 0.4, 0.6, cfg.eps)
-    counts = mask.sum(axis=1)
-    trials = np.flatnonzero((counts >= 2) & (counts < m))
-    assert trials.size >= 20
-    mask = mask[trials]
-    z = np.packbits(xwords[trials] ^ ybits[trials, None, :], axis=2)
-    states = stream_states(dm, trial_stream(trials.astype(np.uint64), PURPOSE_RESOLVER))
-    noise = np.random.default_rng(9).integers(0, 2, size=(trials.size, m, n), dtype=np.uint8)
-    scrambled = np.where(mask[:, :, None], z, np.packbits(noise, axis=2))
-    assert not np.array_equal(scrambled, z)
+    def scrambled(*args):
+        w, mask, ybits, words = simulate(*args)
+        noise = np.random.default_rng(9).integers(0, 2, size=words.shape, dtype=np.uint8)
+        out = np.where(mask[:, :, None], words, noise)
+        assert not np.array_equal(out, words)
+        calls.append((mask, ybits, words.copy()))
+        return w, mask, ybits, out
+
+    def checked_add(pool, trials, weak, positions):
+        # one kernel call of 400 trials: positions are the call's rows
+        mask, ybits, words = calls[-1]
+        size, c = trials.idx.shape
+        assert c >= 2 and np.all(mask[positions].sum(axis=1) == c)
+        assert np.array_equal(trials.idx, np.nonzero(mask[positions])[1].reshape(size, c))
+        rows = words[positions[:, None], trials.idx] ^ ybits[positions, None, :]
+        assert np.array_equal(trials.z_seqs, np.packbits(rows, axis=2))
+        pooled.append(size if c < m else 0)
+        add(pool, trials, weak, positions)
+
     for resolver in decoders.RESOLVERS:
-        (a,) = decoders.resolve_batch([PackedTrials(n, mask, z, states)], resolver, 3)
-        (b,) = decoders.resolve_batch([PackedTrials(n, mask, scrambled, states)], resolver, 3)
-        assert np.array_equal(a.decoded, b.decoded)
-        assert np.array_equal(a.iterations, b.iterations)
+        cfg = TrialConfig(n=n, m=m, q=0.5, channel=bsc(0.4), eps=0.1, master_seed=808, resolver=resolver)
+        expected = run_trials(cfg, 400)
+        with monkeypatch.context() as patch:
+            patch.setattr(kernels, "simulate_trials", scrambled)
+            patch.setattr(montecarlo._Pool, "add", checked_add)
+            calls.clear()
+            got = run_trials(cfg, 400)
+        assert len(calls) == 1
+        assert np.array_equal(got.weak_decoded, expected.weak_decoded)
+    # pooled trials with rejected codewords beside their candidates
+    assert sum(pooled) >= 20
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ import pytest
 from weaktyp import decoders, kernels, montecarlo
 from weaktyp.core import bsc
 from weaktyp.typicality import build_context
-from weaktyp.decoders import RESOLVERS, DecodeOutcome
+from weaktyp.decoders import RESOLVERS, DecodeOutcome, PackedTrials
 from weaktyp.montecarlo import (
     CHUNK_BYTES,
     PeEstimate,
@@ -86,25 +86,26 @@ def test_points_pool_only_with_their_own_resolver_and_k_max():
     assert len({batch.weak_decoded.tobytes() for batch in batches}) == len(cfgs) - 1
 
 
-def packed_bytes(m, n):
-    """Bytes of one trial's m difference words bit-packed along n: its share of a part's ``z_seqs.nbytes``."""
-    return m * -(-n // 8)
+def packed_bytes(c, n):
+    """Bytes of one trial's c candidates' difference words bit-packed along n: its share of ``z_seqs.nbytes``."""
+    return c * -(-n // 8)
 
 
-def pooled_footprints(monkeypatch, m, resolver, parts):
-    """Packed difference-sequence bytes the pool holds, and hands the resolver, while ``parts`` chunks pass through it.
+def pooled_footprints(monkeypatch, resolver, parts):
+    """Packed difference-sequence bytes the pool holds, and hands the resolver, while ``parts`` pass through it.
 
-    ``parts`` lists (n, trials) chunks.  The parts are broadcast views, so
-    nothing of the footprint is allocated.  Returns the pool's bytes
-    after each part and, per flush, the (n, trials) of each part the
-    resolver call took, as the pool holds them: no part is joined to
-    another.
+    ``parts`` lists (n, c, trials) parts, each of one kernel call and
+    candidate count c.  The parts are broadcast views, so nothing of the
+    footprint is allocated.  Returns the pool's bytes after each part
+    and, per flush, the (n, c, trials) of each part the resolver call
+    took, as the pool holds them: no part is split.
     """
     flushed = []
 
     def decoded(batch):
-        flushed[-1].append((batch.n, batch.cand_mask.shape[0]))
-        return SimpleNamespace(decoded=np.ones(batch.cand_mask.shape[0], dtype=np.int64))
+        size, c = batch.idx.shape
+        flushed[-1].append((batch.n, c, size))
+        return SimpleNamespace(decoded=np.ones(size, dtype=np.int64))
 
     flush = montecarlo._Pool.flush
 
@@ -116,18 +117,16 @@ def pooled_footprints(monkeypatch, m, resolver, parts):
     monkeypatch.setattr(montecarlo, "resolve_batch", lambda parts, resolver, k_max: [decoded(b) for b in parts])
     monkeypatch.setattr(montecarlo._Pool, "flush", recorded_flush)
     pool = montecarlo._Pool(resolver, 3)
-    weak = np.zeros(sum(k for _, k in parts), dtype=np.int64)
+    weak = np.zeros(sum(k for *_, k in parts), dtype=np.int64)
     held, at = [], 0
-    for n, k in parts:
-        width = -(-n // 8)
-        pool.add(
+    for n, c, k in parts:
+        trials = PackedTrials(
             n,
-            np.broadcast_to(np.ones((1, 1), dtype=bool), (k, m)),
-            np.broadcast_to(np.zeros((1, 1, 1), dtype=np.uint8), (k, m, width)),
+            np.broadcast_to(np.arange(c), (k, c)),
+            np.broadcast_to(np.zeros((1, 1, 1), dtype=np.uint8), (k, c, -(-n // 8))),
             np.zeros(k, dtype=np.uint64),
-            weak,
-            np.arange(at, at + k),
         )
+        pool.add(trials, weak, np.arange(at, at + k))
         held.append(pool.bytes)
         at += k
     pool.flush()
@@ -137,36 +136,41 @@ def pooled_footprints(monkeypatch, m, resolver, parts):
 
 def test_pool_resolves_a_trial_at_the_chunk_budget_alone_and_uncopied(monkeypatch):
     # the largest fig3 trial the full profile accepts at n = 600: 119 MB of
-    # codebook, 15 MB packed, so a kernel call holds one trial and every chunk is one part
+    # codebook, 15 MB packed with every codeword a candidate, so a kernel call holds
+    # one trial and every chunk is one part
     m = (CHUNK_BYTES - call_bytes(0, 600)) // (call_bytes(1, 600) - call_bytes(0, 600))
     cfg = TrialConfig(n=600, m=m, q=0.5, channel=bsc(0.4), eps=0.1, resolver="svm")
     assert call_bytes(cfg.m, cfg.n) <= CHUNK_BYTES < call_bytes(cfg.m + 1, cfg.n)
     assert CHUNK_BYTES // (cfg.m * cfg.n) == 1
     assert packed_bytes(cfg.m, cfg.n) > montecarlo.POOL_BLOCKS * decoders.BATCH_BLOCK_ELEMS
-    held, flushed = pooled_footprints(monkeypatch, cfg.m, cfg.resolver, [(600, 1)] * 4)
+    held, flushed = pooled_footprints(monkeypatch, cfg.resolver, [(600, cfg.m, 1)] * 4)
     # nothing is held over to the next chunk, and each trial is resolved alone: the
     # worst pooled footprint is the one part being resolved, as without pooling
-    assert held == [0, 0, 0, 0] and flushed == [[(600, 1)]] * 4
+    assert held == [0, 0, 0, 0] and flushed == [[(600, cfg.m, 1)]] * 4
 
 
 def test_pool_holds_and_joins_at_most_its_budget():
-    # the fig3 grid's longest and shortest blocklengths at m = 4: 60 and 12 packed bytes a trial
+    # the fig3 grid's longest and shortest blocklengths at m = 4: 60 and 12 packed bytes
+    # a trial of c = 4 candidates, 45 and 9 of c = 3
     budget = montecarlo.POOL_BLOCKS * decoders.BATCH_BLOCK_ELEMS
-    assert (packed_bytes(4, 120), packed_bytes(4, 20)) == (60, 12)
+    assert (packed_bytes(4, 120), packed_bytes(4, 20), packed_bytes(3, 120)) == (60, 12, 45)
     per_budget = budget // packed_bytes(4, 120)
-    parts = [(120, 45), (20, 45)] * 20 + [(120, per_budget + 1), (20, 1), (120, 1), (120, per_budget - 1)]
-    parts += [(20, 2), (120, per_budget), (20, 3)]
+    parts = [(120, 4, 45), (120, 3, 5), (20, 4, 45)] * 20
+    parts += [(120, 4, per_budget + 1), (20, 3, 1), (120, 4, 1), (120, 4, per_budget - 1)]
+    parts += [(20, 4, 2), (120, 4, per_budget), (20, 3, 3)]
     for resolver in ("cluster", "svm"):
         with pytest.MonkeyPatch.context() as patch:
-            held, flushed = pooled_footprints(patch, 4, resolver, parts)
-        resolved = [sum(k * packed_bytes(4, n) for n, k in flush) for flush in flushed]
+            held, flushed = pooled_footprints(patch, resolver, parts)
+        resolved = [sum(k * packed_bytes(c, n) for n, c, k in flush) for flush in flushed]
         assert max(held) < budget
         # a resolver call takes at most the budget, or one part that passes it alone
         assert all(size <= budget or len(flush) == 1 for size, flush in zip(resolved, flushed))
-        assert [(120, per_budget + 1)] in flushed
-        # a resolver call takes the parts of several points and of both blocklengths: the pool does pool
+        assert [(120, 4, per_budget + 1)] in flushed
+        # a resolver call takes the parts of several points, of both blocklengths and of
+        # both candidate counts: the pool does pool
         assert max(size for size in resolved if size <= budget) > 45 * packed_bytes(4, 120)
-        assert any(sorted({n for n, _ in flush}) == [20, 120] for flush in flushed)
+        assert any(sorted({n for n, _, _ in flush}) == [20, 120] for flush in flushed)
+        assert any(sorted({c for _, c, _ in flush}) == [3, 4] for flush in flushed)
         # no part is split: each flush takes whole parts
         assert sorted(part for flush in flushed for part in flush) == sorted(parts)
 
@@ -260,16 +264,53 @@ def test_the_pool_takes_only_the_trials_the_index_rule_leaves(monkeypatch):
             expected.append(distinct > 1 and (counts[t] > 3 or distinct == 2))
         return out
 
-    def spy_add(pool, n, mask, z_seqs, states, weak, positions):
+    def spy_add(pool, trials, weak, positions):
         # packed difference words are equal exactly when the codewords are, so the rule, read on them, decides none
-        assert not decoders.index_decided(z_seqs, mask, mask.sum(axis=1), np.arange(positions.size), "cluster", 3).any()
+        every = np.ones(trials.idx.shape, dtype=bool)
+        decided = decoders.index_decided(trials.z_seqs, every, every.sum(axis=1), np.arange(positions.size), "cluster", 3)
+        assert not decided.any()
         pooled.append(positions.size)
-        add(pool, n, mask, z_seqs, states, weak, positions)
+        add(pool, trials, weak, positions)
 
     monkeypatch.setattr(kernels, "simulate_trials", spy_simulate)
     monkeypatch.setattr(montecarlo._Pool, "add", spy_add)
     estimate_points(desk_fig3_grid("cluster"), 500)
     assert sum(pooled) == sum(expected) == 7430
+
+
+def test_a_pooled_part_holds_exactly_its_trials_candidates(monkeypatch):
+    # on one svm point, each pooled part holds one candidate count c and, for each of its
+    # trials, that trial's candidates only: their indices and difference words are the
+    # reference scan's, and no other codeword of the kernel call is packed
+    cfg = TrialConfig(n=24, m=6, q=0.5, channel=bsc(0.4), eps=0.1, resolver="svm", master_seed=31)
+    add, parts = montecarlo._Pool.add, []
+
+    def spy_add(pool, trials, weak, positions):
+        parts.append((trials, positions.copy()))
+        add(pool, trials, weak, positions)
+
+    monkeypatch.setattr(montecarlo._Pool, "add", spy_add)
+    run_trials(cfg, 300)
+    for trials, positions in parts:
+        size, c = trials.idx.shape
+        assert trials.z_seqs.shape[:2] == (size, c) and c >= 2 and trials.n == cfg.n
+        for t, tid in enumerate(positions.tolist()):
+            cands = trial_detail(cfg, tid).candidates
+            assert np.array_equal(trials.idx[t] + 1, cands.indices)
+            assert np.array_equal(np.unpackbits(trials.z_seqs[t], axis=1, count=cfg.n), cands.z_seqs)
+    counts = sorted(trials.idx.shape[1] for trials, _ in parts)
+    # parts of every count from 2 to m, so trials with codewords beside their candidates
+    assert sorted(set(counts)) == [2, 3, 4, 5, 6]
+    assert sum(positions.size for _, positions in parts) > 200
+
+
+def test_candidate_indices_past_one_byte_decode_as_the_reference():
+    # at m = 300 a pooled trial's candidate indices take two bytes each, and decodes past 256 are the reference's
+    for resolver in RESOLVERS:
+        cfg = TrialConfig(n=10, m=300, q=0.5, channel=bsc(0.3), eps=0.1, resolver=resolver, master_seed=3)
+        batch = run_trials(cfg, 12)
+        assert batch.weak_decoded.tolist() == [run_trial(cfg, t).weak_outcome.decoded for t in range(12)]
+        assert np.all(batch.candidate_counts >= 2) and batch.weak_decoded.max() > 256
 
 
 def test_a_sweep_holds_no_unpacked_copy_of_a_calls_trials_and_few_open_batches(monkeypatch):

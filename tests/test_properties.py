@@ -254,15 +254,15 @@ def test_run_points_equals_run_trials_and_run_trial(monkeypatch):
 
     def counted_blocks(parts):
         for block in resolver_blocks(parts):
-            # a block is (c, trials, candidate indices, packed rows, blocklengths)
-            hits["resolver_block_spans_blocklengths"] += len(set(block[4].tolist())) > 1
+            # a block is (c, trials, packed rows, blocklengths)
+            hits["resolver_block_spans_blocklengths"] += len(set(block[3].tolist())) > 1
             yield block
 
     def counted_simulate_trials(segments, *args):
         hits["kernel_call_spans_points"] += len(segments) > 1
         return simulate_trials(segments, *args)
 
-    def recorded_add(pool, n, mask, z_seqs, states, weak, positions):
+    def recorded_add(pool, trials, weak, positions):
         # the weak array of a part belongs to the run of points being simulated
         cfgs, num_trials, start = owners[id(weak)] = owners["run"]
         # every pooled trial is open: two or more candidates, its sent word typical, a set the index rule leaves;
@@ -271,21 +271,24 @@ def test_run_points_equals_run_trials_and_run_trial(monkeypatch):
         sent = [
             draw_message(cfg.m, RngStream(derived_master(cfg), trial_stream(t, PURPOSE_MESSAGE))) for cfg, t in points
         ]
-        counts, trials = mask.sum(axis=1), np.arange(positions.size)
+        size, c = trials.idx.shape
+        every = np.ones((size, c), dtype=bool)
         assert (
-            np.all(counts >= 2)
-            and np.all(mask[trials, np.array(sent, dtype=np.int64) - 1])
-            and not np.any(decoders.index_decided(z_seqs, mask, counts, trials, pool.resolver, pool.k_max))
+            c >= 2
+            and np.all(np.any(trials.idx == np.array(sent, dtype=np.int64)[:, None] - 1, axis=1))
+            and not np.any(
+                decoders.index_decided(trials.z_seqs, every, every.sum(axis=1), np.arange(size), pool.resolver, pool.k_max)
+            )
         )
-        add(pool, n, mask, z_seqs, states, weak, positions)
+        add(pool, trials, weak, positions)
 
     def counted_flush(pool):
-        # a part is (n, mask, z_seqs, states, weak, positions)
-        cfgs = [cfg for part in pool.parts for cfg in owners[id(part[4])][0]]
+        # a part is (trials, weak, positions)
+        cfgs = [cfg for part in pool.parts for cfg in owners[id(part[1])][0]]
         hits["pool_spans_points"] += len(set(map(id, cfgs))) > 1
         fixed = {fixed_codebook(cfg).words.tobytes() for cfg in cfgs if cfg.codebook_mode == "fixed"}
         hits["pool_mixes_fixed_codebooks"] += len(fixed) > 1
-        hits["pool_spans_blocklengths"] += len({part[0] for part in pool.parts}) > 1
+        hits["pool_spans_blocklengths"] += len({part[0].n for part in pool.parts}) > 1
         flush(pool)
 
     def counted_scores(groups, certified):
@@ -463,10 +466,27 @@ def separated_point_sets(draw):
     return words, received, np.ones((trials, m), dtype=bool), stream_ids, master, 2, resolver
 
 
-def packed_trials(words, received, mask, states, keep=slice(None)):
-    """The (unpacked) trials ``keep`` of a point set as the batch resolvers take them: packed words XOR received."""
-    z = np.bitwise_xor(words[keep], received[keep, None, :])
-    return PackedTrials(words.shape[2], mask[keep], np.packbits(z, axis=2), states[keep])
+def resolve_packed(sets, resolver, k_max):
+    """``resolve_batch`` on the trials ``keep`` of point sets, packed as the executor pools them.
+
+    ``sets`` holds each set's (words, received, mask, states, keep), its
+    (unpacked) codewords and received words.  Each set gives one part per
+    candidate count c, of its candidates' words XOR received, packed.
+    Returns each set's (decoded, iterations) by trial, 0 outside ``keep``.
+    """
+    parts, places = [], []
+    for s, (words, received, mask, states, keep) in enumerate(sets):
+        counts = mask.sum(axis=1)
+        for c in np.unique(counts[keep]).tolist():
+            at = np.flatnonzero(keep & (counts == c))
+            idx = np.nonzero(mask[at])[1].reshape(-1, c)
+            z = np.bitwise_xor(words[at[:, None], idx], received[at, None, :])
+            parts.append(PackedTrials(words.shape[2], idx, np.packbits(z, axis=2), states[at]))
+            places.append((s, at))
+    out = [(np.zeros(len(keep), dtype=np.int64), np.zeros(len(keep), dtype=np.int64)) for *_, keep in sets]
+    for (s, at), got in zip(places, resolve_batch(parts, resolver, k_max) if parts else []):
+        out[s][0][at], out[s][1][at] = got.decoded, got.iterations
+    return out
 
 
 def open_trials(words, received, mask, stream_ids, master, resolver, k_max):
@@ -566,8 +586,7 @@ def test_batch_resolution_equals_cluster_resolve(monkeypatch):
         states = stream_states(master, stream_ids)
         # the index rule's sets are checked on their codewords; the open rest go to the batch
         keep = open_trials(words, received, mask, stream_ids, master, resolver, k_max)
-        (got,) = resolve_batch([packed_trials(words, received, mask, states, keep)], resolver, k_max)
-        at = np.cumsum(keep) - 1  # trial t's place among the open trials
+        ((decoded, iterations),) = resolve_packed([(words, received, mask, states, keep)], resolver, k_max)
         for t in range(mask.shape[0]):
             idx0 = np.flatnonzero(mask[t])
             z = np.bitwise_xor(words[t, idx0], received[t])
@@ -578,12 +597,12 @@ def test_batch_resolution_equals_cluster_resolve(monkeypatch):
             rng = RngStream(master, int(stream_ids[t]))
             assert rng.state == states[t]
             outcome, clus = weak_outcome(cands, resolver, rng, k_max)
-            assert got.decoded[at[t]] == outcome.decoded
-            assert got.iterations[at[t]] == clus.iterations_used
+            assert decoded[t] == outcome.decoded
+            assert iterations[t] == clus.iterations_used
             # where both paths take the zero-total fallback seed and reseed an emptied cluster
             hits["kmeans_on_fewer_distinct_rows_than_k"] += len({r.tobytes() for r in z}) < clus.k
         # the first pass never converges; a third means centroids moved a point
-        repeats = int(np.count_nonzero(got.iterations > 2))
+        repeats = int(np.count_nonzero(iterations > 2))
         hits["lloyd_repeat"] += repeats
         return repeats
 
@@ -627,14 +646,14 @@ def test_batch_resolution_with_wide_comparisons_equals_cluster_resolve(monkeypat
         words, received, mask, stream_ids, master, k_max, resolver = case
         states = stream_states(master, stream_ids)
         keep = open_trials(words, received, mask, stream_ids, master, resolver, k_max)
-        (got,) = resolve_batch([packed_trials(words, received, mask, states, keep)], resolver, k_max)
-        for g, t in enumerate(np.flatnonzero(keep)):
+        ((decoded, iterations),) = resolve_packed([(words, received, mask, states, keep)], resolver, k_max)
+        for t in np.flatnonzero(keep):
             idx0 = np.flatnonzero(mask[t])
             z = np.bitwise_xor(words[t, idx0], received[t])
             cands = CandidateSet(indices=idx0 + 1, z_seqs=z)
             outcome, clus = weak_outcome(cands, resolver, RngStream(master, int(stream_ids[t])), k_max)
-            assert got.decoded[g] == outcome.decoded
-            assert got.iterations[g] == clus.iterations_used
+            assert decoded[t] == outcome.decoded
+            assert iterations[t] == clus.iterations_used
 
     check()
 
@@ -646,7 +665,7 @@ def test_batch_resolution_pools_row_side_trials_across_blocklengths(monkeypatch)
 
     def counted_blocks(parts):
         for block in blocks(parts):
-            c, _, _, _, ns = block
+            c, _, _, ns = block
             # a row-side block holding both blocklengths
             mixed[resolver] += bool(c > ns.max() and ns.min() < ns.max())
             yield block
@@ -660,13 +679,13 @@ def test_batch_resolution_pools_row_side_trials_across_blocklengths(monkeypatch)
         cases.append((words, received, np.ones((6, 5), dtype=bool), np.arange(first_id, first_id + 6)))
     master, k_max, kmeans_runs = 91, 3, 0
     for resolver in mixed:
-        parts = [packed_trials(words, received, mask, stream_states(master, ids)) for words, received, mask, ids in cases]
-        for (words, received, mask, ids), got in zip(cases, resolve_batch(parts, resolver, k_max)):
+        sets = [(words, received, mask, stream_states(master, ids), mask.any(axis=1)) for words, received, mask, ids in cases]
+        for (words, received, mask, ids), (decoded, iterations) in zip(cases, resolve_packed(sets, resolver, k_max)):
             for t in range(mask.shape[0]):
                 cands = CandidateSet(indices=np.arange(1, 6), z_seqs=np.bitwise_xor(words[t], received[t]))
                 outcome, clus = weak_outcome(cands, resolver, RngStream(master, int(ids[t])), k_max)
-                assert got.decoded[t] == outcome.decoded
-                assert got.iterations[t] == (clus.iterations_used if clus else 0)
+                assert decoded[t] == outcome.decoded
+                assert iterations[t] == (clus.iterations_used if clus else 0)
                 kmeans_runs += clus is not None
     assert all(mixed.values()), mixed
     assert kmeans_runs > 0
@@ -945,22 +964,22 @@ def test_batch_svm_equals_svm_resolve(monkeypatch):
             patch.setattr(decoders, "BATCH_BLOCK_ELEMS", block_elems)
             if uncertified:
                 patch.setattr(decoders, "_margin_slack", lambda steps, k: np.inf)
-            got = resolve_batch(
+            got = resolve_packed(
                 [
-                    packed_trials(words, received, mask, stream_states(master, stream_ids), keep)
+                    (words, received, mask, stream_states(master, stream_ids), keep)
                     for (words, received, mask, stream_ids), keep in zip(parts, keeps)
                 ],
                 "svm",
                 2,
             )
-        for (words, received, mask, stream_ids), keep, resolved in zip(parts, keeps, got):
-            for g, t in enumerate(np.flatnonzero(keep)):
+        for (words, received, mask, stream_ids), keep, (decoded, iterations) in zip(parts, keeps, got):
+            for t in np.flatnonzero(keep):
                 idx0 = np.flatnonzero(mask[t])
                 z = np.bitwise_xor(words[t, idx0], received[t])
                 cands = CandidateSet(indices=idx0 + 1, z_seqs=z)
                 outcome, clus = weak_outcome(cands, "svm", RngStream(master, int(stream_ids[t])))
-                assert resolved.decoded[g] == outcome.decoded
-                assert resolved.iterations[g] == clus.iterations_used
+                assert decoded[t] == outcome.decoded
+                assert iterations[t] == clus.iterations_used
                 split += 1
             equal = np.array([np.all(r[on] == r[on][0]) for r, on in zip(words, mask)])
             # under svm the index rule decides exactly the sets of equal rows
@@ -999,7 +1018,7 @@ def test_svm_pairs_take_their_2_means_from_the_first_draw(monkeypatch):
         z[same, 1, rng.integers(0, n, size=int(same.sum()))] ^= 1
         stream_ids = rng.choice(2**40, size=trials, replace=False)
         states = stream_states(master, stream_ids)
-        pairs = PackedTrials(n, np.ones((trials, 2), dtype=bool), np.packbits(z, axis=2), states)
+        pairs = PackedTrials(n, np.tile(np.arange(2), (trials, 1)), np.packbits(z, axis=2), states)
         labelled.clear()
         (got,) = resolve_batch([pairs], "svm", 2)
         # one block, its trials in order, labelled +1 where k-means puts a row in cluster 0
